@@ -27,7 +27,7 @@ pub struct ScaleConfig {
     pub workers: usize,
     /// Tracker shards.
     pub shards: usize,
-    /// Sealer tracker-pool threads (1 = serial seal path).
+    /// Threads running the seal walk (1 = inline on the sealer thread).
     pub seal_pool: usize,
     /// Timed trials; the best (highest obs/s) is recorded.
     pub trials: usize,

@@ -126,8 +126,6 @@ impl PoleDirectory {
 pub struct StoreConfig {
     /// Number of tag shards (lock stripes for per-tag state).
     pub shards: usize,
-    /// Number of lock stripes for per-segment counters.
-    pub segment_stripes: usize,
     /// Traffic-light cycle length used to bucket flow events, µs (Fig. 12
     /// uses 90 s cycles; 60 s is a common default).
     pub light_cycle_us: u64,
@@ -147,7 +145,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             shards: 8,
-            segment_stripes: 8,
             light_cycle_us: 60_000_000,
             max_speed_gap_us: 120_000_000,
             min_speed_gap_us: 200_000,
@@ -1039,6 +1036,9 @@ struct TagShard {
     agg: CityAggregates,
 }
 
+/// Lock stripes for [`ShardedStore`]'s per-segment report counters.
+const SEGMENT_STRIPES: usize = 8;
+
 /// The city's sharded in-memory store.
 pub struct ShardedStore {
     tag_shards: Vec<Mutex<TagShard>>,
@@ -1070,16 +1070,53 @@ pub fn canonical_obs_key(obs: &TagObservation) -> (u64, u32, u64, u32) {
     (obs.timestamp_us, obs.pole.0, obs.tag.0, obs.cfo_bin)
 }
 
+/// Folds one observation into an aggregate through its shard's tracker —
+/// the single definition of the per-observation path: the batch store's
+/// sort-at-finalize and the live engine's seal walk both call it, so the
+/// two tiers cannot diverge.
+#[inline]
+pub fn fold_observation(
+    agg: &mut CityAggregates,
+    tracker: &mut TagTracker,
+    obs: &TagObservation,
+    directory: &PoleDirectory,
+    config: &StoreConfig,
+) {
+    agg.observations += 1;
+    let resolved = resolve_position(obs, directory.site(obs.pole));
+    agg.positions
+        .record_method(resolved.method, resolved.sigma_m());
+    let CityAggregates {
+        flow,
+        speeds,
+        od,
+        positions,
+        ..
+    } = agg;
+    tracker.apply(obs, directory, config, |event| match event {
+        DerivedEvent::Flow { segment, cycle } => flow.record(segment, cycle),
+        DerivedEvent::Od { from, to } => od.record(from, to),
+        DerivedEvent::Speed { mph, source } => {
+            speeds.record(mph);
+            match source {
+                SpeedSource::PositionTrack => positions.track_speed_samples += 1,
+                SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
+            }
+        }
+    });
+}
+
 impl ShardedStore {
     /// Creates a store over the given deployment.
     pub fn new(directory: PoleDirectory, config: StoreConfig) -> Self {
         let shards = config.shards.max(1);
-        let stripes = config.segment_stripes.max(1);
         Self {
             tag_shards: (0..shards)
                 .map(|_| Mutex::new(TagShard::default()))
                 .collect(),
-            segment_stripes: (0..stripes).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            segment_stripes: (0..SEGMENT_STRIPES)
+                .map(|_| Mutex::new(BTreeMap::new()))
+                .collect(),
             directory,
             config,
             report_count: AtomicU64::new(0),
@@ -1142,29 +1179,8 @@ impl ShardedStore {
         let mut pending = std::mem::take(&mut shard.pending);
         pending.sort_by_key(canonical_obs_key);
         let TagShard { tracker, agg, .. } = shard;
-        let CityAggregates {
-            flow,
-            speeds,
-            od,
-            positions,
-            observations,
-            ..
-        } = agg;
         for obs in pending {
-            *observations += 1;
-            let resolved = resolve_position(&obs, self.directory.site(obs.pole));
-            positions.record_method(resolved.method, resolved.sigma_m());
-            tracker.apply(&obs, &self.directory, &self.config, |event| match event {
-                DerivedEvent::Flow { segment, cycle } => flow.record(segment, cycle),
-                DerivedEvent::Od { from, to } => od.record(from, to),
-                DerivedEvent::Speed { mph, source } => {
-                    speeds.record(mph);
-                    match source {
-                        SpeedSource::PositionTrack => positions.track_speed_samples += 1,
-                        SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
-                    }
-                }
-            });
+            fold_observation(agg, tracker, &obs, &self.directory, &self.config);
         }
     }
 
@@ -1712,7 +1728,6 @@ mod tests {
         for &(shards, rotate) in &[(1usize, 0usize), (2, 17), (5, 3), (8, 101), (32, 59)] {
             let config = StoreConfig {
                 shards,
-                segment_stripes: 1 + shards / 2,
                 ..Default::default()
             };
             let store = ShardedStore::new(line_directory(12, 30.0), config);

@@ -8,47 +8,52 @@
 //!   from pole report timestamps (per-pole atomic frontiers; every pole's
 //!   stream is monotone);
 //! * each ingest thread owns a **worker slot** — a thread-local out-of-order
-//!   buffer (observations above the watermark, plus a flat pane-indexed
-//!   table of report-level segment counters). A slot's mutex is only ever
+//!   buffer, bucketed by pane (observations above the watermark plus the
+//!   report-level segment counters). A slot's mutex is only ever
 //!   contended by the sealer, never by other ingest threads, so pushing a
 //!   report is an uncontended lock plus a few appends: no global locks, no
 //!   per-report allocation, no sorting;
 //! * a **dedicated sealer thread** (spawned by [`LiveCity::new`], woken by a
-//!   condvar whenever the watermark advances) drains the worker slots,
-//!   establishes the canonical order, runs the shared [`TagTracker`] state
-//!   machines (the same ones the batch store uses, §8 alias upgrades
-//!   included), folds each pane into one aggregate, fingerprints it into
-//!   the engine's **fingerprint chain**, and pushes it into the retained
-//!   [`WindowRing`]. Ingest threads only buffer and signal; they never
-//!   seal.
+//!   condvar whenever the watermark advances) seals the released panes.
+//!   Ingest threads only buffer and signal; they never seal.
 //!
-//! # The columnar seal path
+//! # The seal pipeline
 //!
-//! Worker buffers and the seal scratch are struct-of-arrays: a 32-byte
-//! `SealKey` column (every field the canonical order needs) parallel to
-//! the full [`TagObservation`] column. Ordering touches only the dense key
-//! column — a pane/shard **bucket pass** (counting sort over
-//! `(pane - first_pane) * shards + shard`) followed by a per-bucket sort
-//! of `u32` indices on `(timestamp, pole, tag, cfo_bin, seq)` — instead of
-//! one comparison sort moving ~136-byte rows. Seal batches whose
-//! pane-span × shard-count would need an unreasonable bucket table (a
-//! laggard pole 100k panes behind the frontier) fall back to a plain
-//! comparison sort on the same key; both produce the identical canonical
-//! order.
+//! Every seal — watermark-released, forced by the staleness timer, or the
+//! final flush — is the same four steps under the sealed-state lock, one
+//! pass per at most `MAX_SEAL_BUCKETS / shards` panes (a request spanning
+//! more, e.g. a laggard pole catching up 100k panes, is sealed as
+//! consecutive passes, each notifying waiters as it lands):
 //!
-//! # The sharded tracker pool
+//! 1. **Drain.** Worker buffers are pane-bucketed and struct-of-arrays: a
+//!    32-byte `SealKey` column (every field the canonical order needs)
+//!    parallel to the full [`TagObservation`] column, plus the pane's
+//!    report-level segment rows. Every bucket below the pass frontier moves
+//!    to the sealer's scratch with bulk copies.
+//! 2. **Bucket pass.** Ordering touches only the dense key column — a
+//!    counting sort over `(pane - first_pane) * shards + shard`, then a
+//!    per-bucket sort of `u32` indices on
+//!    `(timestamp, pole, tag, cfo_bin, seq)` — instead of one comparison
+//!    sort moving ~136-byte rows.
+//! 3. **Walk.** Tag shards are independent by construction (observations
+//!    route to trackers by CFO bin), so the walk runs over contiguous shard
+//!    ranges: pane by pane, each range's buckets go through the shared
+//!    [`TagTracker`] state machines and [`fold_observation`] (the same
+//!    ones the batch store uses, §8 alias upgrades included) into a
+//!    per-pane partial aggregate, then the idle-tag compaction sweep when
+//!    one is due, then the per-pane tracker deltas when a pane log is
+//!    attached. [`LiveConfig::seal_pool`] only says how many ranges there
+//!    are — one, walked inline on the sealer thread, or N on scoped
+//!    threads. Partials and deltas combine in shard order and every
+//!    aggregate is an integer counter, so the sealed pane is byte-identical
+//!    for any pool size (golden chain literals pin it).
+//! 4. **Publish.** Per pane: fingerprint into the engine's **fingerprint
+//!    chain**, merge into the totals, append to the pane log (durability
+//!    before visibility), push into the retained [`WindowRing`], move the
+//!    seal floor.
 //!
-//! Tag shards are independent by construction (observations route to
-//! trackers by CFO bin), so with [`LiveConfig::seal_pool`] > 1 the sealer
-//! fans tracker application out over a small deterministic pool: each pool
-//! thread owns a contiguous shard range, walks its buckets pane by pane
-//! (applying observations, running idle-tag compaction at the same pane
-//! boundaries, draining per-pane tracker deltas when a pane log is
-//! attached), and folds its shards' derived events into per-pane partial
-//! aggregates. The sealer then merges partials and deltas **in shard
-//! order** — every aggregate is an integer counter, so the merged pane is
-//! byte-identical to the serial fold for any pool size (the pool-sweep
-//! stress tests pin this).
+//! Lock order, everywhere: sealed state → worker registry → a worker's
+//! buffer → orphaned buffers → log sink.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -80,14 +85,12 @@
 use crate::watermark::WatermarkClock;
 use crate::window::{WindowAggregate, WindowRing};
 use caraoke_city::aggregate::Fingerprint;
-use caraoke_city::position::resolve_position;
-use caraoke_city::store::{AliasStats, DerivedEvent, SpeedSource, TagTracker, TrackerDelta};
+use caraoke_city::store::{fold_observation, AliasStats, TagTracker, TrackerDelta};
 use caraoke_city::{
     CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
 };
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,31 +129,26 @@ pub struct LiveConfig {
     /// window chains should leave this off.
     pub max_pane_staleness: Option<Duration>,
     /// Tracker compaction: evict tags idle for at least this long (event
-    /// time, µs) at the end of every
-    /// [`compact_every_panes`](Self::compact_every_panes)-th pane. Bounds
-    /// tracker (and therefore snapshot/replay/catch-up) state by the *active*
-    /// tag population instead of every tag ever seen. Evictions run before
-    /// the pane's delta is taken, so a delta-by-delta replay carries the
-    /// removals and converges to the same compacted state. Cutoffs derive
-    /// from pane boundaries, never wall clock, so compaction preserves
-    /// determinism. `None` (the default) never evicts.
+    /// time, µs) at the end of every 64th pane (sweeping every pane would
+    /// be O(tags) per pane). Bounds tracker (and therefore
+    /// snapshot/replay/catch-up) state by the *active* tag population
+    /// instead of every tag ever seen. Evictions run before the pane's
+    /// delta is taken, so a delta-by-delta replay carries the removals and
+    /// converges to the same compacted state. Cutoffs derive from pane
+    /// boundaries, never wall clock, so compaction preserves determinism.
+    /// `None` (the default) never evicts.
     pub compact_idle_us: Option<u64>,
-    /// How often (in panes) the idle-tag sweep runs when
-    /// [`compact_idle_us`](Self::compact_idle_us) is set. Sweeping every pane
-    /// would be O(tags) per pane; the default of 64 amortises it.
-    pub compact_every_panes: u64,
     /// Retry policy for pane-log writes (see [`LogRetryPolicy`]). Transient
     /// errors are retried with bounded exponential backoff *under the sealed
     /// lock* — durability-before-visibility holds across retries — before
     /// the sink latches failed; fatal errors latch immediately.
     pub log_retry: LogRetryPolicy,
-    /// Sealer tracker-pool threads. Tag shards are independent, so with a
-    /// pool of N the sealer applies tracker state machines on N scoped
-    /// threads (each owning a contiguous shard range) and merges their
-    /// per-pane partial aggregates and deltas in shard order — byte-identical
-    /// to the serial path for **any** value (the stress suite sweeps pool
-    /// sizes against the serial chain). Clamped to the shard count; `1`
-    /// (the default) keeps the serial seal path with no extra threads.
+    /// How many threads run the seal walk. Tag shards are independent, so
+    /// the walk splits into N contiguous shard ranges whose per-pane
+    /// partial aggregates and deltas are merged in shard order —
+    /// byte-identical for **any** value (golden chain literals pin every
+    /// pool size). Clamped to the shard count; `1` (the default) runs the
+    /// walk inline on the sealer thread, larger values on scoped threads.
     pub seal_pool: usize,
 }
 
@@ -164,7 +162,6 @@ impl Default for LiveConfig {
             max_pending_per_worker: 1 << 20,
             max_pane_staleness: None,
             compact_idle_us: None,
-            compact_every_panes: 64,
             log_retry: LogRetryPolicy::default(),
             seal_pool: 1,
         }
@@ -334,127 +331,76 @@ impl SealKey {
     }
 }
 
-/// Report-level segment counters, pane-keyed: a sorted list of **occupied**
-/// panes, each holding its `(segment, stats)` rows. The hot path (a report
-/// for the newest pane) touches the last entry in O(1); out-of-order panes
-/// within the lateness allowance binary-search. Memory is O(occupied panes
-/// × segments-per-worker) no matter how far a fast pole runs ahead of a
-/// laggard — a dense `pane - base` table would grow with the pane *span*.
-/// Replaces the old lock-striped `BTreeMap<(pane, segment), _>`.
-#[derive(Debug, Default)]
-struct SegPanes {
-    /// `(pane, rows)`, sorted by pane; only panes that saw a report.
-    panes: Vec<(u64, Vec<(u16, SegmentStats)>)>,
-}
-
-impl SegPanes {
-    fn record(&mut self, pane: u64, segment: u16, count: u32, observations: u32, multi: u32) {
-        let idx = match self.panes.last() {
-            Some(&(last, _)) if last == pane => self.panes.len() - 1,
-            Some(&(last, _)) if last < pane => {
-                self.panes.push((pane, Vec::new()));
-                self.panes.len() - 1
-            }
-            _ => match self.panes.binary_search_by_key(&pane, |&(p, _)| p) {
-                Ok(idx) => idx,
-                Err(idx) => {
-                    self.panes.insert(idx, (pane, Vec::new()));
-                    idx
-                }
-            },
-        };
-        let rows = &mut self.panes[idx].1;
-        match rows.iter_mut().find(|(seg, _)| *seg == segment) {
-            Some((_, stats)) => stats.record_report(count, observations, multi),
-            None => {
-                let mut stats = SegmentStats::default();
-                stats.record_report(count, observations, multi);
-                rows.push((segment, stats));
-            }
-        }
-    }
-
-    /// Removes every pane below `target` (in pane order), handing its rows
-    /// to `f`.
-    fn drain_below(&mut self, target: u64, mut f: impl FnMut(u64, u16, SegmentStats)) {
-        let cut = self.panes.partition_point(|&(pane, _)| pane < target);
-        for (pane, rows) in self.panes.drain(..cut) {
-            for (seg, stats) in rows {
-                f(pane, seg, stats);
-            }
-        }
-    }
-}
-
-/// One pane's worth of one worker's buffered observations, columnar: the
-/// [`SealKey`] column and the observation column grow in lockstep.
+/// One pane's worth of one worker's buffered input: the observations,
+/// columnar (the [`SealKey`] column and the observation column grow in
+/// lockstep), and the report-level segment counters of the reports stamped
+/// in this pane — a handful of `(segment, stats)` rows per worker.
 #[derive(Debug, Default)]
 struct PaneBucket {
     pane: u64,
     keys: Vec<SealKey>,
     obs: Vec<TagObservation>,
+    segs: Vec<(u16, SegmentStats)>,
 }
 
-/// One ingest worker's private buffers, columnar and *pane-bucketed*: each
-/// occupied pane owns its own key/observation columns, so a seal moves the
-/// sealed panes' buckets with bulk copies and never rescans the buffered
-/// tail ahead of the frontier (a flat buffer pays one filter pass over
-/// `lateness_panes` worth of retained observations at every seal). The
-/// mutex is uncontended in steady state: only the owning thread pushes,
-/// and the sealer drains it briefly at watermark advances.
+impl PaneBucket {
+    fn record_report(&mut self, segment: u16, count: u32, observations: u32, multi: u32) {
+        match self.segs.iter_mut().find(|(seg, _)| *seg == segment) {
+            Some((_, stats)) => stats.record_report(count, observations, multi),
+            None => {
+                let mut stats = SegmentStats::default();
+                stats.record_report(count, observations, multi);
+                self.segs.push((segment, stats));
+            }
+        }
+    }
+}
+
+/// One ingest worker's private buffers, *pane-bucketed*: each occupied
+/// pane owns its own columns, so a seal moves the sealed panes' buckets
+/// with bulk copies and never rescans the buffered tail ahead of the
+/// frontier (a flat buffer pays one filter pass over `lateness_panes` worth
+/// of retained observations at every seal). Memory is O(occupied panes) no
+/// matter how far a fast pole runs ahead of a laggard — a dense
+/// `pane - base` table would grow with the pane *span*. The mutex is
+/// uncontended in steady state: only the owning thread pushes, and the
+/// sealer drains it briefly at watermark advances.
 #[derive(Debug, Default)]
 struct WorkerBuf {
-    /// Occupied panes, sorted by pane index. The hot push is the last
-    /// bucket (reports arrive in near-pane-order); out-of-order panes
-    /// within the lateness allowance binary-search, like [`SegPanes`].
+    /// Occupied panes (a report or an observation landed there), sorted by
+    /// pane index. The hot push is the last bucket (reports arrive in
+    /// near-pane-order); out-of-order panes within the lateness allowance
+    /// binary-search.
     panes: Vec<PaneBucket>,
     /// Drained buckets' emptied columns, recycled so steady state stops
     /// allocating.
     spare: Vec<PaneBucket>,
     /// Total buffered observations across `panes` (the overflow bound).
     len: usize,
-    seg: SegPanes,
 }
 
 impl WorkerBuf {
     fn is_empty(&self) -> bool {
-        self.len == 0 && self.seg.panes.is_empty()
+        self.panes.is_empty()
     }
 
     /// The bucket for `pane`, created (from the spare list when possible)
     /// if the pane is not yet occupied.
     fn bucket(&mut self, pane: u64) -> &mut PaneBucket {
         let idx = match self.panes.last() {
-            Some(last) if last.pane == pane => self.panes.len() - 1,
-            Some(last) if last.pane < pane => {
-                self.push_bucket(pane);
-                self.panes.len() - 1
-            }
-            None => {
-                self.push_bucket(pane);
-                0
-            }
-            _ => match self.panes.binary_search_by_key(&pane, |b| b.pane) {
-                Ok(idx) => idx,
-                Err(idx) => {
-                    let bucket = self.fresh_bucket(pane);
-                    self.panes.insert(idx, bucket);
-                    idx
+            Some(last) if last.pane == pane => return self.panes.last_mut().expect("non-empty"),
+            Some(last) if last.pane > pane => {
+                match self.panes.binary_search_by_key(&pane, |b| b.pane) {
+                    Ok(idx) => return &mut self.panes[idx],
+                    Err(idx) => idx,
                 }
-            },
+            }
+            _ => self.panes.len(),
         };
-        &mut self.panes[idx]
-    }
-
-    fn push_bucket(&mut self, pane: u64) {
-        let bucket = self.fresh_bucket(pane);
-        self.panes.push(bucket);
-    }
-
-    fn fresh_bucket(&mut self, pane: u64) -> PaneBucket {
         let mut bucket = self.spare.pop().unwrap_or_default();
         bucket.pane = pane;
-        bucket
+        self.panes.insert(idx, bucket);
+        &mut self.panes[idx]
     }
 }
 
@@ -463,15 +409,21 @@ struct WorkerSlot {
     buf: Mutex<WorkerBuf>,
 }
 
-/// Bucket tables above this size fall back to a comparison sort: a seal
-/// batch spanning 100k panes (one laggard pole far behind the frontier)
-/// must not allocate a pane×shard counting table.
+/// Upper bound on the pane × shard bucket table of one seal pass. A seal
+/// request spanning more panes than fit (one laggard pole 100k panes behind
+/// the frontier) is sealed as consecutive chunks of at most
+/// `MAX_SEAL_BUCKETS / shards` panes, so the table never grows with the
+/// pane span.
 const MAX_SEAL_BUCKETS: usize = 1 << 16;
 
-/// The sealer's reusable staging buffers, columnar like [`WorkerBuf`]:
-/// drained keys and observations, the canonical-order index vector, and
-/// the counting-sort bucket tables (offsets are kept when the bucket pass
-/// ran — the tracker pool dispatches straight off them).
+/// An idle-tag compaction sweep ([`LiveConfig::compact_idle_us`]) runs at
+/// the end of every this-many-th pane.
+const COMPACT_EVERY_PANES: u64 = 64;
+
+/// The sealer's reusable staging buffers, columnar like [`PaneBucket`]:
+/// drained keys and observations, the canonical-order index vector, the
+/// counting-sort bucket table the seal walk dispatches off, and the drained
+/// report-level segment rows.
 #[derive(Debug, Default)]
 struct SealScratch {
     keys: Vec<SealKey>,
@@ -479,47 +431,24 @@ struct SealScratch {
     /// Indices into `keys`/`obs` in canonical order.
     order: Vec<u32>,
     /// `offsets[b]..offsets[b + 1]` is bucket `b`'s range in `order`
-    /// (bucket = `(pane - first_pane) * n_shards + shard`); empty when the
-    /// batch fell back to a comparison sort.
+    /// (bucket = `(pane - first_pane) * n_shards + shard`).
     offsets: Vec<u32>,
     /// Scatter cursors for the counting pass.
     cursors: Vec<u32>,
+    /// `segs[pane - first_pane]`: the `(segment, stats)` rows every worker
+    /// recorded for that pane. Emptied pane by pane as the seal publishes.
+    segs: Vec<Vec<(u16, SegmentStats)>>,
 }
 
 impl SealScratch {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.obs.clear();
-        self.order.clear();
-        self.offsets.clear();
-        self.cursors.clear();
-    }
-
     /// Establishes the canonical order over the drained columns, as `u32`
-    /// indices in `order`. The fast path is a counting sort over
-    /// `(pane, shard)` buckets followed by a per-bucket key sort; batches
-    /// whose pane span × shard count exceeds [`MAX_SEAL_BUCKETS`] take one
-    /// comparison sort over the full key instead. Both produce the same
-    /// total order. Returns whether the bucket tables were built (the
-    /// precondition for pooled tracker application).
-    fn sort(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) -> bool {
+    /// indices in `order`: a counting sort over `(pane, shard)` buckets
+    /// followed by a per-bucket key sort. The caller bounds
+    /// `span * n_shards` (see [`MAX_SEAL_BUCKETS`]).
+    fn bucket_pass(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) {
         let len = self.keys.len();
         debug_assert!(len <= u32::MAX as usize, "seal batch exceeds u32 indices");
-        self.order.clear();
-        let n_buckets = match span.checked_mul(n_shards) {
-            Some(n) if n <= MAX_SEAL_BUCKETS => n,
-            _ => {
-                // Laggard-span fallback: comparison sort on the full key.
-                self.offsets.clear();
-                self.order.extend(0..len as u32);
-                let keys = &self.keys;
-                self.order.sort_unstable_by_key(|&i| {
-                    let k = &keys[i as usize];
-                    (k.timestamp_us / pane_us, k.shard, k.bucket_key())
-                });
-                return false;
-            }
-        };
+        let n_buckets = span * n_shards;
         let bucket = |k: &SealKey| {
             (k.timestamp_us / pane_us - first_pane) as usize * n_shards + k.shard as usize
         };
@@ -533,6 +462,7 @@ impl SealScratch {
         }
         self.cursors.clear();
         self.cursors.extend_from_slice(&self.offsets[..n_buckets]);
+        // Every slot is overwritten by the scatter below.
         self.order.resize(len, 0);
         for (i, k) in self.keys.iter().enumerate() {
             let b = bucket(k);
@@ -546,7 +476,6 @@ impl SealScratch {
                 self.order[range].sort_unstable_by_key(|&i| keys[i as usize].bucket_key());
             }
         }
-        true
     }
 }
 
@@ -757,18 +686,8 @@ impl LiveCity {
         for tracker in &mut state.trackers {
             tracker.set_trace(true);
         }
-        let snap = SnapshotRecord {
-            next_pane: state.next_pane,
-            chain: state.chain.finish(),
-            forced_panes: core.forced_panes.load(Ordering::Relaxed),
-            forced_pole_misses: core.forced_pole_misses.load(Ordering::Relaxed),
-            dead_poles: core.clock.dead_poles(),
-            total: state.total.clone(),
-            trackers: state.trackers.iter().map(TagTracker::export).collect(),
-        };
-        writer.append_snapshot(&snap)?;
+        writer.append_snapshot(&core.snapshot_record(state, state.next_pane))?;
         let sink = LogSink::new(writer, state.next_pane);
-        // Lock order matches the sealer (sealed → log), so no deadlock.
         *core.log.lock().expect("log sink") = Some(sink);
         Ok(())
     }
@@ -942,10 +861,7 @@ impl LiveCity {
         let core = &*self.core;
         let target = core.clock.max_frontier_us() / core.config.pane_us + 1;
         core.request_seal(target);
-        let mut sealed = core.sealed.lock().expect("sealed state");
-        while sealed.next_pane < target {
-            sealed = core.pane_sealed.wait(sealed).expect("sealed state");
-        }
+        self.wait_seal_floor(target * core.config.pane_us);
     }
 
     /// Blocks until the sealer has caught up with every pane the watermark
@@ -954,10 +870,7 @@ impl LiveCity {
     pub fn wait_idle(&self) {
         let core = &*self.core;
         let target = core.signal.lock().expect("sealer signal").target;
-        let mut sealed = core.sealed.lock().expect("sealed state");
-        while sealed.next_pane < target {
-            sealed = core.pane_sealed.wait(sealed).expect("sealed state");
-        }
+        self.wait_seal_floor(target * core.config.pane_us);
     }
 
     /// Blocks until the seal floor reaches at least `floor_us` — i.e. every
@@ -1153,16 +1066,15 @@ impl LiveCore {
             Some(slots.swap_remove(idx).1)
         });
         let Some(slot) = slot else { return };
-        // Serialize the whole hand-off against the sealer: `seal_up_to`
-        // holds the sealed-state lock across its entire drain + orphan
-        // pass, so taking it here guarantees the registry removal, the
-        // buffer take and the orphan push land either wholly before or
-        // wholly after any seal. Without it, a seal could drain the
-        // (already-emptied) slot and the orphan list before our push
-        // landed — stranding released-pane observations until the *next*
-        // seal misclassifies them as late and sheds in-contract data.
-        // Lock order (sealed → workers → worker buffer → orphans) matches
-        // the sealer's own order, so this cannot deadlock.
+        // Serialize the whole hand-off against the sealer: a seal pass
+        // holds the sealed-state lock across its entire drain, so taking it
+        // here guarantees the registry removal, the buffer take and the
+        // orphan push land either wholly before or wholly after any pass.
+        // Without it, a pass could drain the (already-emptied) slot and the
+        // orphan list before our push landed — stranding released-pane
+        // observations until the *next* pass misclassifies them as late
+        // and sheds in-contract data. Same lock order as the sealer (see
+        // the module docs), so this cannot deadlock.
         let _sealed = self.sealed.lock().expect("sealed state");
         self.workers
             .lock()
@@ -1215,8 +1127,7 @@ impl LiveCore {
                     buf.len += 1;
                 }
             }
-            buf.seg.record(
-                pane,
+            buf.bucket(pane).record_report(
                 report.segment.0,
                 report.count,
                 report.observations.len() as u32,
@@ -1333,70 +1244,67 @@ impl LiveCore {
                     }
                 }
             };
-            match target {
-                Some(target) => {
-                    self.seal_up_to(target, false);
-                    sealed_to = sealed_to.max(target);
-                }
-                None => {
-                    if let Some(forced) = self.force_seal_stale() {
-                        sealed_to = sealed_to.max(forced);
-                    }
-                }
-            }
+            // Wall-clock staleness path: every pane the fastest pole's
+            // frontier has fully elapsed, even though the watermark (held
+            // back by a stalled pole) has not released them.
+            let (target, forced) = match target {
+                Some(target) => (target, false),
+                None => (self.clock.max_frontier_us() / self.config.pane_us, true),
+            };
+            self.seal_up_to(target, forced);
+            sealed_to = sealed_to.max(target);
         }
     }
 
-    /// Wall-clock staleness path: seal every pane the fastest pole's
-    /// frontier has fully elapsed, even though the watermark (held back by
-    /// a stalled pole) has not released them. Returns the new seal target
-    /// when anything was forced. Runs on the sealer thread only.
-    fn force_seal_stale(&self) -> Option<u64> {
-        let pane_us = self.config.pane_us;
-        let force = self.clock.max_frontier_us() / pane_us;
-        let next_pane = self.sealed.lock().expect("sealed state").next_pane;
-        if force <= next_pane {
-            return None;
-        }
-        self.seal_up_to(force, true);
-        Some(force)
-    }
-
-    /// Seals every pane below `target` (exclusive), in pane order. Runs on
-    /// the sealer thread only. `forced` marks staleness-path seals: each
-    /// pane is counted as forced with its per-pane pole-miss count —
-    /// telemetry the pane log persists so replay is faithful. (Racy
-    /// against a pole reviving this instant — its data still seals
+    /// Seals every pane below `target` (exclusive), in pane order, as one
+    /// or more passes of [`seal_pass`](Self::seal_pass) — each bounded to
+    /// the panes one bucket table holds, each notifying waiters when it
+    /// lands. Runs on the sealer thread only. `forced` marks staleness-path
+    /// seals: each pane is counted as forced with its per-pane pole-miss
+    /// count — telemetry the pane log persists so replay is faithful.
+    /// (Racy against a pole reviving this instant — its data still seals
     /// correctly; only the miss count can over-report.)
     fn seal_up_to(&self, target: u64, forced: bool) {
-        let mut sealed = self.sealed.lock().expect("sealed state");
-        if sealed.next_pane >= target {
-            return;
+        let max_span = (MAX_SEAL_BUCKETS / self.n_shards).max(1) as u64;
+        loop {
+            let mut sealed = self.sealed.lock().expect("sealed state");
+            if sealed.next_pane >= target {
+                return;
+            }
+            let end = target.min(sealed.next_pane + max_span);
+            self.seal_pass(&mut sealed, end, forced);
+            drop(sealed);
+            self.pane_sealed.notify_all();
         }
-        let pane_us = self.config.pane_us;
-        let first_pane = sealed.next_pane;
+    }
 
-        // Drain every worker slot once: every pane bucket below the final
-        // seal frontier moves to the scratch buffer wholesale (bucket order
-        // within a pane preserves arrival order, which is what keeps ties
-        // among equal canonical keys deterministic). No in-contract
-        // delivery can add observations below `target * pane_us`
-        // concurrently: the watermark only reached `target` because every
-        // pole's frontier already passed it (see `ingest`). A racing
-        // out-of-contract push can leave observations below an
-        // already-sealed pane in a buffer; those buckets are counted as
-        // shed here, never merged.
+    /// One seal pass — drain, bucket pass, walk, publish — over the panes
+    /// `state.next_pane..end`, under the sealed lock the caller holds (lock
+    /// order: see the module docs).
+    fn seal_pass(&self, state: &mut SealedState, end: u64, forced: bool) {
+        let pane_us = self.config.pane_us;
+        let first_pane = state.next_pane;
+        let span = (end - first_pane) as usize;
+
+        // Drain: every pane bucket below `end`, from every worker slot and
+        // orphaned buffer, moves to the scratch columns wholesale (bucket
+        // order within a pane preserves arrival order, which is what keeps
+        // ties among equal canonical keys deterministic); the buffered tail
+        // ahead of the frontier is never touched. No in-contract delivery
+        // can add observations below `end * pane_us` concurrently: the
+        // watermark only released `end` because every pole's frontier
+        // already passed it (see `ingest`). A racing out-of-contract push
+        // can leave a bucket below an already-sealed pane in a buffer; its
+        // observations are counted as shed here and its report counters
+        // dropped, never merged.
         let slots: Vec<Arc<WorkerSlot>> = self.workers.lock().expect("worker registry").clone();
-        let mut scratch = std::mem::take(&mut sealed.scratch);
-        let mut seg_panes: BTreeMap<u64, Vec<(u16, SegmentStats)>> = BTreeMap::new();
+        let mut scratch = std::mem::take(&mut state.scratch);
+        if scratch.segs.len() < span {
+            scratch.segs.resize_with(span, Vec::new);
+        }
         let mut shed_late = 0u64;
         let mut drain_buf = |buf: &mut WorkerBuf| {
-            // Buckets are pane-sorted: everything below the seal frontier
-            // moves with two bulk copies per bucket (a whole bucket below
-            // the floor is the racy out-of-contract case — shed, never
-            // merged), and the buffered tail ahead of the frontier is never
-            // touched, let alone rescanned.
-            let cut = buf.panes.partition_point(|b| b.pane < target);
+            let cut = buf.panes.partition_point(|b| b.pane < end);
             for mut bucket in buf.panes.drain(..cut) {
                 buf.len -= bucket.keys.len();
                 if bucket.pane < first_pane {
@@ -1404,18 +1312,13 @@ impl LiveCore {
                 } else {
                     scratch.keys.extend_from_slice(&bucket.keys);
                     scratch.obs.extend_from_slice(&bucket.obs);
+                    scratch.segs[(bucket.pane - first_pane) as usize].append(&mut bucket.segs);
                 }
                 bucket.keys.clear();
                 bucket.obs.clear();
+                bucket.segs.clear();
                 buf.spare.push(bucket);
             }
-            buf.seg.drain_below(target, |pane, seg, stats| {
-                // Segment rows for already-sealed panes (same racy-push
-                // case) are dropped: report-level counters, not merged.
-                if pane >= first_pane {
-                    seg_panes.entry(pane).or_default().push((seg, stats));
-                }
-            });
         };
         for slot in &slots {
             drain_buf(&mut slot.buf.lock().expect("worker buffer"));
@@ -1434,124 +1337,39 @@ impl LiveCore {
                 .fetch_add(shed_late, Ordering::Relaxed);
         }
 
-        // Establish the canonical order — panes ascending, then shard, then
-        // the batch tier's `(timestamp, pole, tag)` key, then the
-        // within-report sequence number for ties — as index order over the
-        // key column (bucket pass + per-bucket sort, or the laggard-span
-        // comparison fallback).
-        let span = (target - first_pane) as usize;
-        let bucketed = scratch.sort(first_pane, span, self.n_shards, pane_us);
+        // Bucket pass: the canonical order — panes ascending, then shard,
+        // then the batch tier's `(timestamp, pole, tag, cfo_bin)` key, then
+        // the within-report sequence number for ties — as index order over
+        // the key column.
+        scratch.bucket_pass(first_pane, span, self.n_shards, pane_us);
 
-        // With a tracker pool configured and the bucket tables built, apply
-        // every shard's observations (plus compaction sweeps and per-pane
-        // delta drains) on the pool threads *before* the serial per-pane
-        // walk; the walk then merges the per-pane partials in shard order.
-        let pool = self.config.seal_pool.clamp(1, self.n_shards);
-        let state = &mut *sealed;
-        let mut parts: Option<Vec<PoolPart>> = None;
-        if pool > 1 && bucketed && !scratch.order.is_empty() {
-            // The sink set is stable for the whole batch: `reattach_log`
-            // takes the sealed lock, which we hold.
-            let want_deltas = self.log.lock().expect("log sink").is_some();
-            let pooled = self.run_pool(
-                &mut state.trackers,
-                pool,
-                first_pane,
-                span,
-                &scratch,
-                want_deltas,
-            );
-            let evicted: u64 = pooled.iter().map(|p| p.evicted).sum();
-            if evicted > 0 {
-                self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
-            }
-            parts = Some(pooled);
+        // Walk: every shard's observations, compaction sweeps and per-pane
+        // delta drains, before anything publishes. The log sink is held
+        // from here to the pass's commit.
+        let mut log = self.log.lock().expect("log sink");
+        let want_deltas = log.is_some();
+        let mut parts = self.walk(&mut state.trackers, first_pane, span, &scratch, want_deltas);
+        let evicted: u64 = parts.iter().map(|p| p.evicted).sum();
+        if evicted > 0 {
+            self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
         }
 
-        let mut idx = 0;
-        for pane in first_pane..target {
-            let pane_idx = (pane - first_pane) as usize;
-            let pane_end_us = (pane + 1) * pane_us;
-            let mut agg = CityAggregates::new();
-            // Deltas the pool already drained for this pane, shard order.
-            let mut pooled_deltas: Option<Vec<TrackerDelta>> = None;
-            match &mut parts {
-                Some(parts) => {
-                    for part in parts.iter_mut() {
-                        if let Some(partial) = part.aggs[pane_idx].take() {
-                            agg.merge(&partial);
-                        }
-                    }
-                    if parts.iter().any(|p| !p.deltas.is_empty()) {
-                        pooled_deltas = Some(
-                            parts
-                                .iter_mut()
-                                .flat_map(|p| p.deltas[pane_idx].drain(..))
-                                .collect(),
-                        );
-                    }
-                    // The pool consumed this pane's entries; advance the
-                    // cursor past them for the exhaustion check below.
-                    while idx < scratch.order.len()
-                        && scratch.keys[scratch.order[idx] as usize].timestamp_us < pane_end_us
-                    {
-                        idx += 1;
-                    }
-                }
-                None => {
-                    while idx < scratch.order.len() {
-                        let i = scratch.order[idx] as usize;
-                        let key = &scratch.keys[i];
-                        if key.timestamp_us >= pane_end_us {
-                            break;
-                        }
-                        if let Some(&j) = scratch.order.get(idx + FOLD_PREFETCH_AHEAD) {
-                            prefetch_obs(&scratch.obs[j as usize]);
-                            prefetch_key(&scratch.keys[j as usize]);
-                        }
-                        // Nearer hint for the tracker's state table: by now
-                        // the slot-ahead observation row is resident (the
-                        // far hint above covered it), so its alias probe is
-                        // cheap and the state line it resolves to has a few
-                        // folds of latency to arrive.
-                        if let Some(&j) = scratch.order.get(idx + TRACKER_PREFETCH_AHEAD) {
-                            let kj = &scratch.keys[j as usize];
-                            state.trackers[kj.shard as usize].prefetch(&scratch.obs[j as usize]);
-                        }
-                        fold_observation(
-                            &mut agg,
-                            &mut state.trackers[key.shard as usize],
-                            &scratch.obs[i],
-                            &self.directory,
-                            &self.config.store,
-                        );
-                        idx += 1;
-                    }
+        // Publish, pane by pane.
+        for pane_idx in 0..span {
+            let pane = first_pane + pane_idx as u64;
+            // The first shard range's partial becomes the pane aggregate by
+            // value; further ranges (a pool of N > 1) merge into it in
+            // shard order — every aggregate is an integer counter, so the
+            // result is the same for any split.
+            let (head, rest) = parts.split_first_mut().expect("at least one shard range");
+            let mut agg = head.aggs[pane_idx].take().unwrap_or_default();
+            for part in rest {
+                if let Some(partial) = part.aggs[pane_idx].take() {
+                    agg.merge(&partial);
                 }
             }
-            if let Some(rows) = seg_panes.remove(&pane) {
-                for (seg, stats) in rows {
-                    agg.segments.entry(seg).or_default().merge(&stats);
-                }
-            }
-            // Idle-tag compaction sweeps *before* the pane's delta is taken
-            // below, so traced evictions ride this pane's delta as removals
-            // and any snapshot exports the already-compacted state — replay
-            // equivalence holds with or without compaction. The cutoff is a
-            // pure function of the pane index, so equal runs compact
-            // identically. (Pooled batches already swept on the pool
-            // threads, at the same boundaries.)
-            if parts.is_none() {
-                if let Some(cutoff) = self.compaction_cutoff(pane) {
-                    let evicted: u64 = state
-                        .trackers
-                        .iter_mut()
-                        .map(|t| t.evict_idle(cutoff))
-                        .sum();
-                    if evicted > 0 {
-                        self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
-                    }
-                }
+            for (seg, stats) in scratch.segs[pane_idx].drain(..) {
+                agg.segments.entry(seg).or_default().merge(&stats);
             }
             let pole_misses = if forced {
                 self.forced_panes.fetch_add(1, Ordering::Relaxed);
@@ -1573,51 +1391,35 @@ impl LiveCore {
             // flips the sink to failed — sealing continues, appends stop
             // (liveness over durability), and the log on disk stays a
             // valid prefix until `reattach_log`.
-            {
-                let mut guard = self.log.lock().expect("log sink");
-                if let Some(sink) = guard.as_mut() {
-                    let chain_now = state.chain.finish();
-                    // Pooled batches drained each pane's deltas on the pool
-                    // threads (in shard order) right after applying it;
-                    // serial batches drain here. Same point in the tracker
-                    // timeline either way: after this pane's observations
-                    // and compaction, before the next pane's.
-                    let deltas: Vec<TrackerDelta> = pooled_deltas.take().unwrap_or_else(|| {
-                        state
-                            .trackers
-                            .iter_mut()
-                            .map(TagTracker::take_delta)
-                            .collect()
-                    });
-                    // Pane and snapshot retry as *separate* logical writes:
-                    // a transient snapshot failure must not re-append the
-                    // (already written) pane record.
-                    let pane_ok = self.log_write(sink, "pane append", |w| {
-                        w.append_pane(
-                            pane,
-                            forced,
-                            pole_misses,
-                            fingerprint,
-                            chain_now,
-                            &agg,
-                            &deltas,
-                        )
-                    });
-                    let due_snapshot = sink.snapshot_every > 0
-                        && pane + 1 >= sink.last_snapshot_pane + sink.snapshot_every;
-                    if pane_ok && due_snapshot {
-                        let snap = SnapshotRecord {
-                            next_pane: pane + 1,
-                            chain: chain_now,
-                            forced_panes: self.forced_panes.load(Ordering::Relaxed),
-                            forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
-                            dead_poles: self.clock.dead_poles(),
-                            total: state.total.clone(),
-                            trackers: state.trackers.iter().map(TagTracker::export).collect(),
-                        };
-                        if self.log_write(sink, "snapshot append", |w| w.append_snapshot(&snap)) {
-                            sink.last_snapshot_pane = pane + 1;
-                        }
+            if let Some(sink) = log.as_mut() {
+                let chain_now = state.chain.finish();
+                // The walk drained every shard's delta right after this
+                // pane's observations and compaction, before the next
+                // pane's; concatenated here in shard order.
+                let mut deltas: Vec<TrackerDelta> = Vec::with_capacity(self.n_shards);
+                for part in parts.iter_mut() {
+                    deltas.append(&mut part.deltas[pane_idx]);
+                }
+                // Pane and snapshot retry as *separate* logical writes: a
+                // transient snapshot failure must not re-append the
+                // (already written) pane record.
+                let pane_ok = self.log_write(sink, "pane append", |w| {
+                    w.append_pane(
+                        pane,
+                        forced,
+                        pole_misses,
+                        fingerprint,
+                        chain_now,
+                        &agg,
+                        &deltas,
+                    )
+                });
+                let due_snapshot = sink.snapshot_every > 0
+                    && pane + 1 >= sink.last_snapshot_pane + sink.snapshot_every;
+                if pane_ok && due_snapshot {
+                    let snap = self.snapshot_record(state, pane + 1);
+                    if self.log_write(sink, "snapshot append", |w| w.append_snapshot(&snap)) {
+                        sink.last_snapshot_pane = pane + 1;
                     }
                 }
             }
@@ -1626,84 +1428,89 @@ impl LiveCore {
             self.seal_floor_us
                 .store((pane + 1) * pane_us, Ordering::Release);
         }
-        // One fsync-policy commit per seal batch, still under the sealed
-        // lock: every pane above is durable (per policy) before any query
-        // can observe it.
-        {
-            let mut guard = self.log.lock().expect("log sink");
-            if let Some(sink) = guard.as_mut() {
-                self.log_write(sink, "seal commit", |w| w.commit_seal());
-            }
+        // One fsync-policy commit per pass, still under the sealed lock:
+        // every pane above is durable (per policy) before any query can
+        // observe it.
+        if let Some(sink) = log.as_mut() {
+            self.log_write(sink, "seal commit", |w| w.commit_seal());
         }
-        debug_assert_eq!(idx, scratch.order.len(), "every drained observation sealed");
-        scratch.clear();
-        sealed.scratch = scratch;
-        drop(sealed);
-        self.pane_sealed.notify_all();
+        scratch.keys.clear();
+        scratch.obs.clear();
+        state.scratch = scratch;
     }
-}
 
-impl LiveCore {
+    /// The engine's complete state as of `next_pane` (the caller holds the
+    /// sealed lock and has already merged every pane below it into
+    /// `state`): what a log needs to resume without the panes before it.
+    fn snapshot_record(&self, state: &SealedState, next_pane: u64) -> SnapshotRecord {
+        SnapshotRecord {
+            next_pane,
+            chain: state.chain.finish(),
+            forced_panes: self.forced_panes.load(Ordering::Relaxed),
+            forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
+            dead_poles: self.clock.dead_poles(),
+            total: state.total.clone(),
+            trackers: state.trackers.iter().map(TagTracker::export).collect(),
+        }
+    }
+
     /// The idle-tag compaction cutoff for `pane`, when a sweep is due after
-    /// it: a pure function of the pane index and config, shared by the
-    /// serial and pooled paths so both sweep at identical boundaries.
+    /// it: a pure function of the pane index and config, so equal runs
+    /// compact identically.
     fn compaction_cutoff(&self, pane: u64) -> Option<u64> {
         let idle_us = self.config.compact_idle_us?;
-        let every = self.config.compact_every_panes.max(1);
-        if !(pane + 1).is_multiple_of(every) {
+        if !(pane + 1).is_multiple_of(COMPACT_EVERY_PANES) {
             return None;
         }
         let cutoff = ((pane + 1) * self.config.pane_us).saturating_sub(idle_us);
         (cutoff > 0).then_some(cutoff)
     }
 
-    /// Fans tracker application out over `pool` scoped threads, each owning
-    /// a contiguous shard range (`split_at_mut` over the tracker vector —
-    /// no locks, no cloning). Blocks until every worker finishes; returns
-    /// their outputs in worker (= shard) order. Runs on the sealer thread,
-    /// under the sealed lock, only.
-    fn run_pool(
+    /// Runs the seal walk over every shard, split into (at most)
+    /// [`LiveConfig::seal_pool`] contiguous shard ranges (`chunks_mut` over
+    /// the tracker vector — no locks, no cloning): one range is walked
+    /// inline, several on scoped threads. Returns the ranges' outputs in
+    /// shard order. Runs on the sealer thread, under the sealed lock, only.
+    fn walk(
         &self,
         trackers: &mut [TagTracker],
-        pool: usize,
         first_pane: u64,
         span: usize,
         scratch: &SealScratch,
         want_deltas: bool,
-    ) -> Vec<PoolPart> {
-        let n_shards = trackers.len();
-        let base = n_shards / pool;
-        let rem = n_shards % pool;
+    ) -> Vec<WalkPart> {
+        let pool = self.config.seal_pool.clamp(1, trackers.len());
+        if pool == 1 {
+            return vec![self.walk_range(trackers, 0, first_pane, span, scratch, want_deltas)];
+        }
+        let per_range = trackers.len().div_ceil(pool);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(pool);
-            let mut rest = trackers;
-            let mut shard_lo = 0usize;
-            for w in 0..pool {
-                let take = base + usize::from(w < rem);
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let lo = shard_lo;
-                shard_lo += take;
-                handles.push(scope.spawn(move || {
-                    self.pool_apply(head, lo, first_pane, span, scratch, want_deltas)
-                }));
-            }
+            let handles: Vec<_> = trackers
+                .chunks_mut(per_range)
+                .enumerate()
+                .map(|(w, range)| {
+                    scope.spawn(move || {
+                        let shard_lo = w * per_range;
+                        self.walk_range(range, shard_lo, first_pane, span, scratch, want_deltas)
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("tracker pool worker"))
+                .map(|h| h.join().expect("seal walk thread"))
                 .collect()
         })
     }
 
-    /// One pool worker's pass: walk every pane's buckets for the owned
-    /// shard range in canonical order, folding observations and derived
-    /// events into a sparse per-pane partial aggregate, sweeping idle-tag
-    /// compaction at the same pane boundaries the serial path uses, and —
-    /// when a pane log is attached — draining each owned shard's delta per
-    /// pane, in shard order. Each tracker sees exactly the observation
-    /// sequence, eviction points and delta drains the serial path would
-    /// give it.
-    fn pool_apply(
+    /// The seal walk over one contiguous shard range: every pane's buckets
+    /// for the owned shards in canonical order, folding observations and
+    /// derived events into a sparse per-pane partial aggregate, then the
+    /// idle-tag compaction sweep when one is due, then — when a pane log is
+    /// attached — each owned shard's delta, in shard order. The sweep runs
+    /// *before* the delta is taken, so traced evictions ride this pane's
+    /// delta as removals and any snapshot exports the already-compacted
+    /// state: replay equivalence holds with or without compaction.
+    fn walk_range(
         &self,
         trackers: &mut [TagTracker],
         shard_lo: usize,
@@ -1711,23 +1518,23 @@ impl LiveCore {
         span: usize,
         scratch: &SealScratch,
         want_deltas: bool,
-    ) -> PoolPart {
+    ) -> WalkPart {
         let n_shards = self.n_shards;
-        let mut part = PoolPart {
+        let mut part = WalkPart {
             aggs: Vec::with_capacity(span),
             deltas: Vec::with_capacity(if want_deltas { span } else { 0 }),
             evicted: 0,
         };
         for pane_idx in 0..span {
             let pane = first_pane + pane_idx as u64;
-            let mut agg: Option<Box<CityAggregates>> = None;
+            let mut agg: Option<CityAggregates> = None;
             for (k, tracker) in trackers.iter_mut().enumerate() {
                 let b = pane_idx * n_shards + shard_lo + k;
                 let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
                 if range.is_empty() {
                     continue;
                 }
-                let agg = agg.get_or_insert_with(|| Box::new(CityAggregates::new()));
+                let agg = agg.get_or_insert_with(CityAggregates::new);
                 let bucket = &scratch.order[range];
                 for (n, &i) in bucket.iter().enumerate() {
                     if let Some(&j) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
@@ -1761,16 +1568,16 @@ impl LiveCore {
     }
 }
 
-/// One pool worker's output: sparse per-pane partial aggregates for its
-/// shard range, per-pane tracker deltas (only when a pane log is attached),
-/// and its compaction eviction count.
-struct PoolPart {
-    aggs: Vec<Option<Box<CityAggregates>>>,
+/// One shard range's walk output: sparse per-pane partial aggregates
+/// (`None` where the range saw no observation), per-pane tracker deltas
+/// (only when a pane log is attached), and its compaction eviction count.
+struct WalkPart {
+    aggs: Vec<Option<CityAggregates>>,
     deltas: Vec<Vec<TrackerDelta>>,
     evicted: u64,
 }
 
-/// How many permutation slots ahead the seal walks hint the prefetcher.
+/// How many permutation slots ahead the seal walk hints the prefetcher.
 /// Far enough to cover an L2 miss at ~2.5 cycles/fold-instruction, near
 /// enough that the line is still resident when the walk arrives.
 const FOLD_PREFETCH_AHEAD: usize = 8;
@@ -1782,7 +1589,7 @@ const FOLD_PREFETCH_AHEAD: usize = 8;
 /// observation rows.
 const TRACKER_PREFETCH_AHEAD: usize = 4;
 
-/// Hints the cache at an upcoming observation row. The seal walks read the
+/// Hints the cache at an upcoming observation row. The seal walk reads the
 /// payload column *through the sort permutation*, so consecutive folds land
 /// on unrelated cache lines; prefetching a few slots ahead overlaps those
 /// misses with the current fold's work. A hint only — no effect on results.
@@ -1810,60 +1617,13 @@ fn prefetch_obs(obs: &TagObservation) {
     let _ = obs;
 }
 
-/// [`prefetch_obs`] for the key column (one cache line), used by the serial
-/// walk, which re-reads each key through the permutation for its pane check.
-#[allow(unsafe_code)]
-#[inline(always)]
-fn prefetch_key(key: &SealKey) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(key as *const SealKey as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = key;
-}
-
-/// Folds one observation into a pane aggregate through its shard's tracker
-/// — the single definition of the per-observation hot path, shared by the
-/// serial seal walk and the pool workers so the two cannot diverge.
-fn fold_observation(
-    agg: &mut CityAggregates,
-    tracker: &mut TagTracker,
-    obs: &TagObservation,
-    directory: &PoleDirectory,
-    store: &StoreConfig,
-) {
-    agg.observations += 1;
-    let resolved = resolve_position(obs, directory.site(obs.pole));
-    agg.positions
-        .record_method(resolved.method, resolved.sigma_m());
-    let CityAggregates {
-        flow,
-        speeds,
-        od,
-        positions,
-        ..
-    } = agg;
-    tracker.apply(obs, directory, store, |event| match event {
-        DerivedEvent::Flow { segment, cycle } => flow.record(segment, cycle),
-        DerivedEvent::Od { from, to } => od.record(from, to),
-        DerivedEvent::Speed { mph, source } => {
-            speeds.record(mph);
-            match source {
-                SpeedSource::PositionTrack => positions.track_speed_samples += 1,
-                SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use caraoke_city::PoleSite;
     use caraoke_city::{PoleId, SegmentId, TagKey};
     use caraoke_geom::Vec3;
+    use std::sync::mpsc;
 
     fn directory(n: usize) -> PoleDirectory {
         PoleDirectory::new(
@@ -2025,27 +1785,139 @@ mod tests {
         });
     }
 
+    /// Records the pane hint of every seal commit and, at the commit whose
+    /// hint is `gate_at`, reports in on `reached` and parks the sealer
+    /// until `resume` fires.
+    struct CommitGate {
+        commits: Arc<Mutex<Vec<u64>>>,
+        gate_at: u64,
+        reached: mpsc::Sender<()>,
+        resume: mpsc::Receiver<()>,
+    }
+
+    impl caraoke_log::WriteFault for CommitGate {
+        fn check(&mut self, op: caraoke_log::IoOp, pane: u64) -> Option<io::Error> {
+            if op == caraoke_log::IoOp::Sync {
+                self.commits.lock().expect("commit list").push(pane);
+                if pane == self.gate_at {
+                    let _ = self.reached.send(());
+                    let _ = self.resume.recv();
+                }
+            }
+            None
+        }
+    }
+
     #[test]
     fn widely_skewed_pole_frontiers_stay_cheap_and_correct() {
-        // One thread (one worker slot) hears a pole 100 000 panes ahead of
-        // the laggard — far beyond the watermark ring, and a span that
-        // would blow up any pane-span-indexed table. The segment table
-        // tracks occupied panes only, the clock parks the far credit in
-        // its overflow map, and the flush seals the full range.
-        let live = LiveCity::new(directory(2), tiny_config());
-        let far = 100_000 * 1_000_000u64;
-        live.ingest(&report(0, 0, far, vec![obs(1, 0, 0, far)]));
-        live.ingest(&report(1, 0, 0, vec![obs(2, 1, 0, 0)]));
-        // The laggard catches up: the watermark sweeps the whole span.
-        live.ingest(&report(1, 0, far, vec![obs(3, 1, 0, far)]));
+        // One thread (one worker slot) hears pole 0 run 20 000 panes ahead
+        // of the laggard — far beyond the watermark ring, and more panes
+        // than one seal pass's bucket table holds at 8 shards. Worker
+        // buffers track occupied panes only, the clock parks the far
+        // credits in its overflow map, and when the laggard catches up the
+        // whole span seals as consecutive bounded passes, each committed
+        // to the pane log and visible to waiters before the next starts.
+        let far_pane = 20_000u64;
+        let panes = [0, 1, 2, far_pane, far_pane + 1, far_pane + 2];
+        let stream = |pole: u32| {
+            panes.map(|pane| {
+                let t = pane * 1_000_000;
+                let walker = obs(7 + pole as u64, pole, 0, t);
+                let one_shot = obs(1_000 + 2 * pane + pole as u64, pole, 0, t + 10);
+                report(pole, 0, t, vec![walker, one_shot])
+            })
+        };
+
+        // Reference: the same reports with no skew, one shard — every seal
+        // request, the 20k-pane one included, fits a single pass.
+        let mut config = tiny_config();
+        config.store.shards = 1;
+        let reference = LiveCity::new(directory(2), config);
+        for (a, b) in stream(0).iter().zip(&stream(1)) {
+            reference.ingest(a);
+            reference.ingest(b);
+        }
+        reference.finish();
+
+        let max_span = (MAX_SEAL_BUCKETS / tiny_config().store.shards) as u64;
+        assert!(far_pane > 2 * max_span, "the span needs three passes");
+        let dir = scratch_dir("skewed");
+        let commits = Arc::new(Mutex::new(Vec::new()));
+        let (reached_tx, reached) = mpsc::channel();
+        let (resume, resume_rx) = mpsc::channel();
+        // No snapshots: they sync too, and would anchor the replay below.
+        let opts = LogOptions {
+            snapshot_every_panes: 0,
+            ..Default::default()
+        };
+        let mut writer = SegmentWriter::create(&dir, opts).expect("log");
+        writer.set_fault_injector(Some(Box::new(CommitGate {
+            commits: Arc::clone(&commits),
+            gate_at: 2 + 2 * max_span,
+            reached: reached_tx,
+            resume: resume_rx,
+        })));
+        let live = LiveCity::with_log_writer(directory(2), tiny_config(), writer);
+        for r in &stream(0) {
+            live.ingest(r);
+        }
+        let laggard = stream(1);
+        for r in &laggard[..3] {
+            live.ingest(r);
+        }
         live.wait_idle();
-        assert_eq!(live.watermark_us(), far);
+        assert_eq!(live.sealed_panes(), 2);
+        commits.lock().expect("commit list").clear();
+
+        // The laggard catches up: one request for panes 2..20 000. The gate
+        // parks the sealer inside its second pass (sealed and log locks
+        // held), and the first pass's floor is already waitable.
+        live.ingest(&laggard[3]);
+        reached
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the sealer reaches the second pass's commit");
+        let (done_tx, done) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let live = &live;
+            scope.spawn(move || {
+                live.wait_seal_floor((2 + max_span) * 1_000_000);
+                let _ = done_tx.send(());
+            });
+            let returned = done.recv_timeout(Duration::from_secs(20)).is_ok();
+            resume.send(()).expect("sealer parked at the gate");
+            assert!(returned, "wait_seal_floor returns mid-span");
+        });
+        live.wait_idle();
+        assert_eq!(live.watermark_us(), far_pane * 1_000_000);
+        assert_eq!(live.sealed_panes(), far_pane);
+        assert_eq!(
+            *commits.lock().expect("commit list"),
+            [2 + max_span, 2 + 2 * max_span, far_pane],
+            "one log commit per pass"
+        );
+
+        for r in &laggard[4..] {
+            live.ingest(r);
+        }
         live.finish();
         let stats = live.stats();
-        assert_eq!(stats.observations, 3);
-        assert_eq!(stats.sealed_panes, 100_001);
+        assert_eq!(stats.observations, 24);
+        assert_eq!(stats.sealed_panes, far_pane + 3);
         assert_eq!(stats.shed_observations, 0);
         assert_eq!(stats.overflow_shed, 0);
+        assert_eq!(stats.log_errors_fatal, 0);
+        assert_eq!(live.fingerprint_chain(), reference.fingerprint_chain());
+        assert_eq!(live.totals(), reference.totals());
+        drop(live);
+        // Every pass appended its panes with their deltas: the log verifies
+        // pane by pane and rebuilds the live tracker state.
+        let replay = caraoke_log::LogCity::open(&dir)
+            .replay()
+            .expect("verified replay");
+        assert_eq!(replay.chain, reference.fingerprint_chain());
+        assert_eq!(replay.panes, far_pane + 3);
+        assert_eq!(replay.distinct_tags, 2 + 12, "walkers and one-shots");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2214,17 +2086,17 @@ mod tests {
         let dir = scratch_dir("compact");
         let mut config = tiny_config();
         config.compact_idle_us = Some(2_000_000);
-        config.compact_every_panes = 2;
         let live = LiveCity::with_log(directory(2), config, &dir, LogOptions::default())
             .expect("logged engine");
-        // 20 one-shot tags at t=0 age out; two walkers stay resident.
+        // 20 one-shot tags at t=0 age out at the sweep after pane 63; two
+        // walkers stay resident.
         live.ingest(&report(
             0,
             0,
             0,
             (0..20).map(|i| obs(100 + i, 0, 0, 0)).collect(),
         ));
-        for epoch in 0..8u64 {
+        for epoch in 0..COMPACT_EVERY_PANES + 2 {
             let t = epoch * 1_000_000;
             live.ingest(&report(0, 0, t, vec![obs(7, 0, 0, t)]));
             live.ingest(&report(1, 0, t, vec![obs(8, 1, 0, t)]));
@@ -2257,9 +2129,10 @@ mod tests {
     fn recover_with_compaction_matches_uninterrupted_run() {
         let mut config = tiny_config();
         config.compact_idle_us = Some(1_500_000);
-        config.compact_every_panes = 2;
+        // The last pane is the one a sweep follows, so the recovered engine
+        // (which re-seals only the tail) is the one that runs it.
         let deliver = |live: &LiveCity, from_us: u64| {
-            for epoch in 0..8u64 {
+            for epoch in 0..COMPACT_EVERY_PANES {
                 let t = epoch * 1_000_000;
                 if t < from_us {
                     continue;
@@ -2304,6 +2177,10 @@ mod tests {
         recovered.finish();
         assert_eq!(recovered.fingerprint_chain(), ref_chain);
         assert_eq!(recovered.totals(), ref_totals);
+        assert!(
+            recovered.stats().compacted_tags > 0,
+            "the sweep ran on the recovered engine"
+        );
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);

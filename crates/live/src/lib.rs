@@ -64,18 +64,19 @@
 //!
 //! 1. **Ingest** (any thread, per report): one atomic load of the seal
 //!    floor, an uncontended lock of the calling thread's own worker slot
-//!    (observations appended with their precomputed shard and within-report
-//!    index; report-level segment counters folded into a flat pane-indexed
-//!    table), then a lock-free watermark update. No global lock, no
+//!    (observations appended to their pane's bucket with their precomputed
+//!    shard and within-report index; report-level segment counters folded
+//!    into the same bucket), then a lock-free watermark update. No global lock, no
 //!    allocation, no sort. If — and only if — this report completed a pane
 //!    boundary, the thread raises the sealer's target and signals a
 //!    condvar.
 //! 2. **Seal** (the dedicated sealer thread): drain every worker slot once
 //!    per released target, establish the canonical
-//!    `(pane, shard, timestamp, pole, tag, seq)` order with one sort, run
-//!    the per-shard [`TagTracker`] state machines (now plain owned state —
-//!    sealing was always serialized, so the old per-shard mutexes bought
-//!    nothing), fingerprint and publish each pane, then notify blocked
+//!    `(pane, shard, timestamp, pole, tag, seq)` order with one bucket
+//!    pass, walk it through the per-shard [`TagTracker`] state machines
+//!    (now plain owned state — sealing was always serialized, so the old
+//!    per-shard mutexes bought nothing), fingerprint and publish each pane
+//!    (see [`engine`] for the pipeline), then notify blocked
 //!    subscribers ([`LiveSubscription::wait_next`], [`LiveCity::finish`],
 //!    [`LiveCity::wait_idle`]).
 //!

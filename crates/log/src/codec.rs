@@ -245,7 +245,8 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers / the bounds-checked decoder.
+// Primitive writers / the bounds-checked decoder — the one byte toolkit of
+// the log records here and of the serve tier's wire frames.
 
 fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
@@ -253,28 +254,34 @@ fn put_u8(buf: &mut Vec<u8>, v: u8) {
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-/// Bounds-checked little-endian reader over a record payload.
-pub(crate) struct Dec<'a> {
+/// Bounds-checked little-endian reader over an untrusted byte slice. Every
+/// method names the field it was reading in its error, and none of them
+/// panics or allocates.
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// Starts reading at the front of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], String> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], String> {
         if self.buf.len() - self.pos < n {
             return Err(format!(
                 "payload truncated reading {what} at offset {}",
@@ -286,23 +293,45 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, what: &'static str) -> Result<u8, String> {
+    /// One byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, String> {
         Ok(self.take(1, what)?[0])
     }
-    fn u16(&mut self, what: &'static str) -> Result<u16, String> {
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, String> {
         Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
     }
-    fn u32(&mut self, what: &'static str) -> Result<u32, String> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
-    fn u64(&mut self, what: &'static str) -> Result<u64, String> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
-    fn f64(&mut self, what: &'static str) -> Result<f64, String> {
+    /// An `f64` from its little-endian bit pattern.
+    pub fn f64(&mut self, what: &'static str) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    fn done(&self) -> Result<(), String> {
+    /// A `u32` element count for a sequence whose elements encode to at
+    /// least `min_elem_bytes` each. A count the remaining bytes cannot hold
+    /// is an error here, before the caller sizes anything by it — a crafted
+    /// prefix costs a message, never an allocation.
+    pub fn count(&mut self, min_elem_bytes: usize, what: &'static str) -> Result<usize, String> {
+        let n = self.u32(what)? as usize;
+        let remaining = self.buf.len() - self.pos;
+        match n.checked_mul(min_elem_bytes) {
+            Some(need) if need <= remaining => Ok(n),
+            _ => Err(format!(
+                "{what} {n} exceeds the {remaining} bytes left at offset {}",
+                self.pos
+            )),
+        }
+    }
+
+    /// Succeeds only when every byte was consumed.
+    pub fn done(&self) -> Result<(), String> {
         if self.pos != self.buf.len() {
             return Err(format!(
                 "{} trailing bytes after record",
@@ -312,6 +341,15 @@ impl<'a> Dec<'a> {
         Ok(())
     }
 }
+
+// Minimum encoded size of one element behind each length prefix below —
+// what [`Dec::count`] holds a claimed count against.
+const SEGMENT_ROW_BYTES: usize = 2 + 8 + 8 + 8 + 4 + 8;
+const FLOW_ROW_BYTES: usize = 2 + 4 + 8;
+const SPEED_BIN_BYTES: usize = 2 + 8;
+const OD_ROW_BYTES: usize = 4 + 4 + 8;
+const TAG_RECORD_MIN_BYTES: usize = 8 + 4 + 4 + 2 + 2 + 8 + 8 + 4 + 8 + 1;
+const DELTA_MIN_BYTES: usize = 3 * 4 + 3 * 8;
 
 // ---------------------------------------------------------------------------
 // Aggregates.
@@ -365,7 +403,7 @@ fn encode_aggregates(buf: &mut Vec<u8>, agg: &CityAggregates) {
 fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
     let mut agg = CityAggregates::new();
     agg.observations = dec.u64("observations")?;
-    let n_segments = dec.u32("segment count")?;
+    let n_segments = dec.count(SEGMENT_ROW_BYTES, "segment count")?;
     for _ in 0..n_segments {
         let seg = dec.u16("segment id")?;
         let stats = SegmentStats {
@@ -377,7 +415,7 @@ fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
         };
         agg.segments.insert(seg, stats);
     }
-    let n_flow = dec.u32("flow count")?;
+    let n_flow = dec.count(FLOW_ROW_BYTES, "flow count")?;
     for _ in 0..n_flow {
         let seg = dec.u16("flow segment")?;
         let cycle = dec.u32("flow cycle")?;
@@ -386,7 +424,7 @@ fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
     }
     let samples = dec.u64("speed samples")?;
     let sum_centi = dec.u64("speed sum")?;
-    let n_bins = dec.u32("speed bin count")?;
+    let n_bins = dec.count(SPEED_BIN_BYTES, "speed bin count")?;
     let mut bins = Vec::new();
     for _ in 0..n_bins {
         let bin = dec.u16("speed bin")? as usize;
@@ -397,7 +435,7 @@ fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
         bins[bin] = n;
     }
     agg.speeds = SpeedHistogram::from_parts(bins, samples, sum_centi);
-    let n_od = dec.u32("od count")?;
+    let n_od = dec.count(OD_ROW_BYTES, "od count")?;
     for _ in 0..n_od {
         let from = dec.u32("od from")?;
         let to = dec.u32("od to")?;
@@ -492,15 +530,15 @@ fn encode_delta(buf: &mut Vec<u8>, delta: &TrackerDelta) {
 
 fn decode_delta(dec: &mut Dec<'_>) -> Result<TrackerDelta, String> {
     let mut delta = TrackerDelta::default();
-    let n_upserts = dec.u32("upsert count")?;
+    let n_upserts = dec.count(TAG_RECORD_MIN_BYTES, "upsert count")?;
     for _ in 0..n_upserts {
         delta.upserts.push(decode_tag_record(dec)?);
     }
-    let n_removals = dec.u32("removal count")?;
+    let n_removals = dec.count(8, "removal count")?;
     for _ in 0..n_removals {
         delta.removals.push(dec.u64("removal key")?);
     }
-    let n_aliases = dec.u32("alias count")?;
+    let n_aliases = dec.count(16, "alias count")?;
     for _ in 0..n_aliases {
         let raw = dec.u64("alias raw")?;
         let decoded = dec.u64("alias decoded")?;
@@ -584,8 +622,8 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
             let fingerprint = dec.u64("pane fingerprint")?;
             let chain = dec.u64("pane chain")?;
             let aggregates = decode_aggregates(&mut dec)?;
-            let n_shards = dec.u32("pane shard count")?;
-            let mut deltas = Vec::with_capacity(n_shards as usize);
+            let n_shards = dec.count(DELTA_MIN_BYTES, "pane shard count")?;
+            let mut deltas = Vec::with_capacity(n_shards);
             for _ in 0..n_shards {
                 deltas.push(decode_delta(&mut dec)?);
             }
@@ -604,14 +642,14 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
             let chain = dec.u64("snapshot chain")?;
             let forced_panes = dec.u64("snapshot forced_panes")?;
             let forced_pole_misses = dec.u64("snapshot forced_pole_misses")?;
-            let n_dead = dec.u32("snapshot dead count")?;
-            let mut dead_poles = Vec::with_capacity(n_dead as usize);
+            let n_dead = dec.count(4, "snapshot dead count")?;
+            let mut dead_poles = Vec::with_capacity(n_dead);
             for _ in 0..n_dead {
                 dead_poles.push(dec.u32("snapshot dead pole")?);
             }
             let total = decode_aggregates(&mut dec)?;
-            let n_shards = dec.u32("snapshot shard count")?;
-            let mut trackers = Vec::with_capacity(n_shards as usize);
+            let n_shards = dec.count(DELTA_MIN_BYTES, "snapshot shard count")?;
+            let mut trackers = Vec::with_capacity(n_shards);
             for _ in 0..n_shards {
                 trackers.push(decode_delta(&mut dec)?);
             }
@@ -774,5 +812,51 @@ mod tests {
         padded.push(0);
         assert!(decode_record(&padded).unwrap_err().contains("trailing"));
         assert!(decode_record(&[200]).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn every_length_prefix_rejects_a_count_the_payload_cannot_hold() {
+        // Records with every collection empty, so each `u32` count sits at
+        // a fixed offset: header, then the aggregate block (observations,
+        // 0 segments, 0 flow rows, speed samples + sum, 0 bins, 0 OD rows,
+        // six position counters), then the shard count and one empty delta.
+        let empty = CityAggregates::new();
+        let pane = encode_pane(3, false, 0, 1, 2, &empty, &[TrackerDelta::default()]);
+        let snap = encode_snapshot(&SnapshotRecord {
+            next_pane: 4,
+            chain: 2,
+            forced_panes: 0,
+            forced_pole_misses: 0,
+            dead_poles: Vec::new(),
+            total: empty,
+            trackers: vec![TrackerDelta::default()],
+        });
+        let agg = 1 + 8 + 1 + 4 + 8 + 8; // after the pane header
+        let shards = agg + 8 + 4 + 4 + 16 + 4 + 4 + 48;
+        let dead = 1 + 8 + 8 + 8 + 8; // after the snapshot header
+
+        // (payload, offset of the prefix, the count encoded there, field)
+        let cases: [(&[u8], usize, u32, &str); 10] = [
+            (&pane, agg + 8, 0, "segment count"),
+            (&pane, agg + 12, 0, "flow count"),
+            (&pane, agg + 32, 0, "speed bin count"),
+            (&pane, agg + 36, 0, "od count"),
+            (&pane, shards, 1, "pane shard count"),
+            (&pane, shards + 4, 0, "upsert count"),
+            (&pane, shards + 8, 0, "removal count"),
+            (&pane, shards + 12, 0, "alias count"),
+            (&snap, dead, 0, "snapshot dead count"),
+            (&snap, dead + 4 + (shards - agg), 1, "snapshot shard count"),
+        ];
+        for (payload, at, encoded, what) in cases {
+            assert!(decode_record(payload).is_ok(), "{what}: baseline decodes");
+            assert_eq!(payload[at..at + 4], encoded.to_le_bytes(), "{what}: offset");
+            let mut crafted = payload.to_vec();
+            crafted[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            // Reserving for the claimed count would abort the process, so
+            // an `Err` naming the prefix is also the no-allocation check.
+            let err = decode_record(&crafted).unwrap_err();
+            assert!(err.contains(what), "{what}: got {err:?}");
+        }
     }
 }

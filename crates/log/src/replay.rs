@@ -10,7 +10,7 @@
 
 use crate::codec::LogRecord;
 use crate::reader::{LogError, LogReader};
-use caraoke_city::store::TagTracker;
+use caraoke_city::store::{TagTracker, TrackerDelta};
 use caraoke_city::{AliasStats, CityAggregates};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -65,70 +65,90 @@ impl LogCity {
     pub fn replay(&self) -> Result<LogReplay, LogError> {
         let reader = LogReader::open(&self.dir)?;
         let mut cursor = reader.records();
-        let mut totals = CityAggregates::new();
-        let mut trackers: Vec<TagTracker> = Vec::new();
+        let mut fold = RecordFold::default();
         let mut panes = 0u64;
         let mut first_pane = None;
-        let mut next_pane = 0u64;
-        let mut forced_panes = 0u64;
-        let mut forced_pole_misses = 0u64;
-        let mut dead_poles = Vec::new();
         for record in cursor.by_ref() {
-            match record? {
-                LogRecord::Snapshot(snap) => {
-                    totals = snap.total;
-                    next_pane = snap.next_pane;
-                    forced_panes = snap.forced_panes;
-                    forced_pole_misses = snap.forced_pole_misses;
-                    dead_poles = snap.dead_poles;
-                    trackers = snap
-                        .trackers
-                        .iter()
-                        .map(|delta| {
-                            let mut t = TagTracker::new();
-                            t.apply_delta(delta);
-                            t
-                        })
-                        .collect();
-                }
-                LogRecord::Pane(p) => {
-                    totals.merge(&p.aggregates);
-                    if first_pane.is_none() {
-                        first_pane = Some(p.pane);
-                    }
-                    next_pane = p.pane + 1;
-                    panes += 1;
-                    if p.forced {
-                        forced_panes += 1;
-                        forced_pole_misses += u64::from(p.pole_misses);
-                    }
-                    if trackers.len() < p.deltas.len() {
-                        trackers.resize_with(p.deltas.len(), TagTracker::new);
-                    }
-                    for (tracker, delta) in trackers.iter_mut().zip(&p.deltas) {
-                        tracker.apply_delta(delta);
-                    }
-                }
-                LogRecord::DeadPole(pole) => dead_poles.push(pole),
+            if let Some((pane, _)) = fold.apply(record?) {
+                first_pane.get_or_insert(pane);
+                panes += 1;
             }
         }
         let mut alias = AliasStats::default();
-        for tracker in &trackers {
+        for tracker in &fold.trackers {
             alias.merge(&tracker.alias_stats());
         }
         Ok(LogReplay {
-            totals,
+            totals: fold.total,
             chain: cursor.chain_state(),
             panes,
-            first_pane: first_pane.unwrap_or(next_pane),
-            next_pane,
-            forced_panes,
-            forced_pole_misses,
-            dead_poles,
+            first_pane: first_pane.unwrap_or(fold.next_pane),
+            next_pane: fold.next_pane,
+            forced_panes: fold.forced_panes,
+            forced_pole_misses: fold.forced_pole_misses,
+            dead_poles: fold.dead_poles,
             torn_tail_bytes: cursor.torn_tail_bytes(),
             alias,
-            distinct_tags: trackers.iter().map(TagTracker::distinct_tags).sum(),
+            distinct_tags: fold.trackers.iter().map(TagTracker::distinct_tags).sum(),
         })
+    }
+}
+
+/// The one fold of log records into engine state — totals, per-shard
+/// trackers, seal horizon, forced-seal counters, dead poles — shared by
+/// [`LogCity::replay`] and [`recover_state`], which differ only in what
+/// they check before a record goes in and what they derive afterwards.
+#[derive(Default)]
+struct RecordFold {
+    total: CityAggregates,
+    trackers: Vec<TagTracker>,
+    next_pane: u64,
+    forced_panes: u64,
+    forced_pole_misses: u64,
+    dead_poles: Vec<u32>,
+}
+
+impl RecordFold {
+    /// Applies one verified record. A pane record hands its id and
+    /// aggregate back, for callers that count or retain panes.
+    fn apply(&mut self, record: LogRecord) -> Option<(u64, CityAggregates)> {
+        match record {
+            LogRecord::Snapshot(snap) => {
+                self.total = snap.total;
+                self.next_pane = snap.next_pane;
+                self.forced_panes = snap.forced_panes;
+                self.forced_pole_misses = snap.forced_pole_misses;
+                self.dead_poles = snap.dead_poles;
+                self.trackers.clear();
+                self.apply_deltas(&snap.trackers);
+                None
+            }
+            LogRecord::Pane(p) => {
+                self.total.merge(&p.aggregates);
+                self.next_pane = p.pane + 1;
+                if p.forced {
+                    self.forced_panes += 1;
+                    self.forced_pole_misses += u64::from(p.pole_misses);
+                }
+                self.apply_deltas(&p.deltas);
+                Some((p.pane, p.aggregates))
+            }
+            LogRecord::DeadPole(pole) => {
+                self.dead_poles.push(pole);
+                None
+            }
+        }
+    }
+
+    /// Applies one delta per shard, growing the tracker set to the shard
+    /// count the record carries.
+    fn apply_deltas(&mut self, deltas: &[TrackerDelta]) {
+        if self.trackers.len() < deltas.len() {
+            self.trackers.resize_with(deltas.len(), TagTracker::new);
+        }
+        for (tracker, delta) in self.trackers.iter_mut().zip(deltas) {
+            tracker.apply_delta(delta);
+        }
     }
 }
 
@@ -166,72 +186,48 @@ pub fn recover_state(
 ) -> Result<RecoveredState, LogError> {
     let reader = LogReader::open(dir.as_ref())?;
     let mut cursor = reader.records();
-    let mut total = CityAggregates::new();
-    let mut trackers: Vec<TagTracker> = (0..shards).map(|_| TagTracker::new()).collect();
+    let mut fold = RecordFold::default();
     let mut ring: VecDeque<(u64, CityAggregates)> = VecDeque::new();
-    let mut next_pane = 0u64;
-    let mut forced_panes = 0u64;
-    let mut forced_pole_misses = 0u64;
-    let mut dead_poles = Vec::new();
     for record in cursor.by_ref() {
-        match record? {
+        let record = record?;
+        let found = match &record {
             LogRecord::Snapshot(snap) => {
-                if snap.trackers.len() != shards {
-                    return Err(LogError::ShardMismatch {
-                        expected: shards,
-                        found: snap.trackers.len(),
-                    });
-                }
-                total = snap.total;
-                next_pane = snap.next_pane;
-                forced_panes = snap.forced_panes;
-                forced_pole_misses = snap.forced_pole_misses;
-                dead_poles = snap.dead_poles;
                 // Panes before the snapshot are gone from the log, so the
                 // ring restarts here; windows reaching further back are
                 // answerable only from `total`.
                 ring.clear();
-                for (tracker, delta) in trackers.iter_mut().zip(&snap.trackers) {
-                    *tracker = TagTracker::new();
-                    tracker.apply_delta(delta);
-                }
+                Some(snap.trackers.len())
             }
-            LogRecord::Pane(p) => {
-                if p.deltas.len() != shards {
-                    return Err(LogError::ShardMismatch {
-                        expected: shards,
-                        found: p.deltas.len(),
-                    });
-                }
-                total.merge(&p.aggregates);
-                next_pane = p.pane + 1;
-                if p.forced {
-                    forced_panes += 1;
-                    forced_pole_misses += u64::from(p.pole_misses);
-                }
-                for (tracker, delta) in trackers.iter_mut().zip(&p.deltas) {
-                    tracker.apply_delta(delta);
-                }
-                if ring.len() == retain_panes.max(1) {
-                    ring.pop_front();
-                }
-                ring.push_back((p.pane, p.aggregates));
+            LogRecord::Pane(p) => Some(p.deltas.len()),
+            LogRecord::DeadPole(_) => None,
+        };
+        if let Some(found) = found.filter(|&n| n != shards) {
+            return Err(LogError::ShardMismatch {
+                expected: shards,
+                found,
+            });
+        }
+        if let Some(pane) = fold.apply(record) {
+            if ring.len() == retain_panes.max(1) {
+                ring.pop_front();
             }
-            LogRecord::DeadPole(pole) => dead_poles.push(pole),
+            ring.push_back(pane);
         }
     }
-    for tracker in &mut trackers {
+    // An empty log folds no record, so no record sized the tracker set.
+    fold.trackers.resize_with(shards, TagTracker::new);
+    for tracker in &mut fold.trackers {
         tracker.set_trace(true);
     }
     Ok(RecoveredState {
-        next_pane,
+        next_pane: fold.next_pane,
         chain_state: cursor.chain_state(),
-        total,
+        total: fold.total,
         ring: ring.into(),
-        trackers,
-        dead_poles,
-        forced_panes,
-        forced_pole_misses,
+        trackers: fold.trackers,
+        dead_poles: fold.dead_poles,
+        forced_panes: fold.forced_panes,
+        forced_pole_misses: fold.forced_pole_misses,
         torn_tail_bytes: cursor.torn_tail_bytes(),
     })
 }

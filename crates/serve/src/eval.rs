@@ -122,17 +122,7 @@ impl LogFollower {
     /// Replays every remaining record, leaving the follower at the durable
     /// head.
     pub fn advance_to_end(&mut self) -> Result<(), LogError> {
-        while !self.ended {
-            match self.cursor.next() {
-                Some(Ok(record)) => self.apply(record),
-                Some(Err(e)) => {
-                    self.ended = true;
-                    return Err(e);
-                }
-                None => self.ended = true,
-            }
-        }
-        Ok(())
+        self.advance_past(u64::MAX).map(|_| ())
     }
 
     /// Answers one query as of the current replayed horizon, through the

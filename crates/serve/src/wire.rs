@@ -16,6 +16,7 @@
 
 use caraoke_city::SegmentId;
 use caraoke_live::{LiveAnswer, LiveQuery, WindowSpec};
+use caraoke_log::codec::{put_u32, put_u64, Dec};
 use std::io::{self, Read, Write};
 
 /// Protocol version exchanged in [`Frame::Hello`]. Bump on any change to
@@ -111,59 +112,9 @@ const Q_TOP_OD: u8 = 4;
 const Q_POSITION: u8 = 5;
 const Q_WATERMARK: u8 = 6;
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or_else(|| what.to_string())?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| what.to_string())?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn done(self, what: &str) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!("{what}: trailing bytes"))
-        }
-    }
-}
-
 fn put_window(out: &mut Vec<u8>, w: &WindowSpec) {
-    out.extend_from_slice(&w.width_us.to_le_bytes());
-    out.extend_from_slice(&w.slide_us.to_le_bytes());
+    put_u64(out, w.width_us);
+    put_u64(out, w.slide_us);
 }
 
 fn get_window(dec: &mut Dec<'_>) -> Result<WindowSpec, String> {
@@ -240,7 +191,7 @@ pub fn decode_query(buf: &[u8]) -> Result<LiveQuery, String> {
         Q_WATERMARK => LiveQuery::Watermark,
         t => return Err(format!("unknown query tag {t}")),
     };
-    dec.done("query")?;
+    dec.done()?;
     Ok(query)
 }
 
@@ -336,10 +287,7 @@ pub fn decode_answer(buf: &[u8]) -> Result<LiveAnswer, String> {
             samples: dec.u64("samples")?,
         },
         A_TOP_OD => {
-            let n = dec.u32("pair count")? as usize;
-            if n > MAX_FRAME_BYTES / 16 {
-                return Err(format!("absurd OD pair count {n}"));
-            }
+            let n = dec.count(4 + 4 + 8, "OD pair count")?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let from = dec.u32("od from")?;
@@ -364,16 +312,16 @@ pub fn decode_answer(buf: &[u8]) -> Result<LiveAnswer, String> {
         },
         t => return Err(format!("unknown answer tag {t}")),
     };
-    dec.done("answer")?;
+    dec.done()?;
     Ok(answer)
 }
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    put_u32(out, bytes.len() as u32);
     out.extend_from_slice(bytes);
 }
 
-fn get_bytes<'a>(dec: &mut Dec<'a>, what: &str) -> Result<&'a [u8], String> {
+fn get_bytes<'a>(dec: &mut Dec<'a>, what: &'static str) -> Result<&'a [u8], String> {
     let len = dec.u32(what)? as usize;
     dec.take(len, what)
 }
@@ -491,7 +439,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, String> {
         },
         t => return Err(format!("unknown frame tag {t}")),
     };
-    dec.done("frame")?;
+    dec.done()?;
     Ok(frame)
 }
 
@@ -662,5 +610,15 @@ mod tests {
 
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err(), "absurd length");
+    }
+
+    #[test]
+    fn an_od_pair_count_the_answer_cannot_hold_is_rejected_before_allocating() {
+        let mut crafted = encode_answer(&LiveAnswer::TopOd {
+            pairs: vec![((0, 1), 10)],
+        });
+        crafted[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_answer(&crafted).unwrap_err();
+        assert!(err.contains("OD pair count"), "got {err:?}");
     }
 }

@@ -57,8 +57,7 @@ fn stressed_run(source: &SyntheticCity, shards: usize, seed: u64) -> (u64, u64, 
     stressed_run_pooled(source, shards, 1, seed)
 }
 
-/// [`stressed_run`] with the sealer's sharded tracker pool enabled: the
-/// seal path itself fans out across `seal_pool` threads while the 16
+/// [`stressed_run`] with the seal walk on `seal_pool` threads while the 16
 /// ingest threads race it.
 fn stressed_run_pooled(
     source: &SyntheticCity,
@@ -164,11 +163,13 @@ fn position_carrying_observations_keep_byte_identical_fingerprints() {
 
 #[test]
 fn tracker_pool_sizes_reproduce_the_serial_chain_under_stress() {
-    // The sharded tracker pool must be byte-invisible: any pool size, over
-    // any shard count and any seeded arrival interleaving, seals the exact
-    // chain the serial single-threaded run seals. CFO-keyed identities put
-    // the alias state machine (the most order-sensitive tracker path) in
-    // play, and a pool larger than the shard count pins the clamp.
+    // The seal walk's thread count must be byte-invisible: any pool size,
+    // over any shard count and any seeded arrival interleaving, seals the
+    // exact chain the inline single-threaded run seals (the recorded
+    // literals in `golden_chains.rs` pin what that chain is). CFO-keyed
+    // identities put the alias state machine (the most order-sensitive
+    // tracker path) in play, and a pool larger than the shard count pins
+    // the clamp.
     let mut source = SyntheticCity::new(48, 24, 31_337);
     source.cfo_keyed = true;
     let reference = reference_run(&source);
@@ -179,7 +180,7 @@ fn tracker_pool_sizes_reproduce_the_serial_chain_under_stress() {
             let stressed = stressed_run_pooled(&source, shards, pool, seed);
             assert_eq!(
                 stressed, reference,
-                "pool {pool} / {shards} shards / seed {seed} diverged from serial"
+                "pool {pool} / {shards} shards / seed {seed} diverged from the inline walk"
             );
         }
     }
