@@ -45,6 +45,7 @@ fn bench(c: &mut Criterion) {
             ("subscribers", cfg.subscribers.to_string()),
             ("ingest_workers", cfg.ingest_workers.to_string()),
             ("pollers", cfg.pollers.to_string()),
+            ("cores", caraoke_bench::cores().to_string()),
             (
                 "registered_queries",
                 best.stats.registered_queries.to_string(),

@@ -369,10 +369,7 @@ fn main() {
         let (poles, epochs) = if quick { (200, 50) } else { (1_000, 250) };
         // One ingest worker per core, up to the roadmap's 16: oversubscribing
         // a small container measures scheduler churn, not the engine.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
+        let workers = bench::cores().min(16);
         let rows = bench::live_scale(poles, epochs, workers, 13);
         println!(
             "{}",

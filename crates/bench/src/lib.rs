@@ -85,6 +85,12 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Cores the process may run on (1 when the platform cannot say) — recorded
+/// in a bench's `config` block, since every throughput here depends on it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Writes `BENCH_<name>.json` at the workspace root: a flat, hand-rolled
 /// JSON record (`bench`, `git_rev`, a `config` object, a `results` object)
 /// that CI and later PRs can diff without parsing Criterion output. Values

@@ -40,10 +40,7 @@ pub struct ScaleConfig {
 /// scheduler churn, not the engine. The fingerprint chain is invariant to
 /// the worker count, so tiers stay comparable across machines.
 fn machine_workers(cap: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(cap)
+    crate::cores().min(cap)
 }
 
 impl ScaleConfig {

@@ -20,7 +20,11 @@
 
 use crate::event::{PoleId, SegmentId};
 use crate::position::PositionMethod;
-use std::collections::BTreeMap;
+use crate::store::TagKeyHasher;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Offset-basis and prime of 64-bit FNV-1a, used for aggregate fingerprints.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -404,6 +408,47 @@ impl PositionCounters {
     }
 }
 
+/// One origin–destination pair and its transition count:
+/// `((from pole, to pole), transitions)`.
+pub type OdPair = ((u32, u32), u64);
+
+/// The total order of OD answers: count descending, then `(from, to)`
+/// ascending. Pairs are distinct, so no two compare equal.
+fn od_order(a: &OdPair, b: &OdPair) -> Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// The first `n` of `pairs` under [`od_order`], in that order — the one
+/// selection behind [`OdMatrix::top`] and [`OdUnion::top`].
+///
+/// `n` may come straight from a client, so nothing is sized by it: the
+/// candidate buffer holds at most twice `min(n, pairs)` entries (never more
+/// than there are pairs) and is cut back to the best half whenever it
+/// fills, after which a pair behind the worst kept one is skipped without
+/// being stored.
+fn top_pairs(pairs: impl ExactSizeIterator<Item = OdPair>, n: usize) -> Vec<OdPair> {
+    let keep = n.min(pairs.len());
+    if keep == 0 {
+        return Vec::new();
+    }
+    let mut best: Vec<OdPair> = Vec::with_capacity((2 * keep).min(pairs.len()));
+    let mut floor: Option<OdPair> = None;
+    for pair in pairs {
+        if floor.is_some_and(|f| od_order(&pair, &f) == Ordering::Greater) {
+            continue;
+        }
+        best.push(pair);
+        if best.len() == 2 * keep {
+            best.select_nth_unstable_by(keep - 1, od_order);
+            best.truncate(keep);
+            floor = Some(best[keep - 1]);
+        }
+    }
+    best.sort_unstable_by(od_order);
+    best.truncate(keep);
+    best
+}
+
 /// Origin–destination matrix over poles, from tag re-sightings.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OdMatrix {
@@ -423,13 +468,10 @@ impl OdMatrix {
     }
 
     /// The `n` busiest origin–destination pairs, by count descending (ties
-    /// broken by pole ids so the order is deterministic).
-    pub fn top(&self, n: usize) -> Vec<((u32, u32), u64)> {
-        let mut pairs: Vec<((u32, u32), u64)> =
-            self.transitions.iter().map(|(&k, &v)| (k, v)).collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(n);
-        pairs
+    /// broken by pole ids so the order is deterministic). `n` past the
+    /// number of distinct pairs returns every pair, fully ordered.
+    pub fn top(&self, n: usize) -> Vec<OdPair> {
+        top_pairs(self.transitions.iter().map(|(&k, &v)| (k, v)), n)
     }
 
     /// Merges another matrix (associative, commutative).
@@ -446,6 +488,94 @@ impl OdMatrix {
             fp.write_u64((from as u64) << 32 | to as u64);
             fp.write_u64(v);
         }
+    }
+}
+
+/// The running union of a sliding window's [`OdMatrix`] panes: a flat table
+/// that panes are [`add`](Self::add)ed to as they enter the window and
+/// [`subtract`](Self::subtract)ed from as they leave, so a window query
+/// pays for the panes that moved, not for the window.
+///
+/// Answers read it through [`top`](Self::top), which selects under the same
+/// total order as [`OdMatrix::top`]: the union of panes `a..b` kept by delta
+/// answers exactly what merging those panes and calling `top` would. The
+/// table's iteration order never reaches an answer. Pole ids come from the
+/// deployment's directory, not from clients, so the fixed [`TagKeyHasher`]
+/// is safe here for the reason it is in the tracker.
+#[derive(Debug, Clone, Default)]
+pub struct OdUnion {
+    /// Transition counts keyed by `from << 32 | to`; a count that reaches
+    /// zero is removed, so every entry is a pair the window holds.
+    pairs: HashMap<u64, u64, BuildHasherDefault<TagKeyHasher>>,
+}
+
+impl OdUnion {
+    fn key(from: u32, to: u32) -> u64 {
+        (from as u64) << 32 | to as u64
+    }
+
+    /// Distinct pairs currently held.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Whether no pair is held.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Forgets every pair (the allocation is kept for the rebuild).
+    pub fn clear(&mut self) {
+        self.pairs.clear();
+    }
+
+    /// Adds one pane's transitions. (A pair counting no transition is not a
+    /// pair of the window; [`OdMatrix::record`] never makes one.)
+    pub fn add(&mut self, od: &OdMatrix) {
+        for (&(from, to), &v) in &od.transitions {
+            if v > 0 {
+                *self.pairs.entry(Self::key(from, to)).or_insert(0) += v;
+            }
+        }
+    }
+
+    /// Takes one pane's transitions back out, dropping pairs that reach
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// If `od` holds more of a pair than the union does — the pane was never
+    /// added, which is a bug in the caller's window bookkeeping.
+    pub fn subtract(&mut self, od: &OdMatrix) {
+        for (&(from, to), &v) in &od.transitions {
+            if v == 0 {
+                continue;
+            }
+            let held = match self.pairs.entry(Self::key(from, to)) {
+                Entry::Occupied(held) => held,
+                Entry::Vacant(_) => {
+                    panic!("subtracting OD pair ({from}, {to}) that was never added")
+                }
+            };
+            match held.get().checked_sub(v) {
+                Some(0) => {
+                    held.remove();
+                }
+                Some(left) => *held.into_mut() = left,
+                None => panic!("subtracting more of OD pair ({from}, {to}) than was added"),
+            }
+        }
+    }
+
+    /// The `n` busiest pairs, ordered exactly as [`OdMatrix::top`] orders
+    /// them.
+    pub fn top(&self, n: usize) -> Vec<OdPair> {
+        top_pairs(
+            self.pairs
+                .iter()
+                .map(|(&key, &v)| (((key >> 32) as u32, key as u32), v)),
+            n,
+        )
     }
 }
 
@@ -644,6 +774,90 @@ mod tests {
         assert_eq!(top[0], ((0, 1), 2));
         assert_eq!(top[1], ((1, 2), 1), "ties break by pole id");
         assert_eq!(od.total(), 4);
+    }
+
+    /// A pane's worth of OD pairs over a small pole universe, so panes
+    /// share pairs and counts tie.
+    fn scattered_od(seed: u64, records: usize) -> OdMatrix {
+        let mut od = OdMatrix::default();
+        let mut x = seed;
+        for _ in 0..records {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            od.record(PoleId((x >> 33) as u32 % 13), PoleId((x >> 45) as u32 % 11));
+        }
+        od
+    }
+
+    /// What `top` returned while it sorted every pair: the reference order.
+    fn full_sort_top(od: &OdMatrix, n: usize) -> Vec<OdPair> {
+        let mut pairs: Vec<OdPair> = od.transitions.iter().map(|(&k, &v)| (k, v)).collect();
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.truncate(n);
+        pairs
+    }
+
+    #[test]
+    fn top_selects_what_sorting_every_pair_would_for_any_n() {
+        let od = scattered_od(7, 600);
+        let distinct = od.transitions.len();
+        assert!(distinct > 60, "workload too small: {distinct} pairs");
+        let mut union = OdUnion::default();
+        union.add(&od);
+        // n = 0, small n (several prune rounds), n around and past the pair
+        // count, and the largest n the wire can carry.
+        for n in [
+            0,
+            1,
+            2,
+            7,
+            31,
+            distinct - 1,
+            distinct,
+            distinct + 1,
+            usize::MAX,
+        ] {
+            let expect = full_sort_top(&od, n);
+            assert_eq!(expect.len(), n.min(distinct));
+            assert_eq!(od.top(n), expect, "matrix, n = {n}");
+            assert_eq!(union.top(n), expect, "union, n = {n}");
+        }
+        assert!(OdMatrix::default().top(usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn od_union_kept_by_delta_equals_the_merge_of_the_panes_it_holds() {
+        let panes: Vec<OdMatrix> = (0..9).map(|i| scattered_od(100 + i, 12)).collect();
+        let width = 3;
+        let mut union = OdUnion::default();
+        for (i, pane) in panes.iter().enumerate() {
+            union.add(pane);
+            if i >= width {
+                union.subtract(&panes[i - width]);
+            }
+            let mut merged = OdMatrix::default();
+            for held in &panes[(i + 1).saturating_sub(width)..=i] {
+                merged.merge(held);
+            }
+            // Pairs only the subtracted pane held are gone, not left at zero.
+            assert_eq!(union.len(), merged.transitions.len(), "after pane {i}");
+            assert_eq!(union.top(usize::MAX), full_sort_top(&merged, usize::MAX));
+        }
+        for pane in &panes[panes.len() - width..] {
+            union.subtract(pane);
+        }
+        assert!(union.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "never added")]
+    fn od_union_refuses_to_subtract_a_pane_it_never_held() {
+        let mut union = OdUnion::default();
+        union.add(&scattered_od(1, 4));
+        let mut stranger = OdMatrix::default();
+        stranger.record(PoleId(900), PoleId(901));
+        union.subtract(&stranger);
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub mod store;
 pub mod synth;
 
 pub use aggregate::{
-    CityAggregates, FlowCounter, OdMatrix, PositionCounters, SegmentStats, SpeedHistogram,
+    CityAggregates, FlowCounter, OdMatrix, OdPair, OdUnion, PositionCounters, SegmentStats,
+    SpeedHistogram,
 };
 pub use driver::{BatchDriver, CityRun, FrameSource};
 pub use event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};

@@ -83,7 +83,7 @@
 //! [`BatchDriver`]: caraoke_city::BatchDriver
 
 use crate::watermark::WatermarkClock;
-use crate::window::{WindowAggregate, WindowRing};
+use crate::window::{CityWindows, WindowAggregate, WindowRing};
 use caraoke_city::aggregate::Fingerprint;
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker, TrackerDelta};
 use caraoke_city::{
@@ -485,8 +485,9 @@ impl SealScratch {
 struct SealedState {
     /// Next pane index to seal.
     next_pane: u64,
-    /// Retained sealed panes for window queries.
-    ring: WindowRing<CityAggregates>,
+    /// Retained sealed panes for window queries, with the running windows
+    /// queries keep over them.
+    windows: CityWindows,
     /// Running FNV-1a chain over every sealed `(pane, fingerprint)` pair.
     chain: Fingerprint,
     /// Whole-run totals (merge of every sealed pane, retained or not).
@@ -703,9 +704,9 @@ impl LiveCity {
         let shards = config.store.shards.max(1);
         let (sealed, clock, forced_panes, forced_pole_misses, dead_poles) = match resume {
             Some(state) => {
-                let mut ring = WindowRing::new(config.retain_panes);
+                let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
-                    ring.push(pane, agg);
+                    windows.push(pane, agg);
                 }
                 let clock = WatermarkClock::resume(
                     directory.len(),
@@ -715,7 +716,7 @@ impl LiveCity {
                 );
                 let sealed = SealedState {
                     next_pane: state.next_pane,
-                    ring,
+                    windows,
                     chain: Fingerprint::resume(state.chain_state),
                     total: state.total,
                     trackers: state.trackers,
@@ -740,7 +741,7 @@ impl LiveCity {
                 }
                 let sealed = SealedState {
                     next_pane: 0,
-                    ring: WindowRing::new(config.retain_panes),
+                    windows: CityWindows::new(config.retain_panes),
                     chain: Fingerprint::new(),
                     total: CityAggregates::new(),
                     trackers,
@@ -985,23 +986,26 @@ impl LiveCity {
         }
     }
 
-    /// Read access to the sealed-window state for the query layer.
+    /// The query layer's view of sealed-window state: the pane ring with
+    /// its running windows (the one part a query may write), the totals and
+    /// the pane horizon.
     pub(crate) fn with_sealed<R>(
         &self,
-        f: impl FnOnce(&WindowRing<CityAggregates>, &CityAggregates, u64) -> R,
+        f: impl FnOnce(&mut CityWindows, &CityAggregates, u64) -> R,
     ) -> R {
-        let sealed = self.core.sealed.lock().expect("sealed state");
-        f(&sealed.ring, &sealed.total, sealed.next_pane)
+        let mut sealed = self.core.sealed.lock().expect("sealed state");
+        let sealed = &mut *sealed;
+        f(&mut sealed.windows, &sealed.total, sealed.next_pane)
     }
 
-    /// Like [`with_sealed`](Self::with_sealed), but first blocks (up to
-    /// `timeout`) until a pane past `cursor` has been sealed — the engine
-    /// half of [`crate::LiveSubscription::wait_next`]. Wakes on every seal.
+    /// Blocks (up to `timeout`) until a pane past `cursor` has been sealed,
+    /// then hands `f` the pane ring and horizon — the engine half of
+    /// [`crate::LiveSubscription::wait_next`]. Wakes on every seal.
     pub(crate) fn wait_sealed_past<R>(
         &self,
         cursor: u64,
         timeout: Duration,
-        f: impl FnOnce(&WindowRing<CityAggregates>, &CityAggregates, u64) -> R,
+        f: impl FnOnce(&WindowRing<CityAggregates>, u64) -> R,
     ) -> R {
         let core = &*self.core;
         let deadline = Instant::now() + timeout;
@@ -1017,7 +1021,7 @@ impl LiveCity {
                 .expect("sealed state");
             sealed = guard;
         }
-        f(&sealed.ring, &sealed.total, sealed.next_pane)
+        f(sealed.windows.ring(), sealed.next_pane)
     }
 }
 
@@ -1423,7 +1427,7 @@ impl LiveCore {
                     }
                 }
             }
-            state.ring.push(pane, agg);
+            state.windows.push(pane, agg);
             state.next_pane = pane + 1;
             self.seal_floor_us
                 .store((pane + 1) * pane_us, Ordering::Release);
@@ -1772,7 +1776,8 @@ mod tests {
             live.ingest(&report(1, 0, t, vec![obs(8, 1, 0, t)]));
         }
         live.finish();
-        live.with_sealed(|ring, total, next_pane| {
+        live.with_sealed(|windows, total, next_pane| {
+            let ring = windows.ring();
             assert_eq!(next_pane, 5);
             assert_eq!(ring.len(), 5);
             // Every pane holds two reports and two observations for segment 0.
@@ -2079,6 +2084,66 @@ mod tests {
         assert_eq!(replay.chain, ref_chain);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
+    }
+
+    #[test]
+    fn a_recovered_engine_answers_its_first_window_query_like_the_uninterrupted_one() {
+        use crate::{LiveAnswer, LiveQuery, WindowSpec};
+        // Tag 5 circles poles 0 -> 1 -> 2, tag 6 shuttles 0 <-> 1, one hop
+        // per one-second pane; delivering epoch e seals panes below e.
+        let deliver = |live: &LiveCity, epoch: u64| {
+            let t = epoch * 1_000_000;
+            for pole in 0..3u32 {
+                let mut observations = Vec::new();
+                if epoch % 3 == pole as u64 {
+                    observations.push(obs(5, pole, 0, t));
+                }
+                if epoch % 2 == pole as u64 {
+                    observations.push(obs(6, pole, 0, t));
+                }
+                live.ingest(&report(pole, 0, t, observations));
+            }
+            live.wait_idle();
+        };
+        let top = LiveQuery::TopOd {
+            n: 4,
+            window: WindowSpec::tumbling(3_000_000),
+        };
+        // Uninterrupted and asked after every epoch: a running window moved
+        // by one-pane deltas.
+        let reference = LiveCity::new(directory(3), tiny_config());
+        let asked: Vec<(u64, LiveAnswer)> = (0..10)
+            .map(|epoch| {
+                deliver(&reference, epoch);
+                (reference.sealed_panes(), reference.query(&top))
+            })
+            .collect();
+        assert!(matches!(&asked[9].1, LiveAnswer::TopOd { pairs } if pairs.len() >= 3));
+
+        // Killed after six epochs, never asked anything.
+        let dir = scratch_dir("recover-query");
+        let crashed = LiveCity::with_log(directory(3), tiny_config(), &dir, LogOptions::default())
+            .expect("crashed engine");
+        (0..6).for_each(|epoch| deliver(&crashed, epoch));
+        drop(crashed);
+        let recovered = LiveCity::recover(&dir, directory(3), tiny_config(), LogOptions::default())
+            .expect("recover from pane log");
+        // The first question is a cold rebuild over the recovered ring...
+        let horizon = recovered.sealed_panes();
+        assert_eq!(horizon, 5);
+        assert_eq!((horizon, recovered.query(&top)), asked[5]);
+        // ...and the run resumed from the seal floor (pane 5 was still open)
+        // keeps answering like the uninterrupted one.
+        for epoch in 5..10 {
+            deliver(&recovered, epoch);
+            assert_eq!(
+                (recovered.sealed_panes(), recovered.query(&top)),
+                asked[epoch as usize],
+                "after epoch {epoch}"
+            );
+        }
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

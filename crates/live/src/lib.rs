@@ -25,7 +25,8 @@
 //! * [`window`] — window-keyed aggregate state: the batch tier's
 //!   [`CityAggregates`] generalized into pane ring buffers
 //!   ([`WindowRing`]), with tumbling/sliding [`WindowSpec`]s resolved to
-//!   pane runs.
+//!   pane runs, and [`CityWindows`]: the ring plus the running OD windows
+//!   queries keep over it.
 //! * [`engine`] — [`LiveCity`]: per-worker out-of-order buffering, a
 //!   dedicated sealer thread doing deterministic pane sealing behind the
 //!   watermark, shed counting for late arrivals, and a fingerprint chain
@@ -112,4 +113,4 @@ pub use query::{
     answer_windowed, LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary,
 };
 pub use watermark::WatermarkClock;
-pub use window::{WindowAggregate, WindowRing, WindowSpec};
+pub use window::{CityWindows, WindowAggregate, WindowRing, WindowSpec};

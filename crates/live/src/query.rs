@@ -5,10 +5,40 @@
 //! sealed pane can never change, so two dashboards asking the same question
 //! at the same watermark get the same answer regardless of what is still
 //! buffered above it.
+//!
+//! # What a window query reads
+//!
+//! A window is *defined* as the merge of the trailing `k` sealed panes
+//! (`k` = [`WindowSpec::panes`], capped at what the ring retains);
+//! [`answer_windowed`] never builds that merge. `Occupancy` folds one
+//! segment's [`SegmentStats`] over those panes, `SpeedPercentile` the speed
+//! histograms, `PositionAccuracy` the position counters — a few hundred
+//! integer additions each. `TopOd` is the exception: a window's OD matrix
+//! is tens of thousands of pairs, so it is answered from a **running**
+//! union [`CityWindows`] keeps beside the ring.
+//!
+//! **Warm == cold.** A running window answers exactly what the definition
+//! answers — same pairs, same order, same bytes on the wire — whatever was
+//! asked before it. Asking brings it up to date: the panes sealed since the
+//! last answer are added, the panes that slid out are subtracted (both are
+//! still in the ring), and a pair that reaches zero is dropped. It is
+//! rebuilt from the ring, by the same code started from an empty union,
+//! when
+//!
+//! * the width has no running window yet (first use, a recovered engine, a
+//!   fresh log follower) or lost it as the least recently used of
+//!   [`MAX_OD_WINDOWS`](crate::window::MAX_OD_WINDOWS);
+//! * the pane the running window starts at has been evicted from the ring —
+//!   the window went unasked for longer than retention has slack, or spans
+//!   the whole ring, where every seal evicts its oldest pane;
+//! * the delta would fold at least as many panes as the window holds.
+//!
+//! Nothing is maintained at seal time: an engine nobody queries pays
+//! nothing, and the sealer thread never touches a running window.
 
 use crate::engine::{LiveCity, LiveStats};
-use crate::window::{WindowAggregate, WindowRing, WindowSpec};
-use caraoke_city::{CityAggregates, SegmentId};
+use crate::window::{CityWindows, WindowAggregate, WindowSpec};
+use caraoke_city::{CityAggregates, PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
 use std::time::Duration;
 
 /// A point-in-time question against the live engine.
@@ -120,7 +150,9 @@ impl LiveCity {
     /// aggregate what is retained; [`LiveCity::snapshot`] exposes the
     /// retention so callers can size windows to fit.
     pub fn query(&self, query: &LiveQuery) -> LiveAnswer {
-        self.with_sealed(|ring, total, next_pane| self.answer_sealed(query, ring, total, next_pane))
+        self.with_sealed(|windows, total, next_pane| {
+            self.answer_sealed(query, windows, total, next_pane)
+        })
     }
 
     /// Answers a whole batch of queries under **one** acquisition of the
@@ -133,10 +165,10 @@ impl LiveCity {
     /// sees the identical (byte-identical, the answers come from the same
     /// code path as [`query`](Self::query)) result for the same pane.
     pub fn query_sealed(&self, queries: &[LiveQuery]) -> (u64, Vec<LiveAnswer>) {
-        self.with_sealed(|ring, total, next_pane| {
+        self.with_sealed(|windows, total, next_pane| {
             let answers = queries
                 .iter()
-                .map(|q| self.answer_sealed(q, ring, total, next_pane))
+                .map(|q| self.answer_sealed(q, windows, total, next_pane))
                 .collect();
             (next_pane, answers)
         })
@@ -148,13 +180,13 @@ impl LiveCity {
     fn answer_sealed(
         &self,
         query: &LiveQuery,
-        ring: &WindowRing<CityAggregates>,
+        windows: &mut CityWindows,
         total: &CityAggregates,
         next_pane: u64,
     ) -> LiveAnswer {
         answer_windowed(
             query,
-            ring,
+            windows,
             total,
             next_pane,
             self.watermark_us(),
@@ -165,8 +197,10 @@ impl LiveCity {
 }
 
 /// Answers one [`LiveQuery`] from an explicit view of windowed state:
-/// a pane ring, running totals, the pane horizon (`next_pane`, first
-/// unsealed pane) and the event-time watermark.
+/// the pane ring with its running windows, running totals, the pane horizon
+/// (`next_pane`, first unsealed pane) and the event-time watermark. What
+/// each query kind reads, and why `windows` is `&mut`, is in the module
+/// docs.
 ///
 /// This is the *single* evaluation code path: [`LiveCity::query`] and
 /// [`LiveCity::query_sealed`] both route through it, and so does any layer
@@ -175,27 +209,26 @@ impl LiveCity {
 /// answer byte-identical to the in-process answer for the same pane.
 pub fn answer_windowed(
     query: &LiveQuery,
-    ring: &WindowRing<CityAggregates>,
+    windows: &mut CityWindows,
     total: &CityAggregates,
     next_pane: u64,
     watermark_us: u64,
     pane_us: u64,
     cycle_us: u64,
 ) -> LiveAnswer {
+    let ring = windows.ring();
     match *query {
         LiveQuery::Occupancy { segment, window } => {
-            let agg = ring.window(window, pane_us);
-            match agg.segments.get(&segment.0) {
-                Some(stats) => LiveAnswer::Occupancy {
-                    mean: stats.mean_occupancy(),
-                    peak: stats.peak_count,
-                    reports: stats.reports,
-                },
-                None => LiveAnswer::Occupancy {
-                    mean: 0.0,
-                    peak: 0,
-                    reports: 0,
-                },
+            let mut stats = SegmentStats::default();
+            for pane in ring.last(window.panes(pane_us)) {
+                if let Some(s) = pane.segments.get(&segment.0) {
+                    stats.merge(s);
+                }
+            }
+            LiveAnswer::Occupancy {
+                mean: stats.mean_occupancy(),
+                peak: stats.peak_count,
+                reports: stats.reports,
             }
         }
         LiveQuery::Flow {
@@ -219,21 +252,23 @@ pub fn answer_windowed(
             }
         }
         LiveQuery::SpeedPercentile { p, window } => {
-            let agg = ring.window(window, pane_us);
+            let mut speeds = SpeedHistogram::new();
+            for pane in ring.last(window.panes(pane_us)) {
+                speeds.merge(&pane.speeds);
+            }
             LiveAnswer::Speed {
-                mph: agg.speeds.percentile_mph(p),
-                samples: agg.speeds.samples(),
+                mph: speeds.percentile_mph(p),
+                samples: speeds.samples(),
             }
         }
-        LiveQuery::TopOd { n, window } => {
-            let agg = ring.window(window, pane_us);
-            LiveAnswer::TopOd {
-                pairs: agg.od.top(n),
-            }
-        }
+        LiveQuery::TopOd { n, window } => LiveAnswer::TopOd {
+            pairs: windows.top_od(window.panes(pane_us), n),
+        },
         LiveQuery::PositionAccuracy { window } => {
-            let agg = ring.window(window, pane_us);
-            let p = &agg.positions;
+            let mut p = PositionCounters::default();
+            for pane in ring.last(window.panes(pane_us)) {
+                p.merge(&pane.positions);
+            }
             LiveAnswer::PositionAccuracy {
                 two_reader_fixes: p.two_reader_fixes,
                 aoa_only_fixes: p.aoa_only_fixes,
@@ -256,7 +291,8 @@ impl LiveCity {
     /// recent `last` sealed panes. The dashboard's poll target.
     pub fn snapshot(&self, last: usize) -> LiveSnapshot {
         let stats = self.stats();
-        let recent = self.with_sealed(|ring, _, _| {
+        let recent = self.with_sealed(|windows, _, _| {
+            let ring = windows.ring();
             let skip = ring.len().saturating_sub(last);
             ring.iter()
                 .skip(skip)
@@ -350,8 +386,8 @@ impl LiveSubscription {
     /// from retention before this poll could see them.
     pub fn poll(&mut self, live: &LiveCity) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
-        let (summaries, next, oldest_retained) = live.with_sealed(|ring, _, next_pane| {
-            Self::collect(ring, next_pane, cursor, live.config().pane_us)
+        let (summaries, next, oldest_retained) = live.with_sealed(|windows, _, next_pane| {
+            Self::collect(windows.ring(), next_pane, cursor, live.config().pane_us)
         });
         self.advance_to(next);
         (summaries, Self::missed(oldest_retained, next, cursor))
@@ -368,7 +404,7 @@ impl LiveSubscription {
     pub fn wait_next(&mut self, live: &LiveCity, timeout: Duration) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
         let (summaries, next, oldest_retained) =
-            live.wait_sealed_past(cursor, timeout, |ring, _, next_pane| {
+            live.wait_sealed_past(cursor, timeout, |ring, next_pane| {
                 Self::collect(ring, next_pane, cursor, live.config().pane_us)
             });
         self.advance_to(next);
@@ -409,8 +445,13 @@ impl LiveSubscription {
 mod tests {
     use super::*;
     use crate::engine::LiveConfig;
+    use crate::window::{WindowRing, MAX_OD_WINDOWS};
+    use caraoke_city::position::PositionMethod;
     use caraoke_city::{PoleDirectory, PoleId, PoleReport, PoleSite, TagKey, TagObservation};
     use caraoke_geom::Vec3;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn obs(tag: u64, pole: u32, segment: u16, t_us: u64) -> TagObservation {
         TagObservation {
@@ -430,6 +471,12 @@ mod tests {
     }
 
     fn walk_city() -> LiveCity {
+        walk_city_for(4)
+    }
+
+    /// One tag circling poles 0 -> 1 -> 2 -> 3 -> 0 ..., one pole per
+    /// one-second pane, for `epochs` panes (retention 8).
+    fn walk_city_for(epochs: u64) -> LiveCity {
         let directory = PoleDirectory::new(
             (0..4)
                 .map(|i| PoleSite {
@@ -447,10 +494,10 @@ mod tests {
         let live = LiveCity::new(directory, config);
         // One tag walks pole 0 -> 1 -> 2 -> 3, one pole per second (30 m/s);
         // every pole reports every epoch so the watermark keeps up.
-        for epoch in 0..4u64 {
+        for epoch in 0..epochs {
             let t = epoch * 1_000_000;
             for pole in 0..4u32 {
-                let observations = if pole as u64 == epoch {
+                let observations = if pole as u64 == epoch % 4 {
                     vec![obs(5, pole, 0, t)]
                 } else {
                     vec![]
@@ -467,6 +514,206 @@ mod tests {
         }
         live.finish();
         live
+    }
+
+    /// The definition the evaluator is held to: merge the trailing `k`
+    /// panes whole and read the answer off the merge, sorting every OD pair
+    /// — what `answer_windowed` did before it projected and kept windows
+    /// running.
+    fn answer_by_definition(
+        query: &LiveQuery,
+        ring: &WindowRing<CityAggregates>,
+        total: &CityAggregates,
+        next_pane: u64,
+        watermark_us: u64,
+        pane_us: u64,
+        cycle_us: u64,
+    ) -> LiveAnswer {
+        match *query {
+            LiveQuery::Occupancy { segment, window } => {
+                let agg = ring.merge_last(window.panes(pane_us));
+                let stats = agg.segments.get(&segment.0).copied().unwrap_or_default();
+                LiveAnswer::Occupancy {
+                    mean: stats.mean_occupancy(),
+                    peak: stats.peak_count,
+                    reports: stats.reports,
+                }
+            }
+            LiveQuery::Flow {
+                segment,
+                last_cycles,
+            } => {
+                let now_cycle = (watermark_us / cycle_us) as u32;
+                let first = now_cycle.saturating_sub(last_cycles.saturating_sub(1));
+                let sum: u64 = total
+                    .flow
+                    .per_cycle
+                    .iter()
+                    .filter(|(&(s, c), _)| s == segment.0 && (first..=now_cycle).contains(&c))
+                    .map(|(_, &v)| v)
+                    .sum();
+                LiveAnswer::Flow {
+                    total: sum,
+                    mean_per_cycle: sum as f64 / (now_cycle - first + 1) as f64,
+                }
+            }
+            LiveQuery::SpeedPercentile { p, window } => {
+                let agg = ring.merge_last(window.panes(pane_us));
+                LiveAnswer::Speed {
+                    mph: agg.speeds.percentile_mph(p),
+                    samples: agg.speeds.samples(),
+                }
+            }
+            LiveQuery::TopOd { n, window } => {
+                let agg = ring.merge_last(window.panes(pane_us));
+                let mut pairs: Vec<((u32, u32), u64)> =
+                    agg.od.transitions.iter().map(|(&k, &v)| (k, v)).collect();
+                pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                pairs.truncate(n);
+                LiveAnswer::TopOd { pairs }
+            }
+            LiveQuery::PositionAccuracy { window } => {
+                let p = ring.merge_last(window.panes(pane_us)).positions;
+                LiveAnswer::PositionAccuracy {
+                    two_reader_fixes: p.two_reader_fixes,
+                    aoa_only_fixes: p.aoa_only_fixes,
+                    pole_fallbacks: p.pole_fallbacks,
+                    localized_fraction: p.localized_fraction(),
+                    mean_sigma_m: p.mean_sigma_m(),
+                    track_speed_samples: p.track_speed_samples,
+                    arrival_speed_samples: p.arrival_speed_samples,
+                }
+            }
+            LiveQuery::Watermark => LiveAnswer::Watermark {
+                watermark_us,
+                sealed_panes: next_pane,
+            },
+        }
+    }
+
+    /// One pane of seeded content over a small universe (3 segments, 4
+    /// poles), so panes share segments and OD pairs, counts tie, and some
+    /// panes hold no OD pair at all.
+    fn seeded_pane(seed: u64, pane: u64) -> CityAggregates {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut agg = CityAggregates::new();
+        for _ in 0..rng.random_range(0..4usize) {
+            let count = rng.random_range(0..6u32);
+            agg.record_report(SegmentId(rng.random_range(0..3u16)), count, count, 0);
+            agg.observations += count as u64;
+        }
+        for _ in 0..rng.random_range(0..5usize) {
+            agg.speeds.record(rng.random_range(0.0..90.0f64));
+        }
+        for _ in 0..rng.random_range(0..8usize) {
+            agg.od.record(
+                PoleId(rng.random_range(0..4u32)),
+                PoleId(rng.random_range(0..4u32)),
+            );
+        }
+        for _ in 0..rng.random_range(0..4usize) {
+            let method = [
+                PositionMethod::TwoReaderFix,
+                PositionMethod::AoaOnly,
+                PositionMethod::PolePosition,
+            ][rng.random_range(0..3usize)];
+            agg.positions
+                .record_method(method, rng.random_range(0.5..10.0f64));
+        }
+        agg.flow
+            .record(SegmentId(rng.random_range(0..3u16)), (pane / 3) as u32);
+        agg
+    }
+
+    proptest! {
+        #[test]
+        fn warm_answers_equal_the_definition_through_bursts_and_evictions(
+            capacity in 1usize..10,
+            script in prop::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..60),
+        ) {
+            let (pane_us, cycle_us) = (1_000_000u64, 3_000_000u64);
+            let mut windows = CityWindows::new(capacity);
+            let mut total = CityAggregates::new();
+            let mut next_pane = 0u64;
+            for (op, x, y) in script {
+                if op < 4 {
+                    // Mostly a pane or two seal between answers (the delta
+                    // the running windows exist for); one burst in four is
+                    // up to twice the retention, evicting whole running
+                    // windows. Pane indices may skip (a recovered ring).
+                    let burst = if op < 3 { 2 } else { 2 * capacity as u64 + 1 };
+                    for i in 0..1 + x % burst {
+                        let pane = next_pane + (y >> (i % 64)) % 2;
+                        let agg = seeded_pane(y ^ i, pane);
+                        total.merge(&agg);
+                        windows.push(pane, agg);
+                        next_pane = pane + 1;
+                    }
+                    continue;
+                }
+                // Widths run past the retention; n from nothing to the
+                // largest the wire can carry.
+                let window = WindowSpec::tumbling((1 + x % (capacity as u64 + 3)) * pane_us);
+                let segment = SegmentId((y % 4) as u16);
+                let query = match op {
+                    4..=7 => LiveQuery::TopOd {
+                        n: [0, 1, 2, 3, 5, 1_000, usize::MAX][(y % 7) as usize],
+                        window,
+                    },
+                    8 => LiveQuery::Occupancy { segment, window },
+                    9 => LiveQuery::SpeedPercentile { p: (y % 101) as f64, window },
+                    10 => LiveQuery::PositionAccuracy { window },
+                    _ => LiveQuery::Flow { segment, last_cycles: 1 + (x % 5) as u32 },
+                };
+                let watermark_us = next_pane * pane_us;
+                let warm = answer_windowed(
+                    &query, &mut windows, &total, next_pane, watermark_us, pane_us, cycle_us,
+                );
+                let cold = answer_by_definition(
+                    &query, windows.ring(), &total, next_pane, watermark_us, pane_us, cycle_us,
+                );
+                prop_assert_eq!(warm, cold);
+                prop_assert!(windows.running_od_windows() <= MAX_OD_WINDOWS);
+            }
+        }
+    }
+
+    #[test]
+    fn a_thousand_client_chosen_widths_share_a_bounded_set_of_running_windows() {
+        // 12 panes sealed, 8 retained; every width past 8 panes is the
+        // whole ring, so a thousand distinct widths are eight windows.
+        let live = walk_city_for(12);
+        for w in 1..=1_000u64 {
+            let query = LiveQuery::TopOd {
+                n: 3,
+                window: WindowSpec::tumbling(w * 400_000),
+            };
+            let warm = live.query(&query);
+            live.with_sealed(|windows, total, next_pane| {
+                let cold = answer_by_definition(
+                    &query,
+                    windows.ring(),
+                    total,
+                    next_pane,
+                    live.watermark_us(),
+                    live.config().pane_us,
+                    live.config().store.light_cycle_us,
+                );
+                assert_eq!(warm, cold, "width {w}");
+                assert!(windows.running_od_windows() <= MAX_OD_WINDOWS);
+            });
+        }
+        // The whole ring holds the circuit's four hops, twice each.
+        match live.query(&LiveQuery::TopOd {
+            n: usize::MAX,
+            window: WindowSpec::tumbling(u64::MAX),
+        }) {
+            LiveAnswer::TopOd { pairs } => assert_eq!(
+                pairs,
+                vec![((0, 1), 2), ((1, 2), 2), ((2, 3), 2), ((3, 0), 2)]
+            ),
+            other => panic!("unexpected answer {other:?}"),
+        }
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! eviction deterministic — a property pinned by the live determinism tests.
 //! Any aggregate implementing [`WindowAggregate`] (merge + fingerprint) can
 //! be window-keyed; all four city products implement it.
+//!
+//! A window query does **not** merge whole panes. It walks the trailing `k`
+//! panes ([`WindowRing::last`]) and folds only the field it answers from —
+//! one segment's [`SegmentStats`], the speed histogram, the position
+//! counters — and the one product too big to fold per query, the OD matrix,
+//! is answered from the running windows [`CityWindows`] keeps beside the
+//! ring: per window width, a union of the trailing panes' matrices, brought
+//! up to date by delta when it is asked.
+//! The evaluator and its warm/cold contract are in [`crate::query`].
 
 use caraoke_city::aggregate::Fingerprint;
-use caraoke_city::{CityAggregates, FlowCounter, OdMatrix, SegmentStats, SpeedHistogram};
+use caraoke_city::{
+    CityAggregates, FlowCounter, OdMatrix, OdPair, OdUnion, SegmentStats, SpeedHistogram,
+};
 use std::collections::VecDeque;
 
 /// State that can live in window panes: mergeable across panes (and shards)
@@ -96,6 +107,11 @@ impl WindowSpec {
 
     /// Number of panes the window spans at the given pane width (rounds up,
     /// never below one pane).
+    ///
+    /// Widths arrive from clients unchecked, so this can be far more panes
+    /// than a ring retains. Every window at least as wide as the ring's
+    /// capacity *is* the same window — all the ring holds — and the query
+    /// layer treats it as such (one answer, one running window).
     pub fn panes(&self, pane_us: u64) -> usize {
         (self.width_us.div_ceil(pane_us).max(1)) as usize
     }
@@ -105,8 +121,9 @@ impl WindowSpec {
 ///
 /// Panes are pushed in pane order as the watermark seals them; the ring
 /// retains the most recent `capacity` panes and evicts the oldest —
-/// deterministically, since seal order is pane order. Window queries merge
-/// the trailing `k` panes.
+/// deterministically, since seal order is pane order. Window queries walk
+/// the trailing `k` panes ([`last`](Self::last)) and fold the one field they
+/// answer from.
 #[derive(Debug, Clone)]
 pub struct WindowRing<A> {
     capacity: usize,
@@ -165,21 +182,141 @@ impl<A: WindowAggregate> WindowRing<A> {
         self.panes.iter().map(|(p, a)| (*p, a))
     }
 
-    /// Merges the `k` most recent panes into one window aggregate (fewer if
-    /// the ring holds fewer).
-    pub fn merge_last(&self, k: usize) -> A {
-        let mut out = A::default();
+    /// The `k` most recent panes (fewer if the ring holds fewer), oldest
+    /// first — what a window query folds over.
+    pub fn last(&self, k: usize) -> impl Iterator<Item = &A> {
         let start = self.panes.len().saturating_sub(k);
-        for (_, agg) in self.panes.iter().skip(start) {
+        self.panes.range(start..).map(|(_, agg)| agg)
+    }
+
+    /// Merges the `k` most recent panes into one window aggregate: the
+    /// *definition* of a window, kept as the oracle the projected and
+    /// running evaluation is tested against.
+    #[cfg(test)]
+    pub(crate) fn merge_last(&self, k: usize) -> A {
+        let mut out = A::default();
+        for agg in self.last(k) {
             out.merge(agg);
         }
         out
     }
+}
 
-    /// Merges the panes of the sliding window described by `spec`, ending at
-    /// the most recent sealed pane.
-    pub fn window(&self, spec: WindowSpec, pane_us: u64) -> A {
-        self.merge_last(spec.panes(pane_us))
+/// How many running OD windows one [`CityWindows`] keeps, least recently
+/// used out. Window widths come from clients, so the set must be bounded;
+/// dashboards share a handful of widths.
+pub const MAX_OD_WINDOWS: usize = 4;
+
+/// One running window: the union of the OD matrices of the `width` most
+/// recent panes as of the last answer.
+#[derive(Debug, Clone)]
+struct OdWindow {
+    /// Window width in panes, clamped to the ring's capacity — the cache key.
+    width: usize,
+    /// Pane indices of the oldest and newest pane in `union`; `None` while
+    /// it is empty.
+    span: Option<(u64, u64)>,
+    union: OdUnion,
+}
+
+impl OdWindow {
+    /// Brings the union to the trailing `width` panes of `panes`.
+    ///
+    /// The ring only appends at the back and evicts at the front, so while
+    /// the pane the union starts at is still retained, the panes between its
+    /// two ends are the ones that were added, and the window has moved by
+    /// subtracting what fell off its old end and adding what sealed since.
+    /// When that does not line up — first use, the old start evicted — or
+    /// would fold more panes than the window holds, the same two loops run
+    /// from an empty union over the whole window: the cold path.
+    fn advance(&mut self, panes: &VecDeque<(u64, CityAggregates)>) {
+        let len = panes.len();
+        let start = len.saturating_sub(self.width);
+        let position = |pane: u64| panes.binary_search_by_key(&pane, |&(p, _)| p).ok();
+        let delta = self
+            .span
+            .and_then(|(oldest, newest)| Some((position(oldest)?, position(newest)?)))
+            .filter(|&(a, b)| {
+                a <= start && start <= b && (start - a) + (len - 1 - b) < len - start
+            });
+        let (left, entered) = match delta {
+            Some((a, b)) => (a..start, b + 1..len),
+            None => {
+                self.union.clear();
+                (0..0, start..len)
+            }
+        };
+        for (_, agg) in panes.range(left) {
+            self.union.subtract(&agg.od);
+        }
+        for (_, agg) in panes.range(entered) {
+            self.union.add(&agg.od);
+        }
+        self.span = panes.back().map(|&(newest, _)| (panes[start].0, newest));
+    }
+}
+
+/// A city's windowed state: the retained pane ring plus the running OD
+/// windows that summarise it — what the engine, a log follower and a replay
+/// hub each hold, and what the evaluator ([`crate::answer_windowed`]) reads.
+///
+/// The ring is private and only grows through [`push`](Self::push), so a
+/// running window can never be paired with panes it was not built from.
+/// Nothing runs for the windows when a pane is pushed: a window is brought
+/// up to date when a query asks for it, and a city nobody queries holds an
+/// empty `Vec`.
+#[derive(Debug, Clone)]
+pub struct CityWindows {
+    ring: WindowRing<CityAggregates>,
+    /// Most recently used first; at most [`MAX_OD_WINDOWS`].
+    od: Vec<OdWindow>,
+}
+
+impl CityWindows {
+    /// Windowed state retaining at most `retain_panes` sealed panes (min 1).
+    pub fn new(retain_panes: usize) -> Self {
+        Self {
+            ring: WindowRing::new(retain_panes),
+            od: Vec::new(),
+        }
+    }
+
+    /// Admits one sealed pane (see [`WindowRing::push`]).
+    pub fn push(&mut self, pane: u64, agg: CityAggregates) {
+        self.ring.push(pane, agg);
+    }
+
+    /// The retained panes.
+    pub fn ring(&self) -> &WindowRing<CityAggregates> {
+        &self.ring
+    }
+
+    /// Running OD windows currently held (at most [`MAX_OD_WINDOWS`]).
+    #[cfg(test)]
+    pub(crate) fn running_od_windows(&self) -> usize {
+        self.od.len()
+    }
+
+    /// The `n` busiest OD pairs over the `k` most recent panes — what
+    /// merging those panes and calling [`OdMatrix::top`] returns.
+    pub fn top_od(&mut self, k: usize, n: usize) -> Vec<OdPair> {
+        let width = k.min(self.ring.capacity);
+        let at = match self.od.iter().position(|w| w.width == width) {
+            Some(at) => at,
+            None => {
+                self.od.truncate(MAX_OD_WINDOWS - 1);
+                self.od.push(OdWindow {
+                    width,
+                    span: None,
+                    union: OdUnion::default(),
+                });
+                self.od.len() - 1
+            }
+        };
+        self.od[..=at].rotate_right(1);
+        let window = &mut self.od[0];
+        window.advance(&self.ring.panes);
+        window.union.top(n)
     }
 }
 
@@ -245,7 +382,7 @@ mod tests {
         ring.push(1, fast);
         // One-pane window sees only the fast pane; two-pane window both.
         assert!((ring.merge_last(1).percentile_mph(50.0) - 60.25).abs() < 1e-9);
-        let both = ring.window(WindowSpec::sliding(2, 1), 1);
+        let both = ring.merge_last(WindowSpec::sliding(2, 1).panes(1));
         assert_eq!(both.samples(), 2);
         assert!((both.percentile_mph(50.0) - 20.25).abs() < 1e-9);
         assert!((both.percentile_mph(100.0) - 60.25).abs() < 1e-9);

@@ -6,7 +6,7 @@
 //! or one that subscribes `from_start` — cannot be served from memory: the
 //! panes it wants have been evicted. [`LogFollower`] rebuilds exactly the
 //! state a live engine would have held at any pane horizon by replaying the
-//! verified pane log: a [`WindowRing`] of the most recent `retain_panes`
+//! verified pane log: a [`CityWindows`] over the most recent `retain_panes`
 //! sealed panes plus the running totals, fed record by record through the
 //! same CRC/fingerprint-verified cursor `caraoke-log` recovery uses.
 //!
@@ -26,7 +26,7 @@
 //!   from the snapshot, and the ring only covers panes recorded after it.
 
 use caraoke_city::CityAggregates;
-use caraoke_live::{answer_windowed, LiveAnswer, LiveQuery, WindowRing};
+use caraoke_live::{answer_windowed, CityWindows, LiveAnswer, LiveQuery};
 use caraoke_log::{LogError, LogReader, LogRecord, RecordCursor};
 use std::path::Path;
 
@@ -35,7 +35,9 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct LogFollower {
     cursor: RecordCursor,
-    ring: WindowRing<CityAggregates>,
+    /// The pane ring with its running windows: a cursor stepped pane by
+    /// pane asks the same `TopOd` at every pane, each a one-pane delta.
+    windows: CityWindows,
     total: CityAggregates,
     next_pane: u64,
     pane_us: u64,
@@ -57,7 +59,7 @@ impl LogFollower {
         let reader = LogReader::open(dir)?;
         Ok(Self {
             cursor: reader.records(),
-            ring: WindowRing::new(retain_panes.max(1)),
+            windows: CityWindows::new(retain_panes),
             total: CityAggregates::new(),
             next_pane: 0,
             pane_us,
@@ -81,7 +83,7 @@ impl LogFollower {
         match record {
             LogRecord::Pane(p) => {
                 self.total.merge(&p.aggregates);
-                self.ring.push(p.pane, p.aggregates);
+                self.windows.push(p.pane, p.aggregates);
                 self.next_pane = p.pane + 1;
             }
             LogRecord::Snapshot(s) => {
@@ -127,23 +129,15 @@ impl LogFollower {
 
     /// Answers one query as of the current replayed horizon, through the
     /// same code path as the live engine.
-    pub fn answer(&self, query: &LiveQuery) -> LiveAnswer {
+    pub fn answer(&mut self, query: &LiveQuery) -> LiveAnswer {
         answer_windowed(
             query,
-            &self.ring,
+            &mut self.windows,
             &self.total,
             self.next_pane,
             self.next_pane * self.pane_us,
             self.pane_us,
             self.cycle_us,
         )
-    }
-
-    /// Decomposes the follower into its windowed state:
-    /// `(ring, totals, horizon)`. The hub's replay-head constructor
-    /// ([`crate::hub::ServeHub::over_log`]) uses this after
-    /// [`advance_to_end`](Self::advance_to_end).
-    pub fn into_state(self) -> (WindowRing<CityAggregates>, CityAggregates, u64) {
-        (self.ring, self.total, self.next_pane)
     }
 }

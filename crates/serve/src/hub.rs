@@ -41,10 +41,7 @@
 
 use crate::eval::LogFollower;
 use crate::wire::{encode_answer, encode_query};
-use caraoke_city::CityAggregates;
-use caraoke_live::{
-    answer_windowed, LiveAnswer, LiveCity, LiveQuery, LiveSubscription, WindowRing,
-};
+use caraoke_live::{LiveAnswer, LiveCity, LiveQuery, LiveSubscription};
 use caraoke_log::LogError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -178,21 +175,14 @@ impl QueryChannel {
     }
 }
 
-/// Replayed head state for hubs serving a finished run straight from its
-/// pane log (no live engine).
-#[derive(Debug)]
-struct ReplayHead {
-    ring: WindowRing<CityAggregates>,
-    total: CityAggregates,
-    next_pane: u64,
-}
-
 enum HubSource {
     /// A running engine; a fan-out thread follows its seals.
     Live(Arc<LiveCity>),
-    /// A static replayed head; frames only come from registration and log
-    /// catch-up.
-    Replay(Box<ReplayHead>),
+    /// A finished run's pane log replayed to its durable head (no live
+    /// engine): frames only come from registration and log catch-up. The
+    /// follower is the head state; the lock is for the running windows an
+    /// answer brings up to date.
+    Replay(Box<Mutex<LogFollower>>),
 }
 
 /// The serving hub. Construct with [`over_live`](Self::over_live) or
@@ -301,13 +291,8 @@ impl ServeHub {
     ) -> Result<Arc<Self>, LogError> {
         let mut follower = LogFollower::open(&dir, retain_panes, pane_us, cycle_us)?;
         follower.advance_to_end()?;
-        let (ring, total, next_pane) = follower.into_state();
         Ok(Self::assemble(
-            HubSource::Replay(Box::new(ReplayHead {
-                ring,
-                total,
-                next_pane,
-            })),
+            HubSource::Replay(Box::new(Mutex::new(follower))),
             Some(dir.as_ref().to_path_buf()),
             config,
             pane_us,
@@ -388,18 +373,10 @@ impl ServeHub {
                 let (h, mut answers) = live.query_sealed(std::slice::from_ref(query));
                 (h, answers.pop().expect("one query, one answer"))
             }
-            HubSource::Replay(head) => (
-                head.next_pane,
-                answer_windowed(
-                    query,
-                    &head.ring,
-                    &head.total,
-                    head.next_pane,
-                    head.next_pane * self.pane_us,
-                    self.pane_us,
-                    self.cycle_us,
-                ),
-            ),
+            HubSource::Replay(head) => {
+                let mut head = head.lock().expect("replay head poisoned");
+                (head.next_pane(), head.answer(query))
+            }
         };
         if horizon > 0 {
             let wire = encode_answer(&answer);

@@ -11,8 +11,8 @@ use caraoke_suite::geom::Vec3;
 use caraoke_suite::live::{LiveCity, LiveConfig, LiveQuery, WindowSpec};
 use caraoke_suite::log::LogOptions;
 use caraoke_suite::serve::{
-    encode_answer, read_frame, write_frame, Frame, ServeClient, ServeConfig, ServeEvent, ServeHub,
-    ServeServer, WIRE_VERSION,
+    decode_answer, encode_answer, read_frame, write_frame, Frame, LogFollower, ServeClient,
+    ServeConfig, ServeEvent, ServeHub, ServeServer, WIRE_VERSION,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -165,6 +165,117 @@ fn tcp_served_snapshots_are_byte_identical_to_in_process_queries() {
     let stats = hub.stats();
     assert_eq!(stats.registered_queries, probes().len() as u64);
     assert_eq!(stats.subscribers, 1);
+}
+
+#[test]
+fn top_od_with_the_largest_n_the_wire_carries_returns_every_pair_in_order() {
+    // `n` crosses the wire as an unchecked u64. Two engines fed the same
+    // stream: one serves (its running window is asked at registration and
+    // again by the fan-out), the other is never asked before the check.
+    let source = SyntheticCity::new(24, 10, 2024);
+    let build = || {
+        let live = Arc::new(LiveCity::new(
+            source.directory().clone(),
+            LiveConfig::default(),
+        ));
+        stream(&live, &source);
+        live.finish();
+        live
+    };
+    let (live, unasked) = (build(), build());
+    let horizon = live.sealed_panes();
+    assert!(horizon > 1, "workload too small: {horizon} panes");
+    let everything = LiveQuery::TopOd {
+        n: u64::MAX as usize,
+        window: WindowSpec::tumbling(u64::MAX),
+    };
+
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client.subscribe(0, &everything, false).expect("subscribe");
+    let answer = match client
+        .next_frame(Duration::from_secs(5))
+        .expect("frame")
+        .expect("server closed early")
+    {
+        Frame::Snapshot { pane, answer, .. } | Frame::Delta { pane, answer, .. } => {
+            assert_eq!(pane, horizon - 1);
+            answer
+        }
+        other => panic!("unexpected frame {other:?}"),
+    };
+    assert_eq!(answer, encode_answer(&unasked.query(&everything)), "cold");
+    assert_eq!(answer, encode_answer(&live.query(&everything)), "warm");
+
+    // The window spans the whole (retained) run, so the answer is the
+    // run's OD matrix: every pair, busiest first, ties by pole ids.
+    assert!(horizon as usize <= live.config().retain_panes);
+    let mut expect: Vec<((u32, u32), u64)> = live
+        .totals()
+        .od
+        .transitions
+        .iter()
+        .map(|(&k, &v)| (k, v))
+        .collect();
+    expect.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    assert!(
+        expect.len() > 5,
+        "workload too small: {} pairs",
+        expect.len()
+    );
+    match decode_answer(&answer).expect("decodable answer") {
+        caraoke_suite::live::LiveAnswer::TopOd { pairs } => assert_eq!(pairs, expect),
+        other => panic!("unexpected answer {other:?}"),
+    }
+}
+
+#[test]
+fn a_follower_stepped_pane_by_pane_answers_like_one_opened_at_that_pane() {
+    let dir = scratch("serve-stepping");
+    let source = SyntheticCity::new(16, 14, 99);
+    let live = LiveCity::with_log(
+        source.directory().clone(),
+        LiveConfig::default(),
+        &dir,
+        LogOptions::default(),
+    )
+    .expect("logged engine");
+    stream(&live, &source);
+    live.finish();
+    let horizon = live.sealed_panes();
+    assert!(horizon >= 8, "workload too small: {horizon} panes");
+    let open = || {
+        LogFollower::open(
+            &dir,
+            live.config().retain_panes,
+            live.config().pane_us,
+            live.config().store.light_cycle_us,
+        )
+        .expect("open follower")
+    };
+    // A 3-pane window over a 64-pane ring: every step of the long-lived
+    // follower is a one-pane delta, every fresh follower a cold rebuild.
+    let top = LiveQuery::TopOd {
+        n: 5,
+        window: WindowSpec::tumbling(3 * live.config().pane_us),
+    };
+    let mut stepped = open();
+    let mut nonempty = 0;
+    for pane in 0..horizon {
+        assert!(stepped.advance_past(pane).expect("verified log"));
+        let mut fresh = open();
+        assert!(fresh.advance_past(pane).expect("verified log"));
+        let answer = stepped.answer(&top);
+        assert_eq!(answer, fresh.answer(&top), "at pane {pane}");
+        if matches!(&answer, caraoke_suite::live::LiveAnswer::TopOd { pairs } if !pairs.is_empty())
+        {
+            nonempty += 1;
+        }
+    }
+    assert!(nonempty >= 4, "only {nonempty} panes had OD traffic");
+    // At the durable head both agree with the engine that wrote the log.
+    assert_eq!(stepped.answer(&top), live.query(&top));
 }
 
 #[test]
