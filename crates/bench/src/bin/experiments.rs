@@ -1,14 +1,8 @@
 //! Regenerates every table and figure of the Caraoke evaluation and prints
 //! paper-vs-measured rows.
 //!
-//! Usage:
-//!
-//! ```text
-//! experiments [all|fig4|fig8|fig11|fig12|fig13|fig14|fig15|fig16|
-//!              table-counting-prob|table-speed-bound|table-power|table-mac|
-//!              sfft|localize2|city|live|serve|chaos|scale]
-//!              [--quick] [--full] [--jobs N]
-//! ```
+//! Usage: `experiments [all|<one of COMMANDS>] [--quick] [--full] [--jobs N]`;
+//! an unknown subcommand prints the usage on stderr and exits 2.
 //!
 //! `--quick` reduces trial counts so the whole sweep finishes in a couple of
 //! minutes; without it the counts match the paper's methodology (e.g. 1000
@@ -16,10 +10,36 @@
 //!
 //! `--jobs N` runs the chaos scenario matrix on `N` worker threads (cells
 //! are independent; the report keeps grid order and is identical for any
-//! value). `--full` adds the opt-in 100M-observation tier to `scale`.
+//! value). `--full` adds the opt-in 100M-observation tier to `scale`, the
+//! print-only long-haul run (it writes no file; performance claims come
+//! from `benchmark/`).
 
 use caraoke_bench as bench;
 use caraoke_geom::speed::paper_speed_error_bound;
+
+/// Every subcommand besides `all`.
+const COMMANDS: [&str; 16] = [
+    "fig4",
+    "fig8",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "table-counting-prob",
+    "table-speed-bound",
+    "table-power",
+    "table-mac",
+    "sfft",
+    "localize2",
+    "chaos",
+    "scale",
+];
+
+fn is_known(which: &str) -> bool {
+    which == "all" || COMMANDS.contains(&which)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +59,19 @@ fn main() {
         which.unwrap_or_else(|| "all".to_string())
     };
 
-    let run = |name: &str| which == "all" || which == name;
+    if !is_known(&which) {
+        eprintln!(
+            "experiments: unknown subcommand `{which}`\n\
+             usage: experiments [all|{}] [--quick] [--full] [--jobs N]",
+            COMMANDS.join("|")
+        );
+        std::process::exit(2);
+    }
+
+    let run = |name: &str| {
+        debug_assert!(is_known(name), "`{name}` is missing from COMMANDS");
+        which == "all" || which == name
+    };
 
     if run("fig4") {
         let (series, peaks) = bench::fig04_spectrum(1);
@@ -213,41 +245,6 @@ fn main() {
         );
     }
 
-    if run("city") {
-        let (poles, epochs) = if quick { (200, 50) } else { (1_000, 250) };
-        let rows = bench::city_scale(poles, epochs, 8, 13);
-        println!(
-            "{}",
-            bench::format_rows(
-                "city-scale ingestion (ROADMAP north star: sharded multi-threaded caraoke-city pipeline; full sweep in `cargo bench --bench city_scale`)",
-                &rows
-            )
-        );
-    }
-
-    if run("serve") {
-        let cfg = if quick {
-            bench::query_scale::QueryScaleConfig {
-                n_poles: 200,
-                epochs: 50,
-                subscribers: 1_000,
-                ingest_workers: 2,
-                pollers: 4,
-                ..Default::default()
-            }
-        } else {
-            bench::query_scale::QueryScaleConfig::default()
-        };
-        let rows = bench::query_scale::query_scale_rows(&cfg);
-        println!(
-            "{}",
-            bench::format_rows(
-                "serving tier at scale (caraoke-serve: per-subscriber cursors over the sealed-pane stream, one evaluation per seal fanned out to every subscriber; full sweep in `cargo bench --bench query_scale`)",
-                &rows
-            )
-        );
-    }
-
     if run("chaos") {
         use caraoke_chaos::{matrix_json, run_matrix, MatrixConfig};
         let mut config = MatrixConfig::new(42, quick);
@@ -314,70 +311,20 @@ fn main() {
         if full {
             tiers.push(("full", ScaleConfig::full_tier()));
         }
-        let mut config_kv: Vec<(String, String)> = Vec::new();
-        let mut results_kv: Vec<(String, String)> = Vec::new();
         for (tier, cfg) in &tiers {
             let result = run_scale(cfg);
-            println!(
+            print!(
                 "{}",
                 bench::format_rows(
                     &format!(
-                        "long-haul scale ingestion, {tier} tier (ROADMAP: 10k-100k poles, up to 100M observations; online engine vs generation-only ceiling)"
+                        "long-haul scale ingestion, {tier} tier ({} workers; online engine vs generation-only ceiling)",
+                        cfg.workers
                     ),
                     &scale_rows(cfg, &result)
                 )
             );
-            config_kv.push((format!("{tier}_poles"), cfg.n_poles.to_string()));
-            config_kv.push((format!("{tier}_epochs"), cfg.epochs.to_string()));
-            config_kv.push((format!("{tier}_workers"), cfg.workers.to_string()));
-            config_kv.push((format!("{tier}_seal_pool"), cfg.seal_pool.to_string()));
-            results_kv.push((
-                format!("{tier}_observations"),
-                result.observations.to_string(),
-            ));
-            results_kv.push((
-                format!("{tier}_obs_per_sec"),
-                format!("{:.0}", result.obs_per_sec),
-            ));
-            results_kv.push((
-                format!("{tier}_gen_obs_per_sec"),
-                format!("{:.0}", result.gen_obs_per_sec),
-            ));
-            results_kv.push((
-                format!("{tier}_elapsed_secs"),
-                format!("{:.2}", result.elapsed_secs),
-            ));
-            results_kv.push((
-                format!("{tier}_peak_rss_mb"),
-                format!("{:.0}", result.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
-            ));
-            results_kv.push((
-                format!("{tier}_chain_fingerprint"),
-                format!("\"{:#018x}\"", result.chain_fingerprint),
-            ));
+            println!("  chain {:#018x}\n", result.chain_fingerprint);
         }
-        // Tier-prefixed keys let `bench_regress` gate like against like:
-        // a smoke-only CI run shares only the smoke_* keys with a committed
-        // baseline that also carries the bigger tiers.
-        match bench::write_bench_json("scale", &config_kv, &results_kv) {
-            Ok(path) => println!("scale: wrote {}\n", path.display()),
-            Err(err) => eprintln!("scale: could not write BENCH_scale.json: {err}"),
-        }
-    }
-
-    if run("live") {
-        let (poles, epochs) = if quick { (200, 50) } else { (1_000, 250) };
-        // One ingest worker per core, up to the roadmap's 16: oversubscribing
-        // a small container measures scheduler churn, not the engine.
-        let workers = bench::cores().min(16);
-        let rows = bench::live_scale(poles, epochs, workers, 13);
-        println!(
-            "{}",
-            bench::format_rows(
-                "online watermarked ingestion (caraoke-live: windowed aggregates sealed behind the event-time watermark; full sweep in `cargo bench --bench live_scale`)",
-                &rows
-            )
-        );
     }
 }
 
@@ -400,4 +347,20 @@ fn parse_jobs(args: &[String]) -> usize {
         }
     }
     1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_listed_subcommands_are_known() {
+        for name in COMMANDS {
+            assert!(is_known(name));
+        }
+        assert!(is_known("all"));
+        for stale in ["city", "live", "serve", "nosuch", ""] {
+            assert!(!is_known(stale), "`{stale}` must be rejected");
+        }
+    }
 }

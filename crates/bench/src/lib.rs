@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod query_scale;
 pub mod scale;
 
 use caraoke::counting::{counting_accuracy_monte_carlo, counting_accuracy_percent, probability};
@@ -23,11 +22,9 @@ use caraoke::multipath::{
 use caraoke::{analyze_collision, ReaderConfig};
 use caraoke_baseline::camera::{CameraCondition, CameraCounter};
 use caraoke_baseline::naive_count::naive_counting_accuracy;
-use caraoke_city::{BatchDriver, StoreConfig, SyntheticCity};
 use caraoke_dsp::{magnitude_spectrum, Summary};
 use caraoke_geom::units::CARRIER_WAVELENGTH_M;
 use caraoke_geom::Vec3;
-use caraoke_live::{Interleaving, LiveConfig, LiveDriver};
 use caraoke_phy::antenna::{AntennaArray, ArrayGeometry};
 use caraoke_phy::channel::{MultipathRay, PropagationModel};
 use caraoke_phy::modulation::slice_bits;
@@ -69,58 +66,6 @@ impl Row {
                 .collect(),
         }
     }
-}
-
-/// Best-effort current git revision (short hash), `"unknown"` outside a
-/// repository — stamped into the benchmark JSON records so the perf
-/// trajectory can be tracked across PRs.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Cores the process may run on (1 when the platform cannot say) — recorded
-/// in a bench's `config` block, since every throughput here depends on it.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Writes `BENCH_<name>.json` at the workspace root: a flat, hand-rolled
-/// JSON record (`bench`, `git_rev`, a `config` object, a `results` object)
-/// that CI and later PRs can diff without parsing Criterion output. Values
-/// are pre-rendered JSON fragments (numbers or quoted strings); keys may be
-/// borrowed or owned.
-pub fn write_bench_json(
-    name: &str,
-    config: &[(impl AsRef<str>, String)],
-    results: &[(impl AsRef<str>, String)],
-) -> std::io::Result<std::path::PathBuf> {
-    fn section(json: &mut String, title: &str, fields: &[(impl AsRef<str>, String)], last: bool) {
-        json.push_str(&format!("  \"{title}\": {{\n"));
-        for (i, (key, value)) in fields.iter().enumerate() {
-            let comma = if i + 1 < fields.len() { "," } else { "" };
-            json.push_str(&format!("    \"{}\": {value}{comma}\n", key.as_ref()));
-        }
-        json.push_str(if last { "  }\n" } else { "  },\n" });
-    }
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    json.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
-    section(&mut json, "config", config, false);
-    section(&mut json, "results", results, true);
-    json.push_str("}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, json)?;
-    Ok(path)
 }
 
 /// Formats rows as an aligned text table.
@@ -621,69 +566,6 @@ pub fn sfft_comparison(seed: u64) -> Vec<Row> {
         .collect()
 }
 
-/// City-scale ingestion workload (ROADMAP north star): streams synthetic
-/// reader output from `n_poles` poles for `epochs` query epochs through the
-/// multi-threaded `caraoke-city` pipeline and reports throughput, plus the
-/// determinism fingerprint check across shard counts.
-pub fn city_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> Vec<Row> {
-    let source = SyntheticCity::new(n_poles, epochs, seed);
-    let driver = BatchDriver {
-        workers,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    };
-    let run = driver.run(&source);
-    let mut rows = vec![Row::new(
-        format!("{n_poles} poles x {epochs} epochs"),
-        vec![
-            ("observations", run.observations as f64),
-            ("obs_per_sec", run.observations_per_sec()),
-            ("distinct_tags", run.distinct_tags as f64),
-            ("speed_samples", run.aggregates.speeds.samples() as f64),
-            ("od_transitions", run.aggregates.od.total() as f64),
-            (
-                "localized_fraction",
-                run.aggregates.positions.localized_fraction(),
-            ),
-            (
-                "track_speed_samples",
-                run.aggregates.positions.track_speed_samples as f64,
-            ),
-        ],
-    )];
-    // Determinism: 1 shard vs many shards must agree byte-for-byte.
-    let single = BatchDriver {
-        workers: 1,
-        consumers: 1,
-        store: StoreConfig {
-            shards: 1,
-            ..Default::default()
-        },
-        ..driver
-    }
-    .run(&source);
-    // Hard assert (not just a reported row): the CI smoke runs this reduced
-    // and must fail loudly on a determinism regression.
-    assert_eq!(
-        single.aggregates.fingerprint(),
-        run.aggregates.fingerprint(),
-        "batch aggregates must be byte-identical across shard/worker counts"
-    );
-    rows.push(Row::new(
-        "shard invariance",
-        vec![
-            (
-                "fingerprints_match",
-                (single.aggregates.fingerprint() == run.aggregates.fingerprint()) as u64 as f64,
-            ),
-            ("p50_speed_mph", run.aggregates.speeds.percentile_mph(50.0)),
-            ("p90_speed_mph", run.aggregates.speeds.percentile_mph(90.0)),
-        ],
-    ));
-    rows
-}
-
 /// Two-reader localization error sweep (§6, §12.2): the full PHY → AoA →
 /// conic-intersection pipeline at two opposite-side readers, swept over
 /// `n_positions` car positions, reported against the paper's ~1 m median
@@ -707,100 +589,6 @@ pub fn localization_error(n_positions: usize, seed: u64) -> Vec<Row> {
             ("mean_error_m", report.mean_error_m),
         ],
     )]
-}
-
-/// Online (streaming) city ingestion workload: the same synthetic city as
-/// [`city_scale`], streamed through the watermarked `caraoke-live` engine.
-/// Reports throughput against the batch baseline, the load-shedding and
-/// alias telemetry, and the window-fingerprint invariance check across
-/// shard counts, worker counts and two arrival interleavings.
-pub fn live_scale(n_poles: usize, epochs: usize, workers: usize, seed: u64) -> Vec<Row> {
-    let mut source = SyntheticCity::new(n_poles, epochs, seed);
-    // CFO-keyed identities at city density shares bins across tags, so the
-    // §8 decode-alias upgrade path (and its collision counter) is exercised.
-    source.cfo_keyed = true;
-    let driver = |workers: usize, shards: usize, interleaving: Interleaving| LiveDriver {
-        workers,
-        interleaving,
-        config: LiveConfig {
-            store: StoreConfig {
-                shards,
-                ..Default::default()
-            },
-            // The sharded tracker pool (clamped to the shard count, so the
-            // 1-shard determinism run below stays serial; sized to the
-            // caller's worker count so a 1-core run stays serial too).
-            seal_pool: workers.min(2),
-            ..Default::default()
-        },
-        pace_lag_panes: None,
-    };
-    let run = driver(workers, 16, Interleaving::PoleStriped).run(&source);
-    let batch = BatchDriver {
-        workers,
-        consumers: 2,
-        queue_capacity: 4096,
-        store: StoreConfig::default(),
-    }
-    .run(&source);
-    let mut rows = vec![Row::new(
-        format!("{n_poles} poles x {epochs} epochs (online)"),
-        vec![
-            ("observations", run.stats.observations as f64),
-            ("obs_per_sec", run.observations_per_sec()),
-            ("batch_obs_per_sec", batch.observations_per_sec()),
-            ("sealed_panes", run.stats.sealed_panes as f64),
-            ("shed_reports", run.stats.shed_reports as f64),
-            ("alias_upgrades", run.stats.alias.decode_upgrades as f64),
-            ("alias_collision_rate", run.stats.alias.collision_rate()),
-            (
-                "localized_fraction",
-                run.totals.positions.localized_fraction(),
-            ),
-            (
-                "track_speed_samples",
-                run.totals.positions.track_speed_samples as f64,
-            ),
-        ],
-    )];
-    // Determinism: 1 shard / 1 worker and a shuffled-FIFO delivery must
-    // both reproduce the window fingerprint chain, and the online totals
-    // must match the batch pipeline byte-for-byte.
-    let single = driver(1, 1, Interleaving::PoleStriped).run(&source);
-    let shuffled = driver(1, 4, Interleaving::ShuffledFifo { seed: seed ^ 0xA5 }).run(&source);
-    // Hard asserts for the CI smoke: interleaving invariance and live ==
-    // batch must fail the run, not just flip a reported flag.
-    assert_eq!(
-        run.chain_fingerprint, single.chain_fingerprint,
-        "window chain must be invariant to shard/worker counts"
-    );
-    assert_eq!(
-        run.chain_fingerprint, shuffled.chain_fingerprint,
-        "window chain must be invariant to arrival interleaving"
-    );
-    assert_eq!(
-        run.totals.fingerprint(),
-        batch.aggregates.fingerprint(),
-        "online totals must equal the batch aggregates"
-    );
-    rows.push(Row::new(
-        "window invariance",
-        vec![
-            (
-                "chains_match",
-                (run.chain_fingerprint == single.chain_fingerprint
-                    && run.chain_fingerprint == shuffled.chain_fingerprint) as u64
-                    as f64,
-            ),
-            (
-                "totals_match_batch",
-                (run.totals.fingerprint() == batch.aggregates.fingerprint()) as u64 as f64,
-            ),
-            ("p50_speed_mph", run.totals.speeds.percentile_mph(50.0)),
-            ("p90_speed_mph", run.totals.speeds.percentile_mph(90.0)),
-        ],
-    ));
-    rows
 }
 
 #[cfg(test)]
@@ -869,28 +657,6 @@ mod tests {
         let none_harmful = rows[1].values[1].1;
         assert_eq!(csma_harmful, 0.0);
         assert!(none_harmful > 0.0);
-    }
-
-    #[test]
-    fn city_scale_reports_throughput_and_shard_invariance() {
-        let rows = city_scale(64, 10, 4, 3);
-        assert_eq!(rows.len(), 2);
-        let obs = rows[0].values[0].1;
-        let throughput = rows[0].values[1].1;
-        assert!(obs > 1_000.0, "observations {obs}");
-        assert!(throughput > 0.0);
-        assert_eq!(rows[1].values[0].1, 1.0, "fingerprints must match");
-    }
-
-    #[test]
-    fn live_scale_reports_online_invariance() {
-        let rows = live_scale(64, 10, 4, 3);
-        assert_eq!(rows.len(), 2);
-        let obs = rows[0].values[0].1;
-        assert!(obs > 1_000.0, "observations {obs}");
-        assert_eq!(rows[0].values[4].1, 0.0, "FIFO delivery must not shed");
-        assert_eq!(rows[1].values[0].1, 1.0, "window chains must match");
-        assert_eq!(rows[1].values[1].1, 1.0, "online must match batch");
     }
 
     #[test]

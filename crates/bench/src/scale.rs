@@ -1,13 +1,14 @@
-//! The long-haul scale bench: 10M+ observations through the live engine.
+//! The long-haul scale run: 10M+ observations through the live engine.
 //!
-//! ROADMAP item 4 ("raw speed") wants throughput measured at city scale —
-//! 10k–100k poles, up to 100M observations — not just the ~1M-observation
-//! sweeps the `city_scale`/`live_scale` benches run. This module is the
-//! workload behind `experiments scale` and the `BENCH_scale.json` record:
-//! it streams a [`SyntheticCity`] through the watermarked live engine and
-//! reports observations/second plus peak RSS (from `/proc/self/status`,
-//! `VmHWM`), with the source's generation-only rate alongside so the
-//! engine's share of the wall clock is visible.
+//! The workload behind `experiments scale`: it streams a [`SyntheticCity`]
+//! through the watermarked live engine, asserts that nothing was shed and
+//! that every generated observation was sealed, and prints
+//! observations/second, peak RSS (from `/proc/self/status`, `VmHWM`) and
+//! the fingerprint chain, with the source's generation-only rate alongside
+//! so the engine's share of the wall clock is visible. It writes no file
+//! and is not the basis for any performance claim — that is `benchmark/`.
+//! It stays only because no benchmark workload streams an input this long
+//! yet, and goes when one does.
 //!
 //! The full 100M-observation tier is opt-in (`experiments scale --full`):
 //! it holds ~50k poles of tracker state and runs minutes, not seconds.
@@ -27,10 +28,6 @@ pub struct ScaleConfig {
     pub workers: usize,
     /// Tracker shards.
     pub shards: usize,
-    /// Threads running the seal walk (1 = inline on the sealer thread).
-    pub seal_pool: usize,
-    /// Timed trials; the best (highest obs/s) is recorded.
-    pub trials: usize,
     /// Workload seed.
     pub seed: u64,
 }
@@ -40,56 +37,46 @@ pub struct ScaleConfig {
 /// scheduler churn, not the engine. The fingerprint chain is invariant to
 /// the worker count, so tiers stay comparable across machines.
 fn machine_workers(cap: usize) -> usize {
-    crate::cores().min(cap)
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(cap))
 }
 
 impl ScaleConfig {
     /// The CI smoke tier: small enough to finish in seconds.
     pub fn smoke() -> Self {
-        let workers = machine_workers(8);
         Self {
             n_poles: 500,
             epochs: 60,
-            workers,
+            workers: machine_workers(8),
             shards: 16,
-            seal_pool: workers.min(2),
-            trials: 1,
             seed: 77,
         }
     }
 
     /// The default tier: ~10M observations at 10k poles.
     pub fn default_tier() -> Self {
-        let workers = machine_workers(16);
         Self {
             n_poles: 10_000,
             epochs: 235,
-            workers,
+            workers: machine_workers(16),
             shards: 16,
-            seal_pool: workers.min(2),
-            trials: 3,
             seed: 77,
         }
     }
 
     /// The opt-in long tier: ~100M observations at 50k poles.
     pub fn full_tier() -> Self {
-        let workers = machine_workers(16);
         Self {
             n_poles: 50_000,
             epochs: 470,
-            workers,
+            workers: machine_workers(16),
             shards: 16,
-            seal_pool: workers.min(2),
-            trials: 1,
             seed: 77,
         }
     }
 
     fn source(&self) -> SyntheticCity {
         let mut source = SyntheticCity::new(self.n_poles, self.epochs, self.seed);
-        // CFO-keyed identities exercise the §8 alias path at density, same
-        // as `live_scale`, so the two benches measure the same hot path.
+        // CFO-keyed identities exercise the §8 alias path at density.
         source.cfo_keyed = true;
         source
     }
@@ -103,7 +90,6 @@ impl ScaleConfig {
                     shards: self.shards,
                     ..Default::default()
                 },
-                seal_pool: self.seal_pool,
                 ..Default::default()
             },
             // Bounded-memory ingest: on a small container the synthetic
@@ -122,9 +108,9 @@ impl ScaleConfig {
 /// What one tier measured.
 #[derive(Debug, Clone)]
 pub struct ScaleResult {
-    /// Observations sealed by the best trial.
+    /// Observations sealed.
     pub observations: u64,
-    /// Best-trial online throughput, observations/second.
+    /// Online throughput, observations/second.
     pub obs_per_sec: f64,
     /// Generation-only throughput of the same source over the same worker
     /// count — the ceiling the source imposes on any online number.
@@ -134,7 +120,7 @@ pub struct ScaleResult {
     /// Peak resident set size after the run, bytes (`VmHWM`; 0 when
     /// `/proc/self/status` is unavailable).
     pub peak_rss_bytes: u64,
-    /// Wall-clock seconds of the best trial.
+    /// Wall-clock seconds of the online run.
     pub elapsed_secs: f64,
 }
 
@@ -178,37 +164,21 @@ pub fn generation_rate(source: &SyntheticCity, workers: usize) -> (u64, f64) {
     (total, if secs > 0.0 { total as f64 / secs } else { 0.0 })
 }
 
-/// Runs one tier: `trials` timed online runs (best kept) plus one
-/// generation-only pass.
+/// Runs one tier: one timed online run plus one generation-only pass.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     let source = cfg.source();
-    let driver = cfg.driver();
-    let mut best: Option<caraoke_live::LiveRun> = None;
-    for _ in 0..cfg.trials.max(1) {
-        let run = driver.run(&source);
-        assert_eq!(run.stats.shed_reports, 0, "scale run must not shed");
-        assert_eq!(run.stats.overflow_shed, 0, "scale run must not overflow");
-        let better = best
-            .as_ref()
-            .map(|b| run.observations_per_sec() > b.observations_per_sec())
-            .unwrap_or(true);
-        if better {
-            best = Some(run);
-        }
-    }
-    let best = best.expect("at least one trial");
+    let run = cfg.driver().run(&source);
+    assert_eq!(run.stats.shed_reports, 0, "scale run must not shed");
+    assert_eq!(run.stats.overflow_shed, 0, "scale run must not overflow");
     let (gen_obs, gen_rate) = generation_rate(&source, cfg.workers);
-    assert_eq!(
-        gen_obs, best.stats.observations,
-        "same workload both passes"
-    );
+    assert_eq!(gen_obs, run.stats.observations, "same workload both passes");
     ScaleResult {
-        observations: best.stats.observations,
-        obs_per_sec: best.observations_per_sec(),
+        observations: run.stats.observations,
+        obs_per_sec: run.observations_per_sec(),
         gen_obs_per_sec: gen_rate,
-        chain_fingerprint: best.chain_fingerprint,
+        chain_fingerprint: run.chain_fingerprint,
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
-        elapsed_secs: best.elapsed.as_secs_f64(),
+        elapsed_secs: run.elapsed.as_secs_f64(),
     }
 }
 
@@ -248,8 +218,6 @@ mod tests {
             epochs: 10,
             workers: 2,
             shards: 4,
-            seal_pool: 2,
-            trials: 1,
             seed: 5,
         };
         let result = run_scale(&cfg);

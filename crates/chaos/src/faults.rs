@@ -41,8 +41,9 @@ impl FaultCounters {
 ///
 /// Transient regime: the append of every `transient_every_panes`-th pane
 /// fails `ErrorKind::Interrupted` for the first `transient_burst`
-/// consecutive attempts — one burst per pane, so an engine retrying with
-/// `max_attempts > transient_burst` always wins and durability holds.
+/// consecutive attempts — one burst per pane, so the engine's
+/// [`LOG_WRITE_ATTEMPTS`](caraoke_live::LOG_WRITE_ATTEMPTS) `>
+/// transient_burst` tries always win and durability holds.
 ///
 /// Disk-full regime: from `disk_full_from_pane` on, *every* operation
 /// fails `ErrorKind::StorageFull` forever; the engine's sink latches fatal

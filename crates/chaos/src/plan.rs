@@ -75,8 +75,8 @@ pub struct LogFaultSpec {
     /// pane (`0` disables transients).
     pub transient_every_panes: u64,
     /// Consecutive transient errors per burst; keep it below the engine's
-    /// [`LogRetryPolicy::max_attempts`](caraoke_live::LogRetryPolicy) for
-    /// retries to win.
+    /// [`LOG_WRITE_ATTEMPTS`](caraoke_live::LOG_WRITE_ATTEMPTS) for retries
+    /// to win.
     pub transient_burst: u32,
     /// From this pane on, every write fails `StorageFull` forever (`None`
     /// disables the disk-full regime).

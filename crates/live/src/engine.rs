@@ -138,11 +138,6 @@ pub struct LiveConfig {
     /// boundaries, never wall clock, so compaction preserves determinism.
     /// `None` (the default) never evicts.
     pub compact_idle_us: Option<u64>,
-    /// Retry policy for pane-log writes (see [`LogRetryPolicy`]). Transient
-    /// errors are retried with bounded exponential backoff *under the sealed
-    /// lock* — durability-before-visibility holds across retries — before
-    /// the sink latches failed; fatal errors latch immediately.
-    pub log_retry: LogRetryPolicy,
     /// How many threads run the seal walk. Tag shards are independent, so
     /// the walk splits into N contiguous shard ranges whose per-pane
     /// partial aggregates and deltas are merged in shard order —
@@ -162,67 +157,34 @@ impl Default for LiveConfig {
             max_pending_per_worker: 1 << 20,
             max_pane_staleness: None,
             compact_idle_us: None,
-            log_retry: LogRetryPolicy::default(),
             seal_pool: 1,
         }
     }
 }
 
-/// Bounded exponential-backoff retry for pane-log writes.
+/// Total tries per logical pane-log write (first attempt + retries).
 ///
 /// The sealer classifies write errors by [`io::ErrorKind`]:
 /// `Interrupted`, `WouldBlock` and `TimedOut` are **transient** — the kind
 /// of hiccup a loaded disk or interrupted syscall produces — and are
-/// retried up to [`max_attempts`](Self::max_attempts) total tries with
-/// exponentially growing sleeps. Everything else (permissions, disk full,
-/// closed descriptors) is **fatal**: the sink latches failed immediately,
-/// sealing continues without durability, and
+/// retried up to this many total tries with exponentially growing sleeps
+/// (1 ms doubling, capped at 50 ms) *under the sealed lock*, so
+/// durability-before-visibility holds across retries. Everything else
+/// (permissions, disk full, closed descriptors) is **fatal**: the sink
+/// latches failed immediately, sealing continues without durability, and
 /// [`LiveCity::reattach_log`] can restore it to a fresh directory.
 ///
 /// Retried appends assume the failed attempt wrote nothing — true for
 /// injected faults (checked before any I/O) and for buffered writes that
 /// fail at flush; a torn tail from a genuine partial write is repaired by
 /// recovery's truncation, never by in-process retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogRetryPolicy {
-    /// Total tries per logical write (first attempt + retries); `0` acts
-    /// as `1` (no retry).
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-}
+pub const LOG_WRITE_ATTEMPTS: u32 = 4;
 
-impl Default for LogRetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
+/// Sleep before the first pane-log retry; doubles per subsequent retry.
+const LOG_RETRY_BASE_BACKOFF: Duration = Duration::from_millis(1);
 
-impl LogRetryPolicy {
-    /// No retries: the first error of any kind latches the sink (the
-    /// pre-retry behaviour).
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    /// The sleep before retry number `retry` (0-based), capped at
-    /// [`max_backoff`](Self::max_backoff).
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32.checked_shl(retry.min(16)).unwrap_or(u32::MAX);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
-}
+/// Upper bound on any single pane-log backoff sleep.
+const LOG_RETRY_MAX_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Is this I/O error worth retrying?
 fn transient_io_error(err: &io::Error) -> bool {
@@ -281,8 +243,8 @@ pub struct LiveStats {
     /// hiccupped but durability held.
     pub log_retries: u64,
     /// Transient pane-log write errors observed (`Interrupted`,
-    /// `WouldBlock`, `TimedOut`) — retried per
-    /// [`LiveConfig::log_retry`], so each may or may not have cost
+    /// `WouldBlock`, `TimedOut`) — retried up to
+    /// [`LOG_WRITE_ATTEMPTS`] tries, so each may or may not have cost
     /// durability.
     pub log_errors_transient: u64,
     /// Fatal pane-log failures: a non-transient error, or transient retries
@@ -610,7 +572,7 @@ impl LiveCity {
     /// must not already hold a caraoke log.
     ///
     /// A log write failure never stalls sealing: transient errors retry
-    /// per [`LiveConfig::log_retry`]; a fatal error (or exhausted retries)
+    /// up to [`LOG_WRITE_ATTEMPTS`] tries; a fatal error (or exhausted retries)
     /// is counted ([`LiveStats::log_errors_fatal`]), appends stop, and the
     /// engine keeps serving until [`reattach_log`](Self::reattach_log)
     /// restores durability.
@@ -1159,10 +1121,9 @@ impl LiveCore {
         IngestOutcome::Applied
     }
 
-    /// Runs one logical pane-log write with the configured bounded
-    /// exponential-backoff retry. Transient errors (see
-    /// [`transient_io_error`]) sleep and retry up to
-    /// `log_retry.max_attempts` total tries; anything else — or exhausted
+    /// Runs one logical pane-log write with bounded exponential-backoff
+    /// retry. Transient errors (see [`transient_io_error`]) sleep and retry
+    /// up to [`LOG_WRITE_ATTEMPTS`] total tries; anything else — or exhausted
     /// retries — latches the sink failed. Returns whether the write landed.
     /// A no-op returning `false` when the sink is already failed.
     fn log_write(
@@ -1174,16 +1135,15 @@ impl LiveCore {
         if sink.failed {
             return false;
         }
-        let policy = self.config.log_retry;
-        let attempts = policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
             match op(&mut sink.writer) {
                 Ok(()) => return true,
-                Err(err) if transient_io_error(&err) && attempt + 1 < attempts => {
+                Err(err) if transient_io_error(&err) && attempt + 1 < LOG_WRITE_ATTEMPTS => {
                     self.log_errors_transient.fetch_add(1, Ordering::Relaxed);
                     self.log_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(policy.backoff(attempt));
+                    let backoff = LOG_RETRY_BASE_BACKOFF.saturating_mul(1 << attempt);
+                    std::thread::sleep(backoff.min(LOG_RETRY_MAX_BACKOFF));
                     attempt += 1;
                 }
                 Err(err) => {

@@ -82,11 +82,11 @@
 //!    [`LiveCity::wait_idle`]).
 //!
 //! Measured on the same container before/after the rework (1 000 poles,
-//! ≥1 M observations, 8 ingest workers — `cargo bench --bench live_scale`
-//! and the `experiments live` sweep): online ingest went from
-//! **≈0.36 M obs/s (vs ≈1.0 M batch)** to **≈1.7 M obs/s (vs ≈1.7 M
-//! batch)** — the online path now runs at (and often above) the batch
-//! pipeline's rate, with the determinism contract unchanged.
+//! ≥1 M observations, 8 ingest workers, on a bench since retired): online
+//! ingest went from **≈0.36 M obs/s (vs ≈1.0 M batch)** to **≈1.7 M obs/s
+//! (vs ≈1.7 M batch)** — the online path now runs at (and often above) the
+//! batch pipeline's rate, with the determinism contract unchanged. Current
+//! numbers are the `ingest_hot` workload of `benchmark/`.
 //!
 //! [`PoleReport`]: caraoke_city::PoleReport
 //! [`CityAggregates`]: caraoke_city::CityAggregates
@@ -108,7 +108,7 @@ pub mod watermark;
 pub mod window;
 
 pub use driver::{Interleaving, LiveDriver, LiveRun};
-pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, LogRetryPolicy};
+pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, LOG_WRITE_ATTEMPTS};
 pub use query::{
     answer_windowed, LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary,
 };

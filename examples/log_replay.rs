@@ -11,12 +11,16 @@
 //! 4. `LogCity` replays the log with every CRC and fingerprint re-checked,
 //!    closing the triangle against a direct batch run.
 //!
+//! Both identities are asserted, and the stitched log (pre-crash and
+//! post-recovery segments) is left at `target/log-example` for `logtool
+//! verify` and `servetool tail-log`.
+//!
 //! Run with: `cargo run --release --example log_replay`
 
 use caraoke_suite::city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_suite::live::{LiveCity, LiveConfig};
 use caraoke_suite::log::{LogCity, LogOptions};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const WORKERS: usize = 8;
 
@@ -71,10 +75,11 @@ fn logged(source: &SyntheticCity, dir: &Path) -> LiveCity {
 fn main() {
     let source = SyntheticCity::new(200, 40, 31);
     let epoch_us = source.epoch_us();
-    let scratch = std::env::temp_dir().join(format!("caraoke-log-example-{}", std::process::id()));
-    let crash_dir = scratch.join("crashed");
-    let ref_dir = scratch.join("reference");
-    let _ = std::fs::remove_dir_all(&scratch);
+    let target = Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
+    let crash_dir = target.join("log-example");
+    let ref_dir = target.join("log-example-reference");
+    let _ = std::fs::remove_dir_all(&crash_dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
 
     // The uninterrupted reference this crash-recovery run must match.
     let reference = logged(&source, &ref_dir);
@@ -111,12 +116,13 @@ fn main() {
     );
     stream(&recovered, &source, floor_us, u64::MAX);
     recovered.finish();
+    let identical = recovered.fingerprint_chain() == ref_chain && recovered.totals() == ref_totals;
     println!(
-        "  resumed chain  {:#018x}\n  reference      {:#018x}  (byte-identical: {})\n",
+        "  resumed chain  {:#018x}\n  reference      {:#018x}  (byte-identical: {identical})\n",
         recovered.fingerprint_chain(),
         ref_chain,
-        recovered.fingerprint_chain() == ref_chain && recovered.totals() == ref_totals,
     );
+    assert!(identical, "recovery must land on the uninterrupted run");
     drop(recovered);
 
     // 4. Verified replay of the stitched log (pre-crash + post-recovery
@@ -136,15 +142,14 @@ fn main() {
         "act 4: verified replay of {} panes -> chain {:#018x}, {} observations",
         replay.panes, replay.chain, replay.totals.observations,
     );
-    println!(
-        "  triangle closed (replay == live == batch): {}",
-        replay.chain == ref_chain && replay.totals.fingerprint() == batch.aggregates.fingerprint(),
-    );
+    let closed =
+        replay.chain == ref_chain && replay.totals.fingerprint() == batch.aggregates.fingerprint();
+    println!("  triangle closed (replay == live == batch): {closed}");
+    assert!(closed, "replay, live and batch must agree");
 
-    let keep: PathBuf = crash_dir;
     println!(
         "\ninspect the log yourself: cargo run -p caraoke-log --bin logtool -- verify {}",
-        keep.display()
+        crash_dir.display()
     );
     let _ = std::fs::remove_dir_all(&ref_dir);
 }

@@ -5,11 +5,12 @@
 //! the commit *before* the seal walk was unified, so a refactor that
 //! changes what a pane contains — not just how it is computed — fails
 //! here even when every in-process comparison still agrees with itself.
-//! Each run is asserted for every tracker-pool size, and the logged run
-//! also against a verified replay and a crash/recover/re-feed of its log.
+//! Each `LiveCity` run is asserted for every tracker-pool size, and the
+//! logged run also against a verified replay and a crash/recover/re-feed
+//! of its log; the paced `LiveDriver` run pins multi-worker ingest.
 
 use caraoke_suite::city::{FrameSource, StoreConfig, SyntheticCity};
-use caraoke_suite::live::{LiveCity, LiveConfig};
+use caraoke_suite::live::{Interleaving, LiveCity, LiveConfig, LiveDriver};
 use caraoke_suite::log::{LogCity, LogOptions};
 use std::path::PathBuf;
 
@@ -79,6 +80,31 @@ fn cfo_keyed_decoding_run_seals_the_recorded_chain_for_every_pool_size() {
             "cfo-keyed run, seal_pool {pool}"
         );
     }
+}
+
+#[test]
+fn paced_two_worker_cfo_keyed_run_seals_the_recorded_chain() {
+    // The smoke tier of `experiments scale`: the only golden with several
+    // paced ingest workers and CFO aliasing at density (500 poles).
+    let mut source = SyntheticCity::new(500, 60, 77);
+    source.cfo_keyed = true;
+    let run = LiveDriver {
+        workers: 2,
+        interleaving: Interleaving::PoleStriped,
+        config: LiveConfig {
+            store: StoreConfig {
+                shards: 16,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        pace_lag_panes: Some(2),
+    }
+    .run(&source);
+    assert_eq!(run.chain_fingerprint, 0x2a7a_bc7f_f2ed_570d);
+    assert_eq!(run.stats.observations, 126_946);
+    assert_eq!(run.stats.shed_reports, 0);
+    assert_eq!(run.stats.overflow_shed, 0);
 }
 
 #[test]
