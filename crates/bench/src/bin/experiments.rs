@@ -277,10 +277,16 @@ fn main() {
                 cell.cuts,
             );
         }
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("CHAOS_matrix.json");
-        std::fs::write(&path, matrix_json(&report)).expect("write CHAOS_matrix.json");
+        // Only the full matrix is the committed artifact (CI diffs it
+        // against a fresh run); the quick subset goes under target/.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let path = if quick {
+            std::fs::create_dir_all(root.join("target")).expect("create target/");
+            root.join("target/CHAOS_matrix.quick.json")
+        } else {
+            root.join("CHAOS_matrix.json")
+        };
+        std::fs::write(&path, matrix_json(&report)).expect("write the chaos matrix");
         println!(
             "  wrote {} ({} cells, {})",
             path.display(),

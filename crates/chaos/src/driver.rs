@@ -58,11 +58,6 @@ impl<'a> ChaosDriver<'a> {
         Self { city, plan }
     }
 
-    /// The plan's full epoch range for this city.
-    pub fn full_range(&self) -> Range<usize> {
-        0..self.city.epochs()
-    }
-
     fn pole_down(&self, pole: u32, epoch: usize) -> bool {
         match self.plan.outage {
             Some(o) if o.pole == pole && epoch >= o.down_from => match o.revive_at {

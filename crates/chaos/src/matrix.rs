@@ -17,7 +17,8 @@
 //!
 //! [`run_matrix`] executes the whole grid from one seed and
 //! [`matrix_json`] renders the single structured report the
-//! `experiments chaos` subcommand writes to `CHAOS_matrix.json`.
+//! `experiments chaos` subcommand writes to `CHAOS_matrix.json` (the full
+//! matrix; a `--quick` run goes to `target/CHAOS_matrix.quick.json`).
 
 use crate::driver::{ChaosDriver, DeliveryCounters};
 use crate::faults::{FaultCounters, FaultSink};

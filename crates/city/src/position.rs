@@ -108,14 +108,6 @@ impl PositionEstimate {
     }
 }
 
-/// The method that effectively positions an observation: its attached
-/// estimate's method, or [`PositionMethod::PolePosition`] when the frame
-/// source attached none.
-pub fn effective_method(obs: &TagObservation) -> PositionMethod {
-    obs.position
-        .map_or(PositionMethod::PolePosition, |p| p.method)
-}
-
 /// Resolves the position every consumer should use for an observation: the
 /// attached estimate when present (and finite), otherwise the heard pole's
 /// position as a tagged fallback.

@@ -20,7 +20,7 @@
 //! # The seal pipeline
 //!
 //! Every seal — watermark-released, forced by the staleness timer, or the
-//! final flush — is the same four steps under the sealed-state lock, one
+//! final flush — is the same three steps under the sealed-state lock, one
 //! pass per at most `MAX_SEAL_BUCKETS / shards` panes (a request spanning
 //! more, e.g. a laggard pole catching up 100k panes, is sealed as
 //! consecutive passes, each notifying waiters as it lands):
@@ -35,22 +35,24 @@
 //!    per-bucket sort of `u32` indices on
 //!    `(timestamp, pole, tag, cfo_bin, seq)` — instead of one comparison
 //!    sort moving ~136-byte rows.
-//! 3. **Walk.** Tag shards are independent by construction (observations
-//!    route to trackers by CFO bin), so the walk runs over contiguous shard
-//!    ranges: pane by pane, each range's buckets go through the shared
-//!    [`TagTracker`] state machines and [`fold_observation`] (the same
-//!    ones the batch store uses, §8 alias upgrades included) into a
-//!    per-pane partial aggregate, then the idle-tag compaction sweep when
-//!    one is due, then the per-pane tracker deltas when a pane log is
-//!    attached. [`LiveConfig::seal_pool`] only says how many ranges there
-//!    are — one, walked inline on the sealer thread, or N on scoped
-//!    threads. Partials and deltas combine in shard order and every
-//!    aggregate is an integer counter, so the sealed pane is byte-identical
-//!    for any pool size (golden chain literals pin it).
-//! 4. **Publish.** Per pane: fingerprint into the engine's **fingerprint
-//!    chain**, merge into the totals, append to the pane log (durability
-//!    before visibility), push into the retained [`WindowRing`], move the
-//!    seal floor.
+//! 3. **Fold and publish, one pane at a time.** The pane's buckets go, in
+//!    shard order (observations route to trackers by CFO bin, so tag
+//!    shards are independent), through the shared [`TagTracker`] state
+//!    machines and [`fold_observation`] — the batch store's, §8 alias
+//!    upgrades included — straight into the pane's [`CityAggregates`];
+//!    then the idle-tag compaction sweep when one is due; then the pane is
+//!    fingerprinted into the engine's **fingerprint chain**, merged into
+//!    the totals, appended to the pane log with its tracker deltas and any
+//!    snapshot due after it (durability before visibility), pushed into
+//!    the retained [`WindowRing`], and the seal floor moves.
+//!
+//! Only then does the next pane touch a tracker, because trackers are
+//! cumulative: they describe "the run up to pane `p`" only between pane
+//! `p`'s fold and pane `p + 1`'s, which is what a snapshot claims
+//! (`next_pane = p + 1`; recovery re-feeds everything from there). Taken
+//! any later it would carry state from panes the recovered engine folds
+//! again — so whatever prefix of a pass's records a crash leaves on disk
+//! recovers byte-identical.
 //!
 //! Lock order, everywhere: sealed state → worker registry → a worker's
 //! buffer → orphaned buffers → log sink.
@@ -85,7 +87,7 @@
 use crate::watermark::WatermarkClock;
 use crate::window::{CityWindows, WindowAggregate, WindowRing};
 use caraoke_city::aggregate::Fingerprint;
-use caraoke_city::store::{fold_observation, AliasStats, TagTracker, TrackerDelta};
+use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
 use caraoke_city::{
     CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
 };
@@ -138,13 +140,6 @@ pub struct LiveConfig {
     /// boundaries, never wall clock, so compaction preserves determinism.
     /// `None` (the default) never evicts.
     pub compact_idle_us: Option<u64>,
-    /// How many threads run the seal walk. Tag shards are independent, so
-    /// the walk splits into N contiguous shard ranges whose per-pane
-    /// partial aggregates and deltas are merged in shard order —
-    /// byte-identical for **any** value (golden chain literals pin every
-    /// pool size). Clamped to the shard count; `1` (the default) runs the
-    /// walk inline on the sealer thread, larger values on scoped threads.
-    pub seal_pool: usize,
 }
 
 impl Default for LiveConfig {
@@ -157,7 +152,6 @@ impl Default for LiveConfig {
             max_pending_per_worker: 1 << 20,
             max_pane_staleness: None,
             compact_idle_us: None,
-            seal_pool: 1,
         }
     }
 }
@@ -454,9 +448,7 @@ struct SealedState {
     chain: Fingerprint,
     /// Whole-run totals (merge of every sealed pane, retained or not).
     total: CityAggregates,
-    /// Per-shard tag state machines, owned by the sealer (sealing was
-    /// always serialized; owning them here removes the per-shard mutexes
-    /// the ingest path used to take).
+    /// Per-shard tag state machines; only the sealer thread touches them.
     trackers: Vec<TagTracker>,
     /// Reusable staging buffers for drained observations.
     scratch: SealScratch,
@@ -819,9 +811,14 @@ impl LiveCity {
     /// timestamp heard — as if every pole had reported past it — and waits
     /// until it has. Call once ingestion ends (the streaming analogue of
     /// the batch driver's finalize); ingest must not run concurrently with
-    /// the flush.
+    /// the flush. With no report accepted since the engine was built there
+    /// is no timestamp heard (a recovered clock's frontier is only parked
+    /// on the seal floor): this is then [`wait_idle`](Self::wait_idle).
     pub fn finish(&self) {
         let core = &*self.core;
+        if core.reports.load(Ordering::Relaxed) == 0 {
+            return self.wait_idle();
+        }
         let target = core.clock.max_frontier_us() / core.config.pane_us + 1;
         core.request_seal(target);
         self.wait_seal_floor(target * core.config.pane_us);
@@ -1242,25 +1239,22 @@ impl LiveCore {
         }
     }
 
-    /// One seal pass — drain, bucket pass, walk, publish — over the panes
-    /// `state.next_pane..end`, under the sealed lock the caller holds (lock
-    /// order: see the module docs).
+    /// One seal pass — drain, bucket pass, then fold and publish pane by
+    /// pane — over the panes `state.next_pane..end`, under the sealed lock
+    /// the caller holds (lock order: see the module docs).
     fn seal_pass(&self, state: &mut SealedState, end: u64, forced: bool) {
         let pane_us = self.config.pane_us;
         let first_pane = state.next_pane;
         let span = (end - first_pane) as usize;
 
-        // Drain: every pane bucket below `end`, from every worker slot and
-        // orphaned buffer, moves to the scratch columns wholesale (bucket
-        // order within a pane preserves arrival order, which is what keeps
-        // ties among equal canonical keys deterministic); the buffered tail
-        // ahead of the frontier is never touched. No in-contract delivery
-        // can add observations below `end * pane_us` concurrently: the
-        // watermark only released `end` because every pole's frontier
-        // already passed it (see `ingest`). A racing out-of-contract push
-        // can leave a bucket below an already-sealed pane in a buffer; its
-        // observations are counted as shed here and its report counters
-        // dropped, never merged.
+        // Drain every pane bucket below `end`; the buffered tail ahead of
+        // the frontier is never touched. No in-contract delivery can add
+        // observations below `end * pane_us` concurrently: the watermark
+        // only released `end` because every pole's frontier already passed
+        // it (see `ingest`). A racing out-of-contract push can leave a
+        // bucket below an already-sealed pane in a buffer; its observations
+        // are counted as shed here and its report counters dropped, never
+        // merged.
         let slots: Vec<Arc<WorkerSlot>> = self.workers.lock().expect("worker registry").clone();
         let mut scratch = std::mem::take(&mut state.scratch);
         if scratch.segs.len() < span {
@@ -1301,35 +1295,23 @@ impl LiveCore {
                 .fetch_add(shed_late, Ordering::Relaxed);
         }
 
-        // Bucket pass: the canonical order — panes ascending, then shard,
-        // then the batch tier's `(timestamp, pole, tag, cfo_bin)` key, then
-        // the within-report sequence number for ties — as index order over
-        // the key column.
         scratch.bucket_pass(first_pane, span, self.n_shards, pane_us);
 
-        // Walk: every shard's observations, compaction sweeps and per-pane
-        // delta drains, before anything publishes. The log sink is held
-        // from here to the pass's commit.
+        // The log sink is held from here to the pass's commit.
         let mut log = self.log.lock().expect("log sink");
-        let want_deltas = log.is_some();
-        let mut parts = self.walk(&mut state.trackers, first_pane, span, &scratch, want_deltas);
-        let evicted: u64 = parts.iter().map(|p| p.evicted).sum();
-        if evicted > 0 {
-            self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
-        }
-
-        // Publish, pane by pane.
         for pane_idx in 0..span {
             let pane = first_pane + pane_idx as u64;
-            // The first shard range's partial becomes the pane aggregate by
-            // value; further ranges (a pool of N > 1) merge into it in
-            // shard order — every aggregate is an integer counter, so the
-            // result is the same for any split.
-            let (head, rest) = parts.split_first_mut().expect("at least one shard range");
-            let mut agg = head.aggs[pane_idx].take().unwrap_or_default();
-            for part in rest {
-                if let Some(partial) = part.aggs[pane_idx].take() {
-                    agg.merge(&partial);
+            let mut agg = CityAggregates::new();
+            for (shard, tracker) in state.trackers.iter_mut().enumerate() {
+                let b = pane_idx * self.n_shards + shard;
+                let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
+                self.fold_bucket(&mut agg, tracker, &scratch.order[range], &scratch.obs);
+            }
+            // Before the deltas are taken: evictions ride them as removals.
+            if let Some(cutoff) = self.compaction_cutoff(pane) {
+                for tracker in &mut state.trackers {
+                    let evicted = tracker.evict_idle(cutoff);
+                    self.compacted_tags.fetch_add(evicted, Ordering::Relaxed);
                 }
             }
             for (seg, stats) in scratch.segs[pane_idx].drain(..) {
@@ -1347,23 +1329,12 @@ impl LiveCore {
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
             state.total.merge(&agg);
-            // Durability before visibility: the pane record (and any due
-            // snapshot) is appended while we still hold the sealed lock,
-            // before the pane enters the ring or moves the seal floor.
-            // Transient write errors retry in place (still under the lock,
-            // so visibility keeps waiting on durability); a fatal error
-            // flips the sink to failed — sealing continues, appends stop
-            // (liveness over durability), and the log on disk stays a
-            // valid prefix until `reattach_log`.
+            // Durability before visibility: the pane record and any due
+            // snapshot are appended (retried or given up on as
+            // [`LOG_WRITE_ATTEMPTS`] says) before the pane is published.
             if let Some(sink) = log.as_mut() {
                 let chain_now = state.chain.finish();
-                // The walk drained every shard's delta right after this
-                // pane's observations and compaction, before the next
-                // pane's; concatenated here in shard order.
-                let mut deltas: Vec<TrackerDelta> = Vec::with_capacity(self.n_shards);
-                for part in parts.iter_mut() {
-                    deltas.append(&mut part.deltas[pane_idx]);
-                }
+                let deltas: Vec<_> = state.trackers.iter_mut().map(|t| t.take_delta()).collect();
                 // Pane and snapshot retry as *separate* logical writes: a
                 // transient snapshot failure must not re-append the
                 // (already written) pane record.
@@ -1403,6 +1374,34 @@ impl LiveCore {
         state.scratch = scratch;
     }
 
+    /// Folds one `(pane, shard)` bucket — indices into `obs`, in canonical
+    /// order — into the pane aggregate. Out of line so the hot loop is
+    /// compiled on its own, not inside [`seal_pass`](Self::seal_pass).
+    #[inline(never)]
+    fn fold_bucket(
+        &self,
+        agg: &mut CityAggregates,
+        tracker: &mut TagTracker,
+        bucket: &[u32],
+        obs: &[TagObservation],
+    ) {
+        for (n, &i) in bucket.iter().enumerate() {
+            if let Some(&j) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
+                prefetch_obs(&obs[j as usize]);
+            }
+            if let Some(&j) = bucket.get(n + TRACKER_PREFETCH_AHEAD) {
+                tracker.prefetch(&obs[j as usize]);
+            }
+            fold_observation(
+                agg,
+                tracker,
+                &obs[i as usize],
+                &self.directory,
+                &self.config.store,
+            );
+        }
+    }
+
     /// The engine's complete state as of `next_pane` (the caller holds the
     /// sealed lock and has already merged every pane below it into
     /// `state`): what a log needs to resume without the panes before it.
@@ -1429,116 +1428,6 @@ impl LiveCore {
         let cutoff = ((pane + 1) * self.config.pane_us).saturating_sub(idle_us);
         (cutoff > 0).then_some(cutoff)
     }
-
-    /// Runs the seal walk over every shard, split into (at most)
-    /// [`LiveConfig::seal_pool`] contiguous shard ranges (`chunks_mut` over
-    /// the tracker vector — no locks, no cloning): one range is walked
-    /// inline, several on scoped threads. Returns the ranges' outputs in
-    /// shard order. Runs on the sealer thread, under the sealed lock, only.
-    fn walk(
-        &self,
-        trackers: &mut [TagTracker],
-        first_pane: u64,
-        span: usize,
-        scratch: &SealScratch,
-        want_deltas: bool,
-    ) -> Vec<WalkPart> {
-        let pool = self.config.seal_pool.clamp(1, trackers.len());
-        if pool == 1 {
-            return vec![self.walk_range(trackers, 0, first_pane, span, scratch, want_deltas)];
-        }
-        let per_range = trackers.len().div_ceil(pool);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = trackers
-                .chunks_mut(per_range)
-                .enumerate()
-                .map(|(w, range)| {
-                    scope.spawn(move || {
-                        let shard_lo = w * per_range;
-                        self.walk_range(range, shard_lo, first_pane, span, scratch, want_deltas)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seal walk thread"))
-                .collect()
-        })
-    }
-
-    /// The seal walk over one contiguous shard range: every pane's buckets
-    /// for the owned shards in canonical order, folding observations and
-    /// derived events into a sparse per-pane partial aggregate, then the
-    /// idle-tag compaction sweep when one is due, then — when a pane log is
-    /// attached — each owned shard's delta, in shard order. The sweep runs
-    /// *before* the delta is taken, so traced evictions ride this pane's
-    /// delta as removals and any snapshot exports the already-compacted
-    /// state: replay equivalence holds with or without compaction.
-    fn walk_range(
-        &self,
-        trackers: &mut [TagTracker],
-        shard_lo: usize,
-        first_pane: u64,
-        span: usize,
-        scratch: &SealScratch,
-        want_deltas: bool,
-    ) -> WalkPart {
-        let n_shards = self.n_shards;
-        let mut part = WalkPart {
-            aggs: Vec::with_capacity(span),
-            deltas: Vec::with_capacity(if want_deltas { span } else { 0 }),
-            evicted: 0,
-        };
-        for pane_idx in 0..span {
-            let pane = first_pane + pane_idx as u64;
-            let mut agg: Option<CityAggregates> = None;
-            for (k, tracker) in trackers.iter_mut().enumerate() {
-                let b = pane_idx * n_shards + shard_lo + k;
-                let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
-                if range.is_empty() {
-                    continue;
-                }
-                let agg = agg.get_or_insert_with(CityAggregates::new);
-                let bucket = &scratch.order[range];
-                for (n, &i) in bucket.iter().enumerate() {
-                    if let Some(&j) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
-                        prefetch_obs(&scratch.obs[j as usize]);
-                    }
-                    if let Some(&j) = bucket.get(n + TRACKER_PREFETCH_AHEAD) {
-                        tracker.prefetch(&scratch.obs[j as usize]);
-                    }
-                    fold_observation(
-                        agg,
-                        tracker,
-                        &scratch.obs[i as usize],
-                        &self.directory,
-                        &self.config.store,
-                    );
-                }
-            }
-            if let Some(cutoff) = self.compaction_cutoff(pane) {
-                part.evicted += trackers
-                    .iter_mut()
-                    .map(|t| t.evict_idle(cutoff))
-                    .sum::<u64>();
-            }
-            if want_deltas {
-                part.deltas
-                    .push(trackers.iter_mut().map(TagTracker::take_delta).collect());
-            }
-            part.aggs.push(agg);
-        }
-        part
-    }
-}
-
-/// One shard range's walk output: sparse per-pane partial aggregates
-/// (`None` where the range saw no observation), per-pane tracker deltas
-/// (only when a pane log is attached), and its compaction eviction count.
-struct WalkPart {
-    aggs: Vec<Option<CityAggregates>>,
-    deltas: Vec<Vec<TrackerDelta>>,
-    evicted: u64,
 }
 
 /// How many permutation slots ahead the seal walk hints the prefetcher.
@@ -2037,11 +1926,21 @@ mod tests {
         assert_eq!(recovered.totals(), ref_totals);
         assert_eq!(recovered.stats().log_errors_fatal, 0);
         drop(recovered);
+        // Recovering the now *complete* log and flushing without re-feeding
+        // seals nothing: `finish` must not take the recovered clock's
+        // parked frontier for a heard timestamp and append an empty pane.
+        let idle = LiveCity::recover(&dir, directory(2), tiny_config(), LogOptions::default())
+            .expect("recover the finished log");
+        idle.finish();
+        assert_eq!(idle.sealed_panes(), 6);
+        assert_eq!(idle.fingerprint_chain(), ref_chain);
+        drop(idle);
         // The stitched log replays to the same chain, too.
         let replay = caraoke_log::LogCity::open(&dir)
             .replay()
             .expect("verified replay");
         assert_eq!(replay.chain, ref_chain);
+        assert_eq!(replay.next_pane, 6);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }

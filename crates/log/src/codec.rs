@@ -71,48 +71,12 @@ pub enum LogRecord {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — the ubiquitous 0xEDB88320 polynomial, table
-// built at compile time so the hot path is one lookup per byte.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE) of `data` — the format-version-1 frame checksum. Kept so
-/// v1 segments written before the CRC32C switch still verify.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------------
-// CRC32C (Castagnoli, reflected 0x82F63B78) — the format-version-2 frame
-// checksum. Hardware path via the SSE4.2 / ARMv8 CRC instructions when the
-// CPU has them (detected once at runtime); software fallback is slice-by-8
-// (8 bytes per iteration through eight compile-time tables) rather than
-// the bit-by-bit or byte-by-byte loops — the log appends on the sealer's
-// critical path, so checksum cost is seal latency.
+// CRC32C (Castagnoli, reflected 0x82F63B78) — the frame checksum. Hardware
+// path via the SSE4.2 / ARMv8 CRC instructions when the CPU has them
+// (detected once at runtime); software fallback is slice-by-8 (8 bytes per
+// iteration through eight compile-time tables) rather than the bit-by-bit
+// or byte-by-byte loops — the log appends on the sealer's critical path, so
+// checksum cost is seal latency.
 
 const fn crc32c_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
@@ -230,7 +194,7 @@ fn crc32c_hw_available() -> bool {
     }
 }
 
-/// CRC32C (Castagnoli) of `data` — the format-version-2 frame checksum.
+/// CRC32C (Castagnoli) of `data` — the frame checksum.
 /// Uses the CPU's CRC instructions when present, slice-by-8 otherwise;
 /// both produce identical values.
 pub fn crc32c(data: &[u8]) -> u32 {
@@ -674,13 +638,6 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
 mod tests {
     use super::*;
     use caraoke_city::{PoleId, SegmentId};
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn crc32c_matches_known_vectors() {

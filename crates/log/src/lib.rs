@@ -29,7 +29,7 @@
 //! The moving parts:
 //!
 //! * [`codec`] — the deterministic record encoding (pane, snapshot,
-//!   dead-pole) and the CRC32 the framing uses.
+//!   dead-pole) and the CRC32C the framing uses.
 //! * [`segment`] — [`SegmentWriter`]: size-rotated segment files, a
 //!   manifest, configurable [`FsyncPolicy`], snapshots that open fresh
 //!   segments so truncation can drop everything before them, and
@@ -48,8 +48,8 @@
 
 // `deny` rather than the workspace's usual `forbid`: the hardware-CRC32C
 // kernel in `codec` needs one `#[allow(unsafe_code)]` module for the
-// SSE4.2 / ARMv8 checksum intrinsics (format version 2 framing). All other
-// code in this crate stays safe.
+// SSE4.2 / ARMv8 checksum intrinsics. All other code in this crate stays
+// safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -9,7 +9,7 @@
 //! bytes anywhere else are [`LogError::TornMiddle`].
 
 use crate::codec::{self, LogRecord};
-use crate::segment::{crc_for_version, parse_header, read_manifest, HEADER_LEN};
+use crate::segment::{read_manifest, valid_header, HEADER_LEN};
 use caraoke_city::aggregate::Fingerprint;
 use std::fmt;
 use std::fs;
@@ -216,9 +216,6 @@ struct SegmentBuf {
     name: String,
     bytes: Vec<u8>,
     pos: usize,
-    /// The frame checksum this segment's header version calls for (CRC32
-    /// for v1 segments, CRC32C for v2).
-    crc_fn: fn(&[u8]) -> u32,
 }
 
 /// Iterator over verified [`LogRecord`]s. Fuses after the first error.
@@ -263,15 +260,13 @@ impl RecordCursor {
         };
         self.next_segment += 1;
         let bytes = fs::read(self.dir.join(&name))?;
-        let Some(version) = parse_header(&bytes) else {
+        if !valid_header(&bytes) {
             return Err(LogError::BadHeader { segment: name });
-        };
-        let crc_fn = crc_for_version(version).expect("parse_header vetted the version");
+        }
         self.current = Some(SegmentBuf {
             name,
             bytes,
             pos: HEADER_LEN as usize,
-            crc_fn,
         });
         Ok(true)
     }
@@ -322,7 +317,7 @@ impl RecordCursor {
                 });
             };
             let start = seg.pos + 8;
-            if (seg.crc_fn)(&seg.bytes[start..start + len]) != crc {
+            if codec::crc32c(&seg.bytes[start..start + len]) != crc {
                 return Err(LogError::Crc {
                     segment: seg.name.clone(),
                     offset,

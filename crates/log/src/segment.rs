@@ -8,12 +8,10 @@
 //! and [`SegmentWriter::open_for_append`] truncates it away before the
 //! writer continues in a fresh segment.
 //!
-//! The header's format version selects the frame checksum **per segment**:
-//! version 1 frames carry CRC32 (IEEE), version 2 — what this writer
-//! emits — carries hardware-accelerated CRC32C (see
-//! [`codec::crc32c`]). Readers dispatch on the version they find, so logs
-//! with v1 segments still verify, and a reopened v1 log simply continues
-//! in v2 segments (a writer never appends into an old segment).
+//! The frame checksum is hardware-accelerated CRC32C (see
+//! [`codec::crc32c`]). The header's format version names it: readers
+//! accept [`FORMAT_VERSION`] — the only version any writer has produced —
+//! and refuse every other header as a typed bad-header error.
 
 use crate::codec::{self, SnapshotRecord};
 use caraoke_city::store::TrackerDelta;
@@ -24,34 +22,21 @@ use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CARAOKLG";
-/// Historic on-disk format: frames checksummed with CRC32 (IEEE).
-/// Read-only; still verified.
-pub const FORMAT_V1_CRC32: u32 = 1;
-/// On-disk format new segments are written in: frames checksummed with
-/// CRC32C (Castagnoli, hardware-accelerated where the CPU allows).
+/// The on-disk format: frames checksummed with CRC32C (Castagnoli,
+/// hardware-accelerated where the CPU allows).
 pub const FORMAT_VERSION: u32 = 2;
 /// Segment header length in bytes.
 pub const HEADER_LEN: u64 = 16;
 
-/// The frame checksum for a segment's header version, or `None` for a
-/// version this build does not know.
-pub(crate) fn crc_for_version(version: u32) -> Option<fn(&[u8]) -> u32> {
-    match version {
-        FORMAT_V1_CRC32 => Some(codec::crc32 as fn(&[u8]) -> u32),
-        FORMAT_VERSION => Some(codec::crc32c as fn(&[u8]) -> u32),
-        _ => None,
-    }
+/// Does `bytes` open with a segment header this build reads? `false` when
+/// the header is short, the magic is wrong, or the version is not
+/// [`FORMAT_VERSION`].
+pub(crate) fn valid_header(bytes: &[u8]) -> bool {
+    bytes.len() >= HEADER_LEN as usize
+        && &bytes[..8] == SEGMENT_MAGIC
+        && bytes[8..12] == FORMAT_VERSION.to_le_bytes()
 }
 
-/// Parses a segment header, returning its format version — `None` when the
-/// magic is wrong, the header is short, or the version is unknown.
-pub(crate) fn parse_header(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < HEADER_LEN as usize || &bytes[..8] != SEGMENT_MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    crc_for_version(version).map(|_| version)
-}
 /// The manifest file name inside a log directory.
 pub const MANIFEST: &str = "MANIFEST";
 /// First line of the manifest.
@@ -345,8 +330,6 @@ impl SegmentWriter {
     fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
         self.fault_check(IoOp::Append, self.next_pane_hint)?;
         let len = payload.len() as u32;
-        // The writer only ever appends into segments it opened itself, and
-        // it opens them all with `FORMAT_VERSION` headers: CRC32C.
         let crc = codec::crc32c(payload);
         self.file.write_all(&len.to_le_bytes())?;
         self.file.write_all(&crc.to_le_bytes())?;
@@ -444,10 +427,9 @@ pub fn read_manifest(dir: &Path) -> io::Result<Vec<String>> {
 /// tail from an interrupted write.
 pub fn scan_valid_len(path: &Path) -> io::Result<u64> {
     let bytes = fs::read(path)?;
-    let Some(version) = parse_header(&bytes) else {
+    if !valid_header(&bytes) {
         return Ok(0);
-    };
-    let crc_fn = crc_for_version(version).expect("parse_header vetted the version");
+    }
     let mut pos = HEADER_LEN as usize;
     loop {
         let Some(frame) = bytes.get(pos..pos + 8) else {
@@ -458,22 +440,9 @@ pub fn scan_valid_len(path: &Path) -> io::Result<u64> {
         let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
             return Ok(pos as u64);
         };
-        if crc_fn(payload) != crc {
+        if codec::crc32c(payload) != crc {
             return Ok(pos as u64);
         }
         pos += 8 + len;
     }
-}
-
-/// Truncates `path` to its valid prefix, returning how many bytes were
-/// dropped. Used by recovery and by `logtool` repair flows.
-pub fn truncate_torn_tail(path: &Path) -> io::Result<u64> {
-    let valid = scan_valid_len(path)?;
-    let actual = fs::metadata(path)?.len();
-    if valid < actual {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid)?;
-        file.sync_all()?;
-    }
-    Ok(actual - valid)
 }

@@ -217,63 +217,26 @@ fn flipped_byte_is_a_crc_error() {
     );
 }
 
-/// Rewrites a segment in place as format v1: header version set to 1 and
-/// every frame re-checksummed with the historic IEEE CRC32. This is what a
-/// log written by a pre-CRC32C build looks like on disk.
-fn downgrade_segment_to_v1(path: &Path) {
-    let mut bytes = fs::read(path).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        caraoke_log::segment::FORMAT_VERSION
-    );
-    bytes[8..12].copy_from_slice(&caraoke_log::segment::FORMAT_V1_CRC32.to_le_bytes());
-    let mut pos = HEADER_LEN as usize;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = caraoke_log::codec::crc32(&bytes[pos + 8..pos + 8 + len]);
-        bytes[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
-        pos += 8 + len;
-    }
-    fs::write(path, &bytes).unwrap();
-}
-
 #[test]
-fn format_v1_segments_still_verify_and_mix_with_v2() {
-    let dir = scratch("v1_compat");
+fn a_segment_of_any_other_format_version_is_a_typed_bad_header() {
+    // Version 1 (CRC32-IEEE frames) was never written by any build; it and
+    // every unknown version are refused up front, not CRC-checked by guess.
+    let dir = scratch("other_version");
     let mut writer = SegmentWriter::create(&dir, LogOptions::default()).expect("create");
-    let mut chain = Fingerprint::new();
-    write_panes(&mut writer, 0, 6, &mut chain);
+    write_panes(&mut writer, 0, 2, &mut Fingerprint::new());
     drop(writer);
-
-    // Downgrade everything on disk to the historic format, then replay:
-    // readers must dispatch on the per-segment header version.
-    for seg in LogReader::open(&dir).expect("open").segments().to_vec() {
-        downgrade_segment_to_v1(&dir.join(seg));
+    let seg = LogReader::open(&dir).expect("open").segments()[0].clone();
+    for version in [1u32, 3] {
+        let mut bytes = fs::read(dir.join(&seg)).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        fs::write(dir.join(&seg), &bytes).unwrap();
+        let err = LogCity::open(&dir).replay().unwrap_err();
+        assert!(
+            matches!(err, LogError::BadHeader { .. }),
+            "version {version}: expected a bad-header error, got {err}"
+        );
+        assert_eq!(scan_valid_len(&dir.join(&seg)).unwrap(), 0);
     }
-    let replay = LogCity::open(&dir).replay().expect("v1 replay");
-    assert_eq!(replay.panes, 6);
-
-    // A reopened v1 log continues in a fresh v2 segment; the mixed-version
-    // log verifies end to end and survives a byte flip in the v1 part.
-    let mut writer =
-        SegmentWriter::open_for_append(&dir, LogOptions::default(), 6).expect("reopen");
-    let last = write_panes(&mut writer, 6, 4, &mut chain);
-    drop(writer);
-    let replay = LogCity::open(&dir).replay().expect("mixed replay");
-    assert_eq!(replay.panes, 10);
-    assert_eq!(replay.chain, last);
-
-    let v1_seg = LogReader::open(&dir).expect("open").segments()[0].clone();
-    let path = dir.join(&v1_seg);
-    let mut bytes = fs::read(&path).unwrap();
-    let victim = HEADER_LEN as usize + 20;
-    bytes[victim] ^= 0x01;
-    fs::write(&path, &bytes).unwrap();
-    let err = LogCity::open(&dir).replay().unwrap_err();
-    assert!(
-        matches!(err, LogError::Crc { .. }),
-        "v1 frames must still be CRC-checked, got {err}"
-    );
 }
 
 #[test]

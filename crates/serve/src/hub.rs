@@ -50,6 +50,10 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long the fan-out thread sleeps per wait when no pane seals (it
+/// re-checks shutdown at this cadence).
+const FANOUT_WAIT: Duration = Duration::from_millis(200);
+
 /// Tuning knobs for the serving hub and its transports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -64,16 +68,10 @@ pub struct ServeConfig {
     /// Catch-up frames rebuilt from the log per poll (bounds how long one
     /// poll can spend replaying).
     pub catchup_batch: usize,
-    /// How long the fan-out thread sleeps per wait when no pane seals (it
-    /// re-checks shutdown at this cadence).
-    pub fanout_wait: Duration,
     /// TCP flow control: frames the server may have in flight beyond the
     /// client's last ack before it pauses delivery (and the lag policy
     /// takes over).
     pub ack_window: u32,
-    /// TCP write timeout; a peer stalled longer than this errors the
-    /// connection.
-    pub write_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -83,9 +81,7 @@ impl Default for ServeConfig {
             lag_notice_panes: 32,
             max_cursor_lag_panes: 256,
             catchup_batch: 64,
-            fanout_wait: Duration::from_millis(200),
             ack_window: 256,
-            write_timeout: Duration::from_secs(2),
         }
     }
 }
@@ -322,19 +318,6 @@ impl ServeHub {
         &self.config
     }
 
-    /// The lowest frame horizon across registered query channels — how far
-    /// the slowest query's cache has advanced (0 with no channels or no
-    /// frames yet). Lets harnesses wait for a fan-out round to land.
-    pub fn head_horizon(&self) -> u64 {
-        self.channels
-            .lock()
-            .expect("channels poisoned")
-            .iter()
-            .map(|c| c.head.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Pane width the hub serves at, µs.
     pub fn pane_us(&self) -> u64 {
         self.pane_us
@@ -484,14 +467,11 @@ impl Drop for ServeHub {
 fn fanout_loop(hub: Weak<ServeHub>, live: Arc<LiveCity>) {
     let mut seals = LiveSubscription::new();
     loop {
-        let wait = {
-            let Some(hub) = hub.upgrade() else { return };
-            if hub.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            hub.config.fanout_wait
-        };
-        let (panes, missed) = seals.wait_next(&live, wait);
+        match hub.upgrade() {
+            Some(hub) if !hub.shutdown.load(Ordering::SeqCst) => {}
+            _ => return,
+        }
+        let (panes, missed) = seals.wait_next(&live, FANOUT_WAIT);
         let Some(hub) = hub.upgrade() else { return };
         if hub.shutdown.load(Ordering::SeqCst) {
             return;

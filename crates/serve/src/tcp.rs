@@ -27,6 +27,9 @@ const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Read-timeout granularity of the per-connection loop: the cadence at
 /// which it alternates between draining client frames and polling the hub.
 const LOOP_TICK: Duration = Duration::from_millis(10);
+/// TCP write timeout; a peer stalled longer than this errors the
+/// connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Outcome of one non-destructive read attempt on a [`FrameReader`].
 enum TickRead {
@@ -218,7 +221,7 @@ fn connection_loop(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(hub.config().write_timeout))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = FrameReader::new(stream.try_clone()?);
     let mut writer = stream;
 

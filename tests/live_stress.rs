@@ -15,17 +15,12 @@ use rand::{RngExt, SeedableRng};
 const INGEST_THREADS: usize = 16;
 
 fn config(shards: usize) -> LiveConfig {
-    config_pooled(shards, 1)
-}
-
-fn config_pooled(shards: usize, seal_pool: usize) -> LiveConfig {
     LiveConfig {
         store: StoreConfig {
             shards,
             ..Default::default()
         },
         retain_panes: 8,
-        seal_pool,
         ..Default::default()
     }
 }
@@ -54,18 +49,7 @@ fn reference_run(source: &SyntheticCity) -> (u64, u64, u64) {
 /// contract) but a different cross-pole arrival order on every thread and
 /// every seed, racing the dedicated sealer the whole time.
 fn stressed_run(source: &SyntheticCity, shards: usize, seed: u64) -> (u64, u64, u64) {
-    stressed_run_pooled(source, shards, 1, seed)
-}
-
-/// [`stressed_run`] with the seal walk on `seal_pool` threads while the 16
-/// ingest threads race it.
-fn stressed_run_pooled(
-    source: &SyntheticCity,
-    shards: usize,
-    seal_pool: usize,
-    seed: u64,
-) -> (u64, u64, u64) {
-    let live = LiveCity::new(source.directory().clone(), config_pooled(shards, seal_pool));
+    let live = LiveCity::new(source.directory().clone(), config(shards));
     let n_poles = source.directory().len() as u32;
     let epochs = source.epochs();
     std::thread::scope(|scope| {
@@ -162,42 +146,17 @@ fn position_carrying_observations_keep_byte_identical_fingerprints() {
 }
 
 #[test]
-fn tracker_pool_sizes_reproduce_the_serial_chain_under_stress() {
-    // The seal walk's thread count must be byte-invisible: any pool size,
-    // over any shard count and any seeded arrival interleaving, seals the
-    // exact chain the inline single-threaded run seals (the recorded
-    // literals in `golden_chains.rs` pin what that chain is). CFO-keyed
-    // identities put the alias state machine (the most order-sensitive
-    // tracker path) in play, and a pool larger than the shard count pins
-    // the clamp.
-    let mut source = SyntheticCity::new(48, 24, 31_337);
-    source.cfo_keyed = true;
-    let reference = reference_run(&source);
-    assert!(reference.2 > 4_000, "workload too small to stress anything");
-    for (i, &pool) in [1usize, 2, 4, 8].iter().enumerate() {
-        for (j, &shards) in [4usize, 16].iter().enumerate() {
-            let seed = 1_000 + (i * 7 + j * 13) as u64 * 947;
-            let stressed = stressed_run_pooled(&source, shards, pool, seed);
-            assert_eq!(
-                stressed, reference,
-                "pool {pool} / {shards} shards / seed {seed} diverged from the inline walk"
-            );
-        }
-    }
-}
-
-#[test]
 fn cfo_keyed_identities_survive_the_concurrent_seal_path() {
     // The §8 alias-upgrade path is the most order-sensitive part of the
     // tracker state machine; run it through the stressed delivery as well.
     let mut source = SyntheticCity::new(40, 16, 77);
     source.cfo_keyed = true;
     let reference = reference_run(&source);
-    for seed in [5u64, 999] {
+    for (shards, seed) in [(8, 5u64), (8, 999), (4, 1_000), (16, 13_311)] {
         assert_eq!(
-            stressed_run(&source, 8, seed),
+            stressed_run(&source, shards, seed),
             reference,
-            "cfo-keyed seed {seed} diverged"
+            "cfo-keyed seed {seed} / {shards} shards diverged"
         );
     }
 }

@@ -1,11 +1,14 @@
 //! End-to-end tests for the durability tier: the fingerprint triangle
 //! (live chain == verified log replay == direct batch run), 16-thread
-//! kill-and-recover resuming byte-identical to an uninterrupted run, and
+//! kill-and-recover resuming byte-identical to an uninterrupted run, a
+//! disk dying at every record boundary of a multi-pane seal pass, and
 //! verified replay refusing a tampered log.
 
 use caraoke_suite::city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
 use caraoke_suite::live::{LiveCity, LiveConfig};
-use caraoke_suite::log::{segment, LogCity, LogOptions, LogReader};
+use caraoke_suite::log::{
+    segment, FsyncPolicy, IoOp, LogCity, LogOptions, LogReader, SegmentWriter, WriteFault,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::path::PathBuf;
@@ -185,6 +188,75 @@ fn sixteen_thread_kill_and_recover_matches_the_uninterrupted_run() {
     assert_eq!(replay.chain, ref_chain);
     assert_eq!(replay.totals, ref_totals);
     assert_eq!(replay.torn_tail_bytes, 0, "reopen repaired any torn tail");
+}
+
+/// A disk that dies after its `n`-th record: every writer op passes until
+/// `n` appends have happened, then every op fails with a fatal error — the
+/// sink latches, and the log on disk is the valid prefix of exactly `n`
+/// records.
+struct DiesAfterAppends(usize);
+
+impl WriteFault for DiesAfterAppends {
+    fn check(&mut self, op: IoOp, _pane: u64) -> Option<std::io::Error> {
+        if self.0 == 0 {
+            return Some(std::io::Error::other("disk gone"));
+        }
+        if op == IoOp::Append {
+            self.0 -= 1;
+        }
+        None
+    }
+}
+
+#[test]
+fn every_record_boundary_of_a_multi_pane_pass_is_a_recoverable_cut() {
+    // Poles 1.. deliver the whole run, then pole 0 delivers only its last
+    // report: that one `observe` completes every boundary, so one seal
+    // request — one pass — spans the run, snapshots at panes 4 and 8
+    // included. A `drop` lets the sealer finish its pass; a dying disk
+    // does not, and whatever prefix of records it leaves must recover to
+    // the uninterrupted chain.
+    let source = SyntheticCity::new(16, 12, 4242);
+    let n_poles = source.directory().len() as u32;
+    let last = source.epochs() - 1;
+    let deliver = |live: &LiveCity, from_us: u64| {
+        let wanted = |epoch: usize| epoch as u64 * source.epoch_us() >= from_us;
+        for pole in 1..n_poles {
+            for epoch in (0..=last).filter(|&e| wanted(e)) {
+                live.ingest(&source.report(pole, epoch));
+            }
+        }
+        // Sheds when the floor is already past it.
+        live.ingest(&source.report(0, last));
+        live.finish();
+    };
+    let sealed = |live: &LiveCity| (live.fingerprint_chain(), live.totals().fingerprint());
+    let reference = LiveCity::new(source.directory().clone(), config(4));
+    deliver(&reference, 0);
+    let opts = LogOptions {
+        fsync: FsyncPolicy::Never,
+        snapshot_every_panes: 4,
+        ..Default::default()
+    };
+    let mut failed = Vec::new();
+    for n in 0..16 {
+        let dir = scratch(&format!("cut-{n}"));
+        let mut writer = SegmentWriter::create(&dir, opts).expect("log");
+        writer.set_fault_injector(Some(Box::new(DiesAfterAppends(n))));
+        let crashed = LiveCity::with_log_writer(source.directory().clone(), config(4), writer);
+        deliver(&crashed, 0);
+        drop(crashed);
+        let recovered = LiveCity::recover(&dir, source.directory().clone(), config(4), opts)
+            .expect("recover from the valid prefix");
+        deliver(&recovered, recovered.stats().seal_floor_us);
+        if sealed(&recovered) != sealed(&reference) {
+            failed.push(n);
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "recovery diverged when the disk died after record(s) {failed:?}"
+    );
 }
 
 #[test]
