@@ -11,7 +11,7 @@
 
 use crate::config::ReaderConfig;
 use crate::error::CaraokeError;
-use crate::spectrum::analyze_collision;
+use crate::spectrum::{analyze_collision, CollisionSpectrum};
 use caraoke_dsp::goertzel::{dtft_at_frequencies, dtft_at_frequency};
 use caraoke_dsp::Complex;
 use caraoke_phy::modulation::slice_bits;
@@ -79,18 +79,36 @@ pub fn decode_target(
     if queries.is_empty() {
         return Err(CaraokeError::DecodeFailed { queries_used: 0 });
     }
-    if queries[0].num_antennas() <= antenna {
+    require_antenna(&queries[0], antenna)?;
+    let first_spectrum = analyze_collision(&queries[0], config)?;
+    decode_with_spectrum(queries, antenna, target_cfo_hz, config, &first_spectrum)
+}
+
+fn require_antenna(signal: &CollisionSignal, antenna: usize) -> Result<(), CaraokeError> {
+    if signal.num_antennas() <= antenna {
         return Err(CaraokeError::NotEnoughAntennas {
             required: antenna + 1,
-            available: queries[0].num_antennas(),
+            available: signal.num_antennas(),
         });
     }
+    Ok(())
+}
+
+/// [`decode_target`] given the analysis of `queries[0]`, which must be
+/// non-empty and have the antenna: [`decode_all`] analyses the first
+/// collision once for all its targets instead of once per target.
+fn decode_with_spectrum(
+    queries: &[CollisionSignal],
+    antenna: usize,
+    target_cfo_hz: f64,
+    config: &ReaderConfig,
+    first_spectrum: &CollisionSpectrum,
+) -> Result<DecodeOutcome, CaraokeError> {
     let sample_rate = queries[0].sample_rate;
     let n = queries[0].num_samples();
     let bin_resolution = sample_rate / n as f64;
 
     // Locate and refine the target's CFO from the first collision.
-    let first_spectrum = analyze_collision(&queries[0], config)?;
     let peak = first_spectrum
         .peak_near_cfo(target_cfo_hz, 2)
         .ok_or(CaraokeError::NoPeak)?;
@@ -158,8 +176,11 @@ pub fn decode_all(
     }
     let spectrum = analyze_collision(&queries[0], config)?;
     let mut reports = Vec::with_capacity(spectrum.peaks.len());
+    let has_antenna = require_antenna(&queries[0], antenna);
     for peak in &spectrum.peaks {
-        let outcome = decode_target(queries, antenna, peak.cfo_hz, config);
+        let outcome = has_antenna
+            .clone()
+            .and_then(|()| decode_with_spectrum(queries, antenna, peak.cfo_hz, config, &spectrum));
         reports.push(DecodeReport {
             cfo_hz: peak.cfo_hz,
             outcome,
@@ -295,6 +316,48 @@ mod tests {
             .collect();
         decoded_ids.sort_unstable();
         assert_eq!(decoded_ids, vec![7000, 7001, 7002, 7003]);
+    }
+
+    #[test]
+    fn decode_all_equals_decode_target_per_peak() {
+        // `decode_all` analyses the first collision once and shares it;
+        // `decode_target` analyses it per call. Same reports either way.
+        let mut rng = StdRng::seed_from_u64(48);
+        let config = ReaderConfig::default();
+        let tags = random_tags(3, &mut rng);
+        let queries = make_queries(&tags, 16, &mut rng, &config);
+        let reports = decode_all(&queries, 0, &config).unwrap();
+        let spectrum = analyze_collision(&queries[0], &config).unwrap();
+        assert_eq!(reports.len(), spectrum.peaks.len());
+        assert!(reports.len() >= 3);
+        assert!(reports.iter().any(|r| r.outcome.is_ok()));
+        for (report, peak) in reports.iter().zip(&spectrum.peaks) {
+            assert_eq!(report.cfo_hz.to_bits(), peak.cfo_hz.to_bits());
+            let alone = decode_target(&queries, 0, peak.cfo_hz, &config);
+            match (&report.outcome, &alone) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.packet, b.packet);
+                    assert_eq!(a.queries_used, b.queries_used);
+                    assert_eq!(
+                        a.identification_time_ms.to_bits(),
+                        b.identification_time_ms.to_bits()
+                    );
+                    assert_eq!(a.cfo_hz.to_bits(), b.cfo_hz.to_bits());
+                }
+                (a, b) => assert_eq!(a, b),
+            }
+        }
+        // An antenna the signal does not have is the same per-peak error.
+        for report in decode_all(&queries, 2, &config).unwrap() {
+            assert_eq!(
+                report.outcome,
+                decode_target(&queries, 2, report.cfo_hz, &config)
+            );
+            assert!(matches!(
+                report.outcome,
+                Err(CaraokeError::NotEnoughAntennas { required: 3, .. })
+            ));
+        }
     }
 
     #[test]

@@ -26,6 +26,9 @@ pub enum CaraokeError {
     NoFix,
     /// Configuration is inconsistent.
     InvalidConfig(String),
+    /// The collision signal is not something the front end can have
+    /// produced: the payload says what is wrong with it.
+    MalformedSignal(&'static str),
 }
 
 impl std::fmt::Display for CaraokeError {
@@ -49,6 +52,7 @@ impl std::fmt::Display for CaraokeError {
             }
             CaraokeError::NoFix => write!(f, "two-reader localization found no on-road solution"),
             CaraokeError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CaraokeError::MalformedSignal(what) => write!(f, "malformed collision signal: {what}"),
         }
     }
 }
@@ -75,6 +79,7 @@ mod tests {
         assert!(format!("{}", CaraokeError::NoPeak).contains("no spectral peak"));
         assert!(format!("{}", CaraokeError::DecodeFailed { queries_used: 7 }).contains('7'));
         assert!(format!("{}", CaraokeError::InvalidConfig("bad".into())).contains("bad"));
+        assert!(format!("{}", CaraokeError::MalformedSignal("ragged")).contains("ragged"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::config::ReaderConfig;
 use crate::error::CaraokeError;
+use caraoke_dsp::stats::median_select;
 use caraoke_dsp::{detect_peaks, fft, magnitude_spectrum, Complex};
 use caraoke_phy::CollisionSignal;
 
@@ -66,6 +67,12 @@ impl CollisionSpectrum {
 /// differ, if by less than a bin), so the composite magnitude changes. A
 /// relative magnitude change above `occupancy_rel_threshold` flags the bin as
 /// holding two or more tags.
+///
+/// # Errors
+/// [`CaraokeError::NotEnoughAntennas`] for a signal with no antennas, and
+/// [`CaraokeError::MalformedSignal`] for one the FFT cannot take: a sample
+/// count that is zero or not a power of two, antennas of different lengths,
+/// or a NaN or infinite sample.
 pub fn analyze_collision(
     signal: &CollisionSignal,
     config: &ReaderConfig,
@@ -77,13 +84,32 @@ pub fn analyze_collision(
         });
     }
     let n = signal.num_samples();
+    if !caraoke_dsp::fft::is_power_of_two(n) {
+        return Err(CaraokeError::MalformedSignal(
+            "sample count must be a non-zero power of two",
+        ));
+    }
+    if signal.antennas.iter().any(|a| a.len() != n) {
+        return Err(CaraokeError::MalformedSignal(
+            "antennas differ in sample count",
+        ));
+    }
     let bin_resolution = signal.sample_rate / n as f64;
 
     let spectra: Vec<Vec<Complex>> = signal.antennas.iter().map(|samples| fft(samples)).collect();
 
-    // Peak detection on the first antenna's magnitude spectrum.
-    let mags = magnitude_spectrum(&spectra[0]);
-    let raw_peaks = detect_peaks(&mags, &config.peak_config());
+    // Peak detection on the first antenna's magnitude spectrum. Nothing
+    // below reads a magnitude past the CFO band (`max_bin`, never the 0 that
+    // means "to the end") plus one local window, so the `hypot` of the rest
+    // of the spectrum is never taken.
+    let peak_config = config.peak_config();
+    let floor_window = config.peak_local_window.max(8);
+    let mags = magnitude_spectrum(&spectra[0][..n.min(peak_config.max_bin + floor_window)]);
+    // One non-finite sample reaches every bin of its antenna's spectrum.
+    if mags.iter().any(|m| !m.is_finite()) {
+        return Err(CaraokeError::MalformedSignal("non-finite sample"));
+    }
+    let raw_peaks = detect_peaks(&mags, &peak_config);
 
     // Two sub-windows of equal length for the occupancy test: the first
     // `w` samples and the last `w` samples of the response.
@@ -92,7 +118,8 @@ pub fn analyze_collision(
     let early = &samples[..w];
     let late = &samples[n - w..];
 
-    let peaks = raw_peaks
+    let mut scratch = Vec::with_capacity(2 * floor_window + 1);
+    let peaks: Vec<TagPeak> = raw_peaks
         .into_iter()
         .map(|p| {
             // Evaluate the exact peak frequency over each sub-window.
@@ -104,10 +131,9 @@ pub fn analyze_collision(
             // because the other tags' OOK sidebands differ between windows.
             // Scale the decision threshold with the local interference floor
             // so weak peaks in dense collisions are not falsely split.
-            let window = config.peak_local_window.max(8);
-            let a = p.bin.saturating_sub(window);
-            let b = (p.bin + window + 1).min(mags.len());
-            let local_floor = caraoke_dsp::stats::median(&mags[a..b]);
+            let a = p.bin.saturating_sub(floor_window);
+            let b = (p.bin + floor_window + 1).min(mags.len());
+            let local_floor = median_select(&mags[a..b], &mut scratch);
             let adaptive =
                 (6.0 * local_floor / p.magnitude.max(1e-300)).max(config.occupancy_rel_threshold);
             TagPeak {
@@ -119,6 +145,11 @@ pub fn analyze_collision(
             }
         })
         .collect();
+    // The other antennas are read at the peaks only, so that is where a
+    // non-finite sample of theirs shows.
+    if peaks.iter().flat_map(|p| &p.values).any(|v| !v.is_finite()) {
+        return Err(CaraokeError::MalformedSignal("non-finite sample"));
+    }
 
     Ok(CollisionSpectrum {
         spectra,
@@ -262,6 +293,71 @@ mod tests {
         };
         let err = analyze_collision(&sig, &ReaderConfig::default()).unwrap_err();
         assert!(matches!(err, CaraokeError::NotEnoughAntennas { .. }));
+    }
+
+    /// A two-antenna signal of `lens` samples per antenna: one tone at `bin`
+    /// (of the first antenna's length) over a seeded noise floor.
+    fn tone_signal(lens: [usize; 2], bin: usize) -> CollisionSignal {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = lens[0];
+        let mut tone = |len: usize| -> Vec<Complex> {
+            (0..len)
+                .map(|i| {
+                    let phase = 2.0 * std::f64::consts::PI * (bin * i % n.max(1)) as f64 / n as f64;
+                    let noise = Complex::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5);
+                    Complex::from_angle(phase) + noise * 0.1
+                })
+                .collect()
+        };
+        CollisionSignal {
+            antennas: vec![tone(lens[0]), tone(lens[1])],
+            sample_rate: 4.0e6,
+        }
+    }
+
+    fn malformed(sig: &CollisionSignal) -> &'static str {
+        match analyze_collision(sig, &ReaderConfig::default()) {
+            Err(CaraokeError::MalformedSignal(what)) => what,
+            other => panic!("expected MalformedSignal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn well_formed_tone_is_one_peak() {
+        let spec = analyze_collision(&tone_signal([2048, 2048], 600), &ReaderConfig::default())
+            .expect("well-formed");
+        assert_eq!(spec.peaks.len(), 1);
+        assert_eq!(spec.peaks[0].bin, 600);
+    }
+
+    #[test]
+    fn non_power_of_two_length_is_malformed_not_a_panic() {
+        assert!(malformed(&tone_signal([1000, 1000], 300)).contains("power of two"));
+    }
+
+    #[test]
+    fn zero_length_antennas_are_malformed_not_a_panic() {
+        assert!(malformed(&tone_signal([0, 0], 0)).contains("power of two"));
+    }
+
+    #[test]
+    fn nan_sample_is_malformed_not_a_panic() {
+        for antenna in 0..2 {
+            let mut sig = tone_signal([2048, 2048], 600);
+            sig.antennas[antenna][777].re = f64::NAN;
+            assert!(malformed(&sig).contains("non-finite"), "antenna {antenna}");
+        }
+        let mut sig = tone_signal([2048, 2048], 600);
+        sig.antennas[0][5].im = f64::INFINITY;
+        assert!(malformed(&sig).contains("non-finite"));
+    }
+
+    #[test]
+    fn ragged_antennas_are_malformed_not_an_out_of_bounds_index() {
+        // A peak at bin 600 of a 2048-sample first antenna, past the end of
+        // the 512-bin spectrum of the second.
+        assert!(malformed(&tone_signal([2048, 512], 600)).contains("differ"));
     }
 
     #[test]

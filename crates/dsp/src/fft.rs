@@ -6,8 +6,21 @@
 //! radix-2 decimation-in-time transform (with arbitrary-size fallback via the
 //! direct DFT, used only in tests), the inverse transform, circular time
 //! shifts (used by the multi-occupancy bin test), and spectrum helpers.
+//!
+//! # Twiddle tables
+//!
+//! The butterflies read their twiddle factors from a table built once per
+//! `(log2 n, direction)`: `n − 1` entries, the `len/2` factors of stage `len`
+//! at `[len/2 − 1, len − 1)`. The table is filled by the recurrence
+//! `w ← w·e^{±j2π/len}` — not by an exact `from_angle(k)` per entry — because
+//! that is how the transform derived them inline before the table existed,
+//! and every spectrum (and everything pinned downstream of one) is promised
+//! bit for bit. The recurrence's rounding drift is part of that contract.
+//! A table lives as long as the process: `16·(n − 1)` bytes, 32 KB at the
+//! reader's 2048 points.
 
 use crate::complex::Complex;
+use std::sync::OnceLock;
 
 /// Returns `true` if `n` is a power of two (and non-zero).
 #[inline]
@@ -62,6 +75,29 @@ pub fn ifft_in_place(data: &mut [Complex]) {
     }
 }
 
+/// The twiddle table of a `2^bits`-point transform (see the module docs).
+fn twiddles(bits: u32, inverse: bool) -> &'static [Complex] {
+    static TABLES: [[OnceLock<Vec<Complex>>; 2]; usize::BITS as usize] =
+        [const { [const { OnceLock::new() }; 2] }; usize::BITS as usize];
+    TABLES[bits as usize][usize::from(inverse)].get_or_init(|| {
+        let n = 1usize << bits;
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut table = Vec::with_capacity(n - 1);
+        let mut len = 2usize;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::from_angle(ang);
+            let mut w = Complex::ONE;
+            for _ in 0..len / 2 {
+                table.push(w);
+                w *= wlen;
+            }
+            len <<= 1;
+        }
+        table
+    })
+}
+
 /// Core iterative radix-2 decimation-in-time transform.
 fn transform(data: &mut [Complex], inverse: bool) {
     let n = data.len();
@@ -83,23 +119,19 @@ fn transform(data: &mut [Complex], inverse: bool) {
     }
 
     // Butterfly stages.
-    let sign = if inverse { 1.0 } else { -1.0 };
+    let table = twiddles(bits, inverse);
     let mut len = 2usize;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_angle(ang);
         let half = len / 2;
-        let mut start = 0;
-        while start < n {
-            let mut w = Complex::ONE;
-            for k in 0..half {
-                let u = data[start + k];
-                let v = data[start + k + half] * w;
-                data[start + k] = u + v;
-                data[start + k + half] = u - v;
-                w *= wlen;
+        let stage = &table[half - 1..len - 1];
+        for block in data.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                let u = *a;
+                let v = *b * w;
+                *a = u + v;
+                *b = u - v;
             }
-            start += len;
         }
         len <<= 1;
     }
@@ -322,6 +354,84 @@ mod tests {
         // 512 us window at 4 MS/s -> 2048 samples -> 1.953 kHz bins (paper: 1.95 kHz).
         let res = bin_resolution(2048, 4.0e6);
         assert!(approx(res, 1953.125, 1e-9));
+    }
+
+    /// The transform as it was before the twiddle table: every factor
+    /// derived inline by `w *= wlen`, per block, per call.
+    fn reference_transform(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2usize;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::from_angle(ang);
+            let half = len / 2;
+            let mut start = 0;
+            while start < n {
+                let mut w = Complex::ONE;
+                for k in 0..half {
+                    let u = data[start + k];
+                    let v = data[start + k + half] * w;
+                    data[start + k] = u + v;
+                    data[start + k + half] = u - v;
+                    w *= wlen;
+                }
+                start += len;
+            }
+            len <<= 1;
+        }
+        if inverse {
+            for x in data.iter_mut() {
+                *x = *x / n as f64;
+            }
+        }
+    }
+
+    fn bits_of(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn tabled_transform_is_bit_identical_to_the_inline_recurrence() {
+        // Two threads start together on every size, so each table is built
+        // under contention by one of them and read warm by both afterwards
+        // (the second pass of the loop).
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for thread in 0..2u64 {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut rng = crate::testrng::TestRng(0xfe11 + thread);
+                    for log2 in 1..=12u32 {
+                        barrier.wait();
+                        for _pass in 0..2 {
+                            let x: Vec<Complex> = (0..1usize << log2)
+                                .map(|_| {
+                                    Complex::new(rng.unit() * 2.0 - 1.0, rng.unit() * 2.0 - 1.0)
+                                })
+                                .collect();
+                            for inverse in [false, true] {
+                                let mut want = x.clone();
+                                reference_transform(&mut want, inverse);
+                                let got = if inverse { ifft(&x) } else { fft(&x) };
+                                assert_eq!(
+                                    bits_of(&got),
+                                    bits_of(&want),
+                                    "n = 2^{log2}, inverse = {inverse}"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

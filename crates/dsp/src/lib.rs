@@ -39,3 +39,31 @@ pub use goertzel::{goertzel_bin, goertzel_bins};
 pub use peaks::{detect_peaks, Peak, PeakConfig};
 pub use sfft::{SparseFft, SparseFftConfig, SparsePeak};
 pub use stats::{mean, percentile, std_dev, variance, Summary};
+
+/// Seeded inputs for this crate's bit-equality tests (the crate has no
+/// dependencies, `rand` included).
+#[cfg(test)]
+pub(crate) mod testrng {
+    /// SplitMix64.
+    pub(crate) struct TestRng(pub u64);
+
+    impl TestRng {
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, 1)`.
+        pub(crate) fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Uniform in `0..n`.
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+}

@@ -5,8 +5,14 @@
 //! finding those spikes. The detector here is a local-maximum search with a
 //! noise-floor-relative threshold and a minimum bin separation, which mirrors
 //! what the reader firmware does.
+//!
+//! The local-floor test `m ≥ max(median(window), MIN_POSITIVE)·t` is decided
+//! by counting, not by sorting: for an odd window and `t > 0` it holds exactly
+//! when more than half the window's `v` satisfy `m ≥ max(v, MIN_POSITIVE)·t`
+//! (that map is monotone and an odd window's median is an order statistic).
+//! Even windows (the region's edges) and `t ≤ 0` take the median itself.
 
-use crate::stats::median;
+use crate::stats::{median, median_select};
 
 /// A detected spectral peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,15 +84,17 @@ pub fn detect_peaks(magnitudes: &[f64], config: &PeakConfig) -> Vec<Peak> {
         return Vec::new();
     }
     let region = &magnitudes[lo..hi];
-    let global_floor = median(region).max(f64::MIN_POSITIVE);
+    let threshold = config.threshold_over_noise;
+    let mut scratch = Vec::with_capacity(region.len());
+    let global_floor = median_select(region, &mut scratch).max(f64::MIN_POSITIVE);
 
     // Collect local maxima above threshold.
     let mut candidates: Vec<Peak> = Vec::new();
     for i in 0..region.len() {
         let m = region[i];
         // Cheap pre-filter against the global floor before paying for a local
-        // median.
-        if m < global_floor * config.threshold_over_noise.clamp(0.0, 1.0) {
+        // one.
+        if m < global_floor * threshold.clamp(0.0, 1.0) {
             continue;
         }
         let left = if i == 0 { 0.0 } else { region[i - 1] };
@@ -98,15 +106,22 @@ pub fn detect_peaks(magnitudes: &[f64], config: &PeakConfig) -> Vec<Peak> {
         if m < left || m < right {
             continue;
         }
-        let floor = if config.local_window == 0 {
-            global_floor
+        let above_floor = if config.local_window == 0 {
+            m >= global_floor * threshold
         } else {
             let w = config.local_window;
-            let a = i.saturating_sub(w);
-            let b = (i + w + 1).min(region.len());
-            median(&region[a..b]).max(f64::MIN_POSITIVE)
+            let window = &region[i.saturating_sub(w)..(i + w + 1).min(region.len())];
+            if window.len() % 2 == 1 && threshold > 0.0 {
+                let cleared = window
+                    .iter()
+                    .filter(|v| m >= v.max(f64::MIN_POSITIVE) * threshold)
+                    .count();
+                cleared > window.len() / 2
+            } else {
+                m >= median_select(window, &mut scratch).max(f64::MIN_POSITIVE) * threshold
+            }
         };
-        if m >= floor * config.threshold_over_noise {
+        if above_floor {
             candidates.push(Peak {
                 bin: lo + i,
                 magnitude: m,
@@ -243,6 +258,132 @@ mod tests {
         assert!(bins_local.contains(&470));
         // The local detector must not invent peaks in the smooth ramp.
         assert_eq!(bins_local.len(), 2, "got {bins_local:?}");
+    }
+
+    /// `detect_peaks` as it was when every local floor was a sorted copy of
+    /// the window: the reference the counting test is held to.
+    fn detect_peaks_by_sorting(magnitudes: &[f64], config: &PeakConfig) -> Vec<Peak> {
+        let (lo, hi) = config.range(magnitudes.len());
+        if hi <= lo {
+            return Vec::new();
+        }
+        let region = &magnitudes[lo..hi];
+        let global_floor = median(region).max(f64::MIN_POSITIVE);
+
+        let mut candidates: Vec<Peak> = Vec::new();
+        for i in 0..region.len() {
+            let m = region[i];
+            if m < global_floor * config.threshold_over_noise.clamp(0.0, 1.0) {
+                continue;
+            }
+            let left = if i == 0 { 0.0 } else { region[i - 1] };
+            let right = if i + 1 == region.len() {
+                0.0
+            } else {
+                region[i + 1]
+            };
+            if m < left || m < right {
+                continue;
+            }
+            let floor = if config.local_window == 0 {
+                global_floor
+            } else {
+                let w = config.local_window;
+                let a = i.saturating_sub(w);
+                let b = (i + w + 1).min(region.len());
+                median(&region[a..b]).max(f64::MIN_POSITIVE)
+            };
+            if m >= floor * config.threshold_over_noise {
+                candidates.push(Peak {
+                    bin: lo + i,
+                    magnitude: m,
+                });
+            }
+        }
+
+        candidates.sort_by(|a, b| b.magnitude.partial_cmp(&a.magnitude).unwrap());
+        let mut accepted: Vec<Peak> = Vec::new();
+        for cand in candidates {
+            let too_close = accepted.iter().any(|p| {
+                let d = p.bin.abs_diff(cand.bin);
+                d < config.min_separation.max(1)
+            });
+            if !too_close {
+                accepted.push(cand);
+            }
+        }
+        accepted.sort_by_key(|p| p.bin);
+        accepted
+    }
+
+    #[test]
+    fn counting_detector_equals_the_sorting_detector() {
+        let mut rng = crate::testrng::TestRng(0x9ea4);
+        let mut compared = 0;
+        let mut peaks_seen = 0;
+        for round in 0..90 {
+            // Odd and even region lengths, some shorter than a window.
+            let len = [40, 97, 128, 333, 500][round % 5] + rng.below(2);
+            let min_bin = [0, 0, 5][round % 3];
+            let max_bin = if round % 4 == 0 {
+                0
+            } else {
+                len - rng.below(8)
+            };
+            // A coloured floor, quantised on every other round so that whole
+            // runs of bins tie exactly; stretches of exact zeros; spikes
+            // everywhere, the first and last bins of the region included.
+            let coarse = round % 2 == 0;
+            let mut spec: Vec<f64> = (0..len)
+                .map(|i| {
+                    let v = (1.0 + i as f64 / len as f64) * (0.5 + rng.unit());
+                    if coarse {
+                        (v * 4.0).round() / 4.0
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            for _ in 0..rng.below(4) {
+                let start = rng.below(len);
+                let run = 1 + rng.below(60);
+                spec[start..(start + run).min(len)].fill(0.0);
+            }
+            for _ in 0..rng.below(12) {
+                spec[rng.below(len)] = [3.0, 6.0, 6.5, 12.0, 40.0][rng.below(5)];
+            }
+            let hi = if max_bin == 0 { len } else { max_bin };
+            spec[min_bin] = 30.0;
+            spec[hi - 1] = 30.0;
+            spec[min_bin + 1 + rng.below(20)] = 25.0;
+            spec[hi - 2 - rng.below(20)] = 25.0;
+
+            for local_window in [0, 1, 8, 48, 1000] {
+                for threshold_over_noise in [0.0, 0.5, 1.0, 4.0, 6.0] {
+                    let cfg = PeakConfig {
+                        threshold_over_noise,
+                        min_separation: 1 + round % 3,
+                        min_bin,
+                        max_bin,
+                        local_window,
+                    };
+                    let got = detect_peaks(&spec, &cfg);
+                    let want = detect_peaks_by_sorting(&spec, &cfg);
+                    assert_eq!(got.len(), want.len(), "{cfg:?} on {spec:?}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (g.bin, g.magnitude.to_bits()),
+                            (w.bin, w.magnitude.to_bits()),
+                            "{cfg:?} on {spec:?}"
+                        );
+                    }
+                    compared += 1;
+                    peaks_seen += got.len();
+                }
+            }
+        }
+        assert!(compared >= 2000);
+        assert!(peaks_seen > compared, "the sweep must not be vacuous");
     }
 
     #[test]

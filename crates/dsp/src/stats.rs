@@ -32,6 +32,27 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
 }
 
+/// [`median`] by selection instead of a full sort, in `scratch` (cleared and
+/// refilled, so a caller taking many medians allocates once). For finite,
+/// non-negative input the result is `to_bits`-equal to [`median`]'s; a NaN
+/// orders after every number instead of panicking.
+pub fn median_select(values: &[f64], scratch: &mut Vec<f64>) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(values);
+    let mid = scratch.len() / 2;
+    let (below, &mut upper, _) = scratch.select_nth_unstable_by(mid, f64::total_cmp);
+    if values.len() % 2 == 1 {
+        return upper;
+    }
+    // Even length: `percentile` interpolates the two middle order statistics
+    // with weight 0.5 each; the lower one is the largest of the left part.
+    let lower = below.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    lower * 0.5 + upper * 0.5
+}
+
 /// Percentile in `[0, 100]` using linear interpolation between order
 /// statistics. Returns 0.0 for an empty slice.
 pub fn percentile(values: &[f64], pct: f64) -> f64 {
@@ -147,6 +168,29 @@ mod tests {
     fn median_odd_and_even() {
         assert!((median(&[3.0, 1.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((median(&[4.0, 1.0, 2.0, 3.0]) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn median_select_is_bit_identical_to_the_sorting_median() {
+        let mut rng = crate::testrng::TestRng(0x5e1ec7);
+        let mut scratch = Vec::new();
+        assert_eq!(median_select(&[], &mut scratch), 0.0);
+        for round in 0..4000 {
+            let len = 1 + rng.below(130);
+            // Every fourth input is drawn from five values only, zeros
+            // included: long runs of exact ties.
+            let v: Vec<f64> = (0..len)
+                .map(|_| match round % 4 {
+                    0 => [0.0, 0.0, 1.0, 2.5, 7.0][rng.below(5)],
+                    _ => rng.unit() * 1e3,
+                })
+                .collect();
+            assert_eq!(
+                median_select(&v, &mut scratch).to_bits(),
+                median(&v).to_bits(),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]

@@ -163,17 +163,53 @@ fn check_pose(pose: &ReaderPose) -> Result<(), LocalizeError> {
     Ok(())
 }
 
+/// One reader's cone constraint as the solver evaluates it: the unit axis and
+/// `cos α` of [`ConeCurve::residual`] taken once per solve instead of once
+/// per cost evaluation, and the residual computed from them in the same
+/// operation order, so every fix keeps its bits.
+struct SolverCone {
+    apex: Vec3,
+    unit: Vec3,
+    cos_alpha: f64,
+}
+
+impl SolverCone {
+    /// `pose.baseline` must have been through [`check_pose`] (non-zero).
+    fn new(pose: &ReaderPose, alpha: f64) -> Self {
+        Self {
+            apex: pose.position,
+            unit: pose.baseline.normalized(),
+            cos_alpha: alpha.cos(),
+        }
+    }
+
+    /// [`ConeCurve::residual`] at `p`.
+    fn residual(&self, p: Vec3) -> f64 {
+        let v = p - self.apex;
+        let n = v.norm();
+        if n == 0.0 {
+            return -self.cos_alpha;
+        }
+        let cos_theta = self.unit.dot(v) / n;
+        cos_theta - self.cos_alpha
+    }
+}
+
 /// Localizes a car on the road plane from two reader poses and their measured
 /// AoAs, with typed errors for every way the attempt can fail (see
 /// [`LocalizeError`]).
 ///
 /// The solver minimises the sum of squared cone residuals over the road
-/// region with a coarse grid followed by iterative local refinement; this is
-/// robust to the near-degenerate geometries that a closed-form conic
-/// intersection mishandles, and its accuracy (≪ 1 cm) is far below the AoA
-/// noise floor. A second, well-separated in-region minimum with a residual
-/// inside tolerance is reported as [`LocalizeError::AmbiguousFix`] rather
-/// than silently picking one nappe.
+/// region with a coarse 61 × 61 grid followed by iterative local refinement
+/// (up to 40 rounds of a 9 × 9 box, for the best cell and again for the
+/// runner-up basin): about 10 000 two-cone residual evaluations per call.
+/// The grid stays because it is what makes the solve robust to the
+/// near-degenerate geometries a closed-form conic intersection mishandles,
+/// and because the whole cost field is what the mirror-basin check reads;
+/// its accuracy (≪ 1 cm) is far below the AoA noise floor. A second,
+/// well-separated in-region minimum with a residual inside tolerance is
+/// reported as [`LocalizeError::AmbiguousFix`] rather than silently picking
+/// one nappe.
 pub fn try_localize_two_readers(
     reader_a: &ReaderPose,
     alpha_a: f64,
@@ -218,8 +254,8 @@ pub fn try_localize_two_readers(
         }
     }
 
-    let cone_a = reader_a.cone(alpha_a);
-    let cone_b = reader_b.cone(alpha_b);
+    let cone_a = SolverCone::new(reader_a, alpha_a);
+    let cone_b = SolverCone::new(reader_b, alpha_b);
 
     let cost = |x: f64, y: f64| -> f64 {
         let p = Vec3::new(x, y, region.z);
@@ -549,6 +585,47 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn solver_cone_residual_is_bit_identical_to_the_cone_curves() {
+        // SplitMix64: the crate has no dependencies, `rand` included.
+        let mut state = 0x00c0_7e5e_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..10_000 {
+            let mut span = |scale: f64| (unit() * 2.0 - 1.0) * scale;
+            // Axes of any length (the pose need not be normalised), the
+            // road-parallel and 60°-tilted ones among them.
+            let pose = match i % 3 {
+                0 => ReaderPose::road_parallel(span(50.0), span(8.0), 3.81),
+                1 => ReaderPose::tilted(span(50.0), span(8.0), 3.81, 60.0_f64.to_radians()),
+                _ => ReaderPose::new(
+                    Vec3::new(span(50.0), span(8.0), span(5.0)),
+                    Vec3::new(span(3.0), span(3.0), span(3.0) + 3.5),
+                ),
+            };
+            let alpha = (span(0.5) + 0.5) * std::f64::consts::PI;
+            let p = if i % 100 == 0 {
+                pose.position
+            } else {
+                Vec3::new(
+                    span(80.0),
+                    span(10.0),
+                    if i % 2 == 0 { 0.0 } else { span(4.0) },
+                )
+            };
+            assert_eq!(
+                SolverCone::new(&pose, alpha).residual(p).to_bits(),
+                pose.cone(alpha).residual(p).to_bits(),
+                "{pose:?} alpha {alpha} at {p:?}"
+            );
         }
     }
 
