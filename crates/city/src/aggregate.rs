@@ -323,7 +323,7 @@ impl Default for SpeedHistogram {
 }
 
 /// Per-method localization counters (§6): the observability half of the
-/// `PositionSource` refactor.
+/// position ladder.
 ///
 /// Every observation is positioned by exactly one method — a two-reader
 /// conic fix, an AoA-only fix, or the pole-position fallback — and every

@@ -72,7 +72,7 @@ pub fn render(run: &CityRun) -> String {
         agg.positions.track_speed_samples, agg.positions.arrival_speed_samples,
     );
 
-    let _ = writeln!(out, "-- localization (§6 PositionSource ladder) --");
+    let _ = writeln!(out, "-- localization (§6 position ladder) --");
     let _ = writeln!(
         out,
         "  {} two-reader fixes, {} AoA-only, {} pole fallbacks ({:>5.1}% localized, mean sigma {:.1} m)",
@@ -111,7 +111,7 @@ mod tests {
             "occupancy by street segment",
             "flow per light cycle",
             "speeds from position tracks",
-            "localization (§6 PositionSource ladder)",
+            "localization (§6 position ladder)",
             "two-reader fixes",
             "origin->destination",
             "fingerprint",

@@ -42,16 +42,6 @@ impl TagKey {
     pub fn from_cfo_bin(bin: usize) -> Self {
         Self(bin as u64)
     }
-
-    /// Key for a tag known only by its CFO in Hz.
-    pub fn from_cfo_hz(cfo_hz: f64, bin_resolution_hz: f64) -> Self {
-        Self::from_cfo_bin((cfo_hz / bin_resolution_hz).round() as usize)
-    }
-
-    /// Whether this key came from a decoded id.
-    pub fn is_decoded(&self) -> bool {
-        self.0 & DECODED_BIT != 0
-    }
 }
 
 /// One tag sighting at one pole: the atom of city-scale analytics.
@@ -152,38 +142,6 @@ impl PoleReport {
         }
     }
 
-    /// Attaches a decoded id (§8) to every observation of the given CFO bin,
-    /// returning how many observations were annotated. Readers run decoding
-    /// asynchronously from counting (it needs several queries of averaging),
-    /// so decode results arrive as per-bin annotations on a later report.
-    pub fn attach_decode(&mut self, cfo_bin: u32, id: TransponderId) -> usize {
-        let mut n = 0;
-        for obs in &mut self.observations {
-            if obs.cfo_bin == cfo_bin {
-                obs.decoded = Some(id);
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Runs a [`PositionSource`] over every observation, attaching the
-    /// estimate it produces. The integration point for frame sources that
-    /// localize after distilling the report (the full-PHY path attaches
-    /// two-reader fixes here; a source with no localization can attach the
-    /// explicit pole fallback).
-    ///
-    /// [`PositionSource`]: crate::position::PositionSource
-    pub fn attach_positions<S: crate::position::PositionSource>(
-        &mut self,
-        source: &S,
-        site: &crate::store::PoleSite,
-    ) {
-        for obs in &mut self.observations {
-            obs.position = Some(source.position(obs, site));
-        }
-    }
-
     /// Number of observations carried by this report.
     pub fn len(&self) -> usize {
         self.observations.len()
@@ -213,57 +171,8 @@ mod tests {
         let decoded = TagKey::from_decoded(TransponderId(300));
         let cfo = TagKey::from_cfo_bin(300);
         assert_ne!(decoded, cfo);
-        assert!(decoded.is_decoded());
-        assert!(!cfo.is_decoded());
-    }
-
-    #[test]
-    fn cfo_hz_key_quantizes_to_the_nearest_bin() {
-        let a = TagKey::from_cfo_hz(300.2e3, 1e3);
-        let b = TagKey::from_cfo_hz(299.8e3, 1e3);
-        assert_eq!(a, b);
-        assert_eq!(a, TagKey::from_cfo_bin(300));
-    }
-
-    #[test]
-    fn attach_decode_annotates_only_the_matching_bin() {
-        let obs = |bin: u32| TagObservation {
-            tag: TagKey::from_cfo_bin(bin as usize),
-            pole: PoleId(1),
-            segment: SegmentId(0),
-            cfo_bin: bin,
-            cfo_hz: bin as f64 * 1953.125,
-            aoa_rad: 0.0,
-            has_aoa: false,
-            rssi_db: -40.0,
-            timestamp_us: 0,
-            multi_occupied: false,
-            decoded: None,
-            position: None,
-        };
-        let mut report = PoleReport {
-            pole: PoleId(1),
-            segment: SegmentId(0),
-            timestamp_us: 0,
-            count: 3,
-            peaks: 3,
-            // Two spikes share bin 150 (the §5 shared-bin regime): a decode
-            // of that bin annotates both, and leaves bin 400 untouched.
-            observations: vec![obs(150), obs(400), obs(150)],
-        };
-        assert_eq!(report.attach_decode(150, TransponderId(9)), 2);
-        assert_eq!(
-            report.attach_decode(777, TransponderId(1)),
-            0,
-            "unknown bin"
-        );
-        for o in &report.observations {
-            if o.cfo_bin == 150 {
-                assert_eq!(o.decoded, Some(TransponderId(9)));
-            } else {
-                assert_eq!(o.decoded, None);
-            }
-        }
+        assert_eq!(decoded.0 & DECODED_BIT, DECODED_BIT);
+        assert_eq!(cfo.0 & DECODED_BIT, 0);
     }
 
     #[test]

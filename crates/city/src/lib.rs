@@ -24,11 +24,11 @@
 //! * [`event`] — the wire model: [`TagObservation`]s (tag key, AoA fix, CFO
 //!   bin, RSSI, timestamp, optional [`PositionEstimate`]) grouped into
 //!   [`PoleReport`]s.
-//! * [`position`] — the §6 `PositionSource` abstraction: method-tagged
-//!   car-position estimates (two-reader conic fix → AoA-only → pole
-//!   fallback) and the track regression the §7 speed estimator prefers.
+//! * [`position`] — the §6 position ladder: method-tagged car-position
+//!   estimates (two-reader conic fix → AoA-only → pole fallback) and the
+//!   track regression the §7 speed estimator prefers.
 //! * [`queue`] — bounded ring-buffer ingestion with blocking backpressure
-//!   ([`IngestQueue::push`]) and load-shedding ([`IngestQueue::try_push`]).
+//!   ([`IngestQueue::push`]).
 //! * [`store`] — the sharded, lock-striped in-memory store, keyed by tag and
 //!   by street segment. Its [`TagTracker`] state machine (re-sighting
 //!   detection, ping-pong suppression, and the §8 decode-alias upgrade of
@@ -78,7 +78,7 @@ pub use aggregate::{
 pub use driver::{BatchDriver, CityRun, FrameSource};
 pub use event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 pub use phy::PhyCity;
-pub use position::{PolePositionSource, PositionEstimate, PositionMethod, PositionSource};
+pub use position::{PositionEstimate, PositionMethod};
 pub use queue::{IngestQueue, PushError, QueueStats};
 pub use store::{
     AliasStats, DerivedEvent, PoleDirectory, PoleSite, ShardedStore, SpeedSource, StoreConfig,

@@ -8,7 +8,7 @@
 //! frame, so it drives the end-to-end tests and the dashboard example while
 //! the synthetic source drives the 1k–10k-pole ingestion benchmarks.
 //!
-//! # The `PositionSource` path (§6)
+//! # Where positions come from (§6)
 //!
 //! This source is where the paper's phase-based localization enters the
 //! observation stream. For every spike with an AoA fix, the pole pairs up
@@ -75,10 +75,6 @@ pub struct PhyCity {
     epoch_us: u64,
     seed: u64,
     propagation: PropagationModel,
-    /// Whether to run §6 localization per observation (two-reader fixes
-    /// with AoA-only fallback). On by default; off reproduces the
-    /// pre-`PositionSource` behaviour (pole positions only).
-    pub localize: bool,
     /// Memoized `(pole, epoch)` query reports. Neighbour pairing replays
     /// the partner pole's full PHY query per report, which used to double
     /// the PHY cost of an e2e sweep; queries are deterministic per
@@ -179,7 +175,6 @@ impl PhyCity {
             epoch_us: 1_000_000,
             seed,
             propagation: PropagationModel::line_of_sight(),
-            localize: true,
             query_cache: Mutex::new(HashMap::new()),
             query_cache_hits: AtomicU64::new(0),
         }
@@ -360,9 +355,7 @@ impl FrameSource for PhyCity {
             epoch as u64 * self.epoch_us,
             &query,
         );
-        if self.localize {
-            self.attach_positions(pole as usize, epoch, &query, &tags, &mut report);
-        }
+        self.attach_positions(pole as usize, epoch, &query, &tags, &mut report);
         report
     }
 }
@@ -451,14 +444,5 @@ mod tests {
             }
         }
         assert!(two_reader > 0, "neighbour pairing must produce conic fixes");
-        // The localization ladder is opt-out: the pre-refactor behaviour
-        // (pole positions only) is one flag away.
-        let mut plain = PhyCity::campus(2, 4, 11);
-        plain.localize = false;
-        assert!(plain
-            .report(0, 0)
-            .observations
-            .iter()
-            .all(|o| o.position.is_none()));
     }
 }

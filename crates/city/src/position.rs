@@ -1,4 +1,4 @@
-//! Position estimates and the [`PositionSource`] abstraction (§6–§7).
+//! Position estimates and the method ladder they are tagged with (§6–§7).
 //!
 //! Caraoke's headline capability is localizing cars from transponder phase
 //! across reader antennas — two-reader conic fixes (§6, Fig. 7) — and
@@ -18,9 +18,8 @@
 //! 2. [`PositionMethod::AoaOnly`] — one reader's cone cut with the road
 //!    plane at a lane-centre prior; well-constrained along the road, poor
 //!    across it.
-//! 3. [`PositionMethod::PolePosition`] — the pre-refactor behaviour: the
-//!    observation is attributed to the pole that heard it. This is what
-//!    every consumer silently assumed before the `PositionSource` refactor.
+//! 3. [`PositionMethod::PolePosition`] — no localization: the observation
+//!    is attributed to the pole that heard it.
 //!
 //! [`TagObservation`]: crate::event::TagObservation
 
@@ -118,30 +117,6 @@ pub fn resolve_position(obs: &TagObservation, site: &PoleSite) -> PositionEstima
     }
 }
 
-/// A source of per-observation position estimates.
-///
-/// Frame sources implement this to decouple *how* positions are obtained
-/// (full two-reader PHY localization, synthetic ground truth, nothing) from
-/// the observation path that carries and consumes them. The estimate for an
-/// observation that cannot be localized is the tagged pole fallback — the
-/// trait never returns "no position", because downstream consumers always
-/// need *some* position with an honest method tag.
-pub trait PositionSource {
-    /// The position estimate for one observation heard at `site`.
-    fn position(&self, obs: &TagObservation, site: &PoleSite) -> PositionEstimate;
-}
-
-/// The trivial [`PositionSource`]: every observation is attributed to the
-/// pole that heard it (the pre-refactor behaviour, made explicit).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PolePositionSource;
-
-impl PositionSource for PolePositionSource {
-    fn position(&self, _obs: &TagObservation, site: &PoleSite) -> PositionEstimate {
-        PositionEstimate::pole_fallback(site.position)
-    }
-}
-
 /// Least-squares velocity fit over a position track: `(timestamp µs, x, y)`
 /// samples, any spacing, any order. Returns the speed in m/s, or `None`
 /// when the track has fewer than two distinct timestamps (no baseline to
@@ -235,12 +210,6 @@ mod tests {
         let resolved = resolve_position(&obs_with(Some(good)), &site);
         assert_eq!(resolved.method, PositionMethod::TwoReaderFix);
         assert_eq!(resolved.xy, (1.0, 2.0));
-        // The trait's trivial implementation matches the fallback.
-        let source = PolePositionSource;
-        assert_eq!(
-            source.position(&obs_with(None), &site),
-            PositionEstimate::pole_fallback(site.position)
-        );
     }
 
     #[test]

@@ -3,41 +3,28 @@
 //! Pole reports stream into the aggregation tier through an [`IngestQueue`]:
 //! a fixed-capacity MPMC ring buffer built on `Mutex` + `Condvar` (std only,
 //! by design — the workspace takes no external runtime dependencies).
-//! Producers either block until space frees up ([`IngestQueue::push`], the
-//! backpressure path) or get an immediate [`PushError::Full`]
-//! ([`IngestQueue::try_push`], the load-shedding path). Consumers block on
-//! [`IngestQueue::pop`] until an item arrives or every producer is done and
-//! the queue is closed.
+//! Producers block until space frees up ([`IngestQueue::push`], the
+//! backpressure path). Consumers block on [`IngestQueue::pop`] until an item
+//! arrives or every producer is done and the queue is closed.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a non-blocking push was refused.
+/// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
-    /// The ring buffer is at capacity; the caller should shed or retry.
-    Full,
     /// The queue was closed; no further items will be accepted.
     Closed,
 }
 
 /// Counters describing what a queue experienced, for capacity planning.
-///
-/// The two overload responses are deliberately counted apart so a live
-/// deployment can tell *load shedding* (items dropped at a full ring via
-/// [`IngestQueue::try_push`]) from *backpressure* (producers stalled at a
-/// full ring via [`IngestQueue::push`]): shedding loses data, blocking loses
-/// only latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Items accepted over the queue's lifetime.
     pub accepted: u64,
-    /// `try_push` calls refused with [`PushError::Full`] — each one is an
-    /// item shed at the ingest boundary.
-    pub rejected: u64,
-    /// Blocking `push` calls that had to wait for space (backpressure events).
+    /// `push` calls that had to wait for space (backpressure events).
     pub blocked_pushes: u64,
-    /// Pushes of either flavour refused with [`PushError::Closed`].
+    /// Pushes refused with [`PushError::Closed`].
     pub closed_rejects: u64,
     /// Highest queue depth ever observed.
     pub high_watermark: usize,
@@ -91,26 +78,6 @@ impl<T> IngestQueue<T> {
         if inner.closed {
             inner.stats.closed_rejects += 1;
             return Err(PushError::Closed);
-        }
-        inner.ring.push_back(item);
-        inner.stats.accepted += 1;
-        inner.stats.high_watermark = inner.stats.high_watermark.max(inner.ring.len());
-        drop(inner);
-        self.items.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking push: enqueues if there is space, otherwise reports
-    /// [`PushError::Full`] so the caller can shed load.
-    pub fn try_push(&self, item: T) -> Result<(), PushError> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            inner.stats.closed_rejects += 1;
-            return Err(PushError::Closed);
-        }
-        if inner.ring.len() == self.capacity {
-            inner.stats.rejected += 1;
-            return Err(PushError::Full);
         }
         inner.ring.push_back(item);
         inner.stats.accepted += 1;
@@ -183,19 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_sheds_load_when_full() {
-        let q = IngestQueue::with_capacity(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full));
-        let stats = q.stats();
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.rejected, 1, "full rejects are sheds");
-        assert_eq!(stats.blocked_pushes, 0, "nothing blocked");
-        assert_eq!(stats.high_watermark, 2);
-    }
-
-    #[test]
     fn blocking_push_applies_backpressure_until_a_consumer_drains() {
         let q = Arc::new(IngestQueue::with_capacity(1));
         q.push(0u64).unwrap();
@@ -222,10 +176,7 @@ mod tests {
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
         assert_eq!(q.push(9), Err(PushError::Closed));
-        assert_eq!(q.try_push(9), Err(PushError::Closed));
-        let stats = q.stats();
-        assert_eq!(stats.closed_rejects, 2);
-        assert_eq!(stats.rejected, 0, "closed rejects are not full-ring sheds");
+        assert_eq!(q.stats().closed_rejects, 1);
     }
 
     #[test]

@@ -129,16 +129,6 @@ pub struct StoreConfig {
     /// Traffic-light cycle length used to bucket flow events, µs (Fig. 12
     /// uses 90 s cycles; 60 s is a common default).
     pub light_cycle_us: u64,
-    /// Re-sightings farther apart than this are treated as unrelated trips
-    /// (no speed sample, still an OD transition).
-    pub max_speed_gap_us: u64,
-    /// Re-sightings closer together than this are ignored for speed (the
-    /// AoA/NTP error would dominate, §7).
-    pub min_speed_gap_us: u64,
-    /// Speed samples above this are discarded as implausible (CFO-key
-    /// aliasing or tags re-entering a looping deployment can otherwise fake
-    /// teleport-grade fixes).
-    pub max_plausible_speed_mph: f64,
 }
 
 impl Default for StoreConfig {
@@ -146,12 +136,22 @@ impl Default for StoreConfig {
         Self {
             shards: 8,
             light_cycle_us: 60_000_000,
-            max_speed_gap_us: 120_000_000,
-            min_speed_gap_us: 200_000,
-            max_plausible_speed_mph: 120.0,
         }
     }
 }
+
+/// Re-sightings farther apart than this are treated as unrelated trips (no
+/// speed sample, still an OD transition), µs.
+pub const MAX_SPEED_GAP_US: u64 = 120_000_000;
+
+/// Re-sightings closer together than this are ignored for speed (the
+/// AoA/NTP error would dominate, §7), µs.
+pub const MIN_SPEED_GAP_US: u64 = 200_000;
+
+/// Speed samples above this are discarded as implausible (CFO-key aliasing
+/// or tags re-entering a looping deployment can otherwise fake
+/// teleport-grade fixes), mph.
+pub const MAX_PLAUSIBLE_SPEED_MPH: f64 = 120.0;
 
 /// Most recent position fixes retained per tag for track regression (§7).
 /// Six fixes cover several epochs of a pole-to-pole traversal while keeping
@@ -294,10 +294,10 @@ pub enum DerivedEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpeedSource {
     /// Least-squares regression over the tag's position track (§7 via §6
-    /// localization — the refactor's preferred path).
+    /// localization — the preferred path).
     PositionTrack,
-    /// Arrival-time delta between pole fixes (the pre-`PositionSource`
-    /// behaviour, used when no usable track exists).
+    /// Arrival-time delta between pole fixes (used when no usable track
+    /// exists).
     ArrivalTime,
 }
 
@@ -620,7 +620,7 @@ impl TagTracker {
                         to: obs.pole,
                     });
                     let gap = obs.timestamp_us.saturating_sub(state.arrival_us);
-                    if gap >= config.min_speed_gap_us && gap <= config.max_speed_gap_us {
+                    if (MIN_SPEED_GAP_US..=MAX_SPEED_GAP_US).contains(&gap) {
                         // Preferred path: regress the tag's position track
                         // over this traversal (every fix since arrival at
                         // the previous pole). Falls back to the
@@ -638,7 +638,7 @@ impl TagTracker {
                         } else {
                             0
                         };
-                        let speed = if track_span >= config.min_speed_gap_us {
+                        let speed = if track_span >= MIN_SPEED_GAP_US {
                             track_speed_mps(&window[..n])
                                 .map(|mps| (mps, SpeedSource::PositionTrack))
                         } else {
@@ -649,7 +649,7 @@ impl TagTracker {
                             (dist / (gap as f64 / 1e6), SpeedSource::ArrivalTime)
                         });
                         let mph = caraoke_geom::mps_to_mph(mps);
-                        if mph <= config.max_plausible_speed_mph {
+                        if mph <= MAX_PLAUSIBLE_SPEED_MPH {
                             emit(DerivedEvent::Speed { mph, source });
                         }
                     }
@@ -1059,13 +1059,12 @@ pub fn shard_of_bin(cfo_bin: u32, shards: usize) -> usize {
 /// The canonical per-shard observation order — `(timestamp, pole, tag,
 /// cfo_bin)` — shared by the batch store's sort-at-finalize and the live
 /// engine's pane sealing, so both tiers run the [`TagTracker`] state machine
-/// over the exact same sequence. The key was extended with the CFO bin for
-/// the `PositionSource` refactor: observations now carry per-sighting
-/// position estimates, so two same-tag spikes in one report must order by a
-/// stable physical attribute, not by delivery luck. Observations with fully
-/// equal keys can only come from a single report (a pole emits one report
-/// per timestamp); callers that need a total order disambiguate with the
-/// within-report index.
+/// over the exact same sequence. The key includes the CFO bin because
+/// observations carry per-sighting position estimates, so two same-tag
+/// spikes in one report must order by a stable physical attribute, not by
+/// delivery luck. Observations with fully equal keys can only come from a
+/// single report (a pole emits one report per timestamp); callers that need
+/// a total order disambiguate with the within-report index.
 pub fn canonical_obs_key(obs: &TagObservation) -> (u64, u32, u64, u32) {
     (obs.timestamp_us, obs.pole.0, obs.tag.0, obs.cfo_bin)
 }
@@ -1436,14 +1435,10 @@ mod tests {
 
     #[test]
     fn stale_resightings_count_for_od_but_not_speed() {
-        let config = StoreConfig {
-            max_speed_gap_us: 10_000_000,
-            ..Default::default()
-        };
-        let store = ShardedStore::new(line_directory(3, 40.0), config);
+        let store = ShardedStore::new(line_directory(3, 40.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(3, 0, 0, 0)]));
-        // Re-sighted 100 s later: a different trip.
-        store.scatter(&report(2, 0, 100_000_000, vec![obs(3, 2, 0, 100_000_000)]));
+        // Re-sighted 200 s later: a different trip.
+        store.scatter(&report(2, 0, 200_000_000, vec![obs(3, 2, 0, 200_000_000)]));
         let agg = store.finalize(1);
         assert_eq!(agg.od.total(), 1);
         assert_eq!(agg.speeds.samples(), 0);
@@ -1494,9 +1489,8 @@ mod tests {
 
     #[test]
     fn position_free_observations_fall_back_to_arrival_time_speeds() {
-        // The exact pre-refactor behaviour, now method-tagged: no estimates
-        // anywhere, so the speed comes from the pole-spacing arrival delta
-        // and every observation counts as a pole fallback.
+        // No estimates anywhere, so the speed comes from the pole-spacing
+        // arrival delta and every observation counts as a pole fallback.
         let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(9, 0, 0, 0)]));
         store.scatter(&report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]));

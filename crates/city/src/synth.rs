@@ -64,13 +64,6 @@ pub struct SyntheticCity {
     /// 615 CFO bins at high density — the regime that exercises the store's
     /// decode-alias upgrade path and its collision counters.
     pub cfo_keyed: bool,
-    /// Whether observations carry synthetic §6 position estimates: noisy
-    /// ground truth (the tag's true position is the heard pole's slot on
-    /// the road) with a deterministic method mix — mostly two-reader fixes,
-    /// some AoA-only, and a slice with no estimate at all so the
-    /// pole-position fallback path stays exercised. `false` reproduces the
-    /// pre-`PositionSource` event stream.
-    pub synthesize_positions: bool,
     /// 1-σ of the noise added to the ground-truth position, metres (the
     /// paper's two-reader fixes are ~1 m; AoA-only fixes get 3× this along
     /// the road).
@@ -118,7 +111,6 @@ impl SyntheticCity {
             epoch_us: 1_500_000,
             decode_every: 6,
             cfo_keyed: false,
-            synthesize_positions: true,
             position_noise_m: 0.8,
         }
     }
@@ -159,26 +151,22 @@ impl SyntheticCity {
         // road slot, one lane off the pole line) with a deterministic
         // method mix — 70% two-reader fixes, 20% AoA-only (noisier along
         // the road), 10% no estimate so the pole fallback stays exercised.
-        let position = if self.synthesize_positions {
-            let truth_x = site.position.x;
-            let truth_y = site.position.y + 3.0;
-            let noise = self.position_noise_m;
-            match rng.random_range(0..10u32) {
-                0..=6 => {
-                    let x = truth_x + rng.random_range(-noise..noise.max(1e-9));
-                    let y = truth_y + rng.random_range(-noise..noise.max(1e-9));
-                    Some(PositionEstimate::two_reader(x, y, noise))
-                }
-                7 | 8 => {
-                    let wide = 3.0 * noise;
-                    let x = truth_x + rng.random_range(-wide..wide.max(1e-9));
-                    let y = truth_y + rng.random_range(-noise..noise.max(1e-9));
-                    Some(PositionEstimate::aoa_only(x, y, wide, 2.0))
-                }
-                _ => None,
+        let truth_x = site.position.x;
+        let truth_y = site.position.y + 3.0;
+        let noise = self.position_noise_m;
+        let position = match rng.random_range(0..10u32) {
+            0..=6 => {
+                let x = truth_x + rng.random_range(-noise..noise.max(1e-9));
+                let y = truth_y + rng.random_range(-noise..noise.max(1e-9));
+                Some(PositionEstimate::two_reader(x, y, noise))
             }
-        } else {
-            None
+            7 | 8 => {
+                let wide = 3.0 * noise;
+                let x = truth_x + rng.random_range(-wide..wide.max(1e-9));
+                let y = truth_y + rng.random_range(-noise..noise.max(1e-9));
+                Some(PositionEstimate::aoa_only(x, y, wide, 2.0))
+            }
+            _ => None,
         };
         TagObservation {
             tag,
@@ -347,14 +335,6 @@ mod tests {
         assert!(counts.iter().all(|&c| c > 0), "method mix {counts:?}");
         assert!((counts[0] as f64 / total) > 0.5, "mix {counts:?}");
         assert!((counts[2] as f64 / total) < 0.25, "mix {counts:?}");
-        // And the knob restores the pre-refactor stream.
-        let mut plain = city.clone();
-        plain.synthesize_positions = false;
-        assert!(plain
-            .report(3, 3)
-            .observations
-            .iter()
-            .all(|o| o.position.is_none()));
     }
 
     #[test]

@@ -174,7 +174,13 @@ mod tests {
     fn non_increasing_timestamps_give_none() {
         let mut rng = StdRng::seed_from_u64(52);
         let config = ReaderConfig::default();
-        let region = RoadRegion::centered(80.0, 9.0);
+        let region = RoadRegion {
+            x_min: -40.0,
+            x_max: 40.0,
+            y_min: -4.5,
+            y_max: 4.5,
+            z: 0.0,
+        };
         let pipeline = SpeedPipeline::new(region);
         let (a, b) = observe(
             Vec3::new(5.0, -1.0, 0.0),
@@ -196,7 +202,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let config = ReaderConfig::default();
         // Tiny region that excludes the car -> fix is None -> speed is None.
-        let region = RoadRegion::centered(2.0, 1.0);
+        let region = RoadRegion {
+            x_min: -1.0,
+            x_max: 1.0,
+            y_min: -0.5,
+            y_max: 0.5,
+            z: 0.0,
+        };
         let pipeline = SpeedPipeline::new(region);
         let (a, b) = observe(
             Vec3::new(20.0, -1.0, 0.0),

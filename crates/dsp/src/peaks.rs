@@ -12,7 +12,7 @@
 //! (that map is monotone and an odd window's median is an order statistic).
 //! Even windows (the region's edges) and `t ≤ 0` take the median itself.
 
-use crate::stats::{median, median_select};
+use crate::stats::median_select;
 
 /// A detected spectral peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,18 +145,10 @@ pub fn detect_peaks(magnitudes: &[f64], config: &PeakConfig) -> Vec<Peak> {
     accepted
 }
 
-/// Estimates the noise floor (median magnitude) of a spectrum region.
-pub fn noise_floor(magnitudes: &[f64], config: &PeakConfig) -> f64 {
-    let (lo, hi) = config.range(magnitudes.len());
-    if hi <= lo {
-        return 0.0;
-    }
-    median(&magnitudes[lo..hi])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::median;
 
     fn flat_with_peaks(len: usize, peaks: &[(usize, f64)]) -> Vec<f64> {
         let mut v = vec![1.0; len];
@@ -228,9 +220,21 @@ mod tests {
 
     #[test]
     fn noise_floor_is_median() {
-        let spec = flat_with_peaks(101, &[(3, 100.0)]);
-        let nf = noise_floor(&spec, &PeakConfig::default());
-        assert!((nf - 1.0).abs() < 1e-12);
+        // One huge outlier drags the mean of this spectrum to ~2 but leaves
+        // its median at 1: a bin just over `threshold × 1` is a peak only
+        // if the global floor is the median.
+        let config = PeakConfig {
+            local_window: 0,
+            ..PeakConfig::default()
+        };
+        let just_over = config.threshold_over_noise * 1.01;
+        let spec = flat_with_peaks(101, &[(3, 100.0), (50, just_over)]);
+        let bins: Vec<usize> = detect_peaks(&spec, &config).iter().map(|p| p.bin).collect();
+        assert_eq!(bins, vec![3, 50]);
+        let just_under = config.threshold_over_noise * 0.99;
+        let spec = flat_with_peaks(101, &[(3, 100.0), (50, just_under)]);
+        let bins: Vec<usize> = detect_peaks(&spec, &config).iter().map(|p| p.bin).collect();
+        assert_eq!(bins, vec![3]);
     }
 
     #[test]

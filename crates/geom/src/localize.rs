@@ -71,18 +71,6 @@ pub struct RoadRegion {
 }
 
 impl RoadRegion {
-    /// A road segment centred on the origin: `length` metres long and
-    /// `width` metres wide at `z = 0`.
-    pub fn centered(length: f64, width: f64) -> Self {
-        Self {
-            x_min: -length / 2.0,
-            x_max: length / 2.0,
-            y_min: -width / 2.0,
-            y_max: width / 2.0,
-            z: 0.0,
-        }
-    }
-
     /// Returns `true` if a point lies inside the region (footnote 10: the car
     /// must be on the road, not on the sidewalk).
     pub fn contains(&self, p: Vec3) -> bool {
@@ -381,6 +369,17 @@ mod tests {
         pose.baseline.angle_to(car - pose.position)
     }
 
+    /// A road segment centred on the origin at `z = 0`.
+    fn centered(length: f64, width: f64) -> RoadRegion {
+        RoadRegion {
+            x_min: -length / 2.0,
+            x_max: length / 2.0,
+            y_min: -width / 2.0,
+            y_max: width / 2.0,
+            z: 0.0,
+        }
+    }
+
     #[test]
     fn recovers_position_with_exact_angles() {
         let h = feet_to_meters(12.5);
@@ -451,14 +450,14 @@ mod tests {
         let b = ReaderPose::road_parallel(20.0, 6.0, h);
         // A "car" far outside the declared road region.
         let car = Vec3::new(100.0, 30.0, 0.0);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let p = localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region);
         assert!(p.is_none());
     }
 
     #[test]
     fn road_region_contains_checks_bounds() {
-        let r = RoadRegion::centered(100.0, 10.0);
+        let r = centered(100.0, 10.0);
         assert!(r.contains(Vec3::new(0.0, 0.0, 0.0)));
         assert!(r.contains(Vec3::new(-50.0, 5.0, 0.0)));
         assert!(!r.contains(Vec3::new(0.0, 5.1, 0.0)));
@@ -472,7 +471,7 @@ mod tests {
         let good = ReaderPose::road_parallel(20.0, 6.0, h);
         // Zero-length baseline: the antennas coincide.
         let broken = ReaderPose::new(Vec3::new(0.0, -6.0, h), Vec3::ZERO);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let err = try_localize_two_readers(&broken, 1.0, &good, 1.2, &region).unwrap_err();
         assert_eq!(err, LocalizeError::ZeroBaseline);
         let err = try_localize_two_readers(&good, 1.0, &broken, 1.2, &region).unwrap_err();
@@ -485,7 +484,7 @@ mod tests {
         // Same apex, parallel baselines: one constraint masquerading as two.
         let a = ReaderPose::road_parallel(0.0, -6.0, h);
         let b = ReaderPose::new(a.position, a.baseline * -2.0);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let err = try_localize_two_readers(&a, 1.0, &b, 1.0, &region).unwrap_err();
         assert_eq!(err, LocalizeError::CollinearReaders);
         // Same apex but genuinely different axes is solvable, not degenerate.
@@ -501,7 +500,7 @@ mod tests {
         let h = feet_to_meters(12.5);
         let a = ReaderPose::road_parallel(0.0, -6.0, h);
         let b = ReaderPose::road_parallel(20.0, 6.0, h);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let nan_pose = ReaderPose::new(Vec3::new(f64::NAN, -6.0, h), Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(
             try_localize_two_readers(&nan_pose, 1.0, &b, 1.2, &region).unwrap_err(),
@@ -537,7 +536,7 @@ mod tests {
         let a = ReaderPose::road_parallel(0.0, 0.0, h);
         let b = ReaderPose::road_parallel(20.0, 0.0, h);
         let car = Vec3::new(8.0, 4.0, 0.0);
-        let region = RoadRegion::centered(60.0, 10.0);
+        let region = centered(60.0, 10.0);
         let err =
             try_localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
                 .unwrap_err();
@@ -559,7 +558,7 @@ mod tests {
         let a = ReaderPose::road_parallel(0.0, -6.0, h);
         let b = ReaderPose::road_parallel(20.0, 6.0, h);
         let car = Vec3::new(100.0, 30.0, 0.0);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let err =
             try_localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
                 .unwrap_err();
@@ -570,7 +569,7 @@ mod tests {
     fn localize_errors_display_and_never_leak_nan_positions() {
         // Every degenerate call either errors or returns a finite position.
         let h = feet_to_meters(12.5);
-        let region = RoadRegion::centered(40.0, 9.0);
+        let region = centered(40.0, 9.0);
         let poses = [
             ReaderPose::new(Vec3::ZERO, Vec3::ZERO),
             ReaderPose::road_parallel(0.0, -6.0, h),

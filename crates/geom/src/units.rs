@@ -39,16 +39,6 @@ pub fn mps_to_mph(mps: f64) -> f64 {
     mps * 3600.0 / MILE_M
 }
 
-/// Converts degrees to radians.
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * std::f64::consts::PI / 180.0
-}
-
-/// Converts radians to degrees.
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad * 180.0 / std::f64::consts::PI
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,12 +73,5 @@ mod tests {
     fn known_speed_conversion() {
         // 60 mph is about 26.82 m/s.
         assert!((mph_to_mps(60.0) - 26.8224).abs() < 1e-4);
-    }
-
-    #[test]
-    fn degree_radian_round_trip() {
-        for d in [-180.0, -90.0, 0.0, 45.0, 90.0, 180.0] {
-            assert!((rad_to_deg(deg_to_rad(d)) - d).abs() < 1e-12);
-        }
     }
 }

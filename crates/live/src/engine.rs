@@ -44,7 +44,7 @@
 //!    fingerprinted into the engine's **fingerprint chain**, merged into
 //!    the totals, appended to the pane log with its tracker deltas and any
 //!    snapshot due after it (durability before visibility), pushed into
-//!    the retained [`WindowRing`], and the seal floor moves.
+//!    the retained ring ([`CityWindows`]), and the seal floor moves.
 //!
 //! Only then does the next pane touch a tracker, because trackers are
 //! cumulative: they describe "the run up to pane `p`" only between pane
@@ -70,7 +70,7 @@
 //! sealed only once every pole's frontier has passed it (plus the lateness
 //! allowance), and per-pole FIFO delivery means every observation of the
 //! pane is buffered in some worker slot by then; the canonical sort —
-//! `(pane, shard, timestamp, pole, tag, seq)`, where `seq` is the
+//! `(pane, shard, timestamp, pole, tag, cfo_bin, seq)`, where `seq` is the
 //! observation's index within its report — erases the remaining cross-pole
 //! and cross-worker arrival freedom, exactly like the batch store's
 //! sort-at-finalize — but windows seal *online*, with bounded memory.
@@ -85,7 +85,7 @@
 //! [`BatchDriver`]: caraoke_city::BatchDriver
 
 use crate::watermark::WatermarkClock;
-use crate::window::{CityWindows, WindowAggregate, WindowRing};
+use crate::window::CityWindows;
 use caraoke_city::aggregate::Fingerprint;
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
 use caraoke_city::{
@@ -660,7 +660,7 @@ impl LiveCity {
             Some(state) => {
                 let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
-                    windows.push(pane, agg);
+                    windows.push(pane, agg.fingerprint(), agg);
                 }
                 let clock = WatermarkClock::resume(
                     directory.len(),
@@ -964,7 +964,7 @@ impl LiveCity {
         &self,
         cursor: u64,
         timeout: Duration,
-        f: impl FnOnce(&WindowRing<CityAggregates>, u64) -> R,
+        f: impl FnOnce(&CityWindows, u64) -> R,
     ) -> R {
         let core = &*self.core;
         let deadline = Instant::now() + timeout;
@@ -980,7 +980,7 @@ impl LiveCity {
                 .expect("sealed state");
             sealed = guard;
         }
-        f(sealed.windows.ring(), sealed.next_pane)
+        f(&sealed.windows, sealed.next_pane)
     }
 }
 
@@ -1325,7 +1325,7 @@ impl LiveCore {
             } else {
                 0
             };
-            let fingerprint = agg.fingerprint64();
+            let fingerprint = agg.fingerprint();
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
             state.total.merge(&agg);
@@ -1358,7 +1358,7 @@ impl LiveCore {
                     }
                 }
             }
-            state.windows.push(pane, agg);
+            state.windows.push(pane, fingerprint, agg);
             state.next_pane = pane + 1;
             self.seal_floor_us
                 .store((pane + 1) * pane_us, Ordering::Release);
@@ -1626,13 +1626,12 @@ mod tests {
         }
         live.finish();
         live.with_sealed(|windows, total, next_pane| {
-            let ring = windows.ring();
             assert_eq!(next_pane, 5);
-            assert_eq!(ring.len(), 5);
+            assert_eq!(windows.panes().len(), 5);
             // Every pane holds two reports and two observations for segment 0.
-            for (_, pane_agg) in ring.iter() {
-                assert_eq!(pane_agg.segments[&0].reports, 2);
-                assert_eq!(pane_agg.observations, 2);
+            for pane in windows.panes() {
+                assert_eq!(pane.agg.segments[&0].reports, 2);
+                assert_eq!(pane.agg.observations, 2);
             }
             // Each tag flows once per cycle: 2 tags x 5 cycles.
             assert_eq!(total.flow.total(), 10);

@@ -23,10 +23,10 @@
 //!   event-time low watermark, advanced in pane-width steps with O(1)
 //!   amortized cost and no lock on the hot path.
 //! * [`window`] — window-keyed aggregate state: the batch tier's
-//!   [`CityAggregates`] generalized into pane ring buffers
-//!   ([`WindowRing`]), with tumbling/sliding [`WindowSpec`]s resolved to
-//!   pane runs, and [`CityWindows`]: the ring plus the running OD windows
-//!   queries keep over it.
+//!   [`CityAggregates`] generalized into panes, tumbling/sliding
+//!   [`WindowSpec`]s resolved to pane runs, and [`CityWindows`]: the ring
+//!   of retained sealed panes plus the running OD windows queries keep
+//!   over it.
 //! * [`engine`] — [`LiveCity`]: per-worker out-of-order buffering, a
 //!   dedicated sealer thread doing deterministic pane sealing behind the
 //!   watermark, shed counting for late arrivals, and a fingerprint chain
@@ -113,4 +113,4 @@ pub use query::{
     answer_windowed, LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary,
 };
 pub use watermark::WatermarkClock;
-pub use window::{CityWindows, WindowAggregate, WindowRing, WindowSpec};
+pub use window::{CityWindows, WindowSpec};

@@ -37,7 +37,7 @@
 //! nothing, and the sealer thread never touches a running window.
 
 use crate::engine::{LiveCity, LiveStats};
-use crate::window::{CityWindows, WindowAggregate, WindowSpec};
+use crate::window::{CityWindows, Pane, WindowSpec};
 use caraoke_city::{CityAggregates, PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
 use std::time::Duration;
 
@@ -75,7 +75,7 @@ pub enum LiveQuery {
         window: WindowSpec,
     },
     /// Localization accuracy over a trailing window (§6): how the
-    /// `PositionSource` ladder performed — per-method fix counts, the
+    /// position ladder performed — per-method fix counts, the
     /// localized fraction, the mean position uncertainty, and which speed
     /// samples came from position tracks vs arrival-time fallbacks.
     PositionAccuracy {
@@ -216,11 +216,10 @@ pub fn answer_windowed(
     pane_us: u64,
     cycle_us: u64,
 ) -> LiveAnswer {
-    let ring = windows.ring();
     match *query {
         LiveQuery::Occupancy { segment, window } => {
             let mut stats = SegmentStats::default();
-            for pane in ring.last(window.panes(pane_us)) {
+            for pane in windows.last(window.panes(pane_us)) {
                 if let Some(s) = pane.segments.get(&segment.0) {
                     stats.merge(s);
                 }
@@ -253,7 +252,7 @@ pub fn answer_windowed(
         }
         LiveQuery::SpeedPercentile { p, window } => {
             let mut speeds = SpeedHistogram::new();
-            for pane in ring.last(window.panes(pane_us)) {
+            for pane in windows.last(window.panes(pane_us)) {
                 speeds.merge(&pane.speeds);
             }
             LiveAnswer::Speed {
@@ -266,7 +265,7 @@ pub fn answer_windowed(
         },
         LiveQuery::PositionAccuracy { window } => {
             let mut p = PositionCounters::default();
-            for pane in ring.last(window.panes(pane_us)) {
+            for pane in windows.last(window.panes(pane_us)) {
                 p.merge(&pane.positions);
             }
             LiveAnswer::PositionAccuracy {
@@ -292,11 +291,10 @@ impl LiveCity {
     pub fn snapshot(&self, last: usize) -> LiveSnapshot {
         let stats = self.stats();
         let recent = self.with_sealed(|windows, _, _| {
-            let ring = windows.ring();
-            let skip = ring.len().saturating_sub(last);
-            ring.iter()
-                .skip(skip)
-                .map(|(pane, agg)| PaneSummary::new(pane, self.config().pane_us, agg))
+            let panes = windows.panes();
+            panes
+                .range(panes.len().saturating_sub(last)..)
+                .map(|pane| PaneSummary::new(pane, self.config().pane_us))
                 .collect()
         });
         LiveSnapshot {
@@ -330,16 +328,17 @@ pub struct PaneSummary {
 }
 
 impl PaneSummary {
-    fn new(pane: u64, pane_us: u64, agg: &caraoke_city::CityAggregates) -> Self {
+    fn new(pane: &Pane, pane_us: u64) -> Self {
+        let agg = &pane.agg;
         Self {
-            pane,
-            start_us: pane * pane_us,
+            pane: pane.index,
+            start_us: pane.index * pane_us,
             observations: agg.observations,
             flow_events: agg.flow.total(),
             speed_samples: agg.speeds.samples(),
             p50_speed_mph: agg.speeds.percentile_mph(50.0),
             od_transitions: agg.od.total(),
-            fingerprint: agg.fingerprint64(),
+            fingerprint: pane.fingerprint,
         }
     }
 }
@@ -387,7 +386,7 @@ impl LiveSubscription {
     pub fn poll(&mut self, live: &LiveCity) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
         let (summaries, next, oldest_retained) = live.with_sealed(|windows, _, next_pane| {
-            Self::collect(windows.ring(), next_pane, cursor, live.config().pane_us)
+            Self::collect(windows, next_pane, cursor, live.config().pane_us)
         });
         self.advance_to(next);
         (summaries, Self::missed(oldest_retained, next, cursor))
@@ -404,25 +403,26 @@ impl LiveSubscription {
     pub fn wait_next(&mut self, live: &LiveCity, timeout: Duration) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
         let (summaries, next, oldest_retained) =
-            live.wait_sealed_past(cursor, timeout, |ring, next_pane| {
-                Self::collect(ring, next_pane, cursor, live.config().pane_us)
+            live.wait_sealed_past(cursor, timeout, |windows, next_pane| {
+                Self::collect(windows, next_pane, cursor, live.config().pane_us)
             });
         self.advance_to(next);
         (summaries, Self::missed(oldest_retained, next, cursor))
     }
 
     fn collect(
-        ring: &crate::window::WindowRing<caraoke_city::CityAggregates>,
+        windows: &CityWindows,
         next_pane: u64,
         cursor: u64,
         pane_us: u64,
     ) -> (Vec<PaneSummary>, u64, Option<u64>) {
-        let summaries: Vec<PaneSummary> = ring
+        let panes = windows.panes();
+        let summaries: Vec<PaneSummary> = panes
             .iter()
-            .filter(|&(pane, _)| pane >= cursor)
-            .map(|(pane, agg)| PaneSummary::new(pane, pane_us, agg))
+            .filter(|pane| pane.index >= cursor)
+            .map(|pane| PaneSummary::new(pane, pane_us))
             .collect();
-        let oldest = ring.iter().next().map(|(p, _)| p);
+        let oldest = panes.front().map(|pane| pane.index);
         (summaries, next_pane, oldest)
     }
 
@@ -445,7 +445,7 @@ impl LiveSubscription {
 mod tests {
     use super::*;
     use crate::engine::LiveConfig;
-    use crate::window::{WindowRing, MAX_OD_WINDOWS};
+    use crate::window::MAX_OD_WINDOWS;
     use caraoke_city::position::PositionMethod;
     use caraoke_city::{PoleDirectory, PoleId, PoleReport, PoleSite, TagKey, TagObservation};
     use caraoke_geom::Vec3;
@@ -522,7 +522,7 @@ mod tests {
     /// running.
     fn answer_by_definition(
         query: &LiveQuery,
-        ring: &WindowRing<CityAggregates>,
+        ring: &CityWindows,
         total: &CityAggregates,
         next_pane: u64,
         watermark_us: u64,
@@ -646,7 +646,7 @@ mod tests {
                         let pane = next_pane + (y >> (i % 64)) % 2;
                         let agg = seeded_pane(y ^ i, pane);
                         total.merge(&agg);
-                        windows.push(pane, agg);
+                        windows.push(pane, agg.fingerprint(), agg);
                         next_pane = pane + 1;
                     }
                     continue;
@@ -670,7 +670,7 @@ mod tests {
                     &query, &mut windows, &total, next_pane, watermark_us, pane_us, cycle_us,
                 );
                 let cold = answer_by_definition(
-                    &query, windows.ring(), &total, next_pane, watermark_us, pane_us, cycle_us,
+                    &query, &windows, &total, next_pane, watermark_us, pane_us, cycle_us,
                 );
                 prop_assert_eq!(warm, cold);
                 prop_assert!(windows.running_od_windows() <= MAX_OD_WINDOWS);
@@ -692,7 +692,7 @@ mod tests {
             live.with_sealed(|windows, total, next_pane| {
                 let cold = answer_by_definition(
                     &query,
-                    windows.ring(),
+                    windows,
                     total,
                     next_pane,
                     live.watermark_us(),

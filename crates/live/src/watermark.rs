@@ -321,11 +321,6 @@ impl WatermarkClock {
         self.max_frontier.load(Ordering::Acquire)
     }
 
-    /// One pole's frontier: the latest timestamp heard from it, µs.
-    pub fn frontier_us(&self, pole: PoleId) -> u64 {
-        self.frontier[pole.0 as usize].0.load(Ordering::Acquire)
-    }
-
     /// How many poles' frontiers have *not* reached `timestamp_us` — the
     /// poles a wall-clock forced seal of the pane ending there would cut
     /// off. An O(poles) scan, but it only runs on the staleness-timeout
@@ -361,11 +356,6 @@ impl WatermarkClock {
         // Boundaries that were only waiting on this pole can complete now.
         self.advance();
         true
-    }
-
-    /// Whether a pole has been declared dead.
-    pub fn is_dead(&self, pole: PoleId) -> bool {
-        self.dead[pole.0 as usize].load(Ordering::Acquire)
     }
 
     /// Poles declared dead so far, ascending.
@@ -471,9 +461,7 @@ mod tests {
         let clock = WatermarkClock::new(3, 1_000);
         clock.observe(PoleId(0), 5_500);
         clock.observe(PoleId(1), 2_000);
-        assert_eq!(clock.frontier_us(PoleId(0)), 5_500);
-        assert_eq!(clock.frontier_us(PoleId(1)), 2_000);
-        assert_eq!(clock.frontier_us(PoleId(2)), 0);
+        assert_eq!(clock.max_frontier_us(), 5_500);
         // Poles behind the pane-3 boundary (3 000 µs): pole 1 and pole 2.
         assert_eq!(clock.poles_behind(3_000), 2);
         assert_eq!(clock.poles_behind(1), 1, "only the silent pole");
@@ -514,9 +502,9 @@ mod tests {
         assert_eq!(clock.watermark_us(), 5_000);
         // Dead is idempotent-false, and its stragglers are ignored.
         assert!(!clock.declare_dead(PoleId(2)));
-        assert!(clock.is_dead(PoleId(2)));
         assert_eq!(clock.observe(PoleId(2), 9_000), None);
-        assert_eq!(clock.frontier_us(PoleId(2)), 1_400);
+        assert_eq!(clock.poles_behind(1_400), 0);
+        assert_eq!(clock.poles_behind(1_401), 1, "its frontier stays frozen");
         // The survivors keep advancing the watermark without pole 2.
         clock.observe(PoleId(0), 8_000);
         assert_eq!(clock.observe(PoleId(1), 7_000), Some(7));
@@ -554,8 +542,9 @@ mod tests {
         assert_eq!(clock.completed(), 7);
         assert_eq!(clock.watermark_us(), 7_000);
         assert_eq!(clock.max_frontier_us(), 7_000);
-        assert_eq!(clock.frontier_us(PoleId(0)), 7_000);
-        assert!(clock.is_dead(PoleId(1)));
+        assert_eq!(clock.poles_behind(7_000), 0, "every frontier at the floor");
+        assert_eq!(clock.poles_behind(7_001), 3);
+        assert_eq!(clock.dead_poles(), vec![1]);
         assert_eq!(clock.observe(PoleId(1), 9_000), None);
         // Live poles advance the resumed watermark from the floor, without
         // the dead pole.

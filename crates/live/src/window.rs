@@ -12,63 +12,21 @@
 //! * a **sliding** window of width `W` sliding by the pane width is the run
 //!   of `k` panes ending at any pane.
 //!
-//! [`WindowRing`] is the pane store: a bounded ring that admits sealed panes
+//! [`CityWindows`] is the pane store: a bounded ring that admits sealed panes
 //! in pane order and evicts the oldest beyond its retention, which makes
 //! eviction deterministic — a property pinned by the live determinism tests.
-//! Any aggregate implementing [`WindowAggregate`] (merge + fingerprint) can
-//! be window-keyed; all four city products implement it.
 //!
 //! A window query does **not** merge whole panes. It walks the trailing `k`
-//! panes ([`WindowRing::last`]) and folds only the field it answers from —
-//! one segment's [`SegmentStats`], the speed histogram, the position
-//! counters — and the one product too big to fold per query, the OD matrix,
-//! is answered from the running windows [`CityWindows`] keeps beside the
-//! ring: per window width, a union of the trailing panes' matrices, brought
-//! up to date by delta when it is asked.
+//! panes and folds only the field it answers from — one segment's
+//! [`SegmentStats`](caraoke_city::SegmentStats), the speed histogram, the
+//! position counters — and the one product too big to fold per query, the OD
+//! matrix, is answered from the running windows [`CityWindows`] keeps beside
+//! the ring: per window width, a union of the trailing panes' matrices,
+//! brought up to date by delta when it is asked.
 //! The evaluator and its warm/cold contract are in [`crate::query`].
 
-use caraoke_city::aggregate::Fingerprint;
-use caraoke_city::{
-    CityAggregates, FlowCounter, OdMatrix, OdPair, OdUnion, SegmentStats, SpeedHistogram,
-};
+use caraoke_city::{CityAggregates, OdPair, OdUnion};
 use std::collections::VecDeque;
-
-/// State that can live in window panes: mergeable across panes (and shards)
-/// and fingerprintable for determinism checks.
-pub trait WindowAggregate: Clone + Default {
-    /// Folds another pane's state in (associative, commutative).
-    fn merge(&mut self, other: &Self);
-
-    /// 64-bit fingerprint of the canonical byte encoding.
-    fn fingerprint64(&self) -> u64;
-}
-
-impl WindowAggregate for CityAggregates {
-    fn merge(&mut self, other: &Self) {
-        CityAggregates::merge(self, other);
-    }
-
-    fn fingerprint64(&self) -> u64 {
-        self.fingerprint()
-    }
-}
-
-macro_rules! impl_window_aggregate {
-    ($($t:ty),*) => {$(
-        impl WindowAggregate for $t {
-            fn merge(&mut self, other: &Self) {
-                <$t>::merge(self, other);
-            }
-
-            fn fingerprint64(&self) -> u64 {
-                let mut fp = Fingerprint::new();
-                self.fingerprint_into(&mut fp);
-                fp.finish()
-            }
-        }
-    )*};
-}
-impl_window_aggregate!(SegmentStats, FlowCounter, SpeedHistogram, OdMatrix);
 
 /// An event-time window shape: `width_us` of data re-evaluated every
 /// `slide_us`. `slide == width` is a tumbling window.
@@ -100,11 +58,6 @@ impl WindowSpec {
         Self { width_us, slide_us }
     }
 
-    /// Whether the window tumbles (slide == width).
-    pub fn is_tumbling(&self) -> bool {
-        self.slide_us == self.width_us
-    }
-
     /// Number of panes the window spans at the given pane width (rounds up,
     /// never below one pane).
     ///
@@ -117,89 +70,15 @@ impl WindowSpec {
     }
 }
 
-/// A bounded, pane-indexed ring of sealed window aggregates.
-///
-/// Panes are pushed in pane order as the watermark seals them; the ring
-/// retains the most recent `capacity` panes and evicts the oldest —
-/// deterministically, since seal order is pane order. Window queries walk
-/// the trailing `k` panes ([`last`](Self::last)) and fold the one field they
-/// answer from.
+/// One retained sealed pane.
 #[derive(Debug, Clone)]
-pub struct WindowRing<A> {
-    capacity: usize,
-    panes: VecDeque<(u64, A)>,
-    evicted: u64,
-}
-
-impl<A: WindowAggregate> WindowRing<A> {
-    /// Creates a ring retaining at most `capacity` sealed panes (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            panes: VecDeque::with_capacity(capacity),
-            evicted: 0,
-        }
-    }
-
-    /// Admits one sealed pane (panes must arrive in increasing pane order),
-    /// returning the evicted pane when retention overflows.
-    pub fn push(&mut self, pane: u64, agg: A) -> Option<(u64, A)> {
-        if let Some(&(last, _)) = self.panes.back() {
-            assert!(pane > last, "panes must seal in order: {pane} after {last}");
-        }
-        self.panes.push_back((pane, agg));
-        if self.panes.len() > self.capacity {
-            self.evicted += 1;
-            self.panes.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Number of panes currently retained.
-    pub fn len(&self) -> usize {
-        self.panes.len()
-    }
-
-    /// Whether no pane has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.panes.is_empty()
-    }
-
-    /// Panes evicted over the ring's lifetime.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The most recent sealed pane index.
-    pub fn latest_pane(&self) -> Option<u64> {
-        self.panes.back().map(|&(p, _)| p)
-    }
-
-    /// Iterates over `(pane index, aggregate)`, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &A)> {
-        self.panes.iter().map(|(p, a)| (*p, a))
-    }
-
-    /// The `k` most recent panes (fewer if the ring holds fewer), oldest
-    /// first — what a window query folds over.
-    pub fn last(&self, k: usize) -> impl Iterator<Item = &A> {
-        let start = self.panes.len().saturating_sub(k);
-        self.panes.range(start..).map(|(_, agg)| agg)
-    }
-
-    /// Merges the `k` most recent panes into one window aggregate: the
-    /// *definition* of a window, kept as the oracle the projected and
-    /// running evaluation is tested against.
-    #[cfg(test)]
-    pub(crate) fn merge_last(&self, k: usize) -> A {
-        let mut out = A::default();
-        for agg in self.last(k) {
-            out.merge(agg);
-        }
-        out
-    }
+pub(crate) struct Pane {
+    /// Pane index (event time / pane width).
+    pub(crate) index: u64,
+    /// `agg.fingerprint()`, computed once by whoever sealed or verified the
+    /// pane.
+    pub(crate) fingerprint: u64,
+    pub(crate) agg: CityAggregates,
 }
 
 /// How many running OD windows one [`CityWindows`] keeps, least recently
@@ -229,10 +108,10 @@ impl OdWindow {
     /// When that does not line up — first use, the old start evicted — or
     /// would fold more panes than the window holds, the same two loops run
     /// from an empty union over the whole window: the cold path.
-    fn advance(&mut self, panes: &VecDeque<(u64, CityAggregates)>) {
+    fn advance(&mut self, panes: &VecDeque<Pane>) {
         let len = panes.len();
         let start = len.saturating_sub(self.width);
-        let position = |pane: u64| panes.binary_search_by_key(&pane, |&(p, _)| p).ok();
+        let position = |pane: u64| panes.binary_search_by_key(&pane, |p| p.index).ok();
         let delta = self
             .span
             .and_then(|(oldest, newest)| Some((position(oldest)?, position(newest)?)))
@@ -246,28 +125,34 @@ impl OdWindow {
                 (0..0, start..len)
             }
         };
-        for (_, agg) in panes.range(left) {
-            self.union.subtract(&agg.od);
+        for pane in panes.range(left) {
+            self.union.subtract(&pane.agg.od);
         }
-        for (_, agg) in panes.range(entered) {
-            self.union.add(&agg.od);
+        for pane in panes.range(entered) {
+            self.union.add(&pane.agg.od);
         }
-        self.span = panes.back().map(|&(newest, _)| (panes[start].0, newest));
+        self.span = panes
+            .back()
+            .map(|newest| (panes[start].index, newest.index));
     }
 }
 
-/// A city's windowed state: the retained pane ring plus the running OD
-/// windows that summarise it — what the engine, a log follower and a replay
-/// hub each hold, and what the evaluator ([`crate::answer_windowed`]) reads.
+/// A city's windowed state: the ring of retained sealed panes plus the
+/// running OD windows that summarise it — what the engine, a log follower and
+/// a replay hub each hold, and what the evaluator ([`crate::answer_windowed`])
+/// reads.
 ///
-/// The ring is private and only grows through [`push`](Self::push), so a
-/// running window can never be paired with panes it was not built from.
-/// Nothing runs for the windows when a pane is pushed: a window is brought
-/// up to date when a query asks for it, and a city nobody queries holds an
-/// empty `Vec`.
+/// Panes are pushed in pane order as the watermark seals them; the ring
+/// retains the most recent `retain_panes` and evicts the oldest —
+/// deterministically, since seal order is pane order. It only grows through
+/// [`push`](Self::push), so a running window can never be paired with panes it
+/// was not built from. Nothing runs for the windows when a pane is pushed: a
+/// window is brought up to date when a query asks for it, and a city nobody
+/// queries holds an empty `Vec`.
 #[derive(Debug, Clone)]
 pub struct CityWindows {
-    ring: WindowRing<CityAggregates>,
+    capacity: usize,
+    panes: VecDeque<Pane>,
     /// Most recently used first; at most [`MAX_OD_WINDOWS`].
     od: Vec<OdWindow>,
 }
@@ -275,20 +160,57 @@ pub struct CityWindows {
 impl CityWindows {
     /// Windowed state retaining at most `retain_panes` sealed panes (min 1).
     pub fn new(retain_panes: usize) -> Self {
+        let capacity = retain_panes.max(1);
         Self {
-            ring: WindowRing::new(retain_panes),
+            capacity,
+            panes: VecDeque::with_capacity(capacity),
             od: Vec::new(),
         }
     }
 
-    /// Admits one sealed pane (see [`WindowRing::push`]).
-    pub fn push(&mut self, pane: u64, agg: CityAggregates) {
-        self.ring.push(pane, agg);
+    /// Admits one sealed pane with its aggregate `fingerprint` (panes must
+    /// arrive in increasing pane order), evicting the oldest when retention
+    /// overflows.
+    pub fn push(&mut self, pane: u64, fingerprint: u64, agg: CityAggregates) {
+        if let Some(last) = self.panes.back() {
+            assert!(
+                pane > last.index,
+                "panes must seal in order: {pane} after {}",
+                last.index
+            );
+        }
+        self.panes.push_back(Pane {
+            index: pane,
+            fingerprint,
+            agg,
+        });
+        if self.panes.len() > self.capacity {
+            self.panes.pop_front();
+        }
     }
 
-    /// The retained panes.
-    pub fn ring(&self) -> &WindowRing<CityAggregates> {
-        &self.ring
+    /// The retained panes, oldest first.
+    pub(crate) fn panes(&self) -> &VecDeque<Pane> {
+        &self.panes
+    }
+
+    /// The `k` most recent panes (fewer if the ring holds fewer), oldest
+    /// first — what a window query folds over.
+    pub(crate) fn last(&self, k: usize) -> impl Iterator<Item = &CityAggregates> {
+        let start = self.panes.len().saturating_sub(k);
+        self.panes.range(start..).map(|pane| &pane.agg)
+    }
+
+    /// Merges the `k` most recent panes into one window aggregate: the
+    /// *definition* of a window, kept as the oracle the projected and
+    /// running evaluation is tested against.
+    #[cfg(test)]
+    pub(crate) fn merge_last(&self, k: usize) -> CityAggregates {
+        let mut out = CityAggregates::new();
+        for agg in self.last(k) {
+            out.merge(agg);
+        }
+        out
     }
 
     /// Running OD windows currently held (at most [`MAX_OD_WINDOWS`]).
@@ -297,10 +219,10 @@ impl CityWindows {
         self.od.len()
     }
 
-    /// The `n` busiest OD pairs over the `k` most recent panes — what
-    /// merging those panes and calling [`OdMatrix::top`] returns.
+    /// The `n` busiest OD pairs over the `k` most recent panes — what merging
+    /// those panes and calling [`caraoke_city::OdMatrix::top`] returns.
     pub fn top_od(&mut self, k: usize, n: usize) -> Vec<OdPair> {
-        let width = k.min(self.ring.capacity);
+        let width = k.min(self.capacity);
         let at = match self.od.iter().position(|w| w.width == width) {
             Some(at) => at,
             None => {
@@ -315,7 +237,7 @@ impl CityWindows {
         };
         self.od[..=at].rotate_right(1);
         let window = &mut self.od[0];
-        window.advance(&self.ring.panes);
+        window.advance(&self.panes);
         window.union.top(n)
     }
 }
@@ -325,13 +247,16 @@ mod tests {
     use super::*;
     use caraoke_city::{PoleId, SegmentId};
 
+    /// Pushes `agg` under its own fingerprint, as the sealer does.
+    fn push(windows: &mut CityWindows, pane: u64, agg: CityAggregates) {
+        windows.push(pane, agg.fingerprint(), agg);
+    }
+
     #[test]
     fn tumbling_and_sliding_specs_span_the_right_pane_counts() {
         let tumbling = WindowSpec::tumbling(6_000_000);
-        assert!(tumbling.is_tumbling());
         assert_eq!(tumbling.panes(1_500_000), 4);
         let sliding = WindowSpec::sliding(6_000_000, 1_500_000);
-        assert!(!sliding.is_tumbling());
         assert_eq!(sliding.panes(1_500_000), 4);
         // Ragged widths round up; a sub-pane window still spans one pane.
         assert_eq!(WindowSpec::tumbling(4_000_000).panes(1_500_000), 3);
@@ -341,14 +266,14 @@ mod tests {
     #[test]
     fn occupancy_window_merges_segment_stats_panes() {
         // Tumbling occupancy (the "last N traffic-light cycles" workload):
-        // each pane holds one cycle's SegmentStats.
-        let mut ring: WindowRing<SegmentStats> = WindowRing::new(8);
+        // each pane holds one cycle's report for segment 0.
+        let mut windows = CityWindows::new(8);
         for pane in 0..5u64 {
-            let mut stats = SegmentStats::default();
-            stats.record_report(pane as u32 + 1, pane as u32 + 1, 0);
-            ring.push(pane, stats);
+            let mut agg = CityAggregates::new();
+            agg.record_report(SegmentId(0), pane as u32 + 1, pane as u32 + 1, 0);
+            push(&mut windows, pane, agg);
         }
-        let last3 = ring.merge_last(3);
+        let last3 = windows.merge_last(3).segments[&0];
         assert_eq!(last3.reports, 3);
         assert_eq!(last3.sum_count, 3 + 4 + 5);
         assert_eq!(last3.peak_count, 5);
@@ -357,15 +282,15 @@ mod tests {
 
     #[test]
     fn flow_window_keeps_per_cycle_counts_per_pane() {
-        let mut ring: WindowRing<FlowCounter> = WindowRing::new(4);
+        let mut windows = CityWindows::new(4);
         for pane in 0..4u64 {
-            let mut flow = FlowCounter::default();
+            let mut agg = CityAggregates::new();
             for _ in 0..=pane {
-                flow.record(SegmentId(2), pane as u32);
+                agg.flow.record(SegmentId(2), pane as u32);
             }
-            ring.push(pane, flow);
+            push(&mut windows, pane, agg);
         }
-        let last2 = ring.merge_last(2);
+        let last2 = windows.merge_last(2).flow;
         assert_eq!(last2.total(), 3 + 4);
         assert_eq!(last2.per_cycle.get(&(2, 3)), Some(&4));
         assert_eq!(last2.per_cycle.get(&(2, 0)), None, "outside the window");
@@ -373,16 +298,19 @@ mod tests {
 
     #[test]
     fn speed_percentiles_come_from_the_merged_window() {
-        let mut ring: WindowRing<SpeedHistogram> = WindowRing::new(8);
-        let mut slow = SpeedHistogram::new();
-        slow.record(20.0);
-        ring.push(0, slow);
-        let mut fast = SpeedHistogram::new();
-        fast.record(60.0);
-        ring.push(1, fast);
+        let mut windows = CityWindows::new(8);
+        let mut slow = CityAggregates::new();
+        slow.speeds.record(20.0);
+        push(&mut windows, 0, slow);
+        let mut fast = CityAggregates::new();
+        fast.speeds.record(60.0);
+        push(&mut windows, 1, fast);
         // One-pane window sees only the fast pane; two-pane window both.
-        assert!((ring.merge_last(1).percentile_mph(50.0) - 60.25).abs() < 1e-9);
-        let both = ring.merge_last(WindowSpec::sliding(2, 1).panes(1));
+        let newest = windows.merge_last(1).speeds;
+        assert!((newest.percentile_mph(50.0) - 60.25).abs() < 1e-9);
+        let both = windows
+            .merge_last(WindowSpec::sliding(2, 1).panes(1))
+            .speeds;
         assert_eq!(both.samples(), 2);
         assert!((both.percentile_mph(50.0) - 20.25).abs() < 1e-9);
         assert!((both.percentile_mph(100.0) - 60.25).abs() < 1e-9);
@@ -390,32 +318,42 @@ mod tests {
 
     #[test]
     fn od_top_pairs_are_windowed_and_eviction_is_deterministic() {
-        let mut ring: WindowRing<OdMatrix> = WindowRing::new(2);
+        let mut windows = CityWindows::new(2);
         for pane in 0..5u64 {
-            let mut od = OdMatrix::default();
-            od.record(PoleId(pane as u32), PoleId(pane as u32 + 1));
-            od.record(PoleId(9), PoleId(9 + pane as u32));
-            let evicted = ring.push(pane, od);
+            let mut agg = CityAggregates::new();
+            agg.od.record(PoleId(pane as u32), PoleId(pane as u32 + 1));
+            agg.od.record(PoleId(9), PoleId(9 + pane as u32));
+            push(&mut windows, pane, agg);
             // Retention 2: pane p evicts pane p-2, in order.
-            assert_eq!(evicted.map(|(p, _)| p), (pane >= 2).then(|| pane - 2));
+            let retained: Vec<u64> = windows.panes().iter().map(|p| p.index).collect();
+            assert_eq!(
+                retained,
+                (pane.saturating_sub(1)..=pane).collect::<Vec<_>>()
+            );
         }
-        assert_eq!(ring.evicted(), 3);
-        assert_eq!(ring.latest_pane(), Some(4));
-        let window = ring.merge_last(2);
+        let window = windows.merge_last(2).od;
         assert_eq!(window.total(), 4);
         let top = window.top(2);
         // Ties broken by pole ids: (3,4) before (4,5) before the 9-pairs.
         assert_eq!(top[0], ((3, 4), 1));
         assert_eq!(top[1], ((4, 5), 1));
+        // The running window answers what the merge answers.
+        assert_eq!(windows.top_od(2, 2), top);
     }
 
     #[test]
     fn window_aggregate_fingerprints_distinguish_states() {
-        let mut a = SpeedHistogram::new();
-        a.record(30.0);
+        let mut windows = CityWindows::new(2);
+        let mut a = CityAggregates::new();
+        a.speeds.record(30.0);
         let mut b = a.clone();
-        assert_eq!(a.fingerprint64(), b.fingerprint64());
-        b.record(31.0);
-        assert_ne!(a.fingerprint64(), b.fingerprint64());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        b.speeds.record(31.0);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        // The ring hands back the fingerprint each pane was pushed under.
+        push(&mut windows, 0, a.clone());
+        push(&mut windows, 1, b.clone());
+        let stored: Vec<u64> = windows.panes().iter().map(|p| p.fingerprint).collect();
+        assert_eq!(stored, vec![a.fingerprint(), b.fingerprint()]);
     }
 }

@@ -143,7 +143,7 @@ mod crc32c_hw {
     /// Caller must have verified `sse4.2` is available.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "sse4.2")]
-    pub unsafe fn crc32c(mut c: u32, data: &[u8]) -> u32 {
+    pub(super) unsafe fn crc32c(mut c: u32, data: &[u8]) -> u32 {
         use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
         let mut chunks = data.chunks_exact(8);
         let mut c64 = c as u64;
@@ -164,7 +164,7 @@ mod crc32c_hw {
     /// Caller must have verified the `crc` feature is available.
     #[cfg(target_arch = "aarch64")]
     #[target_feature(enable = "crc")]
-    pub unsafe fn crc32c(mut c: u32, data: &[u8]) -> u32 {
+    pub(super) unsafe fn crc32c(mut c: u32, data: &[u8]) -> u32 {
         use std::arch::aarch64::{__crc32cb, __crc32cd};
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {

@@ -179,28 +179,14 @@ impl LogReader {
     /// `pane` — the "resume a dashboard from pane N" entry point.
     ///
     /// Decoding borrows each payload in place from the loaded segment
-    /// buffer (the zero-copy path); [`records_copying`](Self::records_copying)
-    /// is the per-payload-copy fallback.
+    /// buffer.
     pub fn records_from(&self, pane: u64) -> RecordCursor {
-        self.cursor(pane, false)
-    }
-
-    /// Like [`records`](Self::records), but each payload is copied out of
-    /// the segment buffer before decoding — the original reader path, kept
-    /// as a fallback and as the equivalence oracle for the zero-copy
-    /// borrow path (the two must yield identical record sequences).
-    pub fn records_copying(&self) -> RecordCursor {
-        self.cursor(0, true)
-    }
-
-    fn cursor(&self, pane: u64, copy_payloads: bool) -> RecordCursor {
         RecordCursor {
             dir: self.dir.clone(),
             segments: self.segments.clone(),
             next_segment: 0,
             current: None,
             min_pane: pane,
-            copy_payloads,
             chain: Fingerprint::new(),
             expected_pane: None,
             torn_tail_bytes: 0,
@@ -226,10 +212,6 @@ pub struct RecordCursor {
     next_segment: usize,
     current: Option<SegmentBuf>,
     min_pane: u64,
-    /// Copy each payload out of the segment buffer before decoding instead
-    /// of borrowing it in place (the pre-zero-copy behaviour, kept as a
-    /// fallback; see [`LogReader::records_copying`]).
-    copy_payloads: bool,
     chain: Fingerprint,
     expected_pane: Option<u64>,
     torn_tail_bytes: u64,
@@ -328,24 +310,6 @@ impl RecordCursor {
         }
     }
 
-    /// The copying fallback: same traversal as
-    /// [`next_payload_span`](Self::next_payload_span), but the payload is
-    /// copied out so nothing borrows the segment buffer.
-    fn next_payload(&mut self) -> Result<Option<(String, u64, Vec<u8>)>, LogError> {
-        let Some((offset, start, len)) = self.next_payload_span()? else {
-            return Ok(None);
-        };
-        let seg = self
-            .current
-            .as_ref()
-            .expect("span points into loaded segment");
-        Ok(Some((
-            seg.name.clone(),
-            offset,
-            seg.bytes[start..start + len].to_vec(),
-        )))
-    }
-
     fn verify(&mut self, record: &LogRecord) -> Result<(), LogError> {
         match record {
             LogRecord::Snapshot(snap) => {
@@ -392,33 +356,22 @@ impl RecordCursor {
 
     fn step(&mut self) -> Result<Option<LogRecord>, LogError> {
         loop {
-            let record = if self.copy_payloads {
-                let Some((segment, offset, payload)) = self.next_payload()? else {
-                    return Ok(None);
-                };
-                codec::decode_record(&payload).map_err(|what| LogError::Decode {
-                    segment,
+            // Decode straight from the loaded segment's bytes; the name is
+            // only cloned on the error path.
+            let Some((offset, start, len)) = self.next_payload_span()? else {
+                return Ok(None);
+            };
+            let seg = self
+                .current
+                .as_ref()
+                .expect("span points into loaded segment");
+            let record = codec::decode_record(&seg.bytes[start..start + len]).map_err(|what| {
+                LogError::Decode {
+                    segment: seg.name.clone(),
                     offset,
                     what,
-                })?
-            } else {
-                // Zero-copy: decode straight from the loaded segment's
-                // bytes; the name is only cloned on the error path.
-                let Some((offset, start, len)) = self.next_payload_span()? else {
-                    return Ok(None);
-                };
-                let seg = self
-                    .current
-                    .as_ref()
-                    .expect("span points into loaded segment");
-                codec::decode_record(&seg.bytes[start..start + len]).map_err(|what| {
-                    LogError::Decode {
-                        segment: seg.name.clone(),
-                        offset,
-                        what,
-                    }
-                })?
-            };
+                }
+            })?;
             self.verify(&record)?;
             match &record {
                 LogRecord::Pane(p) if p.pane < self.min_pane => continue,

@@ -71,8 +71,6 @@ pub struct LogOptions {
     /// (`0` = never). Snapshots open a fresh segment, so truncation can
     /// drop everything before them.
     pub snapshot_every_panes: u64,
-    /// Delete pre-snapshot segments once the snapshot is durable.
-    pub truncate_on_snapshot: bool,
 }
 
 impl Default for LogOptions {
@@ -81,7 +79,6 @@ impl Default for LogOptions {
             fsync: FsyncPolicy::default(),
             segment_bytes: 8 * 1024 * 1024,
             snapshot_every_panes: 1024,
-            truncate_on_snapshot: true,
         }
     }
 }
@@ -275,8 +272,7 @@ impl SegmentWriter {
     }
 
     /// Appends a cumulative snapshot. The snapshot always opens a fresh
-    /// segment and is fsynced before this returns; with
-    /// [`LogOptions::truncate_on_snapshot`] set, every earlier segment is
+    /// segment and is fsynced before this returns; every earlier segment is
     /// then deleted (the snapshot alone can reconstruct their state).
     pub fn append_snapshot(&mut self, snap: &SnapshotRecord) -> io::Result<()> {
         self.rotate(snap.next_pane)?;
@@ -286,7 +282,7 @@ impl SegmentWriter {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
         self.seals_since_sync = 0;
-        if self.opts.truncate_on_snapshot && self.segments.len() > 1 {
+        if self.segments.len() > 1 {
             let old: Vec<String> = self.segments.drain(..self.segments.len() - 1).collect();
             self.write_manifest()?;
             for name in old {

@@ -97,64 +97,6 @@ fn segment_rotation_and_cursor_from_pane() {
 }
 
 #[test]
-fn zero_copy_and_copying_cursors_are_equivalent() {
-    // A log with everything the cursor can meet: rotation, tracker deltas,
-    // and a torn tail.
-    let dir = scratch("zero_copy_equiv");
-    let opts = LogOptions {
-        segment_bytes: 512,
-        snapshot_every_panes: 0,
-        ..LogOptions::default()
-    };
-    let mut writer = SegmentWriter::create(&dir, opts).expect("create");
-    let mut chain = Fingerprint::new();
-    for pane in 0..9u64 {
-        let agg = pane_aggregates(pane);
-        let fp = agg.fingerprint();
-        chain.write_u64(pane);
-        chain.write_u64(fp);
-        let delta = TrackerDelta {
-            upserts: vec![],
-            removals: vec![pane],
-            aliases: vec![(pane, pane + 1)],
-            stats: Default::default(),
-        };
-        writer
-            .append_pane(pane, false, 0, fp, chain.finish(), &agg, &[delta])
-            .expect("append");
-        writer.commit_seal().expect("commit");
-    }
-    drop(writer);
-    // Tear the tail so the torn-byte accounting is exercised too.
-    let last_seg = LogReader::open(&dir)
-        .expect("open")
-        .segments()
-        .last()
-        .unwrap()
-        .clone();
-    let path = dir.join(&last_seg);
-    let len = fs::metadata(&path).unwrap().len();
-    fs::OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .unwrap()
-        .set_len(len - 5)
-        .unwrap();
-
-    let reader = LogReader::open(&dir).expect("open");
-    let mut borrow = reader.records();
-    let mut copying = reader.records_copying();
-    let borrowed: Vec<LogRecord> = borrow.by_ref().map(|r| r.expect("verified")).collect();
-    let copied: Vec<LogRecord> = copying.by_ref().map(|r| r.expect("verified")).collect();
-    assert!(!borrowed.is_empty());
-    assert_eq!(borrowed, copied, "record sequences must be identical");
-    assert_eq!(borrow.chain_state(), copying.chain_state());
-    assert_eq!(borrow.verified_panes(), copying.verified_panes());
-    assert_eq!(borrow.torn_tail_bytes(), copying.torn_tail_bytes());
-    assert!(borrow.torn_tail_bytes() > 0, "the tear was seen");
-}
-
-#[test]
 fn torn_tail_is_counted_skipped_and_repaired() {
     let dir = scratch("torn_tail");
     let mut writer = SegmentWriter::create(&dir, LogOptions::default()).expect("create");

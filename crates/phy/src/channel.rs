@@ -113,12 +113,6 @@ impl PropagationModel {
         }
         Channel::new(h)
     }
-
-    /// Channel of the LOS component only (useful for computing the
-    /// LOS-to-multipath power ratio of Fig. 14).
-    pub fn los_channel(&self, tx: Vec3, rx: Vec3) -> Channel {
-        Channel::new(self.path_gain(tx.distance(rx), 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -191,8 +185,7 @@ mod tests {
             scatterer: Vec3::new(4.0, 14.0, 2.0),
             reflection_loss: 0.35,
         };
-        let model = PropagationModel::with_rays(vec![ray]);
-        let los = model.los_channel(tx, rx);
+        let los = PropagationModel::line_of_sight().channel(tx, rx);
         let ray_len = tx.distance(ray.scatterer) + ray.scatterer.distance(rx);
         let ray_power = (1.0 / ray_len * ray.reflection_loss).powi(2);
         assert!(los.magnitude().powi(2) / ray_power > 10.0);

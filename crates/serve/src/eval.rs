@@ -83,7 +83,7 @@ impl LogFollower {
         match record {
             LogRecord::Pane(p) => {
                 self.total.merge(&p.aggregates);
-                self.windows.push(p.pane, p.aggregates);
+                self.windows.push(p.pane, p.fingerprint, p.aggregates);
                 self.next_pane = p.pane + 1;
             }
             LogRecord::Snapshot(s) => {

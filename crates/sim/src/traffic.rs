@@ -140,16 +140,6 @@ impl IntersectionSim {
         }
         series
     }
-
-    /// Average queue length per approach over a simulated horizon.
-    pub fn average_queues<R: Rng + ?Sized>(&self, duration_s: usize, rng: &mut R) -> Vec<f64> {
-        self.run(duration_s, rng)
-            .iter()
-            .map(|series| {
-                series.iter().map(|s| s.queue as f64).sum::<f64>() / series.len().max(1) as f64
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +202,11 @@ mod tests {
             .map(|a| a.arrival_rate * 3600.0)
             .collect();
         assert!((totals[1] / totals[0] - 10.0).abs() < 0.5);
-        let avgs = sim.average_queues(600, &mut rng);
+        let avgs: Vec<f64> = sim
+            .run(600, &mut rng)
+            .iter()
+            .map(|series| series.iter().map(|s| s.queue as f64).sum::<f64>() / series.len() as f64)
+            .collect();
         assert!(avgs[1] > avgs[0], "street C should have the longer queue");
     }
 

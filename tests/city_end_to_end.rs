@@ -63,7 +63,7 @@ fn sim_to_reader_to_city_produces_coherent_analytics() {
         );
     }
 
-    // The PositionSource ladder ran: real §6 fixes dominate, the speed
+    // The position ladder ran: real §6 fixes dominate, the speed
     // product consumed position tracks, and the per-method counters add up.
     let pos = &run.aggregates.positions;
     assert_eq!(pos.observations(), run.observations);

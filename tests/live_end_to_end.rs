@@ -3,11 +3,15 @@
 //! `caraoke-live` watermarked online ingestion, windowed aggregation and
 //! the query API.
 
-use caraoke_suite::city::{BatchDriver, FrameSource, PhyCity, SegmentId, StoreConfig};
+use caraoke_suite::city::aggregate::Fingerprint;
+use caraoke_suite::city::{
+    BatchDriver, FrameSource, PhyCity, SegmentId, StoreConfig, SyntheticCity,
+};
 use caraoke_suite::live::{
     Interleaving, LiveAnswer, LiveCity, LiveConfig, LiveDriver, LiveQuery, LiveSubscription,
-    WindowSpec,
+    PaneSummary, WindowSpec,
 };
+use caraoke_suite::log::{LogCity, LogOptions, LogReader, LogRecord};
 
 #[test]
 fn position_accuracy_is_queryable_from_the_live_windows() {
@@ -174,4 +178,82 @@ fn queries_and_subscription_work_against_a_streaming_phy_run() {
         }
         other => panic!("unexpected answer {other:?}"),
     }
+}
+
+/// Extends `chain` the way the sealer does: `(pane, fingerprint)` per pane.
+fn fold_chain(mut chain: Fingerprint, panes: &[PaneSummary]) -> u64 {
+    for p in panes {
+        chain.write_u64(p.pane);
+        chain.write_u64(p.fingerprint);
+    }
+    chain.finish()
+}
+
+#[test]
+fn subscribed_pane_fingerprints_fold_to_the_chain_live_and_recovered() {
+    // The fingerprint a subscriber reads is stored with the pane, not
+    // recomputed per read. Whatever is stored must be the value the chain
+    // absorbed: folding a full drain reproduces the engine's chain, which
+    // the sealer extends on its own.
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stored-fingerprints");
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = SyntheticCity::new(24, 12, 4242);
+    let config = LiveConfig {
+        retain_panes: 32,
+        ..Default::default()
+    };
+    let live = LiveCity::with_log(
+        source.directory().clone(),
+        config,
+        &dir,
+        LogOptions::default(),
+    )
+    .expect("create logged engine");
+    for epoch in 0..source.epochs() {
+        for pole in 0..source.directory().len() as u32 {
+            live.ingest(&source.report(pole, epoch));
+        }
+    }
+    live.finish();
+    let (panes, missed) = LiveSubscription::new().poll(&live);
+    assert_eq!(missed, 0, "the run is shorter than the retention");
+    assert_eq!(panes.len() as u64, live.sealed_panes());
+    assert!(panes.len() >= 12);
+    assert_eq!(
+        fold_chain(Fingerprint::new(), &panes),
+        live.fingerprint_chain()
+    );
+    drop(live);
+
+    // A recovered engine restores only the last `retain_panes` panes. Their
+    // fingerprints, folded onto the chain the log recorded just before the
+    // suffix, must land on the verified replay's chain.
+    let replay = LogCity::open(&dir).replay().expect("verified replay");
+    let recovered = LiveCity::recover(
+        &dir,
+        source.directory().clone(),
+        LiveConfig {
+            retain_panes: 5,
+            ..config
+        },
+        LogOptions::default(),
+    )
+    .expect("recover");
+    let (suffix, missed) = LiveSubscription::new().poll(&recovered);
+    assert_eq!(suffix.len(), 5);
+    assert_eq!(missed, replay.next_pane - 5);
+    assert_eq!(suffix[4].pane + 1, replay.next_pane);
+    let before = LogReader::open(&dir)
+        .expect("open log")
+        .records()
+        .find_map(|r| match r.expect("verified") {
+            LogRecord::Pane(p) if p.pane + 1 == suffix[0].pane => Some(p.chain),
+            _ => None,
+        })
+        .expect("the pane before the suffix is in the log");
+    assert_eq!(
+        fold_chain(Fingerprint::resume(before), &suffix),
+        replay.chain
+    );
+    assert_eq!(recovered.fingerprint_chain(), replay.chain);
 }

@@ -108,15 +108,13 @@ fn sixteen_ingest_threads_reproduce_the_single_threaded_chain_across_seeds() {
 
 #[test]
 fn position_carrying_observations_keep_byte_identical_fingerprints() {
-    // The PositionSource refactor attaches per-observation f64 position
-    // estimates and regresses speed from position tracks — the most
-    // float-heavy, order-sensitive path in the tracker. 16 racing ingest
-    // threads across shard counts and seeds must still reproduce the
-    // single-threaded chain byte for byte. (The default SyntheticCity
-    // already synthesizes positions; pin it explicitly and crank the
+    // Observations carry per-observation f64 position estimates and speed
+    // is regressed from position tracks — the most float-heavy,
+    // order-sensitive path in the tracker. 16 racing ingest threads across
+    // shard counts and seeds must still reproduce the single-threaded chain
+    // byte for byte. (SyntheticCity always synthesizes positions; crank the
     // noise so the regression inputs are non-trivial.)
     let mut source = SyntheticCity::new(48, 24, 4096);
-    source.synthesize_positions = true;
     source.position_noise_m = 1.4;
     let reference = reference_run(&source);
     for (i, seed) in [11u64, 271, 65_537].into_iter().enumerate() {
