@@ -94,12 +94,12 @@ impl ScaleConfig {
             },
             // Bounded-memory ingest: on a small container the synthetic
             // producer outruns the sealer by >2x, and 10M+ buffered
-            // observations blow through `max_pending_per_worker` (overflow
-            // shed => the no-shed assert fires). Pace each worker the
-            // minimum legal lag (clamped up to lateness + 1 = 2 panes):
-            // the full tier packs ~200k observations into every pane, so
-            // even a lag of 8 panes would overrun the 1M-observation
-            // pending cap. Pacing never changes sealed content.
+            // observations blow through `max_pending_per_stripe` (overflow
+            // shed => the no-shed assert fires; 16 stripes x 1M is at most
+            // 16M engine-wide, split evenly only if the poles are). Pace
+            // each worker the minimum legal lag (clamped up to lateness +
+            // 1 = 2 panes): the full tier packs ~200k observations into
+            // every pane. Pacing never changes sealed content.
             pace_lag_panes: Some(2),
         }
     }

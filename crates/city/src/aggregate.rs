@@ -542,29 +542,28 @@ impl OdUnion {
     /// Takes one pane's transitions back out, dropping pairs that reach
     /// zero.
     ///
-    /// # Panics
-    ///
-    /// If `od` holds more of a pair than the union does — the pane was never
-    /// added, which is a bug in the caller's window bookkeeping.
-    pub fn subtract(&mut self, od: &OdMatrix) {
+    /// Returns `false` — stopping there — if `od` holds more of a pair than
+    /// the union does: the pane was never added, the union no longer
+    /// describes any window, and the caller must [`clear`](Self::clear) it
+    /// and rebuild.
+    #[must_use]
+    pub fn subtract(&mut self, od: &OdMatrix) -> bool {
         for (&(from, to), &v) in &od.transitions {
             if v == 0 {
                 continue;
             }
-            let held = match self.pairs.entry(Self::key(from, to)) {
-                Entry::Occupied(held) => held,
-                Entry::Vacant(_) => {
-                    panic!("subtracting OD pair ({from}, {to}) that was never added")
-                }
+            let Entry::Occupied(held) = self.pairs.entry(Self::key(from, to)) else {
+                return false;
             };
             match held.get().checked_sub(v) {
                 Some(0) => {
                     held.remove();
                 }
                 Some(left) => *held.into_mut() = left,
-                None => panic!("subtracting more of OD pair ({from}, {to}) than was added"),
+                None => return false,
             }
         }
+        true
     }
 
     /// The `n` busiest pairs, ordered exactly as [`OdMatrix::top`] orders
@@ -834,7 +833,7 @@ mod tests {
         for (i, pane) in panes.iter().enumerate() {
             union.add(pane);
             if i >= width {
-                union.subtract(&panes[i - width]);
+                assert!(union.subtract(&panes[i - width]));
             }
             let mut merged = OdMatrix::default();
             for held in &panes[(i + 1).saturating_sub(width)..=i] {
@@ -845,19 +844,22 @@ mod tests {
             assert_eq!(union.top(usize::MAX), full_sort_top(&merged, usize::MAX));
         }
         for pane in &panes[panes.len() - width..] {
-            union.subtract(pane);
+            assert!(union.subtract(pane));
         }
         assert!(union.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "never added")]
     fn od_union_refuses_to_subtract_a_pane_it_never_held() {
         let mut union = OdUnion::default();
-        union.add(&scattered_od(1, 4));
+        let held = scattered_od(1, 4);
+        union.add(&held);
         let mut stranger = OdMatrix::default();
         stranger.record(PoleId(900), PoleId(901));
-        union.subtract(&stranger);
+        assert!(!union.clone().subtract(&stranger), "a pair it never held");
+        let mut doubled = held.clone();
+        doubled.merge(&held);
+        assert!(!union.subtract(&doubled), "more of a pair than it holds");
     }
 
     #[test]

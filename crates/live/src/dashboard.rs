@@ -34,8 +34,8 @@ pub fn render(live: &LiveCity, last_panes: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "  workers: {} slots registered; staleness: {} forced panes ({} pole misses)",
-        snap.stats.worker_slots, snap.stats.forced_panes, snap.stats.forced_pole_misses,
+        "  staleness: {} forced panes ({} pole misses)",
+        snap.stats.forced_panes, snap.stats.forced_pole_misses,
     );
     let _ = writeln!(
         out,

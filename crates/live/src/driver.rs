@@ -4,7 +4,7 @@
 //! driver *delivers* — each report is applied the moment it is produced, and
 //! windows seal behind the watermark while later epochs are still being
 //! generated. The ingest threads spawned here never seal: they buffer into
-//! their own worker slots and signal the engine's dedicated sealer thread,
+//! their poles' ingest stripes and signal the engine's dedicated sealer thread,
 //! so generation, ingestion and sealing overlap for the whole run. Two
 //! delivery disciplines exercise the determinism contract:
 //!
@@ -53,8 +53,9 @@ pub struct LiveDriver {
     /// ([`LiveCity::wait_seal_floor`]) until pane `e - k` is sealed. This
     /// bounds buffered memory to O(`k` panes) however far generation
     /// outruns the sealer — without it, a fast producer on a slow (or
-    /// shared) machine trips the `max_pending_per_worker` overflow shed on
-    /// long runs. `k` must exceed [`LiveConfig::lateness_panes`] or the
+    /// shared) machine trips the [`LiveConfig::max_pending_per_stripe`]
+    /// overflow shed on long runs (engine-wide the buffers hold at most
+    /// 16 × that bound). `k` must exceed [`LiveConfig::lateness_panes`] or the
     /// wait can ask for a floor the watermark never releases; sealed
     /// content is interleaving-invariant, so pacing never changes
     /// fingerprints, only arrival timing. `None` (the default) streams at

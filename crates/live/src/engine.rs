@@ -7,11 +7,12 @@
 //! * a lock-free [`WatermarkClock`] derives the event-time low watermark
 //!   from pole report timestamps (per-pole atomic frontiers; every pole's
 //!   stream is monotone);
-//! * each ingest thread owns a **worker slot** — a thread-local out-of-order
-//!   buffer, bucketed by pane (observations above the watermark plus the
-//!   report-level segment counters). A slot's mutex is only ever
-//!   contended by the sealer, never by other ingest threads, so pushing a
-//!   report is an uncontended lock plus a few appends: no global locks, no
+//! * ingest buffers belong to **poles**, not threads: a fixed array of
+//!   `INGEST_STRIPES` out-of-order buffers, bucketed by pane (observations
+//!   above the watermark plus the report-level segment counters), chosen
+//!   by `pole % INGEST_STRIPES`. Ingest threads that partition their work
+//!   by pole never meet on a stripe, so pushing a report is one lock only
+//!   the sealer contends plus a few appends: no global locks, no
 //!   per-report allocation, no sorting;
 //! * a **dedicated sealer thread** (spawned by [`LiveCity::new`], woken by a
 //!   condvar whenever the watermark advances) seals the released panes.
@@ -25,7 +26,7 @@
 //! more, e.g. a laggard pole catching up 100k panes, is sealed as
 //! consecutive passes, each notifying waiters as it lands):
 //!
-//! 1. **Drain.** Worker buffers are pane-bucketed and struct-of-arrays: a
+//! 1. **Drain.** Stripe buffers are pane-bucketed and struct-of-arrays: a
 //!    32-byte `SealKey` column (every field the canonical order needs)
 //!    parallel to the full [`TagObservation`] column, plus the pane's
 //!    report-level segment rows. Every bucket below the pass frontier moves
@@ -54,8 +55,7 @@
 //! again — so whatever prefix of a pass's records a crash leaves on disk
 //! recovers byte-identical.
 //!
-//! Lock order, everywhere: sealed state → worker registry → a worker's
-//! buffer → orphaned buffers → log sink.
+//! Lock order, everywhere: sealed state → an ingest stripe → log sink.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -69,10 +69,10 @@
 //! panes, hence an identical fingerprint chain and totals. Why: a pane is
 //! sealed only once every pole's frontier has passed it (plus the lateness
 //! allowance), and per-pole FIFO delivery means every observation of the
-//! pane is buffered in some worker slot by then; the canonical sort —
+//! pane is buffered in some stripe by then; the canonical sort —
 //! `(pane, shard, timestamp, pole, tag, cfo_bin, seq)`, where `seq` is the
 //! observation's index within its report — erases the remaining cross-pole
-//! and cross-worker arrival freedom, exactly like the batch store's
+//! and cross-stripe arrival freedom, exactly like the batch store's
 //! sort-at-finalize — but windows seal *online*, with bounded memory.
 //! The live totals are moreover byte-identical to a [`BatchDriver`] run of
 //! the same source (the end-to-end tests pin both properties).
@@ -92,7 +92,6 @@ use caraoke_city::{
     CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
 };
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
-use std::cell::RefCell;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,10 +113,11 @@ pub struct LiveConfig {
     /// Sealed panes retained for window queries; older panes are evicted
     /// (their counts stay in the running totals and fingerprint chain).
     pub retain_panes: usize,
-    /// Bound on each ingest worker's out-of-order buffer; observations
-    /// beyond it are shed and counted (`overflow_shed`), never dropped
-    /// silently.
-    pub max_pending_per_worker: usize,
+    /// Bound on each ingest stripe's out-of-order buffer (a stripe holds
+    /// the poles congruent mod 16, so the engine buffers at most 16 × this);
+    /// observations beyond it are shed and counted (`overflow_shed`), never
+    /// dropped silently.
+    pub max_pending_per_stripe: usize,
     /// Wall-clock bound on pane staleness. Panes normally seal on
     /// *event-time* watermark advance only, so a pole dying mid-run stalls
     /// the watermark and every pane behind it forever. With a staleness
@@ -149,7 +149,7 @@ impl Default for LiveConfig {
             pane_us: 1_500_000,
             lateness_panes: 1,
             retain_panes: 64,
-            max_pending_per_worker: 1 << 20,
+            max_pending_per_stripe: 1 << 20,
             max_pane_staleness: None,
             compact_idle_us: None,
         }
@@ -209,7 +209,7 @@ pub struct LiveStats {
     pub shed_reports: u64,
     /// Individual observations shed as late.
     pub shed_observations: u64,
-    /// Observations shed because a worker's out-of-order buffer was full.
+    /// Observations shed because a stripe's out-of-order buffer was full.
     pub overflow_shed: u64,
     /// Observations currently buffered above the watermark.
     pub buffered_observations: u64,
@@ -225,9 +225,6 @@ pub struct LiveStats {
     /// Sum over forced panes of the poles whose frontier had not passed the
     /// pane when it was force-sealed.
     pub forced_pole_misses: u64,
-    /// Worker slots currently registered (ingest threads that have not been
-    /// decommissioned via [`LiveCity::unregister_worker`]).
-    pub worker_slots: u64,
     /// Poles removed from the watermark quorum via
     /// [`LiveCity::declare_pole_dead`] (survives recovery: the log
     /// records each declaration).
@@ -259,8 +256,8 @@ pub struct LiveStats {
 /// computed once, at ingest; `seq` is the observation's index within its
 /// report, which breaks canonical-sort ties between observations sharing
 /// `(timestamp, pole, tag)` — such ties can only come from one report, so
-/// `seq` restores a deterministic total order no matter which worker
-/// buffered them. The pane is *not* stored: it is `timestamp_us / pane_us`,
+/// `seq` restores a deterministic total order no matter which stripes
+/// were drained first. The pane is *not* stored: it is `timestamp_us / pane_us`,
 /// recomputed where needed.
 #[derive(Debug, Clone, Copy)]
 struct SealKey {
@@ -287,10 +284,11 @@ impl SealKey {
     }
 }
 
-/// One pane's worth of one worker's buffered input: the observations,
+/// One pane's worth of one stripe's buffered input: the observations,
 /// columnar (the [`SealKey`] column and the observation column grow in
 /// lockstep), and the report-level segment counters of the reports stamped
-/// in this pane — a handful of `(segment, stats)` rows per worker.
+/// in this pane — one `(segment, stats)` row per segment the stripe's poles
+/// sit on, sorted by segment.
 #[derive(Debug, Default)]
 struct PaneBucket {
     pane: u64,
@@ -301,26 +299,26 @@ struct PaneBucket {
 
 impl PaneBucket {
     fn record_report(&mut self, segment: u16, count: u32, observations: u32, multi: u32) {
-        match self.segs.iter_mut().find(|(seg, _)| *seg == segment) {
-            Some((_, stats)) => stats.record_report(count, observations, multi),
-            None => {
-                let mut stats = SegmentStats::default();
-                stats.record_report(count, observations, multi);
-                self.segs.push((segment, stats));
+        // Delivery in pole order wants the newest row, so a miss is an
+        // append, not a shift.
+        let at = match self.segs.binary_search_by_key(&segment, |(seg, _)| *seg) {
+            Ok(at) => at,
+            Err(at) => {
+                self.segs.insert(at, (segment, SegmentStats::default()));
+                at
             }
-        }
+        };
+        self.segs[at].1.record_report(count, observations, multi);
     }
 }
 
-/// One ingest worker's private buffers, *pane-bucketed*: each occupied
+/// One ingest stripe's buffers, *pane-bucketed*: each occupied
 /// pane owns its own columns, so a seal moves the sealed panes' buckets
 /// with bulk copies and never rescans the buffered tail ahead of the
 /// frontier (a flat buffer pays one filter pass over `lateness_panes` worth
 /// of retained observations at every seal). Memory is O(occupied panes) no
 /// matter how far a fast pole runs ahead of a laggard — a dense
-/// `pane - base` table would grow with the pane *span*. The mutex is
-/// uncontended in steady state: only the owning thread pushes, and the
-/// sealer drains it briefly at watermark advances.
+/// `pane - base` table would grow with the pane *span*.
 #[derive(Debug, Default)]
 struct WorkerBuf {
     /// Occupied panes (a report or an observation landed there), sorted by
@@ -336,10 +334,6 @@ struct WorkerBuf {
 }
 
 impl WorkerBuf {
-    fn is_empty(&self) -> bool {
-        self.panes.is_empty()
-    }
-
     /// The bucket for `pane`, created (from the spare list when possible)
     /// if the pane is not yet occupied.
     fn bucket(&mut self, pane: u64) -> &mut PaneBucket {
@@ -360,10 +354,18 @@ impl WorkerBuf {
     }
 }
 
+/// How many ingest buffers an engine has. A report lands, whole, in stripe
+/// `pole % INGEST_STRIPES`, so an ingest pool that partitions work *by
+/// pole* — thread `w` of `W` owns poles `w, w + W, …` — puts each thread on
+/// its own stripes for every power-of-two `W` up to this, and the mutex is
+/// then contended only by the sealer's brief drain at watermark advances.
+const INGEST_STRIPES: usize = 16;
+
+/// One ingest buffer on its own cache line, so threads pushing to
+/// neighbouring stripes never false-share the lock words.
+#[repr(align(64))]
 #[derive(Debug, Default)]
-struct WorkerSlot {
-    buf: Mutex<WorkerBuf>,
-}
+struct Stripe(Mutex<WorkerBuf>);
 
 /// Upper bound on the pane × shard bucket table of one seal pass. A seal
 /// request spanning more panes than fit (one laggard pole 100k panes behind
@@ -391,7 +393,7 @@ struct SealScratch {
     offsets: Vec<u32>,
     /// Scatter cursors for the counting pass.
     cursors: Vec<u32>,
-    /// `segs[pane - first_pane]`: the `(segment, stats)` rows every worker
+    /// `segs[pane - first_pane]`: the `(segment, stats)` rows every stripe
     /// recorded for that pane. Emptied pane by pane as the seal publishes.
     segs: Vec<Vec<(u16, SegmentStats)>>,
 }
@@ -489,32 +491,15 @@ struct SealerSignal {
     shutdown: bool,
 }
 
-/// Engine identity for the thread-local worker-slot cache (engines must not
-/// share slots, and ids must outlive any engine they ever named).
-static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's worker slots, one per engine it has ingested into.
-    /// Entries for dropped engines are pruned on the next registration.
-    static WORKER_SLOTS: RefCell<Vec<(u64, Arc<WorkerSlot>)>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Shared core of the engine: everything both the ingest threads and the
 /// sealer thread touch.
 struct LiveCore {
     directory: PoleDirectory,
     config: LiveConfig,
-    engine_id: u64,
     n_shards: usize,
     clock: WatermarkClock,
-    /// Registry of every worker slot ever handed out (the sealer drains
-    /// these; ingest threads reach their own slot through the thread-local
-    /// cache without touching this lock).
-    workers: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Buffers drained out of decommissioned worker slots
-    /// ([`LiveCity::unregister_worker`]): still above the watermark when
-    /// the worker left, sealed by the sealer exactly like live slots.
-    orphans: Mutex<Vec<WorkerBuf>>,
+    /// The ingest buffers, indexed by `pole % INGEST_STRIPES`.
+    stripes: Box<[Stripe]>,
     sealed: Mutex<SealedState>,
     /// Notified after every seal batch (pairs with `sealed`): wakes
     /// `finish`, `wait_idle` and blocking subscriptions.
@@ -547,7 +532,7 @@ struct LiveCore {
 /// `Drop` signals shutdown and joins it.
 pub struct LiveCity {
     core: Arc<LiveCore>,
-    sealer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    sealer: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LiveCity {
@@ -708,10 +693,8 @@ impl LiveCity {
         let seal_floor_us = sealed.next_pane * config.pane_us;
         let core = Arc::new(LiveCore {
             clock,
-            engine_id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             n_shards: shards,
-            workers: Mutex::new(Vec::new()),
-            orphans: Mutex::new(Vec::new()),
+            stripes: (0..INGEST_STRIPES).map(|_| Stripe::default()).collect(),
             sealed: Mutex::new(sealed),
             pane_sealed: Condvar::new(),
             signal: Mutex::new(SealerSignal {
@@ -742,7 +725,7 @@ impl LiveCity {
             .expect("spawn sealer thread");
         Self {
             core,
-            sealer: Mutex::new(Some(sealer)),
+            sealer: Some(sealer),
         }
     }
 
@@ -800,9 +783,10 @@ impl LiveCity {
     /// watermark contract) — reports older than the sealed frontier are
     /// counted and shed.
     ///
-    /// Lock-light: the only lock taken is the calling thread's own worker
-    /// slot (contended only by the sealer), plus — on the rare report that
-    /// advances the watermark — the sealer wake-up signal.
+    /// Lock-light: the only lock taken is the reporting pole's ingest
+    /// stripe (shared by the poles congruent mod 16 and the sealer's
+    /// drain), plus — on the rare report that advances the watermark — the
+    /// sealer wake-up signal.
     pub fn ingest(&self, report: &PoleReport) -> IngestOutcome {
         self.core.ingest(report)
     }
@@ -837,7 +821,7 @@ impl LiveCity {
     /// pane ending at or below it is sealed. The ingest-side backpressure
     /// primitive: a producer that knows it is `k` panes ahead waits here,
     /// bounding buffered memory instead of tripping the
-    /// [`LiveConfig::max_pending_per_worker`] overflow shed. Callers must
+    /// [`LiveConfig::max_pending_per_stripe`] overflow shed. Callers must
     /// only wait on floors the watermark can actually release — a floor
     /// above (watermark − lateness allowance) that no further ingest will
     /// push over blocks until [`finish`](LiveCity::finish) or a staleness
@@ -851,21 +835,6 @@ impl LiveCity {
         while sealed.next_pane * core.config.pane_us < floor_us {
             sealed = core.pane_sealed.wait(sealed).expect("sealed state");
         }
-    }
-
-    /// Decommissions the calling thread's worker slot for this engine: its
-    /// buffered (not-yet-sealed) observations move to the engine's orphan
-    /// set — the sealer seals them exactly as if the worker were still
-    /// alive — and the slot is freed from both the engine's registry and
-    /// the thread-local cache. Call from an ingest thread that is done with
-    /// this engine; without it, a churning ingest pool (threads joining and
-    /// leaving over a long-lived deployment) grows the slot registry, and
-    /// the sealer's drain pass, forever.
-    ///
-    /// A no-op when the calling thread never ingested into this engine.
-    /// Ingesting again from the same thread simply registers a fresh slot.
-    pub fn unregister_worker(&self) {
-        self.core.unregister_worker();
     }
 
     /// Current event-time low watermark, µs.
@@ -905,19 +874,11 @@ impl LiveCity {
         // Read the floor before the watermark so the reported pair always
         // satisfies `seal_floor_us <= watermark_us`.
         let seal_floor_us = core.seal_floor_us.load(Ordering::Acquire);
-        let (buffered, worker_slots): (usize, u64) = {
-            let workers = core.workers.lock().expect("worker registry");
-            let buffered = workers
-                .iter()
-                .map(|slot| slot.buf.lock().expect("worker buffer").len)
-                .sum();
-            (buffered, workers.len() as u64)
-        };
-        let orphaned: usize = {
-            let orphans = core.orphans.lock().expect("orphan buffers");
-            orphans.iter().map(|buf| buf.len).sum()
-        };
-        let buffered = buffered + orphaned;
+        let buffered: usize = core
+            .stripes
+            .iter()
+            .map(|stripe| stripe.0.lock().expect("ingest stripe").len)
+            .sum();
         let sealed = core.sealed.lock().expect("sealed state");
         let mut alias = AliasStats::default();
         for tracker in &sealed.trackers {
@@ -935,7 +896,6 @@ impl LiveCity {
             seal_floor_us,
             forced_panes: core.forced_panes.load(Ordering::Relaxed),
             forced_pole_misses: core.forced_pole_misses.load(Ordering::Relaxed),
-            worker_slots,
             dead_poles: core.dead_poles.load(Ordering::Relaxed),
             log_retries: core.log_retries.load(Ordering::Relaxed),
             log_errors_transient: core.log_errors_transient.load(Ordering::Relaxed),
@@ -957,19 +917,15 @@ impl LiveCity {
         f(&mut sealed.windows, &sealed.total, sealed.next_pane)
     }
 
-    /// Blocks (up to `timeout`) until a pane past `cursor` has been sealed,
-    /// then hands `f` the pane ring and horizon — the engine half of
-    /// [`crate::LiveSubscription::wait_next`]. Wakes on every seal.
-    pub(crate) fn wait_sealed_past<R>(
-        &self,
-        cursor: u64,
-        timeout: Duration,
-        f: impl FnOnce(&CityWindows, u64) -> R,
-    ) -> R {
+    /// Blocks (up to `timeout`) until the pane horizon — the number of
+    /// panes sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
+    /// `past`, and returns it; a return `<= past` is a timeout. Wakes on
+    /// every seal and does nothing else under the sealed lock.
+    pub fn wait_sealed(&self, past: u64, timeout: Duration) -> u64 {
         let core = &*self.core;
         let deadline = Instant::now() + timeout;
         let mut sealed = core.sealed.lock().expect("sealed state");
-        while sealed.next_pane <= cursor {
+        while sealed.next_pane <= past {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -980,7 +936,7 @@ impl LiveCity {
                 .expect("sealed state");
             sealed = guard;
         }
-        f(&sealed.windows, sealed.next_pane)
+        sealed.next_pane
     }
 }
 
@@ -991,64 +947,13 @@ impl Drop for LiveCity {
             sig.shutdown = true;
             self.core.seal_wake.notify_one();
         }
-        if let Some(handle) = self.sealer.lock().expect("sealer handle").take() {
+        if let Some(handle) = self.sealer.take() {
             let _ = handle.join();
         }
     }
 }
 
 impl LiveCore {
-    /// The calling thread's worker slot for this engine, creating and
-    /// registering it on first use. The fast path is a thread-local lookup;
-    /// the registry lock is only taken on registration.
-    fn worker_slot(&self) -> Arc<WorkerSlot> {
-        WORKER_SLOTS.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            if let Some((_, slot)) = slots.iter().find(|(id, _)| *id == self.engine_id) {
-                return Arc::clone(slot);
-            }
-            let slot = Arc::new(WorkerSlot::default());
-            self.workers
-                .lock()
-                .expect("worker registry")
-                .push(Arc::clone(&slot));
-            // Prune entries whose engine is gone (its registry was the only
-            // other strong ref), so long sessions over many engines do not
-            // accumulate dead buffers.
-            slots.retain(|(_, s)| Arc::strong_count(s) > 1);
-            slots.push((self.engine_id, Arc::clone(&slot)));
-            slot
-        })
-    }
-
-    /// See [`LiveCity::unregister_worker`].
-    fn unregister_worker(&self) {
-        let slot = WORKER_SLOTS.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            let idx = slots.iter().position(|(id, _)| *id == self.engine_id)?;
-            Some(slots.swap_remove(idx).1)
-        });
-        let Some(slot) = slot else { return };
-        // Serialize the whole hand-off against the sealer: a seal pass
-        // holds the sealed-state lock across its entire drain, so taking it
-        // here guarantees the registry removal, the buffer take and the
-        // orphan push land either wholly before or wholly after any pass.
-        // Without it, a pass could drain the (already-emptied) slot and the
-        // orphan list before our push landed — stranding released-pane
-        // observations until the *next* pass misclassifies them as late
-        // and sheds in-contract data. Same lock order as the sealer (see
-        // the module docs), so this cannot deadlock.
-        let _sealed = self.sealed.lock().expect("sealed state");
-        self.workers
-            .lock()
-            .expect("worker registry")
-            .retain(|s| !Arc::ptr_eq(s, &slot));
-        let buf = std::mem::take(&mut *slot.buf.lock().expect("worker buffer"));
-        if !buf.is_empty() {
-            self.orphans.lock().expect("orphan buffers").push(buf);
-        }
-    }
-
     fn ingest(&self, report: &PoleReport) -> IngestOutcome {
         let floor = self.seal_floor_us.load(Ordering::Acquire);
         if report.timestamp_us < floor {
@@ -1058,12 +963,12 @@ impl LiveCore {
             return IngestOutcome::ShedLate;
         }
         let pane = report.timestamp_us / self.config.pane_us;
-        let max_pending = self.config.max_pending_per_worker;
-        let slot = self.worker_slot();
+        let max_pending = self.config.max_pending_per_stripe;
+        let stripe = &self.stripes[report.pole.0 as usize % INGEST_STRIPES];
         let mut shed = 0u64;
         let mut overflow = 0u64;
         {
-            let mut buf = slot.buf.lock().expect("worker buffer");
+            let mut buf = stripe.0.lock().expect("ingest stripe");
             let mut multi = 0u32;
             for (seq, obs) in report.observations.iter().enumerate() {
                 if obs.multi_occupied {
@@ -1255,13 +1160,14 @@ impl LiveCore {
         // bucket below an already-sealed pane in a buffer; its observations
         // are counted as shed here and its report counters dropped, never
         // merged.
-        let slots: Vec<Arc<WorkerSlot>> = self.workers.lock().expect("worker registry").clone();
         let mut scratch = std::mem::take(&mut state.scratch);
         if scratch.segs.len() < span {
             scratch.segs.resize_with(span, Vec::new);
         }
         let mut shed_late = 0u64;
-        let mut drain_buf = |buf: &mut WorkerBuf| {
+        for stripe in self.stripes.iter() {
+            let mut buf = stripe.0.lock().expect("ingest stripe");
+            let buf = &mut *buf;
             let cut = buf.panes.partition_point(|b| b.pane < end);
             for mut bucket in buf.panes.drain(..cut) {
                 buf.len -= bucket.keys.len();
@@ -1277,18 +1183,6 @@ impl LiveCore {
                 bucket.segs.clear();
                 buf.spare.push(bucket);
             }
-        };
-        for slot in &slots {
-            drain_buf(&mut slot.buf.lock().expect("worker buffer"));
-        }
-        {
-            // Buffers left behind by decommissioned workers seal the same
-            // way; fully drained ones are freed.
-            let mut orphans = self.orphans.lock().expect("orphan buffers");
-            for buf in orphans.iter_mut() {
-                drain_buf(buf);
-            }
-            orphans.retain(|buf| !buf.is_empty());
         }
         if shed_late > 0 {
             self.shed_observations
@@ -1599,7 +1493,7 @@ mod tests {
     #[test]
     fn overflow_beyond_the_bounded_buffer_is_shed_and_counted() {
         let mut config = tiny_config();
-        config.max_pending_per_worker = 4;
+        config.max_pending_per_stripe = 4;
         config.store.shards = 1;
         let live = LiveCity::new(directory(2), config);
         // Pole 0 floods pane 0 with more observations than the buffer holds
@@ -1663,9 +1557,9 @@ mod tests {
 
     #[test]
     fn widely_skewed_pole_frontiers_stay_cheap_and_correct() {
-        // One thread (one worker slot) hears pole 0 run 20 000 panes ahead
+        // One thread hears pole 0 run 20 000 panes ahead
         // of the laggard — far beyond the watermark ring, and more panes
-        // than one seal pass's bucket table holds at 8 shards. Worker
+        // than one seal pass's bucket table holds at 8 shards. Stripe
         // buffers track occupied panes only, the clock parks the far
         // credits in its overflow map, and when the laggard catches up the
         // whole span seals as consecutive bounded passes, each committed
@@ -1813,38 +1707,45 @@ mod tests {
     }
 
     #[test]
-    fn unregister_worker_frees_the_slot_and_keeps_its_data() {
-        let live = LiveCity::new(directory(1), tiny_config());
-        std::thread::scope(|scope| {
-            let live = &live;
-            scope
-                .spawn(move || {
-                    live.ingest(&report(0, 0, 0, vec![obs(1, 0, 0, 0)]));
-                    live.ingest(&report(0, 0, 500_000, vec![obs(2, 0, 0, 500_000)]));
-                    assert_eq!(live.stats().worker_slots, 1);
-                    live.unregister_worker();
-                    assert_eq!(live.stats().worker_slots, 0, "slot decommissioned");
-                    // Double-unregister is a no-op.
-                    live.unregister_worker();
-                    // A decommissioned thread can come back: fresh slot.
-                    live.ingest(&report(0, 0, 1_200_000, vec![obs(3, 0, 0, 1_200_000)]));
-                    assert_eq!(live.stats().worker_slots, 1);
-                    live.unregister_worker();
-                })
-                .join()
-                .expect("ingest thread");
-        });
-        live.finish();
-        let stats = live.stats();
-        assert_eq!(stats.worker_slots, 0);
+    fn segment_rows_do_not_depend_on_the_order_poles_report_in() {
+        // 48 poles on twelve segments, two reports per pole per pane with
+        // distinct counts. A stripe hears three segments (poles p, p + 16,
+        // p + 32), and a bucket's segment rows are found by binary search
+        // and inserted in place — so descending and shuffled pole orders
+        // (rows inserted at the front and in the middle) must leave every
+        // pane's stats equal to the pole-order run (rows appended).
+        let run = |order: &[u32]| {
+            let live = LiveCity::new(directory(48), tiny_config());
+            for half in 0..8u64 {
+                let t = half * 500_000;
+                for &pole in order {
+                    let seg = (pole / 4) as u16;
+                    let mut r = report(pole, seg, t, vec![obs(100 + pole as u64, pole, seg, t)]);
+                    r.count = pole + half as u32;
+                    live.ingest(&r);
+                }
+            }
+            live.finish();
+            live.with_sealed(|windows, _, _| {
+                let panes = windows.panes().iter();
+                panes.map(|p| p.agg.segments.clone()).collect::<Vec<_>>()
+            })
+        };
+        let ascending: Vec<u32> = (0..48).collect();
+        let reference = run(&ascending);
+        assert_eq!(reference.len(), 4);
+        assert_eq!(reference[3].len(), 12, "every segment reported");
+        assert_eq!(reference[3][&11].reports, 8);
         assert_eq!(
-            live.totals().observations,
-            3,
-            "orphaned buffers seal like live slots"
+            reference[3][&11].sum_count,
+            2 * (44 + 45 + 46 + 47) + 4 * (6 + 7)
         );
-        assert_eq!(stats.shed_observations, 0);
-        assert_eq!(stats.overflow_shed, 0);
-        assert_eq!(stats.buffered_observations, 0);
+        assert_eq!(reference[3][&11].peak_count, 47 + 7);
+        let descending: Vec<u32> = (0..48).rev().collect();
+        assert_eq!(run(&descending), reference);
+        // 29 is coprime to 48: a fixed shuffle visiting every pole once.
+        let shuffled: Vec<u32> = (0..48).map(|i| (i * 29 + 7) % 48).collect();
+        assert_eq!(run(&shuffled), reference);
     }
 
     /// Fresh scratch directory for log tests (unit tests have no
@@ -2166,7 +2067,7 @@ mod tests {
     #[test]
     fn a_worker_buffer_outlives_interleaved_engines() {
         // One thread alternates ingesting into two engines: each engine
-        // must keep its own worker buffer (no cross-talk), and both runs
+        // must keep its own ingest buffers (no cross-talk), and both runs
         // must still produce their full totals.
         let a = LiveCity::new(directory(1), tiny_config());
         let b = LiveCity::new(directory(1), tiny_config());

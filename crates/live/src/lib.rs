@@ -27,7 +27,7 @@
 //!   [`WindowSpec`]s resolved to pane runs, and [`CityWindows`]: the ring
 //!   of retained sealed panes plus the running OD windows queries keep
 //!   over it.
-//! * [`engine`] — [`LiveCity`]: per-worker out-of-order buffering, a
+//! * [`engine`] — [`LiveCity`]: per-pole-stripe out-of-order buffering, a
 //!   dedicated sealer thread doing deterministic pane sealing behind the
 //!   watermark, shed counting for late arrivals, and a fingerprint chain
 //!   over the sealed window sequence. With [`LiveCity::with_log`] every
@@ -64,14 +64,15 @@
 //! pushes all reconciliation to a dedicated control thread:
 //!
 //! 1. **Ingest** (any thread, per report): one atomic load of the seal
-//!    floor, an uncontended lock of the calling thread's own worker slot
+//!    floor, a lock of the reporting pole's ingest stripe — one of 16,
+//!    `pole % 16`, uncontended when threads partition work by pole —
 //!    (observations appended to their pane's bucket with their precomputed
 //!    shard and within-report index; report-level segment counters folded
 //!    into the same bucket), then a lock-free watermark update. No global lock, no
 //!    allocation, no sort. If — and only if — this report completed a pane
 //!    boundary, the thread raises the sealer's target and signals a
 //!    condvar.
-//! 2. **Seal** (the dedicated sealer thread): drain every worker slot once
+//! 2. **Seal** (the dedicated sealer thread): drain every stripe once
 //!    per released target, establish the canonical
 //!    `(pane, shard, timestamp, pole, tag, seq)` order with one bucket
 //!    pass, walk it through the per-shard [`TagTracker`] state machines

@@ -385,10 +385,17 @@ impl LiveSubscription {
     /// from retention before this poll could see them.
     pub fn poll(&mut self, live: &LiveCity) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
+        let pane_us = live.config().pane_us;
         let (summaries, next, oldest_retained) = live.with_sealed(|windows, _, next_pane| {
-            Self::collect(windows, next_pane, cursor, live.config().pane_us)
+            let panes = windows.panes();
+            let summaries: Vec<PaneSummary> = panes
+                .iter()
+                .filter(|pane| pane.index >= cursor)
+                .map(|pane| PaneSummary::new(pane, pane_us))
+                .collect();
+            (summaries, next_pane, panes.front().map(|pane| pane.index))
         });
-        self.advance_to(next);
+        self.cursor = next;
         (summaries, Self::missed(oldest_retained, next, cursor))
     }
 
@@ -401,29 +408,8 @@ impl LiveSubscription {
     /// sleeping in `wait_next` costs ingest nothing and wakes within one
     /// condvar signal of the pane landing.
     pub fn wait_next(&mut self, live: &LiveCity, timeout: Duration) -> (Vec<PaneSummary>, u64) {
-        let cursor = self.cursor;
-        let (summaries, next, oldest_retained) =
-            live.wait_sealed_past(cursor, timeout, |windows, next_pane| {
-                Self::collect(windows, next_pane, cursor, live.config().pane_us)
-            });
-        self.advance_to(next);
-        (summaries, Self::missed(oldest_retained, next, cursor))
-    }
-
-    fn collect(
-        windows: &CityWindows,
-        next_pane: u64,
-        cursor: u64,
-        pane_us: u64,
-    ) -> (Vec<PaneSummary>, u64, Option<u64>) {
-        let panes = windows.panes();
-        let summaries: Vec<PaneSummary> = panes
-            .iter()
-            .filter(|pane| pane.index >= cursor)
-            .map(|pane| PaneSummary::new(pane, pane_us))
-            .collect();
-        let oldest = panes.front().map(|pane| pane.index);
-        (summaries, next_pane, oldest)
+        live.wait_sealed(self.cursor, timeout);
+        self.poll(live)
     }
 
     fn missed(oldest_retained: Option<u64>, next: u64, cursor: u64) -> u64 {
@@ -434,10 +420,6 @@ impl LiveSubscription {
             None if next > cursor => next - cursor,
             _ => 0,
         }
-    }
-
-    fn advance_to(&mut self, next: u64) {
-        self.cursor = next;
     }
 }
 

@@ -105,9 +105,10 @@ impl OdWindow {
     /// the pane the union starts at is still retained, the panes between its
     /// two ends are the ones that were added, and the window has moved by
     /// subtracting what fell off its old end and adding what sealed since.
-    /// When that does not line up — first use, the old start evicted — or
-    /// would fold more panes than the window holds, the same two loops run
-    /// from an empty union over the whole window: the cold path.
+    /// When that does not line up — first use, the old start evicted, a
+    /// pane the union turns out never to have held — or would fold more
+    /// panes than the window holds, the adding loop runs from an empty union
+    /// over the whole window: the cold path.
     fn advance(&mut self, panes: &VecDeque<Pane>) {
         let len = panes.len();
         let start = len.saturating_sub(self.width);
@@ -118,16 +119,20 @@ impl OdWindow {
             .filter(|&(a, b)| {
                 a <= start && start <= b && (start - a) + (len - 1 - b) < len - start
             });
-        let (left, entered) = match delta {
-            Some((a, b)) => (a..start, b + 1..len),
+        // A pane the union never held (its bookkeeping is wrong) is not a
+        // panic under the sealed lock: it is one more reason to go cold.
+        let warm = delta.filter(|&(a, _)| {
+            panes
+                .range(a..start)
+                .all(|pane| self.union.subtract(&pane.agg.od))
+        });
+        let entered = match warm {
+            Some((_, b)) => b + 1..len,
             None => {
                 self.union.clear();
-                (0..0, start..len)
+                start..len
             }
         };
-        for pane in panes.range(left) {
-            self.union.subtract(&pane.agg.od);
-        }
         for pane in panes.range(entered) {
             self.union.add(&pane.agg.od);
         }
@@ -339,6 +344,31 @@ mod tests {
         assert_eq!(top[1], ((4, 5), 1));
         // The running window answers what the merge answers.
         assert_eq!(windows.top_od(2, 2), top);
+    }
+
+    #[test]
+    fn a_window_that_never_held_a_pane_it_claims_rebuilds_cold() {
+        let od_pane = |pane: u64| {
+            let mut agg = CityAggregates::new();
+            agg.od.record(PoleId(pane as u32), PoleId(pane as u32 + 1));
+            agg.od.record(PoleId(9), PoleId(10));
+            agg
+        };
+        let mut windows = CityWindows::new(8);
+        for pane in 0..6u64 {
+            push(&mut windows, pane, od_pane(pane));
+        }
+        assert_eq!(windows.top_od(4, 9), windows.merge_last(4).od.top(9));
+        // Forge the bookkeeping: the union holds panes 2..=5 but now says it
+        // starts at pane 1, so the next slide subtracts a pane never added.
+        assert_eq!(windows.od[0].span, Some((2, 5)));
+        windows.od[0].span = Some((1, 5));
+        push(&mut windows, 6, od_pane(6));
+        assert_eq!(windows.top_od(4, 9), windows.merge_last(4).od.top(9));
+        assert_eq!(windows.od[0].span, Some((3, 6)));
+        // The rebuilt window slides warm again.
+        push(&mut windows, 7, od_pane(7));
+        assert_eq!(windows.top_od(4, 9), windows.merge_last(4).od.top(9));
     }
 
     #[test]

@@ -169,28 +169,17 @@ impl LogReader {
         &self.segments
     }
 
-    /// A verifying cursor over every record, oldest first.
+    /// A verifying cursor over every record, oldest first. Decoding
+    /// borrows each payload in place from the loaded segment buffer.
     pub fn records(&self) -> RecordCursor {
-        self.records_from(0)
-    }
-
-    /// A verifying cursor that still reads (and verifies) the whole log
-    /// but only yields snapshots, dead-pole markers, and panes at or after
-    /// `pane` — the "resume a dashboard from pane N" entry point.
-    ///
-    /// Decoding borrows each payload in place from the loaded segment
-    /// buffer.
-    pub fn records_from(&self, pane: u64) -> RecordCursor {
         RecordCursor {
             dir: self.dir.clone(),
             segments: self.segments.clone(),
             next_segment: 0,
             current: None,
-            min_pane: pane,
             chain: Fingerprint::new(),
             expected_pane: None,
             torn_tail_bytes: 0,
-            verified_panes: 0,
             finished: false,
         }
     }
@@ -211,11 +200,9 @@ pub struct RecordCursor {
     segments: Vec<String>,
     next_segment: usize,
     current: Option<SegmentBuf>,
-    min_pane: u64,
     chain: Fingerprint,
     expected_pane: Option<u64>,
     torn_tail_bytes: u64,
-    verified_panes: u64,
     finished: bool,
 }
 
@@ -224,11 +211,6 @@ impl RecordCursor {
     /// cleanly-closed log). Meaningful once iteration has ended.
     pub fn torn_tail_bytes(&self) -> u64 {
         self.torn_tail_bytes
-    }
-
-    /// Pane records whose fingerprint and chain have been verified so far.
-    pub fn verified_panes(&self) -> u64 {
-        self.verified_panes
     }
 
     /// The chain state after the last verified pane.
@@ -347,7 +329,6 @@ impl RecordCursor {
                     });
                 }
                 self.expected_pane = Some(p.pane + 1);
-                self.verified_panes += 1;
             }
             LogRecord::DeadPole(_) => {}
         }
@@ -355,29 +336,24 @@ impl RecordCursor {
     }
 
     fn step(&mut self) -> Result<Option<LogRecord>, LogError> {
-        loop {
-            // Decode straight from the loaded segment's bytes; the name is
-            // only cloned on the error path.
-            let Some((offset, start, len)) = self.next_payload_span()? else {
-                return Ok(None);
-            };
-            let seg = self
-                .current
-                .as_ref()
-                .expect("span points into loaded segment");
-            let record = codec::decode_record(&seg.bytes[start..start + len]).map_err(|what| {
-                LogError::Decode {
-                    segment: seg.name.clone(),
-                    offset,
-                    what,
-                }
-            })?;
-            self.verify(&record)?;
-            match &record {
-                LogRecord::Pane(p) if p.pane < self.min_pane => continue,
-                _ => return Ok(Some(record)),
+        // Decode straight from the loaded segment's bytes; the name is
+        // only cloned on the error path.
+        let Some((offset, start, len)) = self.next_payload_span()? else {
+            return Ok(None);
+        };
+        let seg = self
+            .current
+            .as_ref()
+            .expect("span points into loaded segment");
+        let record = codec::decode_record(&seg.bytes[start..start + len]).map_err(|what| {
+            LogError::Decode {
+                segment: seg.name.clone(),
+                offset,
+                what,
             }
-        }
+        })?;
+        self.verify(&record)?;
+        Ok(Some(record))
     }
 }
 

@@ -16,7 +16,7 @@
 //!    subscribers hold it.** Queries are registered under their canonical
 //!    wire encoding ([`crate::wire::encode_query`]) as the cache key; a
 //!    single fan-out thread wakes on every pane seal
-//!    ([`LiveSubscription::wait_next`]), evaluates *all* registered queries
+//!    ([`LiveCity::wait_sealed`]), evaluates *all* registered queries
 //!    under one acquisition of the sealed state
 //!    ([`LiveCity::query_sealed`]), and pushes one immutable
 //!    [`PaneFrame`] — answer, wire bytes, seal wall-clock — into each
@@ -37,11 +37,11 @@
 //! decision shows up in [`ServeStats`].
 //!
 //! [`LiveCity::query_sealed`]: caraoke_live::LiveCity::query_sealed
-//! [`LiveSubscription::wait_next`]: caraoke_live::LiveSubscription::wait_next
+//! [`LiveCity::wait_sealed`]: caraoke_live::LiveCity::wait_sealed
 
 use crate::eval::LogFollower;
 use crate::wire::{encode_answer, encode_query};
-use caraoke_live::{LiveAnswer, LiveCity, LiveQuery, LiveSubscription};
+use caraoke_live::{LiveAnswer, LiveCity, LiveQuery};
 use caraoke_log::LogError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -465,20 +465,21 @@ impl Drop for ServeHub {
 /// and runs one fan-out round per wake. Holds only a `Weak` hub reference
 /// so an abandoned hub unwinds itself.
 fn fanout_loop(hub: Weak<ServeHub>, live: Arc<LiveCity>) {
-    let mut seals = LiveSubscription::new();
+    let mut horizon = 0u64;
     loop {
         match hub.upgrade() {
             Some(hub) if !hub.shutdown.load(Ordering::SeqCst) => {}
             _ => return,
         }
-        let (panes, missed) = seals.wait_next(&live, FANOUT_WAIT);
+        let sealed = live.wait_sealed(horizon, FANOUT_WAIT);
         let Some(hub) = hub.upgrade() else { return };
         if hub.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if panes.is_empty() && missed == 0 {
+        if sealed <= horizon {
             continue;
         }
+        horizon = sealed;
         hub.fan_out_once(&live);
     }
 }

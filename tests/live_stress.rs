@@ -44,19 +44,26 @@ fn reference_run(source: &SyntheticCity) -> (u64, u64, u64) {
     )
 }
 
-/// 16 ingest threads, each owning a stripe of poles and delivering its
-/// poles' streams in a seeded random merge: FIFO per pole (the watermark
-/// contract) but a different cross-pole arrival order on every thread and
-/// every seed, racing the dedicated sealer the whole time.
-fn stressed_run(source: &SyntheticCity, shards: usize, seed: u64) -> (u64, u64, u64) {
+/// `workers` ingest threads, each owning poles `w, w + workers, …` and
+/// delivering its poles' streams in a seeded random merge: FIFO per pole
+/// (the watermark contract) but a different cross-pole arrival order on
+/// every thread and every seed, racing the dedicated sealer the whole time.
+/// The engine's 16 ingest stripes hold poles by `pole % 16`: 16 workers each
+/// own one, a count that does not divide 16 makes threads share them.
+fn stressed_run(
+    source: &SyntheticCity,
+    shards: usize,
+    seed: u64,
+    workers: usize,
+) -> (u64, u64, u64) {
     let live = LiveCity::new(source.directory().clone(), config(shards));
     let n_poles = source.directory().len() as u32;
     let epochs = source.epochs();
     std::thread::scope(|scope| {
-        for w in 0..INGEST_THREADS {
+        for w in 0..workers {
             let live = &live;
             scope.spawn(move || {
-                let poles: Vec<u32> = (w as u32..n_poles).step_by(INGEST_THREADS).collect();
+                let poles: Vec<u32> = (w as u32..n_poles).step_by(workers).collect();
                 if poles.is_empty() {
                     return;
                 }
@@ -96,14 +103,70 @@ fn sixteen_ingest_threads_reproduce_the_single_threaded_chain_across_seeds() {
         .into_iter()
         .enumerate()
     {
-        // Vary the shard count too: the chain must not care.
+        // Vary the shard count too, and how the ingest threads fall on
+        // the stripes: the chain must not care.
         let shards = [1, 2, 5, 8, 13, 16][i];
-        let stressed = stressed_run(&source, shards, seed);
+        let workers = [INGEST_THREADS, 3, 5, 6, INGEST_THREADS, INGEST_THREADS][i];
+        let stressed = stressed_run(&source, shards, seed, workers);
         assert_eq!(
             stressed, reference,
-            "seed {seed} / {shards} shards diverged from the single-threaded run"
+            "seed {seed} / {shards} shards / {workers} workers diverged from the single-threaded run"
         );
     }
+}
+
+#[test]
+fn threads_sharing_one_stripe_seal_the_single_threaded_chain_after_one_has_exited() {
+    // Poles 0, 16 and 32 all land on ingest stripe 0; the other 30 poles
+    // are declared dead so these three alone drive the watermark. One
+    // thread per pole: the first delivers its whole stream and is joined
+    // before the others start, so nothing of it can have sealed (the
+    // watermark needs all three) — data buffered by a thread that is gone
+    // must seal like any other — then the remaining two race each other
+    // and the sealer on the one stripe.
+    const SHARED: [u32; 3] = [0, 16, 32];
+    let source = SyntheticCity::new(33, 120, 909);
+    let engine = |shards| {
+        let live = LiveCity::new(source.directory().clone(), config(shards));
+        for pole in (0..33).filter(|pole| !SHARED.contains(pole)) {
+            assert!(live.declare_pole_dead(PoleId(pole)));
+        }
+        live
+    };
+    let outcome = |live: &LiveCity| {
+        live.finish();
+        let stats = live.stats();
+        assert_eq!(stats.shed_reports, 0);
+        assert_eq!(stats.shed_observations, 0);
+        assert_eq!(stats.overflow_shed, 0);
+        assert_eq!(stats.buffered_observations, 0);
+        (live.fingerprint_chain(), live.totals(), stats.observations)
+    };
+    let deliver = |live: &LiveCity, pole: u32| {
+        for epoch in 0..source.epochs() {
+            live.ingest(&source.report(pole, epoch));
+        }
+    };
+
+    let reference = engine(1);
+    for epoch in 0..source.epochs() {
+        for pole in SHARED {
+            reference.ingest(&source.report(pole, epoch));
+        }
+    }
+    let reference = outcome(&reference);
+    assert!(reference.2 > 1_000, "workload too small to contend");
+
+    let live = engine(4);
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| deliver(&live, SHARED[0]));
+        first.join().expect("first ingest thread");
+        assert_eq!(live.sealed_panes(), 0, "nothing can seal on one pole");
+        for pole in &SHARED[1..] {
+            scope.spawn(|| deliver(&live, *pole));
+        }
+    });
+    assert_eq!(outcome(&live), reference);
 }
 
 #[test]
@@ -120,7 +183,7 @@ fn position_carrying_observations_keep_byte_identical_fingerprints() {
     for (i, seed) in [11u64, 271, 65_537].into_iter().enumerate() {
         let shards = [1, 7, 16][i];
         assert_eq!(
-            stressed_run(&source, shards, seed),
+            stressed_run(&source, shards, seed, INGEST_THREADS),
             reference,
             "positions broke determinism at seed {seed} / {shards} shards"
         );
@@ -152,7 +215,7 @@ fn cfo_keyed_identities_survive_the_concurrent_seal_path() {
     let reference = reference_run(&source);
     for (shards, seed) in [(8, 5u64), (8, 999), (4, 1_000), (16, 13_311)] {
         assert_eq!(
-            stressed_run(&source, shards, seed),
+            stressed_run(&source, shards, seed, INGEST_THREADS),
             reference,
             "cfo-keyed seed {seed} / {shards} shards diverged"
         );
@@ -203,12 +266,12 @@ fn shed_and_overflow_counters_are_pinned_under_tiny_buffers() {
             pane_us: 1_000_000,
             lateness_panes: 0,
             retain_panes: 4,
-            max_pending_per_worker: 3,
+            max_pending_per_stripe: 3,
             ..Default::default()
         },
     );
     // Pole 0 floods pane 0 with 9 observations while pole 1 stays silent:
-    // nothing can seal, so the 3-slot worker buffer takes 3 and sheds 6.
+    // nothing can seal, so the 3-slot stripe buffer takes 3 and sheds 6.
     for i in 0..9u64 {
         live.ingest(&report(0, 100 + i, vec![obs(i, 0, 100 + i)]));
     }
