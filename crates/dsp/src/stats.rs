@@ -73,14 +73,6 @@ pub fn percentile(values: &[f64], pct: f64) -> f64 {
     }
 }
 
-/// Root-mean-square of a slice.
-pub fn rms(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v * v).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 /// Maximum value (0.0 for empty input).
 pub fn max(values: &[f64]) -> f64 {
     values
@@ -207,12 +199,6 @@ mod tests {
         let v = [1.0, 2.0];
         assert_eq!(percentile(&v, -5.0), 1.0);
         assert_eq!(percentile(&v, 150.0), 2.0);
-    }
-
-    #[test]
-    fn rms_of_constant_is_constant() {
-        assert!((rms(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
-        assert!((rms(&[3.0, -3.0]) - 3.0).abs() < 1e-12);
     }
 
     #[test]

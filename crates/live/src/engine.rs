@@ -1,19 +1,21 @@
 //! The online ingest engine.
 //!
 //! [`LiveCity`] applies [`PoleReport`]s **as they arrive** — no
-//! sort-at-finalize. The hot path is built so that ingest threads never
-//! block on shared state and never allocate per report:
+//! sort-at-finalize. The hot path is built so that ingest threads which
+//! split their work by pole never wait on each other and never allocate per
+//! report:
 //!
-//! * a lock-free [`WatermarkClock`] derives the event-time low watermark
-//!   from pole report timestamps (per-pole atomic frontiers; every pole's
-//!   stream is monotone);
+//! * a [`WatermarkClock`] derives the event-time low watermark from pole
+//!   report timestamps: plain per-pole frontiers (every pole's stream is
+//!   monotone) behind `POLE_STRIPES` mutexes chosen by `pole % POLE_STRIPES`,
+//!   combined under one more when a stripe's slowest pole changes pane;
 //! * ingest buffers belong to **poles**, not threads: a fixed array of
-//!   `INGEST_STRIPES` out-of-order buffers, bucketed by pane (observations
+//!   `POLE_STRIPES` out-of-order buffers, bucketed by pane (observations
 //!   above the watermark plus the report-level segment counters), chosen
-//!   by `pole % INGEST_STRIPES`. Ingest threads that partition their work
-//!   by pole never meet on a stripe, so pushing a report is one lock only
-//!   the sealer contends plus a few appends: no global locks, no
-//!   per-report allocation, no sorting;
+//!   the same way. Ingest threads that partition their work by pole never
+//!   meet on a stripe, so pushing a report is one lock only the sealer
+//!   contends plus a few appends, then the clock's stripe lock: no global
+//!   locks, no per-report allocation, no sorting;
 //! * a **dedicated sealer thread** (spawned by [`LiveCity::new`], woken by a
 //!   condvar whenever the watermark advances) seals the released panes.
 //!   Ingest threads only buffer and signal; they never seal.
@@ -56,6 +58,9 @@
 //! recovers byte-identical.
 //!
 //! Lock order, everywhere: sealed state → an ingest stripe → log sink.
+//! The clock's two locks (clock stripe → clock floors) are leaves: nothing
+//! is acquired under either, `ingest` feeds the clock only after releasing
+//! its ingest stripe, and the sealer reads it holding any of the three.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -84,7 +89,7 @@
 //!
 //! [`BatchDriver`]: caraoke_city::BatchDriver
 
-use crate::watermark::WatermarkClock;
+use crate::watermark::{WatermarkClock, POLE_STRIPES};
 use crate::window::CityWindows;
 use caraoke_city::aggregate::Fingerprint;
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
@@ -196,6 +201,9 @@ pub enum IngestOutcome {
     /// The report arrived beyond the lateness allowance — it was counted
     /// and shed whole.
     ShedLate,
+    /// The report, or an observation inside it, names a pole the directory
+    /// does not hold — it was counted and refused whole.
+    UnknownPole,
 }
 
 /// Snapshot of the engine's telemetry counters.
@@ -211,6 +219,9 @@ pub struct LiveStats {
     pub shed_observations: u64,
     /// Observations shed because a stripe's out-of-order buffer was full.
     pub overflow_shed: u64,
+    /// Whole reports refused because they (or an observation they carry)
+    /// name a pole id past the directory.
+    pub unknown_pole_reports: u64,
     /// Observations currently buffered above the watermark.
     pub buffered_observations: u64,
     /// Panes sealed so far.
@@ -354,15 +365,9 @@ impl WorkerBuf {
     }
 }
 
-/// How many ingest buffers an engine has. A report lands, whole, in stripe
-/// `pole % INGEST_STRIPES`, so an ingest pool that partitions work *by
-/// pole* — thread `w` of `W` owns poles `w, w + W, …` — puts each thread on
-/// its own stripes for every power-of-two `W` up to this, and the mutex is
-/// then contended only by the sealer's brief drain at watermark advances.
-const INGEST_STRIPES: usize = 16;
-
 /// One ingest buffer on its own cache line, so threads pushing to
-/// neighbouring stripes never false-share the lock words.
+/// neighbouring stripes never false-share the lock words. A report lands,
+/// whole, in stripe `pole % POLE_STRIPES`.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Stripe(Mutex<WorkerBuf>);
@@ -498,7 +503,7 @@ struct LiveCore {
     config: LiveConfig,
     n_shards: usize,
     clock: WatermarkClock,
-    /// The ingest buffers, indexed by `pole % INGEST_STRIPES`.
+    /// The ingest buffers, indexed by `pole % POLE_STRIPES`.
     stripes: Box<[Stripe]>,
     sealed: Mutex<SealedState>,
     /// Notified after every seal batch (pairs with `sealed`): wakes
@@ -513,9 +518,9 @@ struct LiveCore {
     shed_reports: AtomicU64,
     shed_observations: AtomicU64,
     overflow_shed: AtomicU64,
+    unknown_pole_reports: AtomicU64,
     forced_panes: AtomicU64,
     forced_pole_misses: AtomicU64,
-    dead_poles: AtomicU64,
     log_retries: AtomicU64,
     log_errors_transient: AtomicU64,
     log_errors_fatal: AtomicU64,
@@ -641,7 +646,7 @@ impl LiveCity {
         resume: Option<caraoke_log::RecoveredState>,
     ) -> Self {
         let shards = config.store.shards.max(1);
-        let (sealed, clock, forced_panes, forced_pole_misses, dead_poles) = match resume {
+        let (sealed, clock, forced_panes, forced_pole_misses) = match resume {
             Some(state) => {
                 let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
@@ -661,13 +666,7 @@ impl LiveCity {
                     trackers: state.trackers,
                     scratch: SealScratch::default(),
                 };
-                (
-                    sealed,
-                    clock,
-                    state.forced_panes,
-                    state.forced_pole_misses,
-                    state.dead_poles.len() as u64,
-                )
+                (sealed, clock, state.forced_panes, state.forced_pole_misses)
             }
             None => {
                 let mut trackers: Vec<TagTracker> =
@@ -687,14 +686,14 @@ impl LiveCity {
                     scratch: SealScratch::default(),
                 };
                 let clock = WatermarkClock::new(directory.len(), config.pane_us);
-                (sealed, clock, 0, 0, 0)
+                (sealed, clock, 0, 0)
             }
         };
         let seal_floor_us = sealed.next_pane * config.pane_us;
         let core = Arc::new(LiveCore {
             clock,
             n_shards: shards,
-            stripes: (0..INGEST_STRIPES).map(|_| Stripe::default()).collect(),
+            stripes: (0..POLE_STRIPES).map(|_| Stripe::default()).collect(),
             sealed: Mutex::new(sealed),
             pane_sealed: Condvar::new(),
             signal: Mutex::new(SealerSignal {
@@ -707,9 +706,9 @@ impl LiveCity {
             shed_reports: AtomicU64::new(0),
             shed_observations: AtomicU64::new(0),
             overflow_shed: AtomicU64::new(0),
+            unknown_pole_reports: AtomicU64::new(0),
             forced_panes: AtomicU64::new(forced_panes),
             forced_pole_misses: AtomicU64::new(forced_pole_misses),
-            dead_poles: AtomicU64::new(dead_poles),
             log_retries: AtomicU64::new(0),
             log_errors_transient: AtomicU64::new(0),
             log_errors_fatal: AtomicU64::new(0),
@@ -731,9 +730,9 @@ impl LiveCity {
 
     /// Removes a stalled pole from the watermark quorum so event-time
     /// sealing resumes without it: boundaries the pole never reached
-    /// complete from the remaining live poles' credits alone. Returns
-    /// `false` (and changes nothing) when the pole is already dead or is
-    /// the last live pole.
+    /// complete from the remaining live poles' frontiers alone. Returns
+    /// `false` (and changes nothing) when the pole is already dead, is the
+    /// last live pole, or is not in the directory.
     ///
     /// The declaration is counted ([`LiveStats::dead_poles`]), recorded in
     /// the pane log (replay and [`recover`](Self::recover) stay faithful),
@@ -744,10 +743,9 @@ impl LiveCity {
     /// stopped.
     pub fn declare_pole_dead(&self, pole: PoleId) -> bool {
         let core = &*self.core;
-        if !core.clock.declare_dead(pole) {
+        if pole.0 as usize >= core.directory.len() || !core.clock.declare_dead(pole) {
             return false;
         }
-        core.dead_poles.fetch_add(1, Ordering::Relaxed);
         {
             let mut guard = core.log.lock().expect("log sink");
             if let Some(sink) = guard.as_mut() {
@@ -783,10 +781,11 @@ impl LiveCity {
     /// watermark contract) — reports older than the sealed frontier are
     /// counted and shed.
     ///
-    /// Lock-light: the only lock taken is the reporting pole's ingest
-    /// stripe (shared by the poles congruent mod 16 and the sealer's
-    /// drain), plus — on the rare report that advances the watermark — the
-    /// sealer wake-up signal.
+    /// Lock-light: the reporting pole's ingest stripe (shared by the poles
+    /// congruent mod 16 and the sealer's drain), then its clock stripe,
+    /// plus — on the rare report that advances the watermark — the clock's
+    /// floors and the sealer wake-up signal. A report naming a pole the
+    /// directory does not hold is refused whole before any of them.
     pub fn ingest(&self, report: &PoleReport) -> IngestOutcome {
         self.core.ingest(report)
     }
@@ -890,13 +889,14 @@ impl LiveCity {
             shed_reports: core.shed_reports.load(Ordering::Relaxed),
             shed_observations: core.shed_observations.load(Ordering::Relaxed),
             overflow_shed: core.overflow_shed.load(Ordering::Relaxed),
+            unknown_pole_reports: core.unknown_pole_reports.load(Ordering::Relaxed),
             buffered_observations: buffered as u64,
             sealed_panes: sealed.next_pane,
             watermark_us: core.clock.watermark_us(),
             seal_floor_us,
             forced_panes: core.forced_panes.load(Ordering::Relaxed),
             forced_pole_misses: core.forced_pole_misses.load(Ordering::Relaxed),
-            dead_poles: core.dead_poles.load(Ordering::Relaxed),
+            dead_poles: core.clock.dead_poles().len() as u64,
             log_retries: core.log_retries.load(Ordering::Relaxed),
             log_errors_transient: core.log_errors_transient.load(Ordering::Relaxed),
             log_errors_fatal: core.log_errors_fatal.load(Ordering::Relaxed),
@@ -955,6 +955,13 @@ impl Drop for LiveCity {
 
 impl LiveCore {
     fn ingest(&self, report: &PoleReport) -> IngestOutcome {
+        // Before anything is buffered or any lock taken: the clock and the
+        // seal fold both index by pole id, the fold on the sealer thread.
+        let known = |pole: PoleId| (pole.0 as usize) < self.directory.len();
+        if !known(report.pole) || !report.observations.iter().all(|obs| known(obs.pole)) {
+            self.unknown_pole_reports.fetch_add(1, Ordering::Relaxed);
+            return IngestOutcome::UnknownPole;
+        }
         let floor = self.seal_floor_us.load(Ordering::Acquire);
         if report.timestamp_us < floor {
             self.shed_reports.fetch_add(1, Ordering::Relaxed);
@@ -964,7 +971,7 @@ impl LiveCore {
         }
         let pane = report.timestamp_us / self.config.pane_us;
         let max_pending = self.config.max_pending_per_stripe;
-        let stripe = &self.stripes[report.pole.0 as usize % INGEST_STRIPES];
+        let stripe = &self.stripes[report.pole.0 as usize % POLE_STRIPES];
         let mut shed = 0u64;
         let mut overflow = 0u64;
         {
@@ -1012,8 +1019,8 @@ impl LiveCore {
 
         // Feed the watermark last: by the time a boundary completes, every
         // in-contract observation at or below it is already buffered (this
-        // thread's pushes are ordered before its clock credit, and the
-        // boundary needs every pole's credit to complete).
+        // thread's pushes are ordered before its frontier store, and the
+        // boundary needs every live pole's frontier past it to complete).
         if let Some(completed) = self.clock.observe(report.pole, report.timestamp_us) {
             let target = completed.saturating_sub(self.config.lateness_panes);
             if target > 0 {
@@ -1558,10 +1565,9 @@ mod tests {
     #[test]
     fn widely_skewed_pole_frontiers_stay_cheap_and_correct() {
         // One thread hears pole 0 run 20 000 panes ahead
-        // of the laggard — far beyond the watermark ring, and more panes
-        // than one seal pass's bucket table holds at 8 shards. Stripe
-        // buffers track occupied panes only, the clock parks the far
-        // credits in its overflow map, and when the laggard catches up the
+        // of the laggard — more panes than one seal pass's bucket table
+        // holds at 8 shards. Stripe buffers track occupied panes only, the
+        // clock keeps frontiers, not panes, and when the laggard catches up the
         // whole span seals as consecutive bounded passes, each committed
         // to the pane log and visible to waiters before the next starts.
         let far_pane = 20_000u64;

@@ -19,9 +19,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`watermark`] — per-pole **atomic** frontiers and the monotone
-//!   event-time low watermark, advanced in pane-width steps with O(1)
-//!   amortized cost and no lock on the hot path.
+//! * [`watermark`] — per-pole frontiers and the monotone event-time low
+//!   watermark, the minimum over live poles kept as sixteen locked stripes
+//!   and one combine: O(1) amortized per report, one uncontended lock.
 //! * [`window`] — window-keyed aggregate state: the batch tier's
 //!   [`CityAggregates`] generalized into panes, tumbling/sliding
 //!   [`WindowSpec`]s resolved to pane runs, and [`CityWindows`]: the ring
@@ -68,10 +68,10 @@
 //!    `pole % 16`, uncontended when threads partition work by pole —
 //!    (observations appended to their pane's bucket with their precomputed
 //!    shard and within-report index; report-level segment counters folded
-//!    into the same bucket), then a lock-free watermark update. No global lock, no
-//!    allocation, no sort. If — and only if — this report completed a pane
-//!    boundary, the thread raises the sealer's target and signals a
-//!    condvar.
+//!    into the same bucket), then the pole's clock stripe, as uncontended
+//!    as the first. No global lock, no allocation, no sort. If — and only
+//!    if — this report completed a pane boundary, the thread raises the
+//!    sealer's target and signals a condvar.
 //! 2. **Seal** (the dedicated sealer thread): drain every stripe once
 //!    per released target, establish the canonical
 //!    `(pane, shard, timestamp, pole, tag, seq)` order with one bucket

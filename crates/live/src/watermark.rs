@@ -4,7 +4,8 @@
 //! discipline streaming analytics systems use for out-of-order input: every
 //! pole's reports carry monotone timestamps, the clock tracks each pole's
 //! *frontier* (latest timestamp heard from it), and the watermark is the
-//! largest pane boundary that **every** pole's frontier has passed. Once the
+//! largest pane boundary that **every** live pole's frontier has passed:
+//! `min over live poles of frontier / pane_us`, nothing more. Once the
 //! watermark passes a pane, no in-contract delivery can add observations to
 //! it, so the pane can be sealed — aggregated, fingerprinted and evicted —
 //! deterministically.
@@ -14,134 +15,192 @@
 //! by more than the engine's lateness allowance are counted and shed, never
 //! silently merged (see [`crate::engine::LiveCity`]).
 //!
-//! # Lock-free hot path
+//! # A minimum, kept as one
 //!
-//! `observe` is the per-report cost every ingest thread pays, so the clock
-//! takes **no lock in the common case**:
+//! Every transition of the clock happens under a mutex, so it is a
+//! sequential state machine per stripe plus one combine — checkable by
+//! enumerating operation orders (the tests below do), with no memory-order
+//! argument to believe.
 //!
-//! * each pole's frontier is its own (cache-line padded) atomic, advanced
-//!   with `fetch_max` — poles are independent, so ingest threads never
-//!   contend on each other's frontiers;
-//! * "how many poles have passed boundary `b`" lives in a fixed ring of
-//!   atomic counters indexed by `b` modulo the ring size. Per-pole FIFO
-//!   delivery means each pole credits each boundary exactly once, so a
-//!   counter reaching `n_poles` is a complete boundary; the thread that
-//!   observes completion claims it with a single CAS on the **monotone**
-//!   `completed` watermark (immune to ABA by construction) and then drains
-//!   the boundary's `n_poles` from its slot, recycling it for boundary
-//!   `b + ring`;
-//! * the largest frontier is a running atomic max (`max_frontier_us` is one
-//!   load, not an O(poles) scan — the `finish()` flush reads it once per
-//!   run, but telemetry reads it per snapshot).
+//! * **Clock stripes** — `POLE_STRIPES` (16) mutexes chosen by
+//!   `pole % POLE_STRIPES`, each guarding its poles' frontiers and dead
+//!   flags plus two derived values: the stripe's *floor* (the lowest pane
+//!   boundary any of its live poles stands on) and how many stand there.
+//!   `observe` stores the frontier and is done unless the pole was the last
+//!   one on the floor pane and has just left it; only then is the stripe
+//!   rescanned for its new floor (`n_poles / POLE_STRIPES` loads). A rescan
+//!   strictly raises the floor, so it happens at most once per stripe per
+//!   pane.
+//! * **Clock floors** — one mutex guarding every stripe's published floor
+//!   and the live-pole count. A stripe whose floor rose publishes it here,
+//!   still holding its own lock so its publications land in order; the
+//!   minimum over stripes is the new `completed`, stored into the one atomic
+//!   the lock-free readers ([`WatermarkClock::watermark_us`],
+//!   [`WatermarkClock::completed`]) load, and returned to exactly the
+//!   caller that raised it.
 //!
-//! The only lock is an overflow map for boundaries further ahead of the
-//! watermark than the ring can address — a pole racing more than
-//! `RING_BOUNDARIES` panes ahead of the slowest pole, which steady delivery
-//! never does. Credits parked there are folded into the ring as the
-//! watermark advances.
+//! Lock order: **clock stripe → clock floors**, and nothing else is ever
+//! acquired under either — both are leaves. The engine calls `observe` after
+//! releasing the report's ingest stripe and reads `poles_behind` /
+//! `dead_poles` while holding its sealed state and log sink, so its own
+//! order is still sealed state → ingest stripe → log sink.
 //!
-//! Complexity: an `observe` costs O(panes crossed by this report), amortized
-//! O(1) at a steady report cadence — and no longer serializes ingest threads
-//! on a global mutex, which is what lets the watermark keep up with the
-//! batch tier's millions of observations per second.
+//! Complexity: an `observe` is one uncontended lock (ingest threads that
+//! partition work by pole never meet on a stripe) and O(1), plus the
+//! amortized rescan above. `max_frontier_us`, `poles_behind` and
+//! `dead_poles` scan every stripe under its lock; they run on the final
+//! flush, forced seals and snapshots only. Clock state is 9 bytes per pole.
 
 use caraoke_city::PoleId;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// How many open pane boundaries the counter ring can address at once —
-/// equivalently, how far (in panes) the fastest pole may run ahead of the
-/// watermark before its boundary credits spill to the locked overflow map.
-const RING_BOUNDARIES: usize = 256;
+/// How many stripes per-pole state is split over, here and in the engine's
+/// ingest buffers: pole `p` belongs to stripe `p % POLE_STRIPES`. An ingest
+/// pool that partitions work *by pole* — thread `w` of `W` owns poles
+/// `w, w + W, …` — puts each thread on its own stripes for every
+/// power-of-two `W` up to this, so a stripe's mutex is contended only by
+/// whoever reads across stripes (the sealer's drain, a telemetry scan).
+pub(crate) const POLE_STRIPES: usize = 16;
 
-/// One pole's frontier on its own cache line, so ingest threads advancing
-/// different poles never false-share.
+/// The frontiers of the poles congruent to one index mod [`POLE_STRIPES`];
+/// pole `p` is slot `p / POLE_STRIPES`.
+#[derive(Debug)]
+struct StripeClock {
+    /// Latest timestamp heard from each pole (µs). Starts at 0, which counts
+    /// as "has passed boundary 0": the watermark cannot advance until every
+    /// pole has reported.
+    frontier: Vec<u64>,
+    /// Poles removed from the seal quorum (`declare_dead`). A dead pole's
+    /// frontier freezes — its `observe` calls are ignored — and the floor is
+    /// taken over the others.
+    dead: Vec<bool>,
+    /// Lowest pane boundary a live pole of this stripe stands on
+    /// (`frontier / pane_us`); `u64::MAX` when the stripe has no live pole.
+    floor: u64,
+    /// How many live poles stand on `floor`.
+    at_floor: usize,
+}
+
+impl StripeClock {
+    /// Recomputes `floor` and `at_floor` from the frontiers.
+    fn rescan(&mut self, pane_us: u64) {
+        self.floor = u64::MAX;
+        self.at_floor = 0;
+        for (frontier, dead) in self.frontier.iter().zip(&self.dead) {
+            let boundary = frontier / pane_us;
+            if *dead || boundary > self.floor {
+                continue;
+            }
+            if boundary < self.floor {
+                self.floor = boundary;
+                self.at_floor = 0;
+            }
+            self.at_floor += 1;
+        }
+    }
+}
+
+/// One clock stripe on its own cache line, so threads advancing poles of
+/// neighbouring stripes never false-share the lock words.
 #[repr(align(64))]
-#[derive(Debug, Default)]
-struct PoleFrontier(AtomicU64);
+#[derive(Debug)]
+struct Stripe(Mutex<StripeClock>);
+
+/// What the stripes have published: the combine side of the minimum.
+#[derive(Debug)]
+struct Floors {
+    /// Each stripe's floor as of its last publication.
+    floor: [u64; POLE_STRIPES],
+    /// Poles not declared dead; never drops below one.
+    live: usize,
+}
 
 /// Tracks per-pole frontiers and derives the monotone low watermark, in
 /// units of fixed-width *panes* (see [`crate::window`]).
 #[derive(Debug)]
 pub struct WatermarkClock {
     pane_us: u64,
-    /// Latest timestamp heard from each pole (µs). Starts at 0, which counts
-    /// as "has passed boundary 0": the watermark cannot advance until every
-    /// pole has reported.
-    frontier: Vec<PoleFrontier>,
-    /// Boundary index every pole has passed: `frontier[p] >= completed *
-    /// pane_us` for all `p`. The watermark is `completed * pane_us`.
+    stripes: Box<[Stripe]>,
+    floors: Mutex<Floors>,
+    /// Boundary index every live pole has passed — the minimum of
+    /// `floors.floor`, written only under the floors lock. The watermark is
+    /// `completed * pane_us`.
     completed: AtomicU64,
-    /// Running max over all frontiers (µs) — how far ahead of the watermark
-    /// the fastest pole is, maintained incrementally instead of scanned.
-    max_frontier: AtomicU64,
-    /// `counts[(b - 1) % RING_BOUNDARIES]` = poles whose frontier has passed
-    /// boundary `b`, valid while `completed < b <= completed +
-    /// RING_BOUNDARIES`. When boundary `b` completes, its claimer subtracts
-    /// `n_poles` from the slot (see `advance`), so credits its next
-    /// occupant `b + RING_BOUNDARIES` races in are never lost.
-    counts: Vec<AtomicUsize>,
-    /// Credits for boundaries beyond the ring horizon (rare); folded into
-    /// the ring as `completed` advances. `overflow_len` lets the advance
-    /// path skip the lock entirely when the map is empty.
-    overflow: Mutex<BTreeMap<u64, usize>>,
-    overflow_len: AtomicUsize,
-    /// Poles removed from the seal quorum (`declare_dead`). A dead pole's
-    /// frontier freezes — its `observe` calls are ignored — and boundaries
-    /// past that frontier complete without it.
-    dead: Vec<AtomicBool>,
-    /// How many poles are dead; the advance path skips the per-boundary
-    /// quorum scan entirely while this is 0 (the common case).
-    dead_count: AtomicUsize,
-    /// Serializes `declare_dead` so the refuse-last-live-pole check and the
-    /// flag flip are atomic with respect to other declarations.
-    dead_lock: Mutex<()>,
 }
 
 impl WatermarkClock {
     /// Creates a clock over `n_poles` poles with the given pane width.
     pub fn new(n_poles: usize, pane_us: u64) -> Self {
-        assert!(n_poles > 0, "a deployment needs at least one pole");
-        assert!(pane_us > 0, "panes must have nonzero width");
-        Self {
-            pane_us,
-            frontier: (0..n_poles).map(|_| PoleFrontier::default()).collect(),
-            completed: AtomicU64::new(0),
-            max_frontier: AtomicU64::new(0),
-            counts: (0..RING_BOUNDARIES).map(|_| AtomicUsize::new(0)).collect(),
-            overflow: Mutex::new(BTreeMap::new()),
-            overflow_len: AtomicUsize::new(0),
-            dead: (0..n_poles).map(|_| AtomicBool::new(false)).collect(),
-            dead_count: AtomicUsize::new(0),
-            dead_lock: Mutex::new(()),
-        }
+        Self::resume(n_poles, pane_us, 0, &[])
     }
 
     /// Rebuilds a clock from recovered state: every frontier (and the
     /// watermark) starts at the recovery floor `completed * pane_us`, and
-    /// previously-declared dead poles stay dead. Sources re-deliver from
-    /// the floor, so frontiers catch up naturally.
+    /// previously-declared dead poles stay dead (ids past `n_poles` name
+    /// nothing and are skipped). Sources re-deliver from the floor, so
+    /// frontiers catch up naturally.
     pub fn resume(n_poles: usize, pane_us: u64, completed: u64, dead: &[u32]) -> Self {
-        let clock = Self::new(n_poles, pane_us);
-        let floor_us = completed * pane_us;
-        clock.completed.store(completed, Ordering::Release);
-        clock.max_frontier.store(floor_us, Ordering::Release);
-        for frontier in &clock.frontier {
-            frontier.0.store(floor_us, Ordering::Release);
-        }
+        assert!(n_poles > 0, "a deployment needs at least one pole");
+        assert!(pane_us > 0, "panes must have nonzero width");
+        let mut clocks: Vec<StripeClock> = (0..POLE_STRIPES)
+            .map(|k| {
+                let len = (n_poles + POLE_STRIPES - 1 - k) / POLE_STRIPES;
+                StripeClock {
+                    frontier: vec![completed * pane_us; len],
+                    dead: vec![false; len],
+                    floor: u64::MAX,
+                    at_floor: 0,
+                }
+            })
+            .collect();
+        let mut floors = Floors {
+            floor: [u64::MAX; POLE_STRIPES],
+            live: n_poles,
+        };
         for &pole in dead {
-            if let Some(flag) = clock.dead.get(pole as usize) {
-                flag.store(true, Ordering::Release);
-                clock.dead_count.fetch_add(1, Ordering::Release);
+            let (k, slot) = Self::slot(PoleId(pole));
+            if let Some(flag) = clocks[k].dead.get_mut(slot) {
+                if !std::mem::replace(flag, true) {
+                    floors.live -= 1;
+                }
             }
         }
-        clock
+        for (k, clock) in clocks.iter_mut().enumerate() {
+            clock.rescan(pane_us);
+            floors.floor[k] = clock.floor;
+        }
+        Self {
+            pane_us,
+            stripes: clocks.into_iter().map(|c| Stripe(Mutex::new(c))).collect(),
+            floors: Mutex::new(floors),
+            completed: AtomicU64::new(completed),
+        }
     }
 
-    /// Pane width, µs.
-    pub fn pane_us(&self) -> u64 {
-        self.pane_us
+    /// The stripe a pole belongs to and its slot there.
+    fn slot(pole: PoleId) -> (usize, usize) {
+        let p = pole.0 as usize;
+        (p % POLE_STRIPES, p / POLE_STRIPES)
+    }
+
+    fn lock(&self, stripe: usize) -> MutexGuard<'_, StripeClock> {
+        self.stripes[stripe].0.lock().expect("clock stripe")
+    }
+
+    /// Publishes stripe `k`'s floor (the caller holds that stripe's lock, so
+    /// one stripe's publications arrive in order) and raises `completed` to
+    /// the minimum over stripes. Returns the new value when it rose: every
+    /// rise happens here, under the floors lock, so exactly one caller is
+    /// told of each.
+    fn publish(&self, floors: &mut Floors, k: usize, floor: u64) -> Option<u64> {
+        floors.floor[k] = floor;
+        let min = floors.floor.iter().copied().min().expect("stripes");
+        if min <= self.completed() {
+            return None;
+        }
+        self.completed.store(min, Ordering::Release);
+        Some(min)
     }
 
     /// Feeds one pole report timestamp. Returns `Some(completed)` — the new
@@ -150,163 +209,34 @@ impl WatermarkClock {
     /// Out-of-order timestamps (below the pole's frontier) are accepted and
     /// simply don't move the frontier; whether the *observations* they carry
     /// are still usable is the engine's lateness decision, not the clock's.
+    /// A dead pole's frontier is frozen: its stragglers are ignored.
     ///
-    /// Lock-free unless the pole is more than `RING_BOUNDARIES` (256) panes
-    /// ahead of the watermark. Safe to call from many threads at once; each
-    /// pole's stream must still be FIFO (the watermark contract), which also
-    /// guarantees every `(pole, boundary)` pair is credited exactly once —
-    /// concurrent `observe`s of one pole are resolved by `fetch_max`, whose
-    /// return values carve the crossed boundaries into disjoint ranges.
+    /// Safe to call from many threads at once; each pole's stream must still
+    /// be FIFO (the watermark contract).
     pub fn observe(&self, pole: PoleId, timestamp_us: u64) -> Option<u64> {
-        if self.dead_count.load(Ordering::Relaxed) != 0
-            && self.dead[pole.0 as usize].load(Ordering::Acquire)
-        {
-            // A dead pole's frontier is frozen; late stragglers from it
-            // must not credit boundaries the quorum no longer expects
-            // (callers agree not to race `declare_dead` with in-flight
-            // deliveries — see `declare_dead`).
+        let (k, slot) = Self::slot(pole);
+        let mut stripe = self.lock(k);
+        let old = stripe.frontier[slot];
+        if stripe.dead[slot] || timestamp_us <= old {
             return None;
         }
-        let old = self.frontier[pole.0 as usize]
-            .0
-            .fetch_max(timestamp_us, Ordering::AcqRel);
-        if timestamp_us <= old {
+        stripe.frontier[slot] = timestamp_us;
+        let stood = old / self.pane_us;
+        if stood != stripe.floor || timestamp_us / self.pane_us == stood {
             return None;
         }
-        self.max_frontier.fetch_max(timestamp_us, Ordering::AcqRel);
-        let b_old = old / self.pane_us;
-        let b_new = timestamp_us / self.pane_us;
-        if b_new == b_old {
+        stripe.at_floor -= 1;
+        if stripe.at_floor > 0 {
             return None;
         }
-        for b in (b_old + 1)..=b_new {
-            self.credit(b);
-        }
-        self.advance()
-            .then(|| self.completed.load(Ordering::Acquire))
-    }
-
-    /// Records that one pole's frontier passed boundary `b`.
-    fn credit(&self, b: u64) {
-        loop {
-            let completed = self.completed.load(Ordering::Acquire);
-            debug_assert!(b > completed, "pole re-credited a completed boundary");
-            if b <= completed + RING_BOUNDARIES as u64 {
-                // In range. `completed` only grows, so the slot cannot be
-                // re-targeted under us: its current occupant changes only
-                // after `completed` passes `b`, which needs this credit.
-                self.counts[(b - 1) as usize % RING_BOUNDARIES].fetch_add(1, Ordering::AcqRel);
-                return;
-            }
-            // Beyond the horizon (a pole racing far ahead): park the credit.
-            let mut overflow = self.overflow.lock().expect("watermark overflow");
-            *overflow.entry(b).or_insert(0) += 1;
-            self.overflow_len.store(overflow.len(), Ordering::SeqCst);
-            // Dekker-style re-check, *after* publishing `overflow_len`: an
-            // advancing thread pairs a SeqCst `completed` bump with a SeqCst
-            // `overflow_len` read, and we pair a SeqCst `overflow_len`
-            // write with a SeqCst `completed` read — so either it sees our
-            // parked credit (and drains it), or we see its advance here and
-            // un-park to deliver through the ring. Without this, a credit
-            // parked just as the watermark swept past could be stranded and
-            // stall the clock.
-            if b <= self.completed.load(Ordering::SeqCst) + RING_BOUNDARIES as u64 {
-                match overflow.get_mut(&b) {
-                    Some(credits) if *credits > 1 => *credits -= 1,
-                    _ => {
-                        overflow.remove(&b);
-                    }
-                }
-                self.overflow_len.store(overflow.len(), Ordering::SeqCst);
-                continue;
-            }
-            return;
-        }
-    }
-
-    /// Advances `completed` over every boundary whose counter is full.
-    /// Returns whether it moved.
-    ///
-    /// The claim is a CAS on `completed` itself (`c → c + 1`): `completed`
-    /// is monotone, so the CAS cannot suffer an ABA — a thread holding a
-    /// stale `c` simply fails and re-reads. Only the CAS winner drains the
-    /// boundary's `n_poles` from its slot, and it does so with `fetch_sub`
-    /// (not a store), so credits that the slot's *next* occupant
-    /// (`c + 1 + RING_BOUNDARIES`, enabled the instant `completed` passes
-    /// `c`) races in concurrently are preserved, not clobbered.
-    fn advance(&self) -> bool {
-        let n_poles = self.frontier.len();
-        let mut advanced = false;
-        let mut drained = false;
-        loop {
-            let completed = self.completed.load(Ordering::Acquire);
-            let slot = &self.counts[completed as usize % RING_BOUNDARIES];
-            // The quorum for boundary `completed + 1`: every pole except
-            // the dead ones whose frozen frontier never crossed it (dead
-            // poles *past* it credited it while alive, so they count).
-            // `need` only shrinks for a fixed boundary (poles never come
-            // back to life), and the winner below subtracts the same
-            // `need` it checked with, so slot accounting stays exact.
-            let need = if self.dead_count.load(Ordering::Acquire) == 0 {
-                n_poles
-            } else {
-                n_poles - self.dead_behind((completed + 1) * self.pane_us)
-            };
-            // A full count here can only belong to boundary `completed + 1`:
-            // credits for the slot's next occupant are admitted only once
-            // `completed` has moved past it — which would make our CAS fail.
-            if slot.load(Ordering::Acquire) < need {
-                // The missing credit may be sitting in the overflow map (a
-                // pole parked it just as the horizon swept past — see
-                // `credit`'s Dekker re-check): fold the map in once and
-                // re-examine before concluding the boundary is incomplete.
-                if !drained && self.overflow_len.load(Ordering::SeqCst) > 0 {
-                    self.drain_overflow();
-                    drained = true;
-                    continue;
-                }
-                return advanced;
-            }
-            if self
-                .completed
-                .compare_exchange(
-                    completed,
-                    completed + 1,
-                    Ordering::SeqCst,
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                // Lost the claim (or our view was stale): retry with the
-                // fresh `completed`.
-                continue;
-            }
-            slot.fetch_sub(need, Ordering::AcqRel);
-            advanced = true;
-            if self.overflow_len.load(Ordering::SeqCst) > 0 {
-                self.drain_overflow();
-            }
-        }
-    }
-
-    /// Folds parked overflow credits whose boundaries entered the ring
-    /// horizon back into the counter ring.
-    fn drain_overflow(&self) {
-        let mut overflow = self.overflow.lock().expect("watermark overflow");
-        let horizon = self.completed.load(Ordering::Acquire) + RING_BOUNDARIES as u64;
-        while let Some((&b, &credits)) = overflow.iter().next() {
-            if b > horizon {
-                break;
-            }
-            overflow.remove(&b);
-            self.counts[(b - 1) as usize % RING_BOUNDARIES].fetch_add(credits, Ordering::AcqRel);
-        }
-        self.overflow_len.store(overflow.len(), Ordering::Release);
+        stripe.rescan(self.pane_us);
+        let mut floors = self.floors.lock().expect("clock floors");
+        self.publish(&mut floors, k, stripe.floor)
     }
 
     /// The current low watermark, µs: every pole has reported up to here.
     pub fn watermark_us(&self) -> u64 {
-        self.completed.load(Ordering::Acquire) * self.pane_us
+        self.completed() * self.pane_us
     }
 
     /// Highest boundary index every pole has passed.
@@ -315,10 +245,14 @@ impl WatermarkClock {
     }
 
     /// The largest frontier over all poles, µs — how far ahead of the
-    /// watermark the fastest pole is (used by `finish` to flush). A running
-    /// atomic max: one load, never an O(poles) scan.
+    /// watermark the fastest pole is (used by `finish` to flush). An
+    /// O(poles) scan; it runs on the final flush and the staleness timeout,
+    /// never on ingest.
     pub fn max_frontier_us(&self) -> u64 {
-        self.max_frontier.load(Ordering::Acquire)
+        (0..POLE_STRIPES)
+            .filter_map(|k| self.lock(k).frontier.iter().copied().max())
+            .max()
+            .expect("at least one pole")
     }
 
     /// How many poles' frontiers have *not* reached `timestamp_us` — the
@@ -326,10 +260,10 @@ impl WatermarkClock {
     /// off. An O(poles) scan, but it only runs on the staleness-timeout
     /// path (a pole died mid-run), never on ingest.
     pub fn poles_behind(&self, timestamp_us: u64) -> usize {
-        self.frontier
-            .iter()
-            .filter(|f| f.0.load(Ordering::Acquire) < timestamp_us)
-            .count()
+        let behind = |f: &&u64| **f < timestamp_us;
+        (0..POLE_STRIPES)
+            .map(|k| self.lock(k).frontier.iter().filter(behind).count())
+            .sum()
     }
 
     /// Removes a stalled pole from the seal quorum: boundaries beyond its
@@ -339,50 +273,34 @@ impl WatermarkClock {
     /// least one live frontier to define event time).
     ///
     /// **Contract:** only declare a pole dead after its delivery stream
-    /// has stopped. An `observe` for the pole racing this call can credit
-    /// a boundary the shrunken quorum no longer expects, double-counting
-    /// it — the same class of caller obligation as FIFO-per-pole delivery.
+    /// has stopped — the same class of caller obligation as FIFO-per-pole
+    /// delivery. (An `observe` racing this call lands wholly before or
+    /// wholly after it; which one is the caller's race.)
     pub fn declare_dead(&self, pole: PoleId) -> bool {
-        let p = pole.0 as usize;
-        let _guard = self.dead_lock.lock().expect("watermark dead lock");
-        if self.dead[p].load(Ordering::Acquire) {
+        let (k, slot) = Self::slot(pole);
+        let mut stripe = self.lock(k);
+        let mut floors = self.floors.lock().expect("clock floors");
+        if stripe.dead[slot] || floors.live == 1 {
             return false;
         }
-        if self.dead_count.load(Ordering::Acquire) + 1 >= self.frontier.len() {
-            return false;
-        }
-        self.dead[p].store(true, Ordering::Release);
-        self.dead_count.fetch_add(1, Ordering::SeqCst);
+        floors.live -= 1;
+        stripe.dead[slot] = true;
         // Boundaries that were only waiting on this pole can complete now.
-        self.advance();
+        stripe.rescan(self.pane_us);
+        self.publish(&mut floors, k, stripe.floor);
         true
     }
 
     /// Poles declared dead so far, ascending.
     pub fn dead_poles(&self) -> Vec<u32> {
-        if self.dead_count.load(Ordering::Acquire) == 0 {
-            return Vec::new();
+        let mut dead = Vec::new();
+        for k in 0..POLE_STRIPES {
+            let stripe = self.lock(k);
+            let slots = (0..stripe.dead.len()).filter(|&slot| stripe.dead[slot]);
+            dead.extend(slots.map(|slot| (slot * POLE_STRIPES + k) as u32));
         }
-        self.dead
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.load(Ordering::Acquire))
-            .map(|(p, _)| p as u32)
-            .collect()
-    }
-
-    /// Dead poles whose frozen frontier never reached `timestamp_us` — the
-    /// poles excused from the quorum of the pane ending there. O(poles),
-    /// but only runs while at least one pole is dead (operator events, not
-    /// steady state).
-    fn dead_behind(&self, timestamp_us: u64) -> usize {
-        self.dead
-            .iter()
-            .zip(&self.frontier)
-            .filter(|(dead, frontier)| {
-                dead.load(Ordering::Acquire) && frontier.0.load(Ordering::Acquire) < timestamp_us
-            })
-            .count()
+        dead.sort_unstable();
+        dead
     }
 }
 
@@ -473,20 +391,20 @@ mod tests {
         // Pole 0 sprints thousands of panes ahead — far beyond the counter
         // ring — before pole 1 starts. Credits must survive the overflow
         // path: once pole 1 catches up, the watermark covers the full range.
-        let far = (RING_BOUNDARIES as u64 + 1_000) * 1_000;
+        let far = (256 + 1_000) * 1_000;
         let clock = WatermarkClock::new(2, 1_000);
         assert_eq!(clock.observe(PoleId(0), far), None);
         assert_eq!(clock.max_frontier_us(), far);
         // Pole 1 walks up in steps that repeatedly cross the old horizon.
         let mut last = 0;
-        for step in 1..=(RING_BOUNDARIES as u64 + 1_000) {
+        for step in 1..=(256 + 1_000) {
             clock.observe(PoleId(1), step * 1_000);
             let w = clock.watermark_us();
             assert!(w >= last, "watermark regressed: {w} < {last}");
             last = w;
         }
         assert_eq!(clock.watermark_us(), far / 1_000 * 1_000);
-        assert_eq!(clock.completed(), RING_BOUNDARIES as u64 + 1_000);
+        assert_eq!(clock.completed(), 256 + 1_000);
     }
 
     #[test]
@@ -578,5 +496,252 @@ mod tests {
         assert_eq!(clock.completed(), epochs);
         assert_eq!(clock.watermark_us(), epochs * 1_000);
         assert_eq!(clock.max_frontier_us(), epochs * 1_000);
+    }
+
+    /// The definition — `min over live poles of frontier / pane_us` —
+    /// recomputed from plain vectors at every step.
+    struct Oracle {
+        pane_us: u64,
+        frontier: Vec<u64>,
+        dead: Vec<bool>,
+        completed: u64,
+    }
+
+    impl Oracle {
+        fn new(n_poles: usize, pane_us: u64) -> Self {
+            Self {
+                pane_us,
+                frontier: vec![0; n_poles],
+                dead: vec![false; n_poles],
+                completed: 0,
+            }
+        }
+
+        fn live(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.dead.len()).filter(|&p| !self.dead[p])
+        }
+
+        /// `Some(min)` exactly when the minimum rose.
+        fn rise(&mut self) -> Option<u64> {
+            let min = self.live().map(|p| self.frontier[p] / self.pane_us).min();
+            let min = min.expect("a live pole");
+            (min > self.completed).then(|| {
+                self.completed = min;
+                min
+            })
+        }
+
+        fn observe(&mut self, pole: usize, timestamp_us: u64) -> Option<u64> {
+            if !self.dead[pole] {
+                self.frontier[pole] = self.frontier[pole].max(timestamp_us);
+            }
+            self.rise()
+        }
+
+        fn declare_dead(&mut self, pole: usize) -> bool {
+            if self.dead[pole] || self.live().count() == 1 {
+                return false;
+            }
+            self.dead[pole] = true;
+            self.rise();
+            true
+        }
+
+        fn dead_poles(&self) -> Vec<u32> {
+            let dead = (0..self.dead.len()).filter(|&p| self.dead[p]);
+            dead.map(|p| p as u32).collect()
+        }
+
+        /// What recovery does: the clock rebuilt from `completed` and the
+        /// dead set, every frontier parked on the floor.
+        fn resume(&mut self) -> WatermarkClock {
+            self.frontier.fill(self.completed * self.pane_us);
+            let dead = self.dead_poles();
+            WatermarkClock::resume(self.dead.len(), self.pane_us, self.completed, &dead)
+        }
+
+        /// Every read the clock offers agrees with the definition.
+        fn check(&self, clock: &WatermarkClock) {
+            assert_eq!(clock.completed(), self.completed);
+            assert_eq!(clock.watermark_us(), self.completed * self.pane_us);
+            assert_eq!(clock.dead_poles(), self.dead_poles());
+            let max = *self.frontier.iter().max().expect("poles");
+            assert_eq!(clock.max_frontier_us(), max);
+            let mut probes: Vec<u64> = self.frontier.iter().flat_map(|&f| [f, f + 1]).collect();
+            probes.sort_unstable();
+            probes.dedup();
+            for t in probes {
+                let behind = self.frontier.iter().filter(|&&f| f < t).count();
+                assert_eq!(clock.poles_behind(t), behind, "behind {t}");
+            }
+        }
+    }
+
+    /// Every interleaving of three FIFO streams of three items each, as
+    /// sequences of stream indices.
+    fn merge_orders(left: [usize; 3], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if left == [0; 3] {
+            out.push(prefix.clone());
+        }
+        for stream in 0..3 {
+            if left[stream] > 0 {
+                let mut rest = left;
+                rest[stream] -= 1;
+                prefix.push(stream);
+                merge_orders(rest, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+
+    #[test]
+    fn every_merge_order_and_every_death_position_match_the_definition() {
+        // Three streams: one crosses two boundaries at once and repeats a
+        // timestamp, one crawls, one jumps three panes and runs ahead.
+        const STREAMS: [[u64; 3]; 3] = [
+            [500, 2_300, 2_300],
+            [1_200, 1_900, 4_100],
+            [3_500, 3_600, 5_000],
+        ];
+        let mut orders = Vec::new();
+        merge_orders([3; 3], &mut Vec::new(), &mut orders);
+        assert_eq!(orders.len(), 1_680);
+        // The three poles on three stripes, then two sharing stripe 0 and
+        // the third sharing stripe 1 with a dead neighbour (every pole
+        // outside the cast is declared dead before the walk starts).
+        for (n_poles, cast) in [(3, [0, 1, 2]), (18, [0, 16, 17])] {
+            for order in &orders {
+                for victim in 0..3 {
+                    for death_at in 0..=order.len() {
+                        let clock = WatermarkClock::new(n_poles, 1_000);
+                        let mut oracle = Oracle::new(n_poles, 1_000);
+                        for pole in (0..n_poles).filter(|p| !cast.contains(p)) {
+                            assert!(oracle.declare_dead(pole));
+                            assert!(clock.declare_dead(PoleId(pole as u32)));
+                        }
+                        let mut next = [0; 3];
+                        for step in 0..=order.len() {
+                            if step == death_at {
+                                let pole = cast[victim];
+                                let expect = oracle.declare_dead(pole);
+                                assert_eq!(clock.declare_dead(PoleId(pole as u32)), expect);
+                                oracle.check(&clock);
+                            }
+                            let Some(&stream) = order.get(step) else {
+                                break;
+                            };
+                            let (pole, ts) = (cast[stream], STREAMS[stream][next[stream]]);
+                            next[stream] += 1;
+                            let expect = oracle.observe(pole, ts);
+                            assert_eq!(
+                                clock.observe(PoleId(pole as u32), ts),
+                                expect,
+                                "{order:?}, pole {victim} dead at {death_at}, step {step}"
+                            );
+                            oracle.check(&clock);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_walks_with_deaths_and_resumes_match_the_definition(
+            shape in 0usize..5,
+            script in proptest::collection::vec(
+                (0u8..12, proptest::any::<u64>(), proptest::any::<u64>()),
+                1..120,
+            ),
+        ) {
+            // One pole, a ragged handful (eleven empty stripes), exactly one
+            // per stripe, one stripe of two, and two to three per stripe.
+            let n_poles = [1, 5, 16, 17, 40][shape];
+            let mut clock = WatermarkClock::new(n_poles, 1_000);
+            let mut oracle = Oracle::new(n_poles, 1_000);
+            for (op, x, y) in script {
+                // Half the moves go to the slowest live pole, or the
+                // watermark of forty poles would never leave zero.
+                let laggard = oracle.live().min_by_key(|&p| oracle.frontier[p]);
+                let pole = match x % 2 {
+                    0 => laggard.expect("a live pole"),
+                    _ => (x / 2) as usize % n_poles,
+                };
+                match op {
+                    0 => clock = oracle.resume(),
+                    1 | 2 => {
+                        let expect = oracle.declare_dead(pole);
+                        proptest::prop_assert_eq!(clock.declare_dead(PoleId(pole as u32)), expect);
+                    }
+                    _ => {
+                        // Up to three panes ahead, sometimes behind the
+                        // pole's own frontier (out of order: ignored).
+                        let ts = (oracle.frontier[pole] + y % 3_300).saturating_sub(300);
+                        let expect = oracle.observe(pole, ts);
+                        proptest::prop_assert_eq!(clock.observe(PoleId(pole as u32), ts), expect);
+                    }
+                }
+                oracle.check(&clock);
+            }
+        }
+    }
+
+    #[test]
+    fn a_death_mid_run_releases_racing_observers_without_a_regression() {
+        // The walk of `concurrent_observes_agree_with_a_sequential_run`,
+        // with a ninth pole that never reports: nothing completes until the
+        // main thread declares it dead halfway through, then everything the
+        // eight have passed completes at once while they keep walking.
+        let n_walkers = 8u32;
+        let epochs = 2_000u64;
+        let clock = WatermarkClock::new(n_walkers as usize + 1, 1_000);
+        let (done, is_done) = std::sync::mpsc::channel::<()>();
+        let mut advances: Vec<u64> = std::thread::scope(|scope| {
+            let walkers: Vec<_> = (0..n_walkers)
+                .map(|p| {
+                    let clock = &clock;
+                    scope.spawn(move || {
+                        let stride = 1 + p as u64;
+                        let mut told = Vec::new();
+                        let mut t = 0;
+                        while t < epochs * 1_000 {
+                            t += stride * 337;
+                            told.extend(clock.observe(PoleId(p), t.min(epochs * 1_000)));
+                        }
+                        told
+                    })
+                })
+                .collect();
+            let sampled = &clock;
+            scope.spawn(move || {
+                let mut last = 0;
+                while is_done.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                    let w = sampled.watermark_us();
+                    assert!(w >= last, "watermark regressed: {w} < {last}");
+                    last = w;
+                }
+            });
+            while clock.max_frontier_us() < epochs * 500 {
+                std::thread::yield_now();
+            }
+            assert_eq!(clock.completed(), 0, "the silent pole holds everything");
+            assert!(clock.declare_dead(PoleId(n_walkers)));
+            let told = walkers.into_iter().map(|w| w.join().expect("walker"));
+            let told = told.flatten().collect();
+            drop(done);
+            told
+        });
+        assert_eq!(clock.completed(), epochs);
+        assert_eq!(clock.dead_poles(), vec![n_walkers]);
+        // Each advance was returned to exactly one observer: no value twice,
+        // and the last one is the final watermark (unless the declaration
+        // itself, which returns no value, completed it).
+        advances.sort_unstable();
+        assert!(
+            advances.windows(2).all(|w| w[0] < w[1]),
+            "an advance told twice"
+        );
+        assert!(advances.last().is_none_or(|&last| last == epochs));
     }
 }

@@ -9,7 +9,7 @@
 //! 0.21 MHz (footnote 7).
 
 use crate::noise::normal;
-use crate::timing::{CARRIER_FREQUENCY_HZ, CFO_SPAN_HZ};
+use crate::timing::CFO_SPAN_HZ;
 use rand::{Rng, RngExt};
 
 /// Lowest transponder carrier frequency (Hz).
@@ -69,14 +69,6 @@ impl CfoModel {
     }
 }
 
-/// The CFO a receiver tuned exactly to 915 MHz would observe for a tag at
-/// `carrier_hz` (can be negative). Provided for completeness; the reader
-/// implementation uses the bottom-of-band convention of
-/// [`CfoModel::sample_cfo`].
-pub fn cfo_relative_to_nominal(carrier_hz: f64) -> f64 {
-    carrier_hz - CARRIER_FREQUENCY_HZ
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,12 +114,6 @@ mod tests {
         let m = CfoModel::Fixed(914.9e6);
         assert_eq!(m.sample_carrier(&mut rng), 914.9e6);
         assert!((m.sample_cfo(&mut rng) - 0.6e6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn nominal_relative_cfo_can_be_negative() {
-        assert!(cfo_relative_to_nominal(914.5e6) < 0.0);
-        assert!(cfo_relative_to_nominal(915.2e6) > 0.0);
     }
 
     #[test]

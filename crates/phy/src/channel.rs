@@ -42,11 +42,6 @@ impl Channel {
     pub fn phase(&self) -> f64 {
         self.gain.arg()
     }
-
-    /// Channel power in dB relative to the 1 m reference.
-    pub fn power_db(&self) -> f64 {
-        20.0 * self.gain.abs().max(1e-300).log10()
-    }
 }
 
 /// A single-bounce multipath ray.
@@ -196,11 +191,5 @@ mod tests {
         let model = PropagationModel::line_of_sight();
         let h = model.channel(Vec3::ZERO, Vec3::ZERO);
         assert!(h.magnitude().is_finite());
-    }
-
-    #[test]
-    fn power_db_is_consistent_with_magnitude() {
-        let c = Channel::new(Complex::from_polar(0.1, 1.0));
-        assert!((c.power_db() + 20.0).abs() < 1e-9);
     }
 }

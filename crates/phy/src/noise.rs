@@ -46,17 +46,6 @@ pub fn add_awgn<R: Rng + ?Sized>(signal: &mut [Complex], std_dev: f64, rng: &mut
     }
 }
 
-/// Converts a desired signal-to-noise ratio in dB (with respect to a signal
-/// of RMS amplitude `signal_rms`) into the per-component noise standard
-/// deviation to feed [`add_awgn`].
-///
-/// The noise power of a circularly-symmetric complex Gaussian with
-/// per-component deviation σ is `2σ²`, so `σ = signal_rms / (10^(SNR/20) · √2)`.
-pub fn snr_db_to_noise_std(signal_rms: f64, snr_db: f64) -> f64 {
-    let snr_lin = 10f64.powf(snr_db / 20.0);
-    signal_rms / snr_lin / std::f64::consts::SQRT_2
-}
-
 /// Draws a Poisson-distributed count with the given mean (Knuth's algorithm
 /// for small means, normal approximation for large means). Used by the
 /// traffic generator.
@@ -126,22 +115,6 @@ mod tests {
         let orig = sig.clone();
         add_awgn(&mut sig, 0.0, &mut rng);
         assert_eq!(sig, orig);
-    }
-
-    #[test]
-    fn snr_conversion_produces_requested_snr() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 100_000;
-        let signal_rms = 0.7;
-        let snr_db = 15.0;
-        let sigma = snr_db_to_noise_std(signal_rms, snr_db);
-        let noise: Vec<Complex> = (0..n).map(|_| complex_gaussian(&mut rng, sigma)).collect();
-        let noise_power: f64 = noise.iter().map(|c| c.norm_sqr()).sum::<f64>() / n as f64;
-        let measured_snr_db = 10.0 * (signal_rms * signal_rms / noise_power).log10();
-        assert!(
-            (measured_snr_db - snr_db).abs() < 0.2,
-            "got {measured_snr_db}"
-        );
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl ServeHub {
         &self.config
     }
 
-    /// Pane width the hub serves at, µs.
-    pub fn pane_us(&self) -> u64 {
-        self.pane_us
-    }
-
     /// Stops the fan-out thread and wakes every blocked subscriber. Called
     /// automatically on drop.
     pub fn shutdown(&self) {

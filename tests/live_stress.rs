@@ -8,7 +8,7 @@ use caraoke_suite::city::{
     FrameSource, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, StoreConfig,
     SyntheticCity, TagKey, TagObservation,
 };
-use caraoke_suite::live::{LiveCity, LiveConfig};
+use caraoke_suite::live::{IngestOutcome, LiveCity, LiveConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -50,11 +50,15 @@ fn reference_run(source: &SyntheticCity) -> (u64, u64, u64) {
 /// every thread and every seed, racing the dedicated sealer the whole time.
 /// The engine's 16 ingest stripes hold poles by `pole % 16`: 16 workers each
 /// own one, a count that does not divide 16 makes threads share them.
+/// With `intruder`, worker 0 also delivers — halfway through its own
+/// streams — a report from pole `directory.len()` and a copy of its next
+/// genuine report with one observation renamed to that pole.
 fn stressed_run(
     source: &SyntheticCity,
     shards: usize,
     seed: u64,
     workers: usize,
+    intruder: bool,
 ) -> (u64, u64, u64) {
     let live = LiveCity::new(source.directory().clone(), config(shards));
     let n_poles = source.directory().len() as u32;
@@ -70,10 +74,22 @@ fn stressed_run(
                 let mut rng = StdRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0x9E37));
                 let mut next = vec![0usize; poles.len()];
                 let mut alive: Vec<usize> = (0..poles.len()).collect();
+                let mut delivered = 0;
                 while !alive.is_empty() {
                     let i = rng.random_range(0..alive.len());
                     let slot = alive[i];
-                    live.ingest(&source.report(poles[slot], next[slot]));
+                    let genuine = source.report(poles[slot], next[slot]);
+                    delivered += 1;
+                    if intruder && w == 0 && delivered == poles.len() * epochs / 2 {
+                        let t_us = genuine.timestamp_us;
+                        let stranger = report(n_poles, t_us, vec![obs(1, poles[slot], t_us)]);
+                        assert_eq!(live.ingest(&stranger), IngestOutcome::UnknownPole);
+                        let mut smuggler = genuine.clone();
+                        smuggler.observations.push(obs(2, n_poles, t_us));
+                        assert_eq!(live.ingest(&smuggler), IngestOutcome::UnknownPole);
+                        assert!(!live.declare_pole_dead(PoleId(n_poles)));
+                    }
+                    live.ingest(&genuine);
                     next[slot] += 1;
                     if next[slot] == epochs {
                         alive.swap_remove(i);
@@ -87,6 +103,7 @@ fn stressed_run(
     assert_eq!(stats.shed_reports, 0, "FIFO delivery must not shed");
     assert_eq!(stats.overflow_shed, 0, "buffers must be ample");
     assert_eq!(stats.buffered_observations, 0, "finish flushes everything");
+    assert_eq!(stats.unknown_pole_reports, if intruder { 2 } else { 0 });
     (
         live.fingerprint_chain(),
         live.totals().fingerprint(),
@@ -107,12 +124,24 @@ fn sixteen_ingest_threads_reproduce_the_single_threaded_chain_across_seeds() {
         // the stripes: the chain must not care.
         let shards = [1, 2, 5, 8, 13, 16][i];
         let workers = [INGEST_THREADS, 3, 5, 6, INGEST_THREADS, INGEST_THREADS][i];
-        let stressed = stressed_run(&source, shards, seed, workers);
+        let stressed = stressed_run(&source, shards, seed, workers, false);
         assert_eq!(
             stressed, reference,
             "seed {seed} / {shards} shards / {workers} workers diverged from the single-threaded run"
         );
     }
+}
+
+#[test]
+fn reports_naming_a_pole_past_the_directory_are_refused_whole_mid_run() {
+    // A pole id the directory does not hold used to take the engine down:
+    // an index panic in the clock on the ingest thread, or — smuggled in as
+    // one observation of a good report — in the seal fold on the sealer,
+    // after which `finish` waited forever. Both are refused and counted;
+    // the run seals what it would have sealed without them.
+    let source = SyntheticCity::new(48, 24, 2024);
+    let reference = reference_run(&source);
+    assert_eq!(stressed_run(&source, 4, 31, 4, true), reference);
 }
 
 #[test]
@@ -183,7 +212,7 @@ fn position_carrying_observations_keep_byte_identical_fingerprints() {
     for (i, seed) in [11u64, 271, 65_537].into_iter().enumerate() {
         let shards = [1, 7, 16][i];
         assert_eq!(
-            stressed_run(&source, shards, seed, INGEST_THREADS),
+            stressed_run(&source, shards, seed, INGEST_THREADS, false),
             reference,
             "positions broke determinism at seed {seed} / {shards} shards"
         );
@@ -215,7 +244,7 @@ fn cfo_keyed_identities_survive_the_concurrent_seal_path() {
     let reference = reference_run(&source);
     for (shards, seed) in [(8, 5u64), (8, 999), (4, 1_000), (16, 13_311)] {
         assert_eq!(
-            stressed_run(&source, shards, seed, INGEST_THREADS),
+            stressed_run(&source, shards, seed, INGEST_THREADS, false),
             reference,
             "cfo-keyed seed {seed} / {shards} shards diverged"
         );
@@ -307,7 +336,7 @@ fn shed_and_overflow_counters_are_pinned_under_tiny_buffers() {
 
     // A straggler below the sealed floor is counted and shed whole.
     let late = live.ingest(&report(0, 500_000, vec![obs(99, 0, 500_000)]));
-    assert_eq!(late, caraoke_suite::live::IngestOutcome::ShedLate);
+    assert_eq!(late, IngestOutcome::ShedLate);
     let stats = live.stats();
     assert_eq!(stats.shed_reports, 1);
     assert_eq!(stats.shed_observations, 1);
