@@ -17,10 +17,26 @@
 //!   (§6): how many observations carried a two-reader fix vs an AoA-only
 //!   fix vs the pole-position fallback, and which speed samples came from
 //!   position-track regression vs arrival-time deltas.
+//!
+//! Two accumulators sit beside them, for the paths that fold many events
+//! into one state:
+//!
+//! * [`AggregateBuilder`] — one pane (or one batch shard) while it is being
+//!   folded. The O(1) counters go straight into a [`CityAggregates`]; OD
+//!   and flow events are appended to two `u64` columns (`from << 32 | to`,
+//!   `segment << 32 | cycle` — packed so integer order is the maps' tuple
+//!   order) and canonicalised once, when the pane is
+//!   [`finish`](AggregateBuilder::finish)ed: sort, count equal runs,
+//!   bulk-build the same `BTreeMap`s per-event inserts would have built.
+//! * [`OdTotals`] — the whole-run OD matrix, kept as one sorted run of
+//!   packed pairs plus the panes added since the last merge. Pending pairs
+//!   are merged in once they reach a quarter of the run, so adding a pane
+//!   costs amortised O(1) moves per pair instead of one tree insert per
+//!   pair; the matrix is built only when someone reads it.
 
 use crate::event::{PoleId, SegmentId};
 use crate::position::PositionMethod;
-use crate::store::TagKeyHasher;
+use crate::store::{DerivedEvent, SpeedSource, TagKeyHasher};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -485,7 +501,7 @@ impl OdMatrix {
     pub fn fingerprint_into(&self, fp: &mut Fingerprint) {
         fp.write_u64(self.transitions.len() as u64);
         for (&(from, to), &v) in &self.transitions {
-            fp.write_u64((from as u64) << 32 | to as u64);
+            fp.write_u64(od_key(from, to));
             fp.write_u64(v);
         }
     }
@@ -510,10 +526,6 @@ pub struct OdUnion {
 }
 
 impl OdUnion {
-    fn key(from: u32, to: u32) -> u64 {
-        (from as u64) << 32 | to as u64
-    }
-
     /// Distinct pairs currently held.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -534,7 +546,7 @@ impl OdUnion {
     pub fn add(&mut self, od: &OdMatrix) {
         for (&(from, to), &v) in &od.transitions {
             if v > 0 {
-                *self.pairs.entry(Self::key(from, to)).or_insert(0) += v;
+                *self.pairs.entry(od_key(from, to)).or_insert(0) += v;
             }
         }
     }
@@ -552,7 +564,7 @@ impl OdUnion {
             if v == 0 {
                 continue;
             }
-            let Entry::Occupied(held) = self.pairs.entry(Self::key(from, to)) else {
+            let Entry::Occupied(held) = self.pairs.entry(od_key(from, to)) else {
                 return false;
             };
             match held.get().checked_sub(v) {
@@ -569,12 +581,7 @@ impl OdUnion {
     /// The `n` busiest pairs, ordered exactly as [`OdMatrix::top`] orders
     /// them.
     pub fn top(&self, n: usize) -> Vec<OdPair> {
-        top_pairs(
-            self.pairs
-                .iter()
-                .map(|(&key, &v)| (((key >> 32) as u32, key as u32), v)),
-            n,
-        )
+        top_pairs(self.pairs.iter().map(|(&key, &v)| (od_pair(key), v)), n)
     }
 }
 
@@ -612,12 +619,18 @@ impl CityAggregates {
 
     /// Merges another aggregate state (associative, commutative).
     pub fn merge(&mut self, other: &CityAggregates) {
+        self.merge_all_but_od(other);
+        self.od.merge(&other.od);
+    }
+
+    /// [`merge`](Self::merge) without the OD matrix, for totals whose OD
+    /// lives in an [`OdTotals`].
+    fn merge_all_but_od(&mut self, other: &CityAggregates) {
         for (&seg, stats) in &other.segments {
             self.segments.entry(seg).or_default().merge(stats);
         }
         self.flow.merge(&other.flow);
         self.speeds.merge(&other.speeds);
-        self.od.merge(&other.od);
         self.positions.merge(&other.positions);
         self.observations += other.observations;
     }
@@ -641,9 +654,226 @@ impl CityAggregates {
     }
 }
 
+/// An OD pair packed so that `u64` order is `(from, to)` order.
+fn od_key(from: u32, to: u32) -> u64 {
+    (from as u64) << 32 | to as u64
+}
+
+/// The pair [`od_key`] packed.
+fn od_pair(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// One pane's (or one batch shard's) aggregate while it is being folded:
+/// the counters that cost O(1) per event are kept in place, OD and flow
+/// events are appended as packed keys and turned into their maps once, by
+/// [`finish`](Self::finish). Reusable — `finish` keeps the columns'
+/// capacity for the next pane.
+#[derive(Debug, Default)]
+pub struct AggregateBuilder {
+    /// Everything but OD and flow, counted as it happens.
+    counters: CityAggregates,
+    /// One `from << 32 | to` per OD transition.
+    od: Vec<u64>,
+    /// One `segment << 32 | cycle` per flow event.
+    flow: Vec<u64>,
+}
+
+impl AggregateBuilder {
+    /// Counts one observation and the method that positioned it.
+    #[inline]
+    pub(crate) fn record_observation(&mut self, method: PositionMethod, sigma_m: f64) {
+        self.counters.observations += 1;
+        self.counters.positions.record_method(method, sigma_m);
+    }
+
+    /// Folds one event a [`TagTracker`](crate::store::TagTracker) derived.
+    #[inline]
+    pub(crate) fn record(&mut self, event: DerivedEvent) {
+        match event {
+            DerivedEvent::Flow { segment, cycle } => {
+                self.flow.push((segment.0 as u64) << 32 | cycle as u64)
+            }
+            DerivedEvent::Od { from, to } => self.od.push(od_key(from.0, to.0)),
+            DerivedEvent::Speed { mph, source } => {
+                self.counters.speeds.record(mph);
+                let positions = &mut self.counters.positions;
+                match source {
+                    SpeedSource::PositionTrack => positions.track_speed_samples += 1,
+                    SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
+                }
+            }
+        }
+    }
+
+    /// Everything folded since the last `finish`, with OD and flow as the
+    /// very maps per-event [`OdMatrix::record`] / [`FlowCounter::record`]
+    /// would have built; the builder starts over empty.
+    pub fn finish(&mut self) -> CityAggregates {
+        let mut agg = std::mem::take(&mut self.counters);
+        agg.od.transitions = count_runs(&mut self.od, od_pair);
+        agg.flow.per_cycle = count_runs(&mut self.flow, |key| ((key >> 32) as u16, key as u32));
+        agg
+    }
+}
+
+/// Sorts `column`, maps each distinct key to how often it occurs, and
+/// empties the column (keeping its capacity).
+fn count_runs<K: Ord>(column: &mut Vec<u64>, unpack: impl Fn(u64) -> K) -> BTreeMap<K, u64> {
+    column.sort_unstable();
+    let counted = column
+        .chunk_by(|a, b| a == b)
+        .map(|run| (unpack(run[0]), run.len() as u64))
+        .collect();
+    column.clear();
+    counted
+}
+
+/// Pending pairs are merged into an [`OdTotals`] run once there are at
+/// least this many of them and at least a quarter as many as the run
+/// holds.
+const OD_MERGE_MIN: usize = 16 * 1024;
+
+/// [`OdTotals::to_matrix`] builds the matrix in at most this many parts.
+const MATRIX_PARTS: usize = 8;
+
+/// The whole-run OD matrix, summed sorted: one run of distinct packed pairs
+/// in key order plus the pairs of the panes added since the last merge.
+/// See the module docs; [`to_matrix`](Self::to_matrix) builds the
+/// [`OdMatrix`] on demand.
+#[derive(Debug, Default)]
+pub struct OdTotals {
+    /// `(from << 32 | to, transitions)`, strictly ascending by key.
+    run: Vec<(u64, u64)>,
+    /// Pairs added since the last merge, in arrival order (keys repeat).
+    pending: Vec<(u64, u64)>,
+}
+
+impl OdTotals {
+    /// Adds one pane to whole-run totals: its OD pairs join this run and
+    /// every other counter merges into `total`, whose own `od` is left as
+    /// it is — empty, where this holds the run's OD.
+    pub fn merge_pane(&mut self, total: &mut CityAggregates, pane: &CityAggregates) {
+        total.merge_all_but_od(pane);
+        self.add(&pane.od);
+    }
+
+    fn add(&mut self, od: &OdMatrix) {
+        let pairs = od.transitions.iter();
+        self.pending
+            .extend(pairs.map(|(&(from, to), &n)| (od_key(from, to), n)));
+        if self.pending.len() >= (self.run.len() / 4).max(OD_MERGE_MIN) {
+            self.merge_pending();
+        }
+    }
+
+    /// Merges the pending pairs into the run: sort and combine them, count
+    /// the keys the run already holds, then merge from the back so the run
+    /// grows in place.
+    fn merge_pending(&mut self) {
+        let Self { run, pending } = self;
+        sort_and_combine(pending);
+        let mut shared = 0;
+        let (mut i, mut j) = (0, 0);
+        while i < run.len() && j < pending.len() {
+            match run[i].0.cmp(&pending[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let (mut i, mut j) = (run.len(), pending.len());
+        let mut k = i + j - shared;
+        run.reserve_exact(k - i);
+        run.resize(k, (0, 0));
+        while j > 0 {
+            k -= 1;
+            let (key, n) = pending[j - 1];
+            run[k] = match i.checked_sub(1).map(|h| run[h]) {
+                Some((held, m)) if held > key => {
+                    i -= 1;
+                    (held, m)
+                }
+                Some((held, m)) if held == key => {
+                    i -= 1;
+                    j -= 1;
+                    (key, m + n)
+                }
+                _ => {
+                    j -= 1;
+                    (key, n)
+                }
+            };
+        }
+        debug_assert_eq!(k, i, "the run's untouched head is already in place");
+        pending.clear();
+    }
+
+    /// The whole-run matrix: the run and the pending pairs, merged.
+    pub fn to_matrix(&self) -> OdMatrix {
+        // Built in parts, each collected and appended: one collect would
+        // hold a copy of every pair beside the finished tree.
+        let part = (self.run.len() + self.pending.len()).div_ceil(MATRIX_PARTS);
+        let mut pending = self.pending.clone();
+        sort_and_combine(&mut pending);
+        let mut run = self.run.iter().copied().peekable();
+        let mut pending = pending.into_iter().peekable();
+        let mut merged = std::iter::from_fn(|| match (run.peek(), pending.peek()) {
+            (Some(a), Some(b)) => match a.0.cmp(&b.0) {
+                Ordering::Less => run.next(),
+                Ordering::Greater => pending.next(),
+                Ordering::Equal => {
+                    let (key, m) = run.next()?;
+                    let (_, n) = pending.next()?;
+                    Some((key, m + n))
+                }
+            },
+            (Some(_), None) => run.next(),
+            (None, _) => pending.next(),
+        })
+        .map(|(key, n)| (od_pair(key), n))
+        .peekable();
+        let mut transitions = BTreeMap::new();
+        while merged.peek().is_some() {
+            let mut next: BTreeMap<_, _> = merged.by_ref().take(part).collect();
+            transitions.append(&mut next);
+        }
+        OdMatrix { transitions }
+    }
+}
+
+impl From<OdMatrix> for OdTotals {
+    /// Totals holding exactly `od` (a snapshot's or a recovery's matrix).
+    fn from(od: OdMatrix) -> Self {
+        let pairs = od.transitions.into_iter();
+        Self {
+            run: pairs.map(|((from, to), n)| (od_key(from, to), n)).collect(),
+            pending: Vec::new(),
+        }
+    }
+}
+
+/// Sorts packed pairs by key and sums the counts of equal keys.
+fn sort_and_combine(pairs: &mut Vec<(u64, u64)>) {
+    pairs.sort_unstable_by_key(|&(key, _)| key);
+    pairs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn segment_stats_mean_and_peak() {
@@ -888,5 +1118,119 @@ mod tests {
         let mut changed = forward.clone();
         changed.speeds.record(12.0);
         assert_ne!(forward.fingerprint(), changed.fingerprint());
+    }
+
+    /// A pole id (or light cycle) from a small universe, so keys repeat,
+    /// or one of the extremes a packed key must keep apart.
+    fn id(rng: &mut StdRng, universe: u32) -> u32 {
+        match rng.random_range(0..8u32) {
+            0 => u32::MAX,
+            1 => 0,
+            _ => rng.random_range(0..universe),
+        }
+    }
+
+    #[test]
+    fn a_reused_builder_finishes_what_per_event_records_build() {
+        // The oracle is the per-event path the builder replaced: every OD
+        // and flow event recorded into its map as it happens. One builder
+        // serves every pane, empty panes included.
+        let mut rng = StdRng::seed_from_u64(0xB11D);
+        let mut builder = AggregateBuilder::default();
+        let methods = [
+            PositionMethod::TwoReaderFix,
+            PositionMethod::AoaOnly,
+            PositionMethod::PolePosition,
+        ];
+        for pane in 0..256 {
+            let events = [0, 1, 9, 200, 1_500][pane % 5];
+            let mut oracle = CityAggregates::new();
+            for _ in 0..events {
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        let segment = match rng.random_range(0..4u32) {
+                            0 => u16::MAX,
+                            _ => rng.random_range(0..6u16),
+                        };
+                        let cycle = id(&mut rng, 9);
+                        let (segment, cycle) = (SegmentId(segment), cycle);
+                        builder.record(DerivedEvent::Flow { segment, cycle });
+                        oracle.flow.record(segment, cycle);
+                    }
+                    1 => {
+                        let from = PoleId(id(&mut rng, 12));
+                        let to = PoleId(id(&mut rng, 12));
+                        builder.record(DerivedEvent::Od { from, to });
+                        oracle.od.record(from, to);
+                    }
+                    2 => {
+                        let mph = rng.random_range(0.0..200.0f64);
+                        let source = if rng.random_range(0..2u32) == 0 {
+                            oracle.positions.track_speed_samples += 1;
+                            SpeedSource::PositionTrack
+                        } else {
+                            oracle.positions.arrival_speed_samples += 1;
+                            SpeedSource::ArrivalTime
+                        };
+                        builder.record(DerivedEvent::Speed { mph, source });
+                        oracle.speeds.record(mph);
+                    }
+                    _ => {
+                        let method = methods[rng.random_range(0..3usize)];
+                        let sigma_m = rng.random_range(0.0..20.0f64);
+                        builder.record_observation(method, sigma_m);
+                        oracle.observations += 1;
+                        oracle.positions.record_method(method, sigma_m);
+                    }
+                }
+            }
+            let built = builder.finish();
+            assert_eq!(built, oracle, "pane {pane}");
+            assert_eq!(built.fingerprint(), oracle.fingerprint(), "pane {pane}");
+        }
+    }
+
+    #[test]
+    fn od_totals_sum_like_a_tree_merge_across_merges_and_reads() {
+        // 240 pane matrices, some empty, over a universe wide enough that
+        // the pending pairs cross the merge threshold several times; read
+        // mid-run, and adopted into fresh totals (the snapshot path)
+        // half-way, both of which keep adding afterwards.
+        let mut rng = StdRng::seed_from_u64(0x0D70);
+        let mut totals = OdTotals::default();
+        let mut counts = CityAggregates::new();
+        let mut adopted: Option<OdTotals> = None;
+        let mut oracle = OdMatrix::default();
+        let mut merges = 0;
+        for pane in 0..240u64 {
+            let mut agg = CityAggregates::new();
+            agg.observations = pane;
+            let records = if pane % 17 == 0 { 0 } else { 700 };
+            for _ in 0..records {
+                let (from, to) = (id(&mut rng, 400), id(&mut rng, 400));
+                agg.od.record(PoleId(from), PoleId(to));
+            }
+            let queued = totals.pending.len() + agg.od.transitions.len();
+            totals.merge_pane(&mut counts, &agg);
+            if totals.pending.len() < queued {
+                merges += 1;
+            }
+            if let Some(adopted) = adopted.as_mut() {
+                adopted.merge_pane(&mut CityAggregates::new(), &agg);
+            }
+            oracle.merge(&agg.od);
+            if pane % 37 == 0 {
+                assert_eq!(totals.to_matrix(), oracle, "read after pane {pane}");
+            }
+            if pane == 120 {
+                adopted = Some(OdTotals::from(oracle.clone()));
+            }
+        }
+        assert!(merges >= 3, "only {merges} merges");
+        assert!(totals.run.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(totals.to_matrix(), oracle);
+        assert_eq!(adopted.expect("adopted at pane 120").to_matrix(), oracle);
+        assert!(counts.od.transitions.is_empty(), "OD stays in the totals");
+        assert_eq!(counts.observations, (0..240).sum::<u64>());
     }
 }

@@ -27,7 +27,7 @@
 //! count, worker count, or delivery order — the property the
 //! shard-invariance tests pin.
 
-use crate::aggregate::{CityAggregates, SegmentStats};
+use crate::aggregate::{AggregateBuilder, CityAggregates, SegmentStats};
 use crate::event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 use crate::position::{resolve_position, track_speed_mps, PositionMethod};
 use caraoke_geom::Vec3;
@@ -1075,34 +1075,15 @@ pub fn canonical_obs_key(obs: &TagObservation) -> (u64, u32, u64, u32) {
 /// two tiers cannot diverge.
 #[inline]
 pub fn fold_observation(
-    agg: &mut CityAggregates,
+    builder: &mut AggregateBuilder,
     tracker: &mut TagTracker,
     obs: &TagObservation,
     directory: &PoleDirectory,
     config: &StoreConfig,
 ) {
-    agg.observations += 1;
     let resolved = resolve_position(obs, directory.site(obs.pole));
-    agg.positions
-        .record_method(resolved.method, resolved.sigma_m());
-    let CityAggregates {
-        flow,
-        speeds,
-        od,
-        positions,
-        ..
-    } = agg;
-    tracker.apply(obs, directory, config, |event| match event {
-        DerivedEvent::Flow { segment, cycle } => flow.record(segment, cycle),
-        DerivedEvent::Od { from, to } => od.record(from, to),
-        DerivedEvent::Speed { mph, source } => {
-            speeds.record(mph);
-            match source {
-                SpeedSource::PositionTrack => positions.track_speed_samples += 1,
-                SpeedSource::ArrivalTime => positions.arrival_speed_samples += 1,
-            }
-        }
-    });
+    builder.record_observation(resolved.method, resolved.sigma_m());
+    tracker.apply(obs, directory, config, |event| builder.record(event));
 }
 
 impl ShardedStore {
@@ -1177,10 +1158,17 @@ impl ShardedStore {
     fn apply_shard(&self, shard: &mut TagShard) {
         let mut pending = std::mem::take(&mut shard.pending);
         pending.sort_by_key(canonical_obs_key);
-        let TagShard { tracker, agg, .. } = shard;
+        let mut builder = AggregateBuilder::default();
         for obs in pending {
-            fold_observation(agg, tracker, &obs, &self.directory, &self.config);
+            fold_observation(
+                &mut builder,
+                &mut shard.tracker,
+                &obs,
+                &self.directory,
+                &self.config,
+            );
         }
+        shard.agg.merge(&builder.finish());
     }
 
     /// Applies every shard's buffered observations (in parallel across up to

@@ -42,12 +42,18 @@
 //!    shard order (observations route to trackers by CFO bin, so tag
 //!    shards are independent), through the shared [`TagTracker`] state
 //!    machines and [`fold_observation`] — the batch store's, §8 alias
-//!    upgrades included — straight into the pane's [`CityAggregates`];
-//!    then the idle-tag compaction sweep when one is due; then the pane is
-//!    fingerprinted into the engine's **fingerprint chain**, merged into
-//!    the totals, appended to the pane log with its tracker deltas and any
-//!    snapshot due after it (durability before visibility), pushed into
-//!    the retained ring ([`CityWindows`]), and the seal floor moves.
+//!    upgrades included — into one reused [`AggregateBuilder`]: O(1)
+//!    counters in place, OD and flow events as packed `u64` columns,
+//!    canonicalised once per pane (sort, count runs, bulk-build the
+//!    pane's [`CityAggregates`] maps) instead of one tree insert per
+//!    event. Then the idle-tag compaction sweep when one is due; then the
+//!    pane is fingerprinted into the engine's **fingerprint chain**, merged
+//!    into the totals — its OD pairs into [`OdTotals`], one sorted run the
+//!    pending panes are merged into a quarter-run at a time, the rest into
+//!    a [`CityAggregates`] whose OD stays empty; the full matrix is built
+//!    only when read — appended to the pane log with its tracker deltas
+//!    and any snapshot due after it (durability before visibility), pushed
+//!    into the retained ring ([`CityWindows`]), and the seal floor moves.
 //!
 //! Only then does the next pane touch a tracker, because trackers are
 //! cumulative: they describe "the run up to pane `p`" only between pane
@@ -61,6 +67,16 @@
 //! The clock's two locks (clock stripe → clock floors) are leaves: nothing
 //! is acquired under either, `ingest` feeds the clock only after releasing
 //! its ingest stripe, and the sealer reads it holding any of the three.
+//! The seal-progress mutex is a leaf too, and never held with another lock:
+//! every wait for a seal — ingest pacing ([`LiveCity::wait_seal_floor`]),
+//! [`LiveCity::finish`], [`LiveCity::wait_idle`], [`LiveCity::wait_sealed`]
+//! — tests the published seal floor under it, and the sealer takes it
+//! between a pass and its notify. So no waiter has to win the sealed-state
+//! lock back from a sealer that retakes it right after each pass; and
+//! readers of sealed state (queries, totals, stats) take a ticket before
+//! that lock, which the sealer honours by letting every ticket holder in
+//! before its next pass — readers get the lock between passes, and
+//! readers arriving later wait for the pass.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -91,10 +107,11 @@
 
 use crate::watermark::{WatermarkClock, POLE_STRIPES};
 use crate::window::CityWindows;
-use caraoke_city::aggregate::Fingerprint;
+use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, OdTotals};
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
 use caraoke_city::{
-    CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
+    CityAggregates, FlowCounter, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig,
+    TagObservation,
 };
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
 use std::io;
@@ -385,12 +402,13 @@ const COMPACT_EVERY_PANES: u64 = 64;
 
 /// The sealer's reusable staging buffers, columnar like [`PaneBucket`]:
 /// drained keys and observations, the canonical-order index vector, the
-/// counting-sort bucket table the seal walk dispatches off, and the drained
-/// report-level segment rows.
+/// counting-sort bucket table the seal walk dispatches off, the drained
+/// report-level segment rows, and the builder each pane folds into.
 #[derive(Debug, Default)]
 struct SealScratch {
     keys: Vec<SealKey>,
     obs: Vec<TagObservation>,
+    builder: AggregateBuilder,
     /// Indices into `keys`/`obs` in canonical order.
     order: Vec<u32>,
     /// `offsets[b]..offsets[b + 1]` is bucket `b`'s range in `order`
@@ -453,12 +471,63 @@ struct SealedState {
     windows: CityWindows,
     /// Running FNV-1a chain over every sealed `(pane, fingerprint)` pair.
     chain: Fingerprint,
-    /// Whole-run totals (merge of every sealed pane, retained or not).
+    /// Whole-run totals (merge of every sealed pane, retained or not) but
+    /// for OD: `total.od` stays empty, the run's OD is `od`.
     total: CityAggregates,
+    /// Whole-run OD, summed sorted.
+    od: OdTotals,
     /// Per-shard tag state machines; only the sealer thread touches them.
     trackers: Vec<TagTracker>,
     /// Reusable staging buffers for drained observations.
     scratch: SealScratch,
+}
+
+impl SealedState {
+    /// Whole-run totals with the OD matrix built.
+    fn totals(&self) -> CityAggregates {
+        CityAggregates {
+            od: self.od.to_matrix(),
+            ..self.total.clone()
+        }
+    }
+}
+
+/// Tickets of the readers of the sealed state. A reader takes one before
+/// it asks for the lock and hands it back (through [`ReaderTicket`]'s
+/// `Drop`, so a panicking reader cannot keep it) after releasing it; the
+/// sealer, before each pass, lets every reader holding a ticket by then
+/// go first. A reader arriving later waits for the pass, so readers
+/// cannot starve the sealer either. The counters publish nothing but
+/// themselves (the sealed state is ordered by its mutex); `Release` on a
+/// return pairs with the sealer's `Acquire` so it sees the reader gone.
+#[derive(Debug, Default)]
+struct ReaderTickets {
+    taken: AtomicU64,
+    returned: AtomicU64,
+}
+
+impl ReaderTickets {
+    fn take(&self) -> ReaderTicket<'_> {
+        self.taken.fetch_add(1, Ordering::AcqRel);
+        ReaderTicket(self)
+    }
+
+    /// Yields until every ticket taken before the call is returned.
+    fn let_ticket_holders_in(&self) {
+        let taken = self.taken.load(Ordering::Acquire);
+        while self.returned.load(Ordering::Acquire) < taken {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// One reader's ticket; see [`ReaderTickets`].
+struct ReaderTicket<'a>(&'a ReaderTickets);
+
+impl Drop for ReaderTicket<'_> {
+    fn drop(&mut self) {
+        self.0.returned.fetch_add(1, Ordering::AcqRel);
+    }
 }
 
 /// The durable pane log behind [`LiveCity::with_log`] /
@@ -506,8 +575,14 @@ struct LiveCore {
     /// The ingest buffers, indexed by `pole % POLE_STRIPES`.
     stripes: Box<[Stripe]>,
     sealed: Mutex<SealedState>,
-    /// Notified after every seal batch (pairs with `sealed`): wakes
-    /// `finish`, `wait_idle` and blocking subscriptions.
+    /// Readers outside the sealer take a ticket before `sealed`.
+    readers: ReaderTickets,
+    /// The seal-progress lock: a leaf, never held with another lock.
+    /// Waiters test `seal_floor_us` under it; the sealer takes it after
+    /// every pass, before notifying `pane_sealed`.
+    seal_progress: Mutex<()>,
+    /// Notified after every seal pass (pairs with `seal_progress`): wakes
+    /// `finish`, `wait_idle`, pacing ingest and blocking subscriptions.
     pane_sealed: Condvar,
     signal: Mutex<SealerSignal>,
     /// Wakes the sealer thread (pairs with `signal`).
@@ -623,18 +698,19 @@ impl LiveCity {
     /// snapshot cannot be made durable in the new writer.
     pub fn reattach_log(&self, mut writer: SegmentWriter) -> io::Result<()> {
         let core = &*self.core;
-        let mut sealed = core.sealed.lock().expect("sealed state");
-        let state = &mut *sealed;
-        // Engines built without a log never traced tracker deltas; turn
-        // tracing on so post-snapshot panes carry them. Safe mid-run: delta
-        // sets are drained every sealed pane, and we hold the sealed lock.
-        for tracker in &mut state.trackers {
-            tracker.set_trace(true);
-        }
-        writer.append_snapshot(&core.snapshot_record(state, state.next_pane))?;
-        let sink = LogSink::new(writer, state.next_pane);
-        *core.log.lock().expect("log sink") = Some(sink);
-        Ok(())
+        core.read_sealed(|state| {
+            // Engines built without a log never traced tracker deltas; turn
+            // tracing on so post-snapshot panes carry them. Safe mid-run:
+            // delta sets are drained every sealed pane, and we hold the
+            // sealed lock.
+            for tracker in &mut state.trackers {
+                tracker.set_trace(true);
+            }
+            writer.append_snapshot(&core.snapshot_record(state, state.next_pane))?;
+            let sink = LogSink::new(writer, state.next_pane);
+            *core.log.lock().expect("log sink") = Some(sink);
+            Ok(())
+        })
     }
 
     /// Shared constructor: fresh or recovered state, with or without a
@@ -645,9 +721,15 @@ impl LiveCity {
         log: Option<LogSink>,
         resume: Option<caraoke_log::RecoveredState>,
     ) -> Self {
+        // Here, on the caller's thread: the tracker divides by it on the
+        // sealer thread, where a panic would leave every waiter parked.
+        assert!(
+            config.store.light_cycle_us > 0,
+            "light cycles must have nonzero length"
+        );
         let shards = config.store.shards.max(1);
         let (sealed, clock, forced_panes, forced_pole_misses) = match resume {
-            Some(state) => {
+            Some(mut state) => {
                 let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
                     windows.push(pane, agg.fingerprint(), agg);
@@ -662,6 +744,7 @@ impl LiveCity {
                     next_pane: state.next_pane,
                     windows,
                     chain: Fingerprint::resume(state.chain_state),
+                    od: OdTotals::from(std::mem::take(&mut state.total.od)),
                     total: state.total,
                     trackers: state.trackers,
                     scratch: SealScratch::default(),
@@ -682,6 +765,7 @@ impl LiveCity {
                     windows: CityWindows::new(config.retain_panes),
                     chain: Fingerprint::new(),
                     total: CityAggregates::new(),
+                    od: OdTotals::default(),
                     trackers,
                     scratch: SealScratch::default(),
                 };
@@ -695,6 +779,8 @@ impl LiveCity {
             n_shards: shards,
             stripes: (0..POLE_STRIPES).map(|_| Stripe::default()).collect(),
             sealed: Mutex::new(sealed),
+            readers: ReaderTickets::default(),
+            seal_progress: Mutex::new(()),
             pane_sealed: Condvar::new(),
             signal: Mutex::new(SealerSignal {
                 target: 0,
@@ -830,9 +916,9 @@ impl LiveCity {
         if core.seal_floor_us.load(Ordering::Acquire) >= floor_us {
             return;
         }
-        let mut sealed = core.sealed.lock().expect("sealed state");
-        while sealed.next_pane * core.config.pane_us < floor_us {
-            sealed = core.pane_sealed.wait(sealed).expect("sealed state");
+        let mut progress = core.seal_progress.lock().expect("seal progress");
+        while core.seal_floor_us.load(Ordering::Acquire) < floor_us {
+            progress = core.pane_sealed.wait(progress).expect("seal progress");
         }
     }
 
@@ -843,19 +929,14 @@ impl LiveCity {
 
     /// Number of panes sealed so far.
     pub fn sealed_panes(&self) -> u64 {
-        self.core.sealed.lock().expect("sealed state").next_pane
+        self.core.read_sealed(|state| state.next_pane)
     }
 
     /// The running fingerprint chain over every sealed `(pane, fingerprint)`
     /// pair — the live determinism witness: equal chains mean byte-identical
     /// window sequences.
     pub fn fingerprint_chain(&self) -> u64 {
-        self.core
-            .sealed
-            .lock()
-            .expect("sealed state")
-            .chain
-            .finish()
+        self.core.read_sealed(|state| state.chain.finish())
     }
 
     /// Whole-run totals: the merge of every sealed pane. After [`finish`],
@@ -864,7 +945,7 @@ impl LiveCity {
     ///
     /// [`finish`]: LiveCity::finish
     pub fn totals(&self) -> CityAggregates {
-        self.core.sealed.lock().expect("sealed state").total.clone()
+        self.core.read_sealed(|state| state.totals())
     }
 
     /// Telemetry snapshot.
@@ -878,20 +959,22 @@ impl LiveCity {
             .iter()
             .map(|stripe| stripe.0.lock().expect("ingest stripe").len)
             .sum();
-        let sealed = core.sealed.lock().expect("sealed state");
-        let mut alias = AliasStats::default();
-        for tracker in &sealed.trackers {
-            alias.merge(&tracker.alias_stats());
-        }
+        let (observations, sealed_panes, alias) = core.read_sealed(|sealed| {
+            let mut alias = AliasStats::default();
+            for tracker in &sealed.trackers {
+                alias.merge(&tracker.alias_stats());
+            }
+            (sealed.total.observations, sealed.next_pane, alias)
+        });
         LiveStats {
             reports: core.reports.load(Ordering::Relaxed),
-            observations: sealed.total.observations,
+            observations,
             shed_reports: core.shed_reports.load(Ordering::Relaxed),
             shed_observations: core.shed_observations.load(Ordering::Relaxed),
             overflow_shed: core.overflow_shed.load(Ordering::Relaxed),
             unknown_pole_reports: core.unknown_pole_reports.load(Ordering::Relaxed),
             buffered_observations: buffered as u64,
-            sealed_panes: sealed.next_pane,
+            sealed_panes,
             watermark_us: core.clock.watermark_us(),
             seal_floor_us,
             forced_panes: core.forced_panes.load(Ordering::Relaxed),
@@ -906,37 +989,37 @@ impl LiveCity {
     }
 
     /// The query layer's view of sealed-window state: the pane ring with
-    /// its running windows (the one part a query may write), the totals and
-    /// the pane horizon.
+    /// its running windows (the one part a query may write), the whole-run
+    /// flow counter and the pane horizon.
     pub(crate) fn with_sealed<R>(
         &self,
-        f: impl FnOnce(&mut CityWindows, &CityAggregates, u64) -> R,
+        f: impl FnOnce(&mut CityWindows, &FlowCounter, u64) -> R,
     ) -> R {
-        let mut sealed = self.core.sealed.lock().expect("sealed state");
-        let sealed = &mut *sealed;
-        f(&mut sealed.windows, &sealed.total, sealed.next_pane)
+        self.core
+            .read_sealed(|sealed| f(&mut sealed.windows, &sealed.total.flow, sealed.next_pane))
     }
 
     /// Blocks (up to `timeout`) until the pane horizon — the number of
     /// panes sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
     /// `past`, and returns it; a return `<= past` is a timeout. Wakes on
-    /// every seal and does nothing else under the sealed lock.
+    /// every seal pass and never takes the sealed-state lock.
     pub fn wait_sealed(&self, past: u64, timeout: Duration) -> u64 {
         let core = &*self.core;
+        let horizon = || core.seal_floor_us.load(Ordering::Acquire) / core.config.pane_us;
         let deadline = Instant::now() + timeout;
-        let mut sealed = core.sealed.lock().expect("sealed state");
-        while sealed.next_pane <= past {
+        let mut progress = core.seal_progress.lock().expect("seal progress");
+        while horizon() <= past {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
             let (guard, _) = core
                 .pane_sealed
-                .wait_timeout(sealed, deadline - now)
-                .expect("sealed state");
-            sealed = guard;
+                .wait_timeout(progress, deadline - now)
+                .expect("seal progress");
+            progress = guard;
         }
-        sealed.next_pane
+        horizon()
     }
 }
 
@@ -954,6 +1037,16 @@ impl Drop for LiveCity {
 }
 
 impl LiveCore {
+    /// Every access to the sealed state from outside the sealer: `f` runs
+    /// under the lock, with a reader ticket held around it (see
+    /// [`ReaderTickets`]).
+    fn read_sealed<R>(&self, f: impl FnOnce(&mut SealedState) -> R) -> R {
+        let _ticket = self.readers.take();
+        // Declared after the ticket, so released before it.
+        let mut state = self.sealed.lock().expect("sealed state");
+        f(&mut state)
+    }
+
     fn ingest(&self, report: &PoleReport) -> IngestOutcome {
         // Before anything is buffered or any lock taken: the clock and the
         // seal fold both index by pole id, the fold on the sealer thread.
@@ -1140,6 +1233,10 @@ impl LiveCore {
     fn seal_up_to(&self, target: u64, forced: bool) {
         let max_span = (MAX_SEAL_BUCKETS / self.n_shards).max(1) as u64;
         loop {
+            // Readers already waiting for the lock get it first; otherwise
+            // the sealer, retaking it right after each pass, would win it
+            // every time.
+            self.readers.let_ticket_holders_in();
             let mut sealed = self.sealed.lock().expect("sealed state");
             if sealed.next_pane >= target {
                 return;
@@ -1147,6 +1244,10 @@ impl LiveCore {
             let end = target.min(sealed.next_pane + max_span);
             self.seal_pass(&mut sealed, end, forced);
             drop(sealed);
+            // Waiters test the floor under `seal_progress`: taking it
+            // between the floor's store and the notify means none can
+            // miss this pass.
+            drop(self.seal_progress.lock().expect("seal progress"));
             self.pane_sealed.notify_all();
         }
     }
@@ -1202,12 +1303,13 @@ impl LiveCore {
         let mut log = self.log.lock().expect("log sink");
         for pane_idx in 0..span {
             let pane = first_pane + pane_idx as u64;
-            let mut agg = CityAggregates::new();
             for (shard, tracker) in state.trackers.iter_mut().enumerate() {
                 let b = pane_idx * self.n_shards + shard;
                 let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
-                self.fold_bucket(&mut agg, tracker, &scratch.order[range], &scratch.obs);
+                let bucket = &scratch.order[range];
+                self.fold_bucket(&mut scratch.builder, tracker, bucket, &scratch.obs);
             }
+            let mut agg = scratch.builder.finish();
             // Before the deltas are taken: evictions ride them as removals.
             if let Some(cutoff) = self.compaction_cutoff(pane) {
                 for tracker in &mut state.trackers {
@@ -1229,7 +1331,7 @@ impl LiveCore {
             let fingerprint = agg.fingerprint();
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
-            state.total.merge(&agg);
+            state.od.merge_pane(&mut state.total, &agg);
             // Durability before visibility: the pane record and any due
             // snapshot are appended (retried or given up on as
             // [`LOG_WRITE_ATTEMPTS`] says) before the pane is published.
@@ -1276,12 +1378,12 @@ impl LiveCore {
     }
 
     /// Folds one `(pane, shard)` bucket — indices into `obs`, in canonical
-    /// order — into the pane aggregate. Out of line so the hot loop is
+    /// order — into the pane's builder. Out of line so the hot loop is
     /// compiled on its own, not inside [`seal_pass`](Self::seal_pass).
     #[inline(never)]
     fn fold_bucket(
         &self,
-        agg: &mut CityAggregates,
+        builder: &mut AggregateBuilder,
         tracker: &mut TagTracker,
         bucket: &[u32],
         obs: &[TagObservation],
@@ -1294,7 +1396,7 @@ impl LiveCore {
                 tracker.prefetch(&obs[j as usize]);
             }
             fold_observation(
-                agg,
+                builder,
                 tracker,
                 &obs[i as usize],
                 &self.directory,
@@ -1313,7 +1415,7 @@ impl LiveCore {
             forced_panes: self.forced_panes.load(Ordering::Relaxed),
             forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
             dead_poles: self.clock.dead_poles(),
-            total: state.total.clone(),
+            total: state.totals(),
             trackers: state.trackers.iter().map(TagTracker::export).collect(),
         }
     }
@@ -1526,7 +1628,7 @@ mod tests {
             live.ingest(&report(1, 0, t, vec![obs(8, 1, 0, t)]));
         }
         live.finish();
-        live.with_sealed(|windows, total, next_pane| {
+        live.with_sealed(|windows, flow, next_pane| {
             assert_eq!(next_pane, 5);
             assert_eq!(windows.panes().len(), 5);
             // Every pane holds two reports and two observations for segment 0.
@@ -1535,7 +1637,7 @@ mod tests {
                 assert_eq!(pane.agg.observations, 2);
             }
             // Each tag flows once per cycle: 2 tags x 5 cycles.
-            assert_eq!(total.flow.total(), 10);
+            assert_eq!(flow.total(), 10);
         });
     }
 
@@ -2068,6 +2170,40 @@ mod tests {
         );
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn waiting_for_seal_progress_never_needs_the_sealed_state_lock() {
+        let live = LiveCity::new(directory(1), tiny_config());
+        for epoch in 0..3u64 {
+            let t = epoch * 1_000_000;
+            live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
+        }
+        live.wait_idle();
+        // Another reader holds the lock: waits on horizons already reached
+        // return anyway.
+        let held = live.core.sealed.lock().expect("sealed state");
+        let (done_tx, done) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let live = &live;
+            scope.spawn(move || {
+                live.wait_seal_floor(2_000_000);
+                let _ = done_tx.send(live.wait_sealed(1, Duration::from_secs(30)));
+            });
+            let horizon = done.recv_timeout(Duration::from_secs(20));
+            drop(held);
+            assert_eq!(horizon, Ok(2), "returned while the lock was held");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "light cycles must have nonzero length")]
+    fn a_zero_light_cycle_is_refused_on_the_callers_thread() {
+        // Flow buckets divide by it on the sealer thread, whose death would
+        // leave every waiter parked.
+        let mut config = tiny_config();
+        config.store.light_cycle_us = 0;
+        let _ = LiveCity::new(directory(2), config);
     }
 
     #[test]

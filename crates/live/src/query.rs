@@ -38,7 +38,7 @@
 
 use crate::engine::{LiveCity, LiveStats};
 use crate::window::{CityWindows, Pane, WindowSpec};
-use caraoke_city::{CityAggregates, PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
+use caraoke_city::{FlowCounter, PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
 use std::time::Duration;
 
 /// A point-in-time question against the live engine.
@@ -150,8 +150,8 @@ impl LiveCity {
     /// aggregate what is retained; [`LiveCity::snapshot`] exposes the
     /// retention so callers can size windows to fit.
     pub fn query(&self, query: &LiveQuery) -> LiveAnswer {
-        self.with_sealed(|windows, total, next_pane| {
-            self.answer_sealed(query, windows, total, next_pane)
+        self.with_sealed(|windows, flow, next_pane| {
+            self.answer_sealed(query, windows, flow, next_pane)
         })
     }
 
@@ -165,10 +165,10 @@ impl LiveCity {
     /// sees the identical (byte-identical, the answers come from the same
     /// code path as [`query`](Self::query)) result for the same pane.
     pub fn query_sealed(&self, queries: &[LiveQuery]) -> (u64, Vec<LiveAnswer>) {
-        self.with_sealed(|windows, total, next_pane| {
+        self.with_sealed(|windows, flow, next_pane| {
             let answers = queries
                 .iter()
-                .map(|q| self.answer_sealed(q, windows, total, next_pane))
+                .map(|q| self.answer_sealed(q, windows, flow, next_pane))
                 .collect();
             (next_pane, answers)
         })
@@ -181,13 +181,13 @@ impl LiveCity {
         &self,
         query: &LiveQuery,
         windows: &mut CityWindows,
-        total: &CityAggregates,
+        flow: &FlowCounter,
         next_pane: u64,
     ) -> LiveAnswer {
         answer_windowed(
             query,
             windows,
-            total,
+            flow,
             next_pane,
             self.watermark_us(),
             self.config().pane_us,
@@ -197,7 +197,8 @@ impl LiveCity {
 }
 
 /// Answers one [`LiveQuery`] from an explicit view of windowed state:
-/// the pane ring with its running windows, running totals, the pane horizon
+/// the pane ring with its running windows, the whole-run flow counter (the
+/// one part of the running totals an answer reads), the pane horizon
 /// (`next_pane`, first unsealed pane) and the event-time watermark. What
 /// each query kind reads, and why `windows` is `&mut`, is in the module
 /// docs.
@@ -210,7 +211,7 @@ impl LiveCity {
 pub fn answer_windowed(
     query: &LiveQuery,
     windows: &mut CityWindows,
-    total: &CityAggregates,
+    flow: &FlowCounter,
     next_pane: u64,
     watermark_us: u64,
     pane_us: u64,
@@ -238,8 +239,7 @@ pub fn answer_windowed(
             // the cycle the watermark is in.
             let now_cycle = (watermark_us / cycle_us) as u32;
             let first = now_cycle.saturating_sub(last_cycles.saturating_sub(1));
-            let sum: u64 = total
-                .flow
+            let sum: u64 = flow
                 .per_cycle
                 .range((segment.0, first)..=(segment.0, now_cycle))
                 .map(|(_, &v)| v)
@@ -429,7 +429,9 @@ mod tests {
     use crate::engine::LiveConfig;
     use crate::window::MAX_OD_WINDOWS;
     use caraoke_city::position::PositionMethod;
-    use caraoke_city::{PoleDirectory, PoleId, PoleReport, PoleSite, TagKey, TagObservation};
+    use caraoke_city::{
+        CityAggregates, PoleDirectory, PoleId, PoleReport, PoleSite, TagKey, TagObservation,
+    };
     use caraoke_geom::Vec3;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -505,7 +507,7 @@ mod tests {
     fn answer_by_definition(
         query: &LiveQuery,
         ring: &CityWindows,
-        total: &CityAggregates,
+        flow: &FlowCounter,
         next_pane: u64,
         watermark_us: u64,
         pane_us: u64,
@@ -527,8 +529,7 @@ mod tests {
             } => {
                 let now_cycle = (watermark_us / cycle_us) as u32;
                 let first = now_cycle.saturating_sub(last_cycles.saturating_sub(1));
-                let sum: u64 = total
-                    .flow
+                let sum: u64 = flow
                     .per_cycle
                     .iter()
                     .filter(|(&(s, c), _)| s == segment.0 && (first..=now_cycle).contains(&c))
@@ -615,7 +616,7 @@ mod tests {
         ) {
             let (pane_us, cycle_us) = (1_000_000u64, 3_000_000u64);
             let mut windows = CityWindows::new(capacity);
-            let mut total = CityAggregates::new();
+            let mut flow = FlowCounter::default();
             let mut next_pane = 0u64;
             for (op, x, y) in script {
                 if op < 4 {
@@ -627,7 +628,7 @@ mod tests {
                     for i in 0..1 + x % burst {
                         let pane = next_pane + (y >> (i % 64)) % 2;
                         let agg = seeded_pane(y ^ i, pane);
-                        total.merge(&agg);
+                        flow.merge(&agg.flow);
                         windows.push(pane, agg.fingerprint(), agg);
                         next_pane = pane + 1;
                     }
@@ -649,10 +650,10 @@ mod tests {
                 };
                 let watermark_us = next_pane * pane_us;
                 let warm = answer_windowed(
-                    &query, &mut windows, &total, next_pane, watermark_us, pane_us, cycle_us,
+                    &query, &mut windows, &flow, next_pane, watermark_us, pane_us, cycle_us,
                 );
                 let cold = answer_by_definition(
-                    &query, &windows, &total, next_pane, watermark_us, pane_us, cycle_us,
+                    &query, &windows, &flow, next_pane, watermark_us, pane_us, cycle_us,
                 );
                 prop_assert_eq!(warm, cold);
                 prop_assert!(windows.running_od_windows() <= MAX_OD_WINDOWS);
@@ -671,11 +672,11 @@ mod tests {
                 window: WindowSpec::tumbling(w * 400_000),
             };
             let warm = live.query(&query);
-            live.with_sealed(|windows, total, next_pane| {
+            live.with_sealed(|windows, flow, next_pane| {
                 let cold = answer_by_definition(
                     &query,
                     windows,
-                    total,
+                    flow,
                     next_pane,
                     live.watermark_us(),
                     live.config().pane_us,

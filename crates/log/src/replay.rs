@@ -10,6 +10,7 @@
 
 use crate::codec::LogRecord;
 use crate::reader::{LogError, LogReader};
+use caraoke_city::aggregate::OdTotals;
 use caraoke_city::store::{TagTracker, TrackerDelta};
 use caraoke_city::{AliasStats, CityAggregates};
 use std::collections::VecDeque;
@@ -79,7 +80,7 @@ impl LogCity {
             alias.merge(&tracker.alias_stats());
         }
         Ok(LogReplay {
-            totals: fold.total,
+            totals: fold.take_totals(),
             chain: cursor.chain_state(),
             panes,
             first_pane: first_pane.unwrap_or(fold.next_pane),
@@ -100,7 +101,10 @@ impl LogCity {
 /// they check before a record goes in and what they derive afterwards.
 #[derive(Default)]
 struct RecordFold {
+    /// Whole-run totals but for OD (`total.od` stays empty), which `od`
+    /// sums sorted.
     total: CityAggregates,
+    od: OdTotals,
     trackers: Vec<TagTracker>,
     next_pane: u64,
     forced_panes: u64,
@@ -113,7 +117,8 @@ impl RecordFold {
     /// aggregate back, for callers that count or retain panes.
     fn apply(&mut self, record: LogRecord) -> Option<(u64, CityAggregates)> {
         match record {
-            LogRecord::Snapshot(snap) => {
+            LogRecord::Snapshot(mut snap) => {
+                self.od = OdTotals::from(std::mem::take(&mut snap.total.od));
                 self.total = snap.total;
                 self.next_pane = snap.next_pane;
                 self.forced_panes = snap.forced_panes;
@@ -124,7 +129,7 @@ impl RecordFold {
                 None
             }
             LogRecord::Pane(p) => {
-                self.total.merge(&p.aggregates);
+                self.od.merge_pane(&mut self.total, &p.aggregates);
                 self.next_pane = p.pane + 1;
                 if p.forced {
                     self.forced_panes += 1;
@@ -148,6 +153,14 @@ impl RecordFold {
         }
         for (tracker, delta) in self.trackers.iter_mut().zip(deltas) {
             tracker.apply_delta(delta);
+        }
+    }
+
+    /// The whole-run totals, OD matrix included (the fold is done).
+    fn take_totals(&mut self) -> CityAggregates {
+        CityAggregates {
+            od: std::mem::take(&mut self.od).to_matrix(),
+            ..std::mem::take(&mut self.total)
         }
     }
 }
@@ -222,7 +235,7 @@ pub fn recover_state(
     Ok(RecoveredState {
         next_pane: fold.next_pane,
         chain_state: cursor.chain_state(),
-        total: fold.total,
+        total: fold.take_totals(),
         ring: ring.into(),
         trackers: fold.trackers,
         dead_poles: fold.dead_poles,

@@ -7,8 +7,9 @@
 //! panes it wants have been evicted. [`LogFollower`] rebuilds exactly the
 //! state a live engine would have held at any pane horizon by replaying the
 //! verified pane log: a [`CityWindows`] over the most recent `retain_panes`
-//! sealed panes plus the running totals, fed record by record through the
-//! same CRC/fingerprint-verified cursor `caraoke-log` recovery uses.
+//! sealed panes plus the whole-run flow counter (the one part of the
+//! running totals an answer reads), fed record by record through the same
+//! CRC/fingerprint-verified cursor `caraoke-log` recovery uses.
 //!
 //! Answers come from [`answer_windowed`] — the *same* evaluation code path
 //! [`LiveCity::query`](caraoke_live::LiveCity::query) uses — so a caught-up
@@ -22,10 +23,11 @@
 //!   [`LiveQuery::Flow`] and [`LiveQuery::Watermark`] answers are therefore
 //!   *as of the replayed pane*, which is precisely what a catching-up
 //!   cursor should see;
-//! * a log whose head was truncated into a snapshot record rebuilds totals
-//!   from the snapshot, and the ring only covers panes recorded after it.
+//! * a log whose head was truncated into a snapshot record rebuilds flow
+//!   from the snapshot's totals, and the ring only covers panes recorded
+//!   after it.
 
-use caraoke_city::CityAggregates;
+use caraoke_city::FlowCounter;
 use caraoke_live::{answer_windowed, CityWindows, LiveAnswer, LiveQuery};
 use caraoke_log::{LogError, LogReader, LogRecord, RecordCursor};
 use std::path::Path;
@@ -38,7 +40,8 @@ pub struct LogFollower {
     /// The pane ring with its running windows: a cursor stepped pane by
     /// pane asks the same `TopOd` at every pane, each a one-pane delta.
     windows: CityWindows,
-    total: CityAggregates,
+    /// Whole-run flow — all `Flow` answers read of the running totals.
+    flow: FlowCounter,
     next_pane: u64,
     pane_us: u64,
     cycle_us: u64,
@@ -60,7 +63,7 @@ impl LogFollower {
         Ok(Self {
             cursor: reader.records(),
             windows: CityWindows::new(retain_panes),
-            total: CityAggregates::new(),
+            flow: FlowCounter::default(),
             next_pane: 0,
             pane_us,
             cycle_us,
@@ -82,15 +85,15 @@ impl LogFollower {
     fn apply(&mut self, record: LogRecord) {
         match record {
             LogRecord::Pane(p) => {
-                self.total.merge(&p.aggregates);
+                self.flow.merge(&p.aggregates.flow);
                 self.windows.push(p.pane, p.fingerprint, p.aggregates);
                 self.next_pane = p.pane + 1;
             }
             LogRecord::Snapshot(s) => {
                 // A truncated log leads with a cumulative snapshot: adopt
-                // its totals and horizon; the ring fills from the pane
+                // its flow and horizon; the ring fills from the pane
                 // records that follow.
-                self.total = s.total;
+                self.flow = s.total.flow;
                 self.next_pane = self.next_pane.max(s.next_pane);
             }
             LogRecord::DeadPole(_) => {}
@@ -133,7 +136,7 @@ impl LogFollower {
         answer_windowed(
             query,
             &mut self.windows,
-            &self.total,
+            &self.flow,
             self.next_pane,
             self.next_pane * self.pane_us,
             self.pane_us,

@@ -54,6 +54,11 @@ use std::time::{Duration, Instant};
 /// re-checks shutdown at this cadence).
 const FANOUT_WAIT: Duration = Duration::from_millis(200);
 
+/// How long a subscriber has to take a channel's newest frame before the
+/// panes it covers beyond the first count as that subscriber's lag (see
+/// `QueryChannel::lag`). Twenty ticks of the TCP connection loop.
+const FRESH_FRAME: Duration = Duration::from_millis(200);
+
 /// Tuning knobs for the serving hub and its transports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -149,6 +154,10 @@ struct QueryChannel {
     /// Pane horizon of the newest frame (`frame.pane + 1`); 0 until the
     /// first frame. Atomic so subscriber fast-path polls stay lock-free.
     head: AtomicU64,
+    /// First pane the newest frame covers: the head before it was pushed.
+    /// A fan-out round answers at the newest sealed pane, so one frame
+    /// stands for every pane sealed since the round before.
+    newest_start: AtomicU64,
     frames: Mutex<VecDeque<Arc<PaneFrame>>>,
 }
 
@@ -156,18 +165,41 @@ impl QueryChannel {
     /// Appends a frame (idempotent per pane) and trims retention.
     fn push_frame(&self, frame: Arc<PaneFrame>, retain: usize) {
         let mut frames = self.frames.lock().expect("frame ring poisoned");
-        if let Some(back) = frames.back() {
-            if back.pane >= frame.pane {
-                return;
-            }
-        }
+        let start = match frames.back() {
+            Some(back) if back.pane >= frame.pane => return,
+            Some(back) => back.pane + 1,
+            None => 0,
+        };
         frames.push_back(frame);
         while frames.len() > retain.max(1) {
             frames.pop_front();
         }
+        // Both under the ring's lock, where `lag` reads them.
+        self.newest_start.store(start, Ordering::Relaxed);
         let head = frames.back().expect("just pushed").pane + 1;
-        drop(frames);
         self.head.store(head, Ordering::Release);
+    }
+
+    /// How many panes a cursor is behind. A fan-out round answers at the
+    /// newest sealed pane, so one frame can stand for many; while the
+    /// newest frame is fresh (younger than [`FRESH_FRAME`]) its panes count
+    /// as one — a cursor that has taken every frame but that one is one
+    /// behind, however many panes the hub coalesced into it. Once the
+    /// subscriber has had that long to take it, every pane counts. With
+    /// one pane per frame both are `head - cursor`.
+    fn lag(&self, cursor: u64) -> u64 {
+        if cursor >= self.head.load(Ordering::Acquire) {
+            return 0;
+        }
+        let frames = self.frames.lock().expect("frame ring poisoned");
+        let head = self.head.load(Ordering::Relaxed);
+        match frames.back() {
+            Some(newest) if newest.sealed_at.elapsed() < FRESH_FRAME => {
+                let newest_start = self.newest_start.load(Ordering::Relaxed);
+                newest_start.saturating_sub(cursor) + 1
+            }
+            _ => head.saturating_sub(cursor),
+        }
     }
 }
 
@@ -344,6 +376,7 @@ impl ServeHub {
             query: *query,
             key,
             head: AtomicU64::new(0),
+            newest_start: AtomicU64::new(0),
             frames: Mutex::new(VecDeque::new()),
         });
         let (horizon, answer) = match &self.source {
@@ -566,11 +599,13 @@ impl Subscription {
         self.entries.len() - 1
     }
 
-    /// Worst cursor lag across this subscription's queries, panes.
+    /// Worst cursor lag across this subscription's queries, panes — lag
+    /// the subscriber owes, not the hub's own coalescing of several sealed
+    /// panes into one frame (see `QueryChannel::lag`).
     pub fn behind_panes(&self) -> u64 {
         self.entries
             .iter()
-            .map(|e| e.chan.head.load(Ordering::Acquire).saturating_sub(e.cursor))
+            .map(|e| e.chan.lag(e.cursor))
             .max()
             .unwrap_or(0)
     }
@@ -787,5 +822,84 @@ impl Drop for Subscription {
         if self.counted {
             self.hub.subscribers.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caraoke_log::{LogOptions, SegmentWriter};
+
+    fn frame(pane: u64) -> Arc<PaneFrame> {
+        Arc::new(PaneFrame {
+            pane,
+            kind: FrameKind::Delta,
+            answer: LiveAnswer::Watermark {
+                watermark_us: (pane + 1) * 1_000_000,
+                sealed_panes: pane + 1,
+            },
+            wire: Vec::new(),
+            sealed_at: Instant::now(),
+        })
+    }
+
+    #[test]
+    fn one_frame_covering_many_panes_is_not_the_subscribers_lag() {
+        // A hub over an empty log, its channel fed by hand: no fan-out
+        // thread, so which panes each frame covers is fixed.
+        let dir = std::env::temp_dir().join(format!("caraoke-serve-hub-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(SegmentWriter::create(&dir, LogOptions::default()).expect("empty log"));
+        let config = ServeConfig {
+            lag_notice_panes: 4,
+            max_cursor_lag_panes: 8,
+            ..Default::default()
+        };
+        let hub = ServeHub::over_log(&dir, 8, 1_000_000, 60_000_000, config).expect("hub");
+        let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
+        let chan = Arc::clone(&sub.entries[0].chan);
+        let retain = config.retain_frames;
+
+        chan.push_frame(frame(0), retain);
+        assert!(matches!(sub.poll().as_slice(), [ServeEvent::Frame { .. }]));
+        assert!(sub.caught_up());
+        // One fan-out round answers at pane 300: it covers panes 1..=300.
+        // Counted from the head that is 300 panes, past both bounds.
+        chan.push_frame(frame(300), retain);
+        assert_eq!(sub.behind_panes(), 1);
+        match sub.poll().as_slice() {
+            [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 300),
+            other => panic!("expected the frame alone, got {other:?}"),
+        }
+        assert!(sub.caught_up() && !sub.is_dropped());
+        let stats = hub.stats();
+        assert_eq!((stats.lag_notices, stats.dropped_subscribers), (0, 0));
+
+        // Frames the subscriber has not taken still count pane by pane:
+        // unread frames at 301..=305, then a fresh one covering 306..=309.
+        for pane in [301, 302, 303, 304, 305, 309] {
+            chan.push_frame(frame(pane), retain);
+        }
+        assert_eq!(sub.behind_panes(), 306 - 301 + 1);
+        let events = sub.poll();
+        assert!(matches!(
+            events[0],
+            ServeEvent::LagNotice { behind_panes: 6 }
+        ));
+        assert_eq!(events.len(), 1 + 6, "the notice, then every frame");
+        // So does the newest frame, once it has waited too long.
+        let mut stale = (*frame(400)).clone();
+        stale.sealed_at = Instant::now()
+            .checked_sub(FRESH_FRAME)
+            .expect("uptime past the grace");
+        chan.push_frame(Arc::new(stale), retain);
+        assert_eq!(sub.behind_panes(), 401 - 310);
+        assert!(matches!(
+            sub.poll().as_slice(),
+            [ServeEvent::Dropped { behind_panes: 91 }]
+        ));
+        drop(sub);
+        drop(hub);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests for the durability tier: the fingerprint triangle
 //! (live chain == verified log replay == direct batch run), 16-thread
 //! kill-and-recover resuming byte-identical to an uninterrupted run, a
-//! disk dying at every record boundary of a multi-pane seal pass, and
+//! disk dying at every record boundary of a multi-pane seal pass, snapshots
+//! and reads taken while whole-run OD pairs are pending, and
 //! verified replay refusing a tampered log.
 
 use caraoke_suite::city::{BatchDriver, FrameSource, StoreConfig, SyntheticCity};
@@ -257,6 +258,74 @@ fn every_record_boundary_of_a_multi_pane_pass_is_a_recoverable_cut() {
         failed.is_empty(),
         "recovery diverged when the disk died after record(s) {failed:?}"
     );
+}
+
+#[test]
+fn snapshots_and_reads_taken_while_od_pairs_are_pending_recover_onto_the_uninterrupted_run() {
+    // CFO-keyed identities at 2 000 poles: thousands of OD pairs per pane,
+    // so whole-run OD totals merge their pending pairs every few panes, and
+    // snapshots every other pane mostly land between merges — with pairs
+    // pending — as do the crashed run's `totals()` reads.
+    let mut source = SyntheticCity::new(2_000, 24, 2727);
+    source.cfo_keyed = true;
+    let epoch_us = source.epoch_us();
+    let n_poles = source.directory().len() as u32;
+    let opts = LogOptions {
+        fsync: FsyncPolicy::Never,
+        snapshot_every_panes: 2,
+        ..Default::default()
+    };
+    let deliver = |live: &LiveCity, from_us: u64, until_us: u64| {
+        for epoch in 0..source.epochs() {
+            let t = epoch as u64 * epoch_us;
+            if (from_us..until_us).contains(&t) {
+                for pole in 0..n_poles {
+                    live.ingest(&source.report(pole, epoch));
+                }
+            }
+        }
+    };
+    let logged = |dir: &PathBuf| {
+        LiveCity::with_log(source.directory().clone(), config(4), dir, opts).expect("logged engine")
+    };
+
+    let ref_dir = scratch("pending-reference");
+    let reference = logged(&ref_dir);
+    deliver(&reference, 0, u64::MAX);
+    reference.finish();
+    let ref_chain = reference.fingerprint_chain();
+    let ref_totals = reference.totals();
+    drop(reference);
+    assert!(
+        ref_totals.od.transitions.len() > 3 * 16 * 1024,
+        "too few OD pairs to merge several times: {}",
+        ref_totals.od.transitions.len()
+    );
+
+    let dir = scratch("pending-crash");
+    let crashed = logged(&dir);
+    for epoch in 0..10u64 {
+        deliver(&crashed, epoch * epoch_us, (epoch + 1) * epoch_us);
+        crashed.wait_idle();
+        let mid_run = crashed.totals();
+        assert_eq!(mid_run.observations, crashed.stats().observations);
+        assert!(mid_run.od.total() <= ref_totals.od.total());
+    }
+    drop(crashed);
+
+    let recovered = LiveCity::recover(&dir, source.directory().clone(), config(4), opts)
+        .expect("recover from pane log");
+    let floor_us = recovered.stats().seal_floor_us;
+    assert!(floor_us > 0, "the crashed run sealed panes before dying");
+    deliver(&recovered, floor_us, u64::MAX);
+    recovered.finish();
+    assert_eq!(recovered.fingerprint_chain(), ref_chain);
+    assert_eq!(recovered.totals(), ref_totals);
+    assert_eq!(recovered.stats().shed_reports, 0);
+    drop(recovered);
+    let replay = LogCity::open(&dir).replay().expect("verified replay");
+    assert_eq!(replay.chain, ref_chain);
+    assert_eq!(replay.totals, ref_totals);
 }
 
 #[test]
