@@ -16,11 +16,9 @@ pub fn render(run: &CityRun) -> String {
     );
     let _ = writeln!(
         out,
-        "  throughput: {:.0} obs/s (wall {:.3} s); queue high-water {} ({} backpressure waits)",
+        "  throughput: {:.0} obs/s (wall {:.3} s)",
         run.observations_per_sec(),
         run.elapsed.as_secs_f64(),
-        run.queue.high_watermark,
-        run.queue.blocked_pushes,
     );
     let _ = writeln!(out, "  fingerprint: {:#018x}", agg.fingerprint());
 

@@ -1,22 +1,24 @@
-//! The multi-threaded batch driver.
+//! The batch driver: the reference fold the live engine is checked against.
 //!
 //! [`BatchDriver::run`] fans per-pole collision frames from a
-//! [`FrameSource`] across producer threads, streams the resulting
-//! [`PoleReport`]s through a bounded [`IngestQueue`] (backpressure included)
-//! into the [`ShardedStore`], then applies and merges shard state — all with
-//! `std::thread` only.
+//! [`FrameSource`] across scoped producer threads, which send the resulting
+//! [`PoleReport`]s through a bounded `std::sync::mpsc::sync_channel` to the
+//! calling thread. That thread owns the [`ShardedStore`] outright and
+//! scatters every report into it; [`ShardedStore::finalize`] then folds the
+//! shards on scoped threads of its own. Nothing is shared, so nothing is
+//! locked.
 //!
 //! Determinism: a frame source must derive each report purely from
 //! `(pole, epoch, seed)`, so the set of produced reports is independent of
-//! thread scheduling; the store's canonical sort before apply (see
+//! thread scheduling; the store's stable canonical sort before apply (see
 //! [`crate::store`]) removes the remaining delivery-order freedom. The same
 //! seed therefore yields byte-identical aggregates for *any* worker count,
-//! consumer count, or shard count.
+//! consumer count, channel capacity or shard count.
 
 use crate::aggregate::CityAggregates;
 use crate::event::PoleReport;
-use crate::queue::{IngestQueue, QueueStats};
 use crate::store::{PoleDirectory, ShardedStore, StoreConfig};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// A deterministic generator of per-pole, per-epoch reader frames.
@@ -39,16 +41,18 @@ pub trait FrameSource: Sync {
     fn report(&self, pole: u32, epoch: usize) -> PoleReport;
 }
 
-/// Configuration of one batch ingestion run.
+/// Configuration of one batch run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchDriver {
-    /// Producer threads synthesizing pole frames.
+    /// Producer threads synthesizing pole frames (at least one).
     pub workers: usize,
-    /// Consumer threads draining the ingest queue into the store.
+    /// Threads folding the store's shards at the end of the run (at least
+    /// one, at most one per shard).
     pub consumers: usize,
-    /// Capacity of the bounded ingest queue (reports).
+    /// Reports the producers may have in flight to the store thread before
+    /// they block; 0 hands each report over in a rendezvous.
     pub queue_capacity: usize,
-    /// Store tuning (shard count, light cycle, speed gaps).
+    /// Store tuning (shard count, light cycle).
     pub store: StoreConfig,
 }
 
@@ -71,8 +75,6 @@ impl Default for BatchDriver {
 pub struct CityRun {
     /// Merged city-wide aggregates.
     pub aggregates: CityAggregates,
-    /// Ingest-queue telemetry (depth high-watermark, backpressure events).
-    pub queue: QueueStats,
     /// Pole reports ingested.
     pub reports: u64,
     /// Tag observations ingested.
@@ -102,44 +104,31 @@ impl BatchDriver {
         let n_poles = source.directory().len() as u32;
         let epochs = source.epochs();
         let workers = self.workers.max(1);
-        let consumers = self.consumers.max(1);
-        let store = ShardedStore::new(source.directory().clone(), self.store);
-        let queue: IngestQueue<PoleReport> = IngestQueue::with_capacity(self.queue_capacity);
+        let mut store = ShardedStore::new(source.directory().clone(), self.store);
 
         std::thread::scope(|scope| {
-            let queue = &queue;
-            let store = &store;
-            let mut producers = Vec::with_capacity(workers);
+            let (tx, rx) = mpsc::sync_channel(self.queue_capacity);
             for w in 0..workers {
-                producers.push(scope.spawn(move || {
+                let tx = tx.clone();
+                scope.spawn(move || {
                     // Pole-striped work split: worker w owns poles w, w+W, ...
                     for epoch in 0..epochs {
                         for pole in (w as u32..n_poles).step_by(workers) {
-                            let report = source.report(pole, epoch);
-                            if queue.push(report).is_err() {
-                                return; // queue closed early (cannot happen in this driver)
-                            }
+                            // The receiver only hangs up if the store thread panicked.
+                            tx.send(source.report(pole, epoch)).expect("store thread");
                         }
-                    }
-                }));
-            }
-            for _ in 0..consumers {
-                scope.spawn(move || {
-                    while let Some(report) = queue.pop() {
-                        store.scatter(&report);
                     }
                 });
             }
-            for p in producers {
-                p.join().expect("producer thread");
+            drop(tx);
+            // Ends once every producer is done and has dropped its sender.
+            for report in rx {
+                store.scatter(&report);
             }
-            queue.close();
-            // Consumers drain the queue and exit on `None`; the scope joins them.
         });
 
-        let aggregates = store.finalize(workers);
+        let aggregates = store.finalize(self.consumers);
         CityRun {
-            queue: queue.stats(),
             reports: store.reports(),
             observations: aggregates.observations,
             distinct_tags: store.distinct_tags(),
@@ -160,14 +149,17 @@ mod tests {
         let driver = BatchDriver {
             workers: 4,
             consumers: 2,
-            queue_capacity: 8, // tiny on purpose: forces backpressure
+            queue_capacity: 0, // rendezvous: every send waits for the store thread
             store: StoreConfig::default(),
         };
         let run = driver.run(&source);
-        assert_eq!(run.reports, 24 * 10);
-        assert!(run.observations > 0);
-        assert_eq!(run.queue.accepted, run.reports);
-        assert!(run.queue.high_watermark <= 8);
+        let generated: usize = (0..24)
+            .flat_map(|p| (0..10).map(move |e| (p, e)))
+            .map(|(p, e)| source.report(p, e).observations.len())
+            .sum();
+        assert_eq!(run.reports, 240);
+        assert!(generated > 0);
+        assert_eq!(run.observations, generated as u64);
         assert!(run.observations_per_sec() > 0.0);
     }
 
@@ -175,13 +167,19 @@ mod tests {
     fn thread_and_shard_counts_do_not_change_the_aggregates() {
         let source = SyntheticCity::new(32, 12, 7);
         let mut fingerprints = Vec::new();
-        for &(workers, consumers, shards) in
-            &[(1usize, 1usize, 1usize), (2, 1, 4), (4, 3, 8), (8, 2, 3)]
-        {
+        for &(workers, consumers, queue_capacity, shards) in &[
+            (1usize, 1usize, 16usize, 1usize),
+            (2, 1, 16, 4),
+            (4, 3, 16, 8),
+            (8, 2, 16, 3),
+            (3, 2, 0, 5),   // rendezvous channel
+            (2, 12, 4, 3),  // more consumers than shards
+            (40, 1, 16, 2), // more workers than poles
+        ] {
             let driver = BatchDriver {
                 workers,
                 consumers,
-                queue_capacity: 16,
+                queue_capacity,
                 store: StoreConfig {
                     shards,
                     ..Default::default()

@@ -27,20 +27,21 @@
 //! * [`position`] — the §6 position ladder: method-tagged car-position
 //!   estimates (two-reader conic fix → AoA-only → pole fallback) and the
 //!   track regression the §7 speed estimator prefers.
-//! * [`queue`] — bounded ring-buffer ingestion with blocking backpressure
-//!   ([`IngestQueue::push`]).
-//! * [`store`] — the sharded, lock-striped in-memory store, keyed by tag and
-//!   by street segment. Its [`TagTracker`] state machine (re-sighting
-//!   detection, ping-pong suppression, and the §8 decode-alias upgrade of
-//!   CFO-signature keys) is shared with the online engine in `caraoke-live`.
+//! * [`store`] — the sharded in-memory store, keyed by tag and by street
+//!   segment and owned by one thread. Its [`TagTracker`] state machine
+//!   (re-sighting detection, ping-pong suppression, and the §8 decode-alias
+//!   upgrade of CFO-signature keys) is shared with the online engine in
+//!   `caraoke-live`.
 //! * [`aggregate`] — streaming aggregators computed incrementally on ingest:
 //!   per-street occupancy (Fig. 13), flow per traffic-light cycle (Fig. 12),
 //!   speed percentiles from position tracks (§7), the origin–destination
 //!   matrix from tag re-sightings, and per-method localization counters
 //!   ([`PositionCounters`]).
-//! * [`driver`] — the multi-threaded batch driver fanning per-pole frames
-//!   across workers and merging results deterministically under a fixed
-//!   seed.
+//! * [`driver`] — the batch driver, the reference fold the live tier is
+//!   checked against: `workers` producer threads send per-pole reports
+//!   through a channel of `queue_capacity` to one thread that owns the
+//!   store, and `consumers` threads fold its shards, deterministically under
+//!   a fixed seed.
 //! * [`synth`] / [`phy`] — frame sources: a fast synthetic city for
 //!   1k–10k-pole ingestion benchmarks, and the full sim → PHY →
 //!   [`caraoke::CaraokeReader`] path for evaluation runs.
@@ -67,7 +68,6 @@ pub mod driver;
 pub mod event;
 pub mod phy;
 pub mod position;
-pub mod queue;
 pub mod store;
 pub mod synth;
 
@@ -79,7 +79,6 @@ pub use driver::{BatchDriver, CityRun, FrameSource};
 pub use event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 pub use phy::PhyCity;
 pub use position::{PositionEstimate, PositionMethod};
-pub use queue::{IngestQueue, PushError, QueueStats};
 pub use store::{
     AliasStats, DerivedEvent, PoleDirectory, PoleSite, ShardedStore, SpeedSource, StoreConfig,
     TagRecord, TagTracker, TrackerDelta,

@@ -1,4 +1,4 @@
-//! The sharded, lock-striped in-memory store.
+//! The sharded in-memory store behind the batch reference fold.
 //!
 //! Observations are keyed two ways, mirroring the two query patterns of the
 //! analytics tier:
@@ -8,10 +8,14 @@
 //!   transitions, flow events) are derived. Observations are routed to
 //!   shards by **CFO bin**, so a tag's whole history — including the
 //!   decoded-id observations that alias its CFO-signature key (§8) — lands
-//!   on one shard and is totally ordered no matter how many shards or ingest
-//!   threads are configured.
-//! * **by street segment** — report-level occupancy counters live in a
-//!   separate set of lock stripes keyed by segment.
+//!   on one shard and is totally ordered no matter how many shards are
+//!   configured.
+//! * **by street segment** — report-level occupancy counters, one map
+//!   keyed by segment.
+//!
+//! [`ShardedStore`] is owned by one thread: [`ShardedStore::scatter`] takes
+//! `&mut self`, and [`ShardedStore::finalize`] splits the shards into
+//! disjoint runs for its scoped threads, so nothing in it is locked.
 //!
 //! The per-tag transition state machine lives in [`TagTracker`], shared with
 //! the online engine in `caraoke-live`: it consumes observations in
@@ -19,13 +23,14 @@
 //! sample) which the caller folds into whichever aggregate state it keeps —
 //! whole-run [`CityAggregates`] here, window-keyed panes in the live layer.
 //!
-//! Determinism contract: scatter order is arbitrary (any thread may deliver
-//! any report), but [`ShardedStore::finalize`] sorts each shard's buffered
-//! observations by `(timestamp, pole, tag)` before applying them, and every
-//! aggregator is an integer CRDT-style counter (see [`crate::aggregate`]).
-//! The final [`CityAggregates`] is therefore byte-identical for any shard
-//! count, worker count, or delivery order — the property the
-//! shard-invariance tests pin.
+//! Determinism contract: report order is arbitrary (the batch driver's
+//! producers deliver in any interleaving), but [`ShardedStore::finalize`]
+//! stably sorts each shard's buffered observations by
+//! [`canonical_obs_key`] before applying them, and every aggregator is an
+//! integer CRDT-style counter (see [`crate::aggregate`]). The final
+//! [`CityAggregates`] is therefore byte-identical for any shard count,
+//! thread count, or delivery order — the property the shard-invariance
+//! tests pin.
 
 use crate::aggregate::{AggregateBuilder, CityAggregates, SegmentStats};
 use crate::event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
@@ -33,8 +38,6 @@ use crate::position::{resolve_position, track_speed_mps, PositionMethod};
 use caraoke_geom::Vec3;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Deterministic multiply-mix hasher for the tracker's `u64` keys.
 ///
@@ -124,7 +127,7 @@ impl PoleDirectory {
 /// Tuning knobs for the re-sighting analytics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreConfig {
-    /// Number of tag shards (lock stripes for per-tag state).
+    /// Number of tag shards (partitions of per-tag state).
     pub shards: usize,
     /// Traffic-light cycle length used to bucket flow events, µs (Fig. 12
     /// uses 90 s cycles; 60 s is a common default).
@@ -1025,7 +1028,7 @@ impl TagStateMap {
     }
 }
 
-/// One lock stripe of the by-tag store.
+/// One tag shard of the batch store.
 #[derive(Debug, Default)]
 struct TagShard {
     /// Observations buffered by scatter, applied (sorted) by finalize.
@@ -1036,16 +1039,28 @@ struct TagShard {
     agg: CityAggregates,
 }
 
-/// Lock stripes for [`ShardedStore`]'s per-segment report counters.
-const SEGMENT_STRIPES: usize = 8;
+impl TagShard {
+    /// Applies the buffered observations in canonical order. The sort is
+    /// stable, so observations with equal keys — which only one report can
+    /// produce — keep the order that report listed them in.
+    fn apply(&mut self, directory: &PoleDirectory, config: &StoreConfig) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_by_key(canonical_obs_key);
+        let mut builder = AggregateBuilder::default();
+        for obs in &pending {
+            fold_observation(&mut builder, &mut self.tracker, obs, directory, config);
+        }
+        self.agg.merge(&builder.finish());
+    }
+}
 
-/// The city's sharded in-memory store.
+/// The city's sharded in-memory store, owned by one thread.
 pub struct ShardedStore {
-    tag_shards: Vec<Mutex<TagShard>>,
-    segment_stripes: Vec<Mutex<BTreeMap<u16, SegmentStats>>>,
+    tag_shards: Vec<TagShard>,
+    segments: BTreeMap<u16, SegmentStats>,
     directory: PoleDirectory,
     config: StoreConfig,
-    report_count: AtomicU64,
+    report_count: u64,
 }
 
 /// Fibonacci hash spreading CFO bins across shards. Routing by bin (rather
@@ -1089,112 +1104,63 @@ pub fn fold_observation(
 impl ShardedStore {
     /// Creates a store over the given deployment.
     pub fn new(directory: PoleDirectory, config: StoreConfig) -> Self {
-        let shards = config.shards.max(1);
         Self {
-            tag_shards: (0..shards)
-                .map(|_| Mutex::new(TagShard::default()))
+            tag_shards: (0..config.shards.max(1))
+                .map(|_| TagShard::default())
                 .collect(),
-            segment_stripes: (0..SEGMENT_STRIPES)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
+            segments: BTreeMap::new(),
             directory,
             config,
-            report_count: AtomicU64::new(0),
+            report_count: 0,
         }
     }
 
-    /// Number of tag shards.
-    pub fn shards(&self) -> usize {
-        self.tag_shards.len()
-    }
-
-    /// The deployment directory.
-    pub fn directory(&self) -> &PoleDirectory {
-        &self.directory
-    }
-
     /// Scatters one pole report into the store: report-level counters go to
-    /// the segment stripe, per-tag observations are buffered on their tag's
-    /// shard. Safe to call from many ingest threads at once.
-    pub fn scatter(&self, report: &PoleReport) {
+    /// its segment, per-tag observations are buffered on their tag's shard.
+    pub fn scatter(&mut self, report: &PoleReport) {
         let multi = report
             .observations
             .iter()
             .filter(|o| o.multi_occupied)
             .count() as u32;
-        {
-            let stripe = report.segment.0 as usize % self.segment_stripes.len();
-            let mut seg = self.segment_stripes[stripe].lock().expect("segment stripe");
-            seg.entry(report.segment.0).or_default().record_report(
-                report.count,
-                report.observations.len() as u32,
-                multi,
-            );
-        }
-        // Group this report's observations by shard so each shard lock is
-        // taken once per report, not once per observation (scatter is the
-        // hot ingest path).
+        self.segments
+            .entry(report.segment.0)
+            .or_default()
+            .record_report(report.count, report.observations.len() as u32, multi);
         let n_shards = self.tag_shards.len();
-        let mut by_shard: Vec<(usize, &TagObservation)> = report
-            .observations
-            .iter()
-            .map(|o| (shard_of_bin(o.cfo_bin, n_shards), o))
-            .collect();
-        by_shard.sort_unstable_by_key(|(s, _)| *s);
-        let mut i = 0;
-        while i < by_shard.len() {
-            let shard = by_shard[i].0;
-            let mut guard = self.tag_shards[shard].lock().expect("tag shard");
-            while i < by_shard.len() && by_shard[i].0 == shard {
-                guard.pending.push(*by_shard[i].1);
-                i += 1;
-            }
+        for obs in &report.observations {
+            self.tag_shards[shard_of_bin(obs.cfo_bin, n_shards)]
+                .pending
+                .push(*obs);
         }
-        self.report_count.fetch_add(1, Ordering::Relaxed);
+        self.report_count += 1;
     }
 
-    /// Applies one shard's buffered observations in canonical order. Called
-    /// by `finalize`, possibly from several worker threads (one per shard).
-    fn apply_shard(&self, shard: &mut TagShard) {
-        let mut pending = std::mem::take(&mut shard.pending);
-        pending.sort_by_key(canonical_obs_key);
-        let mut builder = AggregateBuilder::default();
-        for obs in pending {
-            fold_observation(
-                &mut builder,
-                &mut shard.tracker,
-                &obs,
-                &self.directory,
-                &self.config,
-            );
-        }
-        shard.agg.merge(&builder.finish());
-    }
-
-    /// Applies every shard's buffered observations (in parallel across up to
-    /// `workers` threads) and merges all shard and segment state into one
-    /// [`CityAggregates`]. Deterministic for any `workers` / shard count.
-    pub fn finalize(&self, workers: usize) -> CityAggregates {
-        let workers = workers.max(1).min(self.tag_shards.len());
+    /// Applies every shard's buffered observations on up to `threads`
+    /// scoped threads, each owning a disjoint run of shards, and merges all
+    /// shard and segment state into one [`CityAggregates`]. Deterministic
+    /// for any thread or shard count.
+    pub fn finalize(&mut self, threads: usize) -> CityAggregates {
+        let per_thread = self
+            .tag_shards
+            .len()
+            .div_ceil(threads.clamp(1, self.tag_shards.len()));
+        let (directory, config) = (&self.directory, &self.config);
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shards = &self.tag_shards;
+            for run in self.tag_shards.chunks_mut(per_thread) {
                 scope.spawn(move || {
-                    for shard in shards.iter().skip(w).step_by(workers) {
-                        let mut guard = shard.lock().expect("tag shard");
-                        self.apply_shard(&mut guard);
+                    for shard in run {
+                        shard.apply(directory, config);
                     }
                 });
             }
         });
         let mut out = CityAggregates::new();
         for shard in &self.tag_shards {
-            out.merge(&shard.lock().expect("tag shard").agg);
+            out.merge(&shard.agg);
         }
-        for stripe in &self.segment_stripes {
-            for (&seg, stats) in stripe.lock().expect("segment stripe").iter() {
-                out.segments.entry(seg).or_default().merge(stats);
-            }
+        for (&seg, stats) in &self.segments {
+            out.segments.entry(seg).or_default().merge(stats);
         }
         out
     }
@@ -1205,7 +1171,7 @@ impl ShardedStore {
     pub fn distinct_tags(&self) -> usize {
         self.tag_shards
             .iter()
-            .map(|s| s.lock().expect("tag shard").tracker.distinct_tags())
+            .map(|s| s.tracker.distinct_tags())
             .sum()
     }
 
@@ -1216,14 +1182,14 @@ impl ShardedStore {
     pub fn alias_stats(&self) -> AliasStats {
         let mut out = AliasStats::default();
         for shard in &self.tag_shards {
-            out.merge(&shard.lock().expect("tag shard").tracker.alias_stats());
+            out.merge(&shard.tracker.alias_stats());
         }
         out
     }
 
     /// Number of pole reports scattered so far.
     pub fn reports(&self) -> u64 {
-        self.report_count.load(Ordering::Relaxed)
+        self.report_count
     }
 }
 
@@ -1273,7 +1239,7 @@ mod tests {
     #[test]
     fn resighting_produces_one_speed_sample_and_od_transition() {
         let dir = line_directory(4, 30.0);
-        let store = ShardedStore::new(dir, StoreConfig::default());
+        let mut store = ShardedStore::new(dir, StoreConfig::default());
         // Tag 9 heard at pole 0, then 30 m downstream 2 s later: 15 m/s.
         store.scatter(&report(0, 0, 0, vec![obs(9, 0, 0, 0)]));
         store.scatter(&report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]));
@@ -1358,7 +1324,7 @@ mod tests {
         // A car in the overlap of two poles' coverage is reported by both
         // every epoch; only the first A->B hand-off counts, and the speed
         // comes from arrival-to-arrival timing, not the bounce cadence.
-        let store = ShardedStore::new(line_directory(3, 24.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(3, 24.0), StoreConfig::default());
         // Heard at pole 0 from t=0; enters pole 1 coverage at t=2s; both
         // keep reporting it every second until t=5s.
         store.scatter(&report(0, 0, 0, vec![obs(7, 0, 0, 0)]));
@@ -1388,7 +1354,7 @@ mod tests {
         // three 60 s light cycles. Flow must count it once per segment per
         // cycle — not once per bounce, and not only in the first-sorted
         // segment after a cycle rollover.
-        let store = ShardedStore::new(line_directory(8, 24.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(8, 24.0), StoreConfig::default());
         for t in 0..130u64 {
             let t_us = t * 1_000_000;
             store.scatter(&report(3, 0, t_us, vec![obs(11, 3, 0, t_us)]));
@@ -1412,7 +1378,7 @@ mod tests {
 
     #[test]
     fn same_pole_resighting_is_not_a_transition() {
-        let store = ShardedStore::new(line_directory(2, 25.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(2, 25.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(5, 0, 0, 0)]));
         store.scatter(&report(0, 0, 1_500_000, vec![obs(5, 0, 0, 1_500_000)]));
         let agg = store.finalize(1);
@@ -1423,7 +1389,7 @@ mod tests {
 
     #[test]
     fn stale_resightings_count_for_od_but_not_speed() {
-        let store = ShardedStore::new(line_directory(3, 40.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(3, 40.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(3, 0, 0, 0)]));
         // Re-sighted 200 s later: a different trip.
         store.scatter(&report(2, 0, 200_000_000, vec![obs(3, 2, 0, 200_000_000)]));
@@ -1434,7 +1400,7 @@ mod tests {
 
     #[test]
     fn segment_counters_fold_report_headlines() {
-        let store = ShardedStore::new(line_directory(8, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(8, 30.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(1, 0, 0, 0), obs(2, 0, 0, 0)]));
         store.scatter(&report(4, 1, 0, vec![obs(3, 4, 1, 0)]));
         store.scatter(&report(5, 1, 1_000_000, vec![]));
@@ -1452,7 +1418,7 @@ mod tests {
         // spacing would fake 15 m/s via arrival deltas). Position fixes
         // every second pin the true speed.
         let dir = line_directory(4, 30.0);
-        let store = ShardedStore::new(dir, StoreConfig::default());
+        let mut store = ShardedStore::new(dir, StoreConfig::default());
         for t in 0..5u64 {
             let t_us = t * 1_000_000;
             let pole = if t < 2 { 0 } else { 1 };
@@ -1479,7 +1445,7 @@ mod tests {
     fn position_free_observations_fall_back_to_arrival_time_speeds() {
         // No estimates anywhere, so the speed comes from the pole-spacing
         // arrival delta and every observation counts as a pole fallback.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(9, 0, 0, 0)]));
         store.scatter(&report(1, 0, 2_000_000, vec![obs(9, 1, 0, 2_000_000)]));
         let agg = store.finalize(1);
@@ -1502,7 +1468,7 @@ mod tests {
         // batch may apply an *older* fix after a newer one, leaving the
         // per-tag track ring out of time order. The next transition must
         // still regress (or fall back) without panicking.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         let fix_obs = |tag, pole, t_us: u64, x: f64| {
             let mut o = obs(tag, pole, 0, t_us);
             o.position = Some(PositionEstimate::two_reader(x, -1.5, 1.0));
@@ -1544,7 +1510,7 @@ mod tests {
         use crate::position::PositionEstimate;
         // Only the final observation carries a fix: one point is no track,
         // so the estimator must use the arrival delta — and tag it.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         store.scatter(&report(0, 0, 0, vec![obs(5, 0, 0, 0)]));
         let mut last = obs(5, 1, 0, 2_000_000);
         last.position = Some(PositionEstimate::two_reader(30.0, -1.5, 1.0));
@@ -1560,7 +1526,7 @@ mod tests {
     #[test]
     fn first_decode_upgrades_the_cfo_key_and_keeps_the_history() {
         use caraoke_phy::TransponderId;
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         // Tag tracked under its CFO-signature key at pole 0...
         let cfo_key = TagKey::from_cfo_bin(41).0;
         store.scatter(&report(0, 0, 0, vec![obs(cfo_key, 0, 0, 0)]));
@@ -1593,7 +1559,7 @@ mod tests {
     #[test]
     fn shared_bin_decodes_count_alias_collisions() {
         use caraoke_phy::TransponderId;
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         let cfo_key = TagKey::from_cfo_bin(88).0;
         // Two different transponders decode out of the same CFO bin (the §5
         // shared-bin regime at high tag density).
@@ -1618,7 +1584,7 @@ mod tests {
         // 3 (90 m apart) simultaneously. The interleaved sightings look like
         // a single tag teleporting back and forth; ping-pong suppression and
         // the plausibility cut must keep the derived analytics sane.
-        let store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
+        let mut store = ShardedStore::new(line_directory(4, 30.0), StoreConfig::default());
         for &(pole, t_us) in &[
             (0u32, 0u64),
             (3, 500_000),
@@ -1712,7 +1678,7 @@ mod tests {
                 shards,
                 ..Default::default()
             };
-            let store = ShardedStore::new(line_directory(12, 30.0), config);
+            let mut store = ShardedStore::new(line_directory(12, 30.0), config);
             // Deliver in a different order each time.
             for i in 0..reports.len() {
                 store.scatter(&reports[(i + rotate) % reports.len()]);

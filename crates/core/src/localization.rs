@@ -299,7 +299,7 @@ mod tests {
         };
         let pose_a = caraoke_geom::ReaderPose::new(est_a.midpoint, est_a.baseline);
         let pose_b = caraoke_geom::ReaderPose::new(est_b.midpoint, est_b.baseline);
-        let fix = caraoke_geom::localize_two_readers(
+        let fix = caraoke_geom::try_localize_two_readers(
             &pose_a,
             est_a.angle_rad,
             &pose_b,

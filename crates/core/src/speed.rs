@@ -7,7 +7,7 @@
 
 use crate::localization::AoaEstimate;
 use caraoke_geom::localize::RoadRegion;
-use caraoke_geom::{localize_two_readers, speed_from_fixes, ReaderPose, SpeedEstimate, Vec3};
+use caraoke_geom::{speed_from_fixes, try_localize_two_readers, ReaderPose, SpeedEstimate, Vec3};
 
 /// A timestamped pair of AoA estimates of the same tag seen by two readers.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,13 +39,14 @@ impl SpeedPipeline {
     pub fn fix(&self, from_a: &AoaEstimate, from_b: &AoaEstimate) -> Option<Vec3> {
         let pose_a = ReaderPose::new(from_a.midpoint, from_a.baseline);
         let pose_b = ReaderPose::new(from_b.midpoint, from_b.baseline);
-        localize_two_readers(
+        try_localize_two_readers(
             &pose_a,
             from_a.angle_rad,
             &pose_b,
             from_b.angle_rad,
             &self.region,
         )
+        .ok()
     }
 
     /// Estimates speed from two observations. Returns `None` if either fix

@@ -26,9 +26,7 @@ pub mod vec3;
 
 pub use aoa::{angle_to_phase_diff, phase_diff_to_angle, wrap_phase, AoaError};
 pub use conic::{ConeCurve, RoadCurve};
-pub use localize::{
-    localize_two_readers, try_localize_two_readers, LocalizeError, ReaderPose, Side,
-};
+pub use localize::{try_localize_two_readers, LocalizeError, ReaderPose, Side};
 pub use speed::{max_position_error, speed_error_bound, speed_from_fixes, SpeedEstimate};
 pub use units::{feet_to_meters, meters_to_feet, mph_to_mps, mps_to_mph, CARRIER_WAVELENGTH_M};
 pub use vec3::Vec3;

@@ -346,20 +346,6 @@ pub fn try_localize_two_readers(
     Ok(p)
 }
 
-/// Localizes a car on the road plane from two reader poses and their measured
-/// AoAs. Returns `None` when no unambiguous fix exists inside the road
-/// region — the `Option` facade over [`try_localize_two_readers`], kept for
-/// callers that do not care *why* the fix failed.
-pub fn localize_two_readers(
-    reader_a: &ReaderPose,
-    alpha_a: f64,
-    reader_b: &ReaderPose,
-    alpha_b: f64,
-    region: &RoadRegion,
-) -> Option<Vec3> {
-    try_localize_two_readers(reader_a, alpha_a, reader_b, alpha_b, region).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,7 +379,7 @@ mod tests {
             y_max: 5.0,
             z: 0.0,
         };
-        let p = localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
+        let p = try_localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
             .expect("should localize");
         assert!(p.distance(car) < 0.05, "got {p:?}");
     }
@@ -412,7 +398,7 @@ mod tests {
             y_max: 4.5,
             z: 0.0,
         };
-        let p = localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
+        let p = try_localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
             .expect("should localize");
         assert!(p.distance(car) < 0.05, "got {p:?}");
     }
@@ -431,7 +417,7 @@ mod tests {
             z: 0.0,
         };
         let err = 1.0_f64.to_radians();
-        let p = localize_two_readers(
+        let p = try_localize_two_readers(
             &a,
             true_alpha(&a, car) + err,
             &b,
@@ -451,7 +437,8 @@ mod tests {
         // A "car" far outside the declared road region.
         let car = Vec3::new(100.0, 30.0, 0.0);
         let region = centered(40.0, 9.0);
-        let p = localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region);
+        let p = try_localize_two_readers(&a, true_alpha(&a, car), &b, true_alpha(&b, car), &region)
+            .ok();
         assert!(p.is_none());
     }
 

@@ -36,6 +36,12 @@
 //! is dropped ([`ServeEvent::Dropped`]) and its resources released. Every
 //! decision shows up in [`ServeStats`].
 //!
+//! A live hub evaluates a query only while someone subscribes to it: the
+//! first fan-out round after its last subscriber leaves forgets the query
+//! and its frame ring. Subscribing again registers it afresh with a newly
+//! seeded head frame; without a pane log, the frames that ring held are
+//! gone for good.
+//!
 //! [`LiveCity::query_sealed`]: caraoke_live::LiveCity::query_sealed
 //! [`LiveCity::wait_sealed`]: caraoke_live::LiveCity::wait_sealed
 
@@ -408,18 +414,16 @@ impl ServeHub {
         chan
     }
 
-    /// One fan-out round: evaluate every registered query under a single
-    /// acquisition of the sealed state and push the shared frames.
+    /// One fan-out round: evaluate every subscribed query under a single
+    /// acquisition of the sealed state and push the shared frames. A
+    /// channel only the hub still holds has lost its last subscriber; it is
+    /// forgotten here instead of evaluated.
     fn fan_out_once(&self, live: &LiveCity) {
-        let sealed = live.sealed_panes();
-        let channels: Vec<Arc<QueryChannel>> = self
-            .channels
-            .lock()
-            .expect("channels poisoned")
-            .iter()
-            .filter(|c| c.head.load(Ordering::Acquire) < sealed)
-            .cloned()
-            .collect();
+        let channels: Vec<Arc<QueryChannel>> = {
+            let mut channels = self.channels.lock().expect("channels poisoned");
+            channels.retain(|c| Arc::strong_count(c) > 1);
+            channels.clone()
+        };
         if channels.is_empty() {
             self.bump_activity();
             return;

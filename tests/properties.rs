@@ -137,7 +137,7 @@ proptest! {
             })
             .collect();
         let run = |n_shards: usize| {
-            let store = ShardedStore::new(
+            let mut store = ShardedStore::new(
                 directory(),
                 StoreConfig { shards: n_shards, ..Default::default() },
             );

@@ -11,8 +11,8 @@ use caraoke_suite::geom::Vec3;
 use caraoke_suite::live::{LiveCity, LiveConfig, LiveQuery, WindowSpec};
 use caraoke_suite::log::LogOptions;
 use caraoke_suite::serve::{
-    decode_answer, encode_answer, read_frame, write_frame, Frame, LogFollower, ServeClient,
-    ServeConfig, ServeEvent, ServeHub, ServeServer, WIRE_VERSION,
+    decode_answer, encode_answer, read_frame, write_frame, Frame, FrameKind, LogFollower,
+    ServeClient, ServeConfig, ServeEvent, ServeHub, ServeServer, Subscription, WIRE_VERSION,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -320,6 +320,77 @@ fn one_seal_computation_fans_out_to_every_subscriber() {
 
     drop(subs);
     assert_eq!(hub.stats().subscribers, 0, "gauge drains on drop");
+}
+
+/// Frames one subscription has received, and the newest pane among them.
+#[derive(Default)]
+struct Received {
+    frames: u64,
+    newest: Option<u64>,
+}
+
+impl Received {
+    fn poll(&mut self, sub: &mut Subscription) -> &Self {
+        for event in sub.poll() {
+            if let ServeEvent::Frame { frame, .. } = event {
+                self.frames += 1;
+                self.newest = Some(frame.pane);
+            }
+        }
+        self
+    }
+}
+
+#[test]
+fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
+    let live = Arc::new(hand_driven_city());
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let occupancy = [LiveQuery::Occupancy {
+        segment: SegmentId(0),
+        window: WindowSpec::tumbling(2_000_000),
+    }];
+    let mut kept = hub.subscribe(&[LiveQuery::Watermark], false);
+    let mut left = hub.subscribe(&occupancy, false);
+
+    // Each subscriber is its channel's only reader and takes every frame,
+    // so once both hold pane 2 every computed frame has been received.
+    live.ingest(&report_at(3_000_000));
+    let (mut kept_got, mut left_got) = (Received::default(), Received::default());
+    wait_until("both channels to reach pane 2", || {
+        kept_got.poll(&mut kept).newest == Some(2)
+            && left_got.poll(&mut left).newest == Some(2)
+            && hub.stats().computed_frames == kept_got.frames + left_got.frames
+    });
+    let before = hub.stats().computed_frames;
+
+    // The occupancy channel's only subscriber leaves; five more panes seal.
+    drop(left);
+    for t in 4..=8u64 {
+        live.ingest(&report_at(t * 1_000_000));
+    }
+    let mut survivor = Received::default();
+    wait_until("the survivor to reach pane 7", || {
+        survivor.poll(&mut kept).newest == Some(7)
+            && hub.stats().computed_frames >= before + survivor.frames
+    });
+    assert_eq!(
+        hub.stats().computed_frames - before,
+        survivor.frames,
+        "only the survivor's query is evaluated: {:?}",
+        hub.stats()
+    );
+
+    // Subscribing again registers the query afresh, seeded at the head.
+    let mut again = hub.subscribe(&occupancy, false);
+    assert_eq!(hub.stats().registered_queries, 3);
+    match again.poll().as_slice() {
+        [ServeEvent::Frame { frame, .. }] => {
+            assert_eq!(frame.pane, 7);
+            assert_eq!(frame.kind, FrameKind::Snapshot);
+            assert_eq!(frame.wire, encode_answer(&live.query(&occupancy[0])));
+        }
+        other => panic!("expected one seeded head frame, got {other:?}"),
+    }
 }
 
 #[test]
