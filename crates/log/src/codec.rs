@@ -638,6 +638,7 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, String> {
 mod tests {
     use super::*;
     use caraoke_city::{PoleId, SegmentId};
+    use std::collections::BTreeMap;
 
     #[test]
     fn crc32c_matches_known_vectors() {
@@ -756,6 +757,98 @@ mod tests {
         assert_eq!(
             decode_record(&encode_dead_pole(12)).expect("decode"),
             LogRecord::DeadPole(12)
+        );
+    }
+
+    /// FNV-1a-64 over raw bytes, kept here so the golden below depends on
+    /// nothing but the encoder.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A pane's aggregate from a fixed LCG stream: every row kind, OD
+    /// rows over a pole universe that includes `0` and `u32::MAX`; beside
+    /// it, the pane's OD pairs counted in a plain map.
+    fn seeded_pane(seed: u64, od_rows: usize) -> (CityAggregates, BTreeMap<(u32, u32), u64>) {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as u32
+        };
+        let pole = |r: u32| match r % 9 {
+            0 => 0,
+            1 => u32::MAX,
+            _ => r % 40,
+        };
+        let (mut agg, mut od) = (CityAggregates::new(), BTreeMap::new());
+        for _ in 0..od_rows {
+            let (from, to) = (pole(next()), pole(next()));
+            agg.od.record(PoleId(from), PoleId(to));
+            *od.entry((from, to)).or_insert(0) += 1;
+            agg.observations += 1;
+        }
+        for _ in 0..12 {
+            let r = next();
+            agg.record_report(SegmentId((r % 5) as u16), r % 7, r % 11, r % 2);
+            agg.flow.record(SegmentId((r % 4) as u16), next() % 6);
+            agg.speeds.record(f64::from(next() % 1_700) / 10.0);
+            agg.positions.sum_sigma_cm += u64::from(r % 500);
+        }
+        (agg, od)
+    }
+
+    #[test]
+    fn pane_and_snapshot_bytes_are_pinned() {
+        // Recorded before the OD matrix changed representation; never edit
+        // the literals. Two panes that share OD pairs, and the snapshot of
+        // their sum, so a pair summed across panes is in the bytes too.
+        let ((a, a_od), (b, b_od)) = (seeded_pane(0x5EED, 120), seeded_pane(0xB0A7, 120));
+        let mut total = a.clone();
+        total.merge(&b);
+        let mut rows = a_od.clone();
+        rows.extend(
+            b_od.iter()
+                .map(|(&k, &n)| (k, n + a_od.get(&k).unwrap_or(&0))),
+        );
+        assert!(rows.len() >= 50, "{} OD rows", rows.len());
+        assert!(rows.keys().any(|&(f, t)| f == 0 || t == 0));
+        assert!(rows.keys().any(|&(f, t)| f == u32::MAX || t == u32::MAX));
+        assert!(
+            b_od.keys().any(|k| a_od.contains_key(k)),
+            "a pair in both panes"
+        );
+        let delta = TrackerDelta {
+            removals: vec![3, 8],
+            ..TrackerDelta::default()
+        };
+        let mut bytes = encode_pane(5, false, 0, a.fingerprint(), 0x1234, &a, &[]);
+        bytes.extend(encode_pane(
+            6,
+            true,
+            2,
+            b.fingerprint(),
+            0x5678,
+            &b,
+            &[delta],
+        ));
+        let panes = fnv1a(&bytes);
+        let snapshot = fnv1a(&encode_snapshot(&SnapshotRecord {
+            next_pane: 7,
+            chain: 0x5678,
+            forced_panes: 1,
+            forced_pole_misses: 2,
+            dead_poles: vec![0, u32::MAX],
+            total,
+            trackers: vec![TrackerDelta::default()],
+        }));
+        assert_eq!(
+            (panes, snapshot),
+            (0x0390_c78c_6d5d_0580, 0x121e_1543_81ca_601e),
+            "{panes:#018x} {snapshot:#018x}"
         );
     }
 
