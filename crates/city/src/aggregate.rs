@@ -18,21 +18,27 @@
 //!   fix vs the pole-position fallback, and which speed samples came from
 //!   position-track regression vs arrival-time deltas.
 //!
-//! Two accumulators sit beside them, for the paths that fold many events
-//! into one state:
+//! An [`OdMatrix`] — a pane's, a window's, the whole run's — is one run of
+//! `(from << 32 | to, transitions)` pairs, strictly ascending by key
+//! (integer order is `(from, to)` order), no count 0, and one in-place
+//! merge adds one run to another. [`OdUnion`] is a hash table instead: it
+//! is kept by adding and subtracting single panes. [`FlowCounter`] stays a
+//! `BTreeMap`: flow queries read the whole-run counter by key range, and
+//! three holders merge into it one pane at a time.
+//!
+//! Two accumulators sit beside the products, for the paths that fold many
+//! events into one state:
 //!
 //! * [`AggregateBuilder`] — one pane (or one batch shard) while it is being
 //!   folded. The O(1) counters go straight into a [`CityAggregates`]; OD
-//!   and flow events are appended to two `u64` columns (`from << 32 | to`,
-//!   `segment << 32 | cycle` — packed so integer order is the maps' tuple
-//!   order) and canonicalised once, when the pane is
-//!   [`finish`](AggregateBuilder::finish)ed: sort, count equal runs,
-//!   bulk-build the same `BTreeMap`s per-event inserts would have built.
-//! * [`OdTotals`] — the whole-run OD matrix, kept as one sorted run of
-//!   packed pairs plus the panes added since the last merge. Pending pairs
-//!   are merged in once they reach a quarter of the run, so adding a pane
-//!   costs amortised O(1) moves per pair instead of one tree insert per
-//!   pair; the matrix is built only when someone reads it.
+//!   and flow events are appended to two packed `u64` columns (`from << 32
+//!   | to`, `segment << 32 | cycle`) and canonicalised once, when the pane
+//!   is [`finish`](AggregateBuilder::finish)ed: sort and count equal runs.
+//! * [`RunTotals`] — the whole-run totals: a [`CityAggregates`] whose OD
+//!   run holds every pane merged so far, plus the OD pairs of the panes
+//!   added since. Pending pairs are merged in once they reach a quarter of
+//!   the run, so adding a pane costs amortised O(1) moves per pair instead
+//!   of one O(run) merge per pane.
 
 use crate::event::{PoleId, SegmentId};
 use crate::position::PositionMethod;
@@ -267,11 +273,10 @@ impl SpeedHistogram {
     }
 
     /// Rebuilds a histogram from its integer parts (the pane-log decode
-    /// path). `bins` shorter than [`N_BINS`](Self::N_BINS) is zero-padded;
-    /// longer is truncated, so a decoded sparse encoding always yields a
-    /// structurally valid histogram.
-    pub fn from_parts(mut bins: Vec<u64>, samples: u64, sum_centi_mph: u64) -> Self {
-        bins.resize(Self::N_BINS, 0);
+    /// path). Panics unless `bins` holds exactly [`N_BINS`](Self::N_BINS)
+    /// counts: a bin the histogram lacks cannot be kept, nor dropped.
+    pub fn from_parts(bins: Vec<u64>, samples: u64, sum_centi_mph: u64) -> Self {
+        assert_eq!(bins.len(), Self::N_BINS, "one count per bin");
         Self {
             bins,
             samples,
@@ -468,43 +473,126 @@ fn top_pairs(pairs: impl ExactSizeIterator<Item = OdPair>, n: usize) -> Vec<OdPa
 /// Origin–destination matrix over poles, from tag re-sightings.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OdMatrix {
-    /// Transition counts keyed by `(from pole, to pole)`.
-    pub transitions: BTreeMap<(u32, u32), u64>,
+    /// `(from << 32 | to, transitions)`, strictly ascending by key; no
+    /// count is 0.
+    run: Vec<(u64, u64)>,
 }
 
 impl OdMatrix {
-    /// Records one tag moving from `from` to `to`.
+    /// The matrix holding exactly `pairs`, which must be in strictly
+    /// ascending `(from, to)` order with no count of 0.
+    pub fn from_pairs(pairs: Vec<OdPair>) -> Result<Self, String> {
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) || pairs.iter().any(|&(_, n)| n == 0) {
+            return Err("OD rows repeat, are out of order or count nothing".into());
+        }
+        let run = pairs
+            .into_iter()
+            .map(|((from, to), n)| (od_key(from, to), n));
+        Ok(Self { run: run.collect() })
+    }
+
+    /// Records one tag moving from `from` to `to` (a binary-search insert,
+    /// for tests and oracles: the fold counts a pane's events at once).
     pub fn record(&mut self, from: PoleId, to: PoleId) {
-        *self.transitions.entry((from.0, to.0)).or_insert(0) += 1;
+        let key = od_key(from.0, to.0);
+        match self.run.binary_search_by_key(&key, |&(held, _)| held) {
+            Ok(at) => self.run[at].1 += 1,
+            Err(at) => self.run.insert(at, (key, 1)),
+        }
+    }
+
+    /// Distinct pairs held.
+    pub fn len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// Whether no pair is held.
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty()
+    }
+
+    /// Every pair in `(from, to)` order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = OdPair> + '_ {
+        self.run.iter().map(|&(key, n)| (od_pair(key), n))
+    }
+
+    /// The transitions counted from `from` to `to`, if any.
+    pub fn get(&self, from: u32, to: u32) -> Option<u64> {
+        let at = self
+            .run
+            .binary_search_by_key(&od_key(from, to), |&(key, _)| key);
+        at.ok().map(|at| self.run[at].1)
     }
 
     /// Total recorded transitions.
     pub fn total(&self) -> u64 {
-        self.transitions.values().sum()
+        self.run.iter().map(|&(_, n)| n).sum()
     }
 
     /// The `n` busiest origin–destination pairs, by count descending (ties
     /// broken by pole ids so the order is deterministic). `n` past the
     /// number of distinct pairs returns every pair, fully ordered.
     pub fn top(&self, n: usize) -> Vec<OdPair> {
-        top_pairs(self.transitions.iter().map(|(&k, &v)| (k, v)), n)
+        top_pairs(self.iter(), n)
     }
 
     /// Merges another matrix (associative, commutative).
     pub fn merge(&mut self, other: &OdMatrix) {
-        for (&key, &v) in &other.transitions {
-            *self.transitions.entry(key).or_insert(0) += v;
-        }
+        merge_runs(&mut self.run, &other.run);
     }
 
     /// Feeds this matrix's canonical byte encoding into a [`Fingerprint`].
     pub fn fingerprint_into(&self, fp: &mut Fingerprint) {
-        fp.write_u64(self.transitions.len() as u64);
-        for (&(from, to), &v) in &self.transitions {
-            fp.write_u64(od_key(from, to));
-            fp.write_u64(v);
+        fp.write_u64(self.run.len() as u64);
+        for &(key, n) in &self.run {
+            fp.write_u64(key);
+            fp.write_u64(n);
         }
     }
+}
+
+/// Merges `sorted` — strictly ascending by key — into `run`, summing the
+/// counts of keys both hold: count the shared keys, grow `run` once, then
+/// merge from the back so `run`'s head stays where it is. The one sorted
+/// merge of OD runs, behind [`OdMatrix::merge`] and [`RunTotals`].
+fn merge_runs(run: &mut Vec<(u64, u64)>, sorted: &[(u64, u64)]) {
+    let mut shared = 0;
+    let (mut i, mut j) = (0, 0);
+    while i < run.len() && j < sorted.len() {
+        match run[i].0.cmp(&sorted[j].0) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let (mut i, mut j) = (run.len(), sorted.len());
+    let mut k = i + j - shared;
+    run.reserve_exact(k - i);
+    run.resize(k, (0, 0));
+    while j > 0 {
+        k -= 1;
+        let (key, n) = sorted[j - 1];
+        run[k] = match i.checked_sub(1).map(|h| run[h]) {
+            Some((held, m)) if held > key => {
+                i -= 1;
+                (held, m)
+            }
+            Some((held, m)) if held == key => {
+                i -= 1;
+                j -= 1;
+                (key, m + n)
+            }
+            _ => {
+                j -= 1;
+                (key, n)
+            }
+        };
+    }
+    debug_assert_eq!(k, i, "the run's untouched head is already in place");
 }
 
 /// The running union of a sliding window's [`OdMatrix`] panes: a flat table
@@ -541,13 +629,10 @@ impl OdUnion {
         self.pairs.clear();
     }
 
-    /// Adds one pane's transitions. (A pair counting no transition is not a
-    /// pair of the window; [`OdMatrix::record`] never makes one.)
+    /// Adds one pane's transitions.
     pub fn add(&mut self, od: &OdMatrix) {
-        for (&(from, to), &v) in &od.transitions {
-            if v > 0 {
-                *self.pairs.entry(od_key(from, to)).or_insert(0) += v;
-            }
+        for &(key, n) in &od.run {
+            *self.pairs.entry(key).or_insert(0) += n;
         }
     }
 
@@ -560,14 +645,11 @@ impl OdUnion {
     /// and rebuild.
     #[must_use]
     pub fn subtract(&mut self, od: &OdMatrix) -> bool {
-        for (&(from, to), &v) in &od.transitions {
-            if v == 0 {
-                continue;
-            }
-            let Entry::Occupied(held) = self.pairs.entry(od_key(from, to)) else {
+        for &(key, n) in &od.run {
+            let Entry::Occupied(held) = self.pairs.entry(key) else {
                 return false;
             };
-            match held.get().checked_sub(v) {
+            match held.get().checked_sub(n) {
                 Some(0) => {
                     held.remove();
                 }
@@ -619,13 +701,13 @@ impl CityAggregates {
 
     /// Merges another aggregate state (associative, commutative).
     pub fn merge(&mut self, other: &CityAggregates) {
-        self.merge_all_but_od(other);
+        self.merge_counters(other);
         self.od.merge(&other.od);
     }
 
-    /// [`merge`](Self::merge) without the OD matrix, for totals whose OD
-    /// lives in an [`OdTotals`].
-    fn merge_all_but_od(&mut self, other: &CityAggregates) {
+    /// [`merge`](Self::merge) but for `od`, which [`RunTotals`] merges
+    /// later, a quarter-run at a time.
+    fn merge_counters(&mut self, other: &CityAggregates) {
         for (&seg, stats) in &other.segments {
             self.segments.entry(seg).or_default().merge(stats);
         }
@@ -666,7 +748,7 @@ fn od_pair(key: u64) -> (u32, u32) {
 
 /// One pane's (or one batch shard's) aggregate while it is being folded:
 /// the counters that cost O(1) per event are kept in place, OD and flow
-/// events are appended as packed keys and turned into their maps once, by
+/// events are appended as packed keys and counted once, by
 /// [`finish`](Self::finish). Reusable — `finish` keeps the columns'
 /// capacity for the next pane.
 #[derive(Debug, Default)]
@@ -706,152 +788,86 @@ impl AggregateBuilder {
         }
     }
 
-    /// Everything folded since the last `finish`, with OD and flow as the
-    /// very maps per-event [`OdMatrix::record`] / [`FlowCounter::record`]
-    /// would have built; the builder starts over empty.
+    /// Everything folded since the last `finish`, with OD and flow exactly
+    /// as per-event [`OdMatrix::record`] / [`FlowCounter::record`] would
+    /// have counted them; the builder starts over empty.
     pub fn finish(&mut self) -> CityAggregates {
         let mut agg = std::mem::take(&mut self.counters);
-        agg.od.transitions = count_runs(&mut self.od, od_pair);
-        agg.flow.per_cycle = count_runs(&mut self.flow, |key| ((key >> 32) as u16, key as u32));
+        agg.od.run = count_runs(&mut self.od);
+        let flow = count_runs(&mut self.flow).into_iter();
+        agg.flow.per_cycle = flow
+            .map(|(key, n)| (((key >> 32) as u16, key as u32), n))
+            .collect();
         agg
     }
 }
 
-/// Sorts `column`, maps each distinct key to how often it occurs, and
-/// empties the column (keeping its capacity).
-fn count_runs<K: Ord>(column: &mut Vec<u64>, unpack: impl Fn(u64) -> K) -> BTreeMap<K, u64> {
+/// Sorts `column` and counts each distinct key, in key order, into a `Vec`
+/// with no growth slack (the window ring keeps pane runs); the column is
+/// emptied, keeping its capacity.
+fn count_runs(column: &mut Vec<u64>) -> Vec<(u64, u64)> {
     column.sort_unstable();
-    let counted = column
-        .chunk_by(|a, b| a == b)
-        .map(|run| (unpack(run[0]), run.len() as u64))
-        .collect();
+    let runs = column.chunk_by(|a, b| a == b);
+    let mut counted = Vec::with_capacity(runs.clone().count());
+    counted.extend(runs.map(|run| (run[0], run.len() as u64)));
     column.clear();
     counted
 }
 
-/// Pending pairs are merged into an [`OdTotals`] run once there are at
+/// Pending pairs are merged into a [`RunTotals`] run once there are at
 /// least this many of them and at least a quarter as many as the run
 /// holds.
 const OD_MERGE_MIN: usize = 16 * 1024;
 
-/// [`OdTotals::to_matrix`] builds the matrix in at most this many parts.
-const MATRIX_PARTS: usize = 8;
-
-/// The whole-run OD matrix, summed sorted: one run of distinct packed pairs
-/// in key order plus the pairs of the panes added since the last merge.
-/// See the module docs; [`to_matrix`](Self::to_matrix) builds the
-/// [`OdMatrix`] on demand.
+/// Whole-run totals, added to one pane at a time (see the module docs).
 #[derive(Debug, Default)]
-pub struct OdTotals {
-    /// `(from << 32 | to, transitions)`, strictly ascending by key.
-    run: Vec<(u64, u64)>,
-    /// Pairs added since the last merge, in arrival order (keys repeat).
+pub struct RunTotals {
+    /// Every pane added, the pending pairs excepted.
+    merged: CityAggregates,
+    /// `(from << 32 | to, transitions)` of the panes added since the last
+    /// merge, in arrival order (keys repeat).
     pending: Vec<(u64, u64)>,
 }
 
-impl OdTotals {
-    /// Adds one pane to whole-run totals: its OD pairs join this run and
-    /// every other counter merges into `total`, whose own `od` is left as
-    /// it is — empty, where this holds the run's OD.
-    pub fn merge_pane(&mut self, total: &mut CityAggregates, pane: &CityAggregates) {
-        total.merge_all_but_od(pane);
-        self.add(&pane.od);
-    }
-
-    fn add(&mut self, od: &OdMatrix) {
-        let pairs = od.transitions.iter();
-        self.pending
-            .extend(pairs.map(|(&(from, to), &n)| (od_key(from, to), n)));
-        if self.pending.len() >= (self.run.len() / 4).max(OD_MERGE_MIN) {
+impl RunTotals {
+    /// Adds one sealed (or replayed) pane.
+    pub fn add_pane(&mut self, pane: &CityAggregates) {
+        self.merged.merge_counters(pane);
+        self.pending.extend_from_slice(&pane.od.run);
+        if self.pending.len() >= (self.merged.od.run.len() / 4).max(OD_MERGE_MIN) {
             self.merge_pending();
         }
     }
 
-    /// Merges the pending pairs into the run: sort and combine them, count
-    /// the keys the run already holds, then merge from the back so the run
-    /// grows in place.
-    fn merge_pending(&mut self) {
-        let Self { run, pending } = self;
-        sort_and_combine(pending);
-        let mut shared = 0;
-        let (mut i, mut j) = (0, 0);
-        while i < run.len() && j < pending.len() {
-            match run[i].0.cmp(&pending[j].0) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let (mut i, mut j) = (run.len(), pending.len());
-        let mut k = i + j - shared;
-        run.reserve_exact(k - i);
-        run.resize(k, (0, 0));
-        while j > 0 {
-            k -= 1;
-            let (key, n) = pending[j - 1];
-            run[k] = match i.checked_sub(1).map(|h| run[h]) {
-                Some((held, m)) if held > key => {
-                    i -= 1;
-                    (held, m)
-                }
-                Some((held, m)) if held == key => {
-                    i -= 1;
-                    j -= 1;
-                    (key, m + n)
-                }
-                _ => {
-                    j -= 1;
-                    (key, n)
-                }
-            };
-        }
-        debug_assert_eq!(k, i, "the run's untouched head is already in place");
-        pending.clear();
+    /// The whole-run totals, as a copy. The pending pairs are merged in
+    /// place first, so the copy is the only second run held at once.
+    pub fn totals(&mut self) -> CityAggregates {
+        self.merge_pending();
+        self.merged.clone()
     }
 
-    /// The whole-run matrix: the run and the pending pairs, merged.
-    pub fn to_matrix(&self) -> OdMatrix {
-        // Built in parts, each collected and appended: one collect would
-        // hold a copy of every pair beside the finished tree.
-        let part = (self.run.len() + self.pending.len()).div_ceil(MATRIX_PARTS);
-        let mut pending = self.pending.clone();
-        sort_and_combine(&mut pending);
-        let mut run = self.run.iter().copied().peekable();
-        let mut pending = pending.into_iter().peekable();
-        let mut merged = std::iter::from_fn(|| match (run.peek(), pending.peek()) {
-            (Some(a), Some(b)) => match a.0.cmp(&b.0) {
-                Ordering::Less => run.next(),
-                Ordering::Greater => pending.next(),
-                Ordering::Equal => {
-                    let (key, m) = run.next()?;
-                    let (_, n) = pending.next()?;
-                    Some((key, m + n))
-                }
-            },
-            (Some(_), None) => run.next(),
-            (None, _) => pending.next(),
-        })
-        .map(|(key, n)| (od_pair(key), n))
-        .peekable();
-        let mut transitions = BTreeMap::new();
-        while merged.peek().is_some() {
-            let mut next: BTreeMap<_, _> = merged.by_ref().take(part).collect();
-            transitions.append(&mut next);
-        }
-        OdMatrix { transitions }
+    fn merge_pending(&mut self) {
+        sort_and_combine(&mut self.pending);
+        merge_runs(&mut self.merged.od.run, &self.pending);
+        self.pending.clear();
+    }
+
+    /// Observations over every pane added.
+    pub fn observations(&self) -> u64 {
+        self.merged.observations
+    }
+
+    /// Flow over every pane added.
+    pub fn flow(&self) -> &FlowCounter {
+        &self.merged.flow
     }
 }
 
-impl From<OdMatrix> for OdTotals {
-    /// Totals holding exactly `od` (a snapshot's or a recovery's matrix).
-    fn from(od: OdMatrix) -> Self {
-        let pairs = od.transitions.into_iter();
+impl From<CityAggregates> for RunTotals {
+    /// Totals holding exactly `totals` (a snapshot's or a recovery's).
+    fn from(totals: CityAggregates) -> Self {
         Self {
-            run: pairs.map(|((from, to), n)| (od_key(from, to), n)).collect(),
+            merged: totals,
             pending: Vec::new(),
         }
     }
@@ -1005,23 +1021,44 @@ mod tests {
         assert_eq!(od.total(), 4);
     }
 
-    /// A pane's worth of OD pairs over a small pole universe, so panes
-    /// share pairs and counts tie.
-    fn scattered_od(seed: u64, records: usize) -> OdMatrix {
+    /// The independent OD oracle: transitions counted in a tree.
+    type Tree = BTreeMap<(u32, u32), u64>;
+
+    fn count_into(tree: &mut Tree, pairs: &[(u32, u32)]) {
+        for &pair in pairs {
+            *tree.entry(pair).or_insert(0) += 1;
+        }
+    }
+
+    fn recorded(pairs: &[(u32, u32)]) -> OdMatrix {
         let mut od = OdMatrix::default();
-        let mut x = seed;
-        for _ in 0..records {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            od.record(PoleId((x >> 33) as u32 % 13), PoleId((x >> 45) as u32 % 11));
+        for &(from, to) in pairs {
+            od.record(PoleId(from), PoleId(to));
         }
         od
     }
 
+    /// A pane's worth of re-sightings over a small pole universe, so panes
+    /// share pairs and counts tie.
+    fn scattered_pairs(seed: u64, records: usize) -> Vec<(u32, u32)> {
+        let mut x = seed;
+        (0..records)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((x >> 33) as u32 % 13, (x >> 45) as u32 % 11)
+            })
+            .collect()
+    }
+
+    fn scattered_od(seed: u64, records: usize) -> OdMatrix {
+        recorded(&scattered_pairs(seed, records))
+    }
+
     /// What `top` returned while it sorted every pair: the reference order.
-    fn full_sort_top(od: &OdMatrix, n: usize) -> Vec<OdPair> {
-        let mut pairs: Vec<OdPair> = od.transitions.iter().map(|(&k, &v)| (k, v)).collect();
+    fn full_sort_top(tree: &Tree, n: usize) -> Vec<OdPair> {
+        let mut pairs: Vec<OdPair> = tree.iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(n);
         pairs
@@ -1029,8 +1066,11 @@ mod tests {
 
     #[test]
     fn top_selects_what_sorting_every_pair_would_for_any_n() {
-        let od = scattered_od(7, 600);
-        let distinct = od.transitions.len();
+        let pairs = scattered_pairs(7, 600);
+        let od = recorded(&pairs);
+        let mut tree = Tree::new();
+        count_into(&mut tree, &pairs);
+        let distinct = tree.len();
         assert!(distinct > 60, "workload too small: {distinct} pairs");
         let mut union = OdUnion::default();
         union.add(&od);
@@ -1047,7 +1087,7 @@ mod tests {
             distinct + 1,
             usize::MAX,
         ] {
-            let expect = full_sort_top(&od, n);
+            let expect = full_sort_top(&tree, n);
             assert_eq!(expect.len(), n.min(distinct));
             assert_eq!(od.top(n), expect, "matrix, n = {n}");
             assert_eq!(union.top(n), expect, "union, n = {n}");
@@ -1057,24 +1097,24 @@ mod tests {
 
     #[test]
     fn od_union_kept_by_delta_equals_the_merge_of_the_panes_it_holds() {
-        let panes: Vec<OdMatrix> = (0..9).map(|i| scattered_od(100 + i, 12)).collect();
+        let panes: Vec<Vec<(u32, u32)>> = (0..9).map(|i| scattered_pairs(100 + i, 12)).collect();
         let width = 3;
         let mut union = OdUnion::default();
         for (i, pane) in panes.iter().enumerate() {
-            union.add(pane);
+            union.add(&recorded(pane));
             if i >= width {
-                assert!(union.subtract(&panes[i - width]));
+                assert!(union.subtract(&recorded(&panes[i - width])));
             }
-            let mut merged = OdMatrix::default();
+            let mut merged = Tree::new();
             for held in &panes[(i + 1).saturating_sub(width)..=i] {
-                merged.merge(held);
+                count_into(&mut merged, held);
             }
             // Pairs only the subtracted pane held are gone, not left at zero.
-            assert_eq!(union.len(), merged.transitions.len(), "after pane {i}");
+            assert_eq!(union.len(), merged.len(), "after pane {i}");
             assert_eq!(union.top(usize::MAX), full_sort_top(&merged, usize::MAX));
         }
         for pane in &panes[panes.len() - width..] {
-            assert!(union.subtract(pane));
+            assert!(union.subtract(&recorded(pane)));
         }
         assert!(union.is_empty());
     }
@@ -1118,6 +1158,46 @@ mod tests {
         let mut changed = forward.clone();
         changed.speeds.record(12.0);
         assert_ne!(forward.fingerprint(), changed.fingerprint());
+
+        // OD matrices of every relative layout, merged both ways, against
+        // the tree: disjoint (all before / all after), interleaved with a
+        // shared pair, identical, and empty, at the extreme pole ids.
+        const MAX: u32 = u32::MAX;
+        type Pairs = &'static [(u32, u32)];
+        let cases: [(Pairs, Pairs); 7] = [
+            (&[(0, 1), (0, 2), (0, 1)], &[(5, 6), (MAX, 0)]),
+            (&[(MAX, MAX)], &[(0, 0), (0, MAX), (0, 0)]),
+            (
+                &[(0, 0), (2, 2), (4, 4), (2, 2)],
+                &[(1, 1), (2, 2), (3, 3), (MAX, 1)],
+            ),
+            (&[(0, MAX), (7, 7), (MAX, 0)], &[(0, MAX), (7, 7), (MAX, 0)]),
+            (&[], &[(MAX, 0), (0, 0)]),
+            (&[(0, 0)], &[]),
+            (&[], &[]),
+        ];
+        for (a, b) in cases {
+            let mut tree = Tree::new();
+            count_into(&mut tree, a);
+            count_into(&mut tree, b);
+            let expect: Vec<OdPair> = tree.into_iter().collect();
+            let (a, b) = (recorded(a), recorded(b));
+            let mut ab = a.clone();
+            ab.merge(&b);
+            let mut ba = b.clone();
+            ba.merge(&a);
+            assert_eq!(ab.iter().collect::<Vec<_>>(), expect);
+            assert_eq!(ab.len(), expect.len());
+            assert_eq!(ab.total(), expect.iter().map(|&(_, n)| n).sum::<u64>());
+            assert_eq!(ab, ba);
+            assert_eq!(OdMatrix::from_pairs(expect), Ok(ab.clone()));
+            let fp = |od: &OdMatrix| {
+                let mut f = Fingerprint::new();
+                od.fingerprint_into(&mut f);
+                f.finish()
+            };
+            assert_eq!(fp(&ab), fp(&ba));
+        }
     }
 
     /// A pole id (or light cycle) from a small universe, so keys repeat,
@@ -1145,6 +1225,7 @@ mod tests {
         for pane in 0..256 {
             let events = [0, 1, 9, 200, 1_500][pane % 5];
             let mut oracle = CityAggregates::new();
+            let mut od = Tree::new();
             for _ in 0..events {
                 match rng.random_range(0..4u32) {
                     0 => {
@@ -1161,7 +1242,7 @@ mod tests {
                         let from = PoleId(id(&mut rng, 12));
                         let to = PoleId(id(&mut rng, 12));
                         builder.record(DerivedEvent::Od { from, to });
-                        oracle.od.record(from, to);
+                        count_into(&mut od, &[(from.0, to.0)]);
                     }
                     2 => {
                         let mph = rng.random_range(0.0..200.0f64);
@@ -1185,6 +1266,9 @@ mod tests {
                 }
             }
             let built = builder.finish();
+            let od: Vec<OdPair> = od.into_iter().collect();
+            assert_eq!(built.od.iter().collect::<Vec<_>>(), od, "pane {pane}");
+            oracle.od = OdMatrix::from_pairs(od).expect("a tree's pairs are canonical");
             assert_eq!(built, oracle, "pane {pane}");
             assert_eq!(built.fingerprint(), oracle.fingerprint(), "pane {pane}");
         }
@@ -1192,45 +1276,54 @@ mod tests {
 
     #[test]
     fn od_totals_sum_like_a_tree_merge_across_merges_and_reads() {
-        // 240 pane matrices, some empty, over a universe wide enough that
-        // the pending pairs cross the merge threshold several times; read
+        // 240 panes, some without OD, over a universe wide enough that the
+        // pending pairs cross the merge threshold several times; read
         // mid-run, and adopted into fresh totals (the snapshot path)
         // half-way, both of which keep adding afterwards.
         let mut rng = StdRng::seed_from_u64(0x0D70);
-        let mut totals = OdTotals::default();
-        let mut counts = CityAggregates::new();
-        let mut adopted: Option<OdTotals> = None;
-        let mut oracle = OdMatrix::default();
+        let mut totals = RunTotals::default();
+        let mut adopted: Option<RunTotals> = None;
+        let mut oracle = Tree::new();
+        let pairs = |tree: &Tree| tree.iter().map(|(&k, &n)| (k, n)).collect::<Vec<_>>();
         let mut merges = 0;
         for pane in 0..240u64 {
             let mut agg = CityAggregates::new();
             agg.observations = pane;
             let records = if pane % 17 == 0 { 0 } else { 700 };
-            for _ in 0..records {
-                let (from, to) = (id(&mut rng, 400), id(&mut rng, 400));
+            let recorded: Vec<(u32, u32)> = (0..records)
+                .map(|_| (id(&mut rng, 400), id(&mut rng, 400)))
+                .collect();
+            for &(from, to) in &recorded {
                 agg.od.record(PoleId(from), PoleId(to));
             }
-            let queued = totals.pending.len() + agg.od.transitions.len();
-            totals.merge_pane(&mut counts, &agg);
+            let queued = totals.pending.len() + agg.od.len();
+            totals.add_pane(&agg);
             if totals.pending.len() < queued {
                 merges += 1;
             }
             if let Some(adopted) = adopted.as_mut() {
-                adopted.merge_pane(&mut CityAggregates::new(), &agg);
+                adopted.add_pane(&agg);
             }
-            oracle.merge(&agg.od);
+            count_into(&mut oracle, &recorded);
             if pane % 37 == 0 {
-                assert_eq!(totals.to_matrix(), oracle, "read after pane {pane}");
+                let read = totals.totals().od.iter().collect::<Vec<_>>();
+                assert_eq!(read, pairs(&oracle), "read after pane {pane}");
             }
             if pane == 120 {
-                adopted = Some(OdTotals::from(oracle.clone()));
+                let mut snapshot = totals.totals();
+                snapshot.od = OdMatrix::from_pairs(pairs(&oracle)).expect("canonical");
+                adopted = Some(RunTotals::from(snapshot));
             }
         }
         assert!(merges >= 3, "only {merges} merges");
-        assert!(totals.run.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(totals.to_matrix(), oracle);
-        assert_eq!(adopted.expect("adopted at pane 120").to_matrix(), oracle);
-        assert!(counts.od.transitions.is_empty(), "OD stays in the totals");
-        assert_eq!(counts.observations, (0..240).sum::<u64>());
+        let run = &totals.merged.od.run;
+        assert!(run.windows(2).all(|w| w[0].0 < w[1].0));
+        let read = totals.totals();
+        assert_eq!(read.od.iter().collect::<Vec<_>>(), pairs(&oracle));
+        let adopted = adopted.expect("adopted at pane 120").totals();
+        assert_eq!(adopted.od.iter().collect::<Vec<_>>(), pairs(&oracle));
+        assert_eq!(read.observations, (0..240).sum::<u64>());
+        assert_eq!(totals.observations(), read.observations);
+        assert_eq!(adopted, read);
     }
 }

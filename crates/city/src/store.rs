@@ -1338,8 +1338,8 @@ mod tests {
         let agg = store.finalize(2);
         // Exactly two transitions (0->1 and 1->2), not one per bounce.
         assert_eq!(agg.od.total(), 2);
-        assert_eq!(agg.od.transitions.get(&(0, 1)), Some(&1));
-        assert_eq!(agg.od.transitions.get(&(1, 2)), Some(&1));
+        assert_eq!(agg.od.get(0, 1), Some(1));
+        assert_eq!(agg.od.get(1, 2), Some(1));
         // Speeds: 24 m in 2 s (arrival 0 -> arrival at pole 1) = 12 m/s and
         // 24 m in 4 s (arrival pole 1 t=2s -> arrival pole 2 t=6s) = 6 m/s.
         assert_eq!(agg.speeds.samples(), 2);

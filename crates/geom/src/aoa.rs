@@ -79,22 +79,6 @@ pub fn true_spatial_angle(baseline_axis: Vec3, target: Vec3) -> f64 {
     baseline_axis.angle_to(target)
 }
 
-/// Sensitivity `|dα/dΔφ|` of the angle estimate to phase errors, in radians
-/// of angle per radian of phase. Diverges near 0° and 180°, minimal at 90°.
-pub fn aoa_sensitivity(alpha: f64, spacing: f64, wavelength: f64) -> f64 {
-    let s = alpha.sin().abs().max(1e-9);
-    wavelength / (2.0 * std::f64::consts::PI * spacing * s)
-}
-
-/// Returns `true` if the angle lies in the "good" 60°–120° window used by the
-/// three-antenna pair-selection rule of §6.
-pub fn in_good_window(alpha: f64) -> bool {
-    let deg = alpha * 180.0 / std::f64::consts::PI;
-    // A hair of tolerance so that exactly 60°/120° (after float round-trips)
-    // still counts as inside the window.
-    (60.0 - 1e-9..=120.0 + 1e-9).contains(&deg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,24 +140,6 @@ mod tests {
             phase_diff_to_angle(0.1, SPACING, -1.0),
             Err(AoaError::InvalidGeometry)
         );
-    }
-
-    #[test]
-    fn sensitivity_is_minimal_at_90_degrees() {
-        let s90 = aoa_sensitivity(std::f64::consts::FRAC_PI_2, SPACING, CARRIER_WAVELENGTH_M);
-        let s20 = aoa_sensitivity(20.0_f64.to_radians(), SPACING, CARRIER_WAVELENGTH_M);
-        let s160 = aoa_sensitivity(160.0_f64.to_radians(), SPACING, CARRIER_WAVELENGTH_M);
-        assert!(s90 < s20);
-        assert!(s90 < s160);
-    }
-
-    #[test]
-    fn good_window_matches_paper_rule() {
-        assert!(in_good_window(90.0_f64.to_radians()));
-        assert!(in_good_window(60.0_f64.to_radians()));
-        assert!(in_good_window(120.0_f64.to_radians()));
-        assert!(!in_good_window(45.0_f64.to_radians()));
-        assert!(!in_good_window(150.0_f64.to_radians()));
     }
 
     #[test]

@@ -44,14 +44,12 @@
 //!    machines and [`fold_observation`] — the batch store's, §8 alias
 //!    upgrades included — into one reused [`AggregateBuilder`]: O(1)
 //!    counters in place, OD and flow events as packed `u64` columns,
-//!    canonicalised once per pane (sort, count runs, bulk-build the
-//!    pane's [`CityAggregates`] maps) instead of one tree insert per
-//!    event. Then the idle-tag compaction sweep when one is due; then the
-//!    pane is fingerprinted into the engine's **fingerprint chain**, merged
-//!    into the totals — its OD pairs into [`OdTotals`], one sorted run the
-//!    pending panes are merged into a quarter-run at a time, the rest into
-//!    a [`CityAggregates`] whose OD stays empty; the full matrix is built
-//!    only when read — appended to the pane log with its tracker deltas
+//!    canonicalised once per pane (sort, count runs) instead of one
+//!    insert per event. Then the idle-tag compaction sweep when one is
+//!    due; then the pane is fingerprinted into the engine's **fingerprint
+//!    chain**, added to the whole-run [`RunTotals`] (whose OD run takes
+//!    the pending panes' pairs a quarter-run at a time, so a pane costs no
+//!    O(run) merge), appended to the pane log with its tracker deltas
 //!    and any snapshot due after it (durability before visibility), pushed
 //!    into the retained ring ([`CityWindows`]), and the seal floor moves.
 //!
@@ -107,7 +105,7 @@
 
 use crate::watermark::{WatermarkClock, POLE_STRIPES};
 use crate::window::CityWindows;
-use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, OdTotals};
+use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, RunTotals};
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
 use caraoke_city::{
     CityAggregates, FlowCounter, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig,
@@ -471,25 +469,12 @@ struct SealedState {
     windows: CityWindows,
     /// Running FNV-1a chain over every sealed `(pane, fingerprint)` pair.
     chain: Fingerprint,
-    /// Whole-run totals (merge of every sealed pane, retained or not) but
-    /// for OD: `total.od` stays empty, the run's OD is `od`.
-    total: CityAggregates,
-    /// Whole-run OD, summed sorted.
-    od: OdTotals,
+    /// Whole-run totals: every sealed pane, retained or not.
+    totals: RunTotals,
     /// Per-shard tag state machines; only the sealer thread touches them.
     trackers: Vec<TagTracker>,
     /// Reusable staging buffers for drained observations.
     scratch: SealScratch,
-}
-
-impl SealedState {
-    /// Whole-run totals with the OD matrix built.
-    fn totals(&self) -> CityAggregates {
-        CityAggregates {
-            od: self.od.to_matrix(),
-            ..self.total.clone()
-        }
-    }
 }
 
 /// Tickets of the readers of the sealed state. A reader takes one before
@@ -729,7 +714,7 @@ impl LiveCity {
         );
         let shards = config.store.shards.max(1);
         let (sealed, clock, forced_panes, forced_pole_misses) = match resume {
-            Some(mut state) => {
+            Some(state) => {
                 let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
                     windows.push(pane, agg.fingerprint(), agg);
@@ -744,8 +729,7 @@ impl LiveCity {
                     next_pane: state.next_pane,
                     windows,
                     chain: Fingerprint::resume(state.chain_state),
-                    od: OdTotals::from(std::mem::take(&mut state.total.od)),
-                    total: state.total,
+                    totals: RunTotals::from(state.total),
                     trackers: state.trackers,
                     scratch: SealScratch::default(),
                 };
@@ -764,8 +748,7 @@ impl LiveCity {
                     next_pane: 0,
                     windows: CityWindows::new(config.retain_panes),
                     chain: Fingerprint::new(),
-                    total: CityAggregates::new(),
-                    od: OdTotals::default(),
+                    totals: RunTotals::default(),
                     trackers,
                     scratch: SealScratch::default(),
                 };
@@ -945,7 +928,7 @@ impl LiveCity {
     ///
     /// [`finish`]: LiveCity::finish
     pub fn totals(&self) -> CityAggregates {
-        self.core.read_sealed(|state| state.totals())
+        self.core.read_sealed(|state| state.totals.totals())
     }
 
     /// Telemetry snapshot.
@@ -964,7 +947,7 @@ impl LiveCity {
             for tracker in &sealed.trackers {
                 alias.merge(&tracker.alias_stats());
             }
-            (sealed.total.observations, sealed.next_pane, alias)
+            (sealed.totals.observations(), sealed.next_pane, alias)
         });
         LiveStats {
             reports: core.reports.load(Ordering::Relaxed),
@@ -996,7 +979,7 @@ impl LiveCity {
         f: impl FnOnce(&mut CityWindows, &FlowCounter, u64) -> R,
     ) -> R {
         self.core
-            .read_sealed(|sealed| f(&mut sealed.windows, &sealed.total.flow, sealed.next_pane))
+            .read_sealed(|sealed| f(&mut sealed.windows, sealed.totals.flow(), sealed.next_pane))
     }
 
     /// Blocks (up to `timeout`) until the pane horizon — the number of
@@ -1331,7 +1314,7 @@ impl LiveCore {
             let fingerprint = agg.fingerprint();
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
-            state.od.merge_pane(&mut state.total, &agg);
+            state.totals.add_pane(&agg);
             // Durability before visibility: the pane record and any due
             // snapshot are appended (retried or given up on as
             // [`LOG_WRITE_ATTEMPTS`] says) before the pane is published.
@@ -1408,14 +1391,14 @@ impl LiveCore {
     /// The engine's complete state as of `next_pane` (the caller holds the
     /// sealed lock and has already merged every pane below it into
     /// `state`): what a log needs to resume without the panes before it.
-    fn snapshot_record(&self, state: &SealedState, next_pane: u64) -> SnapshotRecord {
+    fn snapshot_record(&self, state: &mut SealedState, next_pane: u64) -> SnapshotRecord {
         SnapshotRecord {
             next_pane,
             chain: state.chain.finish(),
             forced_panes: self.forced_panes.load(Ordering::Relaxed),
             forced_pole_misses: self.forced_pole_misses.load(Ordering::Relaxed),
             dead_poles: self.clock.dead_poles(),
-            total: state.totals(),
+            total: state.totals.totals(),
             trackers: state.trackers.iter().map(TagTracker::export).collect(),
         }
     }

@@ -549,8 +549,7 @@ mod tests {
             }
             LiveQuery::TopOd { n, window } => {
                 let agg = ring.merge_last(window.panes(pane_us));
-                let mut pairs: Vec<((u32, u32), u64)> =
-                    agg.od.transitions.iter().map(|(&k, &v)| (k, v)).collect();
+                let mut pairs: Vec<((u32, u32), u64)> = agg.od.iter().collect();
                 pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 pairs.truncate(n);
                 LiveAnswer::TopOd { pairs }

@@ -2,14 +2,14 @@
 //!
 //! Every record is a type-tagged payload; the segment layer frames it as
 //! `[len u32 LE][crc u32 LE][payload]`. All integers are little-endian,
-//! all maps are emitted in their `BTreeMap` (= sorted) order and all
-//! tracker deltas come pre-sorted from
+//! every keyed row list of an aggregate is emitted in key order, each key
+//! once (and decoded only so), and all tracker deltas come pre-sorted from
 //! [`TagTracker::take_delta`](caraoke_city::store::TagTracker::take_delta),
 //! so encoding the same logical state always produces the same bytes —
 //! the property the fingerprint-verified replay rests on.
 
 use caraoke_city::store::{TagRecord, TrackerDelta, TRACK_CAP};
-use caraoke_city::{AliasStats, CityAggregates, SegmentStats, SpeedHistogram};
+use caraoke_city::{AliasStats, CityAggregates, OdMatrix, SegmentStats, SpeedHistogram};
 
 /// Record type tag: one sealed pane.
 pub const REC_PANE: u8 = 1;
@@ -350,8 +350,8 @@ fn encode_aggregates(buf: &mut Vec<u8>, agg: &CityAggregates) {
         put_u16(buf, bin as u16);
         put_u64(buf, n);
     }
-    put_u32(buf, agg.od.transitions.len() as u32);
-    for (&(from, to), &n) in &agg.od.transitions {
+    put_u32(buf, agg.od.len() as u32);
+    for ((from, to), n) in agg.od.iter() {
         put_u32(buf, from);
         put_u32(buf, to);
         put_u64(buf, n);
@@ -364,12 +364,27 @@ fn encode_aggregates(buf: &mut Vec<u8>, agg: &CityAggregates) {
     put_u64(buf, agg.positions.sum_sigma_cm);
 }
 
+/// Refuses a keyed row whose `key` (packed so integer order is the
+/// writer's order) does not rise strictly above the previous row's: the
+/// writer emits every list ascending with each key once, and letting a
+/// later row overwrite an earlier one would decode such a record, CRC-clean
+/// as it is, into different totals.
+fn ascending(last: &mut Option<u64>, key: u64, what: &str) -> Result<(), String> {
+    if last.is_some_and(|last| last >= key) {
+        return Err(format!("{what} {key:#x} repeats or is out of order"));
+    }
+    *last = Some(key);
+    Ok(())
+}
+
 fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
     let mut agg = CityAggregates::new();
     agg.observations = dec.u64("observations")?;
     let n_segments = dec.count(SEGMENT_ROW_BYTES, "segment count")?;
+    let mut last = None;
     for _ in 0..n_segments {
         let seg = dec.u16("segment id")?;
+        ascending(&mut last, seg.into(), "segment")?;
         let stats = SegmentStats {
             reports: dec.u64("segment reports")?,
             observations: dec.u64("segment observations")?,
@@ -380,32 +395,40 @@ fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
         agg.segments.insert(seg, stats);
     }
     let n_flow = dec.count(FLOW_ROW_BYTES, "flow count")?;
+    let mut last = None;
     for _ in 0..n_flow {
         let seg = dec.u16("flow segment")?;
         let cycle = dec.u32("flow cycle")?;
+        ascending(
+            &mut last,
+            u64::from(seg) << 32 | u64::from(cycle),
+            "flow row",
+        )?;
         let n = dec.u64("flow events")?;
         agg.flow.per_cycle.insert((seg, cycle), n);
     }
     let samples = dec.u64("speed samples")?;
     let sum_centi = dec.u64("speed sum")?;
     let n_bins = dec.count(SPEED_BIN_BYTES, "speed bin count")?;
-    let mut bins = Vec::new();
+    let mut bins = vec![0; SpeedHistogram::N_BINS];
+    let mut last = None;
     for _ in 0..n_bins {
-        let bin = dec.u16("speed bin")? as usize;
-        let n = dec.u64("speed bin count value")?;
-        if bins.len() <= bin {
-            bins.resize(bin + 1, 0);
-        }
-        bins[bin] = n;
+        let bin = dec.u16("speed bin")?;
+        ascending(&mut last, bin.into(), "speed bin")?;
+        let slot = bins
+            .get_mut(bin as usize)
+            .ok_or_else(|| format!("speed bin {bin} past the histogram"))?;
+        *slot = dec.u64("speed bin count value")?;
     }
     agg.speeds = SpeedHistogram::from_parts(bins, samples, sum_centi);
     let n_od = dec.count(OD_ROW_BYTES, "od count")?;
+    let mut od = Vec::with_capacity(n_od);
     for _ in 0..n_od {
         let from = dec.u32("od from")?;
         let to = dec.u32("od to")?;
-        let n = dec.u64("od transitions")?;
-        agg.od.transitions.insert((from, to), n);
+        od.push(((from, to), dec.u64("od transitions")?));
     }
+    agg.od = OdMatrix::from_pairs(od)?;
     agg.positions.two_reader_fixes = dec.u64("two_reader_fixes")?;
     agg.positions.aoa_only_fixes = dec.u64("aoa_only_fixes")?;
     agg.positions.pole_fallbacks = dec.u64("pole_fallbacks")?;
@@ -850,6 +873,110 @@ mod tests {
             (0x0390_c78c_6d5d_0580, 0x121e_1543_81ca_601e),
             "{panes:#018x} {snapshot:#018x}"
         );
+    }
+
+    /// Little-endian bytes of one encoded row, from `(value, width)` fields.
+    fn row(fields: &[(u64, usize)]) -> Vec<u8> {
+        let bytes = |&(v, w): &(u64, usize)| v.to_le_bytes().into_iter().take(w);
+        fields.iter().flat_map(bytes).collect()
+    }
+
+    /// `payload` with its one occurrence of `rows` replaced by `with`.
+    fn replaced(payload: &[u8], rows: &[u8], with: &[u8]) -> Vec<u8> {
+        let hits: Vec<usize> = payload
+            .windows(rows.len())
+            .enumerate()
+            .filter(|(_, w)| *w == rows)
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(hits.len(), 1, "the rows occur once");
+        let mut out = payload.to_vec();
+        out[hits[0]..hits[0] + rows.len()].copy_from_slice(with);
+        out
+    }
+
+    #[test]
+    fn out_of_canon_rows_are_refused_not_merged() {
+        // Two rows in each keyed list; the writer emits them ascending.
+        let mut agg = CityAggregates::new();
+        agg.segments.entry(2).or_default().reports = 1;
+        agg.segments.entry(5).or_default().reports = 2;
+        agg.flow.record(SegmentId(1), 3);
+        agg.flow.record(SegmentId(1), 4);
+        agg.speeds.record(10.0);
+        agg.speeds.record(20.0);
+        agg.od.record(PoleId(1), PoleId(2));
+        agg.od.record(PoleId(3), PoleId(4));
+        let segment = |seg, reports| row(&[(seg, 2), (reports, 8), (0, 8), (0, 8), (0, 4), (0, 8)]);
+        let flow = |cycle| row(&[(1, 2), (cycle, 4), (1, 8)]);
+        let bin = |bin| row(&[(bin, 2), (1, 8)]);
+        let od = |from, to, n| row(&[(from, 4), (to, 4), (n, 8)]);
+        let lists = [
+            ("segment", segment(2, 1), segment(5, 2)),
+            ("flow row", flow(3), flow(4)),
+            ("speed bin", bin(20), bin(40)),
+            ("OD rows", od(1, 2, 1), od(3, 4, 1)),
+        ];
+        // (error names, rows as written, what a crafted record holds)
+        let n_bins = SpeedHistogram::N_BINS as u64;
+        let mut cases = vec![
+            (
+                "speed bin 300 past",
+                [bin(20), bin(40)],
+                [bin(20), bin(n_bins)],
+            ),
+            (
+                "OD rows",
+                [od(1, 2, 1), od(3, 4, 1)],
+                [od(1, 2, 1), od(3, 4, 0)],
+            ),
+        ];
+        for (what, a, b) in lists {
+            cases.push((what, [a.clone(), b.clone()], [b.clone(), a.clone()]));
+            cases.push((what, [a.clone(), b.clone()], [b.clone(), b]));
+        }
+        let pane = encode_pane(1, false, 0, agg.fingerprint(), 7, &agg, &[]);
+        assert!(matches!(decode_record(&pane), Ok(LogRecord::Pane(p)) if p.aggregates == agg));
+        for (what, rows, crafted) in cases {
+            let crafted = replaced(&pane, &rows.concat(), &crafted.concat());
+            let err = decode_record(&crafted).unwrap_err();
+            assert!(err.contains(what), "{what}: got {err:?}");
+        }
+
+        // A snapshot's totals carry no fingerprint, so the decoder is all
+        // that stands between swapped rows and a silent loss: swap two OD
+        // rows on disk, recompute the frame's CRC, and read it back.
+        let dir = std::env::temp_dir().join(format!("caraoke-codec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer =
+            crate::SegmentWriter::create(&dir, crate::LogOptions::default()).expect("create");
+        writer
+            .append_snapshot(&SnapshotRecord {
+                next_pane: 2,
+                chain: 7,
+                forced_panes: 0,
+                forced_pole_misses: 0,
+                dead_poles: Vec::new(),
+                total: agg,
+                trackers: vec![TrackerDelta::default()],
+            })
+            .expect("snapshot");
+        drop(writer);
+        let reader = crate::LogReader::open(&dir).expect("open");
+        let path = dir.join(&reader.segments()[0]);
+        let bytes = std::fs::read(&path).expect("read segment");
+        let (a, b) = (od(1, 2, 1), od(3, 4, 1));
+        let mut bytes = replaced(&bytes, &[a.clone(), b.clone()].concat(), &[b, a].concat());
+        let payload = crate::segment::HEADER_LEN as usize + 8;
+        let crc = crc32c(&bytes[payload..]);
+        bytes[payload - 4..payload].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, bytes).expect("write segment");
+        let first = crate::LogReader::open(&dir).expect("open").records().next();
+        let _ = std::fs::remove_dir_all(&dir);
+        match first {
+            Some(Err(crate::LogError::Decode { what, .. })) => assert!(what.contains("OD rows")),
+            other => panic!("swapped snapshot rows read as {other:?}"),
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::codec::LogRecord;
 use crate::reader::{LogError, LogReader};
-use caraoke_city::aggregate::OdTotals;
+use caraoke_city::aggregate::RunTotals;
 use caraoke_city::store::{TagTracker, TrackerDelta};
 use caraoke_city::{AliasStats, CityAggregates};
 use std::collections::VecDeque;
@@ -80,7 +80,7 @@ impl LogCity {
             alias.merge(&tracker.alias_stats());
         }
         Ok(LogReplay {
-            totals: fold.take_totals(),
+            totals: fold.totals.totals(),
             chain: cursor.chain_state(),
             panes,
             first_pane: first_pane.unwrap_or(fold.next_pane),
@@ -95,16 +95,14 @@ impl LogCity {
     }
 }
 
-/// The one fold of log records into engine state — totals, per-shard
-/// trackers, seal horizon, forced-seal counters, dead poles — shared by
+/// The one fold of log records into engine state — whole-run totals (a
+/// [`RunTotals`], kept as the engine keeps its own), per-shard trackers,
+/// seal horizon, forced-seal counters, dead poles — shared by
 /// [`LogCity::replay`] and [`recover_state`], which differ only in what
 /// they check before a record goes in and what they derive afterwards.
 #[derive(Default)]
 struct RecordFold {
-    /// Whole-run totals but for OD (`total.od` stays empty), which `od`
-    /// sums sorted.
-    total: CityAggregates,
-    od: OdTotals,
+    totals: RunTotals,
     trackers: Vec<TagTracker>,
     next_pane: u64,
     forced_panes: u64,
@@ -117,9 +115,8 @@ impl RecordFold {
     /// aggregate back, for callers that count or retain panes.
     fn apply(&mut self, record: LogRecord) -> Option<(u64, CityAggregates)> {
         match record {
-            LogRecord::Snapshot(mut snap) => {
-                self.od = OdTotals::from(std::mem::take(&mut snap.total.od));
-                self.total = snap.total;
+            LogRecord::Snapshot(snap) => {
+                self.totals = RunTotals::from(snap.total);
                 self.next_pane = snap.next_pane;
                 self.forced_panes = snap.forced_panes;
                 self.forced_pole_misses = snap.forced_pole_misses;
@@ -129,7 +126,7 @@ impl RecordFold {
                 None
             }
             LogRecord::Pane(p) => {
-                self.od.merge_pane(&mut self.total, &p.aggregates);
+                self.totals.add_pane(&p.aggregates);
                 self.next_pane = p.pane + 1;
                 if p.forced {
                     self.forced_panes += 1;
@@ -153,14 +150,6 @@ impl RecordFold {
         }
         for (tracker, delta) in self.trackers.iter_mut().zip(deltas) {
             tracker.apply_delta(delta);
-        }
-    }
-
-    /// The whole-run totals, OD matrix included (the fold is done).
-    fn take_totals(&mut self) -> CityAggregates {
-        CityAggregates {
-            od: std::mem::take(&mut self.od).to_matrix(),
-            ..std::mem::take(&mut self.total)
         }
     }
 }
@@ -235,7 +224,7 @@ pub fn recover_state(
     Ok(RecoveredState {
         next_pane: fold.next_pane,
         chain_state: cursor.chain_state(),
-        total: fold.take_totals(),
+        total: fold.totals.totals(),
         ring: ring.into(),
         trackers: fold.trackers,
         dead_poles: fold.dead_poles,

@@ -93,12 +93,6 @@ impl AntennaArray {
         }
     }
 
-    /// An array made from explicit element positions.
-    pub fn from_elements(elements: Vec<Vec3>) -> Self {
-        assert!(elements.len() >= 2, "an array needs at least two elements");
-        Self { elements }
-    }
-
     /// Element positions.
     pub fn elements(&self) -> &[Vec3] {
         &self.elements
@@ -240,18 +234,5 @@ mod tests {
             });
             assert!(good, "no good pair for direction {k}");
         }
-    }
-
-    #[test]
-    fn from_elements_requires_two() {
-        let arr = AntennaArray::from_elements(vec![Vec3::ZERO, Vec3::new(0.1, 0.0, 0.0)]);
-        assert_eq!(arr.pairs(), vec![(0, 1)]);
-        assert!(!arr.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn single_element_array_panics() {
-        AntennaArray::from_elements(vec![Vec3::ZERO]);
     }
 }

@@ -297,9 +297,9 @@ fn snapshots_and_reads_taken_while_od_pairs_are_pending_recover_onto_the_uninter
     let ref_totals = reference.totals();
     drop(reference);
     assert!(
-        ref_totals.od.transitions.len() > 3 * 16 * 1024,
+        ref_totals.od.len() > 3 * 16 * 1024,
         "too few OD pairs to merge several times: {}",
-        ref_totals.od.transitions.len()
+        ref_totals.od.len()
     );
 
     let dir = scratch("pending-crash");

@@ -211,13 +211,7 @@ fn top_od_with_the_largest_n_the_wire_carries_returns_every_pair_in_order() {
     // The window spans the whole (retained) run, so the answer is the
     // run's OD matrix: every pair, busiest first, ties by pole ids.
     assert!(horizon as usize <= live.config().retain_panes);
-    let mut expect: Vec<((u32, u32), u64)> = live
-        .totals()
-        .od
-        .transitions
-        .iter()
-        .map(|(&k, &v)| (k, v))
-        .collect();
+    let mut expect: Vec<((u32, u32), u64)> = live.totals().od.iter().collect();
     expect.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     assert!(
         expect.len() > 5,
