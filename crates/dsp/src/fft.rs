@@ -4,8 +4,8 @@
 //! samples at 4 MS/s), giving a bin resolution of 1/512 µs ≈ 1.95 kHz — the
 //! numbers quoted in §5 of the paper. This module implements an iterative
 //! radix-2 decimation-in-time transform (with arbitrary-size fallback via the
-//! direct DFT, used only in tests), the inverse transform, circular time
-//! shifts (used by the multi-occupancy bin test), and spectrum helpers.
+//! direct DFT, used only in tests), the inverse transform, and spectrum
+//! helpers.
 //!
 //! # Twiddle tables
 //!
@@ -165,45 +165,6 @@ pub fn power_spectrum(spectrum: &[Complex]) -> Vec<f64> {
     spectrum.iter().map(|c| c.norm_sqr()).collect()
 }
 
-/// Circularly shifts a time-domain signal by `shift` samples (to the left for
-/// positive `shift`), i.e. `y[n] = x[(n + shift) mod N]`.
-///
-/// §5 of the paper uses the FFT of the *time-shifted* collision to decide
-/// whether an FFT bin contains one or several transponders: a single tone only
-/// rotates in phase under a time shift, whereas two tones in the same bin
-/// change magnitude.
-pub fn circular_shift(signal: &[Complex], shift: usize) -> Vec<Complex> {
-    let n = signal.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let s = shift % n;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&signal[s..]);
-    out.extend_from_slice(&signal[..s]);
-    out
-}
-
-/// Converts an FFT bin index to a (possibly negative) frequency in Hz given
-/// the sample rate, mapping bins above `N/2` to negative frequencies.
-pub fn bin_to_frequency(bin: usize, fft_size: usize, sample_rate: f64) -> f64 {
-    let bin = bin % fft_size;
-    let half = fft_size / 2;
-    if bin <= half {
-        bin as f64 * sample_rate / fft_size as f64
-    } else {
-        (bin as f64 - fft_size as f64) * sample_rate / fft_size as f64
-    }
-}
-
-/// Converts a frequency in Hz to the nearest FFT bin index (wrapping negative
-/// frequencies into the upper half of the spectrum).
-pub fn frequency_to_bin(freq: f64, fft_size: usize, sample_rate: f64) -> usize {
-    let rel = freq / sample_rate * fft_size as f64;
-    let rounded = rel.round() as i64;
-    rounded.rem_euclid(fft_size as i64) as usize
-}
-
 /// Frequency resolution of an FFT window of `fft_size` samples at
 /// `sample_rate` Hz (the `δf = 1/T` of Eq. 6 in the paper).
 pub fn bin_resolution(fft_size: usize, sample_rate: f64) -> f64 {
@@ -313,43 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_shift_rotates_phase_of_pure_tone() {
-        // Time shift -> phase rotation (Eq. 8 of the paper); magnitude unchanged.
-        let n = 512;
-        let k = 45;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::from_angle(2.0 * std::f64::consts::PI * (k * i) as f64 / n as f64))
-            .collect();
-        let shifted = circular_shift(&x, 17);
-        let a = fft(&x);
-        let b = fft(&shifted);
-        assert!(approx(a[k].abs(), b[k].abs(), 1e-6));
-        let expected_rotation = 2.0 * std::f64::consts::PI * (k * 17) as f64 / n as f64;
-        let measured = (b[k] / a[k]).arg();
-        let diff = (measured - expected_rotation).rem_euclid(2.0 * std::f64::consts::PI);
-        assert!(diff < 1e-6 || (2.0 * std::f64::consts::PI - diff) < 1e-6);
-    }
-
-    #[test]
-    fn circular_shift_full_length_is_identity() {
-        let x: Vec<Complex> = (0..8)
-            .map(|i| Complex::new(i as f64, -(i as f64)))
-            .collect();
-        assert_eq!(circular_shift(&x, 8), x);
-        assert_eq!(circular_shift(&x, 0), x);
-    }
-
-    #[test]
-    fn bin_frequency_round_trip() {
-        let fs = 4.0e6;
-        let n = 2048;
-        for bin in [0usize, 1, 100, 614, 1023, 1024, 1500, 2047] {
-            let f = bin_to_frequency(bin, n, fs);
-            assert_eq!(frequency_to_bin(f, n, fs), bin);
-        }
-    }
-
-    #[test]
     fn bin_resolution_matches_paper() {
         // 512 us window at 4 MS/s -> 2048 samples -> 1.953 kHz bins (paper: 1.95 kHz).
         let res = bin_resolution(2048, 4.0e6);
@@ -443,10 +367,17 @@ mod tests {
 
     #[test]
     fn negative_frequencies_map_to_upper_bins() {
+        // A tone one bin below DC lands in the top bin of the spectrum.
         let fs = 4.0e6;
         let n = 2048;
-        let bin = frequency_to_bin(-1953.125, n, fs);
-        assert_eq!(bin, n - 1);
-        assert!(approx(bin_to_frequency(bin, n, fs), -1953.125, 1e-9));
+        let freq = -bin_resolution(n, fs);
+        let x: Vec<Complex> = (0..n)
+            .map(|i| Complex::from_angle(2.0 * std::f64::consts::PI * freq * i as f64 / fs))
+            .collect();
+        let spec = fft(&x);
+        assert!(approx(spec[n - 1].abs(), n as f64, 1e-6));
+        for (bin, c) in spec.iter().enumerate().take(n - 1) {
+            assert!(c.abs() < 1e-6, "unexpected energy in bin {bin}");
+        }
     }
 }

@@ -10,9 +10,8 @@
 //! dependencies:
 //!
 //! * [`Complex`] — complex arithmetic on `f64`.
-//! * [`fft` (module)](mod@crate::fft) — iterative radix-2 decimation-in-time FFT / inverse FFT, plus
-//!   helpers for circular time shifts (used by the multi-occupancy bin test of
-//!   §5 of the paper).
+//! * [`fft` (module)](mod@crate::fft) — iterative radix-2 decimation-in-time FFT / inverse FFT
+//!   and spectrum helpers.
 //! * [`goertzel`] — single-bin DFT evaluation, used by the sparse-FFT
 //!   estimation stage and by targeted channel probing.
 //! * [`sfft`] — a software sparse FFT (subsample/alias + voting + Goertzel

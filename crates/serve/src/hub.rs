@@ -62,7 +62,9 @@ const FANOUT_WAIT: Duration = Duration::from_millis(200);
 
 /// How long a subscriber has to take a channel's newest frame before the
 /// panes it covers beyond the first count as that subscriber's lag (see
-/// `QueryChannel::lag`). Twenty ticks of the TCP connection loop.
+/// `QueryChannel::lag`). A subscriber that keeps up takes a frame within a
+/// millisecond or so of its fan-out round (a TCP connection too: it wakes on
+/// the round), so a frame left untaken this long is owed, not in transit.
 const FRESH_FRAME: Duration = Duration::from_millis(200);
 
 /// Tuning knobs for the serving hub and its transports.
@@ -367,6 +369,12 @@ impl ServeHub {
                 let _ = handle.join();
             }
         }
+    }
+
+    /// Whether [`shutdown`](Self::shutdown) has been called: every
+    /// [`Subscription::wait`] returns at once from then on.
+    pub(crate) fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Registers one query (deduplicating on the canonical encoding) and

@@ -12,11 +12,19 @@
 //! hub's cursor-lag policy take over — so a stalled subscriber is lag
 //! noticed and then dropped deterministically, regardless of how much the
 //! kernel's socket buffers would have absorbed.
+//!
+//! A connection's thread blocks on whichever side it is waiting for. Before
+//! the first subscribe, and while the ack window is shut, that is the
+//! client: it blocks on a socket read. Otherwise it takes the client frames
+//! already there without blocking, and once its subscription is caught up
+//! it blocks on the hub's fan-out signal ([`Subscription::wait`]), so a
+//! frame goes out as soon as the round that made it lands. A hub that has
+//! shut down closes every connection.
 
 use crate::hub::{ServeEvent, ServeHub, Subscription};
 use crate::wire::{decode_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_VERSION};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,9 +32,17 @@ use std::time::{Duration, Instant};
 
 /// How long a connection waits for the client's hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
-/// Read-timeout granularity of the per-connection loop: the cadence at
-/// which it alternates between draining client frames and polling the hub.
+/// The longest the connection loop blocks on one side before it looks at
+/// the other: on a socket read before the first subscribe and while the ack
+/// window is shut, on the hub's fan-out signal while the subscription is
+/// caught up. So it bounds how long a client frame sent to a caught-up
+/// connection goes unread and how late a shutdown is noticed — not how
+/// often frames are delivered: those go out on the fan-out round.
 const LOOP_TICK: Duration = Duration::from_millis(10);
+/// Client frames one round of the connection loop takes without blocking
+/// before it turns to the hub, so a client flooding acks cannot hold off
+/// delivery.
+const CLIENT_FRAMES_PER_ROUND: usize = 256;
 /// TCP write timeout; a peer stalled longer than this errors the
 /// connection.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -46,10 +62,11 @@ enum TickRead {
 ///
 /// `read_exact` under a socket read timeout is not restartable: a timeout
 /// can fire after some bytes of the length prefix or body were consumed,
-/// and those bytes are gone — the stream is desynced forever after. Both
-/// the per-connection server loop (10 ms ticks) and the client's
-/// deadline-bounded `next_frame` read under timeouts, so they accumulate
-/// partial frames here instead and only yield whole ones.
+/// and those bytes are gone — the stream is desynced forever after. The
+/// per-connection server loop reads under a [`LOOP_TICK`] timeout or
+/// without blocking, and the client's deadline-bounded `next_frame` under
+/// a timeout, so both accumulate partial frames here instead and only
+/// yield whole ones.
 struct FrameReader {
     stream: TcpStream,
     /// Bytes of the in-flight frame: `[len u32 LE]` then body.
@@ -72,8 +89,16 @@ impl FrameReader {
         self.stream.set_read_timeout(timeout)
     }
 
+    /// Switches reads between blocking (under the read timeout) and
+    /// returning [`TickRead::Pending`] at once. A `try_clone` of the stream
+    /// shares the setting: writes through it must not run while it is on.
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.stream.set_nonblocking(nonblocking)
+    }
+
     /// Makes progress on the in-flight frame with whatever bytes are
-    /// available before the socket's read timeout.
+    /// available before the socket's read timeout (at once when
+    /// non-blocking).
     fn poll_frame(&mut self) -> io::Result<TickRead> {
         loop {
             if self.buf.len() == 4 && self.need == 4 {
@@ -213,8 +238,9 @@ fn accept_loop(listener: TcpListener, hub: Arc<ServeHub>, shutdown: Arc<AtomicBo
     }
 }
 
-/// Serves one connection: hello exchange, then alternate between draining
-/// client frames (subscribes, acks) and delivering hub events.
+/// Serves one connection: hello exchange, then rounds of taking client
+/// frames (subscribes, acks) and delivering hub events, each round blocked
+/// on the side the connection waits for (see the module docs).
 fn connection_loop(
     stream: TcpStream,
     hub: Arc<ServeHub>,
@@ -250,32 +276,50 @@ fn connection_loop(
     let mut unacked: u64 = 0;
     let ack_window = hub.config().ack_window as u64;
 
-    while !shutdown.load(Ordering::SeqCst) {
-        // Drain at most one client frame per tick; the read timeout is the
-        // loop's pacing (partial frames survive in the reader's buffer).
-        match reader.poll_frame()? {
-            TickRead::Frame(Frame::Subscribe {
-                sub_id,
-                from_start,
-                from_pane,
-                query,
-            }) => {
-                let sub = subscription.get_or_insert_with(|| hub.subscribe(&[], false));
-                match from_pane {
-                    // Resume: a reconnecting client continues from the pane
-                    // after the last one it consumed; the gap (if any) is
-                    // rebuilt from the pane log like any lagging cursor.
-                    Some(pane) => sub.add_query_from(&query, pane),
-                    None => sub.add_query(&query, from_start),
-                };
-                sub_ids.push(sub_id);
+    while !shutdown.load(Ordering::SeqCst) && !hub.is_shut_down() {
+        // While the client is what the loop waits for, block for one frame
+        // (at most LOOP_TICK; partial frames survive in the reader).
+        // Otherwise take the frames already there, a bounded number.
+        let waits_on_client = subscription.is_none() || unacked > ack_window;
+        let limit = if waits_on_client {
+            1
+        } else {
+            reader.set_nonblocking(true)?;
+            CLIENT_FRAMES_PER_ROUND
+        };
+        let mut taken = 0;
+        while taken < limit {
+            match reader.poll_frame()? {
+                TickRead::Frame(Frame::Subscribe {
+                    sub_id,
+                    from_start,
+                    from_pane,
+                    query,
+                }) => {
+                    let sub = subscription.get_or_insert_with(|| hub.subscribe(&[], false));
+                    match from_pane {
+                        // Resume: a reconnecting client continues from the
+                        // pane after the last one it consumed; the gap (if
+                        // any) is rebuilt from the pane log like any
+                        // lagging cursor.
+                        Some(pane) => sub.add_query_from(&query, pane),
+                        None => sub.add_query(&query, from_start),
+                    };
+                    sub_ids.push(sub_id);
+                }
+                TickRead::Frame(Frame::Ack { count }) => {
+                    unacked = unacked.saturating_sub(count as u64);
+                }
+                TickRead::Frame(_) => {} // clients have nothing else to say; ignore
+                TickRead::Closed => return Ok(()), // clean disconnect
+                TickRead::Pending => break,
             }
-            TickRead::Frame(Frame::Ack { count }) => {
-                unacked = unacked.saturating_sub(count as u64);
-            }
-            TickRead::Frame(_) => {} // clients have nothing else to say; ignore
-            TickRead::Closed => return Ok(()), // clean disconnect
-            TickRead::Pending => {}
+            taken += 1;
+        }
+        if !waits_on_client {
+            // Reader and writer share one file description: block again
+            // before anything is written.
+            reader.set_nonblocking(false)?;
         }
         let Some(sub) = subscription.as_mut() else {
             continue;
@@ -285,6 +329,11 @@ fn connection_loop(
         // into a notice and then a drop.
         let events = if unacked > ack_window {
             sub.lag_events().into_iter().collect()
+        } else if sub.caught_up() && taken == 0 {
+            // Nothing owed and the client quiet: block on the hub. (A
+            // client that just spoke may have more to say, so that round
+            // only polls.)
+            sub.wait(LOOP_TICK)
         } else {
             sub.poll()
         };
@@ -324,6 +373,16 @@ fn connection_loop(
             }
         }
         writer.flush()?;
+    }
+    // Shut down (the server or the hub). Closing with client bytes unread
+    // would reset the connection, so send the FIN first, then discard what
+    // the client has sent: it reads a clean close.
+    writer.shutdown(Shutdown::Write)?;
+    reader.set_nonblocking(true)?;
+    for _ in 0..CLIENT_FRAMES_PER_ROUND {
+        if !matches!(reader.poll_frame()?, TickRead::Frame(_)) {
+            break;
+        }
     }
     Ok(())
 }

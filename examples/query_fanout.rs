@@ -1,7 +1,8 @@
 //! Query fan-out over TCP: a live engine ingests a synthetic city on one
 //! thread while three remote dashboards — each a [`ServeClient`] over
 //! loopback TCP — subscribe to windowed queries and print every delivered
-//! snapshot with its seal-to-delivery staleness.
+//! snapshot with its seal-to-delivery staleness. It asserts that every
+//! dashboard reached the final sealed pane and prints the median staleness.
 //!
 //! Each distinct query is evaluated **once per seal** by the hub's fan-out
 //! thread, whatever the subscriber count; the clients below only ever
@@ -74,7 +75,8 @@ fn main() {
             clients.push(scope.spawn(move || {
                 let mut client = ServeClient::connect(addr).expect("connect");
                 client.subscribe(i as u32, query, false).expect("subscribe");
-                let mut frames = 0usize;
+                let mut ages_us = Vec::new();
+                let mut last_pane = None;
                 // Idle for 2 s (several fan-out waits) means the run ended.
                 let mut quiet = 0u32;
                 while quiet < 4 {
@@ -95,7 +97,8 @@ fn main() {
                             ..
                         }) => {
                             quiet = 0;
-                            frames += 1;
+                            ages_us.push(age_us);
+                            last_pane = Some(pane);
                             let decoded = decode_answer(&answer).expect("wire answer");
                             println!(
                                 "[{name:>18}] pane {pane:>3}  staleness {age_us:>6} us  {}",
@@ -106,15 +109,29 @@ fn main() {
                         None => quiet += 1,
                     }
                 }
-                frames
+                (ages_us, last_pane)
             }));
         }
 
         ingest.join().expect("ingest");
+        let final_pane = live.sealed_panes().checked_sub(1).expect("panes sealed");
+        let mut ages_us = Vec::new();
         for (handle, (name, _)) in clients.into_iter().zip(&dashboards) {
-            let frames = handle.join().expect("dashboard");
-            println!("[{name:>18}] {frames} frames delivered");
+            let (ages, last_pane) = handle.join().expect("dashboard");
+            println!("[{name:>18}] {} frames delivered", ages.len());
+            assert_eq!(
+                last_pane,
+                Some(final_pane),
+                "{name} must reach the final sealed pane"
+            );
+            ages_us.extend(ages);
         }
+        ages_us.sort_unstable();
+        println!(
+            "median staleness over {} frames: {} us",
+            ages_us.len(),
+            ages_us[ages_us.len() / 2]
+        );
     });
 
     let stats = hub.stats();

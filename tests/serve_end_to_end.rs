@@ -2,7 +2,9 @@
 //! snapshots against in-process queries, the once-per-seal snapshot cache
 //! fanning out to many subscribers, from-start catch-up through the pane
 //! log, and the slow-subscriber policy (lag notice, then drop) over both
-//! transports — with ingest demonstrably unaffected.
+//! transports — with ingest demonstrably unaffected — plus when a TCP
+//! connection wakes: on the fan-out round once caught up, on the client
+//! while it waits for one, never on a read tick in between.
 
 use caraoke_suite::city::{
     FrameSource, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, SyntheticCity,
@@ -11,12 +13,21 @@ use caraoke_suite::geom::Vec3;
 use caraoke_suite::live::{LiveCity, LiveConfig, LiveQuery, WindowSpec};
 use caraoke_suite::log::LogOptions;
 use caraoke_suite::serve::{
-    decode_answer, encode_answer, read_frame, write_frame, Frame, FrameKind, LogFollower,
-    ServeClient, ServeConfig, ServeEvent, ServeHub, ServeServer, Subscription, WIRE_VERSION,
+    decode_answer, encode_answer, read_frame, write_frame, ClientRead, Frame, FrameKind,
+    LogFollower, ServeClient, ServeConfig, ServeEvent, ServeHub, ServeServer, Subscription,
+    WIRE_VERSION,
 };
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The TCP connection loop's read timeout (private to the transport): how
+/// long it blocks on the client before the first subscribe and while the
+/// ack window is shut.
+const LOOP_TICK: Duration = Duration::from_millis(10);
 
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -65,23 +76,27 @@ fn probes() -> Vec<LiveQuery> {
     ]
 }
 
-/// A single-pole engine whose event time the test controls one report at a
-/// time: pane width 1 s, reporting pole 0 at `t_us` seals every pane below
-/// `t_us`.
-fn hand_driven_city() -> LiveCity {
+/// A single-pole city and an engine configuration under which the test
+/// controls event time one report at a time: pane width 1 s, reporting
+/// pole 0 at `t_us` seals every pane below `t_us`.
+fn hand_driven_setup() -> (PoleDirectory, LiveConfig) {
     let directory = PoleDirectory::new(vec![PoleSite {
         segment: SegmentId(0),
         position: Vec3::new(0.0, -5.0, 3.8),
     }]);
-    LiveCity::new(
-        directory,
-        LiveConfig {
-            pane_us: 1_000_000,
-            lateness_panes: 0,
-            retain_panes: 8,
-            ..Default::default()
-        },
-    )
+    let config = LiveConfig {
+        pane_us: 1_000_000,
+        lateness_panes: 0,
+        retain_panes: 8,
+        ..Default::default()
+    };
+    (directory, config)
+}
+
+/// An engine over [`hand_driven_setup`].
+fn hand_driven_city() -> LiveCity {
+    let (directory, config) = hand_driven_setup();
+    LiveCity::new(directory, config)
 }
 
 fn report_at(t_us: u64) -> PoleReport {
@@ -102,6 +117,38 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// A raw wire client that has said hello and subscribed `query` at the
+/// head. (A read timeout turns any missing server frame into a visible
+/// failure.)
+fn raw_subscriber(server: &ServeServer, sub_id: u32, query: LiveQuery) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .expect("hello");
+    match read_frame(&mut stream).expect("hello reply") {
+        Some(Frame::Hello { version }) => assert_eq!(version, WIRE_VERSION),
+        other => panic!("expected hello, got {other:?}"),
+    }
+    write_frame(
+        &mut stream,
+        &Frame::Subscribe {
+            sub_id,
+            from_start: false,
+            from_pane: None,
+            query,
+        },
+    )
+    .expect("subscribe");
+    stream
 }
 
 #[test]
@@ -465,33 +512,8 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
     live.ingest(&report_at(1_000_000));
     wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
 
-    // A raw wire client that NEVER acks — the stalled dashboard. (A read
-    // timeout turns any missing server frame into a visible failure.)
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            version: WIRE_VERSION,
-        },
-    )
-    .expect("hello");
-    match read_frame(&mut stream).expect("hello reply") {
-        Some(Frame::Hello { version }) => assert_eq!(version, WIRE_VERSION),
-        other => panic!("expected hello, got {other:?}"),
-    }
-    write_frame(
-        &mut stream,
-        &Frame::Subscribe {
-            sub_id: 7,
-            from_start: false,
-            from_pane: None,
-            query: LiveQuery::Watermark,
-        },
-    )
-    .expect("subscribe");
+    // A raw wire client that NEVER acks — the stalled dashboard.
+    let mut stream = raw_subscriber(&server, 7, LiveQuery::Watermark);
 
     // First (and only) delivered frame: after it, one unacked frame > the
     // zero ack window, so the server stops delivering and polices lag.
@@ -656,4 +678,237 @@ fn subscriber_without_a_log_counts_missed_frames_instead_of_stalling() {
     assert_eq!(stats.catchup_frames, 0, "no log to rebuild from");
     assert!(stats.missed_frames > 0, "the gap is reported, not hidden");
     assert!(!sub.is_dropped());
+}
+
+/// The middle value of `values` (the upper one of an even count).
+fn median<T: Ord + Copy>(mut values: Vec<T>) -> T {
+    values.sort_unstable();
+    values[values.len() / 2]
+}
+
+#[test]
+fn a_caught_up_tcp_client_gets_each_delta_as_its_fan_out_round_lands() {
+    // One pane sealed at a time, at varying phase against any 10 ms timer
+    // the server might run: the age the server stamps at write time is the
+    // delay between the fan-out round and the write.
+    let live = Arc::new(hand_driven_city());
+    live.ingest(&report_at(1_000_000));
+    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client
+        .subscribe(0, &LiveQuery::Watermark, false)
+        .expect("subscribe");
+    match client.next_frame(Duration::from_secs(5)).expect("frame") {
+        Some(Frame::Snapshot { pane: 0, .. }) => {}
+        other => panic!("expected the head snapshot, got {other:?}"),
+    }
+
+    let mut ages_us = Vec::new();
+    for pane in 1..=24u64 {
+        std::thread::sleep(Duration::from_millis(25 + pane * 7 % 10));
+        live.ingest(&report_at((pane + 1) * 1_000_000));
+        match client.next_frame(Duration::from_secs(5)).expect("frame") {
+            Some(Frame::Delta {
+                pane: got, age_us, ..
+            }) => {
+                assert_eq!(got, pane, "one delta per sealed pane");
+                ages_us.push(age_us);
+            }
+            other => panic!("expected the delta for pane {pane}, got {other:?}"),
+        }
+    }
+    let median_us = median(ages_us.clone());
+    assert!(
+        median_us < (LOOP_TICK / 5).as_micros() as u64,
+        "median seal-to-write age {median_us} us (all: {ages_us:?})"
+    );
+}
+
+#[test]
+fn a_from_start_tcp_subscriber_catches_up_a_log_hub_at_ack_pace() {
+    // A hub over a finished log has no fan-out thread, so nothing on the
+    // hub side ever wakes a connection that is behind: catch-up must run
+    // at the pace the client acks, not one batch per read tick.
+    let dir = scratch("serve-catchup-pace");
+    let (directory, config) = hand_driven_setup();
+    // No snapshots: a snapshot opens a fresh segment, and the engine's
+    // retention may then drop the panes before it.
+    let options = LogOptions {
+        snapshot_every_panes: 0,
+        ..Default::default()
+    };
+    let live = LiveCity::with_log(directory, config, &dir, options).expect("logged engine");
+    for t in 1..=3_000u64 {
+        live.ingest(&report_at(t * 1_000_000));
+    }
+    live.finish();
+    let horizon = live.sealed_panes();
+    assert!(horizon >= 3_000, "{horizon} panes");
+    drop(live);
+
+    // The lag policy is off: a from-start cursor is thousands of panes
+    // behind, and a slow catch-up should fail on time, not be dropped.
+    let serve = ServeConfig {
+        catchup_batch: 16,
+        lag_notice_panes: u64::MAX,
+        max_cursor_lag_panes: u64::MAX,
+        ..Default::default()
+    };
+    let hub = ServeHub::over_log(
+        &dir,
+        config.retain_panes,
+        config.pane_us,
+        config.store.light_cycle_us,
+        serve,
+    )
+    .expect("hub over log");
+    let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let start = Instant::now();
+    client
+        .subscribe(0, &LiveQuery::Watermark, true)
+        .expect("subscribe");
+    let mut next = 0u64;
+    while next < horizon {
+        match client.next_frame(Duration::from_secs(10)).expect("frame") {
+            Some(Frame::Snapshot { pane, .. }) => {
+                assert_eq!(pane, next, "gap-free, in order");
+                next += 1;
+            }
+            other => panic!("expected a catch-up snapshot, got {other:?}"),
+        }
+    }
+    let elapsed = start.elapsed();
+    // One read tick per catch-up batch is what a connection that waited on
+    // the hub while behind would take.
+    let ticked = LOOP_TICK * (horizon / serve.catchup_batch as u64) as u32;
+    assert!(
+        elapsed < ticked / 3,
+        "{horizon} panes caught up in {elapsed:?}; a tick per batch is {ticked:?}"
+    );
+}
+
+#[test]
+fn a_tcp_subscribe_is_answered_without_waiting_out_a_read_tick() {
+    let live = Arc::new(hand_driven_city());
+    live.ingest(&report_at(1_000_000));
+    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+
+    let waits: Vec<Duration> = (0..9u32)
+        .map(|sub_id| {
+            let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+            let start = Instant::now();
+            client
+                .subscribe(sub_id, &LiveQuery::Watermark, false)
+                .expect("subscribe");
+            match client.next_frame(Duration::from_secs(5)).expect("frame") {
+                Some(Frame::Snapshot { pane: 0, .. }) => start.elapsed(),
+                other => panic!("expected the head snapshot, got {other:?}"),
+            }
+        })
+        .collect();
+    let median_wait = median(waits.clone());
+    assert!(
+        median_wait < LOOP_TICK / 3,
+        "subscribe to first frame: median {median_wait:?} (all: {waits:?})"
+    );
+}
+
+#[test]
+fn a_hub_shutdown_closes_its_tcp_connections() {
+    let live = Arc::new(hand_driven_city());
+    live.ingest(&report_at(1_000_000));
+    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let mut server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client
+        .subscribe(0, &LiveQuery::Watermark, false)
+        .expect("subscribe");
+    match client.next_frame(Duration::from_secs(5)).expect("frame") {
+        Some(Frame::Snapshot { .. }) => {}
+        other => panic!("expected the head snapshot, got {other:?}"),
+    }
+
+    hub.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(!left.is_zero(), "connection still open 1 s after shutdown");
+        match client.poll_frame(left).expect("clean close") {
+            ClientRead::Closed => break,
+            ClientRead::Timeout => {}
+            ClientRead::Frame(frame) => panic!("unexpected frame {frame:?}"),
+        }
+    }
+    let start = Instant::now();
+    server.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "server shutdown took {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+fn an_ack_flood_does_not_hold_off_delivery() {
+    let live = Arc::new(hand_driven_city());
+    live.ingest(&report_at(1_000_000));
+    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+    let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+    let mut stream = raw_subscriber(&server, 3, LiveQuery::Watermark);
+    match read_frame(&mut stream).expect("snapshot") {
+        Some(Frame::Snapshot { pane: 0, .. }) => {}
+        other => panic!("expected the head snapshot, got {other:?}"),
+    }
+
+    // Acks, far more than were ever owed, from a second thread: at least
+    // 100 k, and on until every pane below is delivered — capped, so a
+    // server that never delivers cannot keep the flood going forever.
+    let sent = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let waits = std::thread::scope(|scope| {
+        let flood = stream.try_clone().expect("clone stream");
+        scope.spawn(|| {
+            let mut out = std::io::BufWriter::new(flood);
+            while sent.load(Ordering::Relaxed) < 100_000
+                || (!stop.load(Ordering::Relaxed) && sent.load(Ordering::Relaxed) < 5_000_000)
+            {
+                if write_frame(&mut out, &Frame::Ack { count: 1 }).is_err() {
+                    break;
+                }
+                sent.fetch_add(1, Ordering::Relaxed);
+            }
+            let _ = out.flush();
+        });
+        wait_until("the flood to start", || {
+            sent.load(Ordering::Relaxed) >= 10_000
+        });
+        let waits: Vec<Duration> = (1..=10u64)
+            .map(|pane| {
+                let start = Instant::now();
+                live.ingest(&report_at((pane + 1) * 1_000_000));
+                match read_frame(&mut stream).expect("delta during the flood") {
+                    Some(Frame::Delta { pane: got, .. }) => assert_eq!(got, pane),
+                    other => panic!("expected the delta for pane {pane}, got {other:?}"),
+                }
+                start.elapsed()
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        waits
+    });
+    let sent = sent.into_inner();
+    assert!(sent >= 100_000, "only {sent} acks sent");
+    let slowest = *waits.iter().max().expect("ten panes");
+    assert!(
+        slowest < Duration::from_secs(1),
+        "seal to delta under the flood: {waits:?}"
+    );
+    assert_eq!(hub.stats().dropped_subscribers, 0);
 }
