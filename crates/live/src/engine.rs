@@ -23,10 +23,10 @@
 //! # The seal pipeline
 //!
 //! Every seal — watermark-released, forced by the staleness timer, or the
-//! final flush — is the same three steps under the sealed-state lock, one
-//! pass per at most `MAX_SEAL_BUCKETS / shards` panes (a request spanning
-//! more, e.g. a laggard pole catching up 100k panes, is sealed as
-//! consecutive passes, each notifying waiters as it lands):
+//! final flush — is the same three steps under the sealer's own state lock,
+//! one pass per at most `MAX_SEAL_BUCKETS / shards` panes (a request
+//! spanning more, e.g. a laggard pole catching up 100k panes, is sealed as
+//! consecutive passes, each published and notifying waiters as it lands):
 //!
 //! 1. **Drain.** Stripe buffers are pane-bucketed and struct-of-arrays: a
 //!    32-byte `SealKey` column (every field the canonical order needs)
@@ -38,8 +38,8 @@
 //!    per-bucket sort of `u32` indices on
 //!    `(timestamp, pole, tag, cfo_bin, seq)` — instead of one comparison
 //!    sort moving ~136-byte rows.
-//! 3. **Fold and publish, one pane at a time.** The pane's buckets go, in
-//!    shard order (observations route to trackers by CFO bin, so tag
+//! 3. **Fold pane by pane, then commit and publish.** The pane's buckets
+//!    go, in shard order (observations route to trackers by CFO bin, so tag
 //!    shards are independent), through the shared [`TagTracker`] state
 //!    machines and [`fold_observation`] — the batch store's, §8 alias
 //!    upgrades included — into one reused [`AggregateBuilder`]: O(1)
@@ -49,9 +49,13 @@
 //!    due; then the pane is fingerprinted into the engine's **fingerprint
 //!    chain**, added to the whole-run [`RunTotals`] (whose OD run takes
 //!    the pending panes' pairs a quarter-run at a time, so a pane costs no
-//!    O(run) merge), appended to the pane log with its tracker deltas
-//!    and any snapshot due after it (durability before visibility), pushed
-//!    into the retained ring ([`CityWindows`]), and the seal floor moves.
+//!    O(run) merge) and appended to the pane log with its tracker deltas
+//!    and any snapshot due after it; the seal floor — the ingest admission
+//!    floor — moves past it. After the pass's last pane comes one log
+//!    commit (the fsync policy's), and only once it has returned (or
+//!    latched the sink failed) do the pass's finished panes enter the
+//!    published ring ([`CityWindows`]), in one hold of its lock —
+//!    durability before visibility — and waiters wake.
 //!
 //! Only then does the next pane touch a tracker, because trackers are
 //! cumulative: they describe "the run up to pane `p`" only between pane
@@ -61,20 +65,19 @@
 //! again — so whatever prefix of a pass's records a crash leaves on disk
 //! recovers byte-identical.
 //!
-//! Lock order, everywhere: sealed state → an ingest stripe → log sink.
-//! The clock's two locks (clock stripe → clock floors) are leaves: nothing
-//! is acquired under either, `ingest` feeds the clock only after releasing
-//! its ingest stripe, and the sealer reads it holding any of the three.
-//! The seal-progress mutex is a leaf too, and never held with another lock:
-//! every wait for a seal — ingest pacing ([`LiveCity::wait_seal_floor`]),
-//! [`LiveCity::finish`], [`LiveCity::wait_idle`], [`LiveCity::wait_sealed`]
-//! — tests the published seal floor under it, and the sealer takes it
-//! between a pass and its notify. So no waiter has to win the sealed-state
-//! lock back from a sealer that retakes it right after each pass; and
-//! readers of sealed state (queries, totals, stats) take a ticket before
-//! that lock, which the sealer honours by letting every ticket holder in
-//! before its next pass — readers get the lock between passes, and
-//! readers arriving later wait for the pass.
+//! Lock order: the sealer state first; under it, an ingest stripe, the log
+//! sink or the published ring, one at a time. The clock's two locks (clock
+//! stripe → clock floors) stay leaves: nothing is acquired under either,
+//! `ingest` feeds the clock only after releasing its ingest stripe, and
+//! the sealer reads it holding any of the others. Readers — queries,
+//! snapshots, subscriptions, [`LiveCity::stats`] — never lock the sealer
+//! state: they read the ring, which the sealer holds for one push per
+//! pass, so no read waits out a fold, a log retry or an fsync. Every wait for a seal — ingest pacing
+//! ([`LiveCity::wait_seal_floor`]), [`LiveCity::finish`],
+//! [`LiveCity::wait_idle`], [`LiveCity::wait_sealed`] — tests the ring's
+//! horizon under that same lock and sleeps on the condvar the sealer
+//! notifies after each publish, so it returns only once the panes it waited
+//! for can be queried.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -108,14 +111,13 @@ use crate::window::CityWindows;
 use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, RunTotals};
 use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
 use caraoke_city::{
-    CityAggregates, FlowCounter, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig,
-    TagObservation,
+    CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
 };
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the online engine.
@@ -182,8 +184,9 @@ impl Default for LiveConfig {
 /// `Interrupted`, `WouldBlock` and `TimedOut` are **transient** — the kind
 /// of hiccup a loaded disk or interrupted syscall produces — and are
 /// retried up to this many total tries with exponentially growing sleeps
-/// (1 ms doubling, capped at 50 ms) *under the sealed lock*, so
-/// durability-before-visibility holds across retries. Everything else
+/// (1 ms doubling, capped at 50 ms) before the pass publishes, so
+/// durability-before-visibility holds across retries; readers, who lock
+/// only the published ring, never wait them out. Everything else
 /// (permissions, disk full, closed descriptors) is **fatal**: the sink
 /// latches failed immediately, sealing continues without durability, and
 /// [`LiveCity::reattach_log`] can restore it to a fresh directory.
@@ -401,7 +404,8 @@ const COMPACT_EVERY_PANES: u64 = 64;
 /// The sealer's reusable staging buffers, columnar like [`PaneBucket`]:
 /// drained keys and observations, the canonical-order index vector, the
 /// counting-sort bucket table the seal walk dispatches off, the drained
-/// report-level segment rows, and the builder each pane folds into.
+/// report-level segment rows, the builder each pane folds into, and the
+/// pass's finished panes awaiting publication.
 #[derive(Debug, Default)]
 struct SealScratch {
     keys: Vec<SealKey>,
@@ -415,8 +419,11 @@ struct SealScratch {
     /// Scatter cursors for the counting pass.
     cursors: Vec<u32>,
     /// `segs[pane - first_pane]`: the `(segment, stats)` rows every stripe
-    /// recorded for that pane. Emptied pane by pane as the seal publishes.
+    /// recorded for that pane. Emptied pane by pane as the seal folds.
     segs: Vec<Vec<(u16, SegmentStats)>>,
+    /// The pass's finished `(pane, fingerprint, aggregate)`s, held until
+    /// its log commit, then moved into the published ring.
+    sealed: Vec<(u64, u64, CityAggregates)>,
 }
 
 impl SealScratch {
@@ -458,61 +465,37 @@ impl SealScratch {
     }
 }
 
-/// Sealed-window state plus the sealer's private machinery (trackers and
-/// scratch), guarded by one mutex so seals are serialized with queries and
-/// the chain/ring/totals stay mutually consistent.
-struct SealedState {
+/// The sealer's private state: everything a seal pass writes but the
+/// ring. Locked by the sealer for each pass and otherwise only by
+/// [`LiveCity::totals`], [`LiveCity::fingerprint_chain`] and
+/// [`LiveCity::reattach_log`] — never by a query or a wait.
+struct SealerState {
     /// Next pane index to seal.
     next_pane: u64,
-    /// Retained sealed panes for window queries, with the running windows
-    /// queries keep over them.
-    windows: CityWindows,
     /// Running FNV-1a chain over every sealed `(pane, fingerprint)` pair.
     chain: Fingerprint,
     /// Whole-run totals: every sealed pane, retained or not.
     totals: RunTotals,
-    /// Per-shard tag state machines; only the sealer thread touches them.
+    /// Per-shard tag state machines.
     trackers: Vec<TagTracker>,
     /// Reusable staging buffers for drained observations.
     scratch: SealScratch,
 }
 
-/// Tickets of the readers of the sealed state. A reader takes one before
-/// it asks for the lock and hands it back (through [`ReaderTicket`]'s
-/// `Drop`, so a panicking reader cannot keep it) after releasing it; the
-/// sealer, before each pass, lets every reader holding a ticket by then
-/// go first. A reader arriving later waits for the pass, so readers
-/// cannot starve the sealer either. The counters publish nothing but
-/// themselves (the sealed state is ordered by its mutex); `Release` on a
-/// return pairs with the sealer's `Acquire` so it sees the reader gone.
-#[derive(Debug, Default)]
-struct ReaderTickets {
-    taken: AtomicU64,
-    returned: AtomicU64,
+/// The published half of sealed state, and all any reader locks: the
+/// pane ring (with the whole-run flow, observation count and horizon)
+/// plus the decode alias counters [`LiveCity::stats`] reports.
+struct Published {
+    windows: CityWindows,
+    /// Alias counters summed over shards as of the newest published pass.
+    alias: AliasStats,
 }
 
-impl ReaderTickets {
-    fn take(&self) -> ReaderTicket<'_> {
-        self.taken.fetch_add(1, Ordering::AcqRel);
-        ReaderTicket(self)
-    }
-
-    /// Yields until every ticket taken before the call is returned.
-    fn let_ticket_holders_in(&self) {
-        let taken = self.taken.load(Ordering::Acquire);
-        while self.returned.load(Ordering::Acquire) < taken {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// One reader's ticket; see [`ReaderTickets`].
-struct ReaderTicket<'a>(&'a ReaderTickets);
-
-impl Drop for ReaderTicket<'_> {
-    fn drop(&mut self) {
-        self.0.returned.fetch_add(1, Ordering::AcqRel);
-    }
+/// Mid-stream decode alias counters, summed over shards.
+fn alias_stats(trackers: &[TagTracker]) -> AliasStats {
+    let mut sum = AliasStats::default();
+    trackers.iter().for_each(|t| sum.merge(&t.alias_stats()));
+    sum
 }
 
 /// The durable pane log behind [`LiveCity::with_log`] /
@@ -559,20 +542,17 @@ struct LiveCore {
     clock: WatermarkClock,
     /// The ingest buffers, indexed by `pole % POLE_STRIPES`.
     stripes: Box<[Stripe]>,
-    sealed: Mutex<SealedState>,
-    /// Readers outside the sealer take a ticket before `sealed`.
-    readers: ReaderTickets,
-    /// The seal-progress lock: a leaf, never held with another lock.
-    /// Waiters test `seal_floor_us` under it; the sealer takes it after
-    /// every pass, before notifying `pane_sealed`.
-    seal_progress: Mutex<()>,
-    /// Notified after every seal pass (pairs with `seal_progress`): wakes
-    /// `finish`, `wait_idle`, pacing ingest and blocking subscriptions.
+    sealer: Mutex<SealerState>,
+    ring: Mutex<Published>,
+    /// Notified after every publish (pairs with `ring`): wakes `finish`,
+    /// `wait_idle`, pacing ingest and blocking subscriptions.
     pane_sealed: Condvar,
     signal: Mutex<SealerSignal>,
     /// Wakes the sealer thread (pairs with `signal`).
     seal_wake: Condvar,
-    /// Cache of `next_pane * pane_us`, readable without the sealed lock.
+    /// The ingest admission floor: `next_pane * pane_us`, stored by the
+    /// sealer after every pane it folds — ahead of the ring's horizon
+    /// while a pass is unpublished, so no wait reads it.
     seal_floor_us: AtomicU64,
     reports: AtomicU64,
     shed_reports: AtomicU64,
@@ -670,8 +650,8 @@ impl LiveCity {
 
     /// Installs a fresh pane log on a running engine — the recovery path
     /// for a fatal log failure ([`LiveStats::log_errors_fatal`]), and the
-    /// way to add durability to an engine built without a log. Holding the
-    /// sealed lock, the engine's complete current state (totals, chain,
+    /// way to add durability to an engine built without a log. Between
+    /// seal passes, the engine's complete current state (totals, chain,
     /// trackers, dead poles, forced-seal counters) is written into `writer`
     /// as a snapshot record and fsynced; every pane sealed afterwards
     /// appends to the new log. The resulting log recovers and replays like
@@ -683,19 +663,17 @@ impl LiveCity {
     /// snapshot cannot be made durable in the new writer.
     pub fn reattach_log(&self, mut writer: SegmentWriter) -> io::Result<()> {
         let core = &*self.core;
-        core.read_sealed(|state| {
-            // Engines built without a log never traced tracker deltas; turn
-            // tracing on so post-snapshot panes carry them. Safe mid-run:
-            // delta sets are drained every sealed pane, and we hold the
-            // sealed lock.
-            for tracker in &mut state.trackers {
-                tracker.set_trace(true);
-            }
-            writer.append_snapshot(&core.snapshot_record(state, state.next_pane))?;
-            let sink = LogSink::new(writer, state.next_pane);
-            *core.log.lock().expect("log sink") = Some(sink);
-            Ok(())
-        })
+        let mut state = core.sealer_state();
+        // Engines built without a log never traced tracker deltas; turn
+        // tracing on so post-snapshot panes carry them. Safe mid-run: delta
+        // sets are drained every sealed pane, and no pass runs meanwhile.
+        for tracker in &mut state.trackers {
+            tracker.set_trace(true);
+        }
+        let next_pane = state.next_pane;
+        writer.append_snapshot(&core.snapshot_record(&mut state, next_pane))?;
+        *core.log.lock().expect("log sink") = Some(LogSink::new(writer, next_pane));
+        Ok(())
     }
 
     /// Shared constructor: fresh or recovered state, with or without a
@@ -713,27 +691,27 @@ impl LiveCity {
             "light cycles must have nonzero length"
         );
         let shards = config.store.shards.max(1);
-        let (sealed, clock, forced_panes, forced_pole_misses) = match resume {
+        let mut windows = CityWindows::new(config.retain_panes);
+        let (sealer, clock, forced_panes, forced_pole_misses) = match resume {
             Some(state) => {
-                let mut windows = CityWindows::new(config.retain_panes);
                 for (pane, agg) in state.ring {
                     windows.push(pane, agg.fingerprint(), agg);
                 }
+                windows.adopt(state.next_pane, &state.total);
                 let clock = WatermarkClock::resume(
                     directory.len(),
                     config.pane_us,
                     state.next_pane,
                     &state.dead_poles,
                 );
-                let sealed = SealedState {
+                let sealer = SealerState {
                     next_pane: state.next_pane,
-                    windows,
                     chain: Fingerprint::resume(state.chain_state),
                     totals: RunTotals::from(state.total),
                     trackers: state.trackers,
                     scratch: SealScratch::default(),
                 };
-                (sealed, clock, state.forced_panes, state.forced_pole_misses)
+                (sealer, clock, state.forced_panes, state.forced_pole_misses)
             }
             None => {
                 let mut trackers: Vec<TagTracker> =
@@ -744,26 +722,27 @@ impl LiveCity {
                         tracker.set_trace(true);
                     }
                 }
-                let sealed = SealedState {
+                let sealer = SealerState {
                     next_pane: 0,
-                    windows: CityWindows::new(config.retain_panes),
                     chain: Fingerprint::new(),
                     totals: RunTotals::default(),
                     trackers,
                     scratch: SealScratch::default(),
                 };
                 let clock = WatermarkClock::new(directory.len(), config.pane_us);
-                (sealed, clock, 0, 0)
+                (sealer, clock, 0, 0)
             }
         };
-        let seal_floor_us = sealed.next_pane * config.pane_us;
+        let seal_floor_us = sealer.next_pane * config.pane_us;
         let core = Arc::new(LiveCore {
             clock,
             n_shards: shards,
             stripes: (0..POLE_STRIPES).map(|_| Stripe::default()).collect(),
-            sealed: Mutex::new(sealed),
-            readers: ReaderTickets::default(),
-            seal_progress: Mutex::new(()),
+            ring: Mutex::new(Published {
+                windows,
+                alias: alias_stats(&sealer.trackers),
+            }),
+            sealer: Mutex::new(sealer),
             pane_sealed: Condvar::new(),
             signal: Mutex::new(SealerSignal {
                 target: 0,
@@ -886,7 +865,8 @@ impl LiveCity {
     }
 
     /// Blocks until the seal floor reaches at least `floor_us` — i.e. every
-    /// pane ending at or below it is sealed. The ingest-side backpressure
+    /// pane ending at or below it is sealed and published, so queryable.
+    /// The ingest-side backpressure
     /// primitive: a producer that knows it is `k` panes ahead waits here,
     /// bounding buffered memory instead of tripping the
     /// [`LiveConfig::max_pending_per_stripe`] overflow shed. Callers must
@@ -896,13 +876,7 @@ impl LiveCity {
     /// force-seal supplies it.
     pub fn wait_seal_floor(&self, floor_us: u64) {
         let core = &*self.core;
-        if core.seal_floor_us.load(Ordering::Acquire) >= floor_us {
-            return;
-        }
-        let mut progress = core.seal_progress.lock().expect("seal progress");
-        while core.seal_floor_us.load(Ordering::Acquire) < floor_us {
-            progress = core.pane_sealed.wait(progress).expect("seal progress");
-        }
+        core.wait_published(floor_us.div_ceil(core.config.pane_us), None);
     }
 
     /// Current event-time low watermark, µs.
@@ -910,16 +884,16 @@ impl LiveCity {
         self.core.clock.watermark_us()
     }
 
-    /// Number of panes sealed so far.
+    /// Number of panes sealed so far: the published ring's horizon.
     pub fn sealed_panes(&self) -> u64 {
-        self.core.read_sealed(|state| state.next_pane)
+        self.with_windows(|windows| windows.next_pane())
     }
 
     /// The running fingerprint chain over every sealed `(pane, fingerprint)`
     /// pair — the live determinism witness: equal chains mean byte-identical
     /// window sequences.
     pub fn fingerprint_chain(&self) -> u64 {
-        self.core.read_sealed(|state| state.chain.finish())
+        self.core.sealer_state().chain.finish()
     }
 
     /// Whole-run totals: the merge of every sealed pane. After [`finish`],
@@ -928,7 +902,7 @@ impl LiveCity {
     ///
     /// [`finish`]: LiveCity::finish
     pub fn totals(&self) -> CityAggregates {
-        self.core.read_sealed(|state| state.totals.totals())
+        self.core.sealer_state().totals.totals()
     }
 
     /// Telemetry snapshot.
@@ -942,13 +916,11 @@ impl LiveCity {
             .iter()
             .map(|stripe| stripe.0.lock().expect("ingest stripe").len)
             .sum();
-        let (observations, sealed_panes, alias) = core.read_sealed(|sealed| {
-            let mut alias = AliasStats::default();
-            for tracker in &sealed.trackers {
-                alias.merge(&tracker.alias_stats());
-            }
-            (sealed.totals.observations(), sealed.next_pane, alias)
-        });
+        let (observations, sealed_panes, alias) = {
+            let ring = core.ring();
+            let windows = &ring.windows;
+            (windows.observations, windows.next_pane(), ring.alias)
+        };
         LiveStats {
             reports: core.reports.load(Ordering::Relaxed),
             observations,
@@ -971,38 +943,21 @@ impl LiveCity {
         }
     }
 
-    /// The query layer's view of sealed-window state: the pane ring with
-    /// its running windows (the one part a query may write), the whole-run
-    /// flow counter and the pane horizon.
-    pub(crate) fn with_sealed<R>(
-        &self,
-        f: impl FnOnce(&mut CityWindows, &FlowCounter, u64) -> R,
-    ) -> R {
-        self.core
-            .read_sealed(|sealed| f(&mut sealed.windows, sealed.totals.flow(), sealed.next_pane))
+    /// The read side's view of sealed state: the published ring, under
+    /// its lock — the only lock a query takes. The running windows are the
+    /// one part a query may write.
+    pub(crate) fn with_windows<R>(&self, f: impl FnOnce(&mut CityWindows) -> R) -> R {
+        f(&mut self.core.ring().windows)
     }
 
-    /// Blocks (up to `timeout`) until the pane horizon — the number of
-    /// panes sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
+    /// Blocks (up to `timeout`; a timeout too large to add to the clock
+    /// waits without one) until the pane horizon — the number of panes
+    /// sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
     /// `past`, and returns it; a return `<= past` is a timeout. Wakes on
-    /// every seal pass and never takes the sealed-state lock.
+    /// every published seal pass.
     pub fn wait_sealed(&self, past: u64, timeout: Duration) -> u64 {
-        let core = &*self.core;
-        let horizon = || core.seal_floor_us.load(Ordering::Acquire) / core.config.pane_us;
-        let deadline = Instant::now() + timeout;
-        let mut progress = core.seal_progress.lock().expect("seal progress");
-        while horizon() <= past {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = core
-                .pane_sealed
-                .wait_timeout(progress, deadline - now)
-                .expect("seal progress");
-            progress = guard;
-        }
-        horizon()
+        let deadline = Instant::now().checked_add(timeout);
+        self.core.wait_published(past + 1, deadline)
     }
 }
 
@@ -1020,14 +975,34 @@ impl Drop for LiveCity {
 }
 
 impl LiveCore {
-    /// Every access to the sealed state from outside the sealer: `f` runs
-    /// under the lock, with a reader ticket held around it (see
-    /// [`ReaderTickets`]).
-    fn read_sealed<R>(&self, f: impl FnOnce(&mut SealedState) -> R) -> R {
-        let _ticket = self.readers.take();
-        // Declared after the ticket, so released before it.
-        let mut state = self.sealed.lock().expect("sealed state");
-        f(&mut state)
+    fn sealer_state(&self) -> MutexGuard<'_, SealerState> {
+        self.sealer.lock().expect("sealer state")
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Published> {
+        self.ring.lock().expect("pane ring")
+    }
+
+    /// Blocks until the published ring's horizon reaches `panes` or
+    /// `deadline` passes (`None`: no deadline), and returns the horizon.
+    /// Tested under the ring's lock, which the sealer holds to publish, so
+    /// no publish can slip between the test and the sleep.
+    fn wait_published(&self, panes: u64, deadline: Option<Instant>) -> u64 {
+        let behind = |ring: &mut Published| ring.windows.next_pane() < panes;
+        let ring = match deadline {
+            None => self
+                .pane_sealed
+                .wait_while(self.ring(), behind)
+                .expect("pane ring"),
+            Some(deadline) => {
+                let timeout = deadline.saturating_duration_since(Instant::now());
+                let waited = self
+                    .pane_sealed
+                    .wait_timeout_while(self.ring(), timeout, behind);
+                waited.expect("pane ring").0
+            }
+        };
+        ring.windows.next_pane()
     }
 
     fn ingest(&self, report: &PoleReport) -> IngestOutcome {
@@ -1207,38 +1182,31 @@ impl LiveCore {
 
     /// Seals every pane below `target` (exclusive), in pane order, as one
     /// or more passes of [`seal_pass`](Self::seal_pass) — each bounded to
-    /// the panes one bucket table holds, each notifying waiters when it
-    /// lands. Runs on the sealer thread only. `forced` marks staleness-path
-    /// seals: each pane is counted as forced with its per-pane pole-miss
-    /// count — telemetry the pane log persists so replay is faithful.
+    /// the panes one bucket table holds, each notifying waiters once it is
+    /// published. Runs on the sealer thread only. `forced` marks
+    /// staleness-path seals: each pane is counted as forced with its
+    /// per-pane pole-miss count — telemetry the pane log persists so replay
+    /// is faithful.
     /// (Racy against a pole reviving this instant — its data still seals
     /// correctly; only the miss count can over-report.)
     fn seal_up_to(&self, target: u64, forced: bool) {
         let max_span = (MAX_SEAL_BUCKETS / self.n_shards).max(1) as u64;
         loop {
-            // Readers already waiting for the lock get it first; otherwise
-            // the sealer, retaking it right after each pass, would win it
-            // every time.
-            self.readers.let_ticket_holders_in();
-            let mut sealed = self.sealed.lock().expect("sealed state");
-            if sealed.next_pane >= target {
+            let mut state = self.sealer_state();
+            if state.next_pane >= target {
                 return;
             }
-            let end = target.min(sealed.next_pane + max_span);
-            self.seal_pass(&mut sealed, end, forced);
-            drop(sealed);
-            // Waiters test the floor under `seal_progress`: taking it
-            // between the floor's store and the notify means none can
-            // miss this pass.
-            drop(self.seal_progress.lock().expect("seal progress"));
+            let end = target.min(state.next_pane + max_span);
+            self.seal_pass(&mut state, end, forced);
+            drop(state);
             self.pane_sealed.notify_all();
         }
     }
 
-    /// One seal pass — drain, bucket pass, then fold and publish pane by
-    /// pane — over the panes `state.next_pane..end`, under the sealed lock
-    /// the caller holds (lock order: see the module docs).
-    fn seal_pass(&self, state: &mut SealedState, end: u64, forced: bool) {
+    /// One seal pass — drain, bucket pass, fold pane by pane, log commit,
+    /// publish — over the panes `state.next_pane..end`, under the sealer
+    /// state lock the caller holds (lock order: see the module docs).
+    fn seal_pass(&self, state: &mut SealerState, end: u64, forced: bool) {
         let pane_us = self.config.pane_us;
         let first_pane = state.next_pane;
         let span = (end - first_pane) as usize;
@@ -1315,9 +1283,9 @@ impl LiveCore {
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
             state.totals.add_pane(&agg);
-            // Durability before visibility: the pane record and any due
-            // snapshot are appended (retried or given up on as
-            // [`LOG_WRITE_ATTEMPTS`] says) before the pane is published.
+            // The pane record and any due snapshot are appended (retried or
+            // given up on as [`LOG_WRITE_ATTEMPTS`] says) before the pass
+            // commits, hence before the pane is published.
             if let Some(sink) = log.as_mut() {
                 let chain_now = state.chain.finish();
                 let deltas: Vec<_> = state.trackers.iter_mut().map(|t| t.take_delta()).collect();
@@ -1344,17 +1312,23 @@ impl LiveCore {
                     }
                 }
             }
-            state.windows.push(pane, fingerprint, agg);
+            scratch.sealed.push((pane, fingerprint, agg));
             state.next_pane = pane + 1;
             self.seal_floor_us
                 .store((pane + 1) * pane_us, Ordering::Release);
         }
-        // One fsync-policy commit per pass, still under the sealed lock:
-        // every pane above is durable (per policy) before any query can
-        // observe it.
+        // One fsync-policy commit per pass: every pane above is durable (per
+        // policy) before any reader can observe it.
         if let Some(sink) = log.as_mut() {
             self.log_write(sink, "seal commit", |w| w.commit_seal());
         }
+        drop(log);
+        let mut ring = self.ring();
+        for (pane, fingerprint, agg) in scratch.sealed.drain(..) {
+            ring.windows.push(pane, fingerprint, agg);
+        }
+        ring.alias = alias_stats(&state.trackers);
+        drop(ring);
         scratch.keys.clear();
         scratch.obs.clear();
         state.scratch = scratch;
@@ -1389,9 +1363,9 @@ impl LiveCore {
     }
 
     /// The engine's complete state as of `next_pane` (the caller holds the
-    /// sealed lock and has already merged every pane below it into
+    /// sealer state lock and has already merged every pane below it into
     /// `state`): what a log needs to resume without the panes before it.
-    fn snapshot_record(&self, state: &mut SealedState, next_pane: u64) -> SnapshotRecord {
+    fn snapshot_record(&self, state: &mut SealerState, next_pane: u64) -> SnapshotRecord {
         SnapshotRecord {
             next_pane,
             chain: state.chain.finish(),
@@ -1611,8 +1585,8 @@ mod tests {
             live.ingest(&report(1, 0, t, vec![obs(8, 1, 0, t)]));
         }
         live.finish();
-        live.with_sealed(|windows, flow, next_pane| {
-            assert_eq!(next_pane, 5);
+        live.with_windows(|windows| {
+            assert_eq!(windows.next_pane(), 5);
             assert_eq!(windows.panes().len(), 5);
             // Every pane holds two reports and two observations for segment 0.
             for pane in windows.panes() {
@@ -1620,7 +1594,7 @@ mod tests {
                 assert_eq!(pane.agg.observations, 2);
             }
             // Each tag flows once per cycle: 2 tags x 5 cycles.
-            assert_eq!(flow.total(), 10);
+            assert_eq!(windows.flow.total(), 10);
         });
     }
 
@@ -1708,8 +1682,9 @@ mod tests {
         commits.lock().expect("commit list").clear();
 
         // The laggard catches up: one request for panes 2..20 000. The gate
-        // parks the sealer inside its second pass (sealed and log locks
-        // held), and the first pass's floor is already waitable.
+        // parks the sealer inside its second pass (sealer-state and log
+        // locks held, the pass's panes folded but not committed), and the
+        // first pass's floor is already waitable.
         live.ingest(&laggard[3]);
         reached
             .recv_timeout(Duration::from_secs(60))
@@ -1718,12 +1693,32 @@ mod tests {
         std::thread::scope(|scope| {
             let live = &live;
             scope.spawn(move || {
+                use crate::{LiveAnswer, LiveQuery, LiveSubscription, PaneSummary};
                 live.wait_seal_floor((2 + max_span) * 1_000_000);
-                let _ = done_tx.send(());
+                // Every reader answers without waiting out the parked pass,
+                // and from the first pass's panes only.
+                let newest = |panes: &[PaneSummary]| panes.last().map_or(0, |p| p.pane + 1);
+                let watermark = match live.query(&LiveQuery::Watermark) {
+                    LiveAnswer::Watermark { sealed_panes, .. } => sealed_panes,
+                    _ => 0,
+                };
+                let snapshot = live.snapshot(4);
+                let _ = done_tx.send([
+                    live.sealed_panes(),
+                    watermark,
+                    newest(&LiveSubscription::new().poll(live).0),
+                    live.stats().sealed_panes,
+                    snapshot.stats.sealed_panes,
+                    newest(&snapshot.recent),
+                ]);
             });
-            let returned = done.recv_timeout(Duration::from_secs(20)).is_ok();
+            let horizons = done.recv_timeout(Duration::from_secs(20));
             resume.send(()).expect("sealer parked at the gate");
-            assert!(returned, "wait_seal_floor returns mid-span");
+            assert_eq!(
+                horizons,
+                Ok([2 + max_span; 6]),
+                "wait_seal_floor and every reader return mid-span, at the committed pass"
+            );
         });
         live.wait_idle();
         assert_eq!(live.watermark_us(), far_pane * 1_000_000);
@@ -1817,7 +1812,7 @@ mod tests {
                 }
             }
             live.finish();
-            live.with_sealed(|windows, _, _| {
+            live.with_windows(|windows| {
                 let panes = windows.panes().iter();
                 panes.map(|p| p.agg.segments.clone()).collect::<Vec<_>>()
             })
@@ -2156,16 +2151,16 @@ mod tests {
     }
 
     #[test]
-    fn waiting_for_seal_progress_never_needs_the_sealed_state_lock() {
+    fn waiting_for_sealed_panes_never_needs_the_sealer_state_lock() {
         let live = LiveCity::new(directory(1), tiny_config());
         for epoch in 0..3u64 {
             let t = epoch * 1_000_000;
             live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
         }
         live.wait_idle();
-        // Another reader holds the lock: waits on horizons already reached
-        // return anyway.
-        let held = live.core.sealed.lock().expect("sealed state");
+        // The sealer state is held, as by a pass: waits on horizons the
+        // ring has already reached return anyway.
+        let held = live.core.sealer_state();
         let (done_tx, done) = mpsc::channel();
         std::thread::scope(|scope| {
             let live = &live;

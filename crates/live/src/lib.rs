@@ -26,14 +26,16 @@
 //!   [`CityAggregates`] generalized into panes, tumbling/sliding
 //!   [`WindowSpec`]s resolved to pane runs, and [`CityWindows`]: the ring
 //!   of retained sealed panes plus the running OD windows queries keep
-//!   over it.
+//!   over it and the whole-run flow and horizon — the one state every
+//!   answer is read from ([`CityWindows::answer`]).
 //! * [`engine`] — [`LiveCity`]: per-pole-stripe out-of-order buffering, a
 //!   dedicated sealer thread doing deterministic pane sealing behind the
 //!   watermark, shed counting for late arrivals, and a fingerprint chain
 //!   over the sealed window sequence. With [`LiveCity::with_log`] every
 //!   sealed pane is appended to a durable `caraoke-log` segment log
-//!   *before* it becomes queryable, and [`LiveCity::recover`] rebuilds a
-//!   crashed engine at its first unsealed pane;
+//!   *before* the sealer publishes it to the ring readers lock, and
+//!   [`LiveCity::recover`] rebuilds a crashed engine at its first unsealed
+//!   pane;
 //!   [`LiveCity::declare_pole_dead`] removes a stalled pole from the
 //!   watermark quorum so event-time sealing resumes.
 //! * [`query`] — [`LiveCity::query`] point-in-time answers (windowed
@@ -77,9 +79,10 @@
 //!    `(pane, shard, timestamp, pole, tag, seq)` order with one bucket
 //!    pass, walk it through the per-shard [`TagTracker`] state machines
 //!    (now plain owned state — sealing was always serialized, so the old
-//!    per-shard mutexes bought nothing), fingerprint and publish each pane
-//!    (see [`engine`] for the pipeline), then notify blocked
-//!    subscribers ([`LiveSubscription::wait_next`], [`LiveCity::finish`],
+//!    per-shard mutexes bought nothing), fingerprint and log each pane,
+//!    commit the pass, then publish its panes to the ring readers lock
+//!    (see [`engine`] for the pipeline) and notify blocked subscribers
+//!    ([`LiveSubscription::wait_next`], [`LiveCity::finish`],
 //!    [`LiveCity::wait_idle`]).
 //!
 //! Measured on the same container before/after the rework (1 000 poles,
@@ -110,8 +113,6 @@ pub mod window;
 
 pub use driver::{Interleaving, LiveDriver, LiveRun};
 pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, LOG_WRITE_ATTEMPTS};
-pub use query::{
-    answer_windowed, LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary,
-};
+pub use query::{LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary};
 pub use watermark::WatermarkClock;
 pub use window::{CityWindows, WindowSpec};

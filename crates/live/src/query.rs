@@ -6,11 +6,18 @@
 //! at the same watermark get the same answer regardless of what is still
 //! buffered above it.
 //!
+//! Every read here — [`LiveCity::query`], [`LiveCity::query_sealed`],
+//! [`LiveCity::snapshot`], [`LiveSubscription::poll`] — locks only the
+//! engine's published ring, a [`CityWindows`] the sealer appends each pass's
+//! panes to once the pass's log commit has returned. None of them touches
+//! the sealer's own state, so a query never waits behind a fold, a log
+//! retry or an fsync, and never sees a pane ahead of its log commit.
+//!
 //! # What a window query reads
 //!
 //! A window is *defined* as the merge of the trailing `k` sealed panes
 //! (`k` = [`WindowSpec::panes`], capped at what the ring retains);
-//! [`answer_windowed`] never builds that merge. `Occupancy` folds one
+//! [`CityWindows::answer`] never builds that merge. `Occupancy` folds one
 //! segment's [`SegmentStats`] over those panes, `SpeedPercentile` the speed
 //! histograms, `PositionAccuracy` the position counters — a few hundred
 //! integer additions each. `TopOd` is the exception: a window's OD matrix
@@ -38,7 +45,7 @@
 
 use crate::engine::{LiveCity, LiveStats};
 use crate::window::{CityWindows, Pane, WindowSpec};
-use caraoke_city::{FlowCounter, PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
+use caraoke_city::{PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
 use std::time::Duration;
 
 /// A point-in-time question against the live engine.
@@ -150,14 +157,13 @@ impl LiveCity {
     /// aggregate what is retained; [`LiveCity::snapshot`] exposes the
     /// retention so callers can size windows to fit.
     pub fn query(&self, query: &LiveQuery) -> LiveAnswer {
-        self.with_sealed(|windows, flow, next_pane| {
-            self.answer_sealed(query, windows, flow, next_pane)
-        })
+        let (_, mut answers) = self.query_sealed(std::slice::from_ref(query));
+        answers.pop().expect("one query, one answer")
     }
 
     /// Answers a whole batch of queries under **one** acquisition of the
-    /// sealed state, returning the pane horizon (`next_pane`, the first
-    /// still-unsealed pane) every answer was computed at.
+    /// published pane ring, returning the pane horizon (`next_pane`, the
+    /// first still-unsealed pane) every answer was computed at.
     ///
     /// This is the serving tier's per-seal hook: a fan-out layer registers
     /// each distinct query once, calls `query_sealed` when a seal lands, and
@@ -165,123 +171,107 @@ impl LiveCity {
     /// sees the identical (byte-identical, the answers come from the same
     /// code path as [`query`](Self::query)) result for the same pane.
     pub fn query_sealed(&self, queries: &[LiveQuery]) -> (u64, Vec<LiveAnswer>) {
-        self.with_sealed(|windows, flow, next_pane| {
+        let (pane_us, cycle_us) = (self.config().pane_us, self.config().store.light_cycle_us);
+        self.with_windows(|windows| {
+            // Read under the lock: the watermark only grows, so it is at
+            // least where it stood when the ring's newest pane sealed.
+            let watermark_us = self.watermark_us();
             let answers = queries
                 .iter()
-                .map(|q| self.answer_sealed(q, windows, flow, next_pane))
+                .map(|q| windows.answer(q, watermark_us, pane_us, cycle_us))
                 .collect();
-            (next_pane, answers)
+            (windows.next_pane(), answers)
         })
-    }
-
-    /// Answers one query from an already-acquired view of sealed state.
-    /// `next_pane` stands in for the sealed-pane count — re-locking through
-    /// [`sealed_panes`](Self::sealed_panes) here would self-deadlock.
-    fn answer_sealed(
-        &self,
-        query: &LiveQuery,
-        windows: &mut CityWindows,
-        flow: &FlowCounter,
-        next_pane: u64,
-    ) -> LiveAnswer {
-        answer_windowed(
-            query,
-            windows,
-            flow,
-            next_pane,
-            self.watermark_us(),
-            self.config().pane_us,
-            self.config().store.light_cycle_us,
-        )
     }
 }
 
-/// Answers one [`LiveQuery`] from an explicit view of windowed state:
-/// the pane ring with its running windows, the whole-run flow counter (the
-/// one part of the running totals an answer reads), the pane horizon
-/// (`next_pane`, first unsealed pane) and the event-time watermark. What
-/// each query kind reads, and why `windows` is `&mut`, is in the module
-/// docs.
-///
-/// This is the *single* evaluation code path: [`LiveCity::query`] and
-/// [`LiveCity::query_sealed`] both route through it, and so does any layer
-/// that reconstructs ring state from the durable pane log (the serving
-/// tier's lagging-cursor catch-up). One code path is what makes a served
-/// answer byte-identical to the in-process answer for the same pane.
-pub fn answer_windowed(
-    query: &LiveQuery,
-    windows: &mut CityWindows,
-    flow: &FlowCounter,
-    next_pane: u64,
-    watermark_us: u64,
-    pane_us: u64,
-    cycle_us: u64,
-) -> LiveAnswer {
-    match *query {
-        LiveQuery::Occupancy { segment, window } => {
-            let mut stats = SegmentStats::default();
-            for pane in windows.last(window.panes(pane_us)) {
-                if let Some(s) = pane.segments.get(&segment.0) {
-                    stats.merge(s);
+impl CityWindows {
+    /// Answers one [`LiveQuery`] as of this state's pane horizon and the
+    /// event-time watermark `watermark_us`; `pane_us` and `cycle_us` are the
+    /// pane width and light-cycle length the panes were sealed under. What
+    /// each query kind reads, and why `self` is `&mut`, is in the module
+    /// docs.
+    ///
+    /// This is the *single* evaluation code path: [`LiveCity::query`] and
+    /// [`LiveCity::query_sealed`] answer from the engine's published ring
+    /// through it, and so does any layer that rebuilds such a ring from the
+    /// durable pane log (the serving tier's lagging-cursor catch-up). One
+    /// code path is what makes a served answer byte-identical to the
+    /// in-process answer for the same pane.
+    pub fn answer(
+        &mut self,
+        query: &LiveQuery,
+        watermark_us: u64,
+        pane_us: u64,
+        cycle_us: u64,
+    ) -> LiveAnswer {
+        match *query {
+            LiveQuery::Occupancy { segment, window } => {
+                let mut stats = SegmentStats::default();
+                for pane in self.last(window.panes(pane_us)) {
+                    if let Some(s) = pane.segments.get(&segment.0) {
+                        stats.merge(s);
+                    }
+                }
+                LiveAnswer::Occupancy {
+                    mean: stats.mean_occupancy(),
+                    peak: stats.peak_count,
+                    reports: stats.reports,
                 }
             }
-            LiveAnswer::Occupancy {
-                mean: stats.mean_occupancy(),
-                peak: stats.peak_count,
-                reports: stats.reports,
+            LiveQuery::Flow {
+                segment,
+                last_cycles,
+            } => {
+                // Cycles are event-time buckets; "last k" counts back from
+                // the cycle the watermark is in.
+                let now_cycle = (watermark_us / cycle_us) as u32;
+                let first = now_cycle.saturating_sub(last_cycles.saturating_sub(1));
+                let sum: u64 = self
+                    .flow
+                    .per_cycle
+                    .range((segment.0, first)..=(segment.0, now_cycle))
+                    .map(|(_, &v)| v)
+                    .sum();
+                let span = (now_cycle - first + 1) as f64;
+                LiveAnswer::Flow {
+                    total: sum,
+                    mean_per_cycle: sum as f64 / span,
+                }
             }
+            LiveQuery::SpeedPercentile { p, window } => {
+                let mut speeds = SpeedHistogram::new();
+                for pane in self.last(window.panes(pane_us)) {
+                    speeds.merge(&pane.speeds);
+                }
+                LiveAnswer::Speed {
+                    mph: speeds.percentile_mph(p),
+                    samples: speeds.samples(),
+                }
+            }
+            LiveQuery::TopOd { n, window } => LiveAnswer::TopOd {
+                pairs: self.top_od(window.panes(pane_us), n),
+            },
+            LiveQuery::PositionAccuracy { window } => {
+                let mut p = PositionCounters::default();
+                for pane in self.last(window.panes(pane_us)) {
+                    p.merge(&pane.positions);
+                }
+                LiveAnswer::PositionAccuracy {
+                    two_reader_fixes: p.two_reader_fixes,
+                    aoa_only_fixes: p.aoa_only_fixes,
+                    pole_fallbacks: p.pole_fallbacks,
+                    localized_fraction: p.localized_fraction(),
+                    mean_sigma_m: p.mean_sigma_m(),
+                    track_speed_samples: p.track_speed_samples,
+                    arrival_speed_samples: p.arrival_speed_samples,
+                }
+            }
+            LiveQuery::Watermark => LiveAnswer::Watermark {
+                watermark_us,
+                sealed_panes: self.next_pane(),
+            },
         }
-        LiveQuery::Flow {
-            segment,
-            last_cycles,
-        } => {
-            // Cycles are event-time buckets; "last k" counts back from
-            // the cycle the watermark is in.
-            let now_cycle = (watermark_us / cycle_us) as u32;
-            let first = now_cycle.saturating_sub(last_cycles.saturating_sub(1));
-            let sum: u64 = flow
-                .per_cycle
-                .range((segment.0, first)..=(segment.0, now_cycle))
-                .map(|(_, &v)| v)
-                .sum();
-            let span = (now_cycle - first + 1) as f64;
-            LiveAnswer::Flow {
-                total: sum,
-                mean_per_cycle: sum as f64 / span,
-            }
-        }
-        LiveQuery::SpeedPercentile { p, window } => {
-            let mut speeds = SpeedHistogram::new();
-            for pane in windows.last(window.panes(pane_us)) {
-                speeds.merge(&pane.speeds);
-            }
-            LiveAnswer::Speed {
-                mph: speeds.percentile_mph(p),
-                samples: speeds.samples(),
-            }
-        }
-        LiveQuery::TopOd { n, window } => LiveAnswer::TopOd {
-            pairs: windows.top_od(window.panes(pane_us), n),
-        },
-        LiveQuery::PositionAccuracy { window } => {
-            let mut p = PositionCounters::default();
-            for pane in windows.last(window.panes(pane_us)) {
-                p.merge(&pane.positions);
-            }
-            LiveAnswer::PositionAccuracy {
-                two_reader_fixes: p.two_reader_fixes,
-                aoa_only_fixes: p.aoa_only_fixes,
-                pole_fallbacks: p.pole_fallbacks,
-                localized_fraction: p.localized_fraction(),
-                mean_sigma_m: p.mean_sigma_m(),
-                track_speed_samples: p.track_speed_samples,
-                arrival_speed_samples: p.arrival_speed_samples,
-            }
-        }
-        LiveQuery::Watermark => LiveAnswer::Watermark {
-            watermark_us,
-            sealed_panes: next_pane,
-        },
     }
 }
 
@@ -290,7 +280,7 @@ impl LiveCity {
     /// recent `last` sealed panes. The dashboard's poll target.
     pub fn snapshot(&self, last: usize) -> LiveSnapshot {
         let stats = self.stats();
-        let recent = self.with_sealed(|windows, _, _| {
+        let recent = self.with_windows(|windows| {
             let panes = windows.panes();
             panes
                 .range(panes.len().saturating_sub(last)..)
@@ -386,14 +376,15 @@ impl LiveSubscription {
     pub fn poll(&mut self, live: &LiveCity) -> (Vec<PaneSummary>, u64) {
         let cursor = self.cursor;
         let pane_us = live.config().pane_us;
-        let (summaries, next, oldest_retained) = live.with_sealed(|windows, _, next_pane| {
+        let (summaries, next, oldest_retained) = live.with_windows(|windows| {
             let panes = windows.panes();
             let summaries: Vec<PaneSummary> = panes
                 .iter()
                 .filter(|pane| pane.index >= cursor)
                 .map(|pane| PaneSummary::new(pane, pane_us))
                 .collect();
-            (summaries, next_pane, panes.front().map(|pane| pane.index))
+            let oldest = panes.front().map(|pane| pane.index);
+            (summaries, windows.next_pane(), oldest)
         });
         self.cursor = next;
         (summaries, Self::missed(oldest_retained, next, cursor))
@@ -430,7 +421,8 @@ mod tests {
     use crate::window::MAX_OD_WINDOWS;
     use caraoke_city::position::PositionMethod;
     use caraoke_city::{
-        CityAggregates, PoleDirectory, PoleId, PoleReport, PoleSite, TagKey, TagObservation,
+        CityAggregates, FlowCounter, PoleDirectory, PoleId, PoleReport, PoleSite, TagKey,
+        TagObservation,
     };
     use caraoke_geom::Vec3;
     use proptest::prelude::*;
@@ -502,7 +494,7 @@ mod tests {
 
     /// The definition the evaluator is held to: merge the trailing `k`
     /// panes whole and read the answer off the merge, sorting every OD pair
-    /// — what `answer_windowed` did before it projected and kept windows
+    /// — what the evaluator did before it projected and kept windows
     /// running.
     fn answer_by_definition(
         query: &LiveQuery,
@@ -648,9 +640,7 @@ mod tests {
                     _ => LiveQuery::Flow { segment, last_cycles: 1 + (x % 5) as u32 },
                 };
                 let watermark_us = next_pane * pane_us;
-                let warm = answer_windowed(
-                    &query, &mut windows, &flow, next_pane, watermark_us, pane_us, cycle_us,
-                );
+                let warm = windows.answer(&query, watermark_us, pane_us, cycle_us);
                 let cold = answer_by_definition(
                     &query, &windows, &flow, next_pane, watermark_us, pane_us, cycle_us,
                 );
@@ -671,12 +661,12 @@ mod tests {
                 window: WindowSpec::tumbling(w * 400_000),
             };
             let warm = live.query(&query);
-            live.with_sealed(|windows, flow, next_pane| {
+            live.with_windows(|windows| {
                 let cold = answer_by_definition(
                     &query,
                     windows,
-                    flow,
-                    next_pane,
+                    &windows.flow,
+                    windows.next_pane(),
                     live.watermark_us(),
                     live.config().pane_us,
                     live.config().store.light_cycle_us,
@@ -949,6 +939,36 @@ mod tests {
         let (panes, missed) = sub.wait_next(&live, std::time::Duration::from_secs(30));
         assert_eq!(missed, 0);
         assert_eq!(panes.len(), 1);
+    }
+
+    #[test]
+    fn a_wait_next_with_no_representable_deadline_returns_the_sealed_pane() {
+        let directory = PoleDirectory::new(vec![PoleSite {
+            segment: SegmentId(0),
+            position: Vec3::new(0.0, -5.0, 3.8),
+        }]);
+        let config = LiveConfig {
+            pane_us: 1_000_000,
+            lateness_panes: 0,
+            ..Default::default()
+        };
+        let live = LiveCity::new(directory, config);
+        for epoch in 0..2u64 {
+            let t = epoch * 1_000_000;
+            live.ingest(&PoleReport {
+                pole: PoleId(0),
+                segment: SegmentId(0),
+                timestamp_us: t,
+                count: 1,
+                peaks: 1,
+                observations: vec![obs(4, 0, 0, t)],
+            });
+        }
+        // `Instant::now() + Duration::MAX` overflows: no deadline at all.
+        let (panes, missed) = LiveSubscription::new().wait_next(&live, Duration::MAX);
+        assert_eq!(missed, 0);
+        assert_eq!(panes.len(), 1);
+        assert_eq!(panes[0].pane, 0);
     }
 
     #[test]

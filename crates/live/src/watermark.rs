@@ -42,8 +42,8 @@
 //! Lock order: **clock stripe → clock floors**, and nothing else is ever
 //! acquired under either — both are leaves. The engine calls `observe` after
 //! releasing the report's ingest stripe and reads `poles_behind` /
-//! `dead_poles` while holding its sealed state and log sink, so its own
-//! order is still sealed state → ingest stripe → log sink.
+//! `dead_poles` while holding its sealer state and log sink, so the clock
+//! stays a leaf under the engine's own order (see [`crate::engine`]).
 //!
 //! Complexity: an `observe` is one uncontended lock (ingest threads that
 //! partition work by pole never meet on a stripe) and O(1), plus the

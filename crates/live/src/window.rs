@@ -12,9 +12,14 @@
 //! * a **sliding** window of width `W` sliding by the pane width is the run
 //!   of `k` panes ending at any pane.
 //!
-//! [`CityWindows`] is the pane store: a bounded ring that admits sealed panes
-//! in pane order and evicts the oldest beyond its retention, which makes
-//! eviction deterministic — a property pinned by the live determinism tests.
+//! [`CityWindows`] is the published pane ring every reader answers from: a
+//! bounded ring that admits sealed panes in pane order and evicts the oldest
+//! beyond its retention, which makes eviction deterministic — a property
+//! pinned by the live determinism tests. Beside the ring it keeps what an
+//! answer reads of the whole run — the pane horizon, the flow counter and
+//! the observation count — so one value is a complete answering state. The
+//! engine's sealer pushes each pass's panes into it once the pass's log
+//! commit has returned; a log follower pushes the panes it verified.
 //!
 //! A window query does **not** merge whole panes. It walks the trailing `k`
 //! panes and folds only the field it answers from — one segment's
@@ -23,9 +28,10 @@
 //! matrix, is answered from the running windows [`CityWindows`] keeps beside
 //! the ring: per window width, a union of the trailing panes' matrices,
 //! brought up to date by delta when it is asked.
-//! The evaluator and its warm/cold contract are in [`crate::query`].
+//! The evaluator ([`CityWindows::answer`]) and its warm/cold contract are in
+//! [`crate::query`].
 
-use caraoke_city::{CityAggregates, OdPair, OdUnion};
+use caraoke_city::{CityAggregates, FlowCounter, OdPair, OdUnion};
 use std::collections::VecDeque;
 
 /// An event-time window shape: `width_us` of data re-evaluated every
@@ -120,7 +126,7 @@ impl OdWindow {
                 a <= start && start <= b && (start - a) + (len - 1 - b) < len - start
             });
         // A pane the union never held (its bookkeeping is wrong) is not a
-        // panic under the sealed lock: it is one more reason to go cold.
+        // panic under the ring's lock: it is one more reason to go cold.
         let warm = delta.filter(|&(a, _)| {
             panes
                 .range(a..start)
@@ -142,10 +148,10 @@ impl OdWindow {
     }
 }
 
-/// A city's windowed state: the ring of retained sealed panes plus the
-/// running OD windows that summarise it — what the engine, a log follower and
-/// a replay hub each hold, and what the evaluator ([`crate::answer_windowed`])
-/// reads.
+/// A city's answering state: the ring of retained sealed panes, the
+/// running OD windows that summarise it, and the whole-run flow,
+/// observation count and pane horizon — what the engine publishes to and a
+/// log follower replays into, and what [`answer`](Self::answer) reads.
 ///
 /// Panes are pushed in pane order as the watermark seals them; the ring
 /// retains the most recent `retain_panes` and evicts the oldest —
@@ -160,6 +166,12 @@ pub struct CityWindows {
     panes: VecDeque<Pane>,
     /// Most recently used first; at most [`MAX_OD_WINDOWS`].
     od: Vec<OdWindow>,
+    /// Flow over every pane pushed or adopted — all a `Flow` answer reads.
+    pub(crate) flow: FlowCounter,
+    /// Observations over every pane pushed or adopted.
+    pub(crate) observations: u64,
+    /// The pane horizon: the first pane not yet pushed or adopted.
+    next_pane: u64,
 }
 
 impl CityWindows {
@@ -170,12 +182,15 @@ impl CityWindows {
             capacity,
             panes: VecDeque::with_capacity(capacity),
             od: Vec::new(),
+            flow: FlowCounter::default(),
+            observations: 0,
+            next_pane: 0,
         }
     }
 
     /// Admits one sealed pane with its aggregate `fingerprint` (panes must
     /// arrive in increasing pane order), evicting the oldest when retention
-    /// overflows.
+    /// overflows, and moves the horizon past it.
     pub fn push(&mut self, pane: u64, fingerprint: u64, agg: CityAggregates) {
         if let Some(last) = self.panes.back() {
             assert!(
@@ -184,6 +199,9 @@ impl CityWindows {
                 last.index
             );
         }
+        self.flow.merge(&agg.flow);
+        self.observations += agg.observations;
+        self.next_pane = pane + 1;
         self.panes.push_back(Pane {
             index: pane,
             fingerprint,
@@ -192,6 +210,22 @@ impl CityWindows {
         if self.panes.len() > self.capacity {
             self.panes.pop_front();
         }
+    }
+
+    /// Adopts `total`, the merge of every pane below `next_pane` (a
+    /// snapshot's or a recovery's): its flow and observation count replace
+    /// the running ones and the horizon moves up to `next_pane`. Retained
+    /// panes stay; panes pushed afterwards add on.
+    pub fn adopt(&mut self, next_pane: u64, total: &CityAggregates) {
+        self.flow = total.flow.clone();
+        self.observations = total.observations;
+        self.next_pane = self.next_pane.max(next_pane);
+    }
+
+    /// The pane horizon: one past the newest pane pushed, or the adopted
+    /// horizon if that is further.
+    pub fn next_pane(&self) -> u64 {
+        self.next_pane
     }
 
     /// The retained panes, oldest first.

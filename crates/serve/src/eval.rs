@@ -5,16 +5,16 @@
 //! cache (see [`crate::hub`]). A subscriber that falls behind retention —
 //! or one that subscribes `from_start` — cannot be served from memory: the
 //! panes it wants have been evicted. [`LogFollower`] rebuilds exactly the
-//! state a live engine would have held at any pane horizon by replaying the
-//! verified pane log: a [`CityWindows`] over the most recent `retain_panes`
-//! sealed panes plus the whole-run flow counter (the one part of the
-//! running totals an answer reads), fed record by record through the same
-//! CRC/fingerprint-verified cursor `caraoke-log` recovery uses.
+//! state a live engine publishes at any pane horizon by replaying the
+//! verified pane log into a [`CityWindows`] — the type the engine's ring
+//! is — record by record, through the same CRC/fingerprint-verified
+//! cursor `caraoke-log` recovery uses.
 //!
-//! Answers come from [`answer_windowed`] — the *same* evaluation code path
-//! [`LiveCity::query`](caraoke_live::LiveCity::query) uses — so a caught-up
-//! answer reconstructed from the log is byte-identical (once encoded) to
-//! the answer the live engine served at that pane.
+//! Answers come from [`CityWindows::answer`] — the *same* evaluation code
+//! path [`LiveCity::query`](caraoke_live::LiveCity::query) uses, over the
+//! same state — so a caught-up answer reconstructed from the log is
+//! byte-identical (once encoded) to the answer the live engine served at
+//! that pane.
 //!
 //! Two semantic caveats, by construction of the catch-up position:
 //!
@@ -27,8 +27,7 @@
 //!   from the snapshot's totals, and the ring only covers panes recorded
 //!   after it.
 
-use caraoke_city::FlowCounter;
-use caraoke_live::{answer_windowed, CityWindows, LiveAnswer, LiveQuery};
+use caraoke_live::{CityWindows, LiveAnswer, LiveQuery};
 use caraoke_log::{LogError, LogReader, LogRecord, RecordCursor};
 use std::path::Path;
 
@@ -37,12 +36,10 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct LogFollower {
     cursor: RecordCursor,
-    /// The pane ring with its running windows: a cursor stepped pane by
-    /// pane asks the same `TopOd` at every pane, each a one-pane delta.
+    /// The replayed ring, horizon and flow included. A cursor stepped pane
+    /// by pane asks the same `TopOd` at every pane, each a one-pane delta
+    /// of its running window.
     windows: CityWindows,
-    /// Whole-run flow — all `Flow` answers read of the running totals.
-    flow: FlowCounter,
-    next_pane: u64,
     pane_us: u64,
     cycle_us: u64,
     ended: bool,
@@ -63,8 +60,6 @@ impl LogFollower {
         Ok(Self {
             cursor: reader.records(),
             windows: CityWindows::new(retain_panes),
-            flow: FlowCounter::default(),
-            next_pane: 0,
             pane_us,
             cycle_us,
             ended: false,
@@ -74,7 +69,7 @@ impl LogFollower {
     /// The pane horizon: the first pane the follower has **not** yet
     /// applied. Answers are evaluated as of this horizon.
     pub fn next_pane(&self) -> u64 {
-        self.next_pane
+        self.windows.next_pane()
     }
 
     /// Whether the log has been consumed to its (possibly torn) end.
@@ -84,18 +79,11 @@ impl LogFollower {
 
     fn apply(&mut self, record: LogRecord) {
         match record {
-            LogRecord::Pane(p) => {
-                self.flow.merge(&p.aggregates.flow);
-                self.windows.push(p.pane, p.fingerprint, p.aggregates);
-                self.next_pane = p.pane + 1;
-            }
-            LogRecord::Snapshot(s) => {
-                // A truncated log leads with a cumulative snapshot: adopt
-                // its flow and horizon; the ring fills from the pane
-                // records that follow.
-                self.flow = s.total.flow;
-                self.next_pane = self.next_pane.max(s.next_pane);
-            }
+            LogRecord::Pane(p) => self.windows.push(p.pane, p.fingerprint, p.aggregates),
+            // A truncated log leads with a cumulative snapshot: adopt its
+            // flow and horizon; the ring fills from the pane records that
+            // follow.
+            LogRecord::Snapshot(s) => self.windows.adopt(s.next_pane, &s.total),
             LogRecord::DeadPole(_) => {}
         }
     }
@@ -105,7 +93,7 @@ impl LogFollower {
     /// up with the durable tail and should fall back to waiting on the
     /// in-memory head.
     pub fn advance_past(&mut self, pane: u64) -> Result<bool, LogError> {
-        while self.next_pane <= pane {
+        while self.next_pane() <= pane {
             if self.ended {
                 return Ok(false);
             }
@@ -133,14 +121,8 @@ impl LogFollower {
     /// Answers one query as of the current replayed horizon, through the
     /// same code path as the live engine.
     pub fn answer(&mut self, query: &LiveQuery) -> LiveAnswer {
-        answer_windowed(
-            query,
-            &mut self.windows,
-            &self.flow,
-            self.next_pane,
-            self.next_pane * self.pane_us,
-            self.pane_us,
-            self.cycle_us,
-        )
+        let watermark_us = self.next_pane() * self.pane_us;
+        self.windows
+            .answer(query, watermark_us, self.pane_us, self.cycle_us)
     }
 }

@@ -15,10 +15,12 @@
 //! 2. **Each distinct query is computed once per seal, however many
 //!    subscribers hold it.** Queries are registered under their canonical
 //!    wire encoding ([`crate::wire::encode_query`]) as the cache key; a
-//!    single fan-out thread wakes on every pane seal
+//!    single fan-out thread wakes on every published seal pass
 //!    ([`LiveCity::wait_sealed`]), evaluates *all* registered queries
-//!    under one acquisition of the sealed state
-//!    ([`LiveCity::query_sealed`]), and pushes one immutable
+//!    under one acquisition of the engine's published pane ring
+//!    ([`LiveCity::query_sealed`]) — never the sealer's own state, so a
+//!    round never waits out a fold, a log retry or an fsync — and pushes
+//!    one immutable
 //!    [`PaneFrame`] — answer, wire bytes, seal wall-clock — into each
 //!    query's ring. Ten thousand subscribers of the same occupancy window
 //!    cost one evaluation and ten thousand `Arc` clones.
@@ -27,7 +29,7 @@
 //! A cursor that lags past the frame ring's retention falls back to the
 //! **durable pane log** ([`crate::eval::LogFollower`]) and rebuilds the
 //! missed answers pane by pane — slower, bounded per poll, but it never
-//! touches the live engine's sealed state. A cursor with no log to fall
+//! touches the live engine at all. A cursor with no log to fall
 //! back to reports the gap as `missed_frames` and jumps forward.
 //!
 //! Laggards are policed, not trusted: when a subscriber's worst cursor lag
@@ -423,7 +425,7 @@ impl ServeHub {
     }
 
     /// One fan-out round: evaluate every subscribed query under a single
-    /// acquisition of the sealed state and push the shared frames. A
+    /// acquisition of the published pane ring and push the shared frames. A
     /// channel only the hub still holds has lost its last subscriber; it is
     /// forgotten here instead of evaluated.
     fn fan_out_once(&self, live: &LiveCity) {
@@ -800,24 +802,26 @@ impl Subscription {
         }
     }
 
-    /// Blocks until a fan-out round lands (or `timeout` expires), then
-    /// polls. The subscriber-side replacement for busy-polling.
+    /// Blocks until a fan-out round lands (or `timeout` expires; a timeout
+    /// too large to add to the clock waits without one), then polls. The
+    /// subscriber-side replacement for busy-polling.
     pub fn wait(&mut self, timeout: Duration) -> Vec<ServeEvent> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         {
-            let mut gen = self.hub.activity.lock().expect("activity poisoned");
-            while *gen == self.seen_activity && !self.hub.shutdown.load(Ordering::SeqCst) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (g, _) = self
-                    .hub
+            let (hub, seen) = (&self.hub, self.seen_activity);
+            let idle = |gen: &mut u64| *gen == seen && !hub.shutdown.load(Ordering::SeqCst);
+            let gen = hub.activity.lock().expect("activity poisoned");
+            let gen = match deadline {
+                None => hub
                     .activity_cv
-                    .wait_timeout(gen, deadline - now)
-                    .expect("activity poisoned");
-                gen = g;
-            }
+                    .wait_while(gen, idle)
+                    .expect("activity poisoned"),
+                Some(deadline) => {
+                    let timeout = deadline.saturating_duration_since(Instant::now());
+                    let waited = hub.activity_cv.wait_timeout_while(gen, timeout, idle);
+                    waited.expect("activity poisoned").0
+                }
+            };
             self.seen_activity = *gen;
         }
         self.poll()
@@ -910,6 +914,26 @@ mod tests {
             sub.poll().as_slice(),
             [ServeEvent::Dropped { behind_panes: 91 }]
         ));
+        drop(sub);
+        drop(hub);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_wait_with_no_representable_deadline_returns_a_ready_frame() {
+        let dir = std::env::temp_dir().join(format!("caraoke-serve-wait-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(SegmentWriter::create(&dir, LogOptions::default()).expect("empty log"));
+        let hub = ServeHub::over_log(&dir, 8, 1_000_000, 60_000_000, ServeConfig::default())
+            .expect("hub");
+        let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
+        // What a fan-out round does: push the frame, then bump activity.
+        sub.entries[0].chan.push_frame(frame(0), 8);
+        hub.bump_activity();
+        match sub.wait(Duration::MAX).as_slice() {
+            [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 0),
+            other => panic!("expected the ready frame, got {other:?}"),
+        }
         drop(sub);
         drop(hub);
         let _ = std::fs::remove_dir_all(&dir);

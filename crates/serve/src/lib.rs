@@ -24,17 +24,21 @@
 //!
 //! * [`hub`] — [`ServeHub`]: each distinct query (keyed by its canonical
 //!   wire encoding) is computed **once per pane seal** under a single
-//!   acquisition of the sealed state, and the resulting immutable
-//!   [`PaneFrame`] fans out to every subscriber by `Arc` clone.
-//!   Subscribers hold **cursors**: near the head they read cached frames
-//!   (cache hits); fallen past retention they rebuild answers from the
-//!   durable pane log ([`eval::LogFollower`]) without ever touching the
-//!   live engine — a slow dashboard cannot block the sealer. Laggards get
-//!   a [`ServeEvent::LagNotice`] and, past a configurable cursor-lag
-//!   bound, are dropped. [`ServeStats`] counts all of it.
-//! * [`eval`] — query evaluation over the verified pane log, through the
-//!   same [`answer_windowed`](caraoke_live::answer_windowed) code path the
-//!   live engine uses, so reconstructed answers encode byte-identically.
+//!   acquisition of the engine's published pane ring — never the sealer's
+//!   own state — and the resulting immutable [`PaneFrame`] fans out to
+//!   every subscriber by `Arc` clone. Subscribers hold **cursors**: near
+//!   the head they read cached frames (cache hits); fallen past retention
+//!   they rebuild answers from the durable pane log
+//!   ([`eval::LogFollower`]) without ever touching the live engine — a
+//!   slow dashboard cannot block the sealer. Laggards get a
+//!   [`ServeEvent::LagNotice`] and, past a configurable cursor-lag bound,
+//!   are dropped. [`ServeStats`] counts all of it.
+//! * [`eval`] — query evaluation over the verified pane log: verified
+//!   panes are pushed into the same
+//!   [`CityWindows`](caraoke_live::CityWindows) the engine publishes to
+//!   and answered through the same
+//!   [`CityWindows::answer`](caraoke_live::CityWindows::answer), so
+//!   reconstructed answers encode byte-identically.
 //! * [`wire`] — the versioned length-prefixed binary protocol: canonical
 //!   query encodings double as cache keys; answers are encoded once per
 //!   seal and the same bytes go to every TCP subscriber.

@@ -148,15 +148,16 @@ impl FrameReader {
     /// `timeout`. `Ok(None)` means the deadline passed with no complete
     /// frame; `Err(UnexpectedEof)` a close mid-frame.
     fn read_deadline(&mut self, timeout: Duration) -> io::Result<Option<TickRead>> {
-        let deadline = Instant::now() + timeout;
+        // A timeout too large to add to the clock is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = remaining_until(deadline);
             self.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
             match self.poll_frame()? {
                 TickRead::Pending => {}
                 done => return Ok(Some(done)),
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return Ok(None);
             }
         }
@@ -663,10 +664,11 @@ impl ReconnectingClient {
     /// the deadline passed; `Err` that a reconnect's own retry budget ran
     /// out.
     pub fn next_frame(&mut self, timeout: Duration) -> io::Result<Option<Frame>> {
-        let deadline = Instant::now() + timeout;
+        // A timeout too large to add to the clock is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             self.ensure_connected()?;
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = remaining_until(deadline);
             let client = self.client.as_mut().expect("connected");
             match client.poll_frame(remaining.max(Duration::from_millis(1))) {
                 Ok(ClientRead::Frame(frame)) => {
@@ -688,9 +690,16 @@ impl ReconnectingClient {
                     self.client = None;
                 }
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return Ok(None);
             }
         }
     }
+}
+
+/// Time left until `deadline`; without one, as long as a `Duration` holds.
+fn remaining_until(deadline: Option<Instant>) -> Duration {
+    deadline.map_or(Duration::MAX, |deadline| {
+        deadline.saturating_duration_since(Instant::now())
+    })
 }

@@ -8,9 +8,13 @@ use caraoke_suite::city::{
     FrameSource, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, StoreConfig,
     SyntheticCity, TagKey, TagObservation,
 };
-use caraoke_suite::live::{IngestOutcome, LiveCity, LiveConfig};
+use caraoke_suite::live::{
+    IngestOutcome, LiveAnswer, LiveCity, LiveConfig, LiveQuery, LiveSubscription, WindowSpec,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 const INGEST_THREADS: usize = 16;
 
@@ -52,15 +56,64 @@ fn reference_run(source: &SyntheticCity) -> (u64, u64, u64) {
 /// own one, a count that does not divide 16 makes threads share them.
 /// With `intruder`, worker 0 also delivers — halfway through its own
 /// streams — a report from pole `directory.len()` and a copy of its next
-/// genuine report with one observation renamed to that pole.
+/// genuine report with one observation renamed to that pole. `readers`
+/// more threads ask every query kind and poll a subscription from before
+/// the first report until after `finish` (see [`read_until`]).
 fn stressed_run(
     source: &SyntheticCity,
     shards: usize,
     seed: u64,
     workers: usize,
     intruder: bool,
+    readers: usize,
 ) -> (u64, u64, u64) {
     let live = LiveCity::new(source.directory().clone(), config(shards));
+    let started = Barrier::new(readers + 1);
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|outer| {
+        let readers: Vec<_> = (0..readers)
+            .map(|_| outer.spawn(|| read_until(&live, &started, &finished)))
+            .collect();
+        started.wait();
+        ingest_stressed(&live, source, seed, workers, intruder);
+        live.finish();
+        finished.store(true, Ordering::Release);
+        for reader in readers {
+            let horizons = reader.join().expect("reader thread");
+            assert!(
+                horizons.windows(2).all(|w| w[0] <= w[1]),
+                "a reader's horizon went back: {horizons:?}"
+            );
+            let mut distinct = horizons.clone();
+            distinct.dedup();
+            assert!(
+                distinct.len() >= 2,
+                "a reader saw one horizon: {horizons:?}"
+            );
+            assert_eq!(horizons.last(), Some(&live.sealed_panes()));
+        }
+    });
+    let stats = live.stats();
+    assert_eq!(stats.shed_reports, 0, "FIFO delivery must not shed");
+    assert_eq!(stats.overflow_shed, 0, "buffers must be ample");
+    assert_eq!(stats.buffered_observations, 0, "finish flushes everything");
+    assert_eq!(stats.unknown_pole_reports, if intruder { 2 } else { 0 });
+    (
+        live.fingerprint_chain(),
+        live.totals().fingerprint(),
+        stats.observations,
+    )
+}
+
+/// The ingest half of [`stressed_run`]: `workers` threads, each delivering
+/// its poles in a seeded random merge, joined before it returns.
+fn ingest_stressed(
+    live: &LiveCity,
+    source: &SyntheticCity,
+    seed: u64,
+    workers: usize,
+    intruder: bool,
+) {
     let n_poles = source.directory().len() as u32;
     let epochs = source.epochs();
     std::thread::scope(|scope| {
@@ -98,17 +151,59 @@ fn stressed_run(
             });
         }
     });
-    live.finish();
-    let stats = live.stats();
-    assert_eq!(stats.shed_reports, 0, "FIFO delivery must not shed");
-    assert_eq!(stats.overflow_shed, 0, "buffers must be ample");
-    assert_eq!(stats.buffered_observations, 0, "finish flushes everything");
-    assert_eq!(stats.unknown_pole_reports, if intruder { 2 } else { 0 });
-    (
-        live.fingerprint_chain(),
-        live.totals().fingerprint(),
-        stats.observations,
-    )
+}
+
+/// One reader of [`stressed_run`]: asks every query kind in one
+/// `query_sealed` and polls a subscription, once before `started` lets the
+/// ingest threads go and then in a loop, ending with one read that
+/// began after `finished` was set. Every subscription poll must continue the pane
+/// sequence exactly where the last one stopped. Returns the horizon of
+/// every `query_sealed`.
+fn read_until(live: &LiveCity, started: &Barrier, finished: &AtomicBool) -> Vec<u64> {
+    let window = WindowSpec::sliding(6_000_000, 1_500_000);
+    let segment = SegmentId(0);
+    let queries = [
+        LiveQuery::Occupancy { segment, window },
+        LiveQuery::Flow {
+            segment,
+            last_cycles: 2,
+        },
+        LiveQuery::SpeedPercentile { p: 50.0, window },
+        LiveQuery::TopOd { n: 5, window },
+        LiveQuery::PositionAccuracy { window },
+        LiveQuery::Watermark,
+    ];
+    let mut subscription = LiveSubscription::new();
+    let mut seen = 0u64;
+    let mut horizons = Vec::new();
+    let mut read = || {
+        let (horizon, answers) = live.query_sealed(&queries);
+        match answers.last() {
+            Some(LiveAnswer::Watermark { sealed_panes, .. }) => assert_eq!(*sealed_panes, horizon),
+            other => panic!("unexpected answer {other:?}"),
+        }
+        horizons.push(horizon);
+        let (panes, missed) = subscription.poll(live);
+        for (i, pane) in panes.iter().enumerate() {
+            assert_eq!(pane.pane, seen + missed + i as u64, "subscription skipped");
+        }
+        seen += missed + panes.len() as u64;
+    };
+    read();
+    started.wait();
+    loop {
+        let last = finished.load(Ordering::Acquire);
+        read();
+        if last {
+            break;
+        }
+    }
+    assert_eq!(
+        seen,
+        live.sealed_panes(),
+        "the subscription reached the head"
+    );
+    horizons
 }
 
 #[test]
@@ -124,12 +219,26 @@ fn sixteen_ingest_threads_reproduce_the_single_threaded_chain_across_seeds() {
         // the stripes: the chain must not care.
         let shards = [1, 2, 5, 8, 13, 16][i];
         let workers = [INGEST_THREADS, 3, 5, 6, INGEST_THREADS, INGEST_THREADS][i];
-        let stressed = stressed_run(&source, shards, seed, workers, false);
+        let stressed = stressed_run(&source, shards, seed, workers, false, 0);
         assert_eq!(
             stressed, reference,
             "seed {seed} / {shards} shards / {workers} workers diverged from the single-threaded run"
         );
     }
+}
+
+#[test]
+fn readers_racing_sixteen_ingest_threads_never_starve_the_sealer() {
+    // Four threads loop `query_sealed` over every query kind and poll a
+    // subscription while sixteen ingest: `finish` still returns, the run
+    // seals what it seals unread, and every reader watched the horizon
+    // rise (asserted in `stressed_run` and `read_until`).
+    let source = SyntheticCity::new(48, 24, 2024);
+    let unread = stressed_run(&source, 8, 577, INGEST_THREADS, false, 0);
+    assert_eq!(
+        stressed_run(&source, 8, 577, INGEST_THREADS, false, 4),
+        unread
+    );
 }
 
 #[test]
@@ -141,7 +250,7 @@ fn reports_naming_a_pole_past_the_directory_are_refused_whole_mid_run() {
     // the run seals what it would have sealed without them.
     let source = SyntheticCity::new(48, 24, 2024);
     let reference = reference_run(&source);
-    assert_eq!(stressed_run(&source, 4, 31, 4, true), reference);
+    assert_eq!(stressed_run(&source, 4, 31, 4, true, 0), reference);
 }
 
 #[test]
@@ -212,7 +321,7 @@ fn position_carrying_observations_keep_byte_identical_fingerprints() {
     for (i, seed) in [11u64, 271, 65_537].into_iter().enumerate() {
         let shards = [1, 7, 16][i];
         assert_eq!(
-            stressed_run(&source, shards, seed, INGEST_THREADS, false),
+            stressed_run(&source, shards, seed, INGEST_THREADS, false, 0),
             reference,
             "positions broke determinism at seed {seed} / {shards} shards"
         );
@@ -244,7 +353,7 @@ fn cfo_keyed_identities_survive_the_concurrent_seal_path() {
     let reference = reference_run(&source);
     for (shards, seed) in [(8, 5u64), (8, 999), (4, 1_000), (16, 13_311)] {
         assert_eq!(
-            stressed_run(&source, shards, seed, INGEST_THREADS, false),
+            stressed_run(&source, shards, seed, INGEST_THREADS, false, 0),
             reference,
             "cfo-keyed seed {seed} / {shards} shards diverged"
         );
