@@ -77,7 +77,9 @@
 //! [`LiveCity::wait_idle`], [`LiveCity::wait_sealed`] — tests the ring's
 //! horizon under that same lock and sleeps on the condvar the sealer
 //! notifies after each publish, so it returns only once the panes it waited
-//! for can be queried.
+//! for can be queried. [`LiveCity::wait_sealed`] also returns once its
+//! caller's stop flag is set: [`LiveCity::wake_sealed_waiters`] notifies
+//! the same condvar, and every other wait sleeps on through it.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -116,7 +118,7 @@ use caraoke_city::{
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -876,7 +878,7 @@ impl LiveCity {
     /// force-seal supplies it.
     pub fn wait_seal_floor(&self, floor_us: u64) {
         let core = &*self.core;
-        core.wait_published(floor_us.div_ceil(core.config.pane_us), None);
+        core.wait_published(floor_us.div_ceil(core.config.pane_us), None, None);
     }
 
     /// Current event-time low watermark, µs.
@@ -953,11 +955,24 @@ impl LiveCity {
     /// Blocks (up to `timeout`; a timeout too large to add to the clock
     /// waits without one) until the pane horizon — the number of panes
     /// sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
-    /// `past`, and returns it; a return `<= past` is a timeout. Wakes on
-    /// every published seal pass.
-    pub fn wait_sealed(&self, past: u64, timeout: Duration) -> u64 {
+    /// `past` or `stop` is set, and returns it; a return `<= past` is a
+    /// timeout or a stop. Wakes on every published seal pass and on
+    /// [`wake_sealed_waiters`](Self::wake_sealed_waiters): a thread that
+    /// stops this wait sets `stop`, then calls that.
+    pub fn wait_sealed(&self, past: u64, timeout: Duration, stop: &AtomicBool) -> u64 {
         let deadline = Instant::now().checked_add(timeout);
-        self.core.wait_published(past + 1, deadline)
+        self.core.wait_published(past + 1, deadline, Some(stop))
+    }
+
+    /// Wakes every wait for a seal. A [`wait_sealed`](Self::wait_sealed)
+    /// whose `stop` flag is set returns; every other wait re-tests its own
+    /// condition and goes back to sleep. Waits test `stop` under the ring's
+    /// lock, which this takes before it notifies, so a flag set before the
+    /// call is seen by a waiter that has not yet slept as well as by one
+    /// that has.
+    pub fn wake_sealed_waiters(&self) {
+        drop(self.core.ring());
+        self.core.pane_sealed.notify_all();
     }
 }
 
@@ -983,12 +998,23 @@ impl LiveCore {
         self.ring.lock().expect("pane ring")
     }
 
-    /// Blocks until the published ring's horizon reaches `panes` or
-    /// `deadline` passes (`None`: no deadline), and returns the horizon.
-    /// Tested under the ring's lock, which the sealer holds to publish, so
-    /// no publish can slip between the test and the sleep.
-    fn wait_published(&self, panes: u64, deadline: Option<Instant>) -> u64 {
-        let behind = |ring: &mut Published| ring.windows.next_pane() < panes;
+    /// Blocks until the published ring's horizon reaches `panes`,
+    /// `deadline` passes (`None`: no deadline) or `stop` is set, and
+    /// returns the horizon. Tested under the ring's lock, which the sealer
+    /// holds to publish and [`LiveCity::wake_sealed_waiters`] takes before
+    /// it notifies, so neither a publish nor a stop can slip between the
+    /// test and the sleep.
+    fn wait_published(
+        &self,
+        panes: u64,
+        deadline: Option<Instant>,
+        stop: Option<&AtomicBool>,
+    ) -> u64 {
+        // Relaxed: the ring's lock orders the flag's store before the test.
+        let behind = |ring: &mut Published| {
+            ring.windows.next_pane() < panes
+                && !stop.is_some_and(|stop| stop.load(Ordering::Relaxed))
+        };
         let ring = match deadline {
             None => self
                 .pane_sealed
@@ -2166,11 +2192,60 @@ mod tests {
             let live = &live;
             scope.spawn(move || {
                 live.wait_seal_floor(2_000_000);
-                let _ = done_tx.send(live.wait_sealed(1, Duration::from_secs(30)));
+                let _ = done_tx.send(live.wait_sealed(
+                    1,
+                    Duration::from_secs(30),
+                    &AtomicBool::new(false),
+                ));
             });
             let horizon = done.recv_timeout(Duration::from_secs(20));
             drop(held);
             assert_eq!(horizon, Ok(2), "returned while the lock was held");
+        });
+    }
+
+    #[test]
+    fn a_wake_stops_only_the_wait_whose_flag_is_set() {
+        let live = LiveCity::new(directory(1), tiny_config());
+        for epoch in 0..3u64 {
+            let t = epoch * 1_000_000;
+            live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
+        }
+        live.wait_idle();
+        assert_eq!(live.sealed_panes(), 2);
+        let mut cursor = crate::LiveSubscription::new();
+        assert_eq!(cursor.poll(&live).0.len(), 2);
+        let stop = AtomicBool::new(false);
+        let (stopped_tx, stopped) = mpsc::channel();
+        let (next_tx, next) = mpsc::channel();
+        let (floor_tx, floor) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let (live, stop) = (&live, &stop);
+            // Pane 2 is not released: each of these blocks.
+            scope.spawn(move || {
+                let _ = stopped_tx.send(live.wait_sealed(2, Duration::MAX, stop));
+            });
+            scope.spawn(move || {
+                let _ = next_tx.send(cursor.wait_next(live, Duration::MAX).0.len());
+            });
+            scope.spawn(move || {
+                live.wait_seal_floor(3_000_000);
+                let _ = floor_tx.send(());
+            });
+            // Most likely parked by now; one that is not tests `stop`
+            // before it sleeps, so the outcome is the same.
+            std::thread::sleep(Duration::from_millis(20));
+            stop.store(true, Ordering::Relaxed);
+            live.wake_sealed_waiters();
+            let horizon = stopped.recv_timeout(Duration::from_secs(20));
+            assert_eq!(horizon, Ok(2), "the stopped wait returns the horizon");
+            // The same wake reached the other two; they sleep on.
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(next.try_recv(), Err(mpsc::TryRecvError::Empty));
+            assert_eq!(floor.try_recv(), Err(mpsc::TryRecvError::Empty));
+            live.ingest(&report(0, 0, 3_000_000, vec![obs(1, 0, 0, 3_000_000)]));
+            assert_eq!(next.recv_timeout(Duration::from_secs(20)), Ok(1));
+            assert_eq!(floor.recv_timeout(Duration::from_secs(20)), Ok(()));
         });
     }
 

@@ -46,6 +46,7 @@
 use crate::engine::{LiveCity, LiveStats};
 use crate::window::{CityWindows, Pane, WindowSpec};
 use caraoke_city::{PositionCounters, SegmentId, SegmentStats, SpeedHistogram};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 /// A point-in-time question against the live engine.
@@ -399,7 +400,8 @@ impl LiveSubscription {
     /// sleeping in `wait_next` costs ingest nothing and wakes within one
     /// condvar signal of the pane landing.
     pub fn wait_next(&mut self, live: &LiveCity, timeout: Duration) -> (Vec<PaneSummary>, u64) {
-        live.wait_sealed(self.cursor, timeout);
+        // Nothing stops this wait but a seal or its timeout.
+        live.wait_sealed(self.cursor, timeout, &AtomicBool::new(false));
         self.poll(live)
     }
 

@@ -38,6 +38,12 @@
 //! is dropped ([`ServeEvent::Dropped`]) and its resources released. Every
 //! decision shows up in [`ServeStats`].
 //!
+//! Stopping a hub waits on no timer. The fan-out thread sleeps with no
+//! timeout; [`ServeHub::shutdown`] (and drop) sets its stop flag and wakes
+//! it through [`LiveCity::wake_sealed_waiters`], then wakes every blocked
+//! [`Subscription::wait`], so an idle hub stops in well under a
+//! millisecond.
+//!
 //! A live hub evaluates a query only while someone subscribes to it: the
 //! first fan-out round after its last subscriber leaves forgets the query
 //! and its frame ring. Subscribing again registers it afresh with a newly
@@ -46,6 +52,7 @@
 //!
 //! [`LiveCity::query_sealed`]: caraoke_live::LiveCity::query_sealed
 //! [`LiveCity::wait_sealed`]: caraoke_live::LiveCity::wait_sealed
+//! [`LiveCity::wake_sealed_waiters`]: caraoke_live::LiveCity::wake_sealed_waiters
 
 use crate::eval::LogFollower;
 use crate::wire::{encode_answer, encode_query};
@@ -57,10 +64,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long the fan-out thread sleeps per wait when no pane seals (it
-/// re-checks shutdown at this cadence).
-const FANOUT_WAIT: Duration = Duration::from_millis(200);
 
 /// How long a subscriber has to take a channel's newest frame before the
 /// panes it covers beyond the first count as that subscriber's lag (see
@@ -240,7 +243,9 @@ pub struct ServeHub {
     /// [`Subscription::wait`] can block instead of spinning.
     activity: Mutex<u64>,
     activity_cv: Condvar,
-    shutdown: AtomicBool,
+    /// Set by [`shutdown`](Self::shutdown); shared with the fan-out thread,
+    /// which holds no strong reference to the hub.
+    shutdown: Arc<AtomicBool>,
     fanout: Mutex<Option<JoinHandle<()>>>,
     registered_queries: AtomicU64,
     subscribers: AtomicU64,
@@ -273,7 +278,7 @@ impl ServeHub {
             channels: Mutex::new(Vec::new()),
             activity: Mutex::new(0),
             activity_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             fanout: Mutex::new(None),
             registered_queries: AtomicU64::new(0),
             subscribers: AtomicU64::new(0),
@@ -308,9 +313,10 @@ impl ServeHub {
             retain_panes,
         );
         let weak = Arc::downgrade(&hub);
+        let stop = Arc::clone(&hub.shutdown);
         let handle = std::thread::Builder::new()
             .name("serve-fanout".into())
-            .spawn(move || fanout_loop(weak, live))
+            .spawn(move || fanout_loop(weak, live, &stop))
             .expect("spawn fan-out thread");
         *hub.fanout.lock().expect("fanout handle poisoned") = Some(handle);
         hub
@@ -364,6 +370,9 @@ impl ServeHub {
     /// automatically on drop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        if let HubSource::Live(live) = &self.source {
+            live.wake_sealed_waiters();
+        }
         self.bump_activity();
         let handle = self.fanout.lock().expect("fanout handle poisoned").take();
         if let Some(handle) = handle {
@@ -469,7 +478,9 @@ impl ServeHub {
         self.bump_activity();
     }
 
-    fn bump_activity(&self) {
+    /// Wakes every [`Subscription::wait`]: a fan-out round landed, or the
+    /// hub or a transport is stopping.
+    pub(crate) fn bump_activity(&self) {
         let mut gen = self.activity.lock().expect("activity poisoned");
         *gen += 1;
         drop(gen);
@@ -503,24 +514,19 @@ impl Drop for ServeHub {
     }
 }
 
-/// The seal-driven fan-out thread: waits on the engine's pane-seal condvar
-/// and runs one fan-out round per wake. Holds only a `Weak` hub reference
-/// so an abandoned hub unwinds itself.
-fn fanout_loop(hub: Weak<ServeHub>, live: Arc<LiveCity>) {
+/// The seal-driven fan-out thread: sleeps, with no timeout, on the
+/// engine's pane-seal condvar and runs one fan-out round per published seal
+/// pass, until the hub sets `stop` and wakes it
+/// ([`ServeHub::shutdown`], also run on drop). Holds only a `Weak` hub
+/// reference, so the thread never keeps its hub alive.
+fn fanout_loop(hub: Weak<ServeHub>, live: Arc<LiveCity>, stop: &AtomicBool) {
     let mut horizon = 0u64;
     loop {
-        match hub.upgrade() {
-            Some(hub) if !hub.shutdown.load(Ordering::SeqCst) => {}
-            _ => return,
-        }
-        let sealed = live.wait_sealed(horizon, FANOUT_WAIT);
-        let Some(hub) = hub.upgrade() else { return };
-        if hub.shutdown.load(Ordering::SeqCst) {
+        let sealed = live.wait_sealed(horizon, Duration::MAX, stop);
+        if stop.load(Ordering::SeqCst) {
             return;
         }
-        if sealed <= horizon {
-            continue;
-        }
+        let Some(hub) = hub.upgrade() else { return };
         horizon = sealed;
         hub.fan_out_once(&live);
     }
@@ -844,6 +850,9 @@ impl Drop for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caraoke_city::{PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId};
+    use caraoke_geom::Vec3;
+    use caraoke_live::LiveConfig;
     use caraoke_log::{LogOptions, SegmentWriter};
 
     fn frame(pane: u64) -> Arc<PaneFrame> {
@@ -937,5 +946,71 @@ mod tests {
         drop(sub);
         drop(hub);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-pole engine with pane 0 sealed.
+    fn one_sealed_pane() -> Arc<LiveCity> {
+        let directory = PoleDirectory::new(vec![PoleSite {
+            segment: SegmentId(0),
+            position: Vec3::new(0.0, -5.0, 3.8),
+        }]);
+        let config = LiveConfig {
+            pane_us: 1_000_000,
+            lateness_panes: 0,
+            ..Default::default()
+        };
+        let live = LiveCity::new(directory, config);
+        live.ingest(&PoleReport {
+            pole: PoleId(0),
+            segment: SegmentId(0),
+            timestamp_us: 1_000_000,
+            count: 0,
+            peaks: 0,
+            observations: vec![],
+        });
+        live.wait_idle();
+        assert_eq!(live.sealed_panes(), 1);
+        Arc::new(live)
+    }
+
+    #[test]
+    fn stopping_an_idle_live_hub_waits_out_no_timer() {
+        let live = one_sealed_pane();
+        let median_stop = |stop: fn(Arc<ServeHub>)| {
+            let mut laps: Vec<Duration> = (0..5)
+                .map(|_| {
+                    let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+                    // The fan-out thread takes pane 0, then parks.
+                    std::thread::sleep(Duration::from_millis(20));
+                    let start = Instant::now();
+                    stop(hub);
+                    start.elapsed()
+                })
+                .collect();
+            laps.sort_unstable();
+            laps[laps.len() / 2]
+        };
+        let shutdown = median_stop(|hub| hub.shutdown());
+        let dropped = median_stop(drop);
+        let bound = Duration::from_millis(20);
+        assert!(
+            shutdown <= bound && dropped <= bound,
+            "median shutdown {shutdown:?}, median drop {dropped:?}"
+        );
+    }
+
+    #[test]
+    fn a_shutdown_right_after_the_fan_out_thread_starts_is_not_lost() {
+        let live = one_sealed_pane();
+        for cycle in 0..200 {
+            let start = Instant::now();
+            let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+            hub.shutdown();
+            let took = start.elapsed();
+            assert!(
+                took <= Duration::from_millis(100),
+                "cycle {cycle}: start and shutdown took {took:?}"
+            );
+        }
     }
 }

@@ -20,6 +20,14 @@
 //! it blocks on the hub's fan-out signal ([`Subscription::wait`]), so a
 //! frame goes out as soon as the round that made it lands. A hub that has
 //! shut down closes every connection.
+//!
+//! Stopping waits on no timer. The accept thread keeps a second handle on
+//! each connection's socket; [`ServeServer::shutdown`] (also run on drop)
+//! shuts every one of them down and wakes the hub's fan-out signal, so a
+//! connection blocked in its hello read, a socket read or write, or
+//! [`Subscription::wait`] returns at once. A connection thread shuts its
+//! own socket down as it exits, so that second handle never holds a
+//! finished connection open.
 
 use crate::hub::{ServeEvent, ServeHub, Subscription};
 use crate::wire::{decode_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_VERSION};
@@ -36,8 +44,9 @@ const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 /// the other: on a socket read before the first subscribe and while the ack
 /// window is shut, on the hub's fan-out signal while the subscription is
 /// caught up. So it bounds how long a client frame sent to a caught-up
-/// connection goes unread and how late a shutdown is noticed — not how
-/// often frames are delivered: those go out on the fan-out round.
+/// connection goes unread — not how often frames are delivered (those go
+/// out on the fan-out round), nor how late a shutdown is noticed (it shuts
+/// the socket down and wakes the fan-out signal).
 const LOOP_TICK: Duration = Duration::from_millis(10);
 /// Client frames one round of the connection loop takes without blocking
 /// before it turns to the hub, so a client flooding acks cannot hold off
@@ -195,8 +204,9 @@ impl ServeServer {
         self.local_addr
     }
 
-    /// Stops accepting and joins the accept thread (which joins every
-    /// connection thread). Called automatically on drop.
+    /// Stops accepting, shuts every connection's socket down and joins the
+    /// accept thread (which joins every connection thread). Called
+    /// automatically on drop.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
@@ -214,27 +224,38 @@ impl Drop for ServeServer {
 }
 
 fn accept_loop(listener: TcpListener, hub: Arc<ServeHub>, shutdown: Arc<AtomicBool>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    // Each connection's thread, and a second handle on its socket for
+    // shutting it down under whatever the thread is blocked in.
+    let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { break };
-        let hub = Arc::clone(&hub);
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        let conn_hub = Arc::clone(&hub);
         let conn_shutdown = Arc::clone(&shutdown);
         if let Ok(handle) = std::thread::Builder::new()
             .name("serve-conn".into())
             .spawn(move || {
-                let _ = connection_loop(stream, hub, conn_shutdown);
+                let _ = connection_loop(&stream, conn_hub, conn_shutdown);
+                // The accept thread's handle keeps the socket open.
+                let _ = stream.shutdown(Shutdown::Both);
             })
         {
-            connections.push(handle);
+            connections.push((handle, socket));
         }
-        // Reap finished connection threads so a long-lived server does not
-        // accumulate handles.
-        connections.retain(|h| !h.is_finished());
+        // Reap finished connections so a long-lived server does not
+        // accumulate threads and sockets.
+        connections.retain(|(handle, _)| !handle.is_finished());
     }
-    for handle in connections {
+    for (_, socket) in &connections {
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+    hub.bump_activity();
+    for (handle, _) in connections {
         let _ = handle.join();
     }
 }
@@ -243,7 +264,7 @@ fn accept_loop(listener: TcpListener, hub: Arc<ServeHub>, shutdown: Arc<AtomicBo
 /// frames (subscribes, acks) and delivering hub events, each round blocked
 /// on the side the connection waits for (see the module docs).
 fn connection_loop(
-    stream: TcpStream,
+    stream: &TcpStream,
     hub: Arc<ServeHub>,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {

@@ -17,7 +17,7 @@ use caraoke_suite::serve::{
     LogFollower, ServeClient, ServeConfig, ServeEvent, ServeHub, ServeServer, Subscription,
     WIRE_VERSION,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -852,6 +852,55 @@ fn a_hub_shutdown_closes_its_tcp_connections() {
         "server shutdown took {:?}",
         start.elapsed()
     );
+}
+
+#[test]
+fn a_server_shutdown_closes_silent_caught_up_and_stalled_clients_at_once() {
+    let live = Arc::new(hand_driven_city());
+    live.ingest(&report_at(1_000_000));
+    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    // One unacked frame shuts the window.
+    let config = ServeConfig {
+        ack_window: 0,
+        ..Default::default()
+    };
+    let hub = ServeHub::over_live(Arc::clone(&live), None, config);
+    let mut server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
+
+    // Connected, and never says hello.
+    let silent = TcpStream::connect(server.local_addr()).expect("connect");
+    // Subscribed, and acks its frame: caught up, waiting on the hub.
+    let mut caught_up = raw_subscriber(&server, 1, LiveQuery::Watermark);
+    // Subscribed, and never acks: past its window, waiting on the client.
+    let mut stalled = raw_subscriber(&server, 2, LiveQuery::Watermark);
+    for stream in [&mut caught_up, &mut stalled] {
+        match read_frame(stream).expect("snapshot") {
+            Some(Frame::Snapshot { pane: 0, .. }) => {}
+            other => panic!("expected the head snapshot, got {other:?}"),
+        }
+    }
+    write_frame(&mut caught_up, &Frame::Ack { count: 1 }).expect("ack");
+    // Let each connection settle into its wait.
+    std::thread::sleep(LOOP_TICK * 5);
+
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "server shutdown took {took:?}"
+    );
+    for (name, mut stream) in [
+        ("silent", silent),
+        ("caught up", caught_up),
+        ("stalled", stalled),
+    ] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("read timeout");
+        let read = stream.read(&mut [0u8; 1]);
+        assert_eq!(read.map_err(|e| e.kind()), Ok(0), "{name} client reads EOF");
+    }
 }
 
 #[test]
