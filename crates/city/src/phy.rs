@@ -25,6 +25,17 @@
 //! position. Every fallback is method-tagged, so the per-method accuracy
 //! counters in [`crate::aggregate::PositionCounters`] expose exactly how
 //! often each rung of the ladder fired.
+//!
+//! # Where the time goes
+//!
+//! A pole query is a synthesized collision plus the reader pipeline, and
+//! a report needs two of them: its own and its neighbour's. Every pole of
+//! a street pairs inside the street, so the unit of PHY work is the
+//! street-epoch: the first report that touches one computes all of that
+//! street's pole queries at once, spread over the machine's cores as a
+//! deployment spreads them over its poles, and the street's other
+//! reports read them. Each query is seeded by `(seed, pole, epoch)` alone,
+//! so which thread computes it, and in what order, moves no bit.
 
 use crate::driver::FrameSource;
 use crate::event::{PoleId, PoleReport, SegmentId};
@@ -44,8 +55,10 @@ use caraoke_sim::{Pole, Street, Vehicle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
 /// FFT bin spacing of the default reader window, Hz (§5).
 const BIN_RESOLUTION_HZ: f64 = 1953.125;
@@ -62,6 +75,17 @@ const TWO_READER_SIGMA_M: f64 = 1.0;
 /// sigma is the lane-prior's spread, roughly a quarter road width).
 const AOA_ONLY_SIGMA_ALONG_M: f64 = 2.5;
 
+/// Epochs of street queries the memo keeps, counting the newest one asked
+/// for. An entry serves only its own street-epoch's reports: a sequential
+/// sweep is done with it before it moves on, and concurrent workers (such
+/// as `BatchDriver`'s pole stripes) drift apart by less than this. An entry
+/// evicted too early is computed again, bit for bit the same.
+const RETAINED_EPOCHS: usize = 5;
+
+/// One street's pole queries for one epoch, in pole order; empty until the
+/// first report that needs them has computed all of them.
+type StreetQueries = Arc<OnceLock<Vec<QueryReport>>>;
+
 /// A deployment of real reader poles over [`caraoke_sim`] streets and
 /// vehicles.
 pub struct PhyCity {
@@ -75,11 +99,16 @@ pub struct PhyCity {
     epoch_us: u64,
     seed: u64,
     propagation: PropagationModel,
-    /// Memoized `(pole, epoch)` query reports. Neighbour pairing replays
-    /// the partner pole's full PHY query per report, which used to double
-    /// the PHY cost of an e2e sweep; queries are deterministic per
-    /// `(seed, pole, epoch)`, so caching is invisible to the output.
-    query_cache: Mutex<HashMap<(usize, usize), Arc<QueryReport>>>,
+    /// Threads that compute one street's queries: the street's size, capped
+    /// by the machine's parallelism.
+    street_threads: usize,
+    /// Memoized `(street, epoch)` pole queries. A report reads its own
+    /// query and its neighbour's, so each would otherwise be computed
+    /// twice. Entries are computed once even under concurrent callers (the
+    /// others wait on the `OnceLock`), keep only what a report reads (no
+    /// per-antenna spectra) and are dropped [`RETAINED_EPOCHS`] behind the
+    /// newest epoch asked for.
+    query_cache: Mutex<HashMap<(usize, usize), StreetQueries>>,
     query_cache_hits: AtomicU64,
 }
 
@@ -175,14 +204,19 @@ impl PhyCity {
             epoch_us: 1_000_000,
             seed,
             propagation: PropagationModel::line_of_sight(),
+            street_threads: poles_per_street
+                .min(thread::available_parallelism().map_or(1, NonZeroUsize::get)),
             query_cache: Mutex::new(HashMap::new()),
             query_cache_hits: AtomicU64::new(0),
         }
     }
 
-    /// Number of `(pole, epoch)` query reports served from the memo cache —
-    /// each one a full PHY query (collision synthesis plus reader pipeline)
-    /// that neighbour pairing did not have to recompute.
+    /// Number of pole queries (collision synthesis plus reader pipeline)
+    /// that reports read from the memo without computing them. A report
+    /// reads two, its own and its neighbour's (one on a one-pole street);
+    /// the report that computes its street-epoch counts none, every other
+    /// report counts both, including one that waited for another thread
+    /// to finish computing them.
     pub fn query_cache_hits(&self) -> u64 {
         self.query_cache_hits.load(Ordering::Relaxed)
     }
@@ -215,33 +249,34 @@ impl PhyCity {
             .collect()
     }
 
-    /// The query the given pole produces for `epoch` — bit-identical to the
-    /// one its own `report(pole, epoch)` distils, so a neighbour pole can
-    /// reproduce this pole's AoA estimates without any shared state.
-    fn pole_query(&self, pole: usize, epoch: usize, tags: &[Transponder]) -> Arc<QueryReport> {
-        if let Some(hit) = self
-            .query_cache
-            .lock()
-            .expect("query cache poisoned")
-            .get(&(pole, epoch))
-            .cloned()
-        {
-            self.query_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Miss: synthesize outside the lock — the query is the expensive
-        // part, and a racing thread computing the same key produces an
-        // identical report, so whichever insert wins is correct.
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, pole as u32, epoch));
-        let query = Arc::new(self.poles[pole].query(tags, &self.propagation, &mut rng));
+    /// The memo entry of `(street, epoch)`, created empty if it is new.
+    /// Creating one evicts every entry [`RETAINED_EPOCHS`] or more behind
+    /// `epoch` once the memo holds that many epochs of the whole city.
+    fn street_entry(&self, street: usize, epoch: usize) -> StreetQueries {
         let mut cache = self.query_cache.lock().expect("query cache poisoned");
-        if cache.len() > 4 * self.poles.len().max(8) {
-            // Drivers sweep epochs roughly in lockstep across threads;
-            // entries more than a few epochs behind will never be asked
-            // for again, so the cache stays O(poles), not O(poles·epochs).
-            cache.retain(|&(_, e), _| e + 4 >= epoch);
+        if cache.len() >= RETAINED_EPOCHS * self.streets.len()
+            && !cache.contains_key(&(street, epoch))
+        {
+            cache.retain(|&(_, e), _| e + RETAINED_EPOCHS > epoch);
         }
-        Arc::clone(cache.entry((pole, epoch)).or_insert(query))
+        Arc::clone(cache.entry((street, epoch)).or_default())
+    }
+
+    /// Every pole query of `street` for `epoch`, in pole order, each
+    /// bit-identical whichever thread computes it: a query's randomness
+    /// comes from `(seed, pole, epoch)` alone. The per-antenna spectra are
+    /// dropped, as no report reads them.
+    fn street_queries(&self, street: usize, epoch: usize) -> Vec<QueryReport> {
+        let t_s = epoch as f64 * self.epoch_us as f64 / 1e6;
+        let tags = self.street_tags(street, t_s);
+        let first = street * self.poles_per_street;
+        par_map(self.poles_per_street, self.street_threads, |local| {
+            let pole = first + local;
+            let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, pole as u32, epoch));
+            let mut query = self.poles[pole].query(&tags, &self.propagation, &mut rng);
+            query.spectrum.spectra = Vec::new();
+            query
+        })
     }
 
     /// Cuts a single AoA cone with the road plane at the street's
@@ -271,9 +306,8 @@ impl PhyCity {
     fn attach_positions(
         &self,
         pole: usize,
-        epoch: usize,
         query: &QueryReport,
-        tags: &[Transponder],
+        partner_query: Option<&QueryReport>,
         report: &mut PoleReport,
     ) {
         let street_idx = self.street_of_pole[pole];
@@ -281,17 +315,6 @@ impl PhyCity {
         let y_offset = street_idx as f64 * STREET_PITCH_M;
         let lane_y = street.lane_center_y(0);
         let region = self.region(street_idx);
-        // Street neighbour for the two-reader pair (§6 mounts readers on
-        // separate poles; 24 m apart here).
-        let local = pole % self.poles_per_street.max(1);
-        let partner = if local + 1 < self.poles_per_street {
-            Some(pole + 1)
-        } else if local >= 1 {
-            Some(pole - 1)
-        } else {
-            None
-        };
-        let partner_query = partner.map(|p| self.pole_query(p, epoch, tags));
         for obs in &mut report.observations {
             if !obs.has_aoa {
                 continue;
@@ -300,7 +323,6 @@ impl PhyCity {
                 continue;
             };
             let fix = partner_query
-                .as_ref()
                 .and_then(|pq| pq.aoa.iter().find(|a| a.bin == own.bin))
                 .and_then(|theirs| {
                     try_localize_two_readers(
@@ -345,24 +367,74 @@ impl FrameSource for PhyCity {
     }
 
     fn report(&self, pole: u32, epoch: usize) -> PoleReport {
-        let t_s = epoch as f64 * self.epoch_us as f64 / 1e6;
         let street = self.street_of_pole[pole as usize];
-        let tags = self.street_tags(street, t_s);
-        let query = self.pole_query(pole as usize, epoch, &tags);
+        let entry = self.street_entry(street, epoch);
+        let mut computed = false;
+        let queries = entry.get_or_init(|| {
+            computed = true;
+            self.street_queries(street, epoch)
+        });
+        // Street neighbour for the two-reader pair (§6 mounts readers on
+        // separate poles; 24 m apart here).
+        let local = pole as usize - street * self.poles_per_street;
+        let partner = if local + 1 < self.poles_per_street {
+            Some(local + 1)
+        } else {
+            local.checked_sub(1)
+        };
+        if !computed {
+            let reads = 1 + u64::from(partner.is_some());
+            self.query_cache_hits.fetch_add(reads, Ordering::Relaxed);
+        }
+        let query = &queries[local];
         let mut report = PoleReport::from_query(
             PoleId(pole),
             SegmentId(street as u16),
             epoch as u64 * self.epoch_us,
-            &query,
+            query,
         );
-        self.attach_positions(pole as usize, epoch, &query, &tags, &mut report);
+        let partner_query = partner.map(|p| &queries[p]);
+        self.attach_positions(pole as usize, query, partner_query, &mut report);
         report
     }
+}
+
+/// `f(0), …, f(n - 1)`, computed on `threads` scoped threads (the caller
+/// is one of them) that take indices from a shared counter, returned in
+/// index order. A panic in any call reaches the caller once every thread
+/// has stopped, and nothing is returned.
+fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => done.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn campus_deployment_has_poles_and_tags() {
@@ -397,8 +469,8 @@ mod tests {
                 reports.push(city.report(pole, epoch));
             }
         }
-        // Pole p's own query primes the entry its street neighbour needs,
-        // so partner lookups after the first per (pole, epoch) are hits.
+        // A street-epoch's first report computes the street's queries; its
+        // other reports read theirs and their neighbour's from the memo.
         assert!(
             city.query_cache_hits() > 0,
             "partner queries must be served from the cache"
@@ -411,6 +483,97 @@ mod tests {
                 assert_eq!(it.next().unwrap(), &baseline.report(pole, epoch));
             }
         }
+
+        // A cold report equals the warm one for the first, middle and last
+        // pole of a street, whichever pole's report filled the street's entry.
+        let warm = PhyCity::campus(3, 2, 11);
+        let swept: Vec<PoleReport> = (0..12).map(|pole| warm.report(pole, 1)).collect();
+        for pole in 3..6u32 {
+            let cold = PhyCity::campus(3, 2, 11);
+            assert_eq!(cold.report(pole, 1), swept[pole as usize], "pole {pole}");
+        }
+        // Entries keep what pairing reads, not the per-antenna spectra.
+        for batch in warm.query_cache.lock().unwrap().values() {
+            for query in batch.get().expect("swept entries are filled") {
+                assert!(query.spectrum.spectra.is_empty());
+            }
+        }
+
+        // The memo stays bounded over a long sweep.
+        let long = PhyCity::campus(2, 64, 11);
+        for epoch in 0..64 {
+            for pole in 0..8u32 {
+                long.report(pole, epoch);
+                let held = long.query_cache.lock().unwrap().len();
+                assert!(held <= RETAINED_EPOCHS * 4, "{held} street-epochs held");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_sweeps_compute_each_pole_query_once() {
+        // 4 streets × 3 poles; 4 epochs, fewer than the memo retains, so
+        // no entry is evicted mid-test.
+        const POLES: usize = 12;
+        const EPOCHS: usize = 4;
+        const _: () = assert!(EPOCHS < RETAINED_EPOCHS);
+        const STREET_EPOCHS: u64 = 4 * EPOCHS as u64;
+        let sequential = PhyCity::campus(3, EPOCHS, 11);
+        let expected: Vec<PoleReport> = (0..EPOCHS)
+            .flat_map(|epoch| (0..POLES).map(move |pole| (pole, epoch)))
+            .map(|(pole, epoch)| sequential.report(pole as u32, epoch))
+            .collect();
+        // A street-epoch's first report computes it and counts no hit;
+        // every other report hits twice (its own query and its partner's).
+        assert_eq!(sequential.query_cache_hits(), 64);
+        assert_eq!(
+            sequential.query_cache_hits(),
+            2 * (POLES * EPOCHS) as u64 - 2 * STREET_EPOCHS
+        );
+
+        const SWEEPS: usize = 4;
+        let city = PhyCity::campus(3, EPOCHS, 11);
+        let start = std::sync::Barrier::new(SWEEPS);
+        std::thread::scope(|scope| {
+            for sweep in 0..SWEEPS {
+                let (city, expected, start) = (&city, &expected, &start);
+                scope.spawn(move || {
+                    let mut order: Vec<usize> = (0..POLES * EPOCHS).collect();
+                    let mut rng = StdRng::seed_from_u64(sweep as u64);
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.random_range(0..=i));
+                    }
+                    start.wait();
+                    for k in order {
+                        let (pole, epoch) = (k % POLES, k / POLES);
+                        assert_eq!(city.report(pole as u32, epoch), expected[k]);
+                    }
+                });
+            }
+        });
+        let reports = (SWEEPS * POLES * EPOCHS) as u64;
+        assert_eq!(city.query_cache_hits(), 2 * reports - 2 * STREET_EPOCHS);
+    }
+
+    #[test]
+    fn a_panicking_street_batch_leaves_its_entry_empty() {
+        // `report` fills an entry with `get_or_init(|| par_map(..))`. No
+        // deployment input makes a PHY query panic, so the same composition
+        // is driven here with a query that does.
+        let entry = OnceLock::new();
+        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            entry.get_or_init(|| {
+                par_map(6, 2, |i| {
+                    assert_ne!(i, 4, "query {i} fails");
+                    i
+                })
+            })
+        }));
+        assert!(attempt.is_err(), "the panic reaches the caller");
+        assert!(entry.get().is_none(), "no half batch is published");
+        // The next caller computes the whole batch again.
+        let refilled = entry.get_or_init(|| par_map(6, 2, |i| i));
+        assert_eq!(refilled, &(0..6).collect::<Vec<_>>());
     }
 
     #[test]
