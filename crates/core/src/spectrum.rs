@@ -4,11 +4,18 @@
 //! FFT of the 512 µs collision window at each antenna, find the spikes inside
 //! the 1.2 MHz CFO band, and read off each spike's complex value per antenna
 //! (the channel estimates `h/2`). This module packages that step.
+//!
+//! Only the first antenna's spectrum is searched; the others are read at
+//! its spikes (Eq. 10 takes the phase of `R_j(Δf) / R_i(Δf)` at the peak).
+//! [`analyze_collision`] transforms every antenna in full and keeps the
+//! spectra; [`analyze_at_peaks`] reads the other antennas at the spike bins
+//! only, and not at all when the first antenna has no spike. Both run the
+//! same first-antenna analysis, and their peaks are bit for bit equal.
 
 use crate::config::ReaderConfig;
 use crate::error::CaraokeError;
 use caraoke_dsp::stats::median_select;
-use caraoke_dsp::{detect_peaks, fft, magnitude_spectrum, Complex};
+use caraoke_dsp::{detect_peaks, fft, fft_bins, magnitude_spectrum, Complex};
 use caraoke_phy::CollisionSignal;
 
 /// One detected transponder spike.
@@ -31,18 +38,23 @@ pub struct TagPeak {
 /// The spectral analysis of one collision at one reader.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollisionSpectrum {
-    /// Full complex spectrum per antenna.
+    /// Full complex spectrum per antenna, from [`analyze_collision`]; empty
+    /// from [`analyze_at_peaks`], and a caller may drop it.
     pub spectra: Vec<Vec<Complex>>,
     /// Detected transponder spikes, ordered by bin.
     pub peaks: Vec<TagPeak>,
     /// FFT bin resolution, Hz.
     pub bin_resolution: f64,
+    /// Antennas the collision was received on: every peak carries one value
+    /// per antenna.
+    antennas: usize,
 }
 
 impl CollisionSpectrum {
-    /// Number of antennas analysed.
+    /// Number of antennas analysed, whether or not [`Self::spectra`] is
+    /// kept.
     pub fn num_antennas(&self) -> usize {
-        self.spectra.len()
+        self.antennas
     }
 
     /// Looks up the detected peak nearest to a given CFO, within
@@ -68,6 +80,10 @@ impl CollisionSpectrum {
 /// relative magnitude change above `occupancy_rel_threshold` flags the bin as
 /// holding two or more tags.
 ///
+/// Peaks are searched on the first antenna only; the other antennas' full
+/// spectra are kept in [`CollisionSpectrum::spectra`] and read at the peaks.
+/// [`analyze_at_peaks`] returns the same peaks without those spectra.
+///
 /// # Errors
 /// [`CaraokeError::NotEnoughAntennas`] for a signal with no antennas, and
 /// [`CaraokeError::MalformedSignal`] for one the FFT cannot take: a sample
@@ -77,34 +93,120 @@ pub fn analyze_collision(
     signal: &CollisionSignal,
     config: &ReaderConfig,
 ) -> Result<CollisionSpectrum, CaraokeError> {
-    if signal.num_antennas() == 0 {
+    let antennas = signal.num_antennas();
+    if antennas == 0 {
         return Err(CaraokeError::NotEnoughAntennas {
             required: 1,
             available: 0,
         });
     }
     let n = signal.num_samples();
-    if !caraoke_dsp::fft::is_power_of_two(n) {
-        return Err(CaraokeError::MalformedSignal(
-            "sample count must be a non-zero power of two",
-        ));
-    }
+    check_length(n)?;
     if signal.antennas.iter().any(|a| a.len() != n) {
         return Err(CaraokeError::MalformedSignal(
             "antennas differ in sample count",
         ));
     }
     let bin_resolution = signal.sample_rate / n as f64;
+    let (first, mut peaks) =
+        analyze_first_antenna(signal.antenna(0), bin_resolution, antennas, config)?;
+    let mut spectra = Vec::with_capacity(antennas);
+    spectra.push(first);
+    for samples in &signal.antennas[1..] {
+        let spectrum = fft(samples);
+        for peak in &mut peaks {
+            peak.values.push(spectrum[peak.bin]);
+        }
+        spectra.push(spectrum);
+    }
+    check_peak_values(&peaks)?;
+    Ok(CollisionSpectrum {
+        spectra,
+        peaks,
+        bin_resolution,
+        antennas,
+    })
+}
 
-    let spectra: Vec<Vec<Complex>> = signal.antennas.iter().map(|samples| fft(samples)).collect();
+/// [`analyze_collision`] for a collision whose antennas come one at a time
+/// from `next_antenna`, without the spectra: the first antenna is analysed
+/// in full, and the other `antennas − 1` are asked for only if it has a
+/// peak, then read at the peak bins only ([`fft_bins`]). The peaks, bin
+/// resolution and antenna count equal `analyze_collision`'s bit for bit.
+///
+/// # Errors
+/// As [`analyze_collision`], found in antenna order: a malformed first
+/// antenna is reported before a later antenna is asked for, and a later
+/// one is checked only if it is read.
+pub fn analyze_at_peaks(
+    antennas: usize,
+    sample_rate: f64,
+    mut next_antenna: impl FnMut() -> Vec<Complex>,
+    config: &ReaderConfig,
+) -> Result<CollisionSpectrum, CaraokeError> {
+    if antennas == 0 {
+        return Err(CaraokeError::NotEnoughAntennas {
+            required: 1,
+            available: 0,
+        });
+    }
+    let first = next_antenna();
+    let n = first.len();
+    check_length(n)?;
+    let bin_resolution = sample_rate / n as f64;
+    let (_, mut peaks) = analyze_first_antenna(&first, bin_resolution, antennas, config)?;
+    if !peaks.is_empty() {
+        let bins: Vec<usize> = peaks.iter().map(|p| p.bin).collect();
+        for _ in 1..antennas {
+            let samples = next_antenna();
+            if samples.len() != n {
+                return Err(CaraokeError::MalformedSignal(
+                    "antennas differ in sample count",
+                ));
+            }
+            for (peak, value) in peaks.iter_mut().zip(fft_bins(&samples, &bins)) {
+                peak.values.push(value);
+            }
+        }
+        check_peak_values(&peaks)?;
+    }
+    Ok(CollisionSpectrum {
+        spectra: Vec::new(),
+        peaks,
+        bin_resolution,
+        antennas,
+    })
+}
 
-    // Peak detection on the first antenna's magnitude spectrum. Nothing
-    // below reads a magnitude past the CFO band (`max_bin`, never the 0 that
-    // means "to the end") plus one local window, so the `hypot` of the rest
-    // of the spectrum is never taken.
+/// Refuses a sample count the radix-2 FFT cannot take.
+fn check_length(n: usize) -> Result<(), CaraokeError> {
+    if caraoke_dsp::fft::is_power_of_two(n) {
+        Ok(())
+    } else {
+        Err(CaraokeError::MalformedSignal(
+            "sample count must be a non-zero power of two",
+        ))
+    }
+}
+
+/// The first antenna's analysis, common to both paths: its spectrum, and
+/// its peaks with the occupancy test run, each holding the first antenna's
+/// value only (with room for `antennas`). `samples.len()` is a power of two.
+fn analyze_first_antenna(
+    samples: &[Complex],
+    bin_resolution: f64,
+    antennas: usize,
+    config: &ReaderConfig,
+) -> Result<(Vec<Complex>, Vec<TagPeak>), CaraokeError> {
+    let n = samples.len();
+    let spectrum = fft(samples);
+
+    // Nothing below reads a magnitude past the CFO band (`max_bin`, never
+    // the 0 that means "to the end") plus one local window, so the `hypot`
+    // of the rest of the spectrum is never taken.
     let peak_config = config.peak_config();
     let floor_window = config.peak_local_window.max(8);
-    let mags = magnitude_spectrum(&spectra[0][..n.min(peak_config.max_bin + floor_window)]);
+    let mags = magnitude_spectrum(&spectrum[..n.min(peak_config.max_bin + floor_window)]);
     // One non-finite sample reaches every bin of its antenna's spectrum.
     if mags.iter().any(|m| !m.is_finite()) {
         return Err(CaraokeError::MalformedSignal("non-finite sample"));
@@ -114,7 +216,6 @@ pub fn analyze_collision(
     // Two sub-windows of equal length for the occupancy test: the first
     // `w` samples and the last `w` samples of the response.
     let w = config.occupancy_shift_samples.min(n).max(1);
-    let samples = signal.antenna(0);
     let early = &samples[..w];
     let late = &samples[n - w..];
 
@@ -136,26 +237,27 @@ pub fn analyze_collision(
             let local_floor = median_select(&mags[a..b], &mut scratch);
             let adaptive =
                 (6.0 * local_floor / p.magnitude.max(1e-300)).max(config.occupancy_rel_threshold);
+            let mut values = Vec::with_capacity(antennas);
+            values.push(spectrum[p.bin]);
             TagPeak {
                 bin: p.bin,
                 cfo_hz: p.bin as f64 * bin_resolution,
-                values: spectra.iter().map(|s| s[p.bin]).collect(),
+                values,
                 magnitude: p.magnitude,
                 multi_occupied: rel_change > adaptive,
             }
         })
         .collect();
-    // The other antennas are read at the peaks only, so that is where a
-    // non-finite sample of theirs shows.
+    Ok((spectrum, peaks))
+}
+
+/// The other antennas are read at the peaks only, so that is where a
+/// non-finite sample of theirs shows.
+fn check_peak_values(peaks: &[TagPeak]) -> Result<(), CaraokeError> {
     if peaks.iter().flat_map(|p| &p.values).any(|v| !v.is_finite()) {
         return Err(CaraokeError::MalformedSignal("non-finite sample"));
     }
-
-    Ok(CollisionSpectrum {
-        spectra,
-        peaks,
-        bin_resolution,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -358,6 +460,77 @@ mod tests {
         // A peak at bin 600 of a 2048-sample first antenna, past the end of
         // the 512-bin spectrum of the second.
         assert!(malformed(&tone_signal([2048, 512], 600)).contains("differ"));
+    }
+
+    /// `analyze_at_peaks` over `sig`'s antennas, and how many it asked for.
+    fn at_peaks(sig: &CollisionSignal) -> (Result<CollisionSpectrum, CaraokeError>, usize) {
+        let mut antennas = sig.antennas.iter();
+        let mut asked = 0;
+        let result = analyze_at_peaks(
+            sig.num_antennas(),
+            sig.sample_rate,
+            || {
+                asked += 1;
+                antennas
+                    .next()
+                    .expect("asked for an antenna too many")
+                    .clone()
+            },
+            &ReaderConfig::default(),
+        );
+        (result, asked)
+    }
+
+    #[test]
+    fn at_peaks_is_the_full_analysis_without_spectra() {
+        let sig = tone_signal([2048, 2048], 600);
+        let (lazy, asked) = at_peaks(&sig);
+        let mut full = analyze_collision(&sig, &ReaderConfig::default()).unwrap();
+        full.spectra.clear();
+        assert_eq!(lazy.unwrap(), full);
+        assert_eq!(asked, 2);
+
+        // No spike on the first antenna: the second is never asked for.
+        let rcfg = ReaderConfig::default();
+        let mut rng = StdRng::seed_from_u64(10);
+        let sig = synthesize_collision(
+            &[],
+            &array(),
+            &PropagationModel::line_of_sight(),
+            &rcfg.signal,
+            &mut rng,
+        );
+        let (lazy, asked) = at_peaks(&sig);
+        let lazy = lazy.unwrap();
+        assert!(lazy.peaks.is_empty());
+        assert_eq!(lazy.num_antennas(), 2);
+        assert_eq!(asked, 1);
+    }
+
+    #[test]
+    fn at_peaks_refuses_what_the_full_analysis_refuses() {
+        let lazy_malformed = |sig: &CollisionSignal| match at_peaks(sig).0 {
+            Err(CaraokeError::MalformedSignal(what)) => what,
+            other => panic!("expected MalformedSignal, got {other:?}"),
+        };
+        for antenna in 0..2 {
+            let mut sig = tone_signal([2048, 2048], 600);
+            sig.antennas[antenna][777].re = f64::NAN;
+            assert!(
+                lazy_malformed(&sig).contains("non-finite"),
+                "antenna {antenna}"
+            );
+        }
+        assert!(lazy_malformed(&tone_signal([1000, 1000], 300)).contains("power of two"));
+        assert!(lazy_malformed(&tone_signal([2048, 512], 600)).contains("differ"));
+        let none = CollisionSignal {
+            antennas: vec![],
+            sample_rate: 4.0e6,
+        };
+        assert!(matches!(
+            at_peaks(&none),
+            (Err(CaraokeError::NotEnoughAntennas { .. }), 0)
+        ));
     }
 
     #[test]

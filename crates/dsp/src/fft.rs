@@ -98,6 +98,59 @@ fn twiddles(bits: u32, inverse: bool) -> &'static [Complex] {
     })
 }
 
+/// Returns `fft(input)[k]` for each `k` of `bins`, in `bins`' order, bit for
+/// bit.
+///
+/// A bin of the transform depends on one node per block at every stage:
+/// the node of stage `len` at offset `k mod len` of its block. So each bin
+/// folds the bit-reversed input in half once per stage, `u ± v·w` with the
+/// twiddle `transform` uses at that node, which makes every node the same
+/// float operations on the same operands as in [`fft`]. That is `n − 1`
+/// half-butterflies per bin against `(n/2)·log₂ n` butterflies for the whole
+/// spectrum, so a few bins of a long transform cost a fraction of it.
+/// Bins may come in any order and repeat; an empty `bins` returns nothing.
+///
+/// # Panics
+/// Panics if the length is not a power of two, or if a bin is `≥ n`.
+pub fn fft_bins(input: &[Complex], bins: &[usize]) -> Vec<Complex> {
+    let n = input.len();
+    assert!(
+        is_power_of_two(n),
+        "FFT length must be a power of two, got {n}"
+    );
+    if let Some(&k) = bins.iter().find(|&&k| k >= n) {
+        panic!("FFT bin {k} out of range for a {n}-point transform");
+    }
+    let bits = n.trailing_zeros();
+    let reversed: Vec<Complex> = match bits {
+        0 => input.to_vec(),
+        _ => (0..n)
+            .map(|i| input[i.reverse_bits() >> (usize::BITS - bits)])
+            .collect(),
+    };
+    let table = twiddles(bits, false);
+    let mut level = Vec::with_capacity(n);
+    bins.iter()
+        .map(|&k| {
+            level.clear();
+            level.extend_from_slice(&reversed);
+            let mut len = 2usize;
+            while len <= n {
+                let half = len / 2;
+                let offset = k % len;
+                let w = table[half - 1 + offset % half];
+                for b in 0..n / len {
+                    let u = level[2 * b];
+                    let v = level[2 * b + 1] * w;
+                    level[b] = if offset < half { u + v } else { u - v };
+                }
+                len <<= 1;
+            }
+            level[0]
+        })
+        .collect()
+}
+
 /// Core iterative radix-2 decimation-in-time transform.
 fn transform(data: &mut [Complex], inverse: bool) {
     let n = data.len();
@@ -356,6 +409,49 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn fft_bins_is_fft_bit_for_bit() {
+        let mut rng = crate::testrng::TestRng(0xb125);
+        for log2 in 0..=11u32 {
+            let n = 1usize << log2;
+            let x: Vec<Complex> = (0..n)
+                .map(|_| Complex::new(rng.unit() * 2.0 - 1.0, rng.unit() * 2.0 - 1.0))
+                .collect();
+            let full = fft(&x);
+            for (k, want) in full.iter().enumerate() {
+                assert_eq!(
+                    bits_of(&fft_bins(&x, &[k])),
+                    bits_of(&[*want]),
+                    "n = {n}, bin {k}"
+                );
+            }
+            // Several bins in one call: unsorted, repeated, and none.
+            let bins: Vec<usize> = (0..9)
+                .map(|_| rng.below(n))
+                .chain([n - 1, 0, n - 1])
+                .collect();
+            let want: Vec<Complex> = bins.iter().map(|&k| full[k]).collect();
+            assert_eq!(
+                bits_of(&fft_bins(&x, &bins)),
+                bits_of(&want),
+                "n = {n}, {bins:?}"
+            );
+            assert!(fft_bins(&x, &[]).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn fft_bins_rejects_non_power_of_two() {
+        fft_bins(&[Complex::ZERO; 12], &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin 8 out of range for a 8-point")]
+    fn fft_bins_rejects_a_bin_past_the_end() {
+        fft_bins(&[Complex::ONE; 8], &[3, 8]);
     }
 
     #[test]

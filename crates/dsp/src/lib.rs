@@ -33,7 +33,7 @@ pub mod stats;
 pub mod window;
 
 pub use complex::Complex;
-pub use fft::{fft, fft_in_place, ifft, magnitude_spectrum, power_spectrum};
+pub use fft::{fft, fft_bins, fft_in_place, ifft, magnitude_spectrum, power_spectrum};
 pub use goertzel::{goertzel_bin, goertzel_bins};
 pub use peaks::{detect_peaks, Peak, PeakConfig};
 pub use sfft::{SparseFft, SparseFftConfig, SparsePeak};

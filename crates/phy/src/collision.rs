@@ -17,6 +17,7 @@ use crate::config::SignalConfig;
 use crate::noise::add_awgn;
 use crate::transponder::Transponder;
 use caraoke_dsp::Complex;
+use caraoke_geom::Vec3;
 use rand::{Rng, RngExt};
 
 /// The sampled collision at every antenna of one reader for one query.
@@ -50,7 +51,8 @@ impl CollisionSignal {
 ///
 /// Each tag gets a fresh uniformly-random initial phase — this is what makes
 /// repeated queries combine incoherently for all tags except the one the
-/// decoder compensates for (§8).
+/// decoder compensates for (§8). This is [`CollisionSynth`] run over every
+/// antenna: the phases first, then each antenna's tag sum and noise.
 pub fn synthesize_collision<R: Rng + ?Sized>(
     tags: &[Transponder],
     array: &AntennaArray,
@@ -58,37 +60,98 @@ pub fn synthesize_collision<R: Rng + ?Sized>(
     config: &SignalConfig,
     rng: &mut R,
 ) -> CollisionSignal {
-    let n = config.response_samples();
-    let mut antennas = vec![vec![Complex::ZERO; n]; array.len()];
+    let mut synth = CollisionSynth::new(tags, array, propagation, config, rng);
+    CollisionSignal {
+        antennas: (0..array.len()).map(|_| synth.next_antenna(rng)).collect(),
+        sample_rate: config.sample_rate,
+    }
+}
 
-    for tag in tags {
-        let phase = rng.random_range(0.0..2.0 * std::f64::consts::PI);
-        let init = Complex::from_angle(phase);
-        let waveform = tag.baseband_waveform(config);
-        let cfo = tag.cfo();
-        // Per-sample CFO rotation computed incrementally.
-        let step = Complex::from_angle(2.0 * std::f64::consts::PI * cfo / config.sample_rate);
+/// One tag's response, common to every antenna of the reader.
+struct TagResponse {
+    position: Vec3,
+    /// `e^{jθ}` of the tag's initial phase for this query.
+    init: Complex,
+    /// Per-sample CFO rotation.
+    step: Complex,
+    waveform: Vec<f64>,
+}
 
-        for (a_idx, antenna_pos) in array.elements().iter().enumerate() {
-            let h = propagation.channel(tag.position, *antenna_pos).gain * init;
-            let mut rot = Complex::ONE;
-            let out = &mut antennas[a_idx];
-            for (sample, &s) in out.iter_mut().zip(waveform.iter()) {
-                if s != 0.0 {
-                    *sample += h * rot;
+/// A collision synthesized one antenna at a time, so a reader can stop
+/// after the antennas it needs.
+///
+/// [`CollisionSynth::new`] draws every tag's phase; each
+/// [`CollisionSynth::next_antenna`] then sums the tags at the next antenna
+/// in array order and draws that antenna's noise. That is the draw order
+/// of [`synthesize_collision`], so antennas `0..a` come out bit for bit as
+/// in the full signal, whether or not the rest are ever synthesized,
+/// provided nothing else draws from the generator in between.
+pub struct CollisionSynth<'a> {
+    tags: Vec<TagResponse>,
+    array: &'a AntennaArray,
+    propagation: &'a PropagationModel,
+    config: &'a SignalConfig,
+    next: usize,
+}
+
+impl<'a> CollisionSynth<'a> {
+    /// Draws the phase of each of `tags`, in order.
+    pub fn new<R: Rng + ?Sized>(
+        tags: &[Transponder],
+        array: &'a AntennaArray,
+        propagation: &'a PropagationModel,
+        config: &'a SignalConfig,
+        rng: &mut R,
+    ) -> Self {
+        let tags = tags
+            .iter()
+            .map(|tag| {
+                let phase = rng.random_range(0.0..2.0 * std::f64::consts::PI);
+                TagResponse {
+                    position: tag.position,
+                    init: Complex::from_angle(phase),
+                    step: Complex::from_angle(
+                        2.0 * std::f64::consts::PI * tag.cfo() / config.sample_rate,
+                    ),
+                    waveform: tag.baseband_waveform(config),
                 }
-                rot *= step;
-            }
+            })
+            .collect();
+        Self {
+            tags,
+            array,
+            propagation,
+            config,
+            next: 0,
         }
     }
 
-    for antenna in antennas.iter_mut() {
-        add_awgn(antenna, config.noise_std, rng);
-    }
-
-    CollisionSignal {
-        antennas,
-        sample_rate: config.sample_rate,
+    /// The samples of the next antenna: every tag's response at it, summed
+    /// in tag order, plus its receiver noise.
+    ///
+    /// # Panics
+    /// Panics once every antenna has been synthesized.
+    pub fn next_antenna<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Complex> {
+        let antenna_pos = *self
+            .array
+            .elements()
+            .get(self.next)
+            .expect("every antenna of the collision is synthesized");
+        self.next += 1;
+        let mut out = vec![Complex::ZERO; self.config.response_samples()];
+        for tag in &self.tags {
+            let h = self.propagation.channel(tag.position, antenna_pos).gain * tag.init;
+            // Per-sample CFO rotation computed incrementally.
+            let mut rot = Complex::ONE;
+            for (sample, &s) in out.iter_mut().zip(tag.waveform.iter()) {
+                if s != 0.0 {
+                    *sample += h * rot;
+                }
+                rot *= tag.step;
+            }
+        }
+        add_awgn(&mut out, self.config.noise_std, rng);
+        out
     }
 }
 

@@ -42,7 +42,7 @@ pub mod transponder;
 pub use antenna::{AntennaArray, ArrayGeometry};
 pub use cfo::CfoModel;
 pub use channel::{Channel, MultipathRay, PropagationModel};
-pub use collision::{synthesize_collision, CollisionSignal};
+pub use collision::{synthesize_collision, CollisionSignal, CollisionSynth};
 pub use config::SignalConfig;
 pub use modulation::{manchester_decode, manchester_encode, ook_baseband, slice_bits};
 pub use protocol::{TransponderId, TransponderPacket, CRC_BITS, PACKET_BITS};

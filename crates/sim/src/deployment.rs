@@ -11,7 +11,7 @@ use caraoke_geom::Vec3;
 use caraoke_phy::antenna::{AntennaArray, ArrayGeometry};
 use caraoke_phy::channel::PropagationModel;
 use caraoke_phy::timing::READER_RANGE_M;
-use caraoke_phy::{synthesize_collision, CollisionSignal, Transponder};
+use caraoke_phy::{synthesize_collision, CollisionSignal, CollisionSynth, Transponder};
 use rand::Rng;
 
 /// A reader pole.
@@ -71,7 +71,8 @@ impl Pole {
     }
 
     /// Issues one query: synthesizes the collision and runs the reader's
-    /// per-query pipeline (count + AoA).
+    /// per-query pipeline (count + AoA). The report keeps every antenna's
+    /// full spectrum; [`Self::observe`] returns the rest of it for less.
     pub fn query<R: Rng + ?Sized>(
         &self,
         tags: &[Transponder],
@@ -81,6 +82,28 @@ impl Pole {
         let signal = self.receive(tags, propagation, rng);
         self.reader
             .process_query(&signal)
+            .expect("signal from this pole's own array is well-formed")
+    }
+
+    /// [`Self::query`] without the spectra, bit for bit, at less cost (§6
+    /// reads the second antenna only at each spike): the first antenna is
+    /// synthesized and analysed in full, and the others are synthesized
+    /// only if it heard a spike, then read at the spike bins only. When
+    /// they are skipped, `rng` has drawn less than after `query`, so a
+    /// caller that wants every query to match `query`'s gives each query a
+    /// generator of its own, as `PhyCity` does.
+    pub fn observe<R: Rng + ?Sized>(
+        &self,
+        tags: &[Transponder],
+        propagation: &PropagationModel,
+        rng: &mut R,
+    ) -> QueryReport {
+        let in_range: Vec<Transponder> = self.tags_in_range(tags).into_iter().cloned().collect();
+        let signal = &self.reader.config().signal;
+        let mut collision =
+            CollisionSynth::new(&in_range, self.reader.array(), propagation, signal, rng);
+        self.reader
+            .process_query_at_peaks(signal.sample_rate, || collision.next_antenna(rng))
             .expect("signal from this pole's own array is well-formed")
     }
 }
@@ -136,6 +159,103 @@ mod tests {
         // be close to the truth and never zero.
         assert!(report.count.count >= 2 && report.count.count <= 4);
         assert_eq!(report.aoa.len(), report.count.peaks);
+    }
+
+    /// Runs `observe` and `query` from the same seed, checks the lazy report
+    /// equals the full one with its spectra removed, and returns it.
+    fn observed(pole: &Pole, tags: &[Transponder], seed: u64) -> QueryReport {
+        let model = PropagationModel::line_of_sight();
+        let lazy = pole.observe(tags, &model, &mut StdRng::seed_from_u64(seed));
+        let mut full = pole.query(tags, &model, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(full.spectrum.spectra.len(), pole.reader.array().len());
+        full.spectrum.spectra.clear();
+        assert_eq!(lazy, full, "seed {seed}");
+        lazy
+    }
+
+    #[test]
+    fn a_query_without_spectra_still_localizes() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let pole = Pole::new(
+            "p",
+            0.0,
+            -5.0,
+            Street::pole_height(),
+            ArrayGeometry::default_pair(),
+        );
+        let tags: Vec<Transponder> = (0..3)
+            .map(|i| {
+                Transponder::with_id(
+                    i,
+                    Vec3::new(4.0 + 4.0 * i as f64, 0.0, 1.2),
+                    CfoModel::Uniform,
+                    &mut rng,
+                )
+            })
+            .collect();
+        let report = pole.query(&tags, &PropagationModel::line_of_sight(), &mut rng);
+        assert!(!report.aoa.is_empty());
+        // Every peak carries both antennas' values, so the spectra are not
+        // needed to localize it again.
+        let mut spectrum = report.spectrum.clone();
+        spectrum.spectra.clear();
+        assert_eq!(spectrum.num_antennas(), 2);
+        let again = caraoke::localize_peaks(&spectrum, pole.reader.array(), pole.reader.config())
+            .expect("the peaks keep every antenna's value");
+        assert_eq!(again, report.aoa);
+    }
+
+    #[test]
+    fn observe_is_query_without_spectra() {
+        use caraoke_phy::cfo::MIN_TAG_CARRIER_HZ;
+        use caraoke_phy::protocol::{TransponderId, TransponderPacket};
+        // Nothing in range: no peak, so only the first antenna is drawn.
+        let pair = Pole::new("p", 0.0, -4.0, 3.8, ArrayGeometry::default_pair());
+        let silent = observed(&pair, &[], 10);
+        assert!(silent.spectrum.peaks.is_empty());
+        assert_eq!(silent.spectrum.num_antennas(), 2);
+
+        // `spectrum.rs`'s shared-bin collision (seed 9): two tags less than
+        // a bin apart flag their peak multi-occupied, beside an isolated one.
+        let bin_hz = pair.reader.config().signal.bin_resolution();
+        let tag = |id, hz: f64, pos| {
+            Transponder::new(
+                TransponderPacket::from_id(TransponderId(id)),
+                MIN_TAG_CARRIER_HZ + hz,
+                pos,
+            )
+        };
+        let shared = [
+            tag(1, 300.0 * bin_hz, Vec3::new(5.0, 1.0, 0.5)),
+            tag(3, 520.0 * bin_hz, Vec3::new(9.0, -1.0, 0.5)),
+            tag(2, 300.0 * bin_hz + 900.0, Vec3::new(6.5, 2.0, 0.5)),
+        ];
+        let report = observed(&pair, &shared, 9);
+        assert_eq!(report.spectrum.peaks.len(), 2);
+        assert!(report.spectrum.peaks.iter().any(|p| p.multi_occupied));
+        assert_eq!(report.aoa.len(), 2);
+
+        // A three-antenna pole reads antenna 2 after antenna 1, in the full
+        // signal's draw order.
+        let triangle = Pole::new("t", 0.0, -4.0, 3.8, ArrayGeometry::default_triangle());
+        let mut rng = StdRng::seed_from_u64(12);
+        let tags: Vec<Transponder> = (0..5)
+            .map(|i| {
+                Transponder::with_id(
+                    i,
+                    Vec3::new(-8.0 + 4.0 * i as f64, 1.0, 1.2),
+                    CfoModel::Uniform,
+                    &mut rng,
+                )
+            })
+            .collect();
+        for seed in 0..8 {
+            let report = observed(&triangle, &tags, seed);
+            assert_eq!(report.spectrum.num_antennas(), 3);
+            assert!(report.spectrum.peaks.len() >= 2);
+            assert!(report.spectrum.peaks.iter().all(|p| p.values.len() == 3));
+        }
+        assert!(observed(&triangle, &[], 1).spectrum.peaks.is_empty());
     }
 
     #[test]
