@@ -22,7 +22,7 @@ use crate::engine::{LiveCity, LiveConfig, LiveStats};
 use caraoke_city::{CityAggregates, FrameSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Delivery discipline for a live run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,7 @@ impl LiveRun {
 impl LiveDriver {
     /// Streams the whole source through a fresh engine and flushes it.
     pub fn run<S: FrameSource>(&self, source: &S) -> LiveRun {
-        let start = Instant::now();
+        let start = crate::Clock::Real.now();
         let live = LiveCity::new(source.directory().clone(), self.config);
         self.stream(source, &live);
         live.finish();
@@ -115,7 +115,7 @@ impl LiveDriver {
             chain_fingerprint: live.fingerprint_chain(),
             totals: live.totals(),
             stats: live.stats(),
-            elapsed: start.elapsed(),
+            elapsed: crate::Clock::Real.now() - start,
         }
     }
 

@@ -79,7 +79,9 @@
 //! notifies after each publish, so it returns only once the panes it waited
 //! for can be queried. [`LiveCity::wait_sealed`] also returns once its
 //! caller's stop flag is set: [`LiveCity::wake_sealed_waiters`] notifies
-//! the same condvar, and every other wait sleeps on through it.
+//! the same condvar, and every other wait sleeps on through it. Each wait's
+//! timeout is its caller's budget, in real time; only the staleness
+//! force-seal reads the engine's clock (see [`crate::clock`]).
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -108,6 +110,7 @@
 //!
 //! [`BatchDriver`]: caraoke_city::BatchDriver
 
+use crate::clock::Clock;
 use crate::watermark::{WatermarkClock, POLE_STRIPES};
 use crate::window::CityWindows;
 use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, RunTotals};
@@ -142,7 +145,9 @@ pub struct LiveConfig {
     /// observations beyond it are shed and counted (`overflow_shed`), never
     /// dropped silently.
     pub max_pending_per_stripe: usize,
-    /// Wall-clock bound on pane staleness. Panes normally seal on
+    /// Bound on pane staleness, in policy time: the engine's
+    /// [`clock`](LiveCity::clock), real unless a test built the engine
+    /// [`with_clock`](LiveCity::with_clock). Panes normally seal on
     /// *event-time* watermark advance only, so a pole dying mid-run stalls
     /// the watermark and every pane behind it forever. With a staleness
     /// bound, the sealer thread force-seals every pane the *fastest* pole
@@ -151,8 +156,8 @@ pub struct LiveConfig {
     /// ([`LiveStats::forced_pole_misses`]); their late data is then shed
     /// with the usual counters, never merged. `None` (the default) keeps
     /// sealing purely event-time — and purely deterministic; forced seals
-    /// depend on wall-clock timing, so runs that need byte-reproducible
-    /// window chains should leave this off.
+    /// depend on when the clock passes the bound, so runs that need
+    /// byte-reproducible window chains should leave this off.
     pub max_pane_staleness: Option<Duration>,
     /// Tracker compaction: evict tags idle for at least this long (event
     /// time, µs) at the end of every 64th pane (sweeping every pane would
@@ -250,7 +255,7 @@ pub struct LiveStats {
     pub watermark_us: u64,
     /// Timestamps below this have been sealed; arrivals below it shed.
     pub seal_floor_us: u64,
-    /// Panes sealed by the wall-clock staleness timeout rather than the
+    /// Panes sealed by the staleness timeout rather than the
     /// watermark (only nonzero with [`LiveConfig::max_pane_staleness`]).
     pub forced_panes: u64,
     /// Sum over forced panes of the poles whose frontier had not passed the
@@ -542,6 +547,8 @@ struct LiveCore {
     config: LiveConfig,
     n_shards: usize,
     clock: WatermarkClock,
+    /// Policy time (see [`crate::clock`]): the staleness force-seal's.
+    time: Clock,
     /// The ingest buffers, indexed by `pole % POLE_STRIPES`.
     stripes: Box<[Stripe]>,
     sealer: Mutex<SealerState>,
@@ -586,7 +593,13 @@ impl LiveCity {
     /// Creates an engine over the given deployment and spawns its sealer
     /// thread.
     pub fn new(directory: PoleDirectory, config: LiveConfig) -> Self {
-        Self::assemble(directory, config, None, None)
+        Self::with_clock(directory, config, Clock::Real)
+    }
+
+    /// Like [`new`](Self::new), but on `clock`: the policy time of the
+    /// engine and of every hub over it (see [`crate::clock`]).
+    pub fn with_clock(directory: PoleDirectory, config: LiveConfig, clock: Clock) -> Self {
+        Self::assemble(directory, config, None, None, clock)
     }
 
     /// Like [`new`](Self::new), but every sealed pane is appended to a
@@ -622,7 +635,8 @@ impl LiveCity {
         config: LiveConfig,
         writer: SegmentWriter,
     ) -> Self {
-        Self::assemble(directory, config, Some(LogSink::new(writer, 0)), None)
+        let sink = Some(LogSink::new(writer, 0));
+        Self::assemble(directory, config, sink, None, Clock::Real)
     }
 
     /// Rebuilds an engine from the pane log a [`with_log`](Self::with_log)
@@ -646,8 +660,14 @@ impl LiveCity {
         let shards = config.store.shards.max(1);
         let state = recover_state(&log_dir, shards, config.retain_panes)?;
         let writer = SegmentWriter::open_for_append(&log_dir, opts, state.next_pane)?;
-        let sink = LogSink::new(writer, state.next_pane);
-        Ok(Self::assemble(directory, config, Some(sink), Some(state)))
+        let sink = Some(LogSink::new(writer, state.next_pane));
+        Ok(Self::assemble(
+            directory,
+            config,
+            sink,
+            Some(state),
+            Clock::Real,
+        ))
     }
 
     /// Installs a fresh pane log on a running engine — the recovery path
@@ -685,6 +705,7 @@ impl LiveCity {
         config: LiveConfig,
         log: Option<LogSink>,
         resume: Option<caraoke_log::RecoveredState>,
+        time: Clock,
     ) -> Self {
         // Here, on the caller's thread: the tracker divides by it on the
         // sealer thread, where a panic would leave every waiter parked.
@@ -736,8 +757,10 @@ impl LiveCity {
             }
         };
         let seal_floor_us = sealer.next_pane * config.pane_us;
+        let since = time.now();
         let core = Arc::new(LiveCore {
             clock,
+            time,
             n_shards: shards,
             stripes: (0..POLE_STRIPES).map(|_| Stripe::default()).collect(),
             ring: Mutex::new(Published {
@@ -770,7 +793,7 @@ impl LiveCity {
         let sealer_core = Arc::clone(&core);
         let sealer = std::thread::Builder::new()
             .name("caraoke-live-sealer".into())
-            .spawn(move || sealer_core.sealer_loop())
+            .spawn(move || sealer_core.sealer_loop(since))
             .expect("spawn sealer thread");
         Self {
             core,
@@ -826,6 +849,11 @@ impl LiveCity {
         &self.core.config
     }
 
+    /// The engine's clock: policy time (see [`crate::clock`]).
+    pub fn clock(&self) -> &Clock {
+        &self.core.time
+    }
+
     /// Applies one pole report as it arrives. Safe to call from many
     /// threads at once; each pole's reports must be delivered FIFO (the
     /// watermark contract) — reports older than the sealed frontier are
@@ -878,7 +906,7 @@ impl LiveCity {
     /// force-seal supplies it.
     pub fn wait_seal_floor(&self, floor_us: u64) {
         let core = &*self.core;
-        core.wait_published(floor_us.div_ceil(core.config.pane_us), None, None);
+        core.wait_published(floor_us.div_ceil(core.config.pane_us), Duration::MAX, None);
     }
 
     /// Current event-time low watermark, µs.
@@ -952,16 +980,16 @@ impl LiveCity {
         f(&mut self.core.ring().windows)
     }
 
-    /// Blocks (up to `timeout`; a timeout too large to add to the clock
-    /// waits without one) until the pane horizon — the number of panes
-    /// sealed, [`sealed_panes`](Self::sealed_panes) — has moved past
-    /// `past` or `stop` is set, and returns it; a return `<= past` is a
+    /// Blocks (up to `timeout` of real time, a caller's budget; a timeout
+    /// too large to add to the clock waits without one) until the pane
+    /// horizon — the number of panes sealed,
+    /// [`sealed_panes`](Self::sealed_panes) — has moved past `past` or
+    /// `stop` is set, and returns it; a return `<= past` is a
     /// timeout or a stop. Wakes on every published seal pass and on
     /// [`wake_sealed_waiters`](Self::wake_sealed_waiters): a thread that
     /// stops this wait sets `stop`, then calls that.
     pub fn wait_sealed(&self, past: u64, timeout: Duration, stop: &AtomicBool) -> u64 {
-        let deadline = Instant::now().checked_add(timeout);
-        self.core.wait_published(past + 1, deadline, Some(stop))
+        self.core.wait_published(past + 1, timeout, Some(stop))
     }
 
     /// Wakes every wait for a seal. A [`wait_sealed`](Self::wait_sealed)
@@ -998,36 +1026,20 @@ impl LiveCore {
         self.ring.lock().expect("pane ring")
     }
 
-    /// Blocks until the published ring's horizon reaches `panes`,
-    /// `deadline` passes (`None`: no deadline) or `stop` is set, and
-    /// returns the horizon. Tested under the ring's lock, which the sealer
-    /// holds to publish and [`LiveCity::wake_sealed_waiters`] takes before
-    /// it notifies, so neither a publish nor a stop can slip between the
-    /// test and the sleep.
-    fn wait_published(
-        &self,
-        panes: u64,
-        deadline: Option<Instant>,
-        stop: Option<&AtomicBool>,
-    ) -> u64 {
+    /// Blocks until the published ring's horizon reaches `panes`, `timeout`
+    /// of real time passes or `stop` is set, and returns the horizon.
+    /// Tested under the ring's lock, which the sealer holds to publish and
+    /// [`LiveCity::wake_sealed_waiters`] takes before it notifies, so
+    /// neither a publish nor a stop can slip between the test and the
+    /// sleep.
+    fn wait_published(&self, panes: u64, timeout: Duration, stop: Option<&AtomicBool>) -> u64 {
         // Relaxed: the ring's lock orders the flag's store before the test.
         let behind = |ring: &mut Published| {
             ring.windows.next_pane() < panes
                 && !stop.is_some_and(|stop| stop.load(Ordering::Relaxed))
         };
-        let ring = match deadline {
-            None => self
-                .pane_sealed
-                .wait_while(self.ring(), behind)
-                .expect("pane ring"),
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                let waited = self
-                    .pane_sealed
-                    .wait_timeout_while(self.ring(), timeout, behind);
-                waited.expect("pane ring").0
-            }
-        };
+        let (ring, _) =
+            Clock::Real.wait_timeout_while(&self.pane_sealed, self.ring(), timeout, behind);
         ring.windows.next_pane()
     }
 
@@ -1162,47 +1174,34 @@ impl LiveCore {
     /// shutdown), then seal them. Outstanding work is drained before a
     /// shutdown exit, so `Drop` after `finish` never abandons panes.
     ///
-    /// With [`LiveConfig::max_pane_staleness`] set, the wait is bounded:
+    /// With [`LiveConfig::max_pane_staleness`] set, the wait is bounded on
+    /// the engine's clock, from `since` (construction) or the last seal:
     /// when it expires with panes still waiting on a stalled watermark (a
     /// pole died mid-run), the sealer force-seals every pane the fastest
     /// pole has fully elapsed, counting the poles that missed each one.
-    fn sealer_loop(&self) {
+    fn sealer_loop(&self, mut since: Instant) {
+        let staleness = self.config.max_pane_staleness.unwrap_or(Duration::MAX);
         let mut sealed_to = 0u64;
         loop {
-            // `None` = the staleness timer fired with no new target.
-            let target = {
-                let mut sig = self.signal.lock().expect("sealer signal");
-                loop {
-                    if sig.target > sealed_to {
-                        break Some(sig.target);
-                    }
-                    if sig.shutdown {
-                        return;
-                    }
-                    match self.config.max_pane_staleness {
-                        None => sig = self.seal_wake.wait(sig).expect("sealer signal"),
-                        Some(staleness) => {
-                            let (guard, timeout) = self
-                                .seal_wake
-                                .wait_timeout(sig, staleness)
-                                .expect("sealer signal");
-                            sig = guard;
-                            if timeout.timed_out() {
-                                break None;
-                            }
-                        }
-                    }
-                }
+            let sig = self.signal.lock().expect("sealer signal");
+            let left = staleness.saturating_sub(self.time.now() - since);
+            let (sig, stale) = self
+                .time
+                .wait_timeout_while(&self.seal_wake, sig, left, |sig| {
+                    sig.target <= sealed_to && !sig.shutdown
+                });
+            // Staleness path: every pane the fastest pole's frontier has
+            // fully elapsed, even though the watermark (held back by a
+            // stalled pole) has not released them.
+            let (target, forced) = match (stale, sig.target > sealed_to) {
+                (true, _) => (self.clock.max_frontier_us() / self.config.pane_us, true),
+                (false, true) => (sig.target, false),
+                (false, false) => return, // shutdown, nothing outstanding
             };
-            // Wall-clock staleness path: every pane the fastest pole's
-            // frontier has fully elapsed, even though the watermark (held
-            // back by a stalled pole) has not released them.
-            let (target, forced) = match target {
-                Some(target) => (target, false),
-                None => (self.clock.max_frontier_us() / self.config.pane_us, true),
-            };
+            drop(sig);
             self.seal_up_to(target, forced);
             sealed_to = sealed_to.max(target);
+            since = self.time.now();
         }
     }
 
@@ -1781,21 +1780,25 @@ mod tests {
 
     #[test]
     fn staleness_timeout_force_seals_and_counts_missing_poles() {
+        let staleness = Duration::from_millis(25);
         let mut config = tiny_config();
-        config.max_pane_staleness = Some(Duration::from_millis(25));
-        let live = LiveCity::new(directory(2), config);
+        config.max_pane_staleness = Some(staleness);
+        let manual = Arc::new(crate::ManualClock::new());
+        let clock = Clock::Manual(Arc::clone(&manual));
+        let live = LiveCity::with_clock(directory(2), config, clock);
         // Pole 0 reports through t = 3.5 s; pole 1 is dead, so the
         // event-time watermark is stuck at 0 forever.
         for t in [0u64, 1_000_000, 2_000_000, 3_500_000] {
             live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
         }
         assert_eq!(live.watermark_us(), 0);
-        // The sealer's staleness timer must fire and seal every pane the
-        // live pole has fully elapsed (panes 0-2; t = 3.5 s stays open).
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while live.sealed_panes() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(live.sealed_panes(), 0, "no time has passed");
+        // The sealer's staleness timer fires once the engine's clock has
+        // run the bound out, and seals every pane the live pole has fully
+        // elapsed (panes 0-2; t = 3.5 s stays open).
+        manual.advance(staleness);
+        let horizon = live.wait_sealed(2, Duration::MAX, &AtomicBool::new(false));
+        assert_eq!(horizon, 3);
         let stats = live.stats();
         assert_eq!(stats.sealed_panes, 3, "stale panes must force-seal");
         assert_eq!(stats.forced_panes, 3);

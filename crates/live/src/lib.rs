@@ -48,6 +48,7 @@
 //!   (synthetic or full-PHY) online, under pole-striped multi-threaded or
 //!   seeded shuffled-FIFO delivery.
 //! * [`dashboard`] — text rendering of the rolling state.
+//! * [`clock`] — [`Clock`]: every `now` and timed wait of live and serve.
 //!
 //! Determinism is the headline contract, extended from the batch tier: for
 //! a fixed seed, any shard count, any worker count and **any arrival
@@ -104,6 +105,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod dashboard;
 pub mod driver;
 pub mod engine;
@@ -111,6 +113,7 @@ pub mod query;
 pub mod watermark;
 pub mod window;
 
+pub use clock::{Clock, ManualClock};
 pub use driver::{Interleaving, LiveDriver, LiveRun};
 pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, LOG_WRITE_ATTEMPTS};
 pub use query::{LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary};

@@ -56,7 +56,7 @@
 
 use crate::eval::LogFollower;
 use crate::wire::{encode_answer, encode_query};
-use caraoke_live::{LiveAnswer, LiveCity, LiveQuery};
+use caraoke_live::{Clock, LiveAnswer, LiveCity, LiveQuery};
 use caraoke_log::LogError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -65,8 +65,8 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a subscriber has to take a channel's newest frame before the
-/// panes it covers beyond the first count as that subscriber's lag (see
+/// How long (on the hub's clock) a subscriber has to take a channel's newest
+/// frame before the panes it covers beyond the first count as its lag (see
 /// `QueryChannel::lag`). A subscriber that keeps up takes a frame within a
 /// millisecond or so of its fan-out round (a TCP connection too: it wakes on
 /// the round), so a frame left untaken this long is owed, not in transit.
@@ -83,8 +83,8 @@ pub struct ServeConfig {
     pub lag_notice_panes: u64,
     /// Cursor lag at which a subscriber is dropped.
     pub max_cursor_lag_panes: u64,
-    /// Catch-up frames rebuilt from the log per poll (bounds how long one
-    /// poll can spend replaying).
+    /// Catch-up frames rebuilt from the log per poll, at least one (bounds
+    /// how long one poll can spend replaying).
     pub catchup_batch: usize,
     /// TCP flow control: frames the server may have in flight beyond the
     /// client's last ack before it pauses delivery (and the lag policy
@@ -153,8 +153,9 @@ pub struct PaneFrame {
     /// The canonical wire encoding of `answer` — what TCP transports send,
     /// encoded once at fan-out time.
     pub wire: Vec<u8>,
-    /// Wall clock at the fan-out round that produced the frame; staleness
-    /// at delivery is `sealed_at.elapsed()`.
+    /// The hub's clock (the engine's, for a live hub) at the fan-out round
+    /// that produced the frame; staleness at delivery is that clock's
+    /// `now()` less this.
     pub sealed_at: Instant,
 }
 
@@ -200,14 +201,14 @@ impl QueryChannel {
     /// behind, however many panes the hub coalesced into it. Once the
     /// subscriber has had that long to take it, every pane counts. With
     /// one pane per frame both are `head - cursor`.
-    fn lag(&self, cursor: u64) -> u64 {
+    fn lag(&self, cursor: u64, clock: &Clock) -> u64 {
         if cursor >= self.head.load(Ordering::Acquire) {
             return 0;
         }
         let frames = self.frames.lock().expect("frame ring poisoned");
         let head = self.head.load(Ordering::Relaxed);
         match frames.back() {
-            Some(newest) if newest.sealed_at.elapsed() < FRESH_FRAME => {
+            Some(newest) if clock.now() - newest.sealed_at < FRESH_FRAME => {
                 let newest_start = self.newest_start.load(Ordering::Relaxed);
                 newest_start.saturating_sub(cursor) + 1
             }
@@ -238,6 +239,8 @@ pub struct ServeHub {
     pane_us: u64,
     cycle_us: u64,
     retain_panes: usize,
+    /// Policy time: frame stamps and the lag grace (see [`caraoke_live::clock`]).
+    pub(crate) clock: Clock,
     channels: Mutex<Vec<Arc<QueryChannel>>>,
     /// Bumped (under the mutex) and broadcast at every fan-out round so
     /// [`Subscription::wait`] can block instead of spinning.
@@ -267,6 +270,7 @@ impl ServeHub {
         pane_us: u64,
         cycle_us: u64,
         retain_panes: usize,
+        clock: Clock,
     ) -> Arc<Self> {
         Arc::new(Self {
             source,
@@ -275,6 +279,7 @@ impl ServeHub {
             pane_us,
             cycle_us,
             retain_panes,
+            clock,
             channels: Mutex::new(Vec::new()),
             activity: Mutex::new(0),
             activity_cv: Condvar::new(),
@@ -293,9 +298,10 @@ impl ServeHub {
         })
     }
 
-    /// A hub over a running engine. `log_dir` (normally the engine's own
-    /// pane-log directory) enables log catch-up for lagging cursors; pass
-    /// `None` to serve purely from memory. Spawns the fan-out thread.
+    /// A hub over a running engine, on the engine's clock. `log_dir`
+    /// (normally the engine's own pane-log directory) enables log catch-up
+    /// for lagging cursors; pass `None` to serve purely from memory. Spawns
+    /// the fan-out thread.
     pub fn over_live(
         live: Arc<LiveCity>,
         log_dir: Option<PathBuf>,
@@ -311,6 +317,7 @@ impl ServeHub {
             pane_us,
             cycle_us,
             retain_panes,
+            live.clock().clone(),
         );
         let weak = Arc::downgrade(&hub);
         let stop = Arc::clone(&hub.shutdown);
@@ -342,6 +349,7 @@ impl ServeHub {
             pane_us,
             cycle_us,
             retain_panes,
+            Clock::Real,
         ))
     }
 
@@ -422,7 +430,7 @@ impl ServeHub {
                     kind: FrameKind::Snapshot,
                     answer,
                     wire,
-                    sealed_at: Instant::now(),
+                    sealed_at: self.clock.now(),
                 }),
                 self.config.retain_frames,
             );
@@ -449,7 +457,7 @@ impl ServeHub {
         }
         let queries: Vec<LiveQuery> = channels.iter().map(|c| c.query).collect();
         let (horizon, answers) = live.query_sealed(&queries);
-        let sealed_at = Instant::now();
+        let sealed_at = self.clock.now();
         if horizon == 0 {
             return;
         }
@@ -625,7 +633,7 @@ impl Subscription {
     pub fn behind_panes(&self) -> u64 {
         self.entries
             .iter()
-            .map(|e| e.chan.lag(e.cursor))
+            .map(|e| e.chan.lag(e.cursor, &self.hub.clock))
             .max()
             .unwrap_or(0)
     }
@@ -766,7 +774,7 @@ impl Subscription {
                 }
             }
         }
-        let stop = bound.min(entry.cursor + hub.config.catchup_batch as u64);
+        let stop = bound.min(entry.cursor + hub.config.catchup_batch.max(1) as u64);
         let mut fell_off_log = false;
         while entry.cursor < stop {
             let follower = entry.follower.as_mut().expect("just opened");
@@ -781,7 +789,7 @@ impl Subscription {
                             kind: FrameKind::Snapshot,
                             answer,
                             wire,
-                            sealed_at: Instant::now(),
+                            sealed_at: hub.clock.now(),
                         }),
                     });
                     hub.catchup_frames.fetch_add(1, Ordering::Relaxed);
@@ -808,26 +816,16 @@ impl Subscription {
         }
     }
 
-    /// Blocks until a fan-out round lands (or `timeout` expires; a timeout
-    /// too large to add to the clock waits without one), then polls. The
-    /// subscriber-side replacement for busy-polling.
+    /// Polls at once while frames are owed; caught up (or dropped), blocks
+    /// until a fan-out round lands or `timeout` of real time passes (a
+    /// timeout too large to add to the clock waits without one), then
+    /// polls. The subscriber-side replacement for busy-polling.
     pub fn wait(&mut self, timeout: Duration) -> Vec<ServeEvent> {
-        let deadline = Instant::now().checked_add(timeout);
-        {
+        if self.dropped || self.caught_up() {
             let (hub, seen) = (&self.hub, self.seen_activity);
             let idle = |gen: &mut u64| *gen == seen && !hub.shutdown.load(Ordering::SeqCst);
             let gen = hub.activity.lock().expect("activity poisoned");
-            let gen = match deadline {
-                None => hub
-                    .activity_cv
-                    .wait_while(gen, idle)
-                    .expect("activity poisoned"),
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    let waited = hub.activity_cv.wait_timeout_while(gen, timeout, idle);
-                    waited.expect("activity poisoned").0
-                }
-            };
+            let (gen, _) = Clock::Real.wait_timeout_while(&hub.activity_cv, gen, timeout, idle);
             self.seen_activity = *gen;
         }
         self.poll()
@@ -852,10 +850,11 @@ mod tests {
     use super::*;
     use caraoke_city::{PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId};
     use caraoke_geom::Vec3;
-    use caraoke_live::LiveConfig;
+    use caraoke_live::{LiveConfig, ManualClock};
     use caraoke_log::{LogOptions, SegmentWriter};
 
-    fn frame(pane: u64) -> Arc<PaneFrame> {
+    /// A frame at `pane`, stamped now on `clock`.
+    fn frame(pane: u64, clock: &Clock) -> Arc<PaneFrame> {
         Arc::new(PaneFrame {
             pane,
             kind: FrameKind::Delta,
@@ -864,7 +863,7 @@ mod tests {
                 sealed_panes: pane + 1,
             },
             wire: Vec::new(),
-            sealed_at: Instant::now(),
+            sealed_at: clock.now(),
         })
     }
 
@@ -880,17 +879,30 @@ mod tests {
             max_cursor_lag_panes: 8,
             ..Default::default()
         };
-        let hub = ServeHub::over_log(&dir, 8, 1_000_000, 60_000_000, config).expect("hub");
+        // What `over_log` builds, on a clock the test steps.
+        let mut head = LogFollower::open(&dir, 8, 1_000_000, 60_000_000).expect("log");
+        head.advance_to_end().expect("empty log");
+        let manual = Arc::new(ManualClock::new());
+        let hub = ServeHub::assemble(
+            HubSource::Replay(Box::new(Mutex::new(head))),
+            Some(dir.clone()),
+            config,
+            1_000_000,
+            60_000_000,
+            8,
+            Clock::Manual(Arc::clone(&manual)),
+        );
+        let clock = &hub.clock;
         let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
         let chan = Arc::clone(&sub.entries[0].chan);
         let retain = config.retain_frames;
 
-        chan.push_frame(frame(0), retain);
+        chan.push_frame(frame(0, clock), retain);
         assert!(matches!(sub.poll().as_slice(), [ServeEvent::Frame { .. }]));
         assert!(sub.caught_up());
         // One fan-out round answers at pane 300: it covers panes 1..=300.
         // Counted from the head that is 300 panes, past both bounds.
-        chan.push_frame(frame(300), retain);
+        chan.push_frame(frame(300, clock), retain);
         assert_eq!(sub.behind_panes(), 1);
         match sub.poll().as_slice() {
             [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 300),
@@ -903,7 +915,7 @@ mod tests {
         // Frames the subscriber has not taken still count pane by pane:
         // unread frames at 301..=305, then a fresh one covering 306..=309.
         for pane in [301, 302, 303, 304, 305, 309] {
-            chan.push_frame(frame(pane), retain);
+            chan.push_frame(frame(pane, clock), retain);
         }
         assert_eq!(sub.behind_panes(), 306 - 301 + 1);
         let events = sub.poll();
@@ -912,12 +924,10 @@ mod tests {
             ServeEvent::LagNotice { behind_panes: 6 }
         ));
         assert_eq!(events.len(), 1 + 6, "the notice, then every frame");
-        // So does the newest frame, once it has waited too long.
-        let mut stale = (*frame(400)).clone();
-        stale.sealed_at = Instant::now()
-            .checked_sub(FRESH_FRAME)
-            .expect("uptime past the grace");
-        chan.push_frame(Arc::new(stale), retain);
+        // So does the newest frame, once it has waited out the grace.
+        chan.push_frame(frame(400, clock), retain);
+        assert_eq!(sub.behind_panes(), 1);
+        manual.advance(FRESH_FRAME);
         assert_eq!(sub.behind_panes(), 401 - 310);
         assert!(matches!(
             sub.poll().as_slice(),
@@ -937,7 +947,7 @@ mod tests {
             .expect("hub");
         let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
         // What a fan-out round does: push the frame, then bump activity.
-        sub.entries[0].chan.push_frame(frame(0), 8);
+        sub.entries[0].chan.push_frame(frame(0, &hub.clock), 8);
         hub.bump_activity();
         match sub.wait(Duration::MAX).as_slice() {
             [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 0),

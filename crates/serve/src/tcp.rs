@@ -28,15 +28,20 @@
 //! [`Subscription::wait`] returns at once. A connection thread shuts its
 //! own socket down as it exits, so that second handle never holds a
 //! finished connection open.
+//!
+//! Only a frame's `age_us` is policy time, on the hub's [`Clock`]. Socket
+//! cadences (the read tick, the hello and write timeouts) are kernel time:
+//! the kernel times out a blocked read or write, where no clock reaches.
 
 use crate::hub::{ServeEvent, ServeHub, Subscription};
 use crate::wire::{decode_frame, write_frame, Frame, MAX_FRAME_BYTES, WIRE_VERSION};
+use caraoke_live::Clock;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a connection waits for the client's hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
@@ -157,16 +162,16 @@ impl FrameReader {
     /// `timeout`. `Ok(None)` means the deadline passed with no complete
     /// frame; `Err(UnexpectedEof)` a close mid-frame.
     fn read_deadline(&mut self, timeout: Duration) -> io::Result<Option<TickRead>> {
-        // A timeout too large to add to the clock is no deadline.
-        let deadline = Instant::now().checked_add(timeout);
+        let start = Clock::Real.now();
         loop {
-            let remaining = remaining_until(deadline);
-            self.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+            // `Duration::MAX` less what has passed is still no deadline.
+            let left = timeout.saturating_sub(Clock::Real.now() - start);
+            self.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
             match self.poll_frame()? {
                 TickRead::Pending => {}
                 done => return Ok(Some(done)),
             }
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            if Clock::Real.now() - start >= timeout {
                 return Ok(None);
             }
         }
@@ -364,7 +369,7 @@ fn connection_loop(
                 ServeEvent::Frame { query, frame } => {
                     let sub_id = sub_ids.get(query).copied().unwrap_or(query as u32);
                     let pane = frame.pane;
-                    let age_us = frame.sealed_at.elapsed().as_micros() as u64;
+                    let age_us = (hub.clock.now() - frame.sealed_at).as_micros() as u64;
                     let answer = frame.wire.clone();
                     let out = match frame.kind {
                         crate::hub::FrameKind::Snapshot => Frame::Snapshot {
@@ -685,13 +690,13 @@ impl ReconnectingClient {
     /// the deadline passed; `Err` that a reconnect's own retry budget ran
     /// out.
     pub fn next_frame(&mut self, timeout: Duration) -> io::Result<Option<Frame>> {
-        // A timeout too large to add to the clock is no deadline.
-        let deadline = Instant::now().checked_add(timeout);
+        let start = Clock::Real.now();
         loop {
             self.ensure_connected()?;
-            let remaining = remaining_until(deadline);
+            // `Duration::MAX` less what has passed is still no deadline.
+            let left = timeout.saturating_sub(Clock::Real.now() - start);
             let client = self.client.as_mut().expect("connected");
-            match client.poll_frame(remaining.max(Duration::from_millis(1))) {
+            match client.poll_frame(left.max(Duration::from_millis(1))) {
                 Ok(ClientRead::Frame(frame)) => {
                     match &frame {
                         Frame::Snapshot { sub_id, pane, .. }
@@ -711,16 +716,9 @@ impl ReconnectingClient {
                     self.client = None;
                 }
             }
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            if Clock::Real.now() - start >= timeout {
                 return Ok(None);
             }
         }
     }
-}
-
-/// Time left until `deadline`; without one, as long as a `Duration` holds.
-fn remaining_until(deadline: Option<Instant>) -> Duration {
-    deadline.map_or(Duration::MAX, |deadline| {
-        deadline.saturating_duration_since(Instant::now())
-    })
 }

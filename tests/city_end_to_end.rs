@@ -2,7 +2,9 @@
 //! → per-pole PHY collisions → `caraoke::CaraokeReader` → `caraoke-city`
 //! ingestion, aggregation and analytics.
 
-use caraoke_suite::city::{BatchDriver, PhyCity, SegmentId, StoreConfig};
+use caraoke_suite::city::{
+    BatchDriver, CityAggregates, PhyCity, SegmentId, StoreConfig, SyntheticCity,
+};
 use caraoke_suite::sim::TwoReaderLocalizationScenario;
 
 fn driver(workers: usize, shards: usize) -> BatchDriver {
@@ -118,4 +120,75 @@ fn phy_pipeline_aggregates_are_shard_and_worker_invariant() {
     );
     assert_eq!(a.aggregates.fingerprint(), c.aggregates.fingerprint());
     assert_eq!(a.observations, b.observations);
+}
+
+/// The batch aggregates of `SyntheticCity::new(n_poles, 30, 7)` with one
+/// observation in six decoded, keyed by true id or by CFO bin.
+fn identity_products(n_poles: usize, cfo_keyed: bool) -> CityAggregates {
+    let mut city = SyntheticCity::new(n_poles, 30, 7);
+    city.decode_every = 6;
+    city.cfo_keyed = cfo_keyed;
+    driver(2, 8).run(&city).aggregates
+}
+
+/// One city size's identity products, each as `(truth, keyed)`, plus the
+/// OD transitions both runs hold: the sum over pairs of the smaller count.
+struct IdentityPin {
+    poles: usize,
+    od_transitions: (u64, u64),
+    od_pairs: (usize, usize),
+    od_both: u64,
+    speed_samples: (u64, u64),
+}
+
+#[test]
+fn cfo_keyed_identity_accuracy_is_pinned_at_its_current_values() {
+    // Current values, not targets: a CFO-keyed undecoded tag is one
+    // city-global identity per CFO bin, so the keyed run's OD matrix and
+    // speed samples drift far from the same world keyed by true id (OD
+    // recall 0.626 and 0.244, precision 0.367 and 0.138). A change that
+    // scopes that identity (ROADMAP item 11(b)) re-pins these numbers on
+    // purpose; anything else moving them is a regression.
+    let pins = [
+        IdentityPin {
+            poles: 200,
+            od_transitions: (13_801, 23_540),
+            od_pairs: (412, 6_693),
+            od_both: 8_633,
+            speed_samples: (13_732, 7_424),
+        },
+        IdentityPin {
+            poles: 1_000,
+            od_transitions: (68_930, 121_427),
+            od_pairs: (2_064, 44_256),
+            od_both: 16_809,
+            speed_samples: (68_859, 4_473),
+        },
+    ];
+    for pin in pins {
+        let poles = pin.poles;
+        let truth = identity_products(poles, false);
+        let keyed = identity_products(poles, true);
+        let both: u64 = truth
+            .od
+            .iter()
+            .map(|((from, to), n)| n.min(keyed.od.get(from, to).unwrap_or(0)))
+            .sum();
+        assert_eq!(
+            (truth.od.total(), keyed.od.total()),
+            pin.od_transitions,
+            "{poles} poles: OD transitions"
+        );
+        assert_eq!(
+            (truth.od.len(), keyed.od.len()),
+            pin.od_pairs,
+            "{poles} poles: distinct OD pairs"
+        );
+        assert_eq!(both, pin.od_both, "{poles} poles: OD transitions both hold");
+        assert_eq!(
+            (truth.speeds.samples(), keyed.speeds.samples()),
+            pin.speed_samples,
+            "{poles} poles: speed samples"
+        );
+    }
 }

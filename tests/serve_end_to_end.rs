@@ -10,7 +10,7 @@ use caraoke_suite::city::{
     FrameSource, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, SyntheticCity,
 };
 use caraoke_suite::geom::Vec3;
-use caraoke_suite::live::{LiveCity, LiveConfig, LiveQuery, WindowSpec};
+use caraoke_suite::live::{Clock, LiveCity, LiveConfig, LiveQuery, ManualClock, WindowSpec};
 use caraoke_suite::log::LogOptions;
 use caraoke_suite::serve::{
     decode_answer, encode_answer, read_frame, write_frame, ClientRead, Frame, FrameKind,
@@ -21,13 +21,17 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// The TCP connection loop's read timeout (private to the transport): how
 /// long it blocks on the client before the first subscribe and while the
 /// ack window is shut.
 const LOOP_TICK: Duration = Duration::from_millis(10);
+/// The hub's lag grace (private to the hub): while a channel's newest
+/// frame is younger than this on the hub's clock, the panes it covers count
+/// as one pane of a subscriber's lag.
+const FRESH_FRAME: Duration = Duration::from_millis(200);
 
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -97,6 +101,35 @@ fn hand_driven_setup() -> (PoleDirectory, LiveConfig) {
 fn hand_driven_city() -> LiveCity {
     let (directory, config) = hand_driven_setup();
     LiveCity::new(directory, config)
+}
+
+/// [`hand_driven_city`] on a clock the test steps: the engine's and its
+/// hubs' policy time stands still until the test advances it.
+fn hand_driven_city_on_a_manual_clock() -> (Arc<LiveCity>, Arc<ManualClock>) {
+    let (directory, config) = hand_driven_setup();
+    let manual = Arc::new(ManualClock::new());
+    let clock = Clock::Manual(Arc::clone(&manual));
+    (
+        Arc::new(LiveCity::with_clock(directory, config, clock)),
+        manual,
+    )
+}
+
+/// Blocks on `probe` — a subscriber that takes every frame as it lands —
+/// until it has taken the frame at `pane`: the fan-out round that made it
+/// has landed. (A wait that returns with nothing is a bump with no new
+/// frame, or a budget run out; a few of them mean the round never came.)
+fn take_through(probe: &mut Subscription, pane: u64) {
+    for _ in 0..8 {
+        for event in probe.wait(Duration::from_secs(10)) {
+            match event {
+                ServeEvent::Frame { frame, .. } if frame.pane == pane => return,
+                ServeEvent::Frame { .. } => {}
+                other => panic!("the probe keeps up, yet got {other:?}"),
+            }
+        }
+    }
+    panic!("no frame at pane {pane} reached the probe");
 }
 
 fn report_at(t_us: u64) -> PoleReport {
@@ -436,7 +469,7 @@ fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
 
 #[test]
 fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffected() {
-    let live = Arc::new(hand_driven_city());
+    let (live, manual) = hand_driven_city_on_a_manual_clock();
     let config = ServeConfig {
         lag_notice_panes: 4,
         max_cursor_lag_panes: 8,
@@ -445,18 +478,32 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
     };
     let hub = ServeHub::over_live(Arc::clone(&live), None, config);
     let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
-    assert_eq!(hub.stats().subscribers, 1);
+    // Keeps up with the same query: the test waits on it for each round.
+    let mut probe = hub.subscribe(&[LiveQuery::Watermark], false);
+    assert_eq!(hub.stats().subscribers, 2);
 
-    // Seal 6 panes while the subscriber sits idle: lag 6 is past the
-    // notice bound (4) but under the drop bound (8).
-    for t in 1..=6u64 {
-        live.ingest(&report_at(t * 1_000_000));
-    }
-    wait_until("head to reach pane 6", || sub.behind_panes() >= 6);
+    // Seal 6 panes while the subscriber sits idle. One report seals them
+    // in one pass, so one fan-out round answers for all six: while that
+    // frame is fresh it is one pane of lag, and once the subscriber has had
+    // the grace to take it every pane counts — lag 6, past the notice
+    // bound (4) but under the drop bound (8).
+    live.ingest(&report_at(6_000_000));
+    take_through(&mut probe, 5);
+    assert_eq!(sub.behind_panes(), 1);
+    manual.advance(FRESH_FRAME);
+    assert_eq!(sub.behind_panes(), 6);
     let events = sub.poll();
     assert!(
-        matches!(events.first(), Some(ServeEvent::LagNotice { behind_panes }) if *behind_panes >= 4),
+        matches!(
+            events.first(),
+            Some(ServeEvent::LagNotice { behind_panes: 6 })
+        ),
         "first event is the lag notice: {events:?}"
+    );
+    assert_eq!(
+        events.len(),
+        2,
+        "the notice, then the one frame: {events:?}"
     );
     // The notice is advisory: the same poll still delivers what the ring
     // retains, and the subscriber is caught up again afterwards.
@@ -467,10 +514,10 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
     assert!(sub.caught_up());
 
     // Now stall past the drop bound: 8 more panes with no poll.
-    for t in 7..=14u64 {
-        live.ingest(&report_at(t * 1_000_000));
-    }
-    wait_until("lag to cross the drop bound", || sub.behind_panes() >= 8);
+    live.ingest(&report_at(14_000_000));
+    take_through(&mut probe, 13);
+    assert_eq!(sub.behind_panes(), 1, "fresh, the one frame is one pane");
+    manual.advance(FRESH_FRAME);
     let events = sub.poll();
     assert_eq!(
         events.len(),
@@ -478,11 +525,12 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
         "a dropped subscriber gets only the verdict"
     );
     assert!(
-        matches!(events[0], ServeEvent::Dropped { behind_panes } if behind_panes >= 8),
+        matches!(events[0], ServeEvent::Dropped { behind_panes: 8 }),
         "{events:?}"
     );
     assert!(sub.is_dropped());
     assert!(sub.poll().is_empty(), "dropped is terminal");
+    drop(probe);
 
     let stats = hub.stats();
     assert_eq!(stats.lag_notices, 1);
@@ -495,7 +543,7 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
 
 #[test]
 fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
-    let live = Arc::new(hand_driven_city());
+    let (live, manual) = hand_driven_city_on_a_manual_clock();
     let config = ServeConfig {
         // Pause delivery after a single unacked frame so the stall point is
         // deterministic, then notice at 4 and drop at 8 panes behind.
@@ -509,8 +557,12 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
     let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
 
     // Seal pane 0 so subscribing at the head starts from a known cursor.
+    // The probe keeps up with the same query: the test waits on it for
+    // each fan-out round.
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
+    let mut probe = hub.subscribe(&[LiveQuery::Watermark], false);
+    take_through(&mut probe, 0);
 
     // A raw wire client that NEVER acks — the stalled dashboard.
     let mut stream = raw_subscriber(&server, 7, LiveQuery::Watermark);
@@ -525,35 +577,39 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
         }
         other => panic!("expected a data frame, got {other:?}"),
     };
+    assert_eq!(first_pane, 0);
 
-    // Advance to lag 6 from the client's cursor: notice territory.
+    // Advance to lag 6 from the client's cursor: notice territory. One
+    // report seals the six panes in one pass, so one fan-out round answers
+    // for them: fresh, that frame is one pane of lag (the connection sees
+    // nothing to report); once the clock passes the grace, all six count.
     let cursor = first_pane + 1;
-    for pane in cursor..cursor + 6 {
-        live.ingest(&report_at((pane + 1) * 1_000_000));
-    }
+    live.ingest(&report_at((cursor + 6) * 1_000_000));
+    take_through(&mut probe, cursor + 5);
+    manual.advance(FRESH_FRAME);
     match read_frame(&mut stream).expect("notice").expect("open") {
-        Frame::LagNotice { behind_panes } => assert!(behind_panes >= 4, "{behind_panes}"),
+        Frame::LagNotice { behind_panes } => assert_eq!(behind_panes, 6),
         other => panic!("expected lag notice, got {other:?}"),
     }
 
-    // Advance past the drop bound.
-    for pane in cursor + 6..cursor + 9 {
-        live.ingest(&report_at((pane + 1) * 1_000_000));
-    }
+    // Advance past the drop bound: fresh, the next round's frame makes the
+    // lag 7 (still only noticed); past the grace it is 9.
+    live.ingest(&report_at((cursor + 9) * 1_000_000));
+    take_through(&mut probe, cursor + 8);
+    manual.advance(FRESH_FRAME);
     match read_frame(&mut stream).expect("dropped").expect("open") {
-        Frame::Dropped { behind_panes } => assert!(behind_panes >= 8, "{behind_panes}"),
+        Frame::Dropped { behind_panes } => assert_eq!(behind_panes, 9),
         other => panic!("expected dropped, got {other:?}"),
     }
-    // The server hangs up after the verdict.
+    // The server hangs up after the verdict, with the subscription gone:
+    // the lag policy released its gauge slot before the verdict went out.
     assert!(
         read_frame(&mut stream).expect("clean close").is_none(),
         "connection closed after drop"
     );
-
-    wait_until("connection teardown to release the gauge", || {
-        hub.stats().subscribers == 0
-    });
+    drop(probe);
     let stats = hub.stats();
+    assert_eq!(stats.subscribers, 0);
     assert_eq!(stats.lag_notices, 1);
     assert_eq!(stats.dropped_subscribers, 1);
     // Ingest ran at full event-time speed throughout.
@@ -650,6 +706,55 @@ fn from_start_subscriber_catches_up_through_the_pane_log() {
             );
         }
         other => panic!("expected one head frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_from_start_wait_on_a_log_hub_takes_each_catch_up_batch_at_once() {
+    // A 12-pane log served by a hub with no engine, so no fan-out round
+    // ever lands: a subscription that is owed frames must not wait for one.
+    let dir = scratch("serve-wait-catchup");
+    let (directory, config) = hand_driven_setup();
+    let live = LiveCity::with_log(directory, config, &dir, LogOptions::default()).expect("log");
+    live.ingest(&report_at(11_000_000));
+    live.finish();
+    assert_eq!(live.sealed_panes(), 12);
+    drop(live);
+    // A zero batch still rebuilds one pane per poll, or the owed frames
+    // would never come and a caller looping on `wait` would spin.
+    for catchup_batch in [4, 0] {
+        let serve = ServeConfig {
+            retain_frames: 2,
+            catchup_batch,
+            ..Default::default()
+        };
+        let hub = ServeHub::over_log(&dir, 8, 1_000_000, config.store.light_cycle_us, serve)
+            .expect("replay hub");
+        let mut sub = hub.subscribe(&[LiveQuery::Watermark], true);
+        let (done_tx, done) = mpsc::channel();
+        // Not scoped: a wait that never returns fails the test below
+        // instead of hanging it; the thread is joined once it has reported.
+        let catch_up = std::thread::spawn(move || {
+            let mut panes = Vec::new();
+            while panes.last() != Some(&11) {
+                for event in sub.wait(Duration::MAX) {
+                    if let ServeEvent::Frame { frame, .. } = event {
+                        panes.push(frame.pane);
+                    }
+                }
+            }
+            let _ = done_tx.send(panes);
+        });
+        let panes = done
+            .recv_timeout(Duration::from_secs(20))
+            .expect("every catch-up batch arrives without a fan-out round");
+        catch_up.join().expect("catch-up thread");
+        assert_eq!(
+            panes,
+            (0..12).collect::<Vec<u64>>(),
+            "batch {catchup_batch}"
+        );
+        assert_eq!(hub.stats().catchup_frames, 11, "batch {catchup_batch}");
     }
 }
 
