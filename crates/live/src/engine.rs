@@ -57,6 +57,9 @@
 //!    published ring ([`CityWindows`]), in one hold of its lock —
 //!    durability before visibility — and waiters wake.
 //!
+//! Each pass charges its time, stage by stage, to [`LiveStats::seal_ns`]
+//! ([`SealStageNs`]), read on the engine's clock once per stage and pane.
+//!
 //! Only then does the next pane touch a tracker, because trackers are
 //! cumulative: they describe "the run up to pane `p`" only between pane
 //! `p`'s fold and pane `p + 1`'s, which is what a snapshot claims
@@ -284,6 +287,82 @@ pub struct LiveStats {
     pub compacted_tags: u64,
     /// Mid-stream decode alias counters, summed over shards (§8).
     pub alias: AliasStats,
+    /// Where the sealer's time went, per seal-pass stage, as of the newest
+    /// published pass.
+    pub seal_ns: SealStageNs,
+}
+
+/// Nanoseconds the sealer spent in each stage of its seal passes, summed
+/// over every published pass, on the engine's [`clock`](LiveCity::clock).
+/// The clock is read once per stage per pass (drain, bucket pass, commit,
+/// publish) or per pane (the rest), never per observation, and the stages
+/// split a pass without gaps, in this order. On a [`Clock::Manual`] engine
+/// every stage reads 0; without a pane log, `delta`, `log_append` and
+/// `commit` read 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SealStageNs {
+    /// Moving the released pane buckets out of the ingest stripes.
+    pub drain: u64,
+    /// Sorting the drained keys into canonical order (and taking the log
+    /// sink's lock).
+    pub bucket: u64,
+    /// Every observation through its tracker and the pane's builder.
+    pub fold: u64,
+    /// Finishing the pane's aggregate: the builder's canonicalisation, any
+    /// idle-tag compaction, the report-level segment rows and forced-seal
+    /// counts.
+    pub pane_finish: u64,
+    /// The pane's fingerprint and the chain step.
+    pub fingerprint: u64,
+    /// Adding the pane to the whole-run totals.
+    pub totals: u64,
+    /// Taking every tracker's delta for the pane record.
+    pub delta: u64,
+    /// Encoding and appending the pane record, and any snapshot due.
+    pub log_append: u64,
+    /// The pass's log commit: flush and the fsync policy.
+    pub commit: u64,
+    /// Pushing the pass's panes into the published ring.
+    pub publish: u64,
+}
+
+impl SealStageNs {
+    fn add(&mut self, pass: &SealStageNs) {
+        self.drain += pass.drain;
+        self.bucket += pass.bucket;
+        self.fold += pass.fold;
+        self.pane_finish += pass.pane_finish;
+        self.fingerprint += pass.fingerprint;
+        self.totals += pass.totals;
+        self.delta += pass.delta;
+        self.log_append += pass.log_append;
+        self.commit += pass.commit;
+        self.publish += pass.publish;
+    }
+}
+
+/// Splits a seal pass into its [`SealStageNs`] stages: each
+/// [`split`](Self::split) reads the clock once and returns the
+/// nanoseconds since the previous read.
+struct Lap<'a> {
+    clock: &'a Clock,
+    last: Instant,
+}
+
+impl<'a> Lap<'a> {
+    fn start(clock: &'a Clock) -> Self {
+        Self {
+            clock,
+            last: clock.now(),
+        }
+    }
+
+    fn split(&mut self) -> u64 {
+        let now = self.clock.now();
+        let ns = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        ns
+    }
 }
 
 /// The dense sort column of the seal path: every field the canonical order
@@ -491,11 +570,14 @@ struct SealerState {
 
 /// The published half of sealed state, and all any reader locks: the
 /// pane ring (with the whole-run flow, observation count and horizon)
-/// plus the decode alias counters [`LiveCity::stats`] reports.
+/// plus the decode alias counters and seal stage clocks
+/// [`LiveCity::stats`] reports.
 struct Published {
     windows: CityWindows,
     /// Alias counters summed over shards as of the newest published pass.
     alias: AliasStats,
+    /// Stage clocks summed over every published pass.
+    seal_ns: SealStageNs,
 }
 
 /// Mid-stream decode alias counters, summed over shards.
@@ -766,6 +848,7 @@ impl LiveCity {
             ring: Mutex::new(Published {
                 windows,
                 alias: alias_stats(&sealer.trackers),
+                seal_ns: SealStageNs::default(),
             }),
             sealer: Mutex::new(sealer),
             pane_sealed: Condvar::new(),
@@ -946,10 +1029,15 @@ impl LiveCity {
             .iter()
             .map(|stripe| stripe.0.lock().expect("ingest stripe").len)
             .sum();
-        let (observations, sealed_panes, alias) = {
+        let (observations, sealed_panes, alias, seal_ns) = {
             let ring = core.ring();
             let windows = &ring.windows;
-            (windows.observations, windows.next_pane(), ring.alias)
+            (
+                windows.observations,
+                windows.next_pane(),
+                ring.alias,
+                ring.seal_ns,
+            )
         };
         LiveStats {
             reports: core.reports.load(Ordering::Relaxed),
@@ -970,6 +1058,7 @@ impl LiveCity {
             log_errors_fatal: core.log_errors_fatal.load(Ordering::Relaxed),
             compacted_tags: core.compacted_tags.load(Ordering::Relaxed),
             alias,
+            seal_ns,
         }
     }
 
@@ -1235,6 +1324,8 @@ impl LiveCore {
         let pane_us = self.config.pane_us;
         let first_pane = state.next_pane;
         let span = (end - first_pane) as usize;
+        let mut stages = SealStageNs::default();
+        let mut lap = Lap::start(&self.time);
 
         // Drain every pane bucket below `end`; the buffered tail ahead of
         // the frontier is never touched. No in-contract delivery can add
@@ -1272,11 +1363,13 @@ impl LiveCore {
             self.shed_observations
                 .fetch_add(shed_late, Ordering::Relaxed);
         }
+        stages.drain += lap.split();
 
         scratch.bucket_pass(first_pane, span, self.n_shards, pane_us);
 
         // The log sink is held from here to the pass's commit.
         let mut log = self.log.lock().expect("log sink");
+        stages.bucket += lap.split();
         for pane_idx in 0..span {
             let pane = first_pane + pane_idx as u64;
             for (shard, tracker) in state.trackers.iter_mut().enumerate() {
@@ -1285,6 +1378,7 @@ impl LiveCore {
                 let bucket = &scratch.order[range];
                 self.fold_bucket(&mut scratch.builder, tracker, bucket, &scratch.obs);
             }
+            stages.fold += lap.split();
             let mut agg = scratch.builder.finish();
             // Before the deltas are taken: evictions ride them as removals.
             if let Some(cutoff) = self.compaction_cutoff(pane) {
@@ -1304,16 +1398,20 @@ impl LiveCore {
             } else {
                 0
             };
+            stages.pane_finish += lap.split();
             let fingerprint = agg.fingerprint();
             state.chain.write_u64(pane);
             state.chain.write_u64(fingerprint);
+            stages.fingerprint += lap.split();
             state.totals.add_pane(&agg);
+            stages.totals += lap.split();
             // The pane record and any due snapshot are appended (retried or
             // given up on as [`LOG_WRITE_ATTEMPTS`] says) before the pass
             // commits, hence before the pane is published.
             if let Some(sink) = log.as_mut() {
                 let chain_now = state.chain.finish();
                 let deltas: Vec<_> = state.trackers.iter_mut().map(|t| t.take_delta()).collect();
+                stages.delta += lap.split();
                 // Pane and snapshot retry as *separate* logical writes: a
                 // transient snapshot failure must not re-append the
                 // (already written) pane record.
@@ -1336,6 +1434,7 @@ impl LiveCore {
                         sink.last_snapshot_pane = pane + 1;
                     }
                 }
+                stages.log_append += lap.split();
             }
             scratch.sealed.push((pane, fingerprint, agg));
             state.next_pane = pane + 1;
@@ -1346,6 +1445,7 @@ impl LiveCore {
         // policy) before any reader can observe it.
         if let Some(sink) = log.as_mut() {
             self.log_write(sink, "seal commit", |w| w.commit_seal());
+            stages.commit += lap.split();
         }
         drop(log);
         let mut ring = self.ring();
@@ -1353,6 +1453,8 @@ impl LiveCore {
             ring.windows.push(pane, fingerprint, agg);
         }
         ring.alias = alias_stats(&state.trackers);
+        stages.publish += lap.split();
+        ring.seal_ns.add(&stages);
         drop(ring);
         scratch.keys.clear();
         scratch.obs.clear();
@@ -1897,6 +1999,40 @@ mod tests {
         assert!(
             LiveCity::with_log(directory(2), tiny_config(), &dir, LogOptions::default()).is_err()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seal_stage_clocks_read_the_engine_clock_and_only_stages_that_ran() {
+        let deliver = |live: &LiveCity| {
+            for epoch in 0..5u64 {
+                let t = epoch * 1_000_000;
+                live.ingest(&report(0, 0, t, vec![obs(7, 0, 0, t), obs(8, 0, 0, t)]));
+                live.ingest(&report(1, 0, t, vec![obs(7, 1, 0, t + 1)]));
+            }
+            live.finish();
+            let stats = live.stats();
+            assert_eq!(stats.sealed_panes, 5);
+            stats.seal_ns
+        };
+        // Time that never moves: every stage reads exactly 0.
+        let manual = Clock::Manual(Arc::new(crate::ManualClock::new()));
+        let live = LiveCity::with_clock(directory(2), tiny_config(), manual);
+        assert_eq!(deliver(&live), SealStageNs::default());
+        drop(live);
+
+        // Real time without a log: the log's stages never ran.
+        let ns = deliver(&LiveCity::new(directory(2), tiny_config()));
+        assert_eq!((ns.delta, ns.log_append, ns.commit), (0, 0, 0));
+        assert!(ns.drain + ns.bucket + ns.fold + ns.publish > 0, "{ns:?}");
+
+        // With one, they did.
+        let dir = scratch_dir("stage-clocks");
+        let live = LiveCity::with_log(directory(2), tiny_config(), &dir, LogOptions::default())
+            .expect("create logged engine");
+        let ns = deliver(&live);
+        assert!(ns.log_append > 0 && ns.commit > 0, "{ns:?}");
+        drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -115,7 +115,7 @@ pub mod window;
 
 pub use clock::{Clock, ManualClock};
 pub use driver::{Interleaving, LiveDriver, LiveRun};
-pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, LOG_WRITE_ATTEMPTS};
+pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, SealStageNs, LOG_WRITE_ATTEMPTS};
 pub use query::{LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary};
 pub use watermark::WatermarkClock;
 pub use window::{CityWindows, WindowSpec};
