@@ -1288,6 +1288,58 @@ mod tests {
     }
 
     #[test]
+    fn a_pane_delta_lists_each_changed_key_once_in_key_order() {
+        let dir = line_directory(4, 30.0);
+        let config = StoreConfig::default();
+        let mut tracker = TagTracker::new();
+        tracker.set_trace(true);
+        let decoded = |tag: u64, id: u64, t_us: u64| TagObservation {
+            decoded: Some(caraoke_phy::TransponderId(id)),
+            ..obs(tag, 1, 0, t_us)
+        };
+        let key = |id: u64| TagKey::from_decoded(caraoke_phy::TransponderId(id)).0;
+
+        // An earlier pane, drained: tag 5 goes idle, tag 11 is known only
+        // by its CFO signature.
+        tracker.apply(&obs(5, 0, 0, 0), &dir, &config, |_| {});
+        tracker.apply(&obs(11, 0, 0, 9_000_000), &dir, &config, |_| {});
+        assert_eq!(tracker.take_delta().upserts.len(), 2);
+
+        // The pane: tag 7 five times; tag 11's first decode migrates its
+        // state to the decoded key, an undecoded sighting resolves through
+        // the alias, and a second decode re-points the alias (a shared-bin
+        // collision) to a fresh key; then tag 5 is evicted.
+        for (i, pole) in [0u32, 1, 2, 1, 3].into_iter().enumerate() {
+            let t = 10_000_000 + i as u64 * 100_000;
+            tracker.apply(&obs(7, pole, 0, t), &dir, &config, |_| {});
+        }
+        tracker.apply(&decoded(11, 42, 10_000_000), &dir, &config, |_| {});
+        tracker.apply(&obs(11, 2, 0, 10_200_000), &dir, &config, |_| {});
+        tracker.apply(&decoded(11, 43, 10_300_000), &dir, &config, |_| {});
+        assert_eq!(tracker.evict_idle(5_000_000), 1);
+
+        let delta = tracker.take_delta();
+        let upserted: Vec<u64> = delta.upserts.iter().map(|rec| rec.key).collect();
+        let mut expected = vec![7, key(42), key(43)];
+        expected.sort_unstable();
+        assert_eq!(upserted, expected, "each upsert once, in key order");
+        let now = tracker.export();
+        for rec in &delta.upserts {
+            let current = now.upserts.iter().find(|r| r.key == rec.key);
+            assert_eq!(Some(rec), current, "an upsert carries the post-pane state");
+        }
+        assert_eq!(delta.removals, vec![5, 11]);
+        assert_eq!(
+            delta.aliases,
+            vec![(11, key(43))],
+            "the alias once, as last set"
+        );
+        assert_eq!(delta.stats, tracker.alias_stats());
+
+        assert!(tracker.take_delta().is_empty(), "the next drain is empty");
+    }
+
+    #[test]
     fn evict_idle_drops_stale_tags_and_traces_removals() {
         let dir = line_directory(4, 30.0);
         let config = StoreConfig::default();
