@@ -36,7 +36,7 @@ use crate::aggregate::{AggregateBuilder, CityAggregates, SegmentStats};
 use crate::event::{PoleId, PoleReport, SegmentId, TagKey, TagObservation};
 use crate::position::{resolve_position, track_speed_mps, PositionMethod};
 use caraoke_geom::Vec3;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
 
 /// Deterministic multiply-mix hasher for the tracker's `u64` keys.
@@ -454,13 +454,15 @@ pub struct TagTracker {
     /// CFO-signature key → decoded key upgrades.
     aliases: TagKeyMap<u64>,
     stats: AliasStats,
-    /// When set, every mutation records its key in the dirty sets so
+    /// When set, every mutation pushes its key onto the dirty lists so
     /// [`take_delta`](Self::take_delta) can emit a per-pane change log.
     /// Off by default: stores that never persist pay nothing but one
-    /// branch per mutation. `BTreeSet` so drained deltas come out sorted.
+    /// branch per mutation. A key is pushed once per mutation, repeats
+    /// and all; `take_delta` sorts and dedups each list once per drain,
+    /// which gives the deltas their key order.
     trace: bool,
-    dirty_tags: BTreeSet<u64>,
-    dirty_aliases: BTreeSet<u64>,
+    dirty_tags: Vec<u64>,
+    dirty_aliases: Vec<u64>,
 }
 
 impl TagTracker {
@@ -494,13 +496,12 @@ impl TagTracker {
                         self.aliases.insert(raw, decoded);
                         self.stats.decode_upgrades += 1;
                         if self.trace {
-                            self.dirty_aliases.insert(raw);
+                            self.dirty_aliases.push(raw);
                         }
                         if let Some(state) = self.tags.remove(raw) {
                             self.tags.insert_if_absent(decoded, state);
                             if self.trace {
-                                self.dirty_tags.insert(raw);
-                                self.dirty_tags.insert(decoded);
+                                self.dirty_tags.extend([raw, decoded]);
                             }
                         }
                     }
@@ -510,7 +511,7 @@ impl TagTracker {
                         self.stats.alias_collisions += 1;
                         self.aliases.insert(raw, decoded);
                         if self.trace {
-                            self.dirty_aliases.insert(raw);
+                            self.dirty_aliases.push(raw);
                         }
                     }
                     Some(_) => {}
@@ -554,7 +555,7 @@ impl TagTracker {
     ) {
         let key = self.resolve(obs);
         if self.trace {
-            self.dirty_tags.insert(key);
+            self.dirty_tags.push(key);
         }
         let cycle = (obs.timestamp_us / config.light_cycle_us) as u32;
         // Only real fixes feed the position track; the pole fallback would
@@ -668,7 +669,7 @@ impl TagTracker {
     }
 
     /// Turns per-mutation dirty tracking on or off. Switching (either way)
-    /// clears the dirty sets, so the first [`take_delta`](Self::take_delta)
+    /// clears the dirty lists, so the first [`take_delta`](Self::take_delta)
     /// after enabling covers exactly the mutations since the switch.
     pub fn set_trace(&mut self, on: bool) {
         self.trace = on;
@@ -676,10 +677,10 @@ impl TagTracker {
         self.dirty_aliases.clear();
     }
 
-    /// Drains the dirty sets into a [`TrackerDelta`] covering every mutation
-    /// since the last drain. Requires tracing (see
-    /// [`set_trace`](Self::set_trace)); the delta's keys come out sorted, so
-    /// the encoding downstream is deterministic.
+    /// Drains the dirty lists into a [`TrackerDelta`] covering every
+    /// mutation since the last drain. Requires tracing (see
+    /// [`set_trace`](Self::set_trace)); the delta lists each changed key
+    /// once, sorted, so the encoding downstream is deterministic.
     ///
     /// # Panics
     ///
@@ -687,27 +688,40 @@ impl TagTracker {
     /// built from it.
     pub fn take_delta(&mut self) -> TrackerDelta {
         assert!(self.trace, "take_delta requires set_trace(true)");
+        self.dirty_tags.sort_unstable();
+        self.dirty_tags.dedup();
+        self.dirty_aliases.sort_unstable();
+        self.dirty_aliases.dedup();
+        let keys = &self.dirty_tags;
         let mut delta = TrackerDelta {
+            upserts: Vec::with_capacity(keys.len()),
             stats: self.stats,
             ..TrackerDelta::default()
         };
-        for key in std::mem::take(&mut self.dirty_tags) {
+        // Sorted keys land in unrelated slots of the state table, so each
+        // lookup is a miss; hinting a few keys ahead overlaps them.
+        for (n, &key) in keys.iter().enumerate() {
+            if let Some(&ahead) = keys.get(n + DELTA_PREFETCH_AHEAD) {
+                self.tags.prefetch(ahead);
+            }
             match self.tags.get(key) {
                 Some(state) => delta.upserts.push(record_of(key, state)),
                 None => delta.removals.push(key),
             }
         }
-        for raw in std::mem::take(&mut self.dirty_aliases) {
+        for &raw in &self.dirty_aliases {
             if let Some(&decoded) = self.aliases.get(&raw) {
                 delta.aliases.push((raw, decoded));
             }
         }
+        self.dirty_tags.clear();
+        self.dirty_aliases.clear();
         delta
     }
 
     /// Exports the tracker's *entire* state as one delta (sorted, removals
     /// empty) — the snapshot form of [`take_delta`](Self::take_delta). Does
-    /// not touch the dirty sets.
+    /// not touch the dirty lists.
     pub fn export(&self) -> TrackerDelta {
         let mut upserts: Vec<TagRecord> = self
             .tags
@@ -731,7 +745,7 @@ impl TagTracker {
     /// snapshot exported from it) grows with the distinct tags *ever*
     /// seen, not the tags still active.
     ///
-    /// When tracing is on, evictions land in the dirty set, so the next
+    /// When tracing is on, evictions land in the dirty list, so the next
     /// [`take_delta`](Self::take_delta) carries them as removals and a
     /// delta-by-delta replay converges to the same compacted state.
     /// Aliases are kept: a reappearing signature still resolves to its
@@ -746,7 +760,7 @@ impl TagTracker {
             self.tags.retain(|key, state| {
                 let keep = state.last_seen_us >= cutoff_us;
                 if !keep {
-                    dirty.insert(key);
+                    dirty.push(key);
                 }
                 keep
             });
@@ -773,6 +787,10 @@ impl TagTracker {
         self.stats = delta.stats;
     }
 }
+
+/// Dirty keys ahead that [`TagTracker::take_delta`] hints the state table
+/// at ([`TagStateMap::prefetch`]).
+const DELTA_PREFETCH_AHEAD: usize = 4;
 
 /// Open-addressing storage for per-tag state, replacing `HashMap<u64,
 /// TagState>` on the tracker's hot path.

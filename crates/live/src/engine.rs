@@ -769,8 +769,8 @@ impl LiveCity {
         let core = &*self.core;
         let mut state = core.sealer_state();
         // Engines built without a log never traced tracker deltas; turn
-        // tracing on so post-snapshot panes carry them. Safe mid-run: delta
-        // sets are drained every sealed pane, and no pass runs meanwhile.
+        // tracing on so post-snapshot panes carry them. Safe mid-run: dirty
+        // lists are drained every sealed pane, and no pass runs meanwhile.
         for tracker in &mut state.trackers {
             tracker.set_trace(true);
         }

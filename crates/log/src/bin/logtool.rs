@@ -1,12 +1,13 @@
 //! Operator tooling for caraoke pane logs.
 //!
 //! ```text
-//! logtool inspect <log-dir>      # segments, sizes, record counts, pane range
+//! logtool inspect <log-dir>      # segments, sizes, record counts, pane range,
+//!                                # where the pane records' bytes go
 //! logtool verify  <log-dir>      # full verified replay; exit 1 on corruption
 //! logtool tail    <log-dir> [n]  # the last n pane records (default 10)
 //! ```
 
-use caraoke_log::codec::LogRecord;
+use caraoke_log::codec::{LogRecord, PaneBytes};
 use caraoke_log::{LogCity, LogReader};
 use std::path::Path;
 use std::process::ExitCode;
@@ -58,6 +59,8 @@ fn inspect(dir: &Path) -> ExitCode {
     let mut snapshots = 0u64;
     let mut dead = 0u64;
     let mut forced = 0u64;
+    let mut bytes = PaneBytes::default();
+    let mut observations = 0u64;
     for record in cursor.by_ref() {
         match record {
             Ok(LogRecord::Pane(p)) => {
@@ -65,6 +68,8 @@ fn inspect(dir: &Path) -> ExitCode {
                 first_pane.get_or_insert(p.pane);
                 last_pane = p.pane;
                 forced += u64::from(p.forced);
+                bytes.add(&PaneBytes::of(&p.aggregates, &p.deltas));
+                observations += p.aggregates.observations;
             }
             Ok(LogRecord::Snapshot(s)) => {
                 snapshots += 1;
@@ -86,7 +91,10 @@ fn inspect(dir: &Path) -> ExitCode {
         }
     }
     match first_pane {
-        Some(first) => println!("  panes {first}..={last_pane} ({panes} records, {forced} forced)"),
+        Some(first) => {
+            println!("  panes {first}..={last_pane} ({panes} records, {forced} forced)");
+            print_pane_bytes(&bytes, observations);
+        }
         None => println!("  no pane records"),
     }
     println!(
@@ -95,6 +103,42 @@ fn inspect(dir: &Path) -> ExitCode {
         cursor.torn_tail_bytes()
     );
     ExitCode::SUCCESS
+}
+
+/// Where the pane records' payload bytes go, part by part, summed over
+/// the log.
+fn print_pane_bytes(bytes: &PaneBytes, observations: u64) {
+    let total = bytes.total();
+    println!(
+        "  pane payload bytes {total} ({:.1} B/obs over {observations} observations):",
+        total as f64 / observations.max(1) as f64
+    );
+    let share = |part: usize| 100.0 * part as f64 / total.max(1) as f64;
+    let mean_points = bytes.track_points as f64 / bytes.upsert_count.max(1) as f64;
+    let parts = [
+        (
+            "header + aggregates",
+            bytes.header_and_aggregates,
+            String::new(),
+        ),
+        ("OD rows", bytes.od_rows, String::new()),
+        (
+            "tracker upserts",
+            bytes.upserts,
+            format!(
+                "  {} upserts, mean {mean_points:.2} track points",
+                bytes.upsert_count
+            ),
+        ),
+        (
+            "removals + aliases",
+            bytes.removals_and_aliases,
+            String::new(),
+        ),
+    ];
+    for (name, part, note) in parts {
+        println!("    {name:<20} {part:>12} B {:5.1} %{note}", share(part));
+    }
 }
 
 fn verify(dir: &Path) -> ExitCode {

@@ -226,9 +226,6 @@ pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
 
 /// Bounds-checked little-endian reader over an untrusted byte slice. Every
 /// method names the field it was reading in its error, and none of them
@@ -314,9 +311,91 @@ const SPEED_BIN_BYTES: usize = 2 + 8;
 const OD_ROW_BYTES: usize = 4 + 4 + 8;
 const TAG_RECORD_MIN_BYTES: usize = 8 + 4 + 4 + 2 + 2 + 8 + 8 + 4 + 8 + 1;
 const DELTA_MIN_BYTES: usize = 3 * 4 + 3 * 8;
+// The rest of the fixed widths [`PaneBytes`] sizes a pane record by.
+/// A pane record's header and, after its aggregates, its shard count.
+const PANE_FIXED_BYTES: usize = 1 + 8 + 1 + 4 + 8 + 8 + 4;
+const AGGREGATE_FIXED_BYTES: usize = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 6 * 8;
+const TRACK_POINT_BYTES: usize = 8 + 8 + 8;
+const REMOVAL_BYTES: usize = 8;
+const ALIAS_BYTES: usize = 8 + 8;
+
+/// Where one pane record's payload bytes go, part by part. Every field
+/// encodes fixed-width, so each part's size follows from its row counts,
+/// and the parts sum to the payload's exact length
+/// ([`total`](Self::total)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PaneBytes {
+    /// The record header, the aggregates but their OD rows, and each
+    /// tracker delta's length prefixes and alias counters.
+    pub header_and_aggregates: usize,
+    /// The aggregate's OD rows.
+    pub od_rows: usize,
+    /// Tracker upserts, their track points included.
+    pub upserts: usize,
+    /// How many tracker upserts there are.
+    pub upsert_count: usize,
+    /// How many track points the upserts carry.
+    pub track_points: usize,
+    /// Tracker removals and alias rows.
+    pub removals_and_aliases: usize,
+}
+
+impl PaneBytes {
+    /// The split of the pane record [`encode_pane`] writes for
+    /// `aggregates` and `deltas`.
+    pub fn of(aggregates: &CityAggregates, deltas: &[TrackerDelta]) -> Self {
+        let mut bytes = PaneBytes {
+            header_and_aggregates: PANE_FIXED_BYTES
+                + AGGREGATE_FIXED_BYTES
+                + aggregates.segments.len() * SEGMENT_ROW_BYTES
+                + aggregates.flow.per_cycle.len() * FLOW_ROW_BYTES
+                + nonzero_speed_bins(&aggregates.speeds).count() * SPEED_BIN_BYTES
+                + deltas.len() * DELTA_MIN_BYTES,
+            od_rows: aggregates.od.len() * OD_ROW_BYTES,
+            ..PaneBytes::default()
+        };
+        for delta in deltas {
+            for rec in &delta.upserts {
+                bytes.upserts +=
+                    TAG_RECORD_MIN_BYTES + usize::from(rec.track_len) * TRACK_POINT_BYTES;
+                bytes.track_points += usize::from(rec.track_len);
+            }
+            bytes.upsert_count += delta.upserts.len();
+            bytes.removals_and_aliases +=
+                delta.removals.len() * REMOVAL_BYTES + delta.aliases.len() * ALIAS_BYTES;
+        }
+        bytes
+    }
+
+    /// The payload's length: every part's bytes.
+    pub fn total(&self) -> usize {
+        self.header_and_aggregates + self.od_rows + self.upserts + self.removals_and_aliases
+    }
+
+    /// Adds `other`'s parts and counts to these.
+    pub fn add(&mut self, other: &PaneBytes) {
+        self.header_and_aggregates += other.header_and_aggregates;
+        self.od_rows += other.od_rows;
+        self.upserts += other.upserts;
+        self.upsert_count += other.upsert_count;
+        self.track_points += other.track_points;
+        self.removals_and_aliases += other.removals_and_aliases;
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Aggregates.
+
+/// The speed histogram's occupied bins, `(bin, count)` in bin order: the
+/// rows the encoding carries.
+fn nonzero_speed_bins(speeds: &SpeedHistogram) -> impl Iterator<Item = (usize, u64)> + '_ {
+    speeds
+        .bins()
+        .iter()
+        .enumerate()
+        .filter(|(_, &n)| n != 0)
+        .map(|(i, &n)| (i, n))
+}
 
 fn encode_aggregates(buf: &mut Vec<u8>, agg: &CityAggregates) {
     put_u64(buf, agg.observations);
@@ -337,16 +416,8 @@ fn encode_aggregates(buf: &mut Vec<u8>, agg: &CityAggregates) {
     }
     put_u64(buf, agg.speeds.samples());
     put_u64(buf, agg.speeds.sum_centi_mph());
-    let nonzero: Vec<(usize, u64)> = agg
-        .speeds
-        .bins()
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n != 0)
-        .map(|(i, &n)| (i, n))
-        .collect();
-    put_u32(buf, nonzero.len() as u32);
-    for (bin, n) in nonzero {
+    put_u32(buf, nonzero_speed_bins(&agg.speeds).count() as u32);
+    for (bin, n) in nonzero_speed_bins(&agg.speeds) {
         put_u16(buf, bin as u16);
         put_u64(buf, n);
     }
@@ -441,22 +512,32 @@ fn decode_aggregates(dec: &mut Dec<'_>) -> Result<CityAggregates, String> {
 // ---------------------------------------------------------------------------
 // Tracker deltas.
 
+/// Assembles the record on the stack and appends it with one copy: upserts
+/// are most of a pane's bytes, and a per-field append re-checks the
+/// buffer's capacity at every field.
 fn encode_tag_record(buf: &mut Vec<u8>, rec: &TagRecord) {
-    put_u64(buf, rec.key);
-    put_u32(buf, rec.prev_pole);
-    put_u32(buf, rec.last_pole);
-    put_u16(buf, rec.prev_segment);
-    put_u16(buf, rec.last_segment);
-    put_u64(buf, rec.arrival_us);
-    put_u64(buf, rec.last_seen_us);
-    put_u32(buf, rec.last_cycle);
-    put_u64(buf, rec.sightings);
-    put_u8(buf, rec.track_len);
+    let mut out = [0u8; TAG_RECORD_MIN_BYTES + TRACK_CAP * TRACK_POINT_BYTES];
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        out[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
+    put(&rec.key.to_le_bytes());
+    put(&rec.prev_pole.to_le_bytes());
+    put(&rec.last_pole.to_le_bytes());
+    put(&rec.prev_segment.to_le_bytes());
+    put(&rec.last_segment.to_le_bytes());
+    put(&rec.arrival_us.to_le_bytes());
+    put(&rec.last_seen_us.to_le_bytes());
+    put(&rec.last_cycle.to_le_bytes());
+    put(&rec.sightings.to_le_bytes());
+    put(&[rec.track_len]);
     for &(t, x, y) in rec.track.iter().take(rec.track_len as usize) {
-        put_u64(buf, t);
-        put_f64(buf, x);
-        put_f64(buf, y);
+        put(&t.to_le_bytes());
+        put(&x.to_bits().to_le_bytes());
+        put(&y.to_bits().to_le_bytes());
     }
+    buf.extend_from_slice(&out[..at]);
 }
 
 fn decode_tag_record(dec: &mut Dec<'_>) -> Result<TagRecord, String> {
@@ -543,7 +624,7 @@ fn decode_delta(dec: &mut Dec<'_>) -> Result<TrackerDelta, String> {
 // Records.
 
 /// Encodes a pane record from parts (so the sealer never clones the pane
-/// aggregate just to log it).
+/// aggregate just to log it), into a buffer of exactly its length.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_pane(
     pane: u64,
@@ -554,19 +635,52 @@ pub fn encode_pane(
     aggregates: &CityAggregates,
     deltas: &[TrackerDelta],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    put_u8(&mut buf, REC_PANE);
-    put_u64(&mut buf, pane);
-    put_u8(&mut buf, u8::from(forced));
-    put_u32(&mut buf, pole_misses);
-    put_u64(&mut buf, fingerprint);
-    put_u64(&mut buf, chain);
-    encode_aggregates(&mut buf, aggregates);
-    put_u32(&mut buf, deltas.len() as u32);
-    for delta in deltas {
-        encode_delta(&mut buf, delta);
-    }
+    let mut buf = Vec::new();
+    encode_pane_into(
+        &mut buf,
+        pane,
+        forced,
+        pole_misses,
+        fingerprint,
+        chain,
+        aggregates,
+        deltas,
+    );
     buf
+}
+
+/// Appends the payload [`encode_pane`] returns to `buf`, reserving its
+/// exact length ([`PaneBytes`]) first, so `buf` grows at most once.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_pane_into(
+    buf: &mut Vec<u8>,
+    pane: u64,
+    forced: bool,
+    pole_misses: u32,
+    fingerprint: u64,
+    chain: u64,
+    aggregates: &CityAggregates,
+    deltas: &[TrackerDelta],
+) {
+    let len = PaneBytes::of(aggregates, deltas).total();
+    buf.reserve(len);
+    let start = buf.len();
+    put_u8(buf, REC_PANE);
+    put_u64(buf, pane);
+    put_u8(buf, u8::from(forced));
+    put_u32(buf, pole_misses);
+    put_u64(buf, fingerprint);
+    put_u64(buf, chain);
+    encode_aggregates(buf, aggregates);
+    put_u32(buf, deltas.len() as u32);
+    for delta in deltas {
+        encode_delta(buf, delta);
+    }
+    debug_assert_eq!(
+        buf.len() - start,
+        len,
+        "PaneBytes disagrees with the encoder"
+    );
 }
 
 /// Encodes a snapshot record.
@@ -759,6 +873,56 @@ mod tests {
             }
             other => panic!("wrong record: {other:?}"),
         }
+    }
+
+    #[test]
+    fn pane_bytes_split_the_encoded_length_exactly() {
+        let (agg, _) = seeded_pane(0x5EED, 120);
+        let mut track = [(0, 0.0, 0.0); TRACK_CAP];
+        track[..3].copy_from_slice(&[(1, 1.0, 2.0), (2, 3.0, 4.0), (3, 5.0, 6.0)]);
+        let rec = TagRecord {
+            key: 4,
+            prev_pole: 0,
+            last_pole: 1,
+            prev_segment: 0,
+            last_segment: 1,
+            arrival_us: 1,
+            last_seen_us: 3,
+            last_cycle: 0,
+            sightings: 3,
+            track,
+            track_len: 3,
+        };
+        let deltas = [
+            TrackerDelta {
+                upserts: vec![
+                    rec,
+                    TagRecord {
+                        key: 5,
+                        track_len: 0,
+                        ..rec
+                    },
+                ],
+                removals: vec![9],
+                aliases: vec![(9, 4)],
+                ..TrackerDelta::default()
+            },
+            TrackerDelta::default(),
+        ];
+        let bytes = PaneBytes::of(&agg, &deltas);
+        assert_eq!(bytes.od_rows, agg.od.len() * 16);
+        assert_eq!((bytes.upsert_count, bytes.track_points), (2, 3));
+        assert_eq!(bytes.upserts, 2 * 49 + 3 * 24);
+        assert_eq!(bytes.removals_and_aliases, 8 + 16);
+        // A buffer that held a larger record, cleared, takes a smaller one
+        // with no stale tail.
+        let mut buf = encode_pane(1, false, 0, 2, 3, &agg, &deltas);
+        assert_eq!(buf.len(), bytes.total());
+        let fresh = encode_pane(7, true, 1, 2, 3, &agg, &deltas[1..]);
+        buf.clear();
+        encode_pane_into(&mut buf, 7, true, 1, 2, 3, &agg, &deltas[1..]);
+        assert_eq!(buf, fresh);
+        assert_eq!(fresh.len(), PaneBytes::of(&agg, &deltas[1..]).total());
     }
 
     #[test]

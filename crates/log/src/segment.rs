@@ -27,6 +27,16 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"CARAOKLG";
 pub const FORMAT_VERSION: u32 = 2;
 /// Segment header length in bytes.
 pub const HEADER_LEN: u64 = 16;
+/// Frame header length in bytes: the payload's length and CRC.
+const FRAME_HEADER_LEN: usize = 8;
+
+/// The frame header of `payload`: its length, then its CRC32C.
+fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut header = [0; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&codec::crc32c(payload).to_le_bytes());
+    header
+}
 
 /// Does `bytes` open with a segment header this build reads? `false` when
 /// the header is short, the magic is wrong, or the version is not
@@ -120,6 +130,10 @@ pub struct SegmentWriter {
     next_pane_hint: u64,
     /// Optional fault injector consulted before every record/rotate/sync.
     fault: Option<Box<dyn WriteFault>>,
+    /// The pane frame being written, header and payload in one buffer:
+    /// reused from pane to pane, so it grows only past the largest pane
+    /// so far, and a frame is one write.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for SegmentWriter {
@@ -160,6 +174,7 @@ impl SegmentWriter {
             seals_since_sync: 0,
             next_pane_hint: 0,
             fault: None,
+            frame: Vec::new(),
         };
         writer.start_segment(0)?;
         Ok(writer)
@@ -201,6 +216,7 @@ impl SegmentWriter {
             seals_since_sync: 0,
             next_pane_hint: next_pane,
             fault: None,
+            frame: Vec::new(),
         };
         writer.start_segment(next_pane)?;
         Ok(writer)
@@ -252,7 +268,13 @@ impl SegmentWriter {
         deltas: &[TrackerDelta],
     ) -> io::Result<()> {
         self.maybe_rotate(pane)?;
-        let payload = codec::encode_pane(
+        // Taken for the write and put back whatever it returns, so a
+        // failed write keeps the buffer for the retry.
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.resize(FRAME_HEADER_LEN, 0);
+        codec::encode_pane_into(
+            &mut frame,
             pane,
             forced,
             pole_misses,
@@ -261,7 +283,11 @@ impl SegmentWriter {
             aggregates,
             deltas,
         );
-        self.write_record(&payload)?;
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+        header.copy_from_slice(&frame_header(payload));
+        let written = self.write_frame(&frame);
+        self.frame = frame;
+        written?;
         self.next_pane_hint = pane + 1;
         Ok(())
     }
@@ -323,14 +349,22 @@ impl SegmentWriter {
         Ok(())
     }
 
+    /// Frames and appends a record that is not a pane: a snapshot, which
+    /// would pin its whole size in the pane frame buffer, or a dead-pole
+    /// marker.
     fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
         self.fault_check(IoOp::Append, self.next_pane_hint)?;
-        let len = payload.len() as u32;
-        let crc = codec::crc32c(payload);
-        self.file.write_all(&len.to_le_bytes())?;
-        self.file.write_all(&crc.to_le_bytes())?;
+        self.file.write_all(&frame_header(payload))?;
         self.file.write_all(payload)?;
-        self.current_bytes += 8 + payload.len() as u64;
+        self.current_bytes += (FRAME_HEADER_LEN + payload.len()) as u64;
+        Ok(())
+    }
+
+    /// Appends one framed record, header included.
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.fault_check(IoOp::Append, self.next_pane_hint)?;
+        self.file.write_all(frame)?;
+        self.current_bytes += frame.len() as u64;
         Ok(())
     }
 
@@ -440,5 +474,127 @@ pub fn scan_valid_len(path: &Path) -> io::Result<u64> {
             return Ok(pos as u64);
         }
         pos += 8 + len;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caraoke_city::store::{TagRecord, TRACK_CAP};
+    use caraoke_city::PoleId;
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("caraoke-segment-{}-{}", std::process::id(), name));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A pane with `rows` OD rows and `rows` upserts of two track points.
+    fn pane(rows: u32) -> (CityAggregates, Vec<TrackerDelta>) {
+        let mut agg = CityAggregates::new();
+        for i in 0..rows {
+            agg.od.record(PoleId(i), PoleId(i + 1));
+        }
+        let upserts = (0..u64::from(rows))
+            .map(|key| TagRecord {
+                key,
+                prev_pole: u32::MAX,
+                last_pole: 1,
+                prev_segment: u16::MAX,
+                last_segment: 0,
+                arrival_us: key,
+                last_seen_us: key + 1,
+                last_cycle: 0,
+                sightings: 2,
+                track: [(key, 1.5, -2.5); TRACK_CAP],
+                track_len: 2,
+            })
+            .collect();
+        let delta = TrackerDelta {
+            upserts,
+            removals: vec![u64::from(rows) + 7],
+            ..TrackerDelta::default()
+        };
+        (agg, vec![delta])
+    }
+
+    /// The segment file `panes` framed by hand from fresh encodes.
+    fn expected_segment(panes: &[(u64, &(CityAggregates, Vec<TrackerDelta>))]) -> Vec<u8> {
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        bytes.extend(FORMAT_VERSION.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes());
+        for &(id, (agg, deltas)) in panes {
+            let payload = codec::encode_pane(id, false, 0, 9, 10, agg, deltas);
+            bytes.extend(frame_header(&payload));
+            bytes.extend(payload);
+        }
+        bytes
+    }
+
+    fn append(writer: &mut SegmentWriter, id: u64, pane: &(CityAggregates, Vec<TrackerDelta>)) {
+        writer
+            .append_pane(id, false, 0, 9, 10, &pane.0, &pane.1)
+            .expect("append");
+    }
+
+    fn segment_bytes(writer: &mut SegmentWriter) -> Vec<u8> {
+        writer.sync().expect("sync");
+        fs::read(writer.dir().join(&writer.segments()[0])).expect("read segment")
+    }
+
+    #[test]
+    fn a_smaller_pane_after_a_larger_one_leaves_no_stale_tail() {
+        let dir = scratch_dir("shrink");
+        let (large, small) = (pane(300), pane(3));
+        let mut writer = SegmentWriter::create(&dir, LogOptions::default()).expect("create");
+        append(&mut writer, 0, &large);
+        append(&mut writer, 1, &small);
+        assert_eq!(
+            segment_bytes(&mut writer),
+            expected_segment(&[(0, &large), (1, &small)])
+        );
+        drop(writer);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Fails the `n`-th append (counting from 0) once, transiently.
+    struct FailAppend(u32);
+
+    impl WriteFault for FailAppend {
+        fn check(&mut self, op: IoOp, _pane: u64) -> Option<io::Error> {
+            if op != IoOp::Append {
+                return None;
+            }
+            self.0 = self.0.wrapping_sub(1);
+            (self.0 == u32::MAX).then(|| io::Error::from(io::ErrorKind::Interrupted))
+        }
+    }
+
+    #[test]
+    fn a_retried_append_writes_the_bytes_of_an_unfaulted_one() {
+        let dir = scratch_dir("retry");
+        let panes = [pane(40), pane(60)];
+        let mut writer = SegmentWriter::create(&dir, LogOptions::default()).expect("create");
+        writer.set_fault_injector(Some(Box::new(FailAppend(1))));
+        append(&mut writer, 0, &panes[0]);
+        let (agg, deltas) = &panes[1];
+        let err = writer.append_pane(1, false, 0, 9, 10, agg, deltas);
+        assert_eq!(
+            err.expect_err("injected").kind(),
+            io::ErrorKind::Interrupted
+        );
+        let kept = codec::encode_pane(1, false, 0, 9, 10, agg, deltas).len();
+        assert!(
+            writer.frame.capacity() >= FRAME_HEADER_LEN + kept,
+            "the failed write put the frame buffer back"
+        );
+        append(&mut writer, 1, &panes[1]);
+        assert_eq!(
+            segment_bytes(&mut writer),
+            expected_segment(&[(0, &panes[0]), (1, &panes[1])])
+        );
+        drop(writer);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
