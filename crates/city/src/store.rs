@@ -194,6 +194,10 @@ struct TagState {
     track_len: u8,
     /// Index of the oldest valid fix (always 0 until the ring fills).
     track_head: u8,
+    /// Whether the key is on its traced tracker's dirty list: set at the
+    /// state's first change since the last drain, so later changes skip
+    /// the push. Never set while tracing is off.
+    dirty: bool,
 }
 
 impl TagState {
@@ -212,6 +216,7 @@ impl TagState {
             track: [(0, 0.0, 0.0); TRACK_CAP],
             track_len: 0,
             track_head: 0,
+            dirty: false,
         }
     }
 
@@ -433,6 +438,7 @@ fn state_of(rec: &TagRecord) -> TagState {
         track: rec.track,
         track_len: rec.track_len,
         track_head: 0,
+        dirty: false,
     }
 }
 
@@ -457,9 +463,11 @@ pub struct TagTracker {
     /// When set, every mutation pushes its key onto the dirty lists so
     /// [`take_delta`](Self::take_delta) can emit a per-pane change log.
     /// Off by default: stores that never persist pay nothing but one
-    /// branch per mutation. A key is pushed once per mutation, repeats
-    /// and all; `take_delta` sorts and dedups each list once per drain,
-    /// which gives the deltas their key order.
+    /// branch per mutation. A sighting pushes its key only at the state's
+    /// first change since the last drain (the state's `dirty` flag);
+    /// alias changes, key migrations and evictions push theirs every time.
+    /// `take_delta` sorts and dedups each list once per drain, which gives
+    /// the deltas their key order.
     trace: bool,
     dirty_tags: Vec<u64>,
     dirty_aliases: Vec<u64>,
@@ -554,9 +562,6 @@ impl TagTracker {
         mut emit: impl FnMut(DerivedEvent),
     ) {
         let key = self.resolve(obs);
-        if self.trace {
-            self.dirty_tags.push(key);
-        }
         let cycle = (obs.timestamp_us / config.light_cycle_us) as u32;
         // Only real fixes feed the position track; the pole fallback would
         // regress to the pole-hop staircase the track is meant to replace.
@@ -581,13 +586,21 @@ impl TagTracker {
                     track: [(0, 0.0, 0.0); TRACK_CAP],
                     track_len: 0,
                     track_head: 0,
+                    dirty: self.trace,
                 };
                 if let Some(f) = fix {
                     state.push_track(obs.timestamp_us, f.xy);
                 }
                 self.tags.insert(key, state);
+                if self.trace {
+                    self.dirty_tags.push(key);
+                }
             }
             Some(state) => {
+                if self.trace && !state.dirty {
+                    state.dirty = true;
+                    self.dirty_tags.push(key);
+                }
                 if let Some(f) = fix {
                     state.push_track(obs.timestamp_us, f.xy);
                 }
@@ -673,7 +686,11 @@ impl TagTracker {
     /// after enabling covers exactly the mutations since the switch.
     pub fn set_trace(&mut self, on: bool) {
         self.trace = on;
-        self.dirty_tags.clear();
+        for key in self.dirty_tags.drain(..) {
+            if let Some(state) = self.tags.get_mut(key) {
+                state.dirty = false;
+            }
+        }
         self.dirty_aliases.clear();
     }
 
@@ -704,8 +721,11 @@ impl TagTracker {
             if let Some(&ahead) = keys.get(n + DELTA_PREFETCH_AHEAD) {
                 self.tags.prefetch(ahead);
             }
-            match self.tags.get(key) {
-                Some(state) => delta.upserts.push(record_of(key, state)),
+            match self.tags.get_mut(key) {
+                Some(state) => {
+                    state.dirty = false;
+                    delta.upserts.push(record_of(key, state));
+                }
                 None => delta.removals.push(key),
             }
         }
@@ -1355,6 +1375,16 @@ mod tests {
         assert_eq!(delta.stats, tracker.alias_stats());
 
         assert!(tracker.take_delta().is_empty(), "the next drain is empty");
+
+        // Tracing switched off and on again forgets the undrained list; a
+        // change after the switch is still in the next delta.
+        tracker.apply(&obs(7, 0, 0, 11_000_000), &dir, &config, |_| {});
+        tracker.set_trace(false);
+        tracker.set_trace(true);
+        assert!(tracker.take_delta().is_empty());
+        tracker.apply(&obs(7, 1, 0, 12_000_000), &dir, &config, |_| {});
+        let keys: Vec<u64> = tracker.take_delta().upserts.iter().map(|r| r.key).collect();
+        assert_eq!(keys, vec![7]);
     }
 
     #[test]
