@@ -892,17 +892,6 @@ impl TagStateMap {
     }
 
     #[inline(always)]
-    fn get(&self, key: u64) -> Option<&TagState> {
-        if key == Self::EMPTY {
-            return self.sentinel_val.as_ref();
-        }
-        if self.table_len == 0 {
-            return None;
-        }
-        self.probe(key).ok().map(|i| &self.vals[i])
-    }
-
-    #[inline(always)]
     fn get_mut(&mut self, key: u64) -> Option<&mut TagState> {
         if key == Self::EMPTY {
             return self.sentinel_val.as_mut();
