@@ -57,9 +57,6 @@
 //!    published ring ([`CityWindows`]), in one hold of its lock —
 //!    durability before visibility — and waiters wake.
 //!
-//! Each pass charges its time, stage by stage, to [`LiveStats::seal_ns`]
-//! ([`SealStageNs`]), read on the engine's clock once per stage and pane.
-//!
 //! Only then does the next pane touch a tracker, because trackers are
 //! cumulative: they describe "the run up to pane `p`" only between pane
 //! `p`'s fold and pane `p + 1`'s, which is what a snapshot claims
@@ -67,6 +64,9 @@
 //! any later it would carry state from panes the recovered engine folds
 //! again — so whatever prefix of a pass's records a crash leaves on disk
 //! recovers byte-identical.
+//!
+//! Each pass charges its time, stage by stage, to [`LiveStats::seal_ns`]
+//! ([`SealStageNs`]), read on the engine's clock once per stage and pane.
 //!
 //! Lock order: the sealer state first; under it, an ingest stripe, the log
 //! sink or the published ring, one at a time. The clock's two locks (clock

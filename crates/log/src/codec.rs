@@ -311,8 +311,9 @@ const SPEED_BIN_BYTES: usize = 2 + 8;
 const OD_ROW_BYTES: usize = 4 + 4 + 8;
 const TAG_RECORD_MIN_BYTES: usize = 8 + 4 + 4 + 2 + 2 + 8 + 8 + 4 + 8 + 1;
 const DELTA_MIN_BYTES: usize = 3 * 4 + 3 * 8;
-// The rest of the fixed widths [`PaneBytes`] sizes a pane record by.
-/// A pane record's header and, after its aggregates, its shard count.
+// The other fixed widths `PaneBytes` sizes a pane record by: the record
+// header with (after the aggregates) its shard count, the aggregates'
+// own fields, and the rows of the tracker deltas.
 const PANE_FIXED_BYTES: usize = 1 + 8 + 1 + 4 + 8 + 8 + 4;
 const AGGREGATE_FIXED_BYTES: usize = 8 + 4 + 4 + 8 + 8 + 4 + 4 + 6 * 8;
 const TRACK_POINT_BYTES: usize = 8 + 8 + 8;
@@ -652,7 +653,7 @@ pub fn encode_pane(
 /// Appends the payload [`encode_pane`] returns to `buf`, reserving its
 /// exact length ([`PaneBytes`]) first, so `buf` grows at most once.
 #[allow(clippy::too_many_arguments)]
-pub fn encode_pane_into(
+pub(crate) fn encode_pane_into(
     buf: &mut Vec<u8>,
     pane: u64,
     forced: bool,

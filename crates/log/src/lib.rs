@@ -44,7 +44,21 @@
 //!   needs to resume at the first unsealed pane).
 //!
 //! The `logtool` binary wraps the read side for operators:
-//! `logtool inspect|verify|tail <log-dir>`.
+//! `logtool inspect|verify|tail <log-dir>`; `inspect` also prints where
+//! the pane records' bytes go.
+//!
+//! # Where the log's cost goes
+//!
+//! The live engine's seal-pass stage clocks (`LiveStats::seal_ns` in
+//! `caraoke-live`) split what logging adds to the sealer. On a
+//! 1 000-pole closed-loop stream (the benchmark's `durable_cycle`; 2
+//! cores, medians of three runs of four trials) a logged sealer spends
+//! ≈ 41 ns per observation taking the tracker deltas and ≈ 131 ns
+//! appending the pane records, and its fold costs what an unlogged one's
+//! does. Of the append, timed on an instrumented copy, about half is
+//! segment rotation (the full segment's `fdatasync`, the new segment's
+//! header and the manifest, each synced), a quarter the write, a sixth
+//! the encoding and a tenth the CRC.
 
 // `deny` rather than the workspace's usual `forbid`: the hardware-CRC32C
 // kernel in `codec` needs one `#[allow(unsafe_code)]` module for the

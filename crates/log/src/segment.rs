@@ -285,7 +285,7 @@ impl SegmentWriter {
         );
         let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
         header.copy_from_slice(&frame_header(payload));
-        let written = self.write_frame(&frame);
+        let written = self.write_frame(&[&frame]);
         self.frame = frame;
         written?;
         self.next_pane_hint = pane + 1;
@@ -353,18 +353,16 @@ impl SegmentWriter {
     /// would pin its whole size in the pane frame buffer, or a dead-pole
     /// marker.
     fn write_record(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.fault_check(IoOp::Append, self.next_pane_hint)?;
-        self.file.write_all(&frame_header(payload))?;
-        self.file.write_all(payload)?;
-        self.current_bytes += (FRAME_HEADER_LEN + payload.len()) as u64;
-        Ok(())
+        self.write_frame(&[&frame_header(payload), payload])
     }
 
-    /// Appends one framed record, header included.
-    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+    /// Appends one framed record, given in parts that follow each other.
+    fn write_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
         self.fault_check(IoOp::Append, self.next_pane_hint)?;
-        self.file.write_all(frame)?;
-        self.current_bytes += frame.len() as u64;
+        for part in parts {
+            self.file.write_all(part)?;
+        }
+        self.current_bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         Ok(())
     }
 
