@@ -37,7 +37,7 @@
 //! reports read them. Each query is seeded by `(seed, pole, epoch)` alone,
 //! so which thread computes it, and in what order, moves no bit.
 //!
-//! A query is [`Pole::observe`]: it synthesizes and analyses the first
+//! A query is [`Pole::query`]: it synthesizes and analyses the first
 //! antenna in full, and the second only if the first heard a spike, then
 //! only at the spike bins (§6 reads it nowhere else). Most campus queries
 //! hear no spike (69 % of `campus(6, 64, 77)`'s), so most skip the second
@@ -113,9 +113,8 @@ pub struct PhyCity {
     /// Memoized `(street, epoch)` pole queries. A report reads its own
     /// query and its neighbour's, so each would otherwise be computed
     /// twice. Entries are computed once even under concurrent callers (the
-    /// others wait on the `OnceLock`), keep only what a report reads (no
-    /// per-antenna spectra) and are dropped [`RETAINED_EPOCHS`] behind the
-    /// newest epoch asked for.
+    /// others wait on the `OnceLock`) and are dropped [`RETAINED_EPOCHS`]
+    /// behind the newest epoch asked for.
     query_cache: Mutex<HashMap<(usize, usize), StreetQueries>>,
     query_cache_hits: AtomicU64,
 }
@@ -272,8 +271,8 @@ impl PhyCity {
 
     /// Every pole query of `street` for `epoch`, in pole order, each
     /// bit-identical whichever thread computes it: a query's randomness
-    /// comes from `(seed, pole, epoch)` alone. Each is [`Pole::observe`],
-    /// [`Pole::query`] without the per-antenna spectra no report reads.
+    /// comes from `(seed, pole, epoch)` alone, since [`Pole::query`] draws
+    /// less on a query that hears no spike.
     fn street_queries(&self, street: usize, epoch: usize) -> Vec<QueryReport> {
         let t_s = epoch as f64 * self.epoch_us as f64 / 1e6;
         let tags = self.street_tags(street, t_s);
@@ -281,7 +280,7 @@ impl PhyCity {
         par_map(self.poles_per_street, self.street_threads, |local| {
             let pole = first + local;
             let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, pole as u32, epoch));
-            self.poles[pole].observe(&tags, &self.propagation, &mut rng)
+            self.poles[pole].query(&tags, &self.propagation, &mut rng)
         })
     }
 
@@ -498,12 +497,6 @@ mod tests {
             let cold = PhyCity::campus(3, 2, 11);
             assert_eq!(cold.report(pole, 1), swept[pole as usize], "pole {pole}");
         }
-        // Entries keep what pairing reads, not the per-antenna spectra.
-        for batch in warm.query_cache.lock().unwrap().values() {
-            for query in batch.get().expect("swept entries are filled") {
-                assert!(query.spectrum.spectra.is_empty());
-            }
-        }
 
         // The memo stays bounded over a long sweep.
         let long = PhyCity::campus(2, 64, 11);
@@ -563,7 +556,9 @@ mod tests {
 
     #[test]
     fn lazy_pole_queries_equal_full_ones_over_the_campus() {
-        // Per query: peaks, multi-occupied peaks.
+        // The reference is the whole signal `receive` draws from the same
+        // seed, every antenna synthesized and analysed. Per query: peaks,
+        // multi-occupied peaks.
         let mut shapes = Vec::new();
         for seed in [77, 78, 123] {
             let city = PhyCity::campus(6, 64, seed);
@@ -573,9 +568,10 @@ mod tests {
                 let t_s = epoch as f64 * city.epoch_us as f64 / 1e6;
                 let tags = city.street_tags(city.street_of_pole[pole], t_s);
                 let rng = || StdRng::seed_from_u64(mix_seed(seed, pole as u32, epoch));
-                let lazy = city.poles[pole].observe(&tags, &city.propagation, &mut rng());
-                let mut full = city.poles[pole].query(&tags, &city.propagation, &mut rng());
-                full.spectrum.spectra.clear();
+                let station = &city.poles[pole];
+                let lazy = station.query(&tags, &city.propagation, &mut rng());
+                let signal = station.receive(&tags, &city.propagation, &mut rng());
+                let full = station.reader.process_query(&signal).unwrap();
                 assert_eq!(lazy, full, "seed {seed} pole {pole} epoch {epoch}");
                 let peaks = &lazy.spectrum.peaks;
                 (

@@ -24,7 +24,9 @@ pub struct ReaderConfig {
     /// Relative magnitude change above which a bin is declared to hold two or
     /// more transponders.
     pub occupancy_rel_threshold: f64,
-    /// Maximum number of queries the decoder may combine before giving up.
+    /// Maximum number of queries the decoder may combine before giving up;
+    /// at least 2, since a packet is accepted only when two accumulations
+    /// in a row slice to it (§8).
     pub max_decode_queries: usize,
     /// Antenna spacing (metres) used for AoA; λ/2 by default.
     pub antenna_spacing: f64,
@@ -78,9 +80,9 @@ impl ReaderConfig {
                 "occupancy threshold must be in (0, 1)".into(),
             ));
         }
-        if self.max_decode_queries == 0 {
+        if self.max_decode_queries < 2 {
             return Err(crate::CaraokeError::InvalidConfig(
-                "decoder needs at least one query".into(),
+                "decoder needs at least two queries to confirm a packet".into(),
             ));
         }
         Ok(())
@@ -130,5 +132,20 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn one_query_budget_is_rejected() {
+        // §8 accepts a packet only once a second accumulation confirms it.
+        let cfg = ReaderConfig {
+            max_decode_queries: 1,
+            ..Default::default()
+        };
+        assert!(cfg.validate().is_err());
+        let cfg = ReaderConfig {
+            max_decode_queries: 2,
+            ..Default::default()
+        };
+        assert!(cfg.validate().is_ok());
     }
 }

@@ -7,11 +7,16 @@
 //! result. The target's signal adds coherently (it is the thing being
 //! compensated); every other tag keeps a random phase per query (tags restart
 //! their oscillators for every response) and averages out. The reader keeps
-//! issuing queries until the decoded bits pass the packet checksum.
+//! issuing queries until two accumulations in a row slice to the same
+//! packet and that packet passes the checksum: a CRC-16 alone passes one
+//! noisy slice in 2¹⁶, and a reader that tries after every query of every
+//! peak it cannot decode sees enough slices to accept a wrong id.
+//!
+//! The algorithm needs one antenna: it reads antenna 0 of every collision.
 
 use crate::config::ReaderConfig;
 use crate::error::CaraokeError;
-use crate::spectrum::{analyze_collision, CollisionSpectrum};
+use crate::spectrum::{analyze_antennas, CollisionSpectrum};
 use caraoke_dsp::goertzel::{dtft_at_frequencies, dtft_at_frequency};
 use caraoke_dsp::Complex;
 use caraoke_phy::modulation::slice_bits;
@@ -64,58 +69,58 @@ fn refine_cfo(samples: &[Complex], coarse_cfo: f64, bin_resolution: f64, sample_
 }
 
 /// Decodes the tag whose CFO spike lies near `target_cfo_hz`, combining the
-/// provided collisions in order until the checksum passes.
+/// provided collisions in order until two accumulations in a row slice to
+/// the same checksum-valid packet.
 ///
-/// `antenna` selects which antenna's samples to combine (the algorithm needs
-/// only one). Returns [`CaraokeError::DecodeFailed`] if the checksum never
-/// passes, or [`CaraokeError::NoPeak`] if the first collision shows no spike
-/// near the requested CFO.
+/// Returns [`CaraokeError::DecodeFailed`] if that never happens, or
+/// [`CaraokeError::NoPeak`] if the first collision shows no spike near the
+/// requested CFO.
 pub fn decode_target(
     queries: &[CollisionSignal],
-    antenna: usize,
     target_cfo_hz: f64,
     config: &ReaderConfig,
 ) -> Result<DecodeOutcome, CaraokeError> {
     if queries.is_empty() {
         return Err(CaraokeError::DecodeFailed { queries_used: 0 });
     }
-    require_antenna(&queries[0], antenna)?;
-    let first_spectrum = analyze_collision(&queries[0], config)?;
-    decode_with_spectrum(queries, antenna, target_cfo_hz, config, &first_spectrum)
+    let first_spectrum = analyze_first_antenna(&queries[0], config)?;
+    decode_with_spectrum(queries, target_cfo_hz, config, &first_spectrum)
 }
 
-fn require_antenna(signal: &CollisionSignal, antenna: usize) -> Result<(), CaraokeError> {
-    if signal.num_antennas() <= antenna {
-        return Err(CaraokeError::NotEnoughAntennas {
-            required: antenna + 1,
-            available: signal.num_antennas(),
-        });
-    }
-    Ok(())
+/// The spikes of `signal`'s antenna 0, the one §8 combines; the other
+/// antennas are not read.
+fn analyze_first_antenna(
+    signal: &CollisionSignal,
+    config: &ReaderConfig,
+) -> Result<CollisionSpectrum, CaraokeError> {
+    analyze_antennas(
+        signal.num_antennas().min(1),
+        signal.sample_rate,
+        || signal.antenna(0),
+        config,
+    )
 }
 
 /// [`decode_target`] given the analysis of `queries[0]`, which must be
-/// non-empty and have the antenna: [`decode_all`] analyses the first
-/// collision once for all its targets instead of once per target.
+/// non-empty: [`decode_all`] analyses the first collision once for all its
+/// targets instead of once per target.
 fn decode_with_spectrum(
     queries: &[CollisionSignal],
-    antenna: usize,
     target_cfo_hz: f64,
     config: &ReaderConfig,
     first_spectrum: &CollisionSpectrum,
 ) -> Result<DecodeOutcome, CaraokeError> {
     let sample_rate = queries[0].sample_rate;
     let n = queries[0].num_samples();
-    let bin_resolution = sample_rate / n as f64;
 
     // Locate and refine the target's CFO from the first collision.
     let peak = first_spectrum
         .peak_near_cfo(target_cfo_hz, 2)
         .ok_or(CaraokeError::NoPeak)?;
     let cfo = refine_cfo(
-        queries[0].antenna(antenna),
+        queries[0].antenna(0),
         peak.cfo_hz,
-        bin_resolution,
+        first_spectrum.bin_resolution,
         sample_rate,
     );
 
@@ -123,9 +128,10 @@ fn decode_with_spectrum(
     let n_bits = caraoke_phy::timing::RESPONSE_BITS;
     let mut accumulator = vec![Complex::ZERO; n];
     let max_queries = config.max_decode_queries.min(queries.len());
+    let mut previous = None;
 
     for (q_idx, query) in queries.iter().take(max_queries).enumerate() {
-        let samples = query.antenna(antenna);
+        let samples = query.antenna(0);
         // Per-query channel estimate: the DTFT value at the refined CFO is
         // h·N/2 (Eq. 5), rotated by this query's random initial phase.
         let peak_value = dtft_at_frequency(samples, cfo, sample_rate);
@@ -142,9 +148,11 @@ fn decode_with_spectrum(
             rot *= step;
         }
 
-        // Attempt to decode after every combined query.
-        let bits = slice_bits(&accumulator, samples_per_chip, n_bits);
-        if let Some(packet) = TransponderPacket::from_bits(&bits) {
+        // Attempt to decode after every combined query; accept a packet the
+        // previous accumulation also sliced to.
+        let packet =
+            TransponderPacket::from_bits(&slice_bits(&accumulator, samples_per_chip, n_bits));
+        if let Some(packet) = packet.filter(|p| previous.as_ref() == Some(p)) {
             let queries_used = q_idx + 1;
             return Ok(DecodeOutcome {
                 packet,
@@ -153,6 +161,7 @@ fn decode_with_spectrum(
                 cfo_hz: cfo,
             });
         }
+        previous = packet;
     }
 
     Err(CaraokeError::DecodeFailed {
@@ -168,30 +177,26 @@ fn decode_with_spectrum(
 /// the slowest one.
 pub fn decode_all(
     queries: &[CollisionSignal],
-    antenna: usize,
     config: &ReaderConfig,
 ) -> Result<Vec<DecodeReport>, CaraokeError> {
     if queries.is_empty() {
         return Ok(Vec::new());
     }
-    let spectrum = analyze_collision(&queries[0], config)?;
-    let mut reports = Vec::with_capacity(spectrum.peaks.len());
-    let has_antenna = require_antenna(&queries[0], antenna);
-    for peak in &spectrum.peaks {
-        let outcome = has_antenna
-            .clone()
-            .and_then(|()| decode_with_spectrum(queries, antenna, peak.cfo_hz, config, &spectrum));
-        reports.push(DecodeReport {
+    let spectrum = analyze_first_antenna(&queries[0], config)?;
+    Ok(spectrum
+        .peaks
+        .iter()
+        .map(|peak| DecodeReport {
             cfo_hz: peak.cfo_hz,
-            outcome,
-        });
-    }
-    Ok(reports)
+            outcome: decode_with_spectrum(queries, peak.cfo_hz, config, &spectrum),
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spectrum::analyze_collision;
     use caraoke_geom::Vec3;
     use caraoke_phy::{
         antenna::{AntennaArray, ArrayGeometry},
@@ -249,7 +254,7 @@ mod tests {
         let config = ReaderConfig::default();
         let tags = random_tags(1, &mut rng);
         let queries = make_queries(&tags, 8, &mut rng, &config);
-        let out = decode_target(&queries, 0, tags[0].cfo(), &config).expect("decode");
+        let out = decode_target(&queries, tags[0].cfo(), &config).expect("decode");
         assert_eq!(out.packet, tags[0].packet);
         assert!(out.queries_used <= 3, "used {}", out.queries_used);
         assert!((out.cfo_hz - tags[0].cfo()).abs() < 300.0);
@@ -262,7 +267,7 @@ mod tests {
         let tags = random_tags(5, &mut rng);
         let queries = make_queries(&tags, 48, &mut rng, &config);
         for tag in &tags {
-            let out = decode_target(&queries, 0, tag.cfo(), &config)
+            let out = decode_target(&queries, tag.cfo(), &config)
                 .unwrap_or_else(|e| panic!("tag {} failed: {e}", tag.id()));
             assert_eq!(out.packet.id, tag.id());
         }
@@ -280,7 +285,7 @@ mod tests {
                 let mut run_rng = StdRng::seed_from_u64(43 + 100 * m as u64 + r);
                 let tags = random_tags(m, &mut run_rng);
                 let queries = make_queries(&tags, 60, &mut run_rng, &config);
-                let out = decode_target(&queries, 0, tags[0].cfo(), &config).expect("decode");
+                let out = decode_target(&queries, tags[0].cfo(), &config).expect("decode");
                 total += out.queries_used;
             }
             avg_queries.push(total as f64 / runs as f64);
@@ -308,7 +313,7 @@ mod tests {
             })
             .collect();
         let queries = make_queries(&tags, 48, &mut rng, &config);
-        let reports = decode_all(&queries, 0, &config).unwrap();
+        let reports = decode_all(&queries, &config).unwrap();
         assert_eq!(reports.len(), 4);
         let mut decoded_ids: Vec<u64> = reports
             .iter()
@@ -326,14 +331,14 @@ mod tests {
         let config = ReaderConfig::default();
         let tags = random_tags(3, &mut rng);
         let queries = make_queries(&tags, 16, &mut rng, &config);
-        let reports = decode_all(&queries, 0, &config).unwrap();
+        let reports = decode_all(&queries, &config).unwrap();
         let spectrum = analyze_collision(&queries[0], &config).unwrap();
         assert_eq!(reports.len(), spectrum.peaks.len());
         assert!(reports.len() >= 3);
         assert!(reports.iter().any(|r| r.outcome.is_ok()));
         for (report, peak) in reports.iter().zip(&spectrum.peaks) {
             assert_eq!(report.cfo_hz.to_bits(), peak.cfo_hz.to_bits());
-            let alone = decode_target(&queries, 0, peak.cfo_hz, &config);
+            let alone = decode_target(&queries, peak.cfo_hz, &config);
             match (&report.outcome, &alone) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.packet, b.packet);
@@ -347,17 +352,51 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
-        // An antenna the signal does not have is the same per-peak error.
-        for report in decode_all(&queries, 2, &config).unwrap() {
-            assert_eq!(
-                report.outcome,
-                decode_target(&queries, 2, report.cfo_hz, &config)
-            );
-            assert!(matches!(
-                report.outcome,
-                Err(CaraokeError::NotEnoughAntennas { required: 3, .. })
-            ));
-        }
+    }
+
+    #[test]
+    fn decoding_reads_antenna_zero_only() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let config = ReaderConfig::default();
+        let tags = random_tags(3, &mut rng);
+        let queries = make_queries(&tags, 16, &mut rng, &config);
+        let reports = decode_all(&queries, &config).unwrap();
+        // Antenna 1 is neither analysed nor combined: a first collision
+        // whose antenna 1 is garbage decodes the same, and so does a set
+        // with antenna 0 alone.
+        let mut garbage = queries.clone();
+        garbage[0].antennas[1]
+            .iter_mut()
+            .for_each(|s| s.re = f64::NAN);
+        garbage[0].antennas[1].truncate(3);
+        assert_eq!(decode_all(&garbage, &config).unwrap(), reports);
+        let mut single = queries.clone();
+        single.iter_mut().for_each(|q| q.antennas.truncate(1));
+        assert_eq!(decode_all(&single, &config).unwrap(), reports);
+        // No antenna at all is refused.
+        single[0].antennas.clear();
+        assert!(matches!(
+            decode_all(&single, &config),
+            Err(CaraokeError::NotEnoughAntennas { .. })
+        ));
+    }
+
+    #[test]
+    fn a_packet_is_accepted_only_when_two_accumulations_in_a_row_agree() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let config = ReaderConfig::default();
+        let tags = random_tags(1, &mut rng);
+        let queries = make_queries(&tags, 8, &mut rng, &config);
+        let out = decode_target(&queries, tags[0].cfo(), &config).expect("decode");
+        assert!(out.queries_used >= 2);
+        // One query fewer leaves the last match unconfirmed.
+        let used = out.queries_used;
+        assert_eq!(
+            decode_target(&queries[..used - 1], tags[0].cfo(), &config),
+            Err(CaraokeError::DecodeFailed {
+                queries_used: used - 1
+            })
+        );
     }
 
     #[test]
@@ -366,14 +405,14 @@ mod tests {
         let config = ReaderConfig::default();
         let tags = random_tags(2, &mut rng);
         let queries = make_queries(&tags, 32, &mut rng, &config);
-        let out = decode_target(&queries, 0, tags[0].cfo(), &config).expect("decode");
+        let out = decode_target(&queries, tags[0].cfo(), &config).expect("decode");
         assert!((out.identification_time_ms - out.queries_used as f64).abs() < 1e-9);
     }
 
     #[test]
     fn decoding_with_no_queries_fails() {
         let config = ReaderConfig::default();
-        let err = decode_target(&[], 0, 500e3, &config).unwrap_err();
+        let err = decode_target(&[], 500e3, &config).unwrap_err();
         assert!(matches!(
             err,
             CaraokeError::DecodeFailed { queries_used: 0 }
@@ -391,7 +430,7 @@ mod tests {
         )];
         let queries = make_queries(&tags, 4, &mut rng, &config);
         // Ask for a CFO far away from the only tag.
-        let err = decode_target(&queries, 0, 1.0e6, &config).unwrap_err();
+        let err = decode_target(&queries, 1.0e6, &config).unwrap_err();
         assert_eq!(err, CaraokeError::NoPeak);
     }
 
@@ -402,17 +441,14 @@ mod tests {
             max_decode_queries: 1,
             ..Default::default()
         };
-        // Many colliders and only one query allowed: should fail for at least
-        // the weakest target... but may occasionally succeed; use a strong
-        // interferer configuration to make failure deterministic.
+        // One query allowed: nothing can confirm the packet it slices to,
+        // so decoding fails whatever the colliders.
         let tags = random_tags(8, &mut rng);
         let queries = make_queries(&tags, 1, &mut rng, &config);
-        let result = decode_target(&queries, 0, tags[7].cfo(), &config);
-        if let Err(e) = result {
-            assert!(matches!(
-                e,
-                CaraokeError::DecodeFailed { queries_used: 1 } | CaraokeError::NoPeak
-            ));
-        }
+        let result = decode_target(&queries, tags[7].cfo(), &config);
+        assert!(matches!(
+            result,
+            Err(CaraokeError::DecodeFailed { queries_used: 1 } | CaraokeError::NoPeak)
+        ));
     }
 }

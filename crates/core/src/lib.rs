@@ -17,7 +17,8 @@
 //!   even during collisions; the three-antenna pair-selection rule keeps the
 //!   estimate near broadside (§6).
 //! * [`decoding`] — coherently combine many collisions after compensating the
-//!   target's channel and CFO until its checksum passes (§8).
+//!   target's channel and CFO until two accumulations in a row slice to the
+//!   same checksum-valid packet (§8).
 //! * [`speed`] — speed from two localization fixes at different poles (§7).
 //! * [`multipath`] — synthetic-aperture multipath profiles confirming the
 //!   line-of-sight assumption (§12.2, Fig. 14).
@@ -45,4 +46,4 @@ pub use decoding::{decode_all, decode_target, DecodeOutcome};
 pub use error::CaraokeError;
 pub use localization::{estimate_aoa, localize_peaks, AoaEstimate};
 pub use reader::{CaraokeReader, QueryReport};
-pub use spectrum::{analyze_collision, CollisionSpectrum, TagPeak};
+pub use spectrum::{analyze_antennas, analyze_collision, CollisionSpectrum, TagPeak};

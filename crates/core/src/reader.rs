@@ -11,8 +11,7 @@ use crate::counting::{count_from_spectrum, CountEstimate};
 use crate::decoding::{decode_all, decode_target, DecodeOutcome, DecodeReport};
 use crate::error::CaraokeError;
 use crate::localization::{localize_peaks, AoaEstimate};
-use crate::spectrum::{analyze_at_peaks, analyze_collision, CollisionSpectrum};
-use caraoke_dsp::Complex;
+use crate::spectrum::{analyze_collision, CollisionSpectrum};
 use caraoke_phy::antenna::AntennaArray;
 use caraoke_phy::CollisionSignal;
 
@@ -54,29 +53,15 @@ impl CaraokeReader {
     /// Processes the collision received in response to one query: counts the
     /// responding transponders and estimates each one's AoA.
     pub fn process_query(&self, signal: &CollisionSignal) -> Result<QueryReport, CaraokeError> {
-        self.report(analyze_collision(signal, &self.config)?)
+        self.process_spectrum(analyze_collision(signal, &self.config)?)
     }
 
-    /// [`Self::process_query`] for a collision whose antennas, one per
-    /// element of the array, come one at a time from `next_antenna`: the
-    /// second and later antennas are asked for only if the first has a
-    /// spike, and are read at the spikes only ([`analyze_at_peaks`]). The
-    /// report equals `process_query`'s with its spectra removed.
-    pub fn process_query_at_peaks(
+    /// Counts and localizes the spikes of a collision analysed by
+    /// [`crate::spectrum::analyze_antennas`] on this reader's array.
+    pub fn process_spectrum(
         &self,
-        sample_rate: f64,
-        next_antenna: impl FnMut() -> Vec<Complex>,
+        spectrum: CollisionSpectrum,
     ) -> Result<QueryReport, CaraokeError> {
-        self.report(analyze_at_peaks(
-            self.array.len(),
-            sample_rate,
-            next_antenna,
-            &self.config,
-        )?)
-    }
-
-    /// Counts and localizes the spikes of an analysed collision.
-    fn report(&self, spectrum: CollisionSpectrum) -> Result<QueryReport, CaraokeError> {
         let count = count_from_spectrum(&spectrum);
         let aoa = if spectrum.num_antennas() >= 2 {
             localize_peaks(&spectrum, &self.array, &self.config)?
@@ -97,7 +82,7 @@ impl CaraokeReader {
         queries: &[CollisionSignal],
         target_cfo_hz: f64,
     ) -> Result<DecodeOutcome, CaraokeError> {
-        decode_target(queries, 0, target_cfo_hz, &self.config)
+        decode_target(queries, target_cfo_hz, &self.config)
     }
 
     /// Decodes every tag visible in the first collision of `queries`.
@@ -105,7 +90,7 @@ impl CaraokeReader {
         &self,
         queries: &[CollisionSignal],
     ) -> Result<Vec<DecodeReport>, CaraokeError> {
-        decode_all(queries, 0, &self.config)
+        decode_all(queries, &self.config)
     }
 }
 

@@ -6,11 +6,12 @@
 //! (the channel estimates `h/2`). This module packages that step.
 //!
 //! Only the first antenna's spectrum is searched; the others are read at
-//! its spikes (Eq. 10 takes the phase of `R_j(Δf) / R_i(Δf)` at the peak).
-//! [`analyze_collision`] transforms every antenna in full and keeps the
-//! spectra; [`analyze_at_peaks`] reads the other antennas at the spike bins
-//! only, and not at all when the first antenna has no spike. Both run the
-//! same first-antenna analysis, and their peaks are bit for bit equal.
+//! its spikes (Eq. 10 takes the phase of `R_j(Δf) / R_i(Δf)` at the peak),
+//! with [`fft_bins`], and not at all when the first antenna has no spike.
+//! [`analyze_antennas`] takes the antennas one at a time, so a caller that
+//! synthesizes them never makes the ones it does not need;
+//! [`analyze_collision`] runs it over a whole received signal. A caller
+//! that wants an antenna's full spectrum takes the [`fft()`] of its samples.
 
 use crate::config::ReaderConfig;
 use crate::error::CaraokeError;
@@ -38,9 +39,6 @@ pub struct TagPeak {
 /// The spectral analysis of one collision at one reader.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollisionSpectrum {
-    /// Full complex spectrum per antenna, from [`analyze_collision`]; empty
-    /// from [`analyze_at_peaks`], and a caller may drop it.
-    pub spectra: Vec<Vec<Complex>>,
     /// Detected transponder spikes, ordered by bin.
     pub peaks: Vec<TagPeak>,
     /// FFT bin resolution, Hz.
@@ -51,8 +49,7 @@ pub struct CollisionSpectrum {
 }
 
 impl CollisionSpectrum {
-    /// Number of antennas analysed, whether or not [`Self::spectra`] is
-    /// kept.
+    /// Number of antennas analysed.
     pub fn num_antennas(&self) -> usize {
         self.antennas
     }
@@ -68,8 +65,37 @@ impl CollisionSpectrum {
     }
 }
 
-/// Analyses a collision: FFT per antenna, peak detection in the CFO band and
-/// the multi-occupancy test (§5) per peak.
+/// [`analyze_antennas`] over a received signal's antennas, read in place.
+/// Every antenna must have the first one's sample count, whether or not it
+/// is read.
+///
+/// # Errors
+/// As [`analyze_antennas`], and [`CaraokeError::MalformedSignal`] for
+/// antennas of different lengths.
+pub fn analyze_collision(
+    signal: &CollisionSignal,
+    config: &ReaderConfig,
+) -> Result<CollisionSpectrum, CaraokeError> {
+    let n = signal.num_samples();
+    if signal.antennas.iter().any(|a| a.len() != n) {
+        return Err(CaraokeError::MalformedSignal(
+            "antennas differ in sample count",
+        ));
+    }
+    let mut samples = signal.antennas.iter();
+    analyze_antennas(
+        signal.num_antennas(),
+        signal.sample_rate,
+        || samples.next().expect("one call per antenna"),
+        config,
+    )
+}
+
+/// Analyses a collision received on `antennas` antennas, which come one at
+/// a time from `next_antenna`: FFT of the first, peak detection in the CFO
+/// band and the multi-occupancy test (§5) per peak; then, only if the first
+/// antenna has a peak, the other `antennas − 1` are asked for and read at
+/// the peak bins ([`fft_bins`], bit for bit the full transform's values).
 ///
 /// The multi-occupancy test evaluates each peak's frequency over two
 /// time-shifted sub-windows of the response (the first and the last
@@ -80,68 +106,17 @@ impl CollisionSpectrum {
 /// relative magnitude change above `occupancy_rel_threshold` flags the bin as
 /// holding two or more tags.
 ///
-/// Peaks are searched on the first antenna only; the other antennas' full
-/// spectra are kept in [`CollisionSpectrum::spectra`] and read at the peaks.
-/// [`analyze_at_peaks`] returns the same peaks without those spectra.
-///
 /// # Errors
-/// [`CaraokeError::NotEnoughAntennas`] for a signal with no antennas, and
-/// [`CaraokeError::MalformedSignal`] for one the FFT cannot take: a sample
-/// count that is zero or not a power of two, antennas of different lengths,
-/// or a NaN or infinite sample.
-pub fn analyze_collision(
-    signal: &CollisionSignal,
-    config: &ReaderConfig,
-) -> Result<CollisionSpectrum, CaraokeError> {
-    let antennas = signal.num_antennas();
-    if antennas == 0 {
-        return Err(CaraokeError::NotEnoughAntennas {
-            required: 1,
-            available: 0,
-        });
-    }
-    let n = signal.num_samples();
-    check_length(n)?;
-    if signal.antennas.iter().any(|a| a.len() != n) {
-        return Err(CaraokeError::MalformedSignal(
-            "antennas differ in sample count",
-        ));
-    }
-    let bin_resolution = signal.sample_rate / n as f64;
-    let (first, mut peaks) =
-        analyze_first_antenna(signal.antenna(0), bin_resolution, antennas, config)?;
-    let mut spectra = Vec::with_capacity(antennas);
-    spectra.push(first);
-    for samples in &signal.antennas[1..] {
-        let spectrum = fft(samples);
-        for peak in &mut peaks {
-            peak.values.push(spectrum[peak.bin]);
-        }
-        spectra.push(spectrum);
-    }
-    check_peak_values(&peaks)?;
-    Ok(CollisionSpectrum {
-        spectra,
-        peaks,
-        bin_resolution,
-        antennas,
-    })
-}
-
-/// [`analyze_collision`] for a collision whose antennas come one at a time
-/// from `next_antenna`, without the spectra: the first antenna is analysed
-/// in full, and the other `antennas − 1` are asked for only if it has a
-/// peak, then read at the peak bins only ([`fft_bins`]). The peaks, bin
-/// resolution and antenna count equal `analyze_collision`'s bit for bit.
-///
-/// # Errors
-/// As [`analyze_collision`], found in antenna order: a malformed first
-/// antenna is reported before a later antenna is asked for, and a later
-/// one is checked only if it is read.
-pub fn analyze_at_peaks(
+/// [`CaraokeError::NotEnoughAntennas`] for no antennas, and
+/// [`CaraokeError::MalformedSignal`] for samples the FFT cannot take: a
+/// sample count that is zero or not a power of two, a later antenna whose
+/// count differs from the first's, or a NaN or infinite sample. They are
+/// found in antenna order: a malformed first antenna is reported before a
+/// later one is asked for, and a later one is checked only if it is read.
+pub fn analyze_antennas<S: AsRef<[Complex]>>(
     antennas: usize,
     sample_rate: f64,
-    mut next_antenna: impl FnMut() -> Vec<Complex>,
+    mut next_antenna: impl FnMut() -> S,
     config: &ReaderConfig,
 ) -> Result<CollisionSpectrum, CaraokeError> {
     if antennas == 0 {
@@ -151,53 +126,49 @@ pub fn analyze_at_peaks(
         });
     }
     let first = next_antenna();
-    let n = first.len();
-    check_length(n)?;
+    let n = first.as_ref().len();
+    if !caraoke_dsp::fft::is_power_of_two(n) {
+        return Err(CaraokeError::MalformedSignal(
+            "sample count must be a non-zero power of two",
+        ));
+    }
     let bin_resolution = sample_rate / n as f64;
-    let (_, mut peaks) = analyze_first_antenna(&first, bin_resolution, antennas, config)?;
+    let mut peaks = first_antenna_peaks(first.as_ref(), bin_resolution, antennas, config)?;
     if !peaks.is_empty() {
         let bins: Vec<usize> = peaks.iter().map(|p| p.bin).collect();
         for _ in 1..antennas {
             let samples = next_antenna();
-            if samples.len() != n {
+            if samples.as_ref().len() != n {
                 return Err(CaraokeError::MalformedSignal(
                     "antennas differ in sample count",
                 ));
             }
-            for (peak, value) in peaks.iter_mut().zip(fft_bins(&samples, &bins)) {
+            for (peak, value) in peaks.iter_mut().zip(fft_bins(samples.as_ref(), &bins)) {
                 peak.values.push(value);
             }
         }
-        check_peak_values(&peaks)?;
+        // The other antennas are read at the peaks only, so that is where a
+        // non-finite sample of theirs shows.
+        if peaks.iter().flat_map(|p| &p.values).any(|v| !v.is_finite()) {
+            return Err(CaraokeError::MalformedSignal("non-finite sample"));
+        }
     }
     Ok(CollisionSpectrum {
-        spectra: Vec::new(),
         peaks,
         bin_resolution,
         antennas,
     })
 }
 
-/// Refuses a sample count the radix-2 FFT cannot take.
-fn check_length(n: usize) -> Result<(), CaraokeError> {
-    if caraoke_dsp::fft::is_power_of_two(n) {
-        Ok(())
-    } else {
-        Err(CaraokeError::MalformedSignal(
-            "sample count must be a non-zero power of two",
-        ))
-    }
-}
-
-/// The first antenna's analysis, common to both paths: its spectrum, and
-/// its peaks with the occupancy test run, each holding the first antenna's
-/// value only (with room for `antennas`). `samples.len()` is a power of two.
-fn analyze_first_antenna(
+/// The first antenna's peaks, with the occupancy test run, each holding
+/// the first antenna's value only (with room for `antennas`).
+/// `samples.len()` is a power of two.
+fn first_antenna_peaks(
     samples: &[Complex],
     bin_resolution: f64,
     antennas: usize,
     config: &ReaderConfig,
-) -> Result<(Vec<Complex>, Vec<TagPeak>), CaraokeError> {
+) -> Result<Vec<TagPeak>, CaraokeError> {
     let n = samples.len();
     let spectrum = fft(samples);
 
@@ -220,7 +191,7 @@ fn analyze_first_antenna(
     let late = &samples[n - w..];
 
     let mut scratch = Vec::with_capacity(2 * floor_window + 1);
-    let peaks: Vec<TagPeak> = raw_peaks
+    Ok(raw_peaks
         .into_iter()
         .map(|p| {
             // Evaluate the exact peak frequency over each sub-window.
@@ -247,17 +218,7 @@ fn analyze_first_antenna(
                 multi_occupied: rel_change > adaptive,
             }
         })
-        .collect();
-    Ok((spectrum, peaks))
-}
-
-/// The other antennas are read at the peaks only, so that is where a
-/// non-finite sample of theirs shows.
-fn check_peak_values(peaks: &[TagPeak]) -> Result<(), CaraokeError> {
-    if peaks.iter().flat_map(|p| &p.values).any(|v| !v.is_finite()) {
-        return Err(CaraokeError::MalformedSignal("non-finite sample"));
-    }
-    Ok(())
+        .collect())
 }
 
 #[cfg(test)]
@@ -308,6 +269,7 @@ mod tests {
             &mut rng,
         );
         let spec = analyze_collision(&sig, &rcfg).unwrap();
+        assert_values_are_full_transforms(&spec, &sig);
         assert_eq!(spec.peaks.len(), 4);
         assert_eq!(spec.num_antennas(), 2);
         for (tag, peak) in tags.iter().zip(spec.peaks.iter()) {
@@ -351,6 +313,7 @@ mod tests {
             &mut rng,
         );
         let spec = analyze_collision(&sig, &rcfg).unwrap();
+        assert_values_are_full_transforms(&spec, &sig);
         let shared = spec
             .peaks
             .iter()
@@ -462,33 +425,44 @@ mod tests {
         assert!(malformed(&tone_signal([2048, 512], 600)).contains("differ"));
     }
 
-    /// `analyze_at_peaks` over `sig`'s antennas, and how many it asked for.
-    fn at_peaks(sig: &CollisionSignal) -> (Result<CollisionSpectrum, CaraokeError>, usize) {
+    /// `analyze_antennas` over `sig`'s antennas, and how many it asked for.
+    fn streamed(sig: &CollisionSignal) -> (Result<CollisionSpectrum, CaraokeError>, usize) {
         let mut antennas = sig.antennas.iter();
         let mut asked = 0;
-        let result = analyze_at_peaks(
+        let result = analyze_antennas(
             sig.num_antennas(),
             sig.sample_rate,
             || {
                 asked += 1;
-                antennas
-                    .next()
-                    .expect("asked for an antenna too many")
-                    .clone()
+                antennas.next().expect("asked for an antenna too many")
             },
             &ReaderConfig::default(),
         );
         (result, asked)
     }
 
+    /// Every peak value is the full transform of its antenna at the peak
+    /// bin, bit for bit.
+    fn assert_values_are_full_transforms(spec: &CollisionSpectrum, sig: &CollisionSignal) {
+        let spectra: Vec<Vec<Complex>> = sig.antennas.iter().map(|a| fft(a)).collect();
+        for peak in &spec.peaks {
+            assert_eq!(peak.values.len(), spectra.len());
+            for (value, spectrum) in peak.values.iter().zip(&spectra) {
+                assert_eq!(value.re.to_bits(), spectrum[peak.bin].re.to_bits());
+                assert_eq!(value.im.to_bits(), spectrum[peak.bin].im.to_bits());
+            }
+        }
+    }
+
     #[test]
-    fn at_peaks_is_the_full_analysis_without_spectra() {
+    fn peaks_read_every_antenna_at_the_peak_bins_only() {
         let sig = tone_signal([2048, 2048], 600);
-        let (lazy, asked) = at_peaks(&sig);
-        let mut full = analyze_collision(&sig, &ReaderConfig::default()).unwrap();
-        full.spectra.clear();
-        assert_eq!(lazy.unwrap(), full);
+        let (streamed_spec, asked) = streamed(&sig);
+        let whole = analyze_collision(&sig, &ReaderConfig::default()).unwrap();
+        assert_eq!(streamed_spec.unwrap(), whole);
         assert_eq!(asked, 2);
+        assert_eq!(whole.peaks.len(), 1);
+        assert_values_are_full_transforms(&whole, &sig);
 
         // No spike on the first antenna: the second is never asked for.
         let rcfg = ReaderConfig::default();
@@ -500,16 +474,16 @@ mod tests {
             &rcfg.signal,
             &mut rng,
         );
-        let (lazy, asked) = at_peaks(&sig);
-        let lazy = lazy.unwrap();
-        assert!(lazy.peaks.is_empty());
-        assert_eq!(lazy.num_antennas(), 2);
+        let (silent, asked) = streamed(&sig);
+        let silent = silent.unwrap();
+        assert!(silent.peaks.is_empty());
+        assert_eq!(silent.num_antennas(), 2);
         assert_eq!(asked, 1);
     }
 
     #[test]
-    fn at_peaks_refuses_what_the_full_analysis_refuses() {
-        let lazy_malformed = |sig: &CollisionSignal| match at_peaks(sig).0 {
+    fn streamed_antennas_are_refused_as_a_whole_signal_is() {
+        let streamed_malformed = |sig: &CollisionSignal| match streamed(sig).0 {
             Err(CaraokeError::MalformedSignal(what)) => what,
             other => panic!("expected MalformedSignal, got {other:?}"),
         };
@@ -517,18 +491,18 @@ mod tests {
             let mut sig = tone_signal([2048, 2048], 600);
             sig.antennas[antenna][777].re = f64::NAN;
             assert!(
-                lazy_malformed(&sig).contains("non-finite"),
+                streamed_malformed(&sig).contains("non-finite"),
                 "antenna {antenna}"
             );
         }
-        assert!(lazy_malformed(&tone_signal([1000, 1000], 300)).contains("power of two"));
-        assert!(lazy_malformed(&tone_signal([2048, 512], 600)).contains("differ"));
+        assert!(streamed_malformed(&tone_signal([1000, 1000], 300)).contains("power of two"));
+        assert!(streamed_malformed(&tone_signal([2048, 512], 600)).contains("differ"));
         let none = CollisionSignal {
             antennas: vec![],
             sample_rate: 4.0e6,
         };
         assert!(matches!(
-            at_peaks(&none),
+            streamed(&none),
             (Err(CaraokeError::NotEnoughAntennas { .. }), 0)
         ));
     }

@@ -6,7 +6,7 @@
 //! synthesize the collision from the tags currently in range and run the
 //! reader pipeline over it.
 
-use caraoke::{CaraokeReader, QueryReport, ReaderConfig};
+use caraoke::{analyze_antennas, CaraokeReader, QueryReport, ReaderConfig};
 use caraoke_geom::Vec3;
 use caraoke_phy::antenna::{AntennaArray, ArrayGeometry};
 use caraoke_phy::channel::PropagationModel;
@@ -70,41 +70,32 @@ impl Pole {
         )
     }
 
-    /// Issues one query: synthesizes the collision and runs the reader's
-    /// per-query pipeline (count + AoA). The report keeps every antenna's
-    /// full spectrum; [`Self::observe`] returns the rest of it for less.
+    /// Issues one query and runs the reader's per-query pipeline (count +
+    /// AoA) over it. The first antenna is synthesized and analysed in full;
+    /// the others are synthesized only if it heard a spike, then read at
+    /// the spike bins only (§6 reads them nowhere else). The report equals
+    /// [`CaraokeReader::process_query`] of [`Self::receive`] from the same
+    /// generator state, but when the other antennas are skipped `rng` has
+    /// drawn less than `receive` draws. So a caller that wants each query
+    /// to be reproducible alone gives it a generator of its own, as
+    /// `PhyCity` does.
     pub fn query<R: Rng + ?Sized>(
         &self,
         tags: &[Transponder],
         propagation: &PropagationModel,
         rng: &mut R,
     ) -> QueryReport {
-        let signal = self.receive(tags, propagation, rng);
-        self.reader
-            .process_query(&signal)
-            .expect("signal from this pole's own array is well-formed")
-    }
-
-    /// [`Self::query`] without the spectra, bit for bit, at less cost (§6
-    /// reads the second antenna only at each spike): the first antenna is
-    /// synthesized and analysed in full, and the others are synthesized
-    /// only if it heard a spike, then read at the spike bins only. When
-    /// they are skipped, `rng` has drawn less than after `query`, so a
-    /// caller that wants every query to match `query`'s gives each query a
-    /// generator of its own, as `PhyCity` does.
-    pub fn observe<R: Rng + ?Sized>(
-        &self,
-        tags: &[Transponder],
-        propagation: &PropagationModel,
-        rng: &mut R,
-    ) -> QueryReport {
         let in_range: Vec<Transponder> = self.tags_in_range(tags).into_iter().cloned().collect();
-        let signal = &self.reader.config().signal;
-        let mut collision =
-            CollisionSynth::new(&in_range, self.reader.array(), propagation, signal, rng);
-        self.reader
-            .process_query_at_peaks(signal.sample_rate, || collision.next_antenna(rng))
-            .expect("signal from this pole's own array is well-formed")
+        let (array, config) = (self.reader.array(), self.reader.config());
+        let mut collision = CollisionSynth::new(&in_range, array, propagation, &config.signal, rng);
+        analyze_antennas(
+            array.len(),
+            config.signal.sample_rate,
+            || collision.next_antenna(rng),
+            config,
+        )
+        .and_then(|spectrum| self.reader.process_spectrum(spectrum))
+        .expect("signal from this pole's own array is well-formed")
     }
 }
 
@@ -112,9 +103,10 @@ impl Pole {
 mod tests {
     use super::*;
     use crate::street::Street;
+    use caraoke_dsp::fft;
     use caraoke_phy::CfoModel;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn pole_filters_tags_by_range() {
@@ -161,16 +153,26 @@ mod tests {
         assert_eq!(report.aoa.len(), report.count.peaks);
     }
 
-    /// Runs `observe` and `query` from the same seed, checks the lazy report
-    /// equals the full one with its spectra removed, and returns it.
-    fn observed(pole: &Pole, tags: &[Transponder], seed: u64) -> QueryReport {
+    /// Runs `query`, checks it against the signal `receive` draws from the
+    /// same seed, and returns it: the report equals a fresh analysis of
+    /// that signal, and every peak value is its antenna's full transform at
+    /// the peak bin, bit for bit.
+    fn checked_query(pole: &Pole, tags: &[Transponder], seed: u64) -> QueryReport {
         let model = PropagationModel::line_of_sight();
-        let lazy = pole.observe(tags, &model, &mut StdRng::seed_from_u64(seed));
-        let mut full = pole.query(tags, &model, &mut StdRng::seed_from_u64(seed));
-        assert_eq!(full.spectrum.spectra.len(), pole.reader.array().len());
-        full.spectrum.spectra.clear();
-        assert_eq!(lazy, full, "seed {seed}");
-        lazy
+        let report = pole.query(tags, &model, &mut StdRng::seed_from_u64(seed));
+        let signal = pole.receive(tags, &model, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(signal.num_antennas(), pole.reader.array().len());
+        let fresh = pole.reader.process_query(&signal).expect("own signal");
+        assert_eq!(report, fresh, "seed {seed}");
+        let spectra: Vec<_> = signal.antennas.iter().map(|a| fft(a)).collect();
+        for peak in &report.spectrum.peaks {
+            assert_eq!(peak.values.len(), spectra.len());
+            for (value, spectrum) in peak.values.iter().zip(&spectra) {
+                assert_eq!(value.re.to_bits(), spectrum[peak.bin].re.to_bits());
+                assert_eq!(value.im.to_bits(), spectrum[peak.bin].im.to_bits());
+            }
+        }
+        report
     }
 
     #[test]
@@ -195,25 +197,32 @@ mod tests {
             .collect();
         let report = pole.query(&tags, &PropagationModel::line_of_sight(), &mut rng);
         assert!(!report.aoa.is_empty());
-        // Every peak carries both antennas' values, so the spectra are not
+        // Every peak carries both antennas' values, so no spectrum is
         // needed to localize it again.
-        let mut spectrum = report.spectrum.clone();
-        spectrum.spectra.clear();
-        assert_eq!(spectrum.num_antennas(), 2);
-        let again = caraoke::localize_peaks(&spectrum, pole.reader.array(), pole.reader.config())
-            .expect("the peaks keep every antenna's value");
+        assert_eq!(report.spectrum.num_antennas(), 2);
+        let again =
+            caraoke::localize_peaks(&report.spectrum, pole.reader.array(), pole.reader.config())
+                .expect("the peaks keep every antenna's value");
         assert_eq!(again, report.aoa);
     }
 
     #[test]
-    fn observe_is_query_without_spectra() {
+    fn query_reads_the_received_antennas_at_the_peaks() {
         use caraoke_phy::cfo::MIN_TAG_CARRIER_HZ;
         use caraoke_phy::protocol::{TransponderId, TransponderPacket};
         // Nothing in range: no peak, so only the first antenna is drawn.
         let pair = Pole::new("p", 0.0, -4.0, 3.8, ArrayGeometry::default_pair());
-        let silent = observed(&pair, &[], 10);
+        let silent = checked_query(&pair, &[], 10);
         assert!(silent.spectrum.peaks.is_empty());
         assert_eq!(silent.spectrum.num_antennas(), 2);
+        let model = PropagationModel::line_of_sight();
+        let mut after_query = StdRng::seed_from_u64(10);
+        pair.query(&[], &model, &mut after_query);
+        let mut after_one = StdRng::seed_from_u64(10);
+        let signal = &pair.reader.config().signal;
+        CollisionSynth::new(&[], pair.reader.array(), &model, signal, &mut after_one)
+            .next_antenna(&mut after_one);
+        assert_eq!(after_query.random::<u64>(), after_one.random::<u64>());
 
         // `spectrum.rs`'s shared-bin collision (seed 9): two tags less than
         // a bin apart flag their peak multi-occupied, beside an isolated one.
@@ -230,7 +239,7 @@ mod tests {
             tag(3, 520.0 * bin_hz, Vec3::new(9.0, -1.0, 0.5)),
             tag(2, 300.0 * bin_hz + 900.0, Vec3::new(6.5, 2.0, 0.5)),
         ];
-        let report = observed(&pair, &shared, 9);
+        let report = checked_query(&pair, &shared, 9);
         assert_eq!(report.spectrum.peaks.len(), 2);
         assert!(report.spectrum.peaks.iter().any(|p| p.multi_occupied));
         assert_eq!(report.aoa.len(), 2);
@@ -250,12 +259,12 @@ mod tests {
             })
             .collect();
         for seed in 0..8 {
-            let report = observed(&triangle, &tags, seed);
+            let report = checked_query(&triangle, &tags, seed);
             assert_eq!(report.spectrum.num_antennas(), 3);
             assert!(report.spectrum.peaks.len() >= 2);
             assert!(report.spectrum.peaks.iter().all(|p| p.values.len() == 3));
         }
-        assert!(observed(&triangle, &[], 1).spectrum.peaks.is_empty());
+        assert!(checked_query(&triangle, &[], 1).spectrum.peaks.is_empty());
     }
 
     #[test]

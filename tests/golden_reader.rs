@@ -12,6 +12,7 @@
 use caraoke_suite::city::{
     synth::mix_seed, FrameSource, PhyCity, PoleReport, PositionMethod, TagObservation,
 };
+use caraoke_suite::dsp::{fft, Complex};
 use caraoke_suite::geom::localize::{LocalizeError, RoadRegion};
 use caraoke_suite::geom::{try_localize_two_readers, ReaderPose, Vec3};
 use caraoke_suite::live::{LiveCity, LiveConfig};
@@ -173,10 +174,11 @@ fn campus_street_tags(streets: &[Street], street: usize, t_s: f64) -> Vec<Transp
     out
 }
 
-fn hash_query(h: &mut Fnv, q: &QueryReport) {
+/// `q` and the full per-antenna `spectra` of the signal it analysed.
+fn hash_query(h: &mut Fnv, q: &QueryReport, spectra: &[Vec<Complex>]) {
     h.f64(q.spectrum.bin_resolution);
-    h.u64(q.spectrum.spectra.len() as u64);
-    for spectrum in &q.spectrum.spectra {
+    h.u64(spectra.len() as u64);
+    for spectrum in spectra {
         h.u64(spectrum.len() as u64);
         for c in spectrum {
             h.f64(c.re);
@@ -229,14 +231,65 @@ fn one_pole_query_per_campus_street_is_the_recorded_one() {
             ArrayGeometry::default_pair(),
         );
         let tags = campus_street_tags(&streets, street, 1.0);
-        let mut rng = StdRng::seed_from_u64(mix_seed(77, street as u32, 1));
-        let query = pole.query(&tags, &PropagationModel::line_of_sight(), &mut rng);
+        let model = PropagationModel::line_of_sight();
+        let rng = || StdRng::seed_from_u64(mix_seed(77, street as u32, 1));
+        let query = pole.query(&tags, &model, &mut rng());
         assert!(!query.spectrum.peaks.is_empty(), "street {street} is empty");
-        assert_eq!(query.spectrum.spectra.len(), 2);
+        // The query keeps no spectrum; the ones recorded are the full
+        // transforms of the signal it heard, received from the same seed.
+        let signal = pole.receive(&tags, &model, &mut rng());
+        let spectra: Vec<Vec<Complex>> = signal.antennas.iter().map(|a| fft(a)).collect();
+        assert_eq!(spectra.len(), 2);
         let mut h = Fnv::new();
-        hash_query(&mut h, &query);
+        hash_query(&mut h, &query, &spectra);
         assert_eq!(h.0, want, "street {street}: got {:#018x}", h.0);
     }
+}
+
+/// §8 decoding on the campus, as the benchmark's decode phase draws it: the
+/// street's first pole, the street's tags at `round % 8` seconds, and 16
+/// collisions from `Pole::receive`. These are the cases where accepting
+/// the first accumulation whose bits pass the CRC decoded an id that no
+/// tag in range has.
+#[test]
+fn campus_decoding_accepts_no_id_out_of_range() {
+    let streets = Street::campus();
+    let pole = Pole::new(
+        "decode",
+        0.0,
+        -6.0,
+        Street::pole_height(),
+        ArrayGeometry::default_pair(),
+    );
+    let (mut correct, mut wrong) = (0, Vec::new());
+    for (seed, round, street) in [
+        (87, 8, 0),
+        (92, 1, 0),
+        (384, 17, 3),
+        (388, 8, 0),
+        (405, 9, 0),
+    ] {
+        let tags = campus_street_tags(&streets, street, (round % 8) as f64);
+        let truth: Vec<u64> = pole.tags_in_range(&tags).iter().map(|t| t.id().0).collect();
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed, street as u32, 1_000_000 + round));
+        let collisions: Vec<_> = (0..16)
+            .map(|_| pole.receive(&tags, &PropagationModel::line_of_sight(), &mut rng))
+            .collect();
+        let reports = pole
+            .reader
+            .decode_everyone(&collisions)
+            .expect("own signal");
+        for outcome in reports.iter().filter_map(|r| r.outcome.as_ref().ok()) {
+            let id = outcome.packet.id.0;
+            if truth.contains(&id) {
+                correct += 1;
+            } else {
+                wrong.push((seed, round, street, id));
+            }
+        }
+    }
+    assert_eq!(wrong, [], "(seed, round, street, id) decoded out of range");
+    assert!(correct > 0, "the cases decode some tag in range");
 }
 
 #[test]
