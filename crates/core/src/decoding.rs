@@ -72,9 +72,10 @@ fn refine_cfo(samples: &[Complex], coarse_cfo: f64, bin_resolution: f64, sample_
 /// provided collisions in order until two accumulations in a row slice to
 /// the same checksum-valid packet.
 ///
-/// Returns [`CaraokeError::DecodeFailed`] if that never happens, or
+/// Returns [`CaraokeError::DecodeFailed`] if that never happens,
 /// [`CaraokeError::NoPeak`] if the first collision shows no spike near the
-/// requested CFO.
+/// requested CFO, or [`CaraokeError::MalformedSignal`] if a later collision
+/// has no antenna or another sample count than the first.
 pub fn decode_target(
     queries: &[CollisionSignal],
     target_cfo_hz: f64,
@@ -84,7 +85,26 @@ pub fn decode_target(
         return Err(CaraokeError::DecodeFailed { queries_used: 0 });
     }
     let first_spectrum = analyze_first_antenna(&queries[0], config)?;
+    check_combinable(queries)?;
     decode_with_spectrum(queries, target_cfo_hz, config, &first_spectrum)
+}
+
+/// §8 adds antenna 0 of every collision to the first's, sample by sample:
+/// a later collision with no antenna, or with another sample count, cannot
+/// be combined. Checked once per call, before any target is decoded.
+fn check_combinable(queries: &[CollisionSignal]) -> Result<(), CaraokeError> {
+    let n = queries[0].num_samples();
+    for query in &queries[1..] {
+        if query.num_antennas() == 0 {
+            return Err(CaraokeError::MalformedSignal("a collision has no antenna"));
+        }
+        if query.num_samples() != n {
+            return Err(CaraokeError::MalformedSignal(
+                "collisions differ in sample count",
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The spikes of `signal`'s antenna 0, the one §8 combines; the other
@@ -102,8 +122,9 @@ fn analyze_first_antenna(
 }
 
 /// [`decode_target`] given the analysis of `queries[0]`, which must be
-/// non-empty: [`decode_all`] analyses the first collision once for all its
-/// targets instead of once per target.
+/// non-empty and pass [`check_combinable`]: [`decode_all`] analyses and
+/// checks the collisions once for all its targets instead of once per
+/// target.
 fn decode_with_spectrum(
     queries: &[CollisionSignal],
     target_cfo_hz: f64,
@@ -174,7 +195,8 @@ fn decode_with_spectrum(
 /// As §12.4 notes, no extra air time is needed per tag: the same set of
 /// collisions is re-processed with a different CFO/channel compensation for
 /// each target, so the identification time for *all* tags equals the time for
-/// the slowest one.
+/// the slowest one. Collisions that cannot be combined are refused whole, as
+/// [`decode_target`] refuses them.
 pub fn decode_all(
     queries: &[CollisionSignal],
     config: &ReaderConfig,
@@ -183,6 +205,7 @@ pub fn decode_all(
         return Ok(Vec::new());
     }
     let spectrum = analyze_first_antenna(&queries[0], config)?;
+    check_combinable(queries)?;
     Ok(spectrum
         .peaks
         .iter()
@@ -379,6 +402,37 @@ mod tests {
             decode_all(&single, &config),
             Err(CaraokeError::NotEnoughAntennas { .. })
         ));
+    }
+
+    #[test]
+    fn a_later_collision_with_no_antenna_is_refused_not_indexed() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let config = ReaderConfig::default();
+        let tags = random_tags(3, &mut rng);
+        let mut queries = make_queries(&tags, 16, &mut rng, &config);
+        queries[5].antennas.clear();
+        let refused = CaraokeError::MalformedSignal("a collision has no antenna");
+        assert_eq!(decode_all(&queries, &config).unwrap_err(), refused);
+        assert_eq!(
+            decode_target(&queries, tags[0].cfo(), &config).unwrap_err(),
+            refused
+        );
+    }
+
+    #[test]
+    fn a_shorter_later_collision_is_refused_not_combined_over_its_prefix() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let config = ReaderConfig::default();
+        let tags = random_tags(1, &mut rng);
+        let mut queries = make_queries(&tags, 8, &mut rng, &config);
+        let n = queries[0].num_samples();
+        queries[1].antennas[0].truncate(n / 2);
+        let refused = CaraokeError::MalformedSignal("collisions differ in sample count");
+        assert_eq!(
+            decode_target(&queries, tags[0].cfo(), &config).unwrap_err(),
+            refused
+        );
+        assert_eq!(decode_all(&queries, &config).unwrap_err(), refused);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   meet on a stripe, so pushing a report is one lock only the sealer
 //!   contends plus a few appends, then the clock's stripe lock: no global
 //!   locks, no per-report allocation, no sorting;
-//! * a **dedicated sealer thread** (spawned by [`LiveCity::new`], woken by a
-//!   condvar whenever the watermark advances) seals the released panes.
-//!   Ingest threads only buffer and signal; they never seal.
+//! * ingest threads only buffer and signal; they never seal. One
+//!   [`LiveCity::seal_step`] seals the released panes: a dedicated sealer
+//!   thread runs it, woken by a condvar whenever the watermark advances, or
+//!   on a stepped engine ([`LiveCity::with_clock`]) the caller does.
 //!
 //! # The seal pipeline
 //!
@@ -84,7 +85,7 @@
 //! caller's stop flag is set: [`LiveCity::wake_sealed_waiters`] notifies
 //! the same condvar, and every other wait sleeps on through it. Each wait's
 //! timeout is its caller's budget, in real time; only the staleness
-//! force-seal reads the engine's clock (see [`crate::clock`]).
+//! force-seal, decided in the seal step, reads the engine's clock.
 //!
 //! Reports and observations *below* the sealed frontier — late beyond the
 //! lateness allowance — are **counted and shed**, never silently merged
@@ -106,9 +107,9 @@
 //! The live totals are moreover byte-identical to a [`BatchDriver`] run of
 //! the same source (the end-to-end tests pin both properties).
 //!
-//! Because sealing is asynchronous, *when* a pane appears in the ring is
-//! timing-dependent even though *what* it contains is not. Callers that
-//! assert on sealed state mid-stream should call [`LiveCity::wait_idle`]
+//! On a threaded engine sealing is asynchronous: *when* a pane appears in
+//! the ring is timing-dependent even though *what* it contains is not.
+//! Callers that assert on sealed state mid-stream call [`LiveCity::wait_idle`]
 //! first; [`LiveCity::finish`] always waits for the final flush.
 //!
 //! [`BatchDriver`]: caraoke_city::BatchDriver
@@ -153,7 +154,7 @@ pub struct LiveConfig {
     /// [`with_clock`](LiveCity::with_clock). Panes normally seal on
     /// *event-time* watermark advance only, so a pole dying mid-run stalls
     /// the watermark and every pane behind it forever. With a staleness
-    /// bound, the sealer thread force-seals every pane the *fastest* pole
+    /// bound, a seal step force-seals every pane the *fastest* pole
     /// has fully elapsed once no seal progress has happened for this long,
     /// counting the poles that missed each forced pane
     /// ([`LiveStats::forced_pole_misses`]); their late data is then shed
@@ -232,6 +233,15 @@ pub enum IngestOutcome {
     /// The report, or an observation inside it, names a pole the directory
     /// does not hold — it was counted and refused whole.
     UnknownPole,
+}
+
+/// What one [`LiveCity::seal_step`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SealStep {
+    /// Panes the step sealed and published.
+    pub panes: u64,
+    /// Whether it force-sealed ([`LiveConfig::max_pane_staleness`]).
+    pub forced: bool,
 }
 
 /// Snapshot of the engine's telemetry counters.
@@ -614,10 +624,14 @@ impl LogSink {
     }
 }
 
-/// What the ingest side tells the sealer thread.
+/// What the ingest side tells the seal step, and where the steps stand.
 struct SealerSignal {
     /// Highest pane boundary (exclusive) the sealer has been asked to reach.
     target: u64,
+    /// Highest boundary a step has sealed to, released or forced.
+    sealed_to: u64,
+    /// When the last step sealed (or the engine was built), on its clock.
+    since: Instant,
     /// Set by `Drop`: finish the outstanding target, then exit.
     shutdown: bool,
 }
@@ -631,6 +645,8 @@ struct LiveCore {
     clock: WatermarkClock,
     /// Policy time (see [`crate::clock`]): the staleness force-seal's.
     time: Clock,
+    /// No sealer thread: callers step, and every wait for a seal steps first.
+    stepped: bool,
     /// The ingest buffers, indexed by `pole % POLE_STRIPES`.
     stripes: Box<[Stripe]>,
     sealer: Mutex<SealerState>,
@@ -664,8 +680,8 @@ struct LiveCore {
 /// The online city engine. See the module docs for the architecture and
 /// the determinism contract; see [`crate::query`] for the read side.
 ///
-/// Owns a dedicated sealer thread for its whole lifetime: `new` spawns it,
-/// `Drop` signals shutdown and joins it.
+/// A threaded engine owns a sealer thread for its whole lifetime (`Drop`
+/// joins it); a stepped one ([`with_clock`](Self::with_clock)) owns none.
 pub struct LiveCity {
     core: Arc<LiveCore>,
     sealer: Option<std::thread::JoinHandle<()>>,
@@ -675,13 +691,16 @@ impl LiveCity {
     /// Creates an engine over the given deployment and spawns its sealer
     /// thread.
     pub fn new(directory: PoleDirectory, config: LiveConfig) -> Self {
-        Self::with_clock(directory, config, Clock::Real)
+        Self::assemble(directory, config, None, None, None)
     }
 
-    /// Like [`new`](Self::new), but on `clock`: the policy time of the
-    /// engine and of every hub over it (see [`crate::clock`]).
+    /// A **stepped** engine on `clock`, the policy time of the engine and of
+    /// every hub over it (see [`crate::clock`]): no sealer thread, ingest
+    /// never seals, and the caller runs each sealer wake-up with
+    /// [`seal_step`](Self::seal_step). Every wait for a seal (`finish` too)
+    /// runs one step on its caller's thread before it waits.
     pub fn with_clock(directory: PoleDirectory, config: LiveConfig, clock: Clock) -> Self {
-        Self::assemble(directory, config, None, None, clock)
+        Self::assemble(directory, config, None, None, Some(clock))
     }
 
     /// Like [`new`](Self::new), but every sealed pane is appended to a
@@ -718,7 +737,7 @@ impl LiveCity {
         writer: SegmentWriter,
     ) -> Self {
         let sink = Some(LogSink::new(writer, 0));
-        Self::assemble(directory, config, sink, None, Clock::Real)
+        Self::assemble(directory, config, sink, None, None)
     }
 
     /// Rebuilds an engine from the pane log a [`with_log`](Self::with_log)
@@ -743,13 +762,7 @@ impl LiveCity {
         let state = recover_state(&log_dir, shards, config.retain_panes)?;
         let writer = SegmentWriter::open_for_append(&log_dir, opts, state.next_pane)?;
         let sink = Some(LogSink::new(writer, state.next_pane));
-        Ok(Self::assemble(
-            directory,
-            config,
-            sink,
-            Some(state),
-            Clock::Real,
-        ))
+        Ok(Self::assemble(directory, config, sink, Some(state), None))
     }
 
     /// Installs a fresh pane log on a running engine — the recovery path
@@ -781,13 +794,13 @@ impl LiveCity {
     }
 
     /// Shared constructor: fresh or recovered state, with or without a
-    /// durable log.
+    /// durable log, stepped on the given clock or threaded on the real one.
     fn assemble(
         directory: PoleDirectory,
         config: LiveConfig,
         log: Option<LogSink>,
         resume: Option<caraoke_log::RecoveredState>,
-        time: Clock,
+        stepped: Option<Clock>,
     ) -> Self {
         // Here, on the caller's thread: the tracker divides by it on the
         // sealer thread, where a panic would leave every waiter parked.
@@ -838,11 +851,12 @@ impl LiveCity {
                 (sealer, clock, 0, 0)
             }
         };
-        let seal_floor_us = sealer.next_pane * config.pane_us;
-        let since = time.now();
+        let seal_floor_us = sealer.next_pane.saturating_mul(config.pane_us);
+        let is_stepped = stepped.is_some();
+        let time = stepped.unwrap_or_default();
         let core = Arc::new(LiveCore {
             clock,
-            time,
+            stepped: is_stepped,
             n_shards: shards,
             stripes: (0..POLE_STRIPES).map(|_| Stripe::default()).collect(),
             ring: Mutex::new(Published {
@@ -854,8 +868,11 @@ impl LiveCity {
             pane_sealed: Condvar::new(),
             signal: Mutex::new(SealerSignal {
                 target: 0,
+                sealed_to: 0,
+                since: time.now(),
                 shutdown: false,
             }),
+            time,
             seal_wake: Condvar::new(),
             seal_floor_us: AtomicU64::new(seal_floor_us),
             reports: AtomicU64::new(0),
@@ -873,15 +890,14 @@ impl LiveCity {
             directory,
             config,
         });
-        let sealer_core = Arc::clone(&core);
-        let sealer = std::thread::Builder::new()
-            .name("caraoke-live-sealer".into())
-            .spawn(move || sealer_core.sealer_loop(since))
-            .expect("spawn sealer thread");
-        Self {
-            core,
-            sealer: Some(sealer),
-        }
+        let sealer = (!is_stepped).then(|| {
+            let sealer_core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("caraoke-live-sealer".into())
+                .spawn(move || sealer_core.sealer_loop())
+                .expect("spawn sealer thread")
+        });
+        Self { core, sealer }
     }
 
     /// Removes a stalled pole from the watermark quorum so event-time
@@ -965,7 +981,7 @@ impl LiveCity {
         }
         let target = core.clock.max_frontier_us() / core.config.pane_us + 1;
         core.request_seal(target);
-        self.wait_seal_floor(target * core.config.pane_us);
+        self.wait_seal_floor(target.saturating_mul(core.config.pane_us));
     }
 
     /// Blocks until the sealer has caught up with every pane the watermark
@@ -974,7 +990,20 @@ impl LiveCity {
     pub fn wait_idle(&self) {
         let core = &*self.core;
         let target = core.signal.lock().expect("sealer signal").target;
-        self.wait_seal_floor(target * core.config.pane_us);
+        self.wait_seal_floor(target.saturating_mul(core.config.pane_us));
+    }
+
+    /// One sealer wake-up: seals every pane the watermark has released, or,
+    /// if none is and [`LiveConfig::max_pane_staleness`] has run out on the
+    /// engine's clock since the last seal, force-seals every pane the
+    /// fastest pole has elapsed. The sealer thread runs exactly this.
+    pub fn seal_step(&self) -> SealStep {
+        self.core.seal_step()
+    }
+
+    /// Whether the engine is [stepped](Self::with_clock).
+    pub fn is_stepped(&self) -> bool {
+        self.core.stepped
     }
 
     /// Blocks until the seal floor reaches at least `floor_us` — i.e. every
@@ -1120,15 +1149,17 @@ impl LiveCore {
     /// Tested under the ring's lock, which the sealer holds to publish and
     /// [`LiveCity::wake_sealed_waiters`] takes before it notifies, so
     /// neither a publish nor a stop can slip between the test and the
-    /// sleep.
+    /// sleep. A stepped engine steps first: no wait hangs on a seal nobody runs.
     fn wait_published(&self, panes: u64, timeout: Duration, stop: Option<&AtomicBool>) -> u64 {
+        if self.stepped {
+            self.seal_step();
+        }
         // Relaxed: the ring's lock orders the flag's store before the test.
         let behind = |ring: &mut Published| {
             ring.windows.next_pane() < panes
                 && !stop.is_some_and(|stop| stop.load(Ordering::Relaxed))
         };
-        let (ring, _) =
-            Clock::Real.wait_timeout_while(&self.pane_sealed, self.ring(), timeout, behind);
+        let (ring, _) = Clock::wait_timeout_while(&self.pane_sealed, self.ring(), timeout, behind);
         ring.windows.next_pane()
     }
 
@@ -1259,58 +1290,66 @@ impl LiveCore {
         }
     }
 
-    /// The sealer thread: sleep until the watermark releases new panes (or
-    /// shutdown), then seal them. Outstanding work is drained before a
-    /// shutdown exit, so `Drop` after `finish` never abandons panes.
-    ///
-    /// With [`LiveConfig::max_pane_staleness`] set, the wait is bounded on
-    /// the engine's clock, from `since` (construction) or the last seal:
-    /// when it expires with panes still waiting on a stalled watermark (a
-    /// pole died mid-run), the sealer force-seals every pane the fastest
-    /// pole has fully elapsed, counting the poles that missed each one.
-    fn sealer_loop(&self, mut since: Instant) {
+    /// The sealer thread: a real-time wait (a threaded engine's clock is
+    /// real) until the watermark releases panes, the staleness bound runs
+    /// out or shutdown, around [`seal_step`](Self::seal_step). Outstanding
+    /// work is drained before a shutdown exit, so `Drop` after `finish`
+    /// never abandons panes.
+    fn sealer_loop(&self) {
         let staleness = self.config.max_pane_staleness.unwrap_or(Duration::MAX);
-        let mut sealed_to = 0u64;
         loop {
             let sig = self.signal.lock().expect("sealer signal");
-            let left = staleness.saturating_sub(self.time.now() - since);
-            let (sig, stale) = self
-                .time
-                .wait_timeout_while(&self.seal_wake, sig, left, |sig| {
-                    sig.target <= sealed_to && !sig.shutdown
-                });
-            // Staleness path: every pane the fastest pole's frontier has
-            // fully elapsed, even though the watermark (held back by a
-            // stalled pole) has not released them.
-            let (target, forced) = match (stale, sig.target > sealed_to) {
-                (true, _) => (self.clock.max_frontier_us() / self.config.pane_us, true),
-                (false, true) => (sig.target, false),
-                (false, false) => return, // shutdown, nothing outstanding
-            };
+            let left = staleness.saturating_sub(self.time.now() - sig.since);
+            let (sig, _) = Clock::wait_timeout_while(&self.seal_wake, sig, left, |sig| {
+                sig.target <= sig.sealed_to && !sig.shutdown
+            });
+            if sig.shutdown && sig.target <= sig.sealed_to {
+                return;
+            }
             drop(sig);
-            self.seal_up_to(target, forced);
-            sealed_to = sealed_to.max(target);
-            since = self.time.now();
+            self.seal_step();
         }
+    }
+
+    /// See [`LiveCity::seal_step`]. A forced seal counts the poles that
+    /// missed each pane.
+    fn seal_step(&self) -> SealStep {
+        let sig = self.signal.lock().expect("sealer signal");
+        let stale = |staleness| self.time.now() - sig.since >= staleness;
+        let (target, forced) = if sig.target > sig.sealed_to {
+            (sig.target, false)
+        } else if self.config.max_pane_staleness.is_some_and(stale) {
+            (self.clock.max_frontier_us() / self.config.pane_us, true)
+        } else {
+            return SealStep::default();
+        };
+        drop(sig);
+        let panes = self.seal_up_to(target, forced);
+        let mut sig = self.signal.lock().expect("sealer signal");
+        sig.sealed_to = sig.sealed_to.max(target);
+        sig.since = self.time.now();
+        SealStep { panes, forced }
     }
 
     /// Seals every pane below `target` (exclusive), in pane order, as one
     /// or more passes of [`seal_pass`](Self::seal_pass) — each bounded to
     /// the panes one bucket table holds, each notifying waiters once it is
-    /// published. Runs on the sealer thread only. `forced` marks
+    /// published — and returns how many it sealed. `forced` marks
     /// staleness-path seals: each pane is counted as forced with its
     /// per-pane pole-miss count — telemetry the pane log persists so replay
     /// is faithful.
     /// (Racy against a pole reviving this instant — its data still seals
     /// correctly; only the miss count can over-report.)
-    fn seal_up_to(&self, target: u64, forced: bool) {
+    fn seal_up_to(&self, target: u64, forced: bool) -> u64 {
         let max_span = (MAX_SEAL_BUCKETS / self.n_shards).max(1) as u64;
+        let mut panes = 0;
         loop {
             let mut state = self.sealer_state();
             if state.next_pane >= target {
-                return;
+                return panes;
             }
-            let end = target.min(state.next_pane + max_span);
+            let end = target.min(state.next_pane.saturating_add(max_span));
+            panes += end - state.next_pane;
             self.seal_pass(&mut state, end, forced);
             drop(state);
             self.pane_sealed.notify_all();
@@ -1392,7 +1431,7 @@ impl LiveCore {
             }
             let pole_misses = if forced {
                 self.forced_panes.fetch_add(1, Ordering::Relaxed);
-                let misses = self.clock.poles_behind((pane + 1) * pane_us) as u64;
+                let misses = self.clock.poles_behind((pane + 1).saturating_mul(pane_us)) as u64;
                 self.forced_pole_misses.fetch_add(misses, Ordering::Relaxed);
                 misses as u32
             } else {
@@ -1439,7 +1478,7 @@ impl LiveCore {
             scratch.sealed.push((pane, fingerprint, agg));
             state.next_pane = pane + 1;
             self.seal_floor_us
-                .store((pane + 1) * pane_us, Ordering::Release);
+                .store((pane + 1).saturating_mul(pane_us), Ordering::Release);
         }
         // One fsync-policy commit per pass: every pane above is durable (per
         // policy) before any reader can observe it.
@@ -1512,7 +1551,9 @@ impl LiveCore {
         if !(pane + 1).is_multiple_of(COMPACT_EVERY_PANES) {
             return None;
         }
-        let cutoff = ((pane + 1) * self.config.pane_us).saturating_sub(idle_us);
+        let cutoff = (pane + 1)
+            .saturating_mul(self.config.pane_us)
+            .saturating_sub(idle_us);
         (cutoff > 0).then_some(cutoff)
     }
 }
@@ -1894,13 +1935,21 @@ mod tests {
             live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
         }
         assert_eq!(live.watermark_us(), 0);
-        assert_eq!(live.sealed_panes(), 0, "no time has passed");
-        // The sealer's staleness timer fires once the engine's clock has
-        // run the bound out, and seals every pane the live pole has fully
-        // elapsed (panes 0-2; t = 3.5 s stays open).
-        manual.advance(staleness);
-        let horizon = live.wait_sealed(2, Duration::MAX, &AtomicBool::new(false));
-        assert_eq!(horizon, 3);
+        assert_eq!(live.seal_step(), SealStep::default(), "no time has passed");
+        manual.advance(staleness - Duration::from_micros(1));
+        assert_eq!(live.seal_step(), SealStep::default(), "the bound holds");
+        assert_eq!(live.sealed_panes(), 0);
+        // The staleness path fires once the engine's clock has run the
+        // bound out, and seals every pane the live pole has fully elapsed
+        // (panes 0-2; t = 3.5 s stays open).
+        manual.advance(Duration::from_micros(1));
+        let forced = SealStep {
+            panes: 3,
+            forced: true,
+        };
+        assert_eq!(live.seal_step(), forced);
+        // The bound counts again from that seal.
+        assert_eq!(live.seal_step(), SealStep::default());
         let stats = live.stats();
         assert_eq!(stats.sealed_panes, 3, "stale panes must force-seal");
         assert_eq!(stats.forced_panes, 3);
@@ -1921,6 +1970,68 @@ mod tests {
         let stats = live.stats();
         assert_eq!(stats.shed_reports, 1);
         assert_eq!(stats.shed_observations, 1);
+    }
+
+    #[test]
+    fn a_stepped_engine_seals_only_in_its_steps() {
+        let live = LiveCity::with_clock(directory(2), tiny_config(), Clock::Real);
+        assert!(
+            live.is_stepped() && live.sealer.is_none(),
+            "no sealer thread"
+        );
+        live.ingest(&report(0, 0, 0, vec![obs(1, 0, 0, 0)]));
+        live.ingest(&report(1, 0, 2_500_000, vec![obs(2, 1, 0, 2_500_000)]));
+        live.ingest(&report(0, 0, 2_500_000, vec![obs(1, 0, 0, 2_500_000)]));
+        assert_eq!(live.watermark_us(), 2_000_000, "panes 0 and 1 released");
+        let stats = live.stats();
+        assert_eq!(
+            (stats.sealed_panes, stats.seal_floor_us),
+            (0, 0),
+            "ingest seals nothing"
+        );
+        // Between the release and its step, a report of pole 1 stamped in
+        // released pane 1 (out of its FIFO order, above the seal floor) is
+        // still applied, and the step seals it into that pane.
+        let between = report(1, 0, 1_200_000, vec![obs(3, 1, 0, 1_200_000)]);
+        assert_eq!(live.ingest(&between), IngestOutcome::Applied);
+        let released = SealStep {
+            panes: 2,
+            forced: false,
+        };
+        assert_eq!(live.seal_step(), released);
+        assert_eq!(
+            live.seal_step(),
+            SealStep::default(),
+            "nothing more released"
+        );
+        let stats = live.stats();
+        assert_eq!((stats.sealed_panes, stats.observations), (2, 2));
+        // Once sealed, the same stamp is late.
+        assert_eq!(live.ingest(&between), IngestOutcome::ShedLate);
+        // A wait runs a step on its caller's thread: `finish` flushes.
+        live.finish();
+        assert_eq!(live.sealed_panes(), 3);
+        assert_eq!(live.stats().observations, 4);
+    }
+
+    #[test]
+    fn pane_ends_past_the_top_of_u64_saturate() {
+        let config = LiveConfig {
+            pane_us: 1 << 62,
+            ..tiny_config()
+        };
+        let live = LiveCity::with_clock(directory(1), config, Clock::Real);
+        // Pane 3 runs from 3 * 2^62 µs to past u64::MAX.
+        let t = u64::MAX - 1;
+        live.ingest(&report(0, 0, t, vec![obs(1, 0, 0, t)]));
+        assert_eq!(live.seal_step().panes, 3);
+        live.finish();
+        let stats = live.stats();
+        assert_eq!(stats.sealed_panes, 4);
+        assert_eq!(stats.seal_floor_us, u64::MAX);
+        assert_eq!(stats.observations, 1);
+        let old = report(0, 0, 5, vec![obs(2, 0, 0, 5)]);
+        assert_eq!(live.ingest(&old), IngestOutcome::ShedLate);
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //!    as the first. No global lock, no allocation, no sort. If — and only
 //!    if — this report completed a pane boundary, the thread raises the
 //!    sealer's target and signals a condvar.
-//! 2. **Seal** (the dedicated sealer thread): drain every stripe once
+//! 2. **Seal** (a [`LiveCity::seal_step`], on the sealer thread): drain every stripe once
 //!    per released target, establish the canonical
 //!    `(pane, shard, timestamp, pole, tag, seq)` order with one bucket
 //!    pass, walk it through the per-shard [`TagTracker`] state machines
@@ -115,6 +115,7 @@ pub mod window;
 
 pub use clock::{Clock, ManualClock};
 pub use driver::{Interleaving, LiveDriver, LiveRun};
+pub use engine::SealStep;
 pub use engine::{IngestOutcome, LiveCity, LiveConfig, LiveStats, SealStageNs, LOG_WRITE_ATTEMPTS};
 pub use query::{LiveAnswer, LiveQuery, LiveSnapshot, LiveSubscription, PaneSummary};
 pub use watermark::WatermarkClock;

@@ -125,7 +125,8 @@ pub struct WatermarkClock {
     floors: Mutex<Floors>,
     /// Boundary index every live pole has passed — the minimum of
     /// `floors.floor`, written only under the floors lock. The watermark is
-    /// `completed * pane_us`.
+    /// `completed * pane_us`, saturated: the last pane below `u64::MAX` µs
+    /// ends there.
     completed: AtomicU64,
 }
 
@@ -147,7 +148,7 @@ impl WatermarkClock {
             .map(|k| {
                 let len = (n_poles + POLE_STRIPES - 1 - k) / POLE_STRIPES;
                 StripeClock {
-                    frontier: vec![completed * pane_us; len],
+                    frontier: vec![completed.saturating_mul(pane_us); len],
                     dead: vec![false; len],
                     floor: u64::MAX,
                     at_floor: 0,
@@ -236,7 +237,7 @@ impl WatermarkClock {
 
     /// The current low watermark, µs: every pole has reported up to here.
     pub fn watermark_us(&self) -> u64 {
-        self.completed() * self.pane_us
+        self.completed().saturating_mul(self.pane_us)
     }
 
     /// Highest boundary index every pole has passed.

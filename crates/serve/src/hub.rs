@@ -14,16 +14,16 @@
 //!    the ingest or seal path.
 //! 2. **Each distinct query is computed once per seal, however many
 //!    subscribers hold it.** Queries are registered under their canonical
-//!    wire encoding ([`crate::wire::encode_query`]) as the cache key; a
-//!    single fan-out thread wakes on every published seal pass
-//!    ([`LiveCity::wait_sealed`]), evaluates *all* registered queries
-//!    under one acquisition of the engine's published pane ring
-//!    ([`LiveCity::query_sealed`]) — never the sealer's own state, so a
-//!    round never waits out a fold, a log retry or an fsync — and pushes
-//!    one immutable
-//!    [`PaneFrame`] — answer, wire bytes, seal wall-clock — into each
-//!    query's ring. Ten thousand subscribers of the same occupancy window
-//!    cost one evaluation and ten thousand `Arc` clones.
+//!    wire encoding ([`crate::wire::encode_query`]) as the cache key. One
+//!    fan-out round ([`ServeHub::fan_out`]) per published seal pass, run by
+//!    the fan-out thread over a threaded engine and by the caller over a
+//!    stepped one, evaluates *all* registered queries under one acquisition
+//!    of the engine's published pane ring ([`LiveCity::query_sealed`]) —
+//!    never the sealer's own state, so a round never waits out a fold, a
+//!    log retry or an fsync — and pushes one immutable [`PaneFrame`] —
+//!    answer, wire bytes, seal wall-clock — into each query's ring. Ten
+//!    thousand subscribers of the same occupancy window cost one evaluation
+//!    and ten thousand `Arc` clones.
 //!
 //! Cursors near the head are **cache hits**: they clone ready-made frames.
 //! A cursor that lags past the frame ring's retention falls back to the
@@ -38,11 +38,11 @@
 //! is dropped ([`ServeEvent::Dropped`]) and its resources released. Every
 //! decision shows up in [`ServeStats`].
 //!
-//! Stopping a hub waits on no timer. The fan-out thread sleeps with no
-//! timeout; [`ServeHub::shutdown`] (and drop) sets its stop flag and wakes
-//! it through [`LiveCity::wake_sealed_waiters`], then wakes every blocked
-//! [`Subscription::wait`], so an idle hub stops in well under a
-//! millisecond.
+//! Stopping a hub waits on no timer. The fan-out thread sleeps in
+//! [`LiveCity::wait_sealed`] with no timeout; [`ServeHub::shutdown`] (and
+//! drop) sets its stop flag and wakes it through
+//! [`LiveCity::wake_sealed_waiters`], then wakes every blocked
+//! [`Subscription::wait`], so an idle hub stops in well under a millisecond.
 //!
 //! A live hub evaluates a query only while someone subscribes to it: the
 //! first fan-out round after its last subscriber leaves forgets the query
@@ -218,7 +218,7 @@ impl QueryChannel {
 }
 
 enum HubSource {
-    /// A running engine; a fan-out thread follows its seals.
+    /// A running engine; a fan-out thread follows its seals unless stepped.
     Live(Arc<LiveCity>),
     /// A finished run's pane log replayed to its durable head (no live
     /// engine): frames only come from registration and log catch-up. The
@@ -301,7 +301,7 @@ impl ServeHub {
     /// A hub over a running engine, on the engine's clock. `log_dir`
     /// (normally the engine's own pane-log directory) enables log catch-up
     /// for lagging cursors; pass `None` to serve purely from memory. Spawns
-    /// the fan-out thread.
+    /// the fan-out thread, unless the engine is stepped.
     pub fn over_live(
         live: Arc<LiveCity>,
         log_dir: Option<PathBuf>,
@@ -319,13 +319,15 @@ impl ServeHub {
             retain_panes,
             live.clock().clone(),
         );
-        let weak = Arc::downgrade(&hub);
-        let stop = Arc::clone(&hub.shutdown);
-        let handle = std::thread::Builder::new()
-            .name("serve-fanout".into())
-            .spawn(move || fanout_loop(weak, live, &stop))
-            .expect("spawn fan-out thread");
-        *hub.fanout.lock().expect("fanout handle poisoned") = Some(handle);
+        if !live.is_stepped() {
+            let weak = Arc::downgrade(&hub);
+            let stop = Arc::clone(&hub.shutdown);
+            let handle = std::thread::Builder::new()
+                .name("serve-fanout".into())
+                .spawn(move || fanout_loop(weak, live, &stop))
+                .expect("spawn fan-out thread");
+            *hub.fanout.lock().expect("fanout handle poisoned") = Some(handle);
+        }
         hub
     }
 
@@ -444,8 +446,11 @@ impl ServeHub {
     /// One fan-out round: evaluate every subscribed query under a single
     /// acquisition of the published pane ring and push the shared frames. A
     /// channel only the hub still holds has lost its last subscriber; it is
-    /// forgotten here instead of evaluated.
-    fn fan_out_once(&self, live: &LiveCity) {
+    /// forgotten here instead of evaluated. A no-op on a hub over a log.
+    pub fn fan_out(&self) {
+        let HubSource::Live(live) = &self.source else {
+            return;
+        };
         let channels: Vec<Arc<QueryChannel>> = {
             let mut channels = self.channels.lock().expect("channels poisoned");
             channels.retain(|c| Arc::strong_count(c) > 1);
@@ -536,7 +541,7 @@ fn fanout_loop(hub: Weak<ServeHub>, live: Arc<LiveCity>, stop: &AtomicBool) {
         }
         let Some(hub) = hub.upgrade() else { return };
         horizon = sealed;
-        hub.fan_out_once(&live);
+        hub.fan_out();
     }
 }
 
@@ -825,7 +830,7 @@ impl Subscription {
             let (hub, seen) = (&self.hub, self.seen_activity);
             let idle = |gen: &mut u64| *gen == seen && !hub.shutdown.load(Ordering::SeqCst);
             let gen = hub.activity.lock().expect("activity poisoned");
-            let (gen, _) = Clock::Real.wait_timeout_while(&hub.activity_cv, gen, timeout, idle);
+            let (gen, _) = Clock::wait_timeout_while(&hub.activity_cv, gen, timeout, idle);
             self.seen_activity = *gen;
         }
         self.poll()
@@ -958,8 +963,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A one-pole engine with pane 0 sealed.
-    fn one_sealed_pane() -> Arc<LiveCity> {
+    /// A one-pole engine, threaded or stepped on a real clock.
+    fn one_pole(stepped: bool) -> LiveCity {
         let directory = PoleDirectory::new(vec![PoleSite {
             segment: SegmentId(0),
             position: Vec3::new(0.0, -5.0, 3.8),
@@ -969,18 +974,55 @@ mod tests {
             lateness_panes: 0,
             ..Default::default()
         };
-        let live = LiveCity::new(directory, config);
-        live.ingest(&PoleReport {
+        if stepped {
+            LiveCity::with_clock(directory, config, Clock::Real)
+        } else {
+            LiveCity::new(directory, config)
+        }
+    }
+
+    /// Pole 0's empty report at `t_us`: it releases every pane below.
+    fn report_at(t_us: u64) -> PoleReport {
+        PoleReport {
             pole: PoleId(0),
             segment: SegmentId(0),
-            timestamp_us: 1_000_000,
+            timestamp_us: t_us,
             count: 0,
             peaks: 0,
             observations: vec![],
-        });
+        }
+    }
+
+    /// A threaded one-pole engine with pane 0 sealed.
+    fn one_sealed_pane() -> Arc<LiveCity> {
+        let live = one_pole(false);
+        live.ingest(&report_at(1_000_000));
         live.wait_idle();
         assert_eq!(live.sealed_panes(), 1);
         Arc::new(live)
+    }
+
+    #[test]
+    fn a_hub_over_a_stepped_engine_computes_frames_only_in_its_rounds() {
+        let live = Arc::new(one_pole(true));
+        let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
+        assert!(
+            hub.fanout.lock().expect("fanout handle").is_none(),
+            "no fan-out thread"
+        );
+        let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
+        live.ingest(&report_at(3_000_000));
+        assert_eq!(live.seal_step().panes, 3);
+        assert_eq!(hub.stats().computed_frames, 0, "sealed, not fanned out");
+        assert!(sub.poll().is_empty());
+        hub.fan_out();
+        hub.fan_out();
+        let stats = hub.stats();
+        assert_eq!((stats.computed_frames, stats.seal_batches), (1, 1));
+        match sub.poll().as_slice() {
+            [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 2),
+            other => panic!("expected the round's frame, got {other:?}"),
+        }
     }
 
     #[test]

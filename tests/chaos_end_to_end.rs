@@ -2,14 +2,14 @@
 //! green from one seed, injected log faults are absorbed by the retry
 //! path without losing chain equality or replayability, disk-full latches
 //! fatal and `reattach_log` restores durability, and clock-skewed poles
-//! crossed with `max_pane_staleness` force wall-clock seals with every
+//! crossed with `max_pane_staleness` force seals on policy time with every
 //! shed observation counted.
 
 use caraoke_suite::chaos::{
     matrix_json, run_matrix, FaultCounters, FaultSink, LogFaultSpec, MatrixConfig,
 };
 use caraoke_suite::city::{FrameSource, StoreConfig, SyntheticCity};
-use caraoke_suite::live::{LiveCity, LiveConfig};
+use caraoke_suite::live::{Clock, LiveCity, LiveConfig, ManualClock};
 use caraoke_suite::log::{LogCity, LogOptions, SegmentWriter};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -200,7 +200,11 @@ fn skewed_pole_against_staleness_deadline_forces_seals_and_counts_sheds() {
         max_pane_staleness: Some(Duration::from_millis(40)),
         ..config(2)
     };
-    let live = LiveCity::new(city.directory().clone(), live_config);
+    // Stepped, on a clock the test advances: the staleness deadline is
+    // passed exactly when the test says so.
+    let manual = Arc::new(ManualClock::new());
+    let clock = Clock::Manual(Arc::clone(&manual));
+    let live = LiveCity::with_clock(city.directory().clone(), live_config, clock);
     // Every pole but one delivers the whole run; the victim's clock is so
     // far behind it never reports. Event-time sealing would stall forever.
     for epoch in 0..city.epochs() {
@@ -210,18 +214,20 @@ fn skewed_pole_against_staleness_deadline_forces_seals_and_counts_sheds() {
             }
         }
     }
-    // The staleness deadline must force seals past the stalled pole.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while live.stats().forced_panes == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "staleness deadline never fired"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(live.seal_step().panes, 0, "the watermark is stuck at 0");
+    // The staleness deadline forces a seal of every pane the fastest pole
+    // has elapsed, past the stalled pole.
+    manual.advance(Duration::from_millis(40));
+    let step = live.seal_step();
+    let elapsed = (city.epochs() as u64 - 1) * city.epoch_us / live_config.pane_us;
+    assert!(step.forced && step.panes == elapsed, "{step:?}");
     let mid = live.stats();
-    assert!(mid.forced_panes > 0);
-    assert!(mid.forced_pole_misses > 0, "the stalled pole was counted");
+    assert_eq!(mid.forced_panes, elapsed);
+    assert_eq!(mid.sealed_panes, elapsed);
+    assert_eq!(
+        mid.forced_pole_misses, elapsed,
+        "the stalled pole, and it alone, missed every forced pane"
+    );
 
     // The pole revives with its skewed (now ancient) clock: everything
     // below the forced seal floor is shed and counted, not merged.

@@ -10,7 +10,9 @@ use caraoke_suite::city::{
     FrameSource, PoleDirectory, PoleId, PoleReport, PoleSite, SegmentId, SyntheticCity,
 };
 use caraoke_suite::geom::Vec3;
-use caraoke_suite::live::{Clock, LiveCity, LiveConfig, LiveQuery, ManualClock, WindowSpec};
+use caraoke_suite::live::{
+    Clock, LiveCity, LiveConfig, LiveQuery, ManualClock, SealStep, WindowSpec,
+};
 use caraoke_suite::log::LogOptions;
 use caraoke_suite::serve::{
     decode_answer, encode_answer, read_frame, write_frame, ClientRead, Frame, FrameKind,
@@ -103,9 +105,11 @@ fn hand_driven_city() -> LiveCity {
     LiveCity::new(directory, config)
 }
 
-/// [`hand_driven_city`] on a clock the test steps: the engine's and its
-/// hubs' policy time stands still until the test advances it.
-fn hand_driven_city_on_a_manual_clock() -> (Arc<LiveCity>, Arc<ManualClock>) {
+/// [`hand_driven_city`] stepped, on a clock the test steps: nothing seals
+/// until the test runs a seal step, no hub over it fans out until the test
+/// runs a round, and the engine's and its hubs' policy time stands still
+/// until the test advances it.
+fn stepped_hand_driven_city() -> (Arc<LiveCity>, Arc<ManualClock>) {
     let (directory, config) = hand_driven_setup();
     let manual = Arc::new(ManualClock::new());
     let clock = Clock::Manual(Arc::clone(&manual));
@@ -115,21 +119,15 @@ fn hand_driven_city_on_a_manual_clock() -> (Arc<LiveCity>, Arc<ManualClock>) {
     )
 }
 
-/// Blocks on `probe` — a subscriber that takes every frame as it lands —
-/// until it has taken the frame at `pane`: the fan-out round that made it
-/// has landed. (A wait that returns with nothing is a bump with no new
-/// frame, or a budget run out; a few of them mean the round never came.)
-fn take_through(probe: &mut Subscription, pane: u64) {
-    for _ in 0..8 {
-        for event in probe.wait(Duration::from_secs(10)) {
-            match event {
-                ServeEvent::Frame { frame, .. } if frame.pane == pane => return,
-                ServeEvent::Frame { .. } => {}
-                other => panic!("the probe keeps up, yet got {other:?}"),
-            }
-        }
-    }
-    panic!("no frame at pane {pane} reached the probe");
+/// Runs one seal step on `live`, which must seal exactly `panes` panes
+/// released by the watermark, then one fan-out round on `hub`.
+fn seal_and_fan_out(live: &LiveCity, hub: &ServeHub, panes: u64) {
+    let step = SealStep {
+        panes,
+        forced: false,
+    };
+    assert_eq!(live.seal_step(), step);
+    hub.fan_out();
 }
 
 fn report_at(t_us: u64) -> PoleReport {
@@ -143,7 +141,8 @@ fn report_at(t_us: u64) -> PoleReport {
     }
 }
 
-/// Waits until `cond` holds or panics after ~5 s.
+/// Waits until `cond` holds or panics after ~5 s: for what a test does
+/// not drive itself.
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
@@ -354,7 +353,7 @@ fn a_follower_stepped_pane_by_pane_answers_like_one_opened_at_that_pane() {
 
 #[test]
 fn one_seal_computation_fans_out_to_every_subscriber() {
-    let live = Arc::new(hand_driven_city());
+    let (live, _) = stepped_hand_driven_city();
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
 
     // 32 subscribers, all of the same single query: one cache key.
@@ -363,32 +362,29 @@ fn one_seal_computation_fans_out_to_every_subscriber() {
     assert_eq!(hub.stats().registered_queries, 1);
     assert_eq!(hub.stats().subscribers, 32);
 
-    // Seal 6 panes; the fan-out thread computes each head frame once.
+    // Release 6 panes; one step seals them, one round computes the head
+    // frame once.
     for t in 1..=6u64 {
         live.ingest(&report_at(t * 1_000_000));
     }
-    wait_until("every subscriber to receive fanned-out frames", || {
-        for s in subs.iter_mut() {
-            let _ = s.poll();
+    seal_and_fan_out(&live, &hub, 6);
+    for s in subs.iter_mut() {
+        match s.poll().as_slice() {
+            [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 5),
+            other => panic!("expected the round's frame, got {other:?}"),
         }
-        hub.stats().frames_delivered >= 32 && subs.iter().all(|s| s.caught_up())
-    });
+        assert!(s.caught_up());
+    }
 
+    // The computed-once/fanned-out ledger: 32 deliveries of one frame, all
+    // cache hits, computed once by one round (nothing at registration: no
+    // pane was sealed yet).
     let stats = hub.stats();
     assert_eq!(stats.registered_queries, 1, "32 subscribers, 1 cache key");
-    // The computed-once/fanned-out ledger: every subscriber got frames, but
-    // the hub only evaluated the query once per fan-out round (+1 at
-    // registration) — far fewer computations than deliveries.
-    assert!(stats.frames_delivered >= 32, "{stats:?}");
-    assert_eq!(stats.cache_hit_frames, stats.frames_delivered, "{stats:?}");
-    assert!(
-        stats.computed_frames <= stats.seal_batches + 1,
-        "one computation per seal round: {stats:?}"
-    );
-    assert!(
-        stats.computed_frames * 8 <= stats.frames_delivered,
-        "fan-out amortizes computation: {stats:?}"
-    );
+    assert_eq!(stats.computed_frames, 1, "{stats:?}");
+    assert_eq!(stats.seal_batches, 1, "{stats:?}");
+    assert_eq!(stats.frames_delivered, 32, "{stats:?}");
+    assert_eq!(stats.cache_hit_frames, 32, "{stats:?}");
     assert_eq!(stats.missed_frames, 0);
     assert_eq!(stats.dropped_subscribers, 0);
 
@@ -417,7 +413,7 @@ impl Received {
 
 #[test]
 fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
-    let live = Arc::new(hand_driven_city());
+    let (live, _) = stepped_hand_driven_city();
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
     let occupancy = [LiveQuery::Occupancy {
         segment: SegmentId(0),
@@ -426,30 +422,28 @@ fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
     let mut kept = hub.subscribe(&[LiveQuery::Watermark], false);
     let mut left = hub.subscribe(&occupancy, false);
 
-    // Each subscriber is its channel's only reader and takes every frame,
-    // so once both hold pane 2 every computed frame has been received.
+    // One step seals panes 0-2, one round computes both channels' frame.
     live.ingest(&report_at(3_000_000));
+    seal_and_fan_out(&live, &hub, 3);
     let (mut kept_got, mut left_got) = (Received::default(), Received::default());
-    wait_until("both channels to reach pane 2", || {
-        kept_got.poll(&mut kept).newest == Some(2)
-            && left_got.poll(&mut left).newest == Some(2)
-            && hub.stats().computed_frames == kept_got.frames + left_got.frames
-    });
-    let before = hub.stats().computed_frames;
+    assert_eq!(kept_got.poll(&mut kept).newest, Some(2));
+    assert_eq!(left_got.poll(&mut left).newest, Some(2));
+    assert_eq!((kept_got.frames, left_got.frames), (1, 1));
+    assert_eq!(hub.stats().computed_frames, 2);
 
-    // The occupancy channel's only subscriber leaves; five more panes seal.
+    // The occupancy channel's only subscriber leaves; five more panes
+    // seal, a step and a round each.
     drop(left);
+    let mut survivor = Received::default();
     for t in 4..=8u64 {
         live.ingest(&report_at(t * 1_000_000));
+        seal_and_fan_out(&live, &hub, 1);
+        assert_eq!(survivor.poll(&mut kept).newest, Some(t - 1));
     }
-    let mut survivor = Received::default();
-    wait_until("the survivor to reach pane 7", || {
-        survivor.poll(&mut kept).newest == Some(7)
-            && hub.stats().computed_frames >= before + survivor.frames
-    });
+    assert_eq!(survivor.frames, 5);
     assert_eq!(
-        hub.stats().computed_frames - before,
-        survivor.frames,
+        hub.stats().computed_frames,
+        2 + 5,
         "only the survivor's query is evaluated: {:?}",
         hub.stats()
     );
@@ -457,6 +451,7 @@ fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
     // Subscribing again registers the query afresh, seeded at the head.
     let mut again = hub.subscribe(&occupancy, false);
     assert_eq!(hub.stats().registered_queries, 3);
+    assert_eq!(hub.stats().computed_frames, 2 + 5 + 1);
     match again.poll().as_slice() {
         [ServeEvent::Frame { frame, .. }] => {
             assert_eq!(frame.pane, 7);
@@ -469,7 +464,7 @@ fn a_query_whose_last_subscriber_left_is_no_longer_evaluated() {
 
 #[test]
 fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffected() {
-    let (live, manual) = hand_driven_city_on_a_manual_clock();
+    let (live, manual) = stepped_hand_driven_city();
     let config = ServeConfig {
         lag_notice_panes: 4,
         max_cursor_lag_panes: 8,
@@ -478,17 +473,15 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
     };
     let hub = ServeHub::over_live(Arc::clone(&live), None, config);
     let mut sub = hub.subscribe(&[LiveQuery::Watermark], false);
-    // Keeps up with the same query: the test waits on it for each round.
-    let mut probe = hub.subscribe(&[LiveQuery::Watermark], false);
-    assert_eq!(hub.stats().subscribers, 2);
+    assert_eq!(hub.stats().subscribers, 1);
 
-    // Seal 6 panes while the subscriber sits idle. One report seals them
-    // in one pass, so one fan-out round answers for all six: while that
-    // frame is fresh it is one pane of lag, and once the subscriber has had
-    // the grace to take it every pane counts — lag 6, past the notice
-    // bound (4) but under the drop bound (8).
+    // Seal 6 panes while the subscriber sits idle. One step seals them in
+    // one pass, so one fan-out round answers for all six: while that frame
+    // is fresh it is one pane of lag, and once the subscriber has had the
+    // grace to take it every pane counts — lag 6, past the notice bound (4)
+    // but under the drop bound (8).
     live.ingest(&report_at(6_000_000));
-    take_through(&mut probe, 5);
+    seal_and_fan_out(&live, &hub, 6);
     assert_eq!(sub.behind_panes(), 1);
     manual.advance(FRESH_FRAME);
     assert_eq!(sub.behind_panes(), 6);
@@ -515,7 +508,7 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
 
     // Now stall past the drop bound: 8 more panes with no poll.
     live.ingest(&report_at(14_000_000));
-    take_through(&mut probe, 13);
+    seal_and_fan_out(&live, &hub, 8);
     assert_eq!(sub.behind_panes(), 1, "fresh, the one frame is one pane");
     manual.advance(FRESH_FRAME);
     let events = sub.poll();
@@ -530,20 +523,19 @@ fn stalled_in_process_subscriber_is_noticed_then_dropped_and_ingest_is_unaffecte
     );
     assert!(sub.is_dropped());
     assert!(sub.poll().is_empty(), "dropped is terminal");
-    drop(probe);
 
     let stats = hub.stats();
     assert_eq!(stats.lag_notices, 1);
     assert_eq!(stats.dropped_subscribers, 1);
     assert_eq!(stats.subscribers, 0, "the drop released the gauge slot");
-    // Ingest never noticed: every pane sealed, nothing shed, no stalls.
+    // Sealing never noticed: every pane sealed, nothing shed, no stalls.
     assert_eq!(live.sealed_panes(), 14);
     assert_eq!(live.stats().shed_reports, 0);
 }
 
 #[test]
 fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
-    let (live, manual) = hand_driven_city_on_a_manual_clock();
+    let (live, manual) = stepped_hand_driven_city();
     let config = ServeConfig {
         // Pause delivery after a single unacked frame so the stall point is
         // deterministic, then notice at 4 and drop at 8 panes behind.
@@ -557,12 +549,8 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
     let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
 
     // Seal pane 0 so subscribing at the head starts from a known cursor.
-    // The probe keeps up with the same query: the test waits on it for
-    // each fan-out round.
     live.ingest(&report_at(1_000_000));
-    live.wait_seal_floor(1_000_000);
-    let mut probe = hub.subscribe(&[LiveQuery::Watermark], false);
-    take_through(&mut probe, 0);
+    seal_and_fan_out(&live, &hub, 1);
 
     // A raw wire client that NEVER acks — the stalled dashboard.
     let mut stream = raw_subscriber(&server, 7, LiveQuery::Watermark);
@@ -580,12 +568,12 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
     assert_eq!(first_pane, 0);
 
     // Advance to lag 6 from the client's cursor: notice territory. One
-    // report seals the six panes in one pass, so one fan-out round answers
+    // step seals the six panes in one pass, so one fan-out round answers
     // for them: fresh, that frame is one pane of lag (the connection sees
     // nothing to report); once the clock passes the grace, all six count.
     let cursor = first_pane + 1;
     live.ingest(&report_at((cursor + 6) * 1_000_000));
-    take_through(&mut probe, cursor + 5);
+    seal_and_fan_out(&live, &hub, 6);
     manual.advance(FRESH_FRAME);
     match read_frame(&mut stream).expect("notice").expect("open") {
         Frame::LagNotice { behind_panes } => assert_eq!(behind_panes, 6),
@@ -595,7 +583,7 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
     // Advance past the drop bound: fresh, the next round's frame makes the
     // lag 7 (still only noticed); past the grace it is 9.
     live.ingest(&report_at((cursor + 9) * 1_000_000));
-    take_through(&mut probe, cursor + 8);
+    seal_and_fan_out(&live, &hub, 3);
     manual.advance(FRESH_FRAME);
     match read_frame(&mut stream).expect("dropped").expect("open") {
         Frame::Dropped { behind_panes } => assert_eq!(behind_panes, 9),
@@ -607,12 +595,11 @@ fn stalled_tcp_subscriber_hits_the_ack_window_then_the_lag_policy() {
         read_frame(&mut stream).expect("clean close").is_none(),
         "connection closed after drop"
     );
-    drop(probe);
     let stats = hub.stats();
     assert_eq!(stats.subscribers, 0);
     assert_eq!(stats.lag_notices, 1);
     assert_eq!(stats.dropped_subscribers, 1);
-    // Ingest ran at full event-time speed throughout.
+    // Sealing ran at full event-time speed throughout.
     assert_eq!(live.sealed_panes(), cursor + 9);
     assert_eq!(live.stats().shed_reports, 0);
 }
@@ -645,8 +632,9 @@ fn from_start_subscriber_catches_up_through_the_pane_log() {
     let hub = ServeHub::over_live(Arc::clone(&live), Some(dir.clone()), config);
     let mut sub = hub.subscribe(&[LiveQuery::Watermark], true);
 
+    // Each poll rebuilds at most one catch-up batch.
     let mut got: Vec<(u64, u64)> = Vec::new(); // (pane, sealed_panes answered)
-    wait_until("from-start catch-up to complete", || {
+    for _ in 0..horizon {
         for event in sub.poll() {
             if let ServeEvent::Frame { frame, .. } = event {
                 let sealed = match frame.answer {
@@ -656,8 +644,8 @@ fn from_start_subscriber_catches_up_through_the_pane_log() {
                 got.push((frame.pane, sealed));
             }
         }
-        sub.caught_up()
-    });
+    }
+    assert!(sub.caught_up(), "{got:?}");
 
     // Catch-up replayed history pane by pane: every pane below the head
     // frame appears exactly once, in order, and each reconstructed answer
@@ -760,7 +748,7 @@ fn a_from_start_wait_on_a_log_hub_takes_each_catch_up_batch_at_once() {
 
 #[test]
 fn subscriber_without_a_log_counts_missed_frames_instead_of_stalling() {
-    let live = Arc::new(hand_driven_city());
+    let (live, _) = stepped_hand_driven_city();
     let config = ServeConfig {
         retain_frames: 2,
         max_cursor_lag_panes: u64::MAX,
@@ -772,16 +760,20 @@ fn subscriber_without_a_log_counts_missed_frames_instead_of_stalling() {
     for t in 1..=9u64 {
         live.ingest(&report_at(t * 1_000_000));
     }
-    wait_until("9 panes to seal", || live.sealed_panes() == 9);
+    seal_and_fan_out(&live, &hub, 9);
 
+    // Registration seeds the one frame, at pane 8: panes 0-7 below it are
+    // a gap only a log could fill.
     let mut sub = hub.subscribe(&[LiveQuery::Watermark], true);
-    wait_until("catch-up to resolve", || {
-        let _ = sub.poll();
-        sub.caught_up()
-    });
+    match sub.poll().as_slice() {
+        [ServeEvent::Frame { frame, .. }] => assert_eq!(frame.pane, 8),
+        other => panic!("expected the head frame alone, got {other:?}"),
+    }
+    assert!(sub.caught_up());
     let stats = hub.stats();
     assert_eq!(stats.catchup_frames, 0, "no log to rebuild from");
-    assert!(stats.missed_frames > 0, "the gap is reported, not hidden");
+    assert_eq!(stats.missed_frames, 8, "the gap is reported, not hidden");
+    assert_eq!(stats.frames_delivered, 1);
     assert!(!sub.is_dropped());
 }
 
@@ -798,7 +790,7 @@ fn a_caught_up_tcp_client_gets_each_delta_as_its_fan_out_round_lands() {
     // delay between the fan-out round and the write.
     let live = Arc::new(hand_driven_city());
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
     let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
@@ -899,7 +891,7 @@ fn a_from_start_tcp_subscriber_catches_up_a_log_hub_at_ack_pace() {
 fn a_tcp_subscribe_is_answered_without_waiting_out_a_read_tick() {
     let live = Arc::new(hand_driven_city());
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
     let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
 
@@ -927,7 +919,7 @@ fn a_tcp_subscribe_is_answered_without_waiting_out_a_read_tick() {
 fn a_hub_shutdown_closes_its_tcp_connections() {
     let live = Arc::new(hand_driven_city());
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
     let mut server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
@@ -963,7 +955,7 @@ fn a_hub_shutdown_closes_its_tcp_connections() {
 fn a_server_shutdown_closes_silent_caught_up_and_stalled_clients_at_once() {
     let live = Arc::new(hand_driven_city());
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
     // One unacked frame shuts the window.
     let config = ServeConfig {
         ack_window: 0,
@@ -1012,7 +1004,7 @@ fn a_server_shutdown_closes_silent_caught_up_and_stalled_clients_at_once() {
 fn an_ack_flood_does_not_hold_off_delivery() {
     let live = Arc::new(hand_driven_city());
     live.ingest(&report_at(1_000_000));
-    wait_until("pane 0 to seal", || live.sealed_panes() >= 1);
+    live.wait_seal_floor(1_000_000);
     let hub = ServeHub::over_live(Arc::clone(&live), None, ServeConfig::default());
     let server = ServeServer::bind(Arc::clone(&hub), "127.0.0.1:0").expect("bind");
     let mut stream = raw_subscriber(&server, 3, LiveQuery::Watermark);
