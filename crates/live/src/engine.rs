@@ -2076,6 +2076,126 @@ mod tests {
         assert_eq!(run(&shuffled), reference);
     }
 
+    /// SplitMix64: a seeded stream for the bucket-pass batches below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One stripe's bucket for `pane`: reports of 1–8 observations sharing
+    /// `(timestamp, pole)`, drawn so that `(timestamp, pole)` and
+    /// `(timestamp, pole, tag)` tie within a shard, pole ids reach past 2^16,
+    /// 2^24 and up to `u32::MAX`, and (at `pane_us = 2^40`) time offsets
+    /// past 2^32 mix with small ones.
+    fn seeded_bucket(
+        rng: &mut u64,
+        pane: u64,
+        pane_us: u64,
+        n_shards: usize,
+        rows: usize,
+    ) -> PaneBucket {
+        let mut bucket = PaneBucket {
+            pane,
+            ..Default::default()
+        };
+        while bucket.keys.len() < rows {
+            let pole = match splitmix(rng) % 5 {
+                0 => (splitmix(rng) % 8) as u32,
+                1 => (1 << 16) + (splitmix(rng) % 300) as u32,
+                2 => (1 << 24) + (splitmix(rng) % 3) as u32,
+                3 => u32::MAX - (splitmix(rng) % 2) as u32,
+                _ => (splitmix(rng) % 40_000) as u32,
+            };
+            let offset = match splitmix(rng) % 4 {
+                0 => 0,
+                1 => splitmix(rng) % 3,
+                2 if pane_us > 1 << 32 => (1 << 32) + splitmix(rng) % (pane_us - (1 << 32)),
+                _ => splitmix(rng) % pane_us.min(1 << 32),
+            };
+            let t = pane * pane_us + offset;
+            let len = (1 + splitmix(rng) % 8).min((rows - bucket.keys.len()) as u64);
+            for seq in 0..len as u32 {
+                let tag = splitmix(rng) % 6;
+                let mut o = obs(tag, pole, 0, t);
+                o.cfo_bin = (splitmix(rng) % 3) as u32;
+                bucket.keys.push(SealKey {
+                    timestamp_us: t,
+                    tag,
+                    pole,
+                    cfo_bin: o.cfo_bin,
+                    shard: caraoke_city::store::shard_of_bin(o.cfo_bin, n_shards) as u32,
+                    seq,
+                });
+                bucket.obs.push(o);
+            }
+        }
+        bucket
+    }
+
+    #[test]
+    fn bucket_pass_orders_every_bucket_canonically() {
+        let mut rng = 7u64;
+        // One scratch across every batch, as on the sealer: buffers reused.
+        let mut scratch = SealScratch::default();
+        for batch in 0..96 {
+            let pane_us = if batch % 2 == 0 { 1 << 40 } else { 1_000_000 };
+            let first_pane = splitmix(&mut rng) % 4;
+            let span = 1 + (splitmix(&mut rng) % 4) as usize;
+            let n_shards = 1 + (splitmix(&mut rng) % 5) as usize;
+            let stripes = 1 + splitmix(&mut rng) % 4;
+            // Drain order: stripe by stripe, each stripe's panes ascending.
+            let mut drained_keys = Vec::new();
+            for _ in 0..stripes {
+                for pane in first_pane..first_pane + span as u64 {
+                    let rows = match splitmix(&mut rng) % 5 {
+                        0 => continue,
+                        1 => 1,
+                        2 => 2 + (splitmix(&mut rng) % 6) as usize,
+                        _ => (splitmix(&mut rng) % 700) as usize,
+                    };
+                    let bucket = seeded_bucket(&mut rng, pane, pane_us, n_shards, rows);
+                    drained_keys.extend_from_slice(&bucket.keys);
+                    scratch.keys.extend_from_slice(&bucket.keys);
+                    scratch.obs.extend_from_slice(&bucket.obs);
+                }
+            }
+            scratch.bucket_pass(first_pane, span, n_shards, pane_us);
+
+            let mut seen = std::collections::HashSet::new();
+            for b in 0..span * n_shards {
+                let (pane, shard) = (first_pane + (b / n_shards) as u64, (b % n_shards) as u32);
+                let mut reference: Vec<SealKey> = drained_keys
+                    .iter()
+                    .filter(|k| k.timestamp_us / pane_us == pane && k.shard == shard)
+                    .copied()
+                    .collect();
+                reference.sort_unstable_by_key(SealKey::bucket_key);
+                let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
+                let got: Vec<_> = scratch.order[range]
+                    .iter()
+                    .map(|&i| {
+                        assert!(seen.insert(i), "row {i} placed twice");
+                        let (key, o) = (scratch.keys[i as usize], &scratch.obs[i as usize]);
+                        // The fold reads the observation the key was built from.
+                        assert_eq!(
+                            (o.timestamp_us, o.pole.0, o.tag.0, o.cfo_bin),
+                            (key.timestamp_us, key.pole, key.tag, key.cfo_bin)
+                        );
+                        key.bucket_key()
+                    })
+                    .collect();
+                let want: Vec<_> = reference.iter().map(SealKey::bucket_key).collect();
+                assert_eq!(got, want, "batch {batch}, pane {pane}, shard {shard}");
+            }
+            assert_eq!(seen.len(), drained_keys.len(), "batch {batch}");
+            scratch.keys.clear();
+            scratch.obs.clear();
+        }
+    }
+
     /// Fresh scratch directory for log tests (unit tests have no
     /// `CARGO_TARGET_TMPDIR`).
     fn scratch_dir(name: &str) -> std::path::PathBuf {
