@@ -32,13 +32,20 @@
 //! 1. **Drain.** Stripe buffers are pane-bucketed and struct-of-arrays: a
 //!    32-byte `SealKey` column (every field the canonical order needs)
 //!    parallel to the full [`TagObservation`] column, plus the pane's
-//!    report-level segment rows. Every bucket below the pass frontier moves
-//!    to the sealer's scratch with bulk copies.
-//! 2. **Bucket pass.** Ordering touches only the dense key column — a
-//!    counting sort over `(pane - first_pane) * shards + shard`, then a
-//!    per-bucket sort of `u32` indices on
-//!    `(timestamp, pole, tag, cfo_bin, seq)` — instead of one comparison
-//!    sort moving ~136-byte rows.
+//!    report-level segment rows. Every bucket below the pass frontier is
+//!    moved out of its stripe whole — a `Vec` move, no row copy — and goes
+//!    back, emptied, to the stripe's spare list when the pass ends; the
+//!    fold reads each row where ingest wrote it.
+//! 2. **Bucket pass.** Ordering touches only the dense key column: a
+//!    counting sort over `(pane - first_pane) * shards + shard` into
+//!    16-byte slots (a packed prefix and the row's place in the drained
+//!    buckets), then, per bucket, a stable LSD radix sort on the prefix
+//!    `(timestamp − pane start) << 32 | pole` — one pass per byte that
+//!    varies, so a pane whose reports share a stamp costs the pole bytes
+//!    only — with each run of equal prefixes (one report's rows in one
+//!    shard) finished on the full `(timestamp, pole, tag, cfo_bin, seq)`.
+//!    Prefix order implies that order, and ties go to the full key, so the
+//!    fold order is exactly the canonical sort's.
 //! 3. **Fold pane by pane, then commit and publish.** The pane's buckets
 //!    go, in shard order (observations route to trackers by CFO bin, so tag
 //!    shards are independent), through the shared [`TagTracker`] state
@@ -306,15 +313,19 @@ pub struct LiveStats {
 /// over every published pass, on the engine's [`clock`](LiveCity::clock).
 /// The clock is read once per stage per pass (drain, bucket pass, commit,
 /// publish) or per pane (the rest), never per observation, and the stages
-/// split a pass without gaps, in this order. On a [`Clock::Manual`] engine
+/// split a pass without gaps, in this order — but for the drain's second
+/// read, after the last pane, when the buckets go back. On a [`Clock::Manual`] engine
 /// every stage reads 0; without a pane log, `delta`, `log_append` and
 /// `commit` read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SealStageNs {
-    /// Moving the released pane buckets out of the ingest stripes.
+    /// Moving the released pane buckets out of the ingest stripes (whole
+    /// buckets, no row copy), and back to their spare lists once folded.
     pub drain: u64,
-    /// Sorting the drained keys into canonical order (and taking the log
-    /// sink's lock).
+    /// Ordering the drained rows canonically — the `(pane, shard)`
+    /// counting sort, then each bucket's radix sort on the packed
+    /// `(time offset, pole)` prefix with ties on the full key — and taking
+    /// the log sink's lock.
     pub bucket: u64,
     /// Every observation through its tracker and the pane's builder.
     pub fold: u64,
@@ -407,6 +418,21 @@ impl SealKey {
             self.seq,
         )
     }
+
+    /// The radix sort's packed key within the pane starting at
+    /// `pane_start`: `offset << 32 | pole` while the time offset fits 32
+    /// bits, which orders exactly like `(timestamp, pole)`, else
+    /// `u64::MAX`. Prefix order never contradicts [`bucket_key`](Self::bucket_key)
+    /// order; equal prefixes (one report's rows, or any offset past 2^32)
+    /// are left to the full key.
+    fn sort_prefix(&self, pane_start: u64) -> u64 {
+        let offset = self.timestamp_us - pane_start;
+        if offset >> 32 == 0 {
+            offset << 32 | self.pole as u64
+        } else {
+            u64::MAX
+        }
+    }
 }
 
 /// One pane's worth of one stripe's buffered input: the observations,
@@ -423,6 +449,13 @@ struct PaneBucket {
 }
 
 impl PaneBucket {
+    /// Empties the columns, keeping their capacity for the spare list.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.obs.clear();
+        self.segs.clear();
+    }
+
     fn record_report(&mut self, segment: u16, count: u32, observations: u32, multi: u32) {
         // Delivery in pole order wants the newest row, so a miss is an
         // append, not a shift.
@@ -497,18 +530,49 @@ const MAX_SEAL_BUCKETS: usize = 1 << 16;
 /// the end of every this-many-th pane.
 const COMPACT_EVERY_PANES: u64 = 64;
 
-/// The sealer's reusable staging buffers, columnar like [`PaneBucket`]:
-/// drained keys and observations, the canonical-order index vector, the
-/// counting-sort bucket table the seal walk dispatches off, the drained
-/// report-level segment rows, the builder each pane folds into, and the
-/// pass's finished panes awaiting publication.
+/// Buckets up to this many rows skip the radix sort: on a handful of rows
+/// (a PHY city's pane holds a few per shard) a comparison sort on
+/// `(prefix, full key)` beats clearing and summing a 256-entry table per
+/// digit.
+const SMALL_BUCKET: usize = 32;
+
+/// One row's place in a seal pass's canonical order: its
+/// [`SealKey::sort_prefix`] and where it lies, `drained << 32 | row` —
+/// the index of its [`PaneBucket`] in [`SealScratch::drained`], and its
+/// index in that bucket's columns.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    prefix: u64,
+    at: u64,
+}
+
+impl Slot {
+    fn key(self, drained: &[PaneBucket]) -> &SealKey {
+        &drained[(self.at >> 32) as usize].keys[self.at as u32 as usize]
+    }
+
+    fn obs(self, drained: &[PaneBucket]) -> &TagObservation {
+        &drained[(self.at >> 32) as usize].obs[self.at as u32 as usize]
+    }
+}
+
+/// The sealer's reusable staging buffers: the pass's pane buckets, moved
+/// out of the stripes with their rows where ingest wrote them, the
+/// canonical order over them, the counting-sort bucket table the seal walk
+/// dispatches off, the drained report-level segment rows, the builder each
+/// pane folds into, and the pass's finished panes awaiting publication.
 #[derive(Debug, Default)]
 struct SealScratch {
-    keys: Vec<SealKey>,
-    obs: Vec<TagObservation>,
+    /// The pass's pane buckets, stripe by stripe; handed back to their
+    /// stripes' spare lists, emptied, at the end of the pass.
+    drained: Vec<PaneBucket>,
+    /// How many of `drained` each stripe gave, in stripe order.
+    per_stripe: [usize; POLE_STRIPES],
     builder: AggregateBuilder,
-    /// Indices into `keys`/`obs` in canonical order.
-    order: Vec<u32>,
+    /// Every drained row, in canonical order.
+    order: Vec<Slot>,
+    /// The radix sort's second buffer, as long as the largest bucket yet.
+    radix: Vec<Slot>,
     /// `offsets[b]..offsets[b + 1]` is bucket `b`'s range in `order`
     /// (bucket = `(pane - first_pane) * n_shards + shard`).
     offsets: Vec<u32>,
@@ -523,21 +587,24 @@ struct SealScratch {
 }
 
 impl SealScratch {
-    /// Establishes the canonical order over the drained columns, as `u32`
-    /// indices in `order`: a counting sort over `(pane, shard)` buckets
-    /// followed by a per-bucket key sort. The caller bounds
-    /// `span * n_shards` (see [`MAX_SEAL_BUCKETS`]).
+    /// Establishes the canonical order over the drained buckets, as
+    /// [`Slot`]s in `order`: a counting sort over `(pane, shard)` buckets,
+    /// then each bucket sorted by its packed prefix — a stable LSD radix
+    /// sort — with runs of equal prefix finished by the full
+    /// [`SealKey::bucket_key`]. The caller bounds `span * n_shards` (see
+    /// [`MAX_SEAL_BUCKETS`]).
     fn bucket_pass(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) {
-        let len = self.keys.len();
-        debug_assert!(len <= u32::MAX as usize, "seal batch exceeds u32 indices");
+        let len: usize = self.drained.iter().map(|b| b.keys.len()).sum();
+        debug_assert!(len <= u32::MAX as usize, "seal batch exceeds u32 offsets");
         let n_buckets = span * n_shards;
-        let bucket = |k: &SealKey| {
-            (k.timestamp_us / pane_us - first_pane) as usize * n_shards + k.shard as usize
-        };
+        let base = |b: &PaneBucket| (b.pane - first_pane) as usize * n_shards;
         self.offsets.clear();
         self.offsets.resize(n_buckets + 1, 0);
-        for k in &self.keys {
-            self.offsets[bucket(k) + 1] += 1;
+        for bucket in &self.drained {
+            let base = base(bucket);
+            for k in &bucket.keys {
+                self.offsets[base + k.shard as usize + 1] += 1;
+            }
         }
         for b in 0..n_buckets {
             self.offsets[b + 1] += self.offsets[b];
@@ -545,19 +612,88 @@ impl SealScratch {
         self.cursors.clear();
         self.cursors.extend_from_slice(&self.offsets[..n_buckets]);
         // Every slot is overwritten by the scatter below.
-        self.order.resize(len, 0);
-        for (i, k) in self.keys.iter().enumerate() {
-            let b = bucket(k);
-            self.order[self.cursors[b] as usize] = i as u32;
-            self.cursors[b] += 1;
-        }
-        let keys = &self.keys;
-        for b in 0..n_buckets {
-            let range = self.offsets[b] as usize..self.offsets[b + 1] as usize;
-            if range.len() > 1 {
-                self.order[range].sort_unstable_by_key(|&i| keys[i as usize].bucket_key());
+        self.order.resize(len, Slot::default());
+        for (d, bucket) in self.drained.iter().enumerate() {
+            let (base, pane_start) = (base(bucket), bucket.pane * pane_us);
+            for (i, k) in bucket.keys.iter().enumerate() {
+                let b = base + k.shard as usize;
+                self.order[self.cursors[b] as usize] = Slot {
+                    prefix: k.sort_prefix(pane_start),
+                    at: (d as u64) << 32 | i as u64,
+                };
+                self.cursors[b] += 1;
             }
         }
+        for b in 0..n_buckets {
+            let range = self.offsets[b] as usize..self.offsets[b + 1] as usize;
+            sort_bucket(&mut self.order[range], &mut self.radix, &self.drained);
+        }
+    }
+}
+
+/// Puts one `(pane, shard)` bucket's slots into canonical order: by
+/// prefix, ties by the full key.
+fn sort_bucket(slots: &mut [Slot], radix: &mut Vec<Slot>, drained: &[PaneBucket]) {
+    let full_key = |s: &Slot| s.key(drained).bucket_key();
+    if slots.len() <= SMALL_BUCKET {
+        slots.sort_unstable_by(|a, b| {
+            (a.prefix.cmp(&b.prefix)).then_with(|| full_key(a).cmp(&full_key(b)))
+        });
+        return;
+    }
+    radix_sort_by_prefix(slots, radix);
+    for run in slots.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(full_key);
+        }
+    }
+}
+
+/// A stable LSD radix sort of `slots` by prefix, one byte a pass, skipping
+/// every byte all prefixes share (on a pane whose reports share a stamp,
+/// all but the pole's low bytes). `radix` is the scatter buffer.
+fn radix_sort_by_prefix(slots: &mut [Slot], radix: &mut Vec<Slot>) {
+    let (any, all) = slots.iter().fold((0, u64::MAX), |(any, all), s| {
+        (any | s.prefix, all & s.prefix)
+    });
+    let n = slots.len();
+    if radix.len() < n {
+        radix.resize(n, Slot::default());
+    }
+    let radix = &mut radix[..n];
+    let mut in_radix = false;
+    for shift in (0..64)
+        .step_by(8)
+        .filter(|&shift| (any ^ all) >> shift & 0xff != 0)
+    {
+        if in_radix {
+            scatter_by_byte(radix, slots, shift);
+        } else {
+            scatter_by_byte(slots, radix, shift);
+        }
+        in_radix = !in_radix;
+    }
+    if in_radix {
+        slots.copy_from_slice(radix);
+    }
+}
+
+/// One counting-sort pass of the radix sort: `src` into `dst`, stably, by
+/// the prefix byte at `shift`.
+fn scatter_by_byte(src: &[Slot], dst: &mut [Slot], shift: u32) {
+    let digit = |s: &Slot| (s.prefix >> shift) as u8 as usize;
+    let mut at = [0u32; 256];
+    for s in src {
+        at[digit(s)] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut at {
+        (*slot, sum) = (sum, sum + *slot);
+    }
+    for s in src {
+        let d = digit(s);
+        dst[at[d] as usize] = *s;
+        at[d] += 1;
     }
 }
 
@@ -657,10 +793,12 @@ struct LiveCore {
     signal: Mutex<SealerSignal>,
     /// Wakes the sealer thread (pairs with `signal`).
     seal_wake: Condvar,
-    /// The ingest admission floor: `next_pane * pane_us`, stored by the
+    /// The ingest admission floor, as the next pane to seal: stored by the
     /// sealer after every pane it folds — ahead of the ring's horizon
-    /// while a pass is unpublished, so no wait reads it.
-    seal_floor_us: AtomicU64,
+    /// while a pass is unpublished, so no wait reads it. In panes, not µs:
+    /// the top pane's end saturates at `u64::MAX`, which is itself a stamp
+    /// inside that pane.
+    seal_floor_pane: AtomicU64,
     reports: AtomicU64,
     shed_reports: AtomicU64,
     shed_observations: AtomicU64,
@@ -851,7 +989,7 @@ impl LiveCity {
                 (sealer, clock, 0, 0)
             }
         };
-        let seal_floor_us = sealer.next_pane.saturating_mul(config.pane_us);
+        let seal_floor_pane = sealer.next_pane;
         let is_stepped = stepped.is_some();
         let time = stepped.unwrap_or_default();
         let core = Arc::new(LiveCore {
@@ -874,7 +1012,7 @@ impl LiveCity {
             }),
             time,
             seal_wake: Condvar::new(),
-            seal_floor_us: AtomicU64::new(seal_floor_us),
+            seal_floor_pane: AtomicU64::new(seal_floor_pane),
             reports: AtomicU64::new(0),
             shed_reports: AtomicU64::new(0),
             shed_observations: AtomicU64::new(0),
@@ -1052,7 +1190,10 @@ impl LiveCity {
         let core = &*self.core;
         // Read the floor before the watermark so the reported pair always
         // satisfies `seal_floor_us <= watermark_us`.
-        let seal_floor_us = core.seal_floor_us.load(Ordering::Acquire);
+        let seal_floor_us = core
+            .seal_floor_pane
+            .load(Ordering::Acquire)
+            .saturating_mul(core.config.pane_us);
         let buffered: usize = core
             .stripes
             .iter()
@@ -1171,14 +1312,15 @@ impl LiveCore {
             self.unknown_pole_reports.fetch_add(1, Ordering::Relaxed);
             return IngestOutcome::UnknownPole;
         }
-        let floor = self.seal_floor_us.load(Ordering::Acquire);
-        if report.timestamp_us < floor {
+        let pane_us = self.config.pane_us;
+        let floor = self.seal_floor_pane.load(Ordering::Acquire);
+        let pane = report.timestamp_us / pane_us;
+        if pane < floor {
             self.shed_reports.fetch_add(1, Ordering::Relaxed);
             self.shed_observations
                 .fetch_add(report.len() as u64, Ordering::Relaxed);
             return IngestOutcome::ShedLate;
         }
-        let pane = report.timestamp_us / self.config.pane_us;
         let max_pending = self.config.max_pending_per_stripe;
         let stripe = &self.stripes[report.pole.0 as usize % POLE_STRIPES];
         let mut shed = 0u64;
@@ -1190,15 +1332,16 @@ impl LiveCore {
                 if obs.multi_occupied {
                     multi += 1;
                 }
-                if obs.timestamp_us < floor {
+                // Bucketed by the *observation's* pane (a report near a
+                // boundary can straddle two), so the seal moves whole
+                // buckets without re-classifying anything.
+                let obs_pane = obs.timestamp_us / pane_us;
+                if obs_pane < floor {
                     shed += 1;
                 } else if buf.len >= max_pending {
                     overflow += 1;
                 } else {
-                    // Bucketed by the *observation's* pane (a report near a
-                    // boundary can straddle two), so the seal moves whole
-                    // buckets without re-classifying anything.
-                    let bucket = buf.bucket(obs.timestamp_us / self.config.pane_us);
+                    let bucket = buf.bucket(obs_pane);
                     bucket.keys.push(SealKey {
                         timestamp_us: obs.timestamp_us,
                         tag: obs.tag.0,
@@ -1379,24 +1522,23 @@ impl LiveCore {
             scratch.segs.resize_with(span, Vec::new);
         }
         let mut shed_late = 0u64;
-        for stripe in self.stripes.iter() {
+        for (stripe, taken) in self.stripes.iter().zip(&mut scratch.per_stripe) {
             let mut buf = stripe.0.lock().expect("ingest stripe");
             let buf = &mut *buf;
             let cut = buf.panes.partition_point(|b| b.pane < end);
+            let before = scratch.drained.len();
             for mut bucket in buf.panes.drain(..cut) {
                 buf.len -= bucket.keys.len();
                 if bucket.pane < first_pane {
                     shed_late += bucket.keys.len() as u64;
+                    bucket.clear();
+                    buf.spare.push(bucket);
                 } else {
-                    scratch.keys.extend_from_slice(&bucket.keys);
-                    scratch.obs.extend_from_slice(&bucket.obs);
                     scratch.segs[(bucket.pane - first_pane) as usize].append(&mut bucket.segs);
+                    scratch.drained.push(bucket);
                 }
-                bucket.keys.clear();
-                bucket.obs.clear();
-                bucket.segs.clear();
-                buf.spare.push(bucket);
             }
+            *taken = scratch.drained.len() - before;
         }
         if shed_late > 0 {
             self.shed_observations
@@ -1415,7 +1557,7 @@ impl LiveCore {
                 let b = pane_idx * self.n_shards + shard;
                 let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
                 let bucket = &scratch.order[range];
-                self.fold_bucket(&mut scratch.builder, tracker, bucket, &scratch.obs);
+                self.fold_bucket(&mut scratch.builder, tracker, bucket, &scratch.drained);
             }
             stages.fold += lap.split();
             let mut agg = scratch.builder.finish();
@@ -1477,9 +1619,21 @@ impl LiveCore {
             }
             scratch.sealed.push((pane, fingerprint, agg));
             state.next_pane = pane + 1;
-            self.seal_floor_us
-                .store((pane + 1).saturating_mul(pane_us), Ordering::Release);
+            self.seal_floor_pane.store(pane + 1, Ordering::Release);
         }
+        // Every row is folded: the drained buckets go back to their stripes.
+        let mut drained = scratch.drained.drain(..);
+        for (stripe, &taken) in self.stripes.iter().zip(&scratch.per_stripe) {
+            if taken > 0 {
+                let mut buf = stripe.0.lock().expect("ingest stripe");
+                for mut bucket in drained.by_ref().take(taken) {
+                    bucket.clear();
+                    buf.spare.push(bucket);
+                }
+            }
+        }
+        drop(drained);
+        stages.drain += lap.split();
         // One fsync-policy commit per pass: every pane above is durable (per
         // policy) before any reader can observe it.
         if let Some(sink) = log.as_mut() {
@@ -1495,33 +1649,31 @@ impl LiveCore {
         stages.publish += lap.split();
         ring.seal_ns.add(&stages);
         drop(ring);
-        scratch.keys.clear();
-        scratch.obs.clear();
         state.scratch = scratch;
     }
 
-    /// Folds one `(pane, shard)` bucket — indices into `obs`, in canonical
-    /// order — into the pane's builder. Out of line so the hot loop is
-    /// compiled on its own, not inside [`seal_pass`](Self::seal_pass).
+    /// Folds one `(pane, shard)` bucket — slots into `drained`, in
+    /// canonical order — into the pane's builder. Out of line so the hot
+    /// loop is compiled on its own, not inside [`seal_pass`](Self::seal_pass).
     #[inline(never)]
     fn fold_bucket(
         &self,
         builder: &mut AggregateBuilder,
         tracker: &mut TagTracker,
-        bucket: &[u32],
-        obs: &[TagObservation],
+        bucket: &[Slot],
+        drained: &[PaneBucket],
     ) {
-        for (n, &i) in bucket.iter().enumerate() {
-            if let Some(&j) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
-                prefetch_obs(&obs[j as usize]);
+        for (n, slot) in bucket.iter().enumerate() {
+            if let Some(ahead) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
+                prefetch_obs(ahead.obs(drained));
             }
-            if let Some(&j) = bucket.get(n + TRACKER_PREFETCH_AHEAD) {
-                tracker.prefetch(&obs[j as usize]);
+            if let Some(ahead) = bucket.get(n + TRACKER_PREFETCH_AHEAD) {
+                tracker.prefetch(ahead.obs(drained));
             }
             fold_observation(
                 builder,
                 tracker,
-                &obs[i as usize],
+                slot.obs(drained),
                 &self.directory,
                 &self.config.store,
             );
@@ -2032,6 +2184,19 @@ mod tests {
         assert_eq!(stats.observations, 1);
         let old = report(0, 0, 5, vec![obs(2, 0, 0, 5)]);
         assert_eq!(live.ingest(&old), IngestOutcome::ShedLate);
+        // The top stamp lies in the sealed top pane, though no µs floor can
+        // exceed it: admission goes by pane.
+        let top = report(0, 0, u64::MAX, vec![obs(3, 0, 0, u64::MAX)]);
+        assert_eq!(live.ingest(&top), IngestOutcome::ShedLate);
+        live.finish();
+        let stats = live.stats();
+        assert_eq!(
+            (stats.shed_reports, stats.shed_observations),
+            (2, 2),
+            "both late reports counted as shed"
+        );
+        assert_eq!(stats.buffered_observations, 0);
+        assert_eq!((stats.sealed_panes, stats.observations), (4, 1));
     }
 
     #[test]
@@ -2158,8 +2323,7 @@ mod tests {
                     };
                     let bucket = seeded_bucket(&mut rng, pane, pane_us, n_shards, rows);
                     drained_keys.extend_from_slice(&bucket.keys);
-                    scratch.keys.extend_from_slice(&bucket.keys);
-                    scratch.obs.extend_from_slice(&bucket.obs);
+                    scratch.drained.push(bucket);
                 }
             }
             scratch.bucket_pass(first_pane, span, n_shards, pane_us);
@@ -2176,9 +2340,9 @@ mod tests {
                 let range = scratch.offsets[b] as usize..scratch.offsets[b + 1] as usize;
                 let got: Vec<_> = scratch.order[range]
                     .iter()
-                    .map(|&i| {
-                        assert!(seen.insert(i), "row {i} placed twice");
-                        let (key, o) = (scratch.keys[i as usize], &scratch.obs[i as usize]);
+                    .map(|&slot| {
+                        assert!(seen.insert(slot.at), "row {:#x} placed twice", slot.at);
+                        let (key, o) = (slot.key(&scratch.drained), slot.obs(&scratch.drained));
                         // The fold reads the observation the key was built from.
                         assert_eq!(
                             (o.timestamp_us, o.pole.0, o.tag.0, o.cfo_bin),
@@ -2191,8 +2355,7 @@ mod tests {
                 assert_eq!(got, want, "batch {batch}, pane {pane}, shard {shard}");
             }
             assert_eq!(seen.len(), drained_keys.len(), "batch {batch}");
-            scratch.keys.clear();
-            scratch.obs.clear();
+            scratch.drained.clear();
         }
     }
 
