@@ -5,8 +5,11 @@
 //! that every generated observation was sealed, and prints
 //! observations/second, peak RSS (from `/proc/self/status`, `VmHWM`) and
 //! the fingerprint chain, with the source's generation-only rate alongside
-//! so the engine's share of the wall clock is visible. It writes no file
-//! and is not the basis for any performance claim — that is `benchmark/`.
+//! so the engine's share of the wall clock is visible, and the sealer's
+//! time per observation split by seal stage
+//! ([`LiveStats::seal_ns`](caraoke_live::LiveStats::seal_ns)). It writes
+//! no file and is not the basis for any performance claim — that is
+//! `benchmark/`.
 //! It stays only because no benchmark workload streams an input this long
 //! yet, and goes when one does.
 //!
@@ -15,7 +18,7 @@
 
 use crate::Row;
 use caraoke_city::{FrameSource, StoreConfig, SyntheticCity};
-use caraoke_live::{Interleaving, LiveConfig, LiveDriver};
+use caraoke_live::{Interleaving, LiveConfig, LiveDriver, SealStageNs};
 
 /// One scale-bench workload tier.
 #[derive(Debug, Clone, Copy)]
@@ -122,6 +125,8 @@ pub struct ScaleResult {
     pub peak_rss_bytes: u64,
     /// Wall-clock seconds of the online run.
     pub elapsed_secs: f64,
+    /// The sealer's time by seal stage, summed over the run.
+    pub seal_ns: SealStageNs,
 }
 
 /// Peak resident set size of this process so far, in bytes, from
@@ -179,24 +184,43 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
         chain_fingerprint: run.chain_fingerprint,
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         elapsed_secs: run.elapsed.as_secs_f64(),
+        seal_ns: run.stats.seal_ns,
     }
 }
 
-/// Printable rows for the `experiments scale` subcommand.
+/// Printable rows for the `experiments scale` subcommand: the run, then
+/// its seal stage split in ns per observation (the unlogged stages, in
+/// pass order: the run has no log).
 pub fn scale_rows(cfg: &ScaleConfig, result: &ScaleResult) -> Vec<Row> {
-    vec![Row::new(
-        format!("{} poles x {} epochs", cfg.n_poles, cfg.epochs),
-        vec![
-            ("observations", result.observations as f64),
-            ("obs_per_sec", result.obs_per_sec),
-            ("gen_obs_per_sec", result.gen_obs_per_sec),
-            ("elapsed_secs", result.elapsed_secs),
-            (
-                "peak_rss_mb",
-                result.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            ),
-        ],
-    )]
+    let ns = &result.seal_ns;
+    let per_obs = |ns: u64| ns as f64 / result.observations.max(1) as f64;
+    vec![
+        Row::new(
+            format!("{} poles x {} epochs", cfg.n_poles, cfg.epochs),
+            vec![
+                ("observations", result.observations as f64),
+                ("obs_per_sec", result.obs_per_sec),
+                ("gen_obs_per_sec", result.gen_obs_per_sec),
+                ("elapsed_secs", result.elapsed_secs),
+                (
+                    "peak_rss_mb",
+                    result.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+                ),
+            ],
+        ),
+        Row::new(
+            "seal ns/obs",
+            vec![
+                ("drain", per_obs(ns.drain)),
+                ("bucket", per_obs(ns.bucket)),
+                ("fold", per_obs(ns.fold)),
+                ("pane_finish", per_obs(ns.pane_finish)),
+                ("fingerprint", per_obs(ns.fingerprint)),
+                ("totals", per_obs(ns.totals)),
+                ("publish", per_obs(ns.publish)),
+            ],
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -224,7 +248,11 @@ mod tests {
         assert!(result.observations > 500);
         assert!(result.obs_per_sec > 0.0);
         assert!(result.gen_obs_per_sec > 0.0);
+        // A threaded engine reads real time, so stages that ran read > 0.
+        assert!(result.seal_ns.bucket > 0, "{:?}", result.seal_ns);
+        assert!(result.seal_ns.fold > 0, "{:?}", result.seal_ns);
         let rows = scale_rows(&cfg, &result);
-        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].values.len(), 7);
     }
 }

@@ -472,7 +472,7 @@ impl PaneBucket {
 
 /// One ingest stripe's buffers, *pane-bucketed*: each occupied
 /// pane owns its own columns, so a seal moves the sealed panes' buckets
-/// with bulk copies and never rescans the buffered tail ahead of the
+/// out whole and never rescans the buffered tail ahead of the
 /// frontier (a flat buffer pays one filter pass over `lateness_panes` worth
 /// of retained observations at every seal). Memory is O(occupied panes) no
 /// matter how far a fast pole runs ahead of a laggard — a dense
@@ -533,7 +533,9 @@ const COMPACT_EVERY_PANES: u64 = 64;
 /// Buckets up to this many rows skip the radix sort: on a handful of rows
 /// (a PHY city's pane holds a few per shard) a comparison sort on
 /// `(prefix, full key)` beats clearing and summing a 256-entry table per
-/// digit.
+/// digit. Timed on synthetic-city rows with two varying prefix bytes, the
+/// radix sort costs ≈ 20× the comparison sort per row at 4 rows and
+/// breaks even between 32 and 48.
 const SMALL_BUCKET: usize = 32;
 
 /// One row's place in a seal pass's canonical order: its
@@ -637,7 +639,9 @@ fn sort_bucket(slots: &mut [Slot], radix: &mut Vec<Slot>, drained: &[PaneBucket]
     let full_key = |s: &Slot| s.key(drained).bucket_key();
     if slots.len() <= SMALL_BUCKET {
         slots.sort_unstable_by(|a, b| {
-            (a.prefix.cmp(&b.prefix)).then_with(|| full_key(a).cmp(&full_key(b)))
+            a.prefix
+                .cmp(&b.prefix)
+                .then_with(|| full_key(a).cmp(&full_key(b)))
         });
         return;
     }
@@ -710,7 +714,7 @@ struct SealerState {
     totals: RunTotals,
     /// Per-shard tag state machines.
     trackers: Vec<TagTracker>,
-    /// Reusable staging buffers for drained observations.
+    /// The seal pass's reusable buffers.
     scratch: SealScratch,
 }
 
@@ -2275,6 +2279,9 @@ mod tests {
                 _ => (splitmix(rng) % 40_000) as u32,
             };
             let offset = match splitmix(rng) % 4 {
+                // 2^32 - 1 with pole u32::MAX packs to the same prefix as an
+                // offset past 2^32.
+                0 if pane_us > 1 << 32 && splitmix(rng).is_multiple_of(2) => (1 << 32) - 1,
                 0 => 0,
                 1 => splitmix(rng) % 3,
                 2 if pane_us > 1 << 32 => (1 << 32) + splitmix(rng) % (pane_us - (1 << 32)),

@@ -51,14 +51,21 @@
 //!
 //! The live engine's seal-pass stage clocks (`LiveStats::seal_ns` in
 //! `caraoke-live`) split what logging adds to the sealer. On a
-//! 1 000-pole closed-loop stream (the benchmark's `durable_cycle`; 2
-//! cores, medians of three runs of four trials) a logged sealer spends
-//! ≈ 41 ns per observation taking the tracker deltas and ≈ 131 ns
-//! appending the pane records, and its fold costs what an unlogged one's
-//! does. Of the append, timed on an instrumented copy, about half is
-//! segment rotation (the full segment's `fdatasync`, the new segment's
-//! header and the manifest, each synced), a quarter the write, a sixth
-//! the encoding and a tenth the CRC.
+//! 1 000-pole closed-loop stream (the benchmark's `durable_cycle`, 250
+//! panes, default [`LogOptions`]; 2 cores, medians of three runs) a
+//! logged sealer spends ≈ 30 ns per observation taking the tracker
+//! deltas, ≈ 98 ns appending the pane records and ≈ 0.1 ns in the
+//! pass commit, and its fold costs what an unlogged one's does.
+//!
+//! About half of the append is segment rotation, but most of that is the
+//! full segment's `fdatasync`, and it pays for the bytes written, not for
+//! the rotation: with 256 MiB segments (no rotation in the run) the
+//! append falls to ≈ 47 ns/obs while the commit, whose fsync policy now
+//! syncs those bytes, rises to ≈ 29. So fewer bytes per observation cut
+//! the sync; fewer rotations mostly move it. What rotation adds of its
+//! own is the new segment's header and the manifest, each synced. Of the
+//! rest of the append, timed earlier on an instrumented copy, the write
+//! is about a quarter, the encoding a sixth and the CRC a tenth.
 
 // `deny` rather than the workspace's usual `forbid`: the hardware-CRC32C
 // kernel in `codec` needs one `#[allow(unsafe_code)]` module for the
