@@ -489,12 +489,12 @@ impl TagTracker {
         self.stats
     }
 
-    /// Resolves the observation's tag identity through the alias table,
-    /// registering a new alias when the observation carries a decode.
-    fn resolve(&mut self, obs: &TagObservation) -> u64 {
-        let raw = obs.tag.0;
-        if let Some(id) = obs.decoded {
-            let decoded = TagKey::from_decoded(id).0;
+    /// Resolves the row's tag identity through the alias table,
+    /// registering a new alias when the row carries a decode.
+    fn resolve(&mut self, row: &FoldRow) -> u64 {
+        let raw = row.tag.0;
+        if row.has_decoded {
+            let decoded = row.decoded.0;
             if raw != decoded {
                 match self.aliases.get(&raw).copied() {
                     None => {
@@ -534,18 +534,18 @@ impl TagTracker {
         }
     }
 
-    /// Hints the cache at the per-tag state `obs` will touch when it is
-    /// [`apply`](Self::apply)'d shortly: resolves the observation's key
-    /// through the alias table (read-only — no stats, no upgrades) and
-    /// prefetches its slot in the state table. Callers walking a sorted
-    /// batch issue this a few observations ahead so the state-table miss —
-    /// the dominant cost of `apply` on large deployments — overlaps earlier
-    /// folds. Purely a hint; results are identical with or without it.
+    /// Hints the cache at the per-tag state `row` will touch when it is
+    /// folded shortly ([`fold_row`]): resolves the row's key through the
+    /// alias table (read-only — no stats, no upgrades) and prefetches its
+    /// slot in the state table. Callers walking a sorted batch issue this a
+    /// few rows ahead so the state-table miss — the dominant cost of the
+    /// fold on large deployments — overlaps earlier folds. Purely a hint;
+    /// results are identical with or without it.
     #[inline]
-    pub fn prefetch(&self, obs: &TagObservation) {
-        let raw = obs.tag.0;
-        let key = if let Some(id) = obs.decoded {
-            TagKey::from_decoded(id).0
+    pub fn prefetch(&self, row: &FoldRow) {
+        let raw = row.tag.0;
+        let key = if row.has_decoded {
+            row.decoded.0
         } else {
             self.aliases.get(&raw).copied().unwrap_or(raw)
         };
@@ -553,34 +553,45 @@ impl TagTracker {
     }
 
     /// Applies one observation (which must arrive in canonical order) and
-    /// emits the derived analytics events.
+    /// emits the derived analytics events: resolves it into a [`FoldRow`]
+    /// and folds that.
     pub fn apply(
         &mut self,
         obs: &TagObservation,
         directory: &PoleDirectory,
         config: &StoreConfig,
+        emit: impl FnMut(DerivedEvent),
+    ) {
+        let row = FoldRow::resolve(obs, directory.site(obs.pole));
+        self.fold(&row, directory, config, emit);
+    }
+
+    /// The per-tag transition for one row, in canonical order.
+    fn fold(
+        &mut self,
+        row: &FoldRow,
+        directory: &PoleDirectory,
+        config: &StoreConfig,
         mut emit: impl FnMut(DerivedEvent),
     ) {
-        let key = self.resolve(obs);
-        let cycle = (obs.timestamp_us / config.light_cycle_us) as u32;
+        let key = self.resolve(row);
+        let cycle = (row.timestamp_us / config.light_cycle_us) as u32;
         // Only real fixes feed the position track; the pole fallback would
         // regress to the pole-hop staircase the track is meant to replace.
-        let fix = obs
-            .position
-            .filter(|p| p.is_finite() && p.method != PositionMethod::PolePosition);
+        let fix = row.method != PositionMethod::PolePosition;
         match self.tags.get_mut(key) {
             None => {
                 emit(DerivedEvent::Flow {
-                    segment: obs.segment,
+                    segment: row.segment,
                     cycle,
                 });
                 let mut state = TagState {
                     prev_pole: u32::MAX,
-                    last_pole: obs.pole,
+                    last_pole: row.pole,
                     prev_segment: u16::MAX,
-                    last_segment: obs.segment,
-                    arrival_us: obs.timestamp_us,
-                    last_seen_us: obs.timestamp_us,
+                    last_segment: row.segment,
+                    arrival_us: row.timestamp_us,
+                    last_seen_us: row.timestamp_us,
                     last_cycle: cycle,
                     sightings: 1,
                     track: [(0, 0.0, 0.0); TRACK_CAP],
@@ -588,8 +599,8 @@ impl TagTracker {
                     track_head: 0,
                     dirty: self.trace,
                 };
-                if let Some(f) = fix {
-                    state.push_track(obs.timestamp_us, f.xy);
+                if fix {
+                    state.push_track(row.timestamp_us, row.xy);
                 }
                 self.tags.insert(key, state);
                 if self.trace {
@@ -601,8 +612,8 @@ impl TagTracker {
                     state.dirty = true;
                     self.dirty_tags.push(key);
                 }
-                if let Some(f) = fix {
-                    state.push_track(obs.timestamp_us, f.xy);
+                if fix {
+                    state.push_track(row.timestamp_us, row.xy);
                 }
                 // A tag entering a (segment, light-cycle) bucket it was
                 // not in before is one flow event (Fig. 12). Bouncing
@@ -613,30 +624,30 @@ impl TagTracker {
                 // cycle each.
                 if cycle != state.last_cycle {
                     emit(DerivedEvent::Flow {
-                        segment: obs.segment,
+                        segment: row.segment,
                         cycle,
                     });
                     state.prev_segment = u16::MAX;
-                    state.last_segment = obs.segment;
-                } else if obs.segment != state.last_segment && obs.segment.0 != state.prev_segment {
+                    state.last_segment = row.segment;
+                } else if row.segment != state.last_segment && row.segment.0 != state.prev_segment {
                     emit(DerivedEvent::Flow {
-                        segment: obs.segment,
+                        segment: row.segment,
                         cycle,
                     });
                     state.prev_segment = state.last_segment.0;
-                    state.last_segment = obs.segment;
+                    state.last_segment = row.segment;
                 }
                 // Ping-pong suppression: overlapping pole coverage makes
                 // a tag alternate between two poles while physically in
                 // both ranges; bouncing back to the previous pole is not
                 // forward progress.
-                let pingpong = obs.pole.0 == state.prev_pole;
-                if obs.pole != state.last_pole && !pingpong {
+                let pingpong = row.pole.0 == state.prev_pole;
+                if row.pole != state.last_pole && !pingpong {
                     emit(DerivedEvent::Od {
                         from: state.last_pole,
-                        to: obs.pole,
+                        to: row.pole,
                     });
-                    let gap = obs.timestamp_us.saturating_sub(state.arrival_us);
+                    let gap = row.timestamp_us.saturating_sub(state.arrival_us);
                     if (MIN_SPEED_GAP_US..=MAX_SPEED_GAP_US).contains(&gap) {
                         // Preferred path: regress the tag's position track
                         // over this traversal (every fix since arrival at
@@ -644,7 +655,7 @@ impl TagTracker {
                         // arrival-to-arrival delta — which spans exactly
                         // the pole spacing when both poles share a
                         // coverage radius — when the track is too thin.
-                        let (window, n) = state.track_window(state.arrival_us, obs.timestamp_us);
+                        let (window, n) = state.track_window(state.arrival_us, row.timestamp_us);
                         // Span via min/max, not first/last: late fixes from a
                         // previous finalize batch can sit out of order in the
                         // ring, and a positional difference would underflow.
@@ -662,7 +673,7 @@ impl TagTracker {
                             None
                         };
                         let (mps, source) = speed.unwrap_or_else(|| {
-                            let dist = directory.distance_m(state.last_pole, obs.pole);
+                            let dist = directory.distance_m(state.last_pole, row.pole);
                             (dist / (gap as f64 / 1e6), SpeedSource::ArrivalTime)
                         });
                         let mph = caraoke_geom::mps_to_mph(mps);
@@ -671,10 +682,10 @@ impl TagTracker {
                         }
                     }
                     state.prev_pole = state.last_pole.0;
-                    state.last_pole = obs.pole;
-                    state.arrival_us = obs.timestamp_us;
+                    state.last_pole = row.pole;
+                    state.arrival_us = row.timestamp_us;
                 }
-                state.last_seen_us = state.last_seen_us.max(obs.timestamp_us);
+                state.last_seen_us = state.last_seen_us.max(row.timestamp_us);
                 state.last_cycle = cycle;
                 state.sightings += 1;
             }
@@ -1111,21 +1122,83 @@ pub fn canonical_obs_key(obs: &TagObservation) -> (u64, u32, u64, u32) {
     (obs.timestamp_us, obs.pole.0, obs.tag.0, obs.cfo_bin)
 }
 
-/// Folds one observation into an aggregate through its shard's tracker —
-/// the single definition of the per-observation path: the batch store's
-/// sort-at-finalize and the live engine's seal walk both call it, so the
-/// two tiers cannot diverge.
+/// One observation as the fold reads it, resolved once: every field
+/// [`fold_row`] and the [`TagTracker`] read of a [`TagObservation`], and
+/// nothing else — 56 bytes against the observation's 120. The position is
+/// [`resolve_position`]'s and the σ is its
+/// [`sigma_m`](crate::position::PositionEstimate::sigma_m), the same
+/// arithmetic on the same `f64`s as folding the observation itself, so
+/// every field is bit for bit what that fold computes. The live engine
+/// buffers these rows at ingest; the batch store resolves each observation
+/// as it folds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldRow {
+    /// Time of the sighting, microseconds since deployment start.
+    pub timestamp_us: u64,
+    /// The observation's tag key (decoded id or CFO signature).
+    pub tag: TagKey,
+    /// The decoded id's key ([`TagKey::from_decoded`]) when `has_decoded`.
+    pub decoded: TagKey,
+    /// The resolved position on the road plane, metres.
+    pub xy: (f64, f64),
+    /// RMS 1-σ uncertainty of the resolved position, metres.
+    pub sigma_m: f64,
+    /// Pole that heard the tag.
+    pub pole: PoleId,
+    /// Street segment the pole monitors.
+    pub segment: SegmentId,
+    /// How the resolved position was obtained. Anything but
+    /// [`PositionMethod::PolePosition`] is a real fix and feeds the tag's
+    /// position track.
+    pub method: PositionMethod,
+    /// Whether the observation carried a decoded id (§8).
+    pub has_decoded: bool,
+}
+
+impl FoldRow {
+    /// Resolves `obs`, heard by the pole at `site`.
+    pub fn resolve(obs: &TagObservation, site: &PoleSite) -> Self {
+        let resolved = resolve_position(obs, site);
+        Self {
+            timestamp_us: obs.timestamp_us,
+            tag: obs.tag,
+            decoded: obs.decoded.map_or(TagKey(0), TagKey::from_decoded),
+            xy: resolved.xy,
+            sigma_m: resolved.sigma_m(),
+            pole: obs.pole,
+            segment: obs.segment,
+            method: resolved.method,
+            has_decoded: obs.decoded.is_some(),
+        }
+    }
+}
+
+/// Folds one row into an aggregate through its shard's tracker — the
+/// single definition of the per-observation path: the batch store's
+/// sort-at-finalize (through `fold_observation`) and the live engine's
+/// seal walk both run it, so the two tiers cannot diverge.
 #[inline]
-pub fn fold_observation(
+pub fn fold_row(
+    builder: &mut AggregateBuilder,
+    tracker: &mut TagTracker,
+    row: &FoldRow,
+    directory: &PoleDirectory,
+    config: &StoreConfig,
+) {
+    builder.record_observation(row.method, row.sigma_m);
+    tracker.fold(row, directory, config, |event| builder.record(event));
+}
+
+/// [`fold_row`] of the observation's [`FoldRow`].
+fn fold_observation(
     builder: &mut AggregateBuilder,
     tracker: &mut TagTracker,
     obs: &TagObservation,
     directory: &PoleDirectory,
     config: &StoreConfig,
 ) {
-    let resolved = resolve_position(obs, directory.site(obs.pole));
-    builder.record_observation(resolved.method, resolved.sigma_m());
-    tracker.apply(obs, directory, config, |event| builder.record(event));
+    let row = FoldRow::resolve(obs, directory.site(obs.pole));
+    fold_row(builder, tracker, &row, directory, config);
 }
 
 impl ShardedStore {
@@ -1779,5 +1852,107 @@ mod tests {
             assert_eq!(pair[0], pair[1], "aggregates must not depend on sharding");
         }
         assert!(fingerprints[0].2 > 0, "walk must produce speed samples");
+    }
+
+    /// Folds `observations` in order through one tracker, as the batch
+    /// store does, and returns the pane aggregate and the tracker's state.
+    fn fold_all(observations: &[TagObservation]) -> (CityAggregates, TrackerDelta) {
+        let (dir, config) = (line_directory(4, 30.0), StoreConfig::default());
+        let (mut builder, mut tracker) = (AggregateBuilder::default(), TagTracker::new());
+        for o in observations {
+            fold_observation(&mut builder, &mut tracker, o, &dir, &config);
+        }
+        (builder.finish(), tracker.export())
+    }
+
+    #[test]
+    fn a_fold_row_keeps_only_what_the_fold_reads() {
+        use crate::position::PositionEstimate;
+        use caraoke_phy::TransponderId;
+        let dir = line_directory(4, 30.0);
+        // One tag's walk over four poles: fixes, a decode, a bare sighting.
+        let walk: Vec<TagObservation> = (0..4u32)
+            .map(|pole| {
+                let mut o = obs(41, pole, (pole / 2) as u16, pole as u64 * 2_000_000);
+                o.position = match pole {
+                    0 => Some(PositionEstimate::two_reader(1.5, -2.0, 0.7)),
+                    1 => Some(PositionEstimate::aoa_only(31.0, -1.0, 2.0, 6.0)),
+                    _ => None,
+                };
+                o.decoded = (pole == 2).then_some(TransponderId(900));
+                o
+            })
+            .collect();
+        // The same walk, differing only in the fields a row drops.
+        let noisy: Vec<TagObservation> = walk
+            .iter()
+            .map(|o| TagObservation {
+                cfo_hz: -o.cfo_hz - 17.5,
+                aoa_rad: 0.4,
+                has_aoa: !o.has_aoa,
+                rssi_db: 3.0,
+                multi_occupied: !o.multi_occupied,
+                ..*o
+            })
+            .collect();
+        for (a, b) in walk.iter().zip(&noisy) {
+            let site = dir.site(a.pole);
+            assert_eq!(FoldRow::resolve(a, site), FoldRow::resolve(b, site));
+        }
+        let (agg, state) = fold_all(&walk);
+        assert_eq!((agg.clone(), state.clone()), fold_all(&noisy));
+        assert_eq!((agg.observations, agg.od.total()), (4, 3));
+        assert_eq!(state.stats.decode_upgrades, 1);
+        assert_eq!(state.upserts[0].track_len, 2, "two real fixes");
+    }
+
+    #[test]
+    fn fold_row_edge_cases() {
+        use crate::position::{PositionEstimate, POLE_FALLBACK_SIGMA_M};
+        use caraoke_phy::TransponderId;
+        let dir = line_directory(4, 30.0);
+        // A non-finite estimate resolves to the pole fallback and adds no
+        // track point.
+        let mut nan = obs(5, 1, 0, 0);
+        let mut bad = PositionEstimate::two_reader(3.0, 4.0, 1.0);
+        bad.covariance[2] = f64::INFINITY;
+        nan.position = Some(bad);
+        let row = FoldRow::resolve(&nan, dir.site(PoleId(1)));
+        assert_eq!(row.method, PositionMethod::PolePosition);
+        assert_eq!(row.xy, (30.0, -5.0));
+        assert_eq!(row.sigma_m.to_bits(), POLE_FALLBACK_SIGMA_M.to_bits());
+        assert_eq!(fold_all(&[nan]).1.upserts[0].track_len, 0);
+        // An attached pole-position estimate keeps its own σ, and adds no
+        // track point either.
+        let mut pole_est = obs(5, 1, 0, 0);
+        pole_est.position = Some(PositionEstimate {
+            xy: (29.0, -4.0),
+            covariance: [9.0, 0.0, 9.0],
+            method: PositionMethod::PolePosition,
+        });
+        let row = FoldRow::resolve(&pole_est, dir.site(PoleId(1)));
+        assert_eq!(
+            (row.method, row.xy, row.sigma_m),
+            (PositionMethod::PolePosition, (29.0, -4.0), 3.0)
+        );
+        let (agg, state) = fold_all(&[pole_est]);
+        assert_eq!(state.upserts[0].track_len, 0);
+        assert_eq!(agg.positions.pole_fallbacks, 1);
+        // A decoded id whose key is the raw key registers no alias.
+        let id = TransponderId(77);
+        let mut self_keyed = obs(TagKey::from_decoded(id).0, 0, 0, 0);
+        self_keyed.decoded = Some(id);
+        let row = FoldRow::resolve(&self_keyed, dir.site(PoleId(0)));
+        assert!(row.has_decoded && row.decoded == row.tag);
+        let (_, state) = fold_all(&[self_keyed]);
+        assert!(state.aliases.is_empty());
+        assert_eq!(state.stats, AliasStats::default());
+        assert_eq!(state.upserts[0].key, TagKey::from_decoded(id).0);
+    }
+
+    #[test]
+    fn a_fold_row_stays_56_bytes() {
+        // Every buffered observation of the live engine is one of these.
+        assert!(std::mem::size_of::<FoldRow>() <= 56);
     }
 }

@@ -31,13 +31,16 @@
 //!
 //! 1. **Drain.** Stripe buffers are pane-bucketed and struct-of-arrays: a
 //!    32-byte `SealKey` column (every field the canonical order needs)
-//!    parallel to the full [`TagObservation`] column, plus the pane's
-//!    report-level segment rows. Every bucket below the pass frontier is
+//!    parallel to a 56-byte [`FoldRow`] column (every field the fold
+//!    reads: ingest resolves each observation's position once, on its own
+//!    thread), the count of rows per shard, and the pane's report-level
+//!    segment rows. Every bucket below the pass frontier is
 //!    moved out of its stripe whole — a `Vec` move, no row copy — and goes
 //!    back, emptied, to the stripe's spare list when the pass ends; the
 //!    fold reads each row where ingest wrote it.
 //! 2. **Bucket pass.** Ordering touches only the dense key column: a
-//!    counting sort over `(pane - first_pane) * shards + shard` into
+//!    counting sort over `(pane - first_pane) * shards + shard`, sized
+//!    from the per-shard counts so the keys are read once, into
 //!    16-byte slots (a packed prefix and the row's place in the drained
 //!    buckets), then, per bucket, a stable LSD radix sort on the prefix
 //!    `(timestamp − pane start) << 32 | pole` — one pass per byte that
@@ -49,7 +52,7 @@
 //! 3. **Fold pane by pane, then commit and publish.** The pane's buckets
 //!    go, in shard order (observations route to trackers by CFO bin, so tag
 //!    shards are independent), through the shared [`TagTracker`] state
-//!    machines and [`fold_observation`] — the batch store's, §8 alias
+//!    machines and [`fold_row`] — the batch store's, §8 alias
 //!    upgrades included — into one reused [`AggregateBuilder`]: O(1)
 //!    counters in place, OD and flow events as packed `u64` columns,
 //!    canonicalised once per pane (sort, count runs) instead of one
@@ -125,10 +128,8 @@ use crate::clock::Clock;
 use crate::watermark::{WatermarkClock, POLE_STRIPES};
 use crate::window::CityWindows;
 use caraoke_city::aggregate::{AggregateBuilder, Fingerprint, RunTotals};
-use caraoke_city::store::{fold_observation, AliasStats, TagTracker};
-use caraoke_city::{
-    CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig, TagObservation,
-};
+use caraoke_city::store::{fold_row, AliasStats, FoldRow, TagTracker};
+use caraoke_city::{CityAggregates, PoleDirectory, PoleId, PoleReport, SegmentStats, StoreConfig};
 use caraoke_log::{recover_state, LogError, LogOptions, SegmentWriter, SnapshotRecord};
 use std::io;
 use std::path::Path;
@@ -388,7 +389,7 @@ impl<'a> Lap<'a> {
 
 /// The dense sort column of the seal path: every field the canonical order
 /// `(pane, shard, timestamp, pole, tag, cfo_bin, seq)` needs, in 32 bytes,
-/// kept parallel to the full [`TagObservation`] column. The shard is
+/// kept parallel to the [`FoldRow`] column the fold reads. The shard is
 /// computed once, at ingest; `seq` is the observation's index within its
 /// report, which breaks canonical-sort ties between observations sharing
 /// `(timestamp, pole, tag)` — such ties can only come from one report, so
@@ -436,23 +437,40 @@ impl SealKey {
 }
 
 /// One pane's worth of one stripe's buffered input: the observations,
-/// columnar (the [`SealKey`] column and the observation column grow in
-/// lockstep), and the report-level segment counters of the reports stamped
-/// in this pane — one `(segment, stats)` row per segment the stripe's poles
+/// columnar (the [`SealKey`] column and the [`FoldRow`] column grow in
+/// lockstep, through [`push`](Self::push)), how many of them route to each
+/// shard, and the report-level segment counters of the reports stamped in
+/// this pane — one `(segment, stats)` row per segment the stripe's poles
 /// sit on, sorted by segment.
 #[derive(Debug, Default)]
 struct PaneBucket {
     pane: u64,
     keys: Vec<SealKey>,
-    obs: Vec<TagObservation>,
+    rows: Vec<FoldRow>,
+    /// `shard_rows[s]`: rows whose key routes to shard `s` (shorter than
+    /// the shard count when the top shards have none), so the bucket pass
+    /// sizes its `(pane, shard)` buckets without reading the keys.
+    shard_rows: Vec<u32>,
     segs: Vec<(u16, SegmentStats)>,
 }
 
 impl PaneBucket {
+    /// Buffers one observation: its sort key and its resolved row.
+    fn push(&mut self, key: SealKey, row: FoldRow) {
+        let shard = key.shard as usize;
+        if shard >= self.shard_rows.len() {
+            self.shard_rows.resize(shard + 1, 0);
+        }
+        self.shard_rows[shard] += 1;
+        self.keys.push(key);
+        self.rows.push(row);
+    }
+
     /// Empties the columns, keeping their capacity for the spare list.
     fn clear(&mut self) {
         self.keys.clear();
-        self.obs.clear();
+        self.rows.clear();
+        self.shard_rows.clear();
         self.segs.clear();
     }
 
@@ -553,8 +571,8 @@ impl Slot {
         &drained[(self.at >> 32) as usize].keys[self.at as u32 as usize]
     }
 
-    fn obs(self, drained: &[PaneBucket]) -> &TagObservation {
-        &drained[(self.at >> 32) as usize].obs[self.at as u32 as usize]
+    fn row(self, drained: &[PaneBucket]) -> &FoldRow {
+        &drained[(self.at >> 32) as usize].rows[self.at as u32 as usize]
     }
 }
 
@@ -590,11 +608,12 @@ struct SealScratch {
 
 impl SealScratch {
     /// Establishes the canonical order over the drained buckets, as
-    /// [`Slot`]s in `order`: a counting sort over `(pane, shard)` buckets,
-    /// then each bucket sorted by its packed prefix — a stable LSD radix
-    /// sort — with runs of equal prefix finished by the full
-    /// [`SealKey::bucket_key`]. The caller bounds `span * n_shards` (see
-    /// [`MAX_SEAL_BUCKETS`]).
+    /// [`Slot`]s in `order`: a counting sort over `(pane, shard)` buckets —
+    /// sized from the per-shard counts ingest kept, so the keys are read
+    /// once, by the scatter — then each bucket sorted by its packed prefix,
+    /// a stable LSD radix sort, with runs of equal prefix finished by the
+    /// full [`SealKey::bucket_key`]. The caller bounds `span * n_shards`
+    /// (see [`MAX_SEAL_BUCKETS`]).
     fn bucket_pass(&mut self, first_pane: u64, span: usize, n_shards: usize, pane_us: u64) {
         let len: usize = self.drained.iter().map(|b| b.keys.len()).sum();
         debug_assert!(len <= u32::MAX as usize, "seal batch exceeds u32 offsets");
@@ -604,8 +623,8 @@ impl SealScratch {
         self.offsets.resize(n_buckets + 1, 0);
         for bucket in &self.drained {
             let base = base(bucket);
-            for k in &bucket.keys {
-                self.offsets[base + k.shard as usize + 1] += 1;
+            for (shard, &rows) in bucket.shard_rows.iter().enumerate() {
+                self.offsets[base + shard + 1] += rows;
             }
         }
         for b in 0..n_buckets {
@@ -1345,16 +1364,16 @@ impl LiveCore {
                 } else if buf.len >= max_pending {
                     overflow += 1;
                 } else {
-                    let bucket = buf.bucket(obs_pane);
-                    bucket.keys.push(SealKey {
+                    let key = SealKey {
                         timestamp_us: obs.timestamp_us,
                         tag: obs.tag.0,
                         pole: obs.pole.0,
                         cfo_bin: obs.cfo_bin,
                         shard: caraoke_city::store::shard_of_bin(obs.cfo_bin, self.n_shards) as u32,
                         seq: seq as u32,
-                    });
-                    bucket.obs.push(*obs);
+                    };
+                    let row = FoldRow::resolve(obs, self.directory.site(obs.pole));
+                    buf.bucket(obs_pane).push(key, row);
                     buf.len += 1;
                 }
             }
@@ -1669,15 +1688,15 @@ impl LiveCore {
     ) {
         for (n, slot) in bucket.iter().enumerate() {
             if let Some(ahead) = bucket.get(n + FOLD_PREFETCH_AHEAD) {
-                prefetch_obs(ahead.obs(drained));
+                prefetch_row(ahead.row(drained));
             }
             if let Some(ahead) = bucket.get(n + TRACKER_PREFETCH_AHEAD) {
-                tracker.prefetch(ahead.obs(drained));
+                tracker.prefetch(ahead.row(drained));
             }
-            fold_observation(
+            fold_row(
                 builder,
                 tracker,
-                slot.obs(drained),
+                slot.row(drained),
                 &self.directory,
                 &self.config.store,
             );
@@ -1720,45 +1739,42 @@ impl LiveCore {
 const FOLD_PREFETCH_AHEAD: usize = 8;
 
 /// Slots ahead for the tracker state-table hint ([`TagTracker::prefetch`]).
-/// Closer than [`FOLD_PREFETCH_AHEAD`]: the hint itself reads the
-/// observation row (alias resolution), so it trails the far hint that pulls
-/// that row in, and state lines need less lead time than the three-line
-/// observation rows.
+/// Closer than [`FOLD_PREFETCH_AHEAD`]: the hint itself reads the fold
+/// row (alias resolution), so it trails the far hint that pulls that row
+/// in.
 const TRACKER_PREFETCH_AHEAD: usize = 4;
 
-/// Hints the cache at an upcoming observation row. The seal walk reads the
-/// payload column *through the sort permutation*, so consecutive folds land
-/// on unrelated cache lines; prefetching a few slots ahead overlaps those
-/// misses with the current fold's work. A hint only — no effect on results.
-/// (The one `unsafe` in this crate: `_mm_prefetch` has no memory-safety
-/// surface — it is a hint and never faults, even on wild addresses.)
+/// Hints the cache at an upcoming fold row. The seal walk reads the
+/// [`FoldRow`] column *through the sort permutation*, so consecutive folds
+/// land on unrelated cache lines; prefetching a few slots ahead overlaps
+/// those misses with the current fold's work (without it the fold stage
+/// costs about 40 % more on a 10 000-pole city). A hint only — no effect
+/// on results. (The one `unsafe` in this crate: `_mm_prefetch` has no
+/// memory-safety surface — it is a hint and never faults, even on wild
+/// addresses.)
 #[allow(unsafe_code)]
 #[inline(always)]
-fn prefetch_obs(obs: &TagObservation) {
+fn prefetch_row(row: &FoldRow) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = obs as *const TagObservation as *const i8;
-        // A 120-byte row straddles up to three cache lines (the column is
+        let p = row as *const FoldRow as *const i8;
+        // A 56-byte row straddles up to two cache lines (the column is
         // packed, so rows are not line-aligned); pull first and last.
         unsafe {
             _mm_prefetch(p, _MM_HINT_T0);
-            _mm_prefetch(p.add(64), _MM_HINT_T0);
-            _mm_prefetch(
-                p.add(std::mem::size_of::<TagObservation>() - 1),
-                _MM_HINT_T0,
-            );
+            _mm_prefetch(p.add(std::mem::size_of::<FoldRow>() - 1), _MM_HINT_T0);
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = obs;
+    let _ = row;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use caraoke_city::PoleSite;
-    use caraoke_city::{PoleId, SegmentId, TagKey};
+    use caraoke_city::{PoleId, SegmentId, TagKey, TagObservation};
     use caraoke_geom::Vec3;
     use std::sync::mpsc;
 
@@ -2266,6 +2282,10 @@ mod tests {
         n_shards: usize,
         rows: usize,
     ) -> PaneBucket {
+        let site = PoleSite {
+            segment: SegmentId(0),
+            position: Vec3::new(0.0, -5.0, 3.8),
+        };
         let mut bucket = PaneBucket {
             pane,
             ..Default::default()
@@ -2291,17 +2311,16 @@ mod tests {
             let len = (1 + splitmix(rng) % 8).min((rows - bucket.keys.len()) as u64);
             for seq in 0..len as u32 {
                 let tag = splitmix(rng) % 6;
-                let mut o = obs(tag, pole, 0, t);
-                o.cfo_bin = (splitmix(rng) % 3) as u32;
-                bucket.keys.push(SealKey {
+                let cfo_bin = (splitmix(rng) % 3) as u32;
+                let key = SealKey {
                     timestamp_us: t,
                     tag,
                     pole,
-                    cfo_bin: o.cfo_bin,
-                    shard: caraoke_city::store::shard_of_bin(o.cfo_bin, n_shards) as u32,
+                    cfo_bin,
+                    shard: caraoke_city::store::shard_of_bin(cfo_bin, n_shards) as u32,
                     seq,
-                });
-                bucket.obs.push(o);
+                };
+                bucket.push(key, FoldRow::resolve(&obs(tag, pole, 0, t), &site));
             }
         }
         bucket
@@ -2349,11 +2368,11 @@ mod tests {
                     .iter()
                     .map(|&slot| {
                         assert!(seen.insert(slot.at), "row {:#x} placed twice", slot.at);
-                        let (key, o) = (slot.key(&scratch.drained), slot.obs(&scratch.drained));
-                        // The fold reads the observation the key was built from.
+                        let (key, row) = (slot.key(&scratch.drained), slot.row(&scratch.drained));
+                        // The fold reads the row pushed with the key.
                         assert_eq!(
-                            (o.timestamp_us, o.pole.0, o.tag.0, o.cfo_bin),
-                            (key.timestamp_us, key.pole, key.tag, key.cfo_bin)
+                            (row.timestamp_us, row.pole.0, row.tag.0),
+                            (key.timestamp_us, key.pole, key.tag)
                         );
                         key.bucket_key()
                     })
@@ -2364,6 +2383,12 @@ mod tests {
             assert_eq!(seen.len(), drained_keys.len(), "batch {batch}");
             scratch.drained.clear();
         }
+    }
+
+    #[test]
+    fn a_buffered_observation_is_a_32_byte_key_and_a_56_byte_row() {
+        assert_eq!(std::mem::size_of::<SealKey>(), 32);
+        assert!(std::mem::size_of::<FoldRow>() <= 56);
     }
 
     /// Fresh scratch directory for log tests (unit tests have no

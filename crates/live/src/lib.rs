@@ -69,8 +69,9 @@
 //! 1. **Ingest** (any thread, per report): one atomic load of the seal
 //!    floor, a lock of the reporting pole's ingest stripe — one of 16,
 //!    `pole % 16`, uncontended when threads partition work by pole —
-//!    (observations appended to their pane's bucket with their precomputed
-//!    shard and within-report index; report-level segment counters folded
+//!    (observations appended to their pane's bucket as a sort key with
+//!    their precomputed shard and within-report index beside a fold row
+//!    with their resolved position; report-level segment counters folded
 //!    into the same bucket), then the pole's clock stripe, as uncontended
 //!    as the first. No global lock, no allocation, no sort. If — and only
 //!    if — this report completed a pane boundary, the thread raises the
