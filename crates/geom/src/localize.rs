@@ -615,6 +615,437 @@ mod tests {
         }
     }
 
+    /// Today's solver before its inner loops were split by axis, kept
+    /// verbatim as the oracle the kernel must equal bit for bit (the way
+    /// `caraoke_dsp::fft::dft` serves the FFT).
+    mod reference {
+        use super::super::{check_pose, LocalizeError, ReaderPose, RoadRegion};
+        use super::super::{AMBIGUITY_SEPARATION_M, RESIDUAL_TOL};
+        use crate::vec3::Vec3;
+
+        /// One reader's cone constraint, its residual taken on whole vectors.
+        struct SolverCone {
+            apex: Vec3,
+            unit: Vec3,
+            cos_alpha: f64,
+        }
+
+        impl SolverCone {
+            fn new(pose: &ReaderPose, alpha: f64) -> Self {
+                Self {
+                    apex: pose.position,
+                    unit: pose.baseline.normalized(),
+                    cos_alpha: alpha.cos(),
+                }
+            }
+
+            fn residual(&self, p: Vec3) -> f64 {
+                let v = p - self.apex;
+                let n = v.norm();
+                if n == 0.0 {
+                    return -self.cos_alpha;
+                }
+                let cos_theta = self.unit.dot(v) / n;
+                cos_theta - self.cos_alpha
+            }
+        }
+
+        /// The solver as it stood: a 61 × 61 grid, two 40-round 9 × 9 refinements
+        /// and a runner-up scan, each cost a whole `Vec3` residual per cone.
+        pub fn try_localize_two_readers(
+            reader_a: &ReaderPose,
+            alpha_a: f64,
+            reader_b: &ReaderPose,
+            alpha_b: f64,
+            region: &RoadRegion,
+        ) -> Result<Vec3, LocalizeError> {
+            check_pose(reader_a)?;
+            check_pose(reader_b)?;
+            if !alpha_a.is_finite() || !alpha_b.is_finite() {
+                return Err(LocalizeError::NonFiniteInput);
+            }
+            if !(0.0..=std::f64::consts::PI).contains(&alpha_a)
+                || !(0.0..=std::f64::consts::PI).contains(&alpha_b)
+            {
+                return Err(LocalizeError::InvalidAoa);
+            }
+            if [
+                region.x_min,
+                region.x_max,
+                region.y_min,
+                region.y_max,
+                region.z,
+            ]
+            .iter()
+            .any(|v| !v.is_finite())
+            {
+                return Err(LocalizeError::NonFiniteInput);
+            }
+            if region.x_min > region.x_max || region.y_min > region.y_max {
+                return Err(LocalizeError::EmptyRegion);
+            }
+            // Coincident apexes + parallel baselines: the cones share apex and axis,
+            // so the constraints are one curve, not two.
+            if reader_a.position.distance(reader_b.position) < 1e-9 {
+                let cross = reader_a
+                    .baseline
+                    .normalized()
+                    .cross(reader_b.baseline.normalized());
+                if cross.norm() < 1e-9 {
+                    return Err(LocalizeError::CollinearReaders);
+                }
+            }
+
+            let cone_a = SolverCone::new(reader_a, alpha_a);
+            let cone_b = SolverCone::new(reader_b, alpha_b);
+
+            let cost = |x: f64, y: f64| -> f64 {
+                let p = Vec3::new(x, y, region.z);
+                let ra = cone_a.residual(p);
+                let rb = cone_b.residual(p);
+                ra * ra + rb * rb
+            };
+
+            // Coarse grid: keep the whole cost field so a second basin (the
+            // behind-array mirror solution) can be detected afterwards.
+            const GRID: usize = 60;
+            let mut field = [[0.0f64; GRID + 1]; GRID + 1];
+            let mut best = (f64::INFINITY, 0.0, 0.0);
+            for (i, row) in field.iter_mut().enumerate() {
+                let x = region.x_min + (region.x_max - region.x_min) * i as f64 / GRID as f64;
+                for (j, cell) in row.iter_mut().enumerate() {
+                    let y = region.y_min + (region.y_max - region.y_min) * j as f64 / GRID as f64;
+                    let c = cost(x, y);
+                    *cell = c;
+                    if c < best.0 {
+                        best = (c, x, y);
+                    }
+                }
+            }
+
+            // Local refinement: shrink a box around a seed point.
+            let refine = |seed: (f64, f64, f64)| -> (f64, f64, f64) {
+                let mut best = seed;
+                let mut cx = best.1;
+                let mut cy = best.2;
+                let mut span_x = (region.x_max - region.x_min) / GRID as f64;
+                let mut span_y = (region.y_max - region.y_min) / GRID as f64;
+                for _ in 0..40 {
+                    let mut improved = false;
+                    for i in -4i32..=4 {
+                        for j in -4i32..=4 {
+                            let x =
+                                (cx + i as f64 * span_x / 4.0).clamp(region.x_min, region.x_max);
+                            let y =
+                                (cy + j as f64 * span_y / 4.0).clamp(region.y_min, region.y_max);
+                            let c = cost(x, y);
+                            if c < best.0 {
+                                best = (c, x, y);
+                                improved = true;
+                            }
+                        }
+                    }
+                    cx = best.1;
+                    cy = best.2;
+                    if !improved {
+                        span_x *= 0.5;
+                        span_y *= 0.5;
+                    }
+                    if span_x < 1e-7 && span_y < 1e-7 {
+                        break;
+                    }
+                }
+                best
+            };
+
+            let best = refine(best);
+            let p = Vec3::new(best.1, best.2, region.z);
+            let ok =
+                cone_a.residual(p).abs() < RESIDUAL_TOL && cone_b.residual(p).abs() < RESIDUAL_TOL;
+            if !(ok && region.contains(p)) {
+                return Err(LocalizeError::NoIntersection);
+            }
+
+            // Behind-array ambiguity: look for a second basin — the best grid point
+            // well separated from the accepted fix — and refine it. If it satisfies
+            // both cone constraints too, the mirror solution is also on the road and
+            // the fix cannot be trusted.
+            let mut second = (f64::INFINITY, 0.0, 0.0);
+            for (i, row) in field.iter().enumerate() {
+                let x = region.x_min + (region.x_max - region.x_min) * i as f64 / GRID as f64;
+                for (j, &c) in row.iter().enumerate() {
+                    let y = region.y_min + (region.y_max - region.y_min) * j as f64 / GRID as f64;
+                    let far = (x - best.1).hypot(y - best.2) > AMBIGUITY_SEPARATION_M;
+                    if far && c < second.0 {
+                        second = (c, x, y);
+                    }
+                }
+            }
+            if second.0.is_finite() {
+                let second = refine(second);
+                let q = Vec3::new(second.1, second.2, region.z);
+                let mirror_ok = cone_a.residual(q).abs() < RESIDUAL_TOL
+                    && cone_b.residual(q).abs() < RESIDUAL_TOL
+                    && region.contains(q)
+                    && q.horizontal().distance(p.horizontal()) > AMBIGUITY_SEPARATION_M;
+                // Two low-residual points are only *ambiguous* when a cost ridge
+                // separates them (disjoint nappe basins). A shallow-crossing pair of
+                // curves produces one elongated valley — low residuals everywhere
+                // between the points — which is an uncertain fix, not a mirror.
+                let mid = (p + q) / 2.0;
+                let ridge_between = cone_a.residual(mid).abs() > RESIDUAL_TOL
+                    || cone_b.residual(mid).abs() > RESIDUAL_TOL;
+                if mirror_ok && ridge_between {
+                    return Err(LocalizeError::AmbiguousFix);
+                }
+            }
+
+            Ok(p)
+        }
+    }
+    /// SplitMix64 in `[0, 1)`: the crate has no dependencies, `rand`
+    /// included.
+    fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One seeded case of the bit-identity sweep: two poses, two AoAs and a
+    /// region, drawn from one of twelve families that between them reach
+    /// every branch of the solver and every typed error.
+    fn sweep_case(
+        i: usize,
+        unit: &mut impl FnMut() -> f64,
+    ) -> (ReaderPose, f64, ReaderPose, f64, RoadRegion) {
+        use std::f64::consts::PI;
+        let mut span = |lo: f64, hi: f64| lo + unit() * (hi - lo);
+        let h = feet_to_meters(12.5);
+        let tilt = 60.0_f64.to_radians();
+        let street = |span: &mut dyn FnMut(f64, f64) -> f64| RoadRegion {
+            x_min: span(-40.0, -5.0),
+            x_max: span(20.0, 90.0),
+            y_min: span(-6.0, -3.0),
+            y_max: span(3.0, 6.0),
+            z: 0.0,
+        };
+        match i % 12 {
+            // A street: poles on both sides, a car on the road, AoAs with a
+            // few degrees of noise — the fixes `PhyCity` asks for.
+            0..=2 => {
+                let region = street(&mut span);
+                let pose = |x: f64, y: f64, tilted: bool| {
+                    if tilted {
+                        ReaderPose::tilted(x, y, h, tilt)
+                    } else {
+                        ReaderPose::road_parallel(x, y, h)
+                    }
+                };
+                let tilted = i % 24 < 12;
+                let a = pose(span(-10.0, 10.0), region.y_min - 1.5, tilted);
+                let b = pose(span(15.0, 40.0), region.y_max + 1.5, tilted);
+                let car = Vec3::new(
+                    span(region.x_min, region.x_max),
+                    span(region.y_min, region.y_max),
+                    0.0,
+                );
+                let noise = span(-4.0, 4.0).to_radians();
+                let alpha_a = (true_alpha(&a, car) + noise).clamp(0.0, PI);
+                let alpha_b = (true_alpha(&b, car) - noise).clamp(0.0, PI);
+                (a, alpha_a, b, alpha_b, region)
+            }
+            // Anything at all: poses, axes of any length, AoAs and regions.
+            3..=4 => {
+                let mut pose = || {
+                    ReaderPose::new(
+                        Vec3::new(span(-60.0, 60.0), span(-15.0, 15.0), span(-2.0, 8.0)),
+                        Vec3::new(span(-3.0, 3.0), span(-3.0, 3.0), span(-3.0, 3.0)),
+                    )
+                };
+                let (a, b) = (pose(), pose());
+                let x_min = span(-80.0, 40.0);
+                let y_min = span(-20.0, 5.0);
+                let region = RoadRegion {
+                    x_min,
+                    x_max: x_min + span(0.5, 120.0),
+                    y_min,
+                    y_max: y_min + span(0.2, 25.0),
+                    z: span(-1.0, 1.0),
+                };
+                (a, span(0.0, PI), b, span(0.0, PI), region)
+            }
+            // Both readers on the median: the mirror basin (`AmbiguousFix`),
+            // and with a one-sided region sometimes not.
+            5 => {
+                let a = ReaderPose::road_parallel(0.0, 0.0, h);
+                let b = ReaderPose::road_parallel(span(10.0, 30.0), 0.0, h);
+                let car = Vec3::new(span(-5.0, 35.0), span(1.0, 4.5), 0.0);
+                let mut region = centered(60.0 + span(0.0, 20.0), 10.0);
+                if i % 24 == 5 {
+                    region.y_min = span(-1.0, 1.0);
+                }
+                (a, true_alpha(&a, car), b, true_alpha(&b, car), region)
+            }
+            // A reader's apex on the road plane at a grid point of the
+            // region (integral bounds 60 m apart put one there), so the
+            // residual meets `|v| == 0`.
+            6 => {
+                let px = span(-20.0, 20.0).round();
+                let py = span(-5.0, 5.0).round();
+                let a = ReaderPose::new(
+                    Vec3::new(px, py, 0.0),
+                    Vec3::new(span(-1.0, 1.0), span(-1.0, 1.0), span(-1.0, 1.0)),
+                );
+                let b = ReaderPose::road_parallel(px + span(5.0, 30.0), py + 6.0, h);
+                let region = RoadRegion {
+                    x_min: px - 30.0,
+                    x_max: px + 30.0,
+                    y_min: py - 30.0,
+                    y_max: py + 30.0,
+                    z: 0.0,
+                };
+                let car = Vec3::new(px + span(-10.0, 10.0), py + span(-5.0, 5.0), 0.0);
+                let alpha_a = if i % 24 == 6 {
+                    span(0.0, PI)
+                } else {
+                    true_alpha(&a, car)
+                };
+                (a, alpha_a, b, true_alpha(&b, car), region)
+            }
+            // A car at or past the region's edge, or a region one cell thin
+            // or of zero width: the refinement stencils clamp.
+            7 => {
+                let a = ReaderPose::road_parallel(0.0, -6.0, h);
+                let b = ReaderPose::road_parallel(25.0, 6.0, h);
+                let mut region = centered(span(10.0, 50.0), span(4.0, 10.0));
+                match (i / 12) % 4 {
+                    0 => region.x_max = region.x_min,
+                    1 => region.y_min = region.y_max - 1e-3,
+                    _ => {}
+                }
+                let edge_x = if span(0.0, 1.0) < 0.5 {
+                    region.x_min
+                } else {
+                    region.x_max
+                };
+                let edge_y = if span(0.0, 1.0) < 0.5 {
+                    region.y_min
+                } else {
+                    region.y_max
+                };
+                let car = Vec3::new(edge_x + span(-3.0, 3.0), edge_y + span(-1.0, 1.0), 0.0);
+                (a, true_alpha(&a, car), b, true_alpha(&b, car), region)
+            }
+            // Coincident apexes: parallel axes (`CollinearReaders`), other
+            // axes (solvable), or apexes a hair apart.
+            8 => {
+                let a = ReaderPose::tilted(span(-5.0, 5.0), -6.0, h, tilt);
+                let baseline = match (i / 12) % 3 {
+                    0 => a.baseline * span(-3.0, 3.0),
+                    _ => Vec3::new(span(-1.0, 1.0), span(-1.0, 1.0), span(-1.0, 1.0)),
+                };
+                let offset = if (i / 12) % 3 == 2 { 1e-10 } else { 0.0 };
+                let b = ReaderPose::new(a.position + Vec3::new(offset, 0.0, 0.0), baseline);
+                let car = Vec3::new(span(-10.0, 30.0), span(-4.0, 4.0), 0.0);
+                let region = centered(60.0, 9.0);
+                (a, true_alpha(&a, car), b, span(0.0, PI), region)
+            }
+            // Collinear but distinct apexes: both poles on one line along the
+            // road, axes along it too.
+            9 => {
+                let a = ReaderPose::road_parallel(0.0, -6.0, h);
+                let b = ReaderPose::road_parallel(span(5.0, 40.0), -6.0, h);
+                let car = Vec3::new(span(-10.0, 40.0), span(-4.5, 4.5), 0.0);
+                let region = centered(80.0, 9.0);
+                (a, true_alpha(&a, car), b, true_alpha(&b, car), region)
+            }
+            // A car well off the road: `NoIntersection`.
+            10 => {
+                let a = ReaderPose::road_parallel(0.0, -6.0, h);
+                let b = ReaderPose::road_parallel(20.0, 6.0, h);
+                let car = Vec3::new(span(60.0, 140.0), span(10.0, 40.0), 0.0);
+                (
+                    a,
+                    true_alpha(&a, car),
+                    b,
+                    true_alpha(&b, car),
+                    centered(40.0, 9.0),
+                )
+            }
+            // Every input error, one kind per draw.
+            _ => {
+                let a = ReaderPose::road_parallel(0.0, -6.0, h);
+                let b = ReaderPose::road_parallel(20.0, 6.0, h);
+                let region = centered(40.0, 9.0);
+                match (i / 12) % 6 {
+                    0 => {
+                        let bad = ReaderPose::new(Vec3::new(f64::NAN, -6.0, h), a.baseline);
+                        (bad, 1.0, b, 1.2, region)
+                    }
+                    1 => (a, f64::INFINITY, b, 1.2, region),
+                    2 => (a, 1.0, ReaderPose::new(b.position, Vec3::ZERO), 1.2, region),
+                    3 => (a, -span(0.01, 1.0), b, PI + span(0.01, 1.0), region),
+                    4 => {
+                        let empty = RoadRegion {
+                            x_min: 10.0,
+                            x_max: -10.0,
+                            ..region
+                        };
+                        (a, 1.0, b, 1.2, empty)
+                    }
+                    _ => {
+                        let open = RoadRegion {
+                            y_max: f64::NAN,
+                            ..region
+                        };
+                        (a, 1.0, b, 1.2, open)
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_solver_equals_its_reference_bit_for_bit() {
+        let mut unit = unit_stream(0x0006_f1c5_u64);
+        // Outcomes: Ok, then each error variant in declaration order.
+        let mut seen = [0u32; 8];
+        for i in 0..10_008 {
+            let (a, alpha_a, b, alpha_b, region) = sweep_case(i, &mut unit);
+            let got = try_localize_two_readers(&a, alpha_a, &b, alpha_b, &region);
+            let want = reference::try_localize_two_readers(&a, alpha_a, &b, alpha_b, &region);
+            let bits = |r: &Result<Vec3, LocalizeError>| {
+                r.map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {i}: {a:?} {alpha_a} / {b:?} {alpha_b} over {region:?}"
+            );
+            seen[match want {
+                Ok(_) => 0,
+                Err(LocalizeError::NonFiniteInput) => 1,
+                Err(LocalizeError::ZeroBaseline) => 2,
+                Err(LocalizeError::InvalidAoa) => 3,
+                Err(LocalizeError::CollinearReaders) => 4,
+                Err(LocalizeError::EmptyRegion) => 5,
+                Err(LocalizeError::AmbiguousFix) => 6,
+                Err(LocalizeError::NoIntersection) => 7,
+            }] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "outcomes not all reached: {seen:?}"
+        );
+        // Most cases run the whole solve, not an early refusal.
+        assert!(seen[0] + seen[6] + seen[7] > 8_000, "{seen:?}");
+    }
+
     #[test]
     fn pose_constructors_orient_baselines() {
         let p = ReaderPose::road_parallel(1.0, 2.0, 3.0);
