@@ -1,8 +1,9 @@
 //! Regenerates every table and figure of the Caraoke evaluation and prints
 //! paper-vs-measured rows.
 //!
-//! Usage: `experiments [all|<one of COMMANDS>] [--quick] [--full] [--jobs N]`;
-//! an unknown subcommand prints the usage on stderr and exits 2.
+//! Usage: `experiments [all|<one of COMMANDS>] [--quick] [--full] [--jobs N]
+//! [--seed N]`; an unknown subcommand or a malformed seed prints the usage
+//! on stderr and exits 2.
 //!
 //! `--quick` reduces trial counts so the whole sweep finishes in a couple of
 //! minutes; without it the counts match the paper's methodology (e.g. 1000
@@ -12,7 +13,8 @@
 //! are independent; the report keeps grid order and is identical for any
 //! value). `--full` adds the opt-in 100M-observation tier to `scale`, the
 //! print-only long-haul run (it writes no file; performance claims come
-//! from `benchmark/`).
+//! from `benchmark/`). `--seed N` seeds every `scale` tier's synthetic city
+//! (default 77), so runs of one build can vary their input.
 
 use caraoke_bench as bench;
 use caraoke_geom::speed::paper_speed_error_bound;
@@ -45,12 +47,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let full = args.iter().any(|a| a == "--full");
-    let jobs = parse_jobs(&args);
+    let jobs = flag(&args, "--jobs")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    let seed = flag(&args, "--seed").map_or(Some(77), |v| v.parse::<u64>().ok());
     let which = {
         let mut which = None;
         let mut iter = args.iter();
         while let Some(a) = iter.next() {
-            if a == "--jobs" {
+            if a == "--jobs" || a == "--seed" {
                 iter.next(); // consume the value so it is not taken as a subcommand
             } else if !a.starts_with("--") && which.is_none() {
                 which = Some(a.clone());
@@ -60,13 +65,11 @@ fn main() {
     };
 
     if !is_known(&which) {
-        eprintln!(
-            "experiments: unknown subcommand `{which}`\n\
-             usage: experiments [all|{}] [--quick] [--full] [--jobs N]",
-            COMMANDS.join("|")
-        );
-        std::process::exit(2);
+        usage(&format!("unknown subcommand `{which}`"));
     }
+    let Some(seed) = seed else {
+        usage("--seed takes an unsigned integer");
+    };
 
     let run = |name: &str| {
         debug_assert!(is_known(name), "`{name}` is missing from COMMANDS");
@@ -310,12 +313,12 @@ fn main() {
         // Tier selection: `--quick` is the CI smoke; the plain run adds the
         // ~10M-observation default tier; `--full` adds the opt-in
         // 100M-observation / 50k-pole long haul (minutes of wall clock).
-        let mut tiers = vec![("smoke", ScaleConfig::smoke())];
+        let mut tiers = vec![("smoke", ScaleConfig::smoke(seed))];
         if !quick {
-            tiers.push(("default", ScaleConfig::default_tier()));
+            tiers.push(("default", ScaleConfig::default_tier(seed)));
         }
         if full {
-            tiers.push(("full", ScaleConfig::full_tier()));
+            tiers.push(("full", ScaleConfig::full_tier(seed)));
         }
         for (tier, cfg) in &tiers {
             let result = run_scale(cfg);
@@ -323,8 +326,8 @@ fn main() {
                 "{}",
                 bench::format_rows(
                     &format!(
-                        "long-haul scale ingestion, {tier} tier ({} workers; online engine vs generation-only ceiling)",
-                        cfg.workers
+                        "long-haul scale ingestion, {tier} tier ({} workers, seed {}; online engine vs generation-only ceiling)",
+                        cfg.workers, cfg.seed
                     ),
                     &scale_rows(cfg, &result)
                 )
@@ -340,19 +343,28 @@ fn bar(p: f64) -> String {
     "#".repeat(n.max(1))
 }
 
-/// Parses `--jobs N` / `--jobs=N` (chaos matrix worker threads); 1 when
-/// absent or malformed.
-fn parse_jobs(args: &[String]) -> usize {
+/// Prints `problem` and the usage on stderr and exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "experiments: {problem}\n\
+         usage: experiments [all|{}] [--quick] [--full] [--jobs N] [--seed N]",
+        COMMANDS.join("|")
+    );
+    std::process::exit(2);
+}
+
+/// The value of `--name N` or `--name=N`, when given.
+fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
-        if a == "--jobs" {
-            return iter.next().and_then(|v| v.parse().ok()).unwrap_or(1);
+        if a == name {
+            return iter.next().map(String::as_str);
         }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().unwrap_or(1);
+        if let Some(v) = a.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            return Some(v);
         }
     }
-    1
+    None
 }
 
 #[cfg(test)]
@@ -368,5 +380,16 @@ mod tests {
         for stale in ["city", "live", "serve", "nosuch", ""] {
             assert!(!is_known(stale), "`{stale}` must be rejected");
         }
+    }
+
+    #[test]
+    fn flags_take_a_separate_or_an_equals_value() {
+        let args: Vec<String> = ["scale", "--quick", "--seed", "78", "--jobs=2"]
+            .map(String::from)
+            .into();
+        assert_eq!(flag(&args, "--seed"), Some("78"));
+        assert_eq!(flag(&args, "--jobs"), Some("2"));
+        assert_eq!(flag(&args, "--full"), None);
+        assert_eq!(flag(&["--seeds=1".to_string()], "--seed"), None);
     }
 }

@@ -45,35 +45,35 @@ fn machine_workers(cap: usize) -> usize {
 
 impl ScaleConfig {
     /// The CI smoke tier: small enough to finish in seconds.
-    pub fn smoke() -> Self {
+    pub fn smoke(seed: u64) -> Self {
         Self {
             n_poles: 500,
             epochs: 60,
             workers: machine_workers(8),
             shards: 16,
-            seed: 77,
+            seed,
         }
     }
 
     /// The default tier: ~10M observations at 10k poles.
-    pub fn default_tier() -> Self {
+    pub fn default_tier(seed: u64) -> Self {
         Self {
             n_poles: 10_000,
             epochs: 235,
             workers: machine_workers(16),
             shards: 16,
-            seed: 77,
+            seed,
         }
     }
 
     /// The opt-in long tier: ~100M observations at 50k poles.
-    pub fn full_tier() -> Self {
+    pub fn full_tier(seed: u64) -> Self {
         Self {
             n_poles: 50_000,
             epochs: 470,
             workers: machine_workers(16),
             shards: 16,
-            seed: 77,
+            seed,
         }
     }
 

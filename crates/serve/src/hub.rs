@@ -129,6 +129,10 @@ pub struct ServeStats {
     pub dropped_subscribers: u64,
     /// Total frames handed to subscribers (cache hits + catch-ups).
     pub frames_delivered: u64,
+    /// Errors a TCP server's accept loop took from its listener (a full
+    /// file table, an aborted handshake); each was backed off and the loop
+    /// kept accepting.
+    pub accept_errors: u64,
 }
 
 /// How a frame relates to the stream it belongs to.
@@ -260,6 +264,7 @@ pub struct ServeHub {
     lag_notices: AtomicU64,
     dropped_subscribers: AtomicU64,
     frames_delivered: AtomicU64,
+    accept_errors: AtomicU64,
 }
 
 impl ServeHub {
@@ -295,6 +300,7 @@ impl ServeHub {
             lag_notices: AtomicU64::new(0),
             dropped_subscribers: AtomicU64::new(0),
             frames_delivered: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
         })
     }
 
@@ -368,7 +374,13 @@ impl ServeHub {
             lag_notices: self.lag_notices.load(Ordering::Relaxed),
             dropped_subscribers: self.dropped_subscribers.load(Ordering::Relaxed),
             frames_delivered: self.frames_delivered.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
         }
+    }
+
+    /// Counts one error a TCP accept loop took from its listener.
+    pub(crate) fn count_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The hub's tuning knobs.

@@ -60,6 +60,15 @@ const CLIENT_FRAMES_PER_ROUND: usize = 256;
 /// TCP write timeout; a peer stalled longer than this errors the
 /// connection.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// The accept loop's sleep after a listener error, doubling over
+/// consecutive errors up to 50 ms; it never gives up. A full file table
+/// (`EMFILE`) fails every accept until a descriptor frees, and the pending
+/// connection waits in the backlog meanwhile.
+const ACCEPT_BACKOFF: Backoff = Backoff {
+    max_attempts: u32::MAX,
+    base: Duration::from_millis(1),
+    max: Duration::from_millis(50),
+};
 
 /// Outcome of one non-destructive read attempt on a [`FrameReader`].
 enum TickRead {
@@ -196,7 +205,7 @@ impl ServeServer {
         let accept_shutdown = Arc::clone(&shutdown);
         let accept = std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, hub, accept_shutdown))?;
+            .spawn(move || accept_loop(listener.incoming(), hub, accept_shutdown))?;
         Ok(Self {
             local_addr,
             shutdown,
@@ -228,15 +237,35 @@ impl Drop for ServeServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, hub: Arc<ServeHub>, shutdown: Arc<AtomicBool>) {
+/// Accepts connections from `incoming` (the listener's, or a test's) until
+/// shutdown. An accept error ends nothing: it is counted in
+/// [`ServeStats::accept_errors`](crate::ServeStats::accept_errors), backed
+/// off per [`ACCEPT_BACKOFF`], and the loop keeps accepting.
+fn accept_loop(
+    incoming: impl Iterator<Item = io::Result<TcpStream>>,
+    hub: Arc<ServeHub>,
+    shutdown: Arc<AtomicBool>,
+) {
     // Each connection's thread, and a second handle on its socket for
     // shutting it down under whatever the thread is blocked in.
     let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-    for stream in listener.incoming() {
+    let mut failures = 0u32;
+    for stream in incoming {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { break };
+        let stream = match stream {
+            Ok(stream) => {
+                failures = 0;
+                stream
+            }
+            Err(_) => {
+                hub.count_accept_error();
+                std::thread::sleep(ACCEPT_BACKOFF.delay(failures));
+                failures = failures.saturating_add(1);
+                continue;
+            }
+        };
         let Ok(socket) = stream.try_clone() else {
             continue;
         };
@@ -720,5 +749,43 @@ impl ReconnectingClient {
                 return Ok(None);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caraoke_city::{PoleDirectory, PoleSite, SegmentId};
+    use caraoke_geom::Vec3;
+    use caraoke_live::{LiveCity, LiveConfig};
+
+    #[test]
+    fn an_accept_error_is_counted_and_the_next_connection_is_served() {
+        // A stepped engine: no sealer thread, and no fan-out thread in the
+        // hub over it.
+        let directory = PoleDirectory::new(vec![PoleSite {
+            segment: SegmentId(0),
+            position: Vec3::new(0.0, -5.0, 3.8),
+        }]);
+        let live = LiveCity::with_clock(directory, LiveConfig::default(), Clock::Real);
+        let hub = ServeHub::over_live(Arc::new(live), None, Default::default());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (hub, shutdown) = (Arc::clone(&hub), Arc::clone(&shutdown));
+            // The error `incoming()` returns on a full file table, ahead of
+            // the listener's real connections.
+            let injected = std::iter::once(Err(io::Error::other("too many open files")));
+            std::thread::spawn(move || {
+                accept_loop(injected.chain(listener.incoming()), hub, shutdown)
+            })
+        };
+        let client = ServeClient::connect(addr).expect("served after the accept error");
+        assert_eq!(hub.stats().accept_errors, 1);
+        drop(client);
+        shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept.join().expect("accept loop exits on shutdown");
     }
 }

@@ -17,9 +17,15 @@
 # (`metrics`, labelled by the command's `--workload`) and the
 # `== title ==` / `label k=v ...` rows the experiments binary prints. For each
 # metric the summary prints both sides' median and quartiles, B's median
-# change, and in how many pairs B was better. Directions come from B's
-# BENCHMARK.json; a metric it does not name is better higher when its name
-# ends in a rate (`per_s`, `per_sec`), else lower.
+# change, and in how many pairs B was better (ties count for neither). A
+# second line gives the median of the pairs' own relative changes with a
+# distribution-free 95 % interval — order statistics d(k) and d(n+1-k) of
+# the sorted changes, k the largest with P(Binomial(n, 1/2) < k) <= 2.5 %,
+# so at least 6 pairs — and whether the gain rule holds: B better in at
+# least nine tenths of at least 10 pairs, and the medians apart, in B's
+# favour, by more than A's quartile spread (q3 - q1). Directions come from
+# B's BENCHMARK.json; a metric it does not name is better higher when its
+# name ends in a rate (`per_s`, `per_sec`), else lower.
 #
 # Nothing is written outside <out-dir>. Run nothing else meanwhile: the pairs
 # share the host's cores with whatever else runs.
@@ -82,7 +88,7 @@ for ((i = 0; i < n; i++)); do
 done
 
 python3 - "$out" "$runs" "$n" "$@" <<'EOF'
-import json, re, statistics, sys
+import json, math, re, statistics, sys
 
 out, runs_dir, n, cmd = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
 label = cmd[cmd.index("--workload") + 1] if "--workload" in cmd else "run"
@@ -122,6 +128,14 @@ def q(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
+def sign_interval(changes):
+    """The median's distribution-free 95 % interval from sign-test order
+    statistics, with its exact coverage; None below 6 values."""
+    m, xs = len(changes), sorted(changes)
+    tail = lambda k: sum(math.comb(m, i) for i in range(k)) / 2**m  # P(X < k)
+    k = max((k for k in range(1, m // 2 + 1) if tail(k) <= 0.025), default=0)
+    return (xs[k - 1], xs[m - k], 1 - 2 * tail(k)) if k else None
+
 print(f"{n} pairs, a first in even pairs; a = median [q1, q3]; b likewise; wins = pairs b better")
 for name in sorted(set().union(*runs["a"], *runs["b"])):
     pairs = [(ra[name], rb[name]) for ra, rb in zip(runs["a"], runs["b"]) if name in ra and name in rb]
@@ -134,4 +148,13 @@ for name in sorted(set().union(*runs["a"], *runs["b"])):
     change = f"{(bm - am) / am * 100:+.1f}%" if am else "n/a"
     print(f"{name}: a {am:.4g} [{a1:.4g}, {a3:.4g}]  b {bm:.4g} [{b1:.4g}, {b3:.4g}]  "
           f"{change}  wins {wins}/{len(pairs)} ({'higher' if up else 'lower'} is better)")
+    changes = [(b - a) / abs(a) * 100 for a, b in pairs if a]
+    ci = sign_interval(changes) if changes else None
+    paired = (f"paired change {statistics.median(changes):+.1f}%, 95% interval "
+              f"[{ci[0]:+.1f}%, {ci[1]:+.1f}%] (coverage {ci[2] * 100:.1f}%)" if ci else
+              "paired change: no 95% interval under 6 pairs")
+    gap = (bm - am) if up else (am - bm)
+    holds = len(pairs) >= 10 and wins * 10 >= 9 * len(pairs) and gap > a3 - a1
+    print(f"    {paired}; gain rule {'holds' if holds else 'not met'} "
+          f"(wins {wins}/{len(pairs)}, gap {gap:.4g} vs a's quartile spread {a3 - a1:.4g})")
 EOF
