@@ -41,10 +41,18 @@
 //!   reconstructed answers encode byte-identically.
 //! * [`wire`] — the versioned length-prefixed binary protocol: canonical
 //!   query encodings double as cache keys; answers are encoded once per
-//!   seal and the same bytes go to every TCP subscriber.
-//! * [`tcp`] — [`ServeServer`]/[`ServeClient`] with application-level ack
-//!   flow control, so a stalled remote subscriber hits the *hub's* lag
-//!   policy deterministically instead of hiding in kernel socket buffers.
+//!   seal and the same bytes go to every TCP subscriber. One incremental
+//!   [`FrameDecoder`] parses the length prefix for the session, the client
+//!   and [`read_frame`].
+//! * [`session`] — [`Session`]: one connection's side of the protocol as a
+//!   state machine over bytes and the hub's clock — hello and version
+//!   check, subscribes and resume cursors, application-level ack flow
+//!   control, lag verdicts, close — with no I/O, so a test steps it over a
+//!   stepped hub with no socket.
+//! * [`tcp`] — [`ServeServer`]/[`ServeClient`]: the server is a thin driver
+//!   of one [`Session`] per connection, so a stalled remote subscriber hits
+//!   the *hub's* lag policy deterministically instead of hiding in kernel
+//!   socket buffers.
 //!
 //! The `servetool` binary subscribes, tails, and pretty-prints — against a
 //! live server or straight out of a pane-log directory.
@@ -54,13 +62,15 @@
 
 pub mod eval;
 pub mod hub;
+pub mod session;
 pub mod tcp;
 pub mod wire;
 
 pub use eval::LogFollower;
 pub use hub::{FrameKind, PaneFrame, ServeConfig, ServeEvent, ServeHub, ServeStats, Subscription};
+pub use session::{Session, Wants};
 pub use tcp::{Backoff, ClientRead, ReconnectingClient, ServeClient, ServeServer};
 pub use wire::{
     decode_answer, decode_frame, decode_query, encode_answer, encode_frame, encode_query,
-    read_frame, write_frame, Frame, WIRE_VERSION,
+    read_frame, write_frame, Frame, FrameDecoder, WIRE_VERSION,
 };

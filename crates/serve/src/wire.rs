@@ -17,6 +17,7 @@
 use caraoke_city::SegmentId;
 use caraoke_live::{LiveAnswer, LiveQuery, WindowSpec};
 use caraoke_log::codec::{put_u32, put_u64, Dec};
+use std::io::ErrorKind::{Interrupted, InvalidData, UnexpectedEof};
 use std::io::{self, Read, Write};
 
 /// Protocol version exchanged in [`Frame::Hello`]. Bump on any change to
@@ -28,6 +29,11 @@ pub const WIRE_VERSION: u16 = 2;
 
 /// Upper bound on a frame body; anything larger is corruption, not data.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// This side's hello, the first frame each side sends.
+pub(crate) const HELLO: Frame = Frame::Hello {
+    version: WIRE_VERSION,
+};
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -343,12 +349,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out.push(T_SUBSCRIBE);
             out.extend_from_slice(&sub_id.to_le_bytes());
             out.push(u8::from(*from_start));
-            match from_pane {
-                Some(pane) => {
-                    out.push(1);
-                    out.extend_from_slice(&pane.to_le_bytes());
-                }
-                None => out.push(0),
+            out.push(u8::from(from_pane.is_some()));
+            if let Some(pane) = from_pane {
+                out.extend_from_slice(&pane.to_le_bytes());
             }
             put_bytes(&mut out, &encode_query(query));
         }
@@ -390,6 +393,13 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Appends one length-prefixed frame to `out`.
+pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
+    let body = encode_frame(frame);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&body);
+}
+
 /// Decodes one frame body.
 pub fn decode_frame(buf: &[u8]) -> Result<Frame, String> {
     let mut dec = Dec::new(buf);
@@ -400,11 +410,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, String> {
         T_SUBSCRIBE => Frame::Subscribe {
             sub_id: dec.u32("sub_id")?,
             from_start: dec.u8("from_start")? != 0,
-            from_pane: if dec.u8("from_pane flag")? != 0 {
-                Some(dec.u64("from_pane")?)
-            } else {
-                None
-            },
+            from_pane: (dec.u8("from_pane flag")? != 0)
+                .then(|| dec.u64("from_pane"))
+                .transpose()?,
             query: decode_query(get_bytes(&mut dec, "query bytes")?)?,
         },
         tag @ (T_SNAPSHOT | T_DELTA) => {
@@ -443,33 +451,113 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, String> {
     Ok(frame)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, prefix and body in one `write_all`.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let body = encode_frame(frame);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)
+    let mut buf = Vec::with_capacity(36);
+    put_frame(&mut buf, frame);
+    w.write_all(&buf)
 }
 
-/// Reads one length-prefixed frame. `Ok(None)` is a clean EOF **at a frame
-/// boundary**; EOF mid-frame, an oversized length, or an undecodable body
-/// are `InvalidData` errors.
+/// Reads one length-prefixed frame, taking no byte past it. `Ok(None)` is a
+/// clean end of stream **at a frame boundary**. A stream that ends inside a
+/// frame, its length prefix included, is an `UnexpectedEof` error; a zero or
+/// over-[`MAX_FRAME_BYTES`] length, or an undecodable body, is `InvalidData`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    FrameDecoder::default().read_from(r)
+}
+
+/// The one length-prefix parser: bytes in, whole frames out, however the
+/// stream is split. It holds at most the frame in flight (`4 +
+/// MAX_FRAME_BYTES` bytes), and refuses a zero or over-[`MAX_FRAME_BYTES`]
+/// length prefix before it takes any byte of the body.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    /// The frame in flight: its length prefix, then its body.
+    buf: Vec<u8>,
+    /// The body length, once the prefix is whole and in range.
+    body: Option<usize>,
+}
+
+impl FrameDecoder {
+    /// Takes bytes from the front of `input`, never past the end of the
+    /// frame in flight, and returns that frame once it is whole; `Ok(None)`
+    /// once `input` is used up first. An out-of-range length prefix or an
+    /// undecodable body is an `InvalidData` error.
+    pub fn decode(&mut self, input: &mut &[u8]) -> io::Result<Option<Frame>> {
+        loop {
+            let take = self.wanted().min(input.len());
+            self.buf.extend_from_slice(&input[..take]);
+            *input = &input[take..];
+            if self.wanted() > 0 {
+                return Ok(None);
+            }
+            if self.body.is_none() {
+                let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+                if len == 0 || len > MAX_FRAME_BYTES {
+                    let range = format!("frame length {len} out of range");
+                    return Err(io::Error::new(InvalidData, range));
+                }
+                self.body = Some(len);
+                continue;
+            }
+            let frame = decode_frame(&self.buf[4..]);
+            self.buf.clear();
+            self.body = None;
+            return frame.map(Some).map_err(|e| io::Error::new(InvalidData, e));
+        }
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds {MAX_FRAME_BYTES}"),
-        ));
+
+    /// Reads from `r`, never past the frame in flight, until that frame is
+    /// whole, as [`read_frame`] does. A read error — a socket's read timeout
+    /// too — returns with the bytes read so far kept, and the next call
+    /// resumes mid-frame.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<Option<Frame>> {
+        let mut chunk = [0u8; 4096];
+        loop {
+            let want = self.wanted().min(chunk.len());
+            let n = match r.read(&mut chunk[..want]) {
+                Ok(0) => return self.finish().map(|()| None),
+                Ok(n) => n,
+                Err(e) if e.kind() == Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if let Some(frame) = self.decode(&mut &chunk[..n])? {
+                return Ok(Some(frame));
+            }
+        }
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_frame(&body).map(Some).map_err(io::Error::other)
+
+    /// The end of the stream: `Ok` at a frame boundary, an `UnexpectedEof`
+    /// error inside a frame (its length prefix included).
+    pub fn finish(&self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        Err(io::Error::new(UnexpectedEof, "stream ended mid-frame"))
+    }
+
+    /// Bytes held of the frame in flight.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Bytes still missing from the length prefix or, once it is whole, the
+    /// body.
+    fn wanted(&self) -> usize {
+        4 + self.body.unwrap_or(0) - self.buf.len()
+    }
+}
+
+/// The one hello check, on both sides of a connection: the peer's first
+/// frame must be a [`Frame::Hello`] at this side's [`WIRE_VERSION`].
+pub(crate) fn check_hello(frame: &Frame, peer: &str) -> io::Result<()> {
+    match frame {
+        Frame::Hello { version } if *version == WIRE_VERSION => Ok(()),
+        Frame::Hello { version } => Err(io::Error::other(format!(
+            "{peer} wire version {version}, ours {WIRE_VERSION}"
+        ))),
+        _ => Err(io::Error::other("expected hello")),
+    }
 }
 
 #[cfg(test)]
@@ -610,6 +698,71 @@ mod tests {
 
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err(), "absurd length");
+    }
+
+    #[test]
+    fn a_stream_cut_inside_a_length_prefix_is_an_unexpected_eof_not_a_clean_close() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &Frame::Ack { count: 3 }).unwrap();
+        // Cut after 1, 2 and 3 prefix bytes, and inside the body.
+        for cut in [1, 2, 3, 6] {
+            let err = read_frame(&mut &stream[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut after {cut}");
+        }
+        // After a whole frame, the same cut inside the next prefix.
+        let mut two = stream.clone();
+        two.extend_from_slice(&stream[..2]);
+        let mut rd = two.as_slice();
+        assert_eq!(read_frame(&mut rd).unwrap(), Some(Frame::Ack { count: 3 }));
+        assert_eq!(
+            read_frame(&mut rd).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        // A zero length is refused like an oversized one.
+        let zero = [0u8; 4];
+        let err = read_frame(&mut zero.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A writer that counts the calls made to it.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_per_frame() {
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let frames = [
+            Frame::Ack { count: 1 },
+            Frame::Hello {
+                version: WIRE_VERSION,
+            },
+            Frame::Dropped { behind_panes: 9 },
+        ];
+        for (n, frame) in frames.iter().enumerate() {
+            write_frame(&mut w, frame).unwrap();
+            assert_eq!(w.writes, n + 1, "{frame:?}");
+        }
+        let mut rd = w.bytes.as_slice();
+        for frame in &frames {
+            assert_eq!(read_frame(&mut rd).unwrap().as_ref(), Some(frame));
+        }
     }
 
     #[test]
