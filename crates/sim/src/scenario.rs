@@ -309,14 +309,25 @@ mod tests {
 
     #[test]
     fn counting_scenario_is_accurate_for_few_tags() {
-        // Seed re-baselined for the workspace's deterministic StdRng: with
-        // empirical CFOs and only 10 runs, one shared-bin draw costs 10
-        // accuracy points.
-        let mut rng = StdRng::seed_from_u64(72);
+        // With empirical CFOs and only 10 runs, one shared-bin draw costs 10
+        // accuracy points, so whether one seed's runs read above 90 % is a
+        // coin flip on the noise stream. The property is its rate: over
+        // seeds 10 000–10 299 it held on 153 seeds, recorded on the
+        // Box–Muller sampler; a fresh count must be within the two-sample
+        // 99.9 % bound of that rate.
         let scenario = CountingScenario::new(5, CfoModel::Empirical);
-        let (accuracy, errors) = scenario.run(10, &mut rng);
-        assert!(accuracy > 90.0, "accuracy {accuracy}");
-        assert!(errors.mean <= 0.6, "mean abs error {}", errors.mean);
+        let held = (10_000..10_300)
+            .filter(|&seed| {
+                let (accuracy, errors) = scenario.run(10, &mut StdRng::seed_from_u64(seed));
+                accuracy > 90.0 && errors.mean <= 0.6
+            })
+            .count();
+        let p: f64 = 153.0 / 300.0;
+        let bound = 3.29 * (2.0 * p * (1.0 - p) / 300.0).sqrt() * 300.0;
+        assert!(
+            (held as f64 - 153.0).abs() <= bound,
+            "accurate on {held} of 300 seeds, recorded 153 ± {bound:.0}"
+        );
     }
 
     #[test]

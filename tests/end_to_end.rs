@@ -117,12 +117,24 @@ fn speed_enforcement_application_runs_end_to_end() {
 
 #[test]
 fn identification_time_grows_with_density() {
-    let mut rng = StdRng::seed_from_u64(1004);
-    let t1 = DecodingScenario::new(1).run(&mut rng).expect("1 tag");
-    let t6 = DecodingScenario::new(6).run(&mut rng).expect("6 tags");
+    // One seed is a coin flip on the noise stream: every failure is a
+    // 6-tag decode that used up its 64-query budget. The property is its
+    // rate: over seeds 20 000–20 099, both decodes succeeded and 1 tag was
+    // no slower than 6 on 96 seeds, recorded on the Box–Muller sampler; a
+    // fresh count must be within the two-sample 99.9 % bound of that rate.
+    let held = (20_000..20_100)
+        .filter(|&seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t1 = DecodingScenario::new(1).run(&mut rng);
+            let t6 = DecodingScenario::new(6).run(&mut rng);
+            matches!((t1, t6), (Ok(t1), Ok(t6)) if t1 <= t6)
+        })
+        .count();
+    let p: f64 = 96.0 / 100.0;
+    let bound = 3.29 * (2.0 * p * (1.0 - p) / 100.0).sqrt() * 100.0;
     assert!(
-        t1 <= t6,
-        "decoding should not get faster with more colliders"
+        (held as f64 - 96.0).abs() <= bound,
+        "decoding did not get faster with more colliders on {held} of 100 seeds, recorded 96 ± {bound:.0}"
     );
 }
 
