@@ -23,7 +23,8 @@
 //!   per-query random initial phase.
 //! * [`collision`] — superposition of many tags' responses at each antenna of
 //!   a reader: the raw material every Caraoke algorithm consumes.
-//! * [`noise`] — seeded Gaussian noise (Box–Muller, no extra dependencies).
+//! * [`noise`] — seeded Gaussian noise (one ziggurat sampler, no extra
+//!   dependencies).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
