@@ -6,8 +6,12 @@
 //! code *before* the reader's per-query path was optimised, so a change
 //! that moves one bit of a spectrum, a peak, an AoA or a fix fails here
 //! even though every in-process comparison still agrees with itself.
-//! The digest is an inline FNV-1a-64 over `to_bits()` and integers — no
-//! `Debug` formatting, no `DefaultHasher`, nothing a toolchain can change.
+//! The literals that hash received signals were re-pinned once since, when
+//! the Gaussian sampler became a ziggurat: a new noise stream moves every
+//! bit, so that change was judged by `tests/phy_distributions.rs`, which
+//! pins the PHY outcomes as distributions. The digest is an inline
+//! FNV-1a-64 over `to_bits()` and integers — no `Debug` formatting, no
+//! `DefaultHasher`, nothing a toolchain can change.
 
 use caraoke_suite::city::{
     synth::mix_seed, FrameSource, PhyCity, PoleReport, PositionMethod, TagObservation,
@@ -116,7 +120,7 @@ fn campus_6_16_77_reports_and_their_live_chain_are_the_recorded_ones() {
     let city = PhyCity::campus(6, 16, 77);
     let reports = all_reports(&city);
     assert_eq!(reports.len(), 24 * 16);
-    assert_eq!(reports_digest(&reports), 0x5959_65f6_fff7_6683);
+    assert_eq!(reports_digest(&reports), 0xd3e4_de10_fa15_fbff);
 
     // The same reports, streamed in order through the live tier.
     let live = LiveCity::new(city.directory().clone(), LiveConfig::default());
@@ -126,7 +130,7 @@ fn campus_6_16_77_reports_and_their_live_chain_are_the_recorded_ones() {
     live.finish();
     assert_eq!(
         (live.fingerprint_chain(), live.totals().fingerprint()),
-        (0xb136_f08b_efb9_40d9, 0x4ab4_a348_c48b_dc22)
+        (0x2f7c_1d66_4a21_8260, 0xe52d_f31b_5ef9_cd63)
     );
 }
 
@@ -135,7 +139,7 @@ fn campus_2_4_11_reports_are_the_recorded_ones() {
     let city = PhyCity::campus(2, 4, 11);
     let reports = all_reports(&city);
     assert_eq!(reports.len(), 8 * 4);
-    assert_eq!(reports_digest(&reports), 0xdc5a_6ef2_e643_3a9f);
+    assert_eq!(reports_digest(&reports), 0xcff8_9b49_c92e_5592);
 }
 
 /// The transponders `PhyCity::campus` puts on `street` (two parked cars
@@ -217,10 +221,10 @@ fn hash_query(h: &mut Fnv, q: &QueryReport, spectra: &[Vec<Complex>]) {
 fn one_pole_query_per_campus_street_is_the_recorded_one() {
     let streets = Street::campus();
     let recorded = [
-        0x90ea_9014_c332_27b4_u64,
-        0xd6e8_f918_b10b_c77c,
-        0x9339_b21d_c65b_fbcd,
-        0x4e98_f255_0529_172e,
+        0x6eb0_738e_905d_3aff_u64,
+        0x1feb_4943_1328_ec6b,
+        0xdba5_b15b_2029_4d7e,
+        0x69d1_0dc3_145d_d069,
     ];
     for (street, &want) in recorded.iter().enumerate() {
         let pole = Pole::new(
