@@ -254,7 +254,9 @@ fn one_pole_query_per_campus_street_is_the_recorded_one() {
 /// street's first pole, the street's tags at `round % 8` seconds, and 16
 /// collisions from `Pole::receive`. These are the cases where accepting
 /// the first accumulation whose bits pass the CRC decoded an id that no
-/// tag in range has.
+/// tag in range has: all seven a scan of seeds 77–599, rounds 0–19 and the
+/// four streets (41 840 decodes) found with that rule, on the ziggurat's
+/// noise stream. A new noise stream needs a new scan.
 #[test]
 fn campus_decoding_accepts_no_id_out_of_range() {
     let streets = Street::campus();
@@ -267,11 +269,13 @@ fn campus_decoding_accepts_no_id_out_of_range() {
     );
     let (mut correct, mut wrong) = (0, Vec::new());
     for (seed, round, street) in [
-        (87, 8, 0),
-        (92, 1, 0),
+        (118, 8, 1),
+        (168, 9, 0),
+        (241, 16, 3),
+        (263, 11, 3),
         (384, 17, 3),
-        (388, 8, 0),
-        (405, 9, 0),
+        (385, 0, 0),
+        (423, 9, 3),
     ] {
         let tags = campus_street_tags(&streets, street, (round % 8) as f64);
         let truth: Vec<u64> = pole.tags_in_range(&tags).iter().map(|t| t.id().0).collect();
