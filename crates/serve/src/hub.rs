@@ -133,6 +133,12 @@ pub struct ServeStats {
     /// file table, an aborted handshake); each was backed off and the loop
     /// kept accepting.
     pub accept_errors: u64,
+    /// Sessions closed for the client's fault: the hello deadline, a
+    /// missing or wrong-version hello, or an undecodable or out-of-range
+    /// frame (one the client's close cut short included). A clean close
+    /// counts nothing here, and a lag drop counts in
+    /// `dropped_subscribers`.
+    pub refused_clients: u64,
 }
 
 /// How a frame relates to the stream it belongs to.
@@ -265,6 +271,7 @@ pub struct ServeHub {
     dropped_subscribers: AtomicU64,
     frames_delivered: AtomicU64,
     accept_errors: AtomicU64,
+    refused_clients: AtomicU64,
 }
 
 impl ServeHub {
@@ -301,6 +308,7 @@ impl ServeHub {
             dropped_subscribers: AtomicU64::new(0),
             frames_delivered: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
+            refused_clients: AtomicU64::new(0),
         })
     }
 
@@ -375,12 +383,18 @@ impl ServeHub {
             dropped_subscribers: self.dropped_subscribers.load(Ordering::Relaxed),
             frames_delivered: self.frames_delivered.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
+            refused_clients: self.refused_clients.load(Ordering::Relaxed),
         }
     }
 
     /// Counts one error a TCP accept loop took from its listener.
     pub(crate) fn count_accept_error(&self) {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one session closed for its client's fault.
+    pub(crate) fn count_refused_client(&self) {
+        self.refused_clients.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The hub's tuning knobs.

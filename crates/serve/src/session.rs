@@ -108,7 +108,9 @@ impl Session {
                 Err(e) => Err(e),
             };
             self.taken += 1;
-            self.closed |= taken.is_err();
+            if taken.is_err() {
+                self.refuse();
+            }
             taken?;
         }
         Ok(bytes.len() - rest.len())
@@ -144,10 +146,24 @@ impl Session {
     }
 
     /// The client closed its side: a clean disconnect at a frame boundary,
-    /// an `UnexpectedEof` error inside a frame. The session is over.
+    /// an `UnexpectedEof` error inside a frame (a refusal). The session is
+    /// over.
     pub fn on_eof(&mut self) -> io::Result<()> {
+        let finished = self.decoder.finish();
+        if finished.is_err() {
+            self.refuse();
+        }
         self.closed = true;
-        self.decoder.finish()
+        finished
+    }
+
+    /// Closes the session for its client's fault, counted once in
+    /// [`ServeStats::refused_clients`](crate::ServeStats::refused_clients).
+    fn refuse(&mut self) {
+        if !self.closed {
+            self.closed = true;
+            self.hub.count_refused_client();
+        }
     }
 
     /// One hub round. Past the hello deadline the session closes. With the
@@ -160,7 +176,7 @@ impl Session {
     pub fn on_round(&mut self, wait: impl FnOnce(&mut Subscription) -> Vec<ServeEvent>) {
         let heard = std::mem::take(&mut self.taken) > 0;
         if self.hello_by.is_some_and(|by| self.hub.clock.now() >= by) {
-            self.closed = true;
+            self.refuse();
         }
         let (closed, window_shut) = (self.closed, self.window_shut());
         let events = match self.subscription.as_mut().filter(|_| !closed) {
@@ -262,12 +278,43 @@ mod tests {
             },
             Frame::Ack { count: 1 },
         ] {
-            let mut session = Session::new(stepped_hub());
+            let hub = stepped_hub();
+            let mut session = Session::new(Arc::clone(&hub));
             assert!(session
                 .on_bytes(&framed(std::slice::from_ref(&first)))
                 .is_err());
             assert_eq!(session.wants(), Wants::Close, "{first:?}");
             assert!(session.output().is_empty(), "{first:?}");
+            session.on_round(Subscription::poll);
+            assert!(session.on_eof().is_ok());
+            assert_eq!(hub.stats().refused_clients, 1, "{first:?}, counted once");
         }
+    }
+
+    #[test]
+    fn an_undecodable_or_cut_frame_is_refused_and_a_clean_close_is_not() {
+        // A frame with an unknown tag after the hello.
+        let hub = stepped_hub();
+        let mut session = Session::new(Arc::clone(&hub));
+        let mut input = framed(&[HELLO]);
+        input.extend([1, 0, 0, 0, 0xff]);
+        assert!(session.on_bytes(&input).is_err());
+        assert_eq!(session.wants(), Wants::Close);
+        assert_eq!(hub.stats().refused_clients, 1);
+
+        // A hello cut short by the client's close.
+        let hub = stepped_hub();
+        let mut session = Session::new(Arc::clone(&hub));
+        assert_eq!(session.on_bytes(&framed(&[HELLO])[..3]).unwrap(), 3);
+        assert!(session.on_eof().is_err());
+        assert_eq!(hub.stats().refused_clients, 1);
+
+        // A hello, then a close at a frame boundary.
+        let hub = stepped_hub();
+        let mut session = Session::new(Arc::clone(&hub));
+        assert!(session.on_bytes(&framed(&[HELLO])).is_ok());
+        assert!(session.on_eof().is_ok());
+        assert_eq!(session.wants(), Wants::Close);
+        assert_eq!(hub.stats().refused_clients, 0);
     }
 }

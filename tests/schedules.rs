@@ -499,6 +499,7 @@ fn a_session_past_a_zero_ack_window_gets_a_frame_then_a_notice_then_the_drop_the
     assert_eq!(session.wants(), Wants::Close);
     let stats = hub.stats();
     assert_eq!((stats.lag_notices, stats.dropped_subscribers), (1, 1));
+    assert_eq!(stats.refused_clients, 0, "a lag drop is not a refusal");
 }
 
 #[test]
@@ -514,10 +515,13 @@ fn a_silent_client_is_closed_at_the_hello_deadline_on_the_hub_clock() {
     manual.advance(HELLO_TIMEOUT - Duration::from_millis(1));
     assert!(round(&mut session).is_empty());
     assert_eq!(session.wants(), Wants::Client);
+    assert_eq!(hub.stats().refused_clients, 0);
     manual.advance(Duration::from_millis(1));
     assert!(
         round(&mut session).is_empty(),
         "no reply to a silent client"
     );
     assert_eq!(session.wants(), Wants::Close);
+    assert!(round(&mut session).is_empty());
+    assert_eq!(hub.stats().refused_clients, 1, "counted once");
 }
