@@ -13,6 +13,9 @@
 //! FNV-1a-64 over `to_bits()` and integers — no `Debug` formatting, no
 //! `DefaultHasher`, nothing a toolchain can change.
 
+mod campus;
+
+use campus::campus_street_tags;
 use caraoke_suite::city::{
     synth::mix_seed, FrameSource, PhyCity, PoleReport, PositionMethod, TagObservation,
 };
@@ -21,12 +24,9 @@ use caraoke_suite::geom::localize::{LocalizeError, RoadRegion};
 use caraoke_suite::geom::{try_localize_two_readers, ReaderPose, Vec3};
 use caraoke_suite::live::{LiveCity, LiveConfig};
 use caraoke_suite::phy::antenna::ArrayGeometry;
-use caraoke_suite::phy::cfo::MIN_TAG_CARRIER_HZ;
 use caraoke_suite::phy::channel::PropagationModel;
-use caraoke_suite::phy::protocol::{TransponderId, TransponderPacket};
-use caraoke_suite::phy::Transponder;
 use caraoke_suite::reader::QueryReport;
-use caraoke_suite::sim::{Pole, Street, Vehicle};
+use caraoke_suite::sim::{Pole, Street};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -140,42 +140,6 @@ fn campus_2_4_11_reports_are_the_recorded_ones() {
     let reports = all_reports(&city);
     assert_eq!(reports.len(), 8 * 4);
     assert_eq!(reports_digest(&reports), 0xcff8_9b49_c92e_5592);
-}
-
-/// The transponders `PhyCity::campus` puts on `street` (two parked cars
-/// where the street has near-side parking, two through cars), at `t_s`
-/// seconds. CFO bins and ids run on across streets as they do there.
-fn campus_street_tags(streets: &[Street], street: usize, t_s: f64) -> Vec<Transponder> {
-    let mut next_bin = 30usize;
-    let mut next_id = 1u64;
-    let mut out = Vec::new();
-    for (s, st) in streets.iter().enumerate() {
-        let lane_y = st.lane_center_y(0);
-        let speed = 24.0 + 3.0 * s as f64;
-        let mut cars: Vec<(Vec3, f64)> = Vec::new();
-        if st.parking_near_side {
-            cars.extend(st.parking_row(4.0, 2).iter().map(|spot| (spot.center, 0.0)));
-        }
-        cars.push((Vec3::new(2.0, lane_y, 0.0), speed));
-        cars.push((Vec3::new(-18.0, lane_y, 0.0), speed + 4.0));
-        for (start, mph) in cars {
-            let vehicle = Vehicle {
-                transponder: Transponder::new(
-                    TransponderPacket::from_id(TransponderId(next_id)),
-                    MIN_TAG_CARRIER_HZ + next_bin as f64 * 1953.125,
-                    start + Vec3::new(0.0, 0.0, 1.2),
-                ),
-                start,
-                velocity: Vec3::new(caraoke_suite::geom::mph_to_mps(mph), 0.0, 0.0),
-            };
-            next_bin += 25;
-            next_id += 1;
-            if s == street {
-                out.push(vehicle.transponder_at(t_s));
-            }
-        }
-    }
-    out
 }
 
 /// `q` and the full per-antenna `spectra` of the signal it analysed.
